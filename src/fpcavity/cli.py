@@ -5,9 +5,10 @@ fixed schemas.  Runs are reproducible: identical argv (and seed) produce
 byte-identical output.  Exit codes: 0 success / all checks pass, 1 at least
 one verification failure, 2 argument or domain error.
 
-The --tol-abs/--tol-rel/--max-subdivisions flags tune internal quadrature
-and series accuracy; verification pass thresholds are pinned per check and
-are not affected by them.
+The --tol-abs/--tol-rel/--max-subdivisions flags of `kernel` and `verify`
+tune internal quadrature accuracy; verification pass thresholds are pinned
+per check and are not affected by them.  `xi` (a fixed-accuracy lattice
+sum) and `dicke` (exact diagonalization) take no tolerance flags.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def _csv_bytes(header, rows) -> bytes:
 
 
 def _cmd_xi(ns) -> int:
-    value = xi(ns.u, ns.v, _tol(ns))
+    value = xi(ns.u, ns.v)
     if ns.format is None and ns.output is None:
         # bare value on stdout for interactive use
         sys.stdout.write(_g17(value) + "\n")
@@ -241,13 +242,16 @@ def _cmd_dicke(ns) -> int:
     return 0
 
 
-def _add_common(p, seed=False, bare_value=False):
+def _add_tol(p):
     p.add_argument("--tol-abs", type=float, default=1e-10,
-                   help="absolute accuracy of internal quadratures/series")
+                   help="absolute accuracy of internal quadratures")
     p.add_argument("--tol-rel", type=float, default=1e-10,
-                   help="relative accuracy of internal quadratures/series")
+                   help="relative accuracy of internal quadratures")
     p.add_argument("--max-subdivisions", type=int, default=4000,
                    help="adaptive quadrature panel-split budget")
+
+
+def _add_common(p, seed=False, bare_value=False):
     if bare_value:
         p.add_argument("--format", choices=("json", "csv"), default=None,
                        help="structured output format (bare value if omitted)")
@@ -295,12 +299,14 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="use the regulated spectral route (D family)")
     p_k.add_argument("--eps", type=float, default=0.05,
                      help="spectral regulator")
+    _add_tol(p_k)
     _add_common(p_k)
     p_k.set_defaults(func=_cmd_kernel)
 
     p_v = sub.add_parser("verify", help="run the identity verification suite",
                          formatter_class=fmt_cls)
     p_v.add_argument("target", nargs="?", choices=SUITE_NAMES, default="all")
+    _add_tol(p_v)
     _add_common(p_v, seed=True)
     p_v.set_defaults(func=_cmd_verify)
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import CavityFrame, DipoleSpec, image_positions, reflection_matrix
-from .specfun import DEFAULT_TOL, Tolerance, apery_zeta3, xi
+from .specfun import (DEFAULT_TOL, Tolerance, _lattice_moments,
+                      apery_zeta3, xi)
 
 __all__ = [
     "Separation",
@@ -50,6 +51,8 @@ class Separation:
     phi: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.u, self.v, self.phi))):
+            raise DomainError("separation u, v and phi must be finite")
         if self.v < 0:
             raise DomainError("transverse separation v must be non-negative")
 
@@ -82,27 +85,18 @@ def _check_sign(sign: str):
         raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
 
 
-def _e_plus_base(u: float, v: float, tol: Tolerance) -> np.ndarray:
+def _e_plus_base(u: float, v: float) -> np.ndarray:
     """E+ entries in the frame where the transverse separation lies along x.
 
     Lattice sum over n of the free-space dipole kernel (1 - 3 rhat rhat)/rho^3
-    at rho_n = (v, 0, 2n + u).  Truncated where the analytic tail bound
-    (entries are bounded by 2/rho_n^3) drops below abs_tol/2.
+    at rho_n = (v, 0, a = 2n + u), written through the lattice moments: with
+    a^2 = rho^2 - v^2, sum (1 - 3 a^2/rho^2)/rho^3 = -2 S3 + 3 v^2 S5.
     """
-    u = u % 2.0  # the lattice sum is exactly 2-periodic in u
-    target = 0.5 * tol.abs_tol
-    # two-sided tail <= (2(N-1) + u)^-2 + (2(N-1) - u)^-2 with entry factor 2
-    n_terms = max(8, int(math.ceil(0.5 * (math.sqrt(8.0 / target) + 6.0))))
-    n = np.arange(-n_terms, n_terms + 1, dtype=float)
-    a = 2.0 * n + u
-    rho2 = a * a + v * v
-    inv3 = rho2 ** -1.5
-    inv5 = rho2 ** -2.5
-    xx = float(np.sum(inv3 - 3.0 * v * v * inv5))
-    yy = float(np.sum(inv3))
-    zz = float(np.sum(inv3 - 3.0 * a * a * inv5))
-    xz = float(np.sum(-3.0 * v * a * inv5))
-    return np.array([[xx, 0.0, xz], [0.0, yy, 0.0], [xz, 0.0, zz]])
+    s3, s5, t5 = _lattice_moments(u, v)
+    xx = s3 - 3.0 * v * v * s5
+    zz = 3.0 * v * v * s5 - 2.0 * s3
+    xz = -3.0 * v * t5
+    return np.array([[xx, 0.0, xz], [0.0, s3, 0.0], [xz, 0.0, zz]])
 
 
 def kernel_e(sign: str, sep: Separation, tol: Tolerance = DEFAULT_TOL) -> KernelMatrix:
@@ -110,12 +104,14 @@ def kernel_e(sign: str, sep: Separation, tol: Tolerance = DEFAULT_TOL) -> Kernel
 
     Evaluated in the frame with the transverse separation along x, then
     conjugated by the rotation about z through sep.phi.  Coincident source
-    points (v = 0 and u an even integer) are a domain error.
+    points (v = 0 and u an even integer) are a domain error.  The lattice
+    result is accurate to about 1e-13 relative whatever tol is given; tol is
+    kept for the (sign, sep, tol) contract shared with kernel_d.
     """
     _check_sign(sign)
     if sep.is_coincident():
         raise DomainError("kernel_e is singular at coincident source points")
-    m = _rotate(_e_plus_base(sep.u, sep.v, tol), sep.phi)
+    m = _rotate(_e_plus_base(sep.u, sep.v), sep.phi)
     if sign == "minus":
         return KernelMatrix(m @ reflection_matrix(), E_MINUS)
     return KernelMatrix(m, E_PLUS)

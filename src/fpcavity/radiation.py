@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coulomb import D_MINUS, D_PLUS, KernelMatrix, Separation, _rotate
+from .coulomb import (D_MINUS, D_PLUS, KernelMatrix, Separation, _check_sign,
+                      _rotate)
 from .errors import DomainError
 from .geometry import CavityFrame, reflection_matrix
 from .specfun import DEFAULT_TOL, Tolerance, _jv, _quad_finite, integrate_semi_infinite
@@ -66,6 +67,7 @@ def _cosh_ratio(x: np.ndarray, u: float) -> np.ndarray:
 
 
 def _sinh_ratio(x: np.ndarray, u: float) -> np.ndarray:
+    # sinh(x(u-1))/sinh(x), same stable exponentials
     return (np.exp(x * (u - 2.0)) - np.exp(-x * u)) / (-np.expm1(-2.0 * x))
 
 
@@ -105,8 +107,7 @@ def kernel_d(sign: str, sep: Separation, tol: Tolerance = DEFAULT_TOL) -> Kernel
     Evaluated with the transverse separation along x and conjugated by the
     rotation through sep.phi.  Requires 0 < u < 2.
     """
-    if sign not in ("plus", "minus"):
-        raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    _check_sign(sign)
     _check_d_domain(sep)
     m = _rotate(_d_plus_base(sep.u, sep.v, tol), sep.phi)
     if sign == "minus":

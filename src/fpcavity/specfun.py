@@ -2,10 +2,10 @@
 
 Everything downstream (Coulomb kernels, displacement-field kernels, the
 identity suite) is built on four ingredients defined here: the cylindrical
-Bessel functions J0, J1, J2, the inverse-cube lattice sum xi(u, v), an
-adaptive Gauss-Kronrod integrator for exponentially decaying integrands on
-(0, inf), and the closed form of the two-sided mode sum
-sum_n e^{i alpha n} n^m / (n^2 + beta^2).
+Bessel functions J0, J1, J2, the image-lattice moments behind the
+inverse-cube lattice sum xi(u, v), an adaptive Gauss-Kronrod integrator for
+exponentially decaying integrands on (0, inf), and the closed form of the
+two-sided mode sum sum_n e^{i alpha n} n^m / (n^2 + beta^2).
 
 All functions are pure; units are dimensionless throughout.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -185,14 +184,64 @@ def bessel_j(order: int, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Inverse-cube lattice sum xi(u, v)
+# Image-lattice moments and the inverse-cube lattice sum xi(u, v)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _index_grid(n_terms: int) -> np.ndarray:
-    grid = np.arange(-n_terms, n_terms + 1, dtype=float)
-    grid.setflags(write=False)
-    return grid
+# |n| <= _LATTICE_N is summed term by term and the rest of each side by
+# Euler-Maclaurin through the third-derivative correction.  The remainder is
+# below 1e-15 relative for v <= 4 and peaks near 5e-14 relative at v ~ 40,
+# where the summand varies on the scale of the first omitted term.
+_LATTICE_N = 64
+_LATTICE_2N = 2.0 * np.arange(-_LATTICE_N, _LATTICE_N + 1)
+
+
+def _lattice_moments(u: float, v: float) -> tuple[float, float, float]:
+    """S3 = sum rho^-3, S5 = sum rho^-5 and T5 = sum a rho^-5 over the image
+    lattice a = 2n + u, rho^2 = a^2 + v^2, n in Z.
+
+    The one place the rho^-3/rho^-5 lattice is summed: xi = S3, the Coulomb
+    kernel E+ and the exact derivatives d/dv xi = -3 v S5, d/du xi = -3 T5
+    all come from these three numbers.  Accurate to about 1e-13 relative
+    (T5 relative to sum |a| rho^-5: T5 itself cancels to exponentially small
+    values at large v).
+    """
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise DomainError("u and v must be finite")
+    if v < 0:
+        raise DomainError("v must be non-negative")
+    u = u % 2.0
+    if v == 0.0 and u == 0.0:
+        raise DomainError("the lattice sum diverges at v = 0 with u an even "
+                          "integer")
+    a = _LATTICE_2N + u
+    rho2 = a * a + v * v
+    inv3 = rho2 ** -1.5
+    inv5 = inv3 / rho2
+    s3, s5, t5 = float(np.sum(inv3)), float(np.sum(inv5)), float(a @ inv5)
+    # Each side's tail from its first omitted |a| = A, with step 2 in a:
+    # sum f = (1/2) int_A^inf f + f(A)/2 - f'(A)/6 + f'''(A)/90.  The n < 0
+    # side is the mirror image and enters T5 (odd in a) with a minus sign.
+    for big_a, sign in ((2 * _LATTICE_N + 2 + u, 1.0),
+                        (2 * _LATTICE_N + 2 - u, -1.0)):
+        a2 = big_a * big_a
+        r2 = a2 + v * v
+        r = math.sqrt(r2)
+        p3 = 1.0 / (r2 * r)
+        p5 = p3 / r2
+        p7 = p5 / r2
+        p9 = p7 / r2
+        p11 = p9 / r2
+        # int_A^inf rho^-3 = 1/(r(r+A)), rho^-5 -> (2r+A)/(3r^3(r+A)^2),
+        # a rho^-5 -> 1/(3r^3), all free of cancellation at any v
+        s3 += (0.5 / (r * (r + big_a)) + 0.5 * p3 + 0.5 * big_a * p5
+               + big_a * (0.5 * p7 - 7.0 / 6.0 * a2 * p9))
+        s5 += ((2.0 * r + big_a) / (6.0 * r2 * r * (r + big_a) ** 2)
+               + 0.5 * p5 + 5.0 / 6.0 * big_a * p7
+               + big_a * (7.0 / 6.0 * p9 - 3.5 * a2 * p11))
+        t5 += sign * (p3 / 6.0 + 0.5 * big_a * p5
+                      - (p5 - 5.0 * a2 * p7) / 6.0
+                      - p7 / 6.0 + a2 * (7.0 / 3.0 * p9 - 3.5 * a2 * p11))
+    return s3, s5, t5
 
 
 def xi(u: float, v: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -200,30 +249,14 @@ def xi(u: float, v: float, tol: Tolerance = DEFAULT_TOL) -> float:
 
     Periodic in u with period 2 and symmetric under u -> 2 - u.  Finite for
     v > 0, and for v = 0 whenever u is not an even integer (there the n
-    hitting 2n + u = 0 contributes a non-summable term).
+    hitting 2n + u = 0 contributes a non-summable term).  Non-finite u or v
+    is a domain error.
 
-    Direct summation over |n| <= N with N fixed by the analytic tail bound
-    sum_{n >= N} (2n - u)^(-3) <= (1/4) (2(N-1) - u)^(-2); cubic decay makes
-    this cheap at any realistic tolerance.
+    The moment S3 of _lattice_moments, accurate to about 1e-13 relative
+    whatever tol is given; tol is kept for the (u, v, tol) contract shared
+    with the quadrature routes.
     """
-    if v < 0:
-        raise DomainError("v must be non-negative")
-    u = u % 2.0
-    if v == 0.0 and u == 0.0:
-        raise DomainError("xi diverges at v = 0 with u an even integer")
-    target = 0.5 * tol.abs_tol
-    # 2 * (1/4) (2N - 2 - u)^(-2) <= target, u < 2
-    n_terms = max(8, int(math.ceil(0.5 * (math.sqrt(2.0 / target) + 4.0))))
-    a = 2.0 * _index_grid(n_terms) + u
-    total = float(np.sum((a * a + v * v) ** -1.5))
-    # tighten if the relative request is the binding one
-    tail = 0.25 * ((2 * n_terms - 2 + u) ** -2 + (2 * n_terms - 2 - u) ** -2)
-    while tail > tol.rel_tol * abs(total) and tail > 0.5 * tol.abs_tol:
-        n_terms *= 2
-        a = 2.0 * _index_grid(n_terms) + u
-        total = float(np.sum((a * a + v * v) ** -1.5))
-        tail = 0.25 * ((2 * n_terms - 2 + u) ** -2 + (2 * n_terms - 2 - u) ** -2)
-    return total
+    return _lattice_moments(u, v)[0]
 
 
 _ZETA3 = 1.2020569031595942854

@@ -2,9 +2,12 @@
 
 Every analytic claim the kernels rest on is checked by computing both sides
 through independent code paths: quadratures of hyperbolic Bessel integrands
-on one side, lattice sums (and their finite-difference derivatives) on the
-other.  Reports carry both error measures and the tolerance that was
-applied; an aggregate run is deterministic given its seed.
+on one side, the image-lattice moments S3 = sum rho^-3, S5 = sum rho^-5 and
+T5 = sum a rho^-5 on the other (xi = S3, with the exact derivatives
+d/dv xi = -3 v S5 and d/du xi = -3 T5).  Reports carry both error measures
+and the tolerance that was applied; a numerical failure in any check becomes
+a failed report rather than aborting the run.  An aggregate run is
+deterministic given its seed.
 
 Check identifiers:
 
@@ -34,9 +37,9 @@ import numpy as np
 from .coulomb import Separation, kernel_e
 from .errors import ConvergenceError
 from .geometry import CavityFrame
-from .radiation import anisotropy_delta, kernel_d
-from .specfun import (DEFAULT_TOL, ModeSumArgs, Tolerance, _jv, _quad_finite,
-                      direct_mode_sum, hyperbolic_mode_sum,
+from .radiation import _cosh_ratio, _sinh_ratio, anisotropy_delta, kernel_d
+from .specfun import (ModeSumArgs, Tolerance, _jv, _lattice_moments,
+                      _quad_finite, direct_mode_sum, hyperbolic_mode_sum,
                       integrate_semi_infinite, xi)
 
 __all__ = [
@@ -163,16 +166,19 @@ def _failed_report(check_id: str, params: dict, tol: Tolerance,
                           passed=False, tol_used=tol)
 
 
-# ---------------------------------------------------------------------------
-# hyperbolic Bessel integrands (shared by several checks)
-# ---------------------------------------------------------------------------
+def _checked(check_id: str, params: dict, tol: Tolerance,
+             sides: Callable, *args) -> IdentityReport:
+    """Report check_id on sides(*args) -> (lhs, rhs) or (lhs, rhs, scale).
 
-def _cosh_ratio(x, u):
-    return (np.exp(x * (u - 2.0)) + np.exp(-x * u)) / (-np.expm1(-2.0 * x))
-
-
-def _sinh_ratio(x, u):
-    return (np.exp(x * (u - 2.0)) - np.exp(-x * u)) / (-np.expm1(-2.0 * x))
+    The one failure path of the suite: a ConvergenceError raised while
+    computing the sides becomes a failed report, so a numerical failure
+    never aborts a verification run.
+    """
+    try:
+        lhs, rhs, *scale = sides(*args)
+    except ConvergenceError as exc:
+        return _failed_report(check_id, params, tol, exc)
+    return _report(check_id, dict(params), lhs, rhs, tol, *scale)
 
 
 def _cosh_ratio_diff(x, u, u_prime):
@@ -184,114 +190,47 @@ def _cosh_ratio_diff(x, u, u_prime):
     return num / (-np.expm1(-2.0 * x))
 
 
-def _xi_fd_tol(tol: Tolerance) -> Tolerance:
-    return Tolerance(abs_tol=1e-12, rel_tol=1e-12,
-                     max_subdivisions=tol.max_subdivisions)
-
-
-def _fd_derivative(f: Callable[[float], float], x0: float, span: float,
-                   target_abs: float) -> tuple[float, float, float]:
-    """Richardson-extrapolated central difference of f at x0.
-
-    Halves the step until the truncation estimate (from step halving) drops
-    below target_abs or stops improving (noise floor).  Returns (derivative,
-    step used, error estimate).
-    """
-    h = min(1e-2, 0.25 * span)
-    d_prev = (f(x0 + h) - f(x0 - h)) / (2.0 * h)
-    e_prev = None
-    best = None
-    for _ in range(8):
-        h *= 0.5
-        d_cur = (f(x0 + h) - f(x0 - h)) / (2.0 * h)
-        e_cur = d_cur + (d_cur - d_prev) / 3.0  # h^2 term eliminated
-        if e_prev is not None:
-            err = abs(e_cur - e_prev)  # conservative for e_cur (true ~ err/15)
-            if best is None or err < best[2]:
-                best = (e_cur, h, err)
-            if err <= target_abs or err > 4.0 * best[2]:
-                break  # converged, or refinement is now noise-dominated
-        d_prev, e_prev = d_cur, e_cur
-    if best is None:
-        best = (e_prev, h, abs(e_prev - d_prev))
-    return best
-
-
 def check_bessel_hyperbolic(u: float, v: float, tol: Tolerance = TOL_EQ22,
                             deriv_tol: Tolerance | None = None) -> list[IdentityReport]:
     """Check the four hyperbolic-integral identities at one (u, v).
 
     The integral sides go through the adaptive quadrature; the lattice sides
-    go through xi, with d/dv and d/du taken by central finite differences so
-    the two routes share no code.  deriv_tol (default: 100x looser relative
-    tolerance) applies to the two derivative identities.
+    go through the lattice moments, xi = S3 with the exact derivatives
+    d/dv xi = -3 v S5 and d/du xi = -3 T5, so the two routes share no code.
+    deriv_tol (default: 100x looser relative tolerance) applies to the two
+    derivative identities.
     """
     if deriv_tol is None:
         deriv_tol = TOL_DERIV
     eng = _engine(tol)
-    xi_tol = _xi_fd_tol(tol)
     rate = min(u, 2.0 - u)
-    reports = []
-    xi_val = xi(u, v, xi_tol)
+    # xi by its module-level name, which lets a test substitute a shifted xi
+    # (as for SELF_CANCEL); the derivative sides take S5 and T5 directly
+    s3 = xi(u, v)
+    _, s5, t5 = _lattice_moments(u, v)
+    params = {"u": u, "v": v}
 
     def quad(f):
         return integrate_semi_infinite(f, rate, eng)
 
-    try:
-        lhs22 = quad(lambda x: x * _cosh_ratio(x, u) * _jv(1, x * v))
-        reports.append(_report("EQ22", {"u": u, "v": v},
-                               lhs22, v * xi_val, tol))
-    except ConvergenceError as exc:
-        reports.append(_failed_report("EQ22", {"u": u, "v": v}, tol, exc))
-
-    try:
-        lhs29p = quad(lambda x: x * x * _cosh_ratio(x, u)
-                      * (_jv(0, x * v) + _jv(2, x * v)))
-        reports.append(_report("EQ29_PLUS", {"u": u, "v": v},
-                               lhs29p, 2.0 * xi_val, tol))
-    except ConvergenceError as exc:
-        reports.append(_failed_report("EQ29_PLUS", {"u": u, "v": v},
-                                      tol, exc))
-
-    try:
-        lhs29m = quad(lambda x: x * x * _cosh_ratio(x, u)
-                      * (_jv(0, x * v) - _jv(2, x * v)))
-        if v == 0.0:
-            # the v d/dv term carries an explicit factor v
-            params = {"u": u, "v": v}
-            rhs29m = 2.0 * xi_val
-        else:
-            fd_target = max(deriv_tol.abs_tol,
-                            deriv_tol.rel_tol * abs(lhs29m)) \
-                / (10.0 * 2.0 * v)
-            dv, h_v, err_v = _fd_derivative(lambda t: xi(u, t, xi_tol), v,
-                                            span=v, target_abs=fd_target)
-            params = {"u": u, "v": v, "fd_step": h_v, "fd_err": err_v}
-            rhs29m = 2.0 * xi_val + 2.0 * v * dv
-        reports.append(_report("EQ29_MINUS", params, lhs29m, rhs29m,
-                               deriv_tol))
-    except ConvergenceError as exc:
-        reports.append(_failed_report("EQ29_MINUS", {"u": u, "v": v},
-                                      deriv_tol, exc))
-
-    try:
-        lhs30 = quad(lambda x: x * x * _sinh_ratio(x, u) * _jv(1, x * v))
-        if v == 0.0:
-            params = {"u": u, "v": v}
-            rhs30 = 0.0
-        else:
-            fd_target = max(deriv_tol.abs_tol,
-                            deriv_tol.rel_tol * abs(lhs30)) / (10.0 * v)
-            du, h_u, err_u = _fd_derivative(lambda t: xi(t, v, xi_tol), u,
-                                            span=min(u, 2.0 - u),
-                                            target_abs=fd_target)
-            params = {"u": u, "v": v, "fd_step": h_u, "fd_err": err_u}
-            rhs30 = v * du
-        reports.append(_report("EQ30", params, lhs30, rhs30, deriv_tol))
-    except ConvergenceError as exc:
-        reports.append(_failed_report("EQ30", {"u": u, "v": v},
-                                      deriv_tol, exc))
-    return reports
+    return [
+        _checked("EQ22", params, tol, lambda: (
+            quad(lambda x: x * _cosh_ratio(x, u) * _jv(1, x * v)),
+            v * s3)),
+        _checked("EQ29_PLUS", params, tol, lambda: (
+            quad(lambda x: x * x * _cosh_ratio(x, u)
+                 * (_jv(0, x * v) + _jv(2, x * v))),
+            2.0 * s3)),
+        # (2 + 2 v d/dv) xi
+        _checked("EQ29_MINUS", params, deriv_tol, lambda: (
+            quad(lambda x: x * x * _cosh_ratio(x, u)
+                 * (_jv(0, x * v) - _jv(2, x * v))),
+            2.0 * s3 - 6.0 * v * v * s5)),
+        # v d/du xi
+        _checked("EQ30", params, deriv_tol, lambda: (
+            quad(lambda x: x * x * _sinh_ratio(x, u) * _jv(1, x * v)),
+            -3.0 * v * t5)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -317,33 +256,24 @@ def check_kernel_cancellation(sep_samples: Sequence[Separation],
     if self_cancel_tol is None:
         self_cancel_tol = TOL_SELF
     eng = _engine(tol)
-    reports = []
-    for sep in sep_samples:
-        params = {"u": sep.u, "v": sep.v, "phi": sep.phi}
-        try:
-            e_mat = kernel_e_fn("plus", sep, eng).m
-            d_mat = kernel_d_fn("plus", sep, eng).m
-        except ConvergenceError as exc:
-            reports.append(_failed_report("EQ21", params, tol, exc))
-            continue
-        scale = float(np.max(np.abs(e_mat)))
-        reports.append(_report("EQ21", params, e_mat,
-                               -d_mat / (2.0 * math.pi), tol, scale=scale))
     eng_self = _engine(self_cancel_tol)
-    for z in z_samples:
-        params = {"z_over_L": z}
-        try:
-            xi_part = (xi(2.0 * z, 0.0, eng_self) / (8.0 * math.pi)
-                       * np.diag([-1.0, -1.0, -2.0]))
-            quad_part = kernel_d_fn("minus", Separation(2.0 * z, 0.0),
-                                    eng_self).m / (16.0 * math.pi ** 2)
-        except ConvergenceError as exc:
-            reports.append(_failed_report("SELF_CANCEL", params,
-                                          self_cancel_tol, exc))
-            continue
-        scale = float(np.max(np.abs(xi_part)))
-        reports.append(_report("SELF_CANCEL", params, xi_part, -quad_part,
-                               self_cancel_tol, scale=scale))
+
+    def eq21(sep):
+        e_mat = kernel_e_fn("plus", sep, eng).m
+        d_mat = kernel_d_fn("plus", sep, eng).m
+        return e_mat, -d_mat / (2.0 * math.pi), float(np.max(np.abs(e_mat)))
+
+    def self_cancel(z):
+        xi_part = (xi(2.0 * z, 0.0, eng_self) / (8.0 * math.pi)
+                   * np.diag([-1.0, -1.0, -2.0]))
+        quad_part = kernel_d_fn("minus", Separation(2.0 * z, 0.0),
+                                eng_self).m / (16.0 * math.pi ** 2)
+        return xi_part, -quad_part, float(np.max(np.abs(xi_part)))
+
+    reports = [_checked("EQ21", {"u": sep.u, "v": sep.v, "phi": sep.phi},
+                        tol, eq21, sep) for sep in sep_samples]
+    reports += [_checked("SELF_CANCEL", {"z_over_L": z}, self_cancel_tol,
+                         self_cancel, z) for z in z_samples]
     return reports
 
 
@@ -372,16 +302,17 @@ def check_lipschitz(u: float, v: float,
                     tol: Tolerance = TOL_LIPSCHITZ) -> list[IdentityReport]:
     """Laplace-Bessel integrals against their closed inverse-distance forms."""
     eng = _engine(tol)
-    reports = []
-    lhs33 = integrate_semi_infinite(
-        lambda x: np.exp(-x * u) * _jv(0, x * v), u, eng)
-    rhs33 = (u * u + v * v) ** -0.5
-    reports.append(_report("EQ33", {"u": u, "v": v}, lhs33, rhs33, tol))
-    lhs34 = integrate_semi_infinite(
-        lambda x: x * np.exp(-x * u) * _jv(1, x * v), u, eng)
-    rhs34 = v * (u * u + v * v) ** -1.5
-    reports.append(_report("EQ34", {"u": u, "v": v}, lhs34, rhs34, tol))
-    return reports
+    params = {"u": u, "v": v}
+    return [
+        _checked("EQ33", params, tol, lambda: (
+            integrate_semi_infinite(
+                lambda x: np.exp(-x * u) * _jv(0, x * v), u, eng),
+            (u * u + v * v) ** -0.5)),
+        _checked("EQ34", params, tol, lambda: (
+            integrate_semi_infinite(
+                lambda x: x * np.exp(-x * u) * _jv(1, x * v), u, eng),
+            v * (u * u + v * v) ** -1.5)),
+    ]
 
 
 def _paired_inverse_distance_sum(u: float, u_prime: float, v: float,
@@ -416,12 +347,12 @@ def check_green(u: float, u_prime: float, v: float,
     difference-of-cosh-ratios integral.
     """
     eng = _engine(tol)
-    lhs = _paired_inverse_distance_sum(u, u_prime, v)
     rate = min(u, 2.0 - u, u_prime, 2.0 - u_prime)
-    rhs = integrate_semi_infinite(
-        lambda x: _cosh_ratio_diff(x, u, u_prime) * _jv(0, x * v), rate, eng)
-    return _report("EQ36", {"u": u, "u_prime": u_prime, "v": v},
-                   lhs, rhs, tol)
+    return _checked("EQ36", {"u": u, "u_prime": u_prime, "v": v}, tol,
+                    lambda: (_paired_inverse_distance_sum(u, u_prime, v),
+                             integrate_semi_infinite(
+                                 lambda x: _cosh_ratio_diff(x, u, u_prime)
+                                 * _jv(0, x * v), rate, eng)))
 
 
 def check_axial_and_aniso(rho_z_samples: Sequence[float],
@@ -430,39 +361,46 @@ def check_axial_and_aniso(rho_z_samples: Sequence[float],
                           decay_factor: float = 1e-2) -> list[IdentityReport]:
     """Axial rotation invariance and coincident-point anisotropy decay."""
     eng = _engine(tol)
-    reports = []
-    for u in rho_z_samples:
+
+    def axial(u):
         worst = 0.0
         for sign in ("plus", "minus"):
             m = kernel_d(sign, Separation(u, 0.0), eng).m
             worst = max(worst, abs(m[0, 2]), abs(m[2, 0]))
-        reports.append(_report("AXIAL20", {"u": u, "entry": "xz/zx"},
-                               worst, 0.0, tol))
+        return worst, 0.0
+
+    reports = [_checked("AXIAL20", {"u": u, "entry": "xz/zx"}, tol, axial, u)
+               for u in rho_z_samples]
 
     # continuum surrogate: the angular integral that kills the anisotropy
-    angular = _quad_finite(lambda t: 3.0 * t * t - 1.0, -1.0, 1.0, eng)
-    reports.append(_report("ANISO38", {"form": "continuum_angular_integral"},
-                           angular, 0.0, TOL_CONTINUUM))
+    reports.append(_checked(
+        "ANISO38", {"form": "continuum_angular_integral"}, TOL_CONTINUUM,
+        lambda: (_quad_finite(lambda t: 3.0 * t * t - 1.0, -1.0, 1.0, eng),
+                 0.0)))
 
     if len(L_samples) >= 2:
-        normalized = []
-        for L in L_samples:
-            res = anisotropy_delta(CavityFrame(L), cutoff, eng)
-            normalized.append(abs(res.delta) / res.isotropic_scale)
-        ratios = [normalized[i + 1] / normalized[i]
-                  for i in range(len(normalized) - 1)]
-        # metric < 1 encodes: strictly decreasing AND final below
-        # decay_factor times the first value
-        metric = max(max(ratios),
-                     (normalized[-1] / normalized[0]) / decay_factor)
-        slope = float(np.polyfit(np.log(np.asarray(L_samples)),
-                                 np.log(np.asarray(normalized)), 1)[0])
-        reports.append(_report(
-            "ANISO38",
-            {"form": "decay", "cutoff": cutoff, "lengths": list(L_samples),
-             "normalized": normalized, "loglog_slope": slope,
-             "decay_factor": decay_factor},
-            metric, 0.0, TOL_DECAY))
+        params = {"form": "decay", "cutoff": cutoff,
+                  "lengths": list(L_samples)}
+
+        def decay():
+            normalized = []
+            for L in L_samples:
+                res = anisotropy_delta(CavityFrame(L), cutoff, eng)
+                normalized.append(abs(res.delta) / res.isotropic_scale)
+            ratios = [normalized[i + 1] / normalized[i]
+                      for i in range(len(normalized) - 1)]
+            # metric < 1 encodes: strictly decreasing AND final below
+            # decay_factor times the first value
+            metric = max(max(ratios),
+                         (normalized[-1] / normalized[0]) / decay_factor)
+            slope = float(np.polyfit(np.log(np.asarray(L_samples)),
+                                     np.log(np.asarray(normalized)), 1)[0])
+            # the fitted values join the report only once they exist
+            params.update(normalized=normalized, loglog_slope=slope,
+                          decay_factor=decay_factor)
+            return metric, 0.0
+
+        reports.append(_checked("ANISO38", params, TOL_DECAY, decay))
     return reports
 
 

@@ -49,6 +49,24 @@ def test_kernel_domain_error_exit_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_kernel_non_finite_input_exit_2(capsys):
+    code = dispatch(["kernel", "--family", "E", "--u", "nan", "--v", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["xi", "--u", "0.5", "--v", "1", "--tol-abs", "1e-8"],
+    ["dicke", "scan", "--tol-rel", "1e-8"],
+    ["dicke", "ground", "--y", "2", "--max-subdivisions", "10"],
+])
+def test_tolerance_flags_only_where_used(argv, capsys):
+    # xi is a fixed-accuracy lattice sum and dicke diagonalizes exactly:
+    # neither takes the quadrature tolerance flags
+    assert dispatch(argv) == 2
+
+
 def test_kernel_spectral_flag_restrictions(capsys):
     code = dispatch(["kernel", "--family", "E", "--spectral",
                      "--u", "0.5", "--v", "1.0"])

@@ -63,11 +63,14 @@ def test_kernel_is_traceless_and_symmetric():
     assert np.allclose(mat, mat.T, atol=1e-15)
 
 
-def test_truncation_stability():
-    from fpcavity.coulomb import _e_plus_base
-    loose = _e_plus_base(0.4, 0.8, Tolerance(1e-8, 1e-8, 4000))
-    tight = _e_plus_base(0.4, 0.8, Tolerance(1e-10, 1e-10, 4000))
-    assert np.abs(loose - tight).max() < 1e-8
+def test_non_finite_separation_raises():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            Separation(bad, 1.0)
+        with pytest.raises(DomainError):
+            Separation(0.5, bad)
+        with pytest.raises(DomainError):
+            Separation(0.5, 1.0, bad)
 
 
 def test_coincident_points_raise():

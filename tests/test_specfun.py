@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from scipy import special
 from fpcavity import (ConvergenceError, DomainError, ModeSumArgs, Tolerance,
                       apery_zeta3, bessel_j, direct_mode_sum,
                       hyperbolic_mode_sum, integrate_semi_infinite, xi)
+from fpcavity.specfun import _lattice_moments
 
 TIGHT = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=4000)
 
@@ -154,6 +156,66 @@ def test_xi_domain_errors():
         xi(2.0, 0.0)
     with pytest.raises(DomainError):
         xi(0.5, -1.0)
+    for bad in ((0.5, math.inf), (0.5, math.nan), (math.nan, 1.0),
+                (math.inf, 1.0)):
+        with pytest.raises(DomainError):
+            xi(*bad)
+
+
+def _mp_moments(u, v):
+    """S3, S5, T5 and sum |a| rho^-5 by mpmath.nsum at 30 digits.
+
+    T5 is summed one side at a time (a > 0 for n >= 0, a < 0 for n < 0 when
+    0 <= u < 2), which also gives the scale sum |a| rho^-5 that T5 is
+    measured against: T5 itself cancels to exponentially small values at
+    large v, where no double-precision sum keeps its relative accuracy.
+    """
+    with mpmath.workdps(30):
+        um, vm = mpmath.mpf(u), mpmath.mpf(v)
+
+        def lattice(term, lo, hi):
+            return mpmath.nsum(lambda n: term(2 * n + um), [lo, hi])
+
+        def s3(a):
+            return (a * a + vm * vm) ** mpmath.mpf(-1.5)
+
+        def s5(a):
+            return (a * a + vm * vm) ** mpmath.mpf(-2.5)
+
+        def t5(a):
+            return a * s5(a)
+
+        inf = mpmath.inf
+        pos, neg = lattice(t5, 0, inf), lattice(t5, -inf, -1)
+        return (float(lattice(s3, -inf, inf)), float(lattice(s5, -inf, inf)),
+                float(pos + neg), float(pos - neg))
+
+
+def test_lattice_moments_against_mpmath():
+    for u in (1e-3, 0.3, 1.0, 1.5, 1.999):
+        for v in (0.0, 0.5, 1.0, 4.0):
+            s3, s5, t5 = _lattice_moments(u, v)
+            r3, r5, rt, t_scale = _mp_moments(u, v)
+            assert abs(s3 - r3) <= 1e-13 * r3, (u, v)
+            assert abs(s5 - r5) <= 1e-13 * r5, (u, v)
+            assert abs(t5 - rt) <= 1e-13 * t_scale, (u, v)
+
+
+def test_xi_against_poisson_bessel_k1_series():
+    # Poisson summation (Linton, SIAM Review 52, 2010):
+    # xi = 1/v^2 + sum_{k >= 1} (2 pi k / v) K1(pi k v) cos(pi k u); the
+    # terms fall like e^(-pi k v), so k up to 45/(pi v) reaches 1e-19
+    for v in (0.5, 2.0, 10.0, 40.0, 2000.0):
+        with mpmath.workdps(30):
+            ks = range(1, int(math.ceil(45.0 / (math.pi * v))) + 1)
+            weights = [2 * mpmath.pi * k / v
+                       * mpmath.besselk(1, mpmath.pi * k * v) for k in ks]
+        for u in (0.1, 0.7, 1.6):
+            with mpmath.workdps(30):
+                want = float(1 / mpmath.mpf(v) ** 2 + sum(
+                    w * mpmath.cos(mpmath.pi * k * u)
+                    for k, w in zip(ks, weights)))
+            assert abs(xi(u, v) - want) <= 1e-13 * want, (u, v)
 
 
 # ---------------------------------------------------------------------------

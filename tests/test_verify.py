@@ -1,5 +1,7 @@
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,8 +47,17 @@ def test_bessel_hyperbolic_midpoint():
     assert set(by_id) == {"EQ22", "EQ29_PLUS", "EQ29_MINUS", "EQ30"}
     assert by_id["EQ22"].rel_err < 1e-8
     assert all(r.passed for r in reports)
-    # the derivative identities record their finite-difference step
-    assert by_id["EQ30"].params["fd_step"] > 0
+    # the derivative sides are exact lattice moments, not finite differences:
+    # (2 + 2 v d/dv) xi = 2 S3 - 6 v^2 S5, and v d/du xi vanishes at u = 1
+    with mpmath.workdps(30):
+        s3 = mpmath.nsum(lambda n: ((2 * n + 1) ** 2 + 1) ** -1.5,
+                         [-mpmath.inf, mpmath.inf])
+        s5 = mpmath.nsum(lambda n: ((2 * n + 1) ** 2 + 1) ** -2.5,
+                         [-mpmath.inf, mpmath.inf])
+        want = float(2 * s3 - 6 * s5)
+    assert by_id["EQ29_MINUS"].rhs == pytest.approx(want, rel=1e-13)
+    assert abs(by_id["EQ30"].rhs) < 1e-15
+    assert all(r.params == {"u": 1.0, "v": 1.0} for r in reports)
 
 
 def test_bessel_hyperbolic_symmetry_point():
@@ -85,6 +96,20 @@ def test_lipschitz_check_values():
     _, r34 = check_lipschitz(2.0, 3.0)
     assert r34.rhs == pytest.approx(3.0 * 13.0 ** -1.5)
     assert r34.abs_err < 1e-10
+
+
+def test_lipschitz_failure_is_a_report():
+    # too few panel splits for the near-singular u = 1e-4 integrands: both
+    # identities come back failed instead of the ConvergenceError aborting
+    start = time.perf_counter()
+    reports = check_lipschitz(1e-4, 1.0,
+                              Tolerance(1e-9, 1e-13, max_subdivisions=50))
+    assert time.perf_counter() - start < 5.0
+    assert [r.check_id for r in reports] == ["EQ33", "EQ34"]
+    for r in reports:
+        assert not r.passed
+        assert r.abs_err == math.inf
+        assert r.params["error"].startswith("ConvergenceError")
 
 
 def test_green_check():
