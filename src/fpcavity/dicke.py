@@ -48,6 +48,9 @@ class DickeParams:
     fock_cutoff: int = 60
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.omega_a, self.omega_c,
+                                              self.y)):
+            raise DomainError("omega_a, omega_c and y must be finite")
         if not (self.omega_a > 0 and self.omega_c > 0):
             raise DomainError("frequencies must be positive")
         if self.y < 0:

@@ -14,12 +14,15 @@ hyperbolic summed form
          [ -2 J1(xv) sh,              0,          2 J0(xv) ch ]]
 
 with ch = cosh(x(u-1)), sh = sinh(x(u-1)), the hyperbolic ratios folded
-into stable non-positive exponentials; the integrand decays like
-exp(-x(1-|u-1|)), so the
-adaptive integrator is cheap and accurate for 0 < u < 2.  The spectral
-(per-axial-index) representation converges only conditionally and is kept
-as a regulated cross-check: each transverse integral is damped by
-exp(-eps k_perp) and the caller extrapolates eps -> 0.
+into stable non-positive exponentials.  The four distinct entries xx, yy,
+zz and xz are integrated together, as the four rows of one vector-valued
+adaptive pass, so J0, J1, J2 and the ratios are evaluated once per node and
+each entry still meets the tolerance on its own.  The integrand decays
+like exp(-x(1-|u-1|)), so the pass is cheap and accurate for 0 < u < 2.
+The spectral (per-axial-index) representation converges only
+conditionally and is kept as a regulated cross-check: each transverse
+integral is damped by exp(-eps k_perp) and the caller extrapolates
+eps -> 0.
 """
 
 from __future__ import annotations
@@ -81,23 +84,20 @@ def _check_d_domain(sep: Separation):
 
 
 def _d_plus_base(u: float, v: float, tol: Tolerance) -> np.ndarray:
-    """D+ entries in the frame with the transverse separation along x."""
-    rate = min(u, 2.0 - u)
+    """D+ entries in the frame with the transverse separation along x.
 
-    def entry(bessels):
-        def f(x):
-            return x * x * _cosh_ratio(x, u) * bessels(x)
-        return integrate_semi_infinite(f, rate, tol)
+    One adaptive pass over the rows xx, yy, zz and xz (see the module
+    docstring); at v = 0 the xz row is exactly 0.
+    """
+    def rows(x):
+        xv = x * v
+        j0, j1, j2 = _jv(0, xv), _jv(1, xv), _jv(2, xv)
+        ch = x * x * _cosh_ratio(x, u)
+        sh = x * x * _sinh_ratio(x, u)
+        return np.array([ch * (j2 - j0), -ch * (j0 + j2), 2.0 * ch * j0,
+                         -2.0 * sh * j1])
 
-    xx = entry(lambda x: -_jv(0, x * v) + _jv(2, x * v))
-    yy = entry(lambda x: -_jv(0, x * v) - _jv(2, x * v))
-    zz = entry(lambda x: 2.0 * _jv(0, x * v))
-    if v == 0.0:
-        xz = 0.0  # J1(0) = 0: the off-diagonal integrand vanishes identically
-    else:
-        xz = integrate_semi_infinite(
-            lambda x: x * x * _sinh_ratio(x, u) * (-2.0 * _jv(1, x * v)),
-            rate, tol)
+    xx, yy, zz, xz = integrate_semi_infinite(rows, min(u, 2.0 - u), tol)
     return math.pi * np.array([[xx, 0.0, xz], [0.0, yy, 0.0], [xz, 0.0, zz]])
 
 

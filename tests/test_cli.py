@@ -57,6 +57,18 @@ def test_kernel_non_finite_input_exit_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["kernel", "--family", "D", "--u", "0.5", "--v", "1",
+     "--tol-abs", "inf", "--tol-rel", "inf"],
+    ["dicke", "ground", "--y", "nan"],
+    ["dicke", "meanfield", "--y", "inf"],
+])
+def test_non_finite_parameters_exit_2(argv, capsys):
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
     ["xi", "--u", "0.5", "--v", "1", "--tol-abs", "1e-8"],
     ["dicke", "scan", "--tol-rel", "1e-8"],
     ["dicke", "ground", "--y", "2", "--max-subdivisions", "10"],

@@ -119,6 +119,13 @@ def test_params_validation():
         DickeParams(fock_cutoff=0)
 
 
+@pytest.mark.parametrize("field", ["omega_a", "omega_c", "y"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_params_reject_non_finite(field, bad):
+    with pytest.raises(DomainError):
+        DickeParams(**{field: bad})
+
+
 # ---------------------------------------------------------------------------
 # mean field
 # ---------------------------------------------------------------------------

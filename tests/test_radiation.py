@@ -38,6 +38,30 @@ def test_cancellation_against_coulomb_kernel():
     assert resid < 1e-7 * np.abs(e_mat).max()
 
 
+def _cancellation_residual(sep):
+    # |E+ + D+/(2 pi)| relative to max |E+|; kernel_e is the lattice route,
+    # so the check does not lean on the quadrature it tests
+    e_mat = kernel_e("plus", sep).m
+    d_mat = kernel_d("plus", sep).m
+    return np.abs(e_mat + d_mat / (2.0 * math.pi)).max() / np.abs(e_mat).max()
+
+
+def test_cancellation_near_mirror_at_large_v():
+    # a single-entry K15/G7 error estimate can agree by accident on a wide
+    # oscillating panel; this separation once gave a D+ off by 2e-7 relative
+    # at the default tolerance without raising
+    assert _cancellation_residual(
+        Separation(1.7225866720361558, 2.571918349886375)) < 1e-10
+
+
+def test_cancellation_sweep_at_default_tolerance():
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        sep = Separation(rng.uniform(0.02, 1.98), rng.uniform(0.0, 3.0),
+                         rng.uniform(0.0, 2.0 * math.pi))
+        assert _cancellation_residual(sep) < 1e-10, sep
+
+
 def test_domain_restrictions():
     with pytest.raises(DomainError):
         kernel_d("plus", Separation(0.0, 0.0))

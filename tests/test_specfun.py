@@ -285,9 +285,61 @@ def test_quadrature_reports_failure_with_best_estimate():
     assert err.achieved_error > 0
 
 
+def test_quadrature_accepts_loose_abs_tol():
+    # a truncation point from log(1/abs_tol) alone turns negative here; any
+    # finite value meets this tolerance, and the seed panels still give ~1
+    val = integrate_semi_infinite(lambda x: np.exp(-x), 0.5,
+                                  Tolerance(abs_tol=1e20, rel_tol=1e-10))
+    assert val == pytest.approx(1.0, abs=1e-6)
+
+
 def test_quadrature_rejects_bad_rate():
     with pytest.raises(DomainError):
         integrate_semi_infinite(lambda x: np.exp(-x), 0.0)
+
+
+def test_quadrature_scalar_integrand_returns_float():
+    val = integrate_semi_infinite(lambda x: np.exp(-x), 1.0)
+    assert type(val) is float
+
+
+def test_quadrature_vector_matches_scalar_passes():
+    from fpcavity.specfun import _jv
+    rows = [lambda x: np.exp(-x),
+            lambda x: np.exp(-x) * _jv(0, x),
+            lambda x: x * np.exp(-x) * _jv(1, 2.0 * x)]
+    vec = integrate_semi_infinite(lambda x: np.array([f(x) for f in rows]),
+                                  1.0, TIGHT)
+    assert isinstance(vec, np.ndarray) and vec.shape == (3,)
+    for val, f, exact in zip(vec, rows,
+                             (1.0, 1.0 / math.sqrt(2.0), 2.0 * 5.0 ** -1.5)):
+        assert val == pytest.approx(integrate_semi_infinite(f, 1.0, TIGHT),
+                                    abs=2e-12)
+        assert val == pytest.approx(exact, abs=1e-12)
+
+
+def test_quadrature_vector_holds_small_component_to_abs_tol():
+    # the second row is about 1e-6 of the first, so a norm-wide test at
+    # rel_tol = 1e-6 would accept it at ~100% error; each row meets its own
+    # max(abs_tol, rel_tol |total_i|) instead
+    tol = Tolerance(abs_tol=1e-13, rel_tol=1e-6)
+    big, small = integrate_semi_infinite(
+        lambda x: np.array([np.exp(-x), 1e-6 * np.cos(20.0 * x) * np.exp(-x)]),
+        1.0, tol)
+    assert big == pytest.approx(1.0, rel=1e-6)
+    assert small == pytest.approx(1e-6 / 401.0, abs=1e-13)
+
+
+def test_quadrature_vector_failure_carries_per_component_arrays():
+    nasty = lambda x: np.array([np.cos(40.0 * x) * np.exp(-0.1 * x),
+                                np.exp(-x)])
+    with pytest.raises(ConvergenceError) as exc_info:
+        integrate_semi_infinite(nasty, 0.1,
+                                Tolerance(1e-13, 1e-13, max_subdivisions=1))
+    err = exc_info.value
+    assert np.shape(err.best_estimate) == (2,)
+    assert np.shape(err.achieved_error) == (2,)
+    assert err.achieved_error[0] > 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -338,3 +390,11 @@ def test_tolerance_validation():
         Tolerance(abs_tol=0.0)
     with pytest.raises(DomainError):
         Tolerance(max_subdivisions=0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_tolerance_rejects_non_finite(bad):
+    with pytest.raises(DomainError):
+        Tolerance(abs_tol=bad)
+    with pytest.raises(DomainError):
+        Tolerance(rel_tol=bad)
