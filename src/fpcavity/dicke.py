@@ -3,13 +3,20 @@
 H = omega_a S_z + omega_c a'a + (y/sqrt(N)) (a + a') S_x on the symmetric
 (collective-spin) sector, product basis |m> x |n_phot> with a Fock cutoff.
 The model has a parity symmetry exp[i pi (a'a + S_z + N/2)]; the Hamiltonian
-is block-diagonal in it, and the ground-state solver diagonalizes the two
-parity blocks separately so reported parities are exact labels even when the
+is block-diagonal in it, and the ground-state solver treats the two parity
+blocks separately so reported parities are exact labels even when the
 superradiant doublet is degenerate to machine precision.
+
+Each block, with its states ordered by photon number, is banded with a
+half-bandwidth of about N/2.  The solver builds it in band storage straight
+from the matrix elements, takes its two lowest eigenvalues from a banded
+eigensolver and the ground vector by inverse iteration; no dense matrix is
+formed.  `build_hamiltonian` scatters the same elements into the dense
+matrix for tests and inspection.
 
 The zero-temperature mean-field transition sits at y_c = sqrt(omega_c
 omega_a): below it the ground state is the trivial product state; above it
-a symmetry-breaking boson amplitude appears.
+a symmetry-breaking boson amplitude appears, given in closed form.
 """
 
 from __future__ import annotations
@@ -19,9 +26,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
+from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "DickeParams",
@@ -35,6 +42,7 @@ __all__ = [
 ]
 
 MAX_DIMENSION = 20000
+_MAX_INVERSE_ITERATIONS = 50
 
 
 @dataclass(frozen=True)
@@ -88,36 +96,50 @@ class ScanRow:
     parity: float
 
 
-def _spin_ops(n_atoms: int):
-    s = 0.5 * n_atoms
-    mz = np.arange(n_atoms + 1, dtype=float) - s
-    sz = np.diag(mz)
-    raise_elem = np.sqrt(s * (s + 1) - mz[:-1] * (mz[:-1] + 1))
-    sp = np.zeros((n_atoms + 1, n_atoms + 1))
-    sp[np.arange(1, n_atoms + 1), np.arange(n_atoms)] = raise_elem
-    sx = 0.5 * (sp + sp.T)
-    return sz, sx
+def _check_dimension(p: DickeParams) -> None:
+    if p.dimension > MAX_DIMENSION:
+        raise DomainError(
+            f"Hilbert-space dimension {p.dimension} exceeds the solver "
+            f"guard {MAX_DIMENSION}")
 
 
-def _boson_ops(cutoff: int):
-    a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
-    nph = np.diag(np.arange(cutoff + 1, dtype=float))
-    return a, nph
+def _elements(p: DickeParams):
+    """The nonzero matrix elements of H on |m, n>, the one definition of H.
+
+    m is the spin index 0..N (S_z = m - N/2) and n the photon number
+    0..cutoff.  Returns (m, n, value) arrays of the diagonal, over the
+    states in photon-major order n (N + 1) + m, and (m1, n1, m2, n2, value)
+    arrays of the couplings, each unordered pair of states once:
+    S_x (a + a') links |m, n> to |m + 1, n +- 1>.
+    """
+    s = 0.5 * p.n_atoms
+    n, m = np.divmod(np.arange(p.dimension), p.n_atoms + 1)
+    diag = p.omega_a * (m - s) + p.omega_c * n
+    mz = np.arange(p.n_atoms, dtype=float) - s
+    # <m+1| S_x |m> = sqrt(s(s+1) - mz(mz+1)) / 2, <j+1| a' |j> = sqrt(j+1)
+    sx = 0.5 * np.sqrt(s * (s + 1) - mz * (mz + 1))
+    k, j = np.divmod(np.arange(p.n_atoms * p.fock_cutoff), p.fock_cutoff)
+    c = (p.y / math.sqrt(p.n_atoms)) * (sx[k] * np.sqrt(j + 1.0))
+    # |k, j> - |k+1, j+1> and |k, j+1> - |k+1, j>, both of strength c
+    couplings = (np.concatenate([k, k]), np.concatenate([j, j + 1]),
+                 np.concatenate([k + 1, k + 1]), np.concatenate([j + 1, j]),
+                 np.concatenate([c, c]))
+    return (m, n, diag), couplings
 
 
 def build_hamiltonian(p: DickeParams) -> np.ndarray:
-    """Dense real symmetric Hamiltonian in the |m> x |n_phot> product basis."""
-    if p.dimension > MAX_DIMENSION:
-        raise DomainError(
-            f"Hilbert-space dimension {p.dimension} exceeds the dense-solver "
-            f"guard {MAX_DIMENSION}")
-    sz, sx = _spin_ops(p.n_atoms)
-    a, nph = _boson_ops(p.fock_cutoff)
-    eye_s = np.eye(p.n_atoms + 1)
-    eye_b = np.eye(p.fock_cutoff + 1)
-    return (p.omega_a * np.kron(sz, eye_b)
-            + p.omega_c * np.kron(eye_s, nph)
-            + (p.y / math.sqrt(p.n_atoms)) * np.kron(sx, a + a.T))
+    """Dense real symmetric Hamiltonian in the |m> x |n_phot> product basis,
+    index m (cutoff + 1) + n."""
+    _check_dimension(p)
+    (m, n, diag), (m1, n1, m2, n2, c) = _elements(p)
+    dim_b = p.fock_cutoff + 1
+    h = np.zeros((p.dimension, p.dimension))
+    i = m * dim_b + n
+    h[i, i] = diag
+    i1, i2 = m1 * dim_b + n1, m2 * dim_b + n2
+    h[i1, i2] = c
+    h[i2, i1] = c
+    return h
 
 
 def parity_diagonal(p: DickeParams) -> np.ndarray:
@@ -127,36 +149,114 @@ def parity_diagonal(p: DickeParams) -> np.ndarray:
     return ((-1.0) ** (m_idx[:, None] + n_idx[None, :])).ravel()
 
 
-def _solve_blocks(p: DickeParams):
-    """Eigen-decompose the two parity blocks; returns per-block (w, v, idx)."""
-    h = build_hamiltonian(p)
-    signs = parity_diagonal(p)
-    out = []
-    for s in (1.0, -1.0):
-        idx = np.flatnonzero(signs == s)
-        w, v = np.linalg.eigh(h[np.ix_(idx, idx)])
-        out.append((w, v, idx))
-    return out
+@dataclass(frozen=True)
+class _Block:
+    """One parity block in lower band storage, ab[d, i] = H[i + d, i], with
+    the spin index and photon number of each of its states."""
+
+    ab: np.ndarray
+    m: np.ndarray
+    n: np.ndarray
+    lowest: np.ndarray  # the two lowest eigenvalues, ascending
+    # largest absolute row sum, an upper bound on the spectral norm and the
+    # scale of the eigensolver's rounding
+    norm: float
+
+
+def _solve_blocks(p: DickeParams) -> list[_Block]:
+    """The even and the odd parity block, with their two lowest eigenvalues.
+
+    A block lists its states photon-major, by n (N + 1) + m.  H then links
+    only neighbouring photon numbers, so each block is banded with a
+    half-bandwidth of about N/2, whatever the cutoff.
+    """
+    _check_dimension(p)
+    (m, n, diag), (m1, n1, m2, n2, c) = _elements(p)
+    dim_s = p.n_atoms + 1
+    parity = (m + n) % 2
+    # position of each state in its block, by photon-major index
+    pos = np.empty(p.dimension, dtype=int)
+    for b in (0, 1):
+        pos[parity == b] = np.arange(np.count_nonzero(parity == b))
+    i1, i2 = pos[n1 * dim_s + m1], pos[n2 * dim_s + m2]
+    # a coupling changes m + n by 0 or 2, so it stays inside its block
+    link_parity = (m1 + n1) % 2
+    blocks = []
+    for b in (0, 1):
+        on, link = parity == b, link_parity == b
+        lo = np.minimum(i1[link], i2[link])
+        width = np.abs(i1[link] - i2[link])
+        ab = np.zeros((int(width.max()) + 1, np.count_nonzero(on)))
+        ab[0] = diag[on]
+        ab[width, lo] = c[link]
+        # every block holds at least two states: N >= 1 and cutoff >= 1
+        lowest = eig_banded(ab, lower=True, eigvals_only=True, select="i",
+                            select_range=(0, 1), check_finite=False)
+        norm = float(_band_matvec(np.abs(ab), np.ones(ab.shape[1])).max())
+        blocks.append(_Block(ab=ab, m=m[on], n=n[on], lowest=lowest,
+                             norm=norm))
+    return blocks
+
+
+def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    y = ab[0] * x
+    for d in range(1, ab.shape[0]):
+        y[d:] += ab[d, :-d] * x[:-d]
+        y[:-d] += ab[d, :-d] * x[d:]
+    return y
+
+
+def _ground_vector(block: _Block) -> np.ndarray:
+    """Unit eigenvector of the block's lowest eigenvalue E0, by inverse
+    iteration on H - (E0 - 1e-10 |H|) until |H x - E0 x| <= 1e-12 |H|.
+
+    Both bounds scale with H, so the result does too.  The first start is
+    the basis state of the lowest diagonal entry, which makes the result
+    exact when H is diagonal.  A ground state more than about 1400 photons
+    away from it overlaps it by less than the smallest double, which the
+    solves cannot recover; the uniform vector is the second start.
+    """
+    e0 = float(block.lowest[0])
+    scale = block.norm
+    shifted = block.ab.copy()
+    shifted[0] -= e0 - 1e-10 * scale
+    factor = cholesky_banded(shifted, lower=True, check_finite=False)
+    dim = block.ab.shape[1]
+    basis_state = np.zeros(dim)
+    basis_state[np.argmin(block.ab[0])] = 1.0
+    residual = math.inf
+    for x in (basis_state, np.ones(dim)):
+        for _ in range(_MAX_INVERSE_ITERATIONS):
+            x = cho_solve_banded((factor, True), x, check_finite=False)
+            # over the largest entry first: the entries are about 1/|H|,
+            # and the norm squares them, which underflows for a large |H|
+            x /= np.abs(x).max()
+            x /= np.linalg.norm(x)
+            residual = float(np.linalg.norm(
+                (_band_matvec(block.ab, x) - e0 * x) / scale))
+            if residual <= 1e-12:
+                return x
+    raise ConvergenceError(
+        f"inverse iteration missed its residual bound from both starts, "
+        f"{_MAX_INVERSE_ITERATIONS} steps each", best_estimate=e0,
+        achieved_error=residual * scale)
 
 
 def _ground_observables(p: DickeParams):
-    blocks = _solve_blocks(p)
-    # strictly lower energy wins; exact ties resolve to even parity
-    if blocks[0][0][0] <= blocks[1][0][0]:
-        parity = 1.0
-        w, v, idx = blocks[0]
+    even, odd = _solve_blocks(p)
+    e_even, e_odd = float(even.lowest[0]), float(odd.lowest[0])
+    # Block minima closer than the eigensolver's rounding, a few eps |H|,
+    # are a tie, and a tie goes to even parity: deep in the superradiant
+    # phase the doublet is degenerate below machine precision.
+    tie = 8 * np.finfo(float).eps * max(even.norm, odd.norm)
+    if e_odd < e_even - tie:
+        parity, block, energy = -1.0, odd, e_odd
     else:
-        parity = -1.0
-        w, v, idx = blocks[1]
-    energy = float(w[0])
-    vec = v[:, 0]
-    dim_b = p.fock_cutoff + 1
-    n_of_state = (idx % dim_b).astype(float)
-    m_of_state = (idx // dim_b).astype(float) - 0.5 * p.n_atoms
-    prob = vec * vec
-    photon = float(prob @ n_of_state)
-    sz = float(prob @ m_of_state)
-    all_w = np.sort(np.concatenate([blocks[0][0], blocks[1][0]]))
+        parity, block, energy = 1.0, even, e_even
+    prob = _ground_vector(block) ** 2
+    photon = float(prob @ block.n)
+    sz = float(prob @ (block.m - 0.5 * p.n_atoms))
+    all_w = np.sort(np.concatenate([even.lowest, odd.lowest]))
     gap = float(all_w[1] - all_w[0])
     return energy, photon, sz, parity, gap
 
@@ -165,13 +265,18 @@ def ground_state(p: DickeParams) -> GroundStateResult:
     """Ground-state energy and observables, with a cutoff-convergence flag.
 
     The flag re-solves at ceil(1.25 * fock_cutoff) and requires the mean
-    photon number to move by at most max(1e-8, 1e-4 * value).
+    photon number to move by at most max(1e-8, 1e-4 * value).  When that
+    larger problem exceeds MAX_DIMENSION but the requested one fits, the
+    re-solve is skipped and the flag is False.
     """
     energy, photon, sz, parity, _ = _ground_observables(p)
     bigger = DickeParams(p.omega_a, p.omega_c, p.y, p.n_atoms,
                          int(math.ceil(1.25 * p.fock_cutoff)))
-    _, photon_big, _, _, _ = _ground_observables(bigger)
-    converged = abs(photon_big - photon) <= max(1e-8, 1e-4 * abs(photon_big))
+    converged = False
+    if bigger.dimension <= MAX_DIMENSION:
+        _, photon_big, _, _, _ = _ground_observables(bigger)
+        converged = (abs(photon_big - photon)
+                     <= max(1e-8, 1e-4 * abs(photon_big)))
     return GroundStateResult(energy=energy, photon_number=photon,
                              sz_expect=sz, parity=parity,
                              cutoff_converged=converged)
@@ -186,36 +291,26 @@ def _classical_energy_per_atom(a_amp: float, theta: float, p: DickeParams) -> fl
 
 
 def mean_field(p: DickeParams) -> MeanFieldResult:
-    """Zero-temperature mean-field solution.
+    """Zero-temperature mean-field solution, in closed form.
 
     y_c = sqrt(omega_a omega_c).  At or below y_c the normal branch is
-    returned exactly (zero order parameter, energy -omega_a/2 per atom);
-    above it the classical product-state energy is minimized numerically
-    over the boson amplitude and the spin angle, and alpha^2/N at the
-    minimum is reported as the order parameter.
+    returned (zero order parameter, energy -omega_a/2 per atom).  Above it
+    the classical product-state energy is least at cos(theta) = y_c^2/y^2,
+    with alpha^2/N = y^2 (1 - cos^2 theta) / (4 omega_c^2) reported as the
+    order parameter and E/N = -(omega_a/4) (y^2/y_c^2 + y_c^2/y^2).
     """
     y_c = math.sqrt(p.omega_a * p.omega_c)
     if p.y <= y_c:
         return MeanFieldResult(y_c=y_c, order_parameter_sq_per_atom=0.0,
                                energy_per_atom=-0.5 * p.omega_a)
-    fun = lambda x: _classical_energy_per_atom(x[0], x[1], p)
-    # the broken minimum sits near the decoupled-spin guess below
-    guess_theta = math.acos(min(1.0, (y_c / p.y) ** 2))
-    guess_a = -0.5 * p.y * math.sin(guess_theta) / p.omega_c
-    best = None
-    for x0 in ((guess_a, guess_theta), (-guess_a, -guess_theta), (0.3, 0.5)):
-        res = optimize.minimize(fun, x0, method="Nelder-Mead",
-                                options={"xatol": 1e-12, "fatol": 1e-14,
-                                         "maxiter": 4000})
-        if best is None or res.fun < best.fun:
-            best = res
-    if best.fun > -0.5 * p.omega_a:  # never worse than the normal branch
-        return MeanFieldResult(y_c=y_c, order_parameter_sq_per_atom=0.0,
-                               energy_per_atom=-0.5 * p.omega_a)
-    a_opt = float(best.x[0])
-    return MeanFieldResult(y_c=y_c,
-                           order_parameter_sq_per_atom=a_opt * a_opt,
-                           energy_per_atom=float(best.fun))
+    y2 = p.y * p.y
+    cos_theta = p.omega_a * p.omega_c / y2
+    order = y2 * (1.0 - cos_theta * cos_theta) / (4.0 * p.omega_c ** 2)
+    energy = -0.25 * p.omega_a * (y2 / (p.omega_a * p.omega_c) + cos_theta)
+    if not (math.isfinite(order) and math.isfinite(energy)):
+        raise DomainError(f"the mean-field solution overflows at y = {p.y}")
+    return MeanFieldResult(y_c=y_c, order_parameter_sq_per_atom=order,
+                           energy_per_atom=energy)
 
 
 def spectrum_scan(p: DickeParams, y_grid: Sequence[float]) -> list[ScanRow]:

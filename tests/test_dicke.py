@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from fpcavity import (DickeParams, DomainError, build_hamiltonian,
                       ground_state, mean_field, spectrum_scan)
+from fpcavity import dicke
+from fpcavity.cli import dispatch
 from fpcavity.dicke import parity_diagonal
 
 
@@ -93,8 +98,7 @@ def test_cutoff_convergence_flag_trips():
     assert not gs.cutoff_converged
 
 
-def test_scaling_symmetry():
-    lam = 2.7
+def _check_scaling(lam):
     base = DickeParams(omega_a=1.0, omega_c=0.8, y=1.3, n_atoms=4,
                        fock_cutoff=30)
     scaled = DickeParams(omega_a=lam, omega_c=0.8 * lam, y=1.3 * lam,
@@ -105,9 +109,130 @@ def test_scaling_symmetry():
     assert g2.sz_expect == pytest.approx(g1.sz_expect, rel=1e-9)
 
 
+def test_scaling_symmetry():
+    _check_scaling(2.7)
+
+
+@pytest.mark.parametrize("lam", [1e-200, 1e-9, 1e9, 1e200])
+def test_scaling_symmetry_at_extreme_scales(lam):
+    # the solver's shift and residual bound scale with H, and its iterates
+    # neither underflow nor overflow
+    _check_scaling(lam)
+
+
 def test_dimension_guard():
     with pytest.raises(DomainError):
         build_hamiltonian(DickeParams(n_atoms=200, fock_cutoff=200))
+    with pytest.raises(DomainError):
+        ground_state(DickeParams(n_atoms=200, fock_cutoff=200))
+
+
+def test_guard_does_not_trip_on_convergence_resolve(monkeypatch):
+    # the requested problem (dimension 92) fits; the re-solve at cutoff 57
+    # (dimension 116) does not, so the flag is False instead of an error
+    monkeypatch.setattr(dicke, "MAX_DIMENSION", 100)
+    p = DickeParams(y=0.5, n_atoms=1, fock_cutoff=45)
+    gs = ground_state(p)
+    assert not gs.cutoff_converged
+    assert gs.energy == spectrum_scan(p, [0.5])[0].energy
+    with pytest.raises(DomainError):
+        ground_state(DickeParams(y=0.5, n_atoms=1, fock_cutoff=50))
+
+
+# ---------------------------------------------------------------------------
+# banded parity-block solver
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("y", [0.0, 0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("omega_a, omega_c, n_atoms, cutoff", [
+    (1.0, 1.0, 1, 1),     # two states per parity block
+    (1.0, 1.0, 4, 20),
+    (2.0, 0.5, 3, 30),
+    (0.7, 1.3, 8, 40),
+])
+def test_solver_against_dense_parity_blocks(omega_a, omega_c, n_atoms,
+                                            cutoff, y):
+    p = DickeParams(omega_a, omega_c, y, n_atoms, cutoff)
+    h = build_hamiltonian(p)
+    signs = parity_diagonal(p)
+    w = np.sort(np.concatenate([
+        np.linalg.eigvalsh(h[np.ix_(signs == s, signs == s)])[:2]
+        for s in (1.0, -1.0)]))
+    energy, _, _, _, gap = dicke._ground_observables(p)
+    tol = 1e-12 * max(1.0, abs(w[0]))
+    assert abs(energy - w[0]) <= tol
+    assert abs(gap - (w[1] - w[0])) <= tol
+
+
+def test_solver_never_builds_dense_hamiltonian(monkeypatch):
+    def dense(p):
+        raise AssertionError("dense Hamiltonian built")
+    monkeypatch.setattr(dicke, "build_hamiltonian", dense)
+    assert ground_state(DickeParams(y=1.5, n_atoms=4, fock_cutoff=20)).energy < 0
+
+
+@pytest.mark.parametrize("omega_a, omega_c, n_atoms, cutoff", [
+    (1.0, 1.0, 8, 60), (1.0, 1.0, 16, 100), (2.0, 0.5, 3, 7), (0.7, 1.3, 1, 1)])
+def test_zero_coupling_exact(omega_a, omega_c, n_atoms, cutoff):
+    p = DickeParams(omega_a, omega_c, 0.0, n_atoms, cutoff)
+    gs = ground_state(p)
+    row = spectrum_scan(p, [0.0])[0]
+    assert gs.energy == row.energy == -0.5 * n_atoms * omega_a
+    assert gs.photon_number == row.photon_number == 0.0
+    assert gs.sz_expect == -0.5 * n_atoms
+
+
+@pytest.mark.parametrize("y, n_atoms, cutoff", [
+    # about 100 photons: the vacuum start overlaps the ground state by about
+    # 1e-22, so inverse iteration needs more than three steps
+    (5.0, 16, 160),
+    # about 3600 photons: the overlap underflows and the second start is used
+    (120.0, 1, 4000),
+])
+def test_ground_vector_far_from_vacuum_hellmann_feynman(y, n_atoms, cutoff):
+    # <a'a> = dE/d omega_c and <S_z> = dE/d omega_a check the vector
+    # against eigenvalues alone
+    def e0(omega_a, omega_c):
+        even, odd = dicke._solve_blocks(
+            DickeParams(omega_a, omega_c, y, n_atoms, cutoff))
+        return min(even.lowest[0], odd.lowest[0])
+
+    _, photon, sz, _, _ = dicke._ground_observables(
+        DickeParams(1.0, 1.0, y, n_atoms, cutoff))
+    h = 1e-5
+    assert photon == pytest.approx((e0(1.0, 1 + h) - e0(1.0, 1 - h)) / (2 * h),
+                                   rel=1e-8)
+    assert sz == pytest.approx((e0(1 + h, 1.0) - e0(1 - h, 1.0)) / (2 * h),
+                               abs=1e-6)
+
+
+def test_degenerate_doublet_resolves_to_even_parity():
+    # at N = 8, y = 3 the two block minima agree to about 1e-14, below the
+    # rounding of either eigensolve; the tie goes to even parity
+    p = DickeParams(y=3.0, n_atoms=8, fock_cutoff=60)
+    assert ground_state(p).parity == 1.0
+    row = spectrum_scan(p, [3.0])[0]
+    assert row.parity == 1.0
+    assert 0.0 <= row.gap < 1e-12
+
+
+def test_gap_at_critical_coupling_closes_like_n_to_minus_one_third():
+    # Vidal & Dusuel, EPL 74, 817 (2006): the gap at y_c scales as N^(-1/3)
+    gaps = [spectrum_scan(DickeParams(y=1.0, n_atoms=n, fock_cutoff=30),
+                          [1.0])[0].gap for n in (32, 64)]
+    slope = math.log(gaps[1] / gaps[0]) / math.log(2.0)
+    assert -0.36 <= slope <= -0.28
+
+
+def test_energy_per_atom_approaches_mean_field_like_one_over_n():
+    diffs = []
+    for n, cutoff in ((4, 40), (8, 60), (16, 80), (32, 120)):
+        p = DickeParams(y=2.0, n_atoms=n, fock_cutoff=cutoff)
+        e0 = spectrum_scan(p, [2.0])[0].energy
+        diffs.append(e0 / n - mean_field(p).energy_per_atom)
+    assert all(d < 0 for d in diffs)
+    ratios = [a / b for a, b in zip(diffs, diffs[1:])]
+    assert all(1.8 <= r <= 2.4 for r in ratios)
 
 
 def test_params_validation():
@@ -164,6 +289,27 @@ def test_mean_field_parity_degenerate_minima():
     e1 = _classical_energy_per_atom(-a_star, theta_star, p)
     e2 = _classical_energy_per_atom(a_star, -theta_star, p)
     assert e1 == pytest.approx(e2, rel=1e-14)
+
+
+def test_mean_field_closed_form_exact():
+    res = mean_field(DickeParams(y=2.0))
+    assert res.order_parameter_sq_per_atom == 0.9375
+    assert res.energy_per_atom == -1.0625
+
+
+def test_mean_field_overflow_is_domain_error(capsys):
+    with pytest.raises(DomainError):
+        mean_field(DickeParams(y=1e200))
+    assert dispatch(["dicke", "meanfield", "--y", "1e200"]) == 2
+
+
+def test_import_leaves_out_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dicke.__file__)))
+    code = "import sys, fpcavity; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "False"
 
 
 def test_mean_field_asymmetric_frequencies():
