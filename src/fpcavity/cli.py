@@ -39,14 +39,20 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _finite_or_null(x: float):
+    # strict JSON has no Infinity/NaN: a failed check's inf error is null
+    return x if math.isfinite(x) else None
+
+
 def emit_report(reports, fmt: str, suite: str = "adhoc", seed: int = 0,
                 warnings=()) -> bytes:
     """Serialize identity reports.
 
     JSON: {"suite", "seed", "all_pass", "warnings", "checks": [{"id",
-    "params", "abs_err", "rel_err", "pass", "tol_abs", "tol_rel"}]}.
-    CSV: one row per check with the same columns (params JSON-encoded),
-    header row first, 17-significant-digit decimals.
+    "params", "abs_err", "rel_err", "pass", "tol_abs", "tol_rel"}]}, strict
+    JSON: a non-finite abs_err or rel_err (a check that failed to compute)
+    is null.  CSV: one row per check with the same columns (params
+    JSON-encoded), header row first, 17-significant-digit decimals.
     """
     if fmt == "json":
         doc = {
@@ -58,8 +64,8 @@ def emit_report(reports, fmt: str, suite: str = "adhoc", seed: int = 0,
                 {
                     "id": r.check_id,
                     "params": r.params,
-                    "abs_err": r.abs_err,
-                    "rel_err": r.rel_err,
+                    "abs_err": _finite_or_null(r.abs_err),
+                    "rel_err": _finite_or_null(r.rel_err),
                     "pass": r.passed,
                     "tol_abs": r.tol_used.abs_tol,
                     "tol_rel": r.tol_used.rel_tol,
@@ -67,7 +73,7 @@ def emit_report(reports, fmt: str, suite: str = "adhoc", seed: int = 0,
                 for r in reports
             ],
         }
-        return (json.dumps(doc, indent=2) + "\n").encode()
+        return _json_bytes(doc)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -75,7 +81,7 @@ def emit_report(reports, fmt: str, suite: str = "adhoc", seed: int = 0,
         for r in reports:
             writer.writerow([
                 r.check_id,
-                json.dumps(r.params, sort_keys=True),
+                json.dumps(r.params, sort_keys=True, allow_nan=False),
                 _g17(r.abs_err),
                 _g17(r.rel_err),
                 "true" if r.passed else "false",
@@ -87,11 +93,15 @@ def emit_report(reports, fmt: str, suite: str = "adhoc", seed: int = 0,
 
 
 def parse_report(data: bytes, fmt: str) -> list[IdentityReport]:
-    """Inverse of emit_report for the fields present in the schema."""
+    """Inverse of emit_report for the fields present in the schema; a null
+    abs_err or rel_err reads back as inf."""
+    def err(x) -> float:
+        return math.inf if x is None else float(x)
+
     def build(check):
         return IdentityReport(
             check_id=check["id"], params=check["params"], lhs=None, rhs=None,
-            abs_err=float(check["abs_err"]), rel_err=float(check["rel_err"]),
+            abs_err=err(check["abs_err"]), rel_err=err(check["rel_err"]),
             passed=bool(check["pass"]),
             tol_used=Tolerance(abs_tol=float(check["tol_abs"]),
                                rel_tol=float(check["tol_rel"])))
@@ -131,7 +141,7 @@ def _tol(ns) -> Tolerance:
 
 
 def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2) + "\n").encode()
+    return (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode()
 
 
 def _csv_bytes(header, rows) -> bytes:

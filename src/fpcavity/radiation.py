@@ -17,8 +17,29 @@ with ch = cosh(x(u-1)), sh = sinh(x(u-1)), the hyperbolic ratios folded
 into stable non-positive exponentials.  The four distinct entries xx, yy,
 zz and xz are integrated together, as the four rows of one vector-valued
 adaptive pass, so J0, J1, J2 and the ratios are evaluated once per node and
-each entry still meets the tolerance on its own.  The integrand decays
-like exp(-x(1-|u-1|)), so the pass is cheap and accurate for 0 < u < 2.
+each entry still meets the tolerance on its own.
+
+As it stands the integrand decays only like exp(-x min(u, 2-u)).  Near a
+mirror that makes the pass slow, and at (u, v) = (1e-3, 1) or (1.99, 2) it
+does not converge within the default 4000 panel splits.  kernel_d therefore splits off the nearest image pair: with
+ch/sinh(x) = sum_{n>=0} [e^{-x(2n+u)} + e^{-x(2n+2-u)}] and sh/sinh(x) the
+same with e^{-x(2n+2-u)} - e^{-x(2n+u)},
+
+    ch/sinh(x) - (e^{-xu} + e^{-x(2-u)}) = e^{-2x} ch/sinh(x),
+
+and likewise for sh.  The pair's transforms int x^2 e^{-xa} J_n(xv) are
+elementary (_laplace_bessel_x2) and are added back in closed form, while
+the adaptive pass integrates the remainder, which decays at rate
+2 + min(u, 2-u) for every u in (0, 2).
+
+Those closed forms are, analytically, the n = 0 and n = -1 terms of the
+image lattice that E+ sums, so checking E+ = -(1/2 pi) D+ on the split
+route would partly compare the lattice with itself.  The unsplit integrand
+therefore stays as the reference route (_kernel_d_reference) that the
+verification suite uses for EQ21, SELF_CANCEL and AXIAL20; it never calls
+the lattice code.  Both routes build their rows with one helper (_d_rows)
+that takes the two hyperbolic weights.
+
 The spectral (per-axial-index) representation converges only
 conditionally and is kept as a regulated cross-check: each transverse
 integral is damped by exp(-eps k_perp) and the caller extrapolates
@@ -83,22 +104,80 @@ def _check_d_domain(sep: Separation):
             "converges only there)")
 
 
+def _d_rows(x: np.ndarray, v: float, ch: np.ndarray,
+            sh: np.ndarray) -> np.ndarray:
+    """The rows xx, yy, zz and xz of the D+ integrand (without the factor
+    pi) at the nodes x, given the cosh weight ch and the sinh weight sh."""
+    xv = x * v
+    j0, j1, j2 = _jv(0, xv), _jv(1, xv), _jv(2, xv)
+    ch = x * x * ch
+    sh = x * x * sh
+    return np.array([ch * (j2 - j0), -ch * (j0 + j2), 2.0 * ch * j0,
+                     -2.0 * sh * j1])
+
+
+def _laplace_bessel_x2(a: float, v: float) -> tuple[float, float, float]:
+    """int_0^inf x^2 e^{-xa} J_n(xv) dx for n = 0, 1, 2, in closed form.
+
+    With r^2 = a^2 + v^2 they are (2a^2 - v^2)/r^5, 3av/r^5 and 3v^2/r^5:
+    the a-derivatives of the Laplace-Bessel forms EQ33/EQ34.
+    """
+    inv5 = (a * a + v * v) ** -2.5
+    return (2.0 * a * a - v * v) * inv5, 3.0 * a * v * inv5, 3.0 * v * v * inv5
+
+
+def _nearest_pair_rows(u: float, v: float) -> np.ndarray:
+    """The rows of the n = 0 image pair, e^{-xu} and e^{-x(2-u)}, in closed
+    form.
+
+    Both exponentials enter the cosh weight with a plus sign; the sinh
+    weight carries e^{-x(2-u)} - e^{-xu}.
+    """
+    rows = np.zeros(4)
+    for a, sinh_sign in ((u, -1.0), (2.0 - u, 1.0)):
+        i0, i1, i2 = _laplace_bessel_x2(a, v)
+        rows += [i2 - i0, -(i0 + i2), 2.0 * i0, -2.0 * sinh_sign * i1]
+    return rows
+
+
+def _d_matrix(rows) -> np.ndarray:
+    xx, yy, zz, xz = rows
+    return math.pi * np.array([[xx, 0.0, xz], [0.0, yy, 0.0], [xz, 0.0, zz]])
+
+
 def _d_plus_base(u: float, v: float, tol: Tolerance) -> np.ndarray:
     """D+ entries in the frame with the transverse separation along x.
 
-    One adaptive pass over the rows xx, yy, zz and xz (see the module
+    The nearest image pair in closed form plus one adaptive pass over the
+    remainder, whose weights carry an extra e^{-2x} (see the module
     docstring); at v = 0 the xz row is exactly 0.
     """
-    def rows(x):
-        xv = x * v
-        j0, j1, j2 = _jv(0, xv), _jv(1, xv), _jv(2, xv)
-        ch = x * x * _cosh_ratio(x, u)
-        sh = x * x * _sinh_ratio(x, u)
-        return np.array([ch * (j2 - j0), -ch * (j0 + j2), 2.0 * ch * j0,
-                         -2.0 * sh * j1])
+    def remainder(x):
+        damp = np.exp(-2.0 * x)
+        return _d_rows(x, v, damp * _cosh_ratio(x, u),
+                       damp * _sinh_ratio(x, u))
 
-    xx, yy, zz, xz = integrate_semi_infinite(rows, min(u, 2.0 - u), tol)
-    return math.pi * np.array([[xx, 0.0, xz], [0.0, yy, 0.0], [xz, 0.0, zz]])
+    rows = integrate_semi_infinite(remainder, 2.0 + min(u, 2.0 - u), tol)
+    return _d_matrix(rows + _nearest_pair_rows(u, v))
+
+
+def _d_plus_reference(u: float, v: float, tol: Tolerance) -> np.ndarray:
+    """D+ entries from the unsplit integrand, the route verify checks EQ21
+    against: it shares no closed form with the image lattice."""
+    def rows(x):
+        return _d_rows(x, v, _cosh_ratio(x, u), _sinh_ratio(x, u))
+
+    return _d_matrix(integrate_semi_infinite(rows, min(u, 2.0 - u), tol))
+
+
+def _kernel_from_base(base, sign: str, sep: Separation,
+                      tol: Tolerance) -> KernelMatrix:
+    _check_sign(sign)
+    _check_d_domain(sep)
+    m = _rotate(base(sep.u, sep.v, tol), sep.phi)
+    if sign == "minus":
+        return KernelMatrix(m @ reflection_matrix(), D_MINUS)
+    return KernelMatrix(m, D_PLUS)
 
 
 def kernel_d(sign: str, sep: Separation, tol: Tolerance = DEFAULT_TOL) -> KernelMatrix:
@@ -107,12 +186,17 @@ def kernel_d(sign: str, sep: Separation, tol: Tolerance = DEFAULT_TOL) -> Kernel
     Evaluated with the transverse separation along x and conjugated by the
     rotation through sep.phi.  Requires 0 < u < 2.
     """
-    _check_sign(sign)
-    _check_d_domain(sep)
-    m = _rotate(_d_plus_base(sep.u, sep.v, tol), sep.phi)
-    if sign == "minus":
-        return KernelMatrix(m @ reflection_matrix(), D_MINUS)
-    return KernelMatrix(m, D_PLUS)
+    return _kernel_from_base(_d_plus_base, sign, sep, tol)
+
+
+def _kernel_d_reference(sign: str, sep: Separation,
+                        tol: Tolerance = DEFAULT_TOL) -> KernelMatrix:
+    """kernel_d by the unsplit integrand: the independent route of verify.
+
+    Slow near a mirror, where the integrand decays like
+    exp(-x min(u, 2-u)), and it may raise ConvergenceError there.
+    """
+    return _kernel_from_base(_d_plus_reference, sign, sep, tol)
 
 
 def _gl_grid(x_max: float, width: float, order: int = 20):

@@ -37,7 +37,8 @@ import numpy as np
 from .coulomb import Separation, kernel_e
 from .errors import ConvergenceError
 from .geometry import CavityFrame
-from .radiation import _cosh_ratio, _sinh_ratio, anisotropy_delta, kernel_d
+from .radiation import (_cosh_ratio, _kernel_d_reference, _sinh_ratio,
+                        anisotropy_delta)
 from .specfun import (ModeSumArgs, Tolerance, _jv, _lattice_moments,
                       _quad_finite, direct_mode_sum, hyperbolic_mode_sum,
                       integrate_semi_infinite, xi)
@@ -242,7 +243,8 @@ def check_kernel_cancellation(sep_samples: Sequence[Separation],
                               tol: Tolerance = TOL_EQ21,
                               self_cancel_tol: Tolerance | None = None,
                               kernel_e_fn: Callable = kernel_e,
-                              kernel_d_fn: Callable = kernel_d) -> list[IdentityReport]:
+                              kernel_d_fn: Callable = _kernel_d_reference
+                              ) -> list[IdentityReport]:
     """Coulomb / quadratic kernel cancellation, pairwise and single-dipole.
 
     EQ21: for each separation, E+ must equal -(1/2 pi) D+ entrywise, with
@@ -250,8 +252,12 @@ def check_kernel_cancellation(sep_samples: Sequence[Separation],
     z/L, the xi part of the self-energy matrix (weight 1/8 pi) must cancel
     the quadratic single-dipole term (weight 1/16 pi^2).
 
-    The kernel callables are injectable so corrupted kernels can be used to
-    demonstrate the checks actually bite.
+    D+ comes by default from the unsplit hyperbolic integrand, not from
+    kernel_d: kernel_d adds the nearest image pair back in closed form, and
+    those closed forms are the lattice's n = 0 and n = -1 terms, so EQ21 on
+    it would partly compare the lattice with itself.  The kernel callables
+    are injectable so corrupted kernels can be used to demonstrate the
+    checks actually bite.
     """
     if self_cancel_tol is None:
         self_cancel_tol = TOL_SELF
@@ -300,7 +306,15 @@ def check_mode_sum(grid: Sequence[ModeSumArgs], n_max: int,
 
 def check_lipschitz(u: float, v: float,
                     tol: Tolerance = TOL_LIPSCHITZ) -> list[IdentityReport]:
-    """Laplace-Bessel integrals against their closed inverse-distance forms."""
+    """Laplace-Bessel integrals against their closed inverse-distance forms.
+
+    The integrands decay only like e^{-xu}.  At the default tolerance both
+    identities hold for u >= 0.01 with v in [0, 3], and at v = 0 for any
+    u > 0.  Closer to u = 0 at v > 0 (u = 5e-3 at v = 3, u = 1e-3 at
+    v = 0.5) the quadrature runs out of panel splits and the check comes
+    back failed.  kernel_d has no such limit: it takes the x^2 forms of
+    these transforms in closed form.
+    """
     eng = _engine(tol)
     params = {"u": u, "v": v}
     return [
@@ -365,7 +379,7 @@ def check_axial_and_aniso(rho_z_samples: Sequence[float],
     def axial(u):
         worst = 0.0
         for sign in ("plus", "minus"):
-            m = kernel_d(sign, Separation(u, 0.0), eng).m
+            m = _kernel_d_reference(sign, Separation(u, 0.0), eng).m
             worst = max(worst, abs(m[0, 2]), abs(m[2, 0]))
         return worst, 0.0
 

@@ -262,3 +262,33 @@ def test_round_trip_property(abs_err, rel_err, tol_abs, tol_rel, passed, fmt):
     assert back.passed == passed
     assert back.tol_used.abs_tol == tol_abs
     assert back.tol_used.rel_tol == tol_rel
+
+
+def _strict_json(data: str):
+    # json.loads accepts the non-standard Infinity/NaN tokens unless told
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(data, parse_constant=reject)
+
+
+def test_failed_checks_emit_strict_json(capsys):
+    # one panel split is too few for about half the Laplace-Bessel checks:
+    # those rows fail with a ConvergenceError and an infinite error
+    assert dispatch(["verify", "lipschitz", "--max-subdivisions", "1"]) == 1
+    doc = _strict_json(capsys.readouterr().out)
+    failed = [c for c in doc["checks"] if not c["pass"]]
+    assert failed and all(c["abs_err"] is None and c["rel_err"] is None
+                          for c in failed)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_infinite_errors_round_trip(fmt):
+    rep = IdentityReport(check_id="EQ33", params={"u": 1.0, "v": 0.0},
+                         lhs=None, rhs=None, abs_err=math.inf,
+                         rel_err=math.inf, passed=False,
+                         tol_used=Tolerance(1e-9, 1e-13))
+    data = emit_report([rep], fmt)
+    if fmt == "json":
+        _strict_json(data.decode())
+    back = parse_report(data, fmt)[0]
+    assert back.abs_err == math.inf and back.rel_err == math.inf

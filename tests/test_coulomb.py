@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpcavity import (CavityFrame, DipoleSpec, DomainError, Separation,
                       Tolerance, apery_zeta3, brute_force_coulomb,
@@ -49,6 +51,15 @@ def test_rotation_covariance():
     c, s = math.cos(phi), math.sin(phi)
     rz = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
     assert np.allclose(rotated, rz @ base @ rz.T, atol=1e-13, rtol=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(u=st.floats(0.05, 1.95), v=st.floats(0.0, 3.0),
+       phi=st.floats(0.0, 2.0 * math.pi), shift=st.sampled_from([-2, 2, 4]))
+def test_two_periodicity_in_u(u, v, phi, shift):
+    base = kernel_e("plus", Separation(u, v, phi)).m
+    shifted = kernel_e("plus", Separation(u + shift, v, phi)).m
+    assert np.abs(shifted - base).max() <= 1e-12 * np.abs(base).max()
 
 
 def test_axial_isotropy():

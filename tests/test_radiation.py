@@ -2,11 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fpcavity import (AnisotropyResult, CavityFrame, DomainError, Separation,
-                      Tolerance, anisotropy_delta, kernel_d,
-                      kernel_d_spectral, quadratic_self_term, kernel_e,
-                      reflection_matrix, self_energy_matrix, xi)
+from fpcavity import (AnisotropyResult, CavityFrame, ConvergenceError,
+                      DomainError, Separation, Tolerance, anisotropy_delta,
+                      integrate_semi_infinite, kernel_d, kernel_d_spectral,
+                      quadratic_self_term, kernel_e, reflection_matrix,
+                      self_energy_matrix, xi)
+from fpcavity import coulomb, specfun
+from fpcavity.radiation import (_d_rows, _kernel_d_reference,
+                                _laplace_bessel_x2, _nearest_pair_rows)
+from fpcavity.specfun import _jv
 
 TIGHT = Tolerance(1e-12, 1e-12, 4000)
 
@@ -60,6 +67,122 @@ def test_cancellation_sweep_at_default_tolerance():
         sep = Separation(rng.uniform(0.02, 1.98), rng.uniform(0.0, 3.0),
                          rng.uniform(0.0, 2.0 * math.pi))
         assert _cancellation_residual(sep) < 1e-10, sep
+
+
+@pytest.mark.parametrize("u, v", [(1e-3, 1.0), (1e-6, 0.5), (1.99, 2.0),
+                                  (0.05, 3.0)])
+def test_cancellation_next_to_a_mirror(u, v):
+    # the unsplit integrand decays like exp(-x min(u, 2-u)): it raised
+    # ConvergenceError at the first three points and took about 90 ms at
+    # the last
+    assert _cancellation_residual(Separation(u, v, 0.7)) < 1e-10
+
+
+def test_split_route_matches_reference_route():
+    # at the default tolerance the reference itself is off by up to 4e-12
+    # relative near a mirror, so it runs at abs_tol 1e-12 here.  Its slow
+    # decay there can exhaust the panel splits at that tolerance; those
+    # separations are skipped, and they must lie within 0.05 of a mirror
+    ref_tol = Tolerance(1e-12, 1e-10)
+    rng = np.random.default_rng(20261019)
+    compared = 0
+    for _ in range(60):
+        sep = Separation(rng.uniform(0.02, 1.98), rng.uniform(0.0, 3.0),
+                         rng.uniform(0.0, 2.0 * math.pi))
+        d = kernel_d("plus", sep).m
+        try:
+            ref = _kernel_d_reference("plus", sep, ref_tol).m
+        except ConvergenceError:
+            assert min(sep.u, 2.0 - sep.u) < 0.05, sep
+            continue
+        compared += 1
+        assert np.abs(d - ref).max() < 1e-12 * np.abs(ref).max(), sep
+    assert compared >= 54
+
+
+def test_reference_route_never_touches_the_lattice(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("lattice code called from the integral route")
+
+    for module, name in ((specfun, "_lattice_moments"), (specfun, "xi"),
+                         (coulomb, "_lattice_moments"), (coulomb, "xi"),
+                         (coulomb, "kernel_e"), (coulomb, "_e_plus_base")):
+        monkeypatch.setattr(module, name, forbidden)
+    for sign in ("plus", "minus"):
+        _kernel_d_reference(sign, Separation(0.6, 1.1, 0.2))
+
+
+@pytest.mark.parametrize("a, v", [(0.3, 0.0), (0.3, 3.0), (1.0, 1.0),
+                                  (1.7, 3.0), (2.5, 0.5)])
+def test_laplace_bessel_x2_closed_forms(a, v):
+    closed = _laplace_bessel_x2(a, v)
+    for order in (0, 1, 2):
+        quad = integrate_semi_infinite(
+            lambda x: x * x * np.exp(-x * a) * _jv(order, x * v), a, TIGHT)
+        assert quad == pytest.approx(closed[order], rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("u, v", [(0.3, 0.0), (0.3, 1.2), (1.6, 3.0),
+                                  (1.0, 0.7)])
+def test_nearest_pair_rows_match_quadrature(u, v):
+    # the pair e^{-xu} + e^{-x(2-u)} in the cosh weight and
+    # e^{-x(2-u)} - e^{-xu} in the sinh weight, integrated directly
+    def rows(x):
+        near, far = np.exp(-x * u), np.exp(-x * (2.0 - u))
+        return _d_rows(x, v, near + far, far - near)
+
+    quad = integrate_semi_infinite(rows, min(u, 2.0 - u), TIGHT)
+    closed = _nearest_pair_rows(u, v)
+    assert np.abs(quad - closed).max() < 1e-12 * np.abs(closed).max()
+
+
+# ---------------------------------------------------------------------------
+# properties of both kernels
+# ---------------------------------------------------------------------------
+
+KERNELS = [kernel_e, kernel_d]
+MIRROR_FLIP = np.diag([1.0, 1.0, -1.0])
+
+
+def _rot_z(phi):
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@settings(max_examples=25, deadline=None)
+@given(u=st.floats(1.0, 2.0 - 1e-4), v=st.floats(0.0, 3.0),
+       phi=st.floats(0.0, 2.0 * math.pi),
+       sign=st.sampled_from(["plus", "minus"]))
+def test_mirror_map(kernel, u, v, phi, sign):
+    # K(2-u, v) = K(u, v) with the xz/zx entries negated; 2 - u is exact
+    # for u in [1, 2], so both sides see the same distances to the mirrors
+    near = kernel(sign, Separation(2.0 - u, v, phi)).m
+    far = kernel(sign, Separation(u, v, phi)).m
+    flipped = MIRROR_FLIP @ far @ MIRROR_FLIP
+    assert np.abs(near - flipped).max() <= 1e-12 * np.abs(far).max()
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@settings(max_examples=25, deadline=None)
+@given(u=st.floats(0.05, 1.95), v=st.floats(0.0, 3.0),
+       phi=st.floats(0.0, 2.0 * math.pi), turn=st.floats(-math.pi, math.pi))
+def test_rotation_covariance(kernel, u, v, phi, turn):
+    # turning the separation by an extra angle about the cavity axis
+    # conjugates the kernel by that rotation
+    base = kernel("plus", Separation(u, v, phi)).m
+    turned = kernel("plus", Separation(u, v, phi + turn)).m
+    rz = _rot_z(turn)
+    assert np.abs(turned - rz @ base @ rz.T).max() <= 1e-12 * np.abs(base).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.floats(1e-4, 1.0), far_side=st.booleans(), v=st.floats(0.0, 3.0),
+       phi=st.floats(0.0, 2.0 * math.pi))
+def test_cancellation_property(d, far_side, v, phi):
+    # u down to 1e-4 from either mirror
+    u = 2.0 - d if far_side else d
+    assert _cancellation_residual(Separation(u, v, phi)) < 1e-10
 
 
 def test_domain_restrictions():

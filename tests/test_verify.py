@@ -98,6 +98,13 @@ def test_lipschitz_check_values():
     assert r34.abs_err < 1e-10
 
 
+def test_lipschitz_small_u_limit():
+    # the smallest u the check_lipschitz docstring promises at v in [0, 3]
+    for v in (0.0, 0.5, 1.0, 3.0):
+        assert all(r.passed for r in check_lipschitz(0.01, v))
+    assert all(r.passed for r in check_lipschitz(1e-4, 0.0))
+
+
 def test_lipschitz_failure_is_a_report():
     # too few panel splits for the near-singular u = 1e-4 integrands: both
     # identities come back failed instead of the ConvergenceError aborting
