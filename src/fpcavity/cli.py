@@ -5,9 +5,11 @@ fixed schemas.  Runs are reproducible: identical argv (and seed) produce
 byte-identical output.  Exit codes: 0 success / all checks pass, 1 at least
 one verification failure, 2 argument or domain error.
 
-The --tol-abs/--tol-rel/--max-subdivisions flags of `kernel` and `verify`
-tune internal quadrature accuracy; verification pass thresholds are pinned
-per check and are not affected by them.  `xi` (a fixed-accuracy lattice
+The --tol-abs/--tol-rel flags of `kernel` set the accuracy of the D
+family's quadratures (the E family is a fixed-accuracy lattice sum), and
+--max-subdivisions caps their panel splits.  `verify` takes only
+--max-subdivisions, which caps the effort of every check's quadratures;
+its pass thresholds are pinned per check.  `xi` (a fixed-accuracy lattice
 sum) and `dicke` (exact diagonalization) take no tolerance flags.
 """
 
@@ -135,11 +137,6 @@ def _write(ns, data: bytes):
         sys.stdout.write(data.decode())
 
 
-def _tol(ns) -> Tolerance:
-    return Tolerance(abs_tol=ns.tol_abs, rel_tol=ns.tol_rel,
-                     max_subdivisions=ns.max_subdivisions)
-
-
 def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode()
 
@@ -169,7 +166,8 @@ def _cmd_xi(ns) -> int:
 
 def _cmd_kernel(ns) -> int:
     sep = Separation(u=ns.u, v=ns.v, phi=ns.phi)
-    tol = _tol(ns)
+    tol = Tolerance(abs_tol=ns.tol_abs, rel_tol=ns.tol_rel,
+                    max_subdivisions=ns.max_subdivisions)
     if ns.family == "E":
         if ns.spectral:
             raise DomainError("--spectral applies to the D family only")
@@ -193,7 +191,8 @@ def _cmd_kernel(ns) -> int:
 
 def _cmd_verify(ns) -> int:
     cfg = VerifyConfig(seed=ns.seed)
-    summary = run_suite(ns.target, cfg, _tol(ns))
+    summary = run_suite(ns.target, cfg,
+                        Tolerance(max_subdivisions=ns.max_subdivisions))
     data = emit_report(summary.reports, ns.format, suite=summary.suite,
                        seed=summary.seed, warnings=summary.warnings)
     _write(ns, data)
@@ -254,9 +253,13 @@ def _cmd_dicke(ns) -> int:
 
 def _add_tol(p):
     p.add_argument("--tol-abs", type=float, default=1e-10,
-                   help="absolute accuracy of internal quadratures")
+                   help="absolute accuracy of the D-family quadratures")
     p.add_argument("--tol-rel", type=float, default=1e-10,
-                   help="relative accuracy of internal quadratures")
+                   help="relative accuracy of the D-family quadratures")
+    _add_max_subdivisions(p)
+
+
+def _add_max_subdivisions(p):
     p.add_argument("--max-subdivisions", type=int, default=4000,
                    help="adaptive quadrature panel-split budget")
 
@@ -316,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_v = sub.add_parser("verify", help="run the identity verification suite",
                          formatter_class=fmt_cls)
     p_v.add_argument("target", nargs="?", choices=SUITE_NAMES, default="all")
-    _add_tol(p_v)
+    _add_max_subdivisions(p_v)
     _add_common(p_v, seed=True)
     p_v.set_defaults(func=_cmd_verify)
 

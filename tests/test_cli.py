@@ -72,10 +72,14 @@ def test_non_finite_parameters_exit_2(argv, capsys):
     ["xi", "--u", "0.5", "--v", "1", "--tol-abs", "1e-8"],
     ["dicke", "scan", "--tol-rel", "1e-8"],
     ["dicke", "ground", "--y", "2", "--max-subdivisions", "10"],
+    ["verify", "green", "--tol-abs", "0.5"],
+    ["verify", "green", "--tol-rel", "0.5"],
 ])
 def test_tolerance_flags_only_where_used(argv, capsys):
     # xi is a fixed-accuracy lattice sum and dicke diagonalizes exactly:
-    # neither takes the quadrature tolerance flags
+    # neither takes the quadrature tolerance flags; verify's pass thresholds
+    # and quadrature accuracies are pinned per check, so it takes only
+    # --max-subdivisions
     assert dispatch(argv) == 2
 
 
@@ -130,8 +134,7 @@ def test_verify_modesum_json(capsys):
 def test_verify_all_example(tmp_path):
     # the canonical full run: JSON report, exit 0
     out = tmp_path / "report.json"
-    code = dispatch(["verify", "all", "--tol-rel", "1e-8", "--seed", "42",
-                     "--output", str(out)])
+    code = dispatch(["verify", "all", "--seed", "42", "--output", str(out)])
     assert code == 0
     doc = json.loads(out.read_bytes())
     assert doc["suite"] == "all"

@@ -98,6 +98,64 @@ def test_cutoff_convergence_flag_trips():
     assert not gs.cutoff_converged
 
 
+def test_cutoff_flag_never_falsely_true():
+    # every case flagged converged matches a solve at twice the cutoff
+    rng = np.random.default_rng(7)
+    flags = []
+    for omega_a, omega_c in ((1.0, 1.0), (2.0, 0.5), (0.5, 2.0)):
+        for n_atoms in (1, 3, 8):
+            for cutoff in (5, 12, 25, 40):
+                for y in rng.uniform(0.0, 3.0, 2):
+                    p = DickeParams(omega_a, omega_c, float(y), n_atoms,
+                                    cutoff)
+                    gs = ground_state(p)
+                    flags.append(gs.cutoff_converged)
+                    if not gs.cutoff_converged:
+                        continue
+                    _, ref, _, _, _, _ = dicke._ground_observables(
+                        DickeParams(omega_a, omega_c, float(y), n_atoms,
+                                    2 * cutoff))
+                    assert (abs(gs.photon_number - ref)
+                            <= max(1e-8, 1e-4 * ref)), p
+    # both outcomes occur, so the grid tests the flag
+    assert 10 <= sum(flags) <= len(flags) - 10
+
+
+def test_cutoff_flag_reads_the_photon_tail():
+    # weight on n >= 0.8 cutoff, against the ground vector of the dense
+    # matrix (non-degenerate here: gap 0.036), whose index is m (cutoff + 1) + n
+    p = DickeParams(y=1.5, n_atoms=4, fock_cutoff=12)
+    _, vectors = np.linalg.eigh(build_hamiltonian(p))
+    photons = np.tile(np.arange(13), 5)
+    expected = float((vectors[:, 0] ** 2)[photons >= 10].sum())
+    assert 1e-5 < expected < 1e-4
+    assert dicke._ground_observables(p)[-1] == pytest.approx(expected,
+                                                             rel=1e-8)
+    # about 0.13 when the cutoff truncates, below 3e-9 at the CLI default
+    # size, and exactly 0 at y = 0
+    tail = dicke._ground_observables(
+        DickeParams(y=2.0, n_atoms=8, fock_cutoff=3))[-1]
+    assert 0.1 < tail < 0.2
+    for y in (0.5, 1.0, 2.0, 3.0):
+        tail = dicke._ground_observables(
+            DickeParams(y=y, n_atoms=8, fock_cutoff=60))[-1]
+        assert tail < 3e-9
+    assert dicke._ground_observables(DickeParams(y=0.0))[-1] == 0.0
+
+
+def test_ground_state_solves_once(monkeypatch):
+    calls = []
+    solve = dicke._solve_blocks
+
+    def counted(p):
+        calls.append(p)
+        return solve(p)
+    monkeypatch.setattr(dicke, "_solve_blocks", counted)
+    p = DickeParams(y=2.0, n_atoms=8, fock_cutoff=60)
+    assert ground_state(p).cutoff_converged
+    assert calls == [p]
+
+
 def _check_scaling(lam):
     base = DickeParams(omega_a=1.0, omega_c=0.8, y=1.3, n_atoms=4,
                        fock_cutoff=30)
@@ -127,16 +185,42 @@ def test_dimension_guard():
         ground_state(DickeParams(n_atoms=200, fock_cutoff=200))
 
 
-def test_guard_does_not_trip_on_convergence_resolve(monkeypatch):
-    # the requested problem (dimension 92) fits; the re-solve at cutoff 57
-    # (dimension 116) does not, so the flag is False instead of an error
-    monkeypatch.setattr(dicke, "MAX_DIMENSION", 100)
-    p = DickeParams(y=0.5, n_atoms=1, fock_cutoff=45)
-    gs = ground_state(p)
-    assert not gs.cutoff_converged
-    assert gs.energy == spectrum_scan(p, [0.5])[0].energy
+@pytest.mark.parametrize("n_atoms, cutoff", [
+    (100, 150),  # dimension 15251: took about 16 s per coupling
+    (199, 99),   # dimension 20000
+])
+def test_solver_guard_bounds_work_not_dimension(n_atoms, cutoff,
+                                                monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the solve started")
+    monkeypatch.setattr(dicke, "_elements", never)
+    monkeypatch.setattr(dicke, "eig_banded", never)
+    p = DickeParams(y=1.0, n_atoms=n_atoms, fock_cutoff=cutoff)
+    assert p.dimension <= dicke.MAX_DIMENSION
     with pytest.raises(DomainError):
-        ground_state(DickeParams(y=0.5, n_atoms=1, fock_cutoff=50))
+        ground_state(p)
+    with pytest.raises(DomainError):
+        spectrum_scan(p, [1.0])
+
+
+@pytest.mark.parametrize("n_atoms, cutoff", [
+    (8, 60), (16, 100),                  # CLI default, bench large size
+    (32, 120), (64, 30), (40, 150), (16, 160),
+    (1, 4000), (1, 9999),                # tridiagonal blocks
+])
+def test_solver_guard_admits_used_sizes(n_atoms, cutoff):
+    dicke._check_solver_work(DickeParams(n_atoms=n_atoms, fock_cutoff=cutoff))
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 7, 8, 16, 33])
+def test_solver_guard_half_bandwidth_is_exact(n_atoms, monkeypatch):
+    # the guard's half-bandwidth formula against the blocks the solver builds
+    blocks = dicke._solve_blocks(DickeParams(y=1.0, n_atoms=n_atoms,
+                                             fock_cutoff=9))
+    widths = {b.ab.shape[0] - 1 for b in blocks}
+    monkeypatch.setattr(dicke, "MAX_SOLVER_WORK", 0)
+    with pytest.raises(DomainError, match=f"half-bandwidth {max(widths)} "):
+        dicke._check_solver_work(DickeParams(n_atoms=n_atoms, fock_cutoff=9))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +242,7 @@ def test_solver_against_dense_parity_blocks(omega_a, omega_c, n_atoms,
     w = np.sort(np.concatenate([
         np.linalg.eigvalsh(h[np.ix_(signs == s, signs == s)])[:2]
         for s in (1.0, -1.0)]))
-    energy, _, _, _, gap = dicke._ground_observables(p)
+    energy, _, _, _, gap, _ = dicke._ground_observables(p)
     tol = 1e-12 * max(1.0, abs(w[0]))
     assert abs(energy - w[0]) <= tol
     assert abs(gap - (w[1] - w[0])) <= tol
@@ -197,7 +281,7 @@ def test_ground_vector_far_from_vacuum_hellmann_feynman(y, n_atoms, cutoff):
             DickeParams(omega_a, omega_c, y, n_atoms, cutoff))
         return min(even.lowest[0], odd.lowest[0])
 
-    _, photon, sz, _, _ = dicke._ground_observables(
+    _, photon, sz, _, _, _ = dicke._ground_observables(
         DickeParams(1.0, 1.0, y, n_atoms, cutoff))
     h = 1e-5
     assert photon == pytest.approx((e0(1.0, 1 + h) - e0(1.0, 1 - h)) / (2 * h),
