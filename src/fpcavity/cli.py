@@ -11,6 +11,13 @@ family's quadratures (the E family is a fixed-accuracy lattice sum), and
 --max-subdivisions, which caps the effort of every check's quadratures;
 its pass thresholds are pinned per check.  `xi` (a fixed-accuracy lattice
 sum) and `dicke` (exact diagonalization) take no tolerance flags.
+
+Each `dicke` target takes only the flags it reads, besides --format and
+--output: `ground` --omega-a, --omega-c, --y (required), --n-atoms and
+--cutoff; `scan` --omega-a, --omega-c, --y-min, --y-max, --steps, --n-atoms
+and --cutoff; `meanfield` --omega-a, --omega-c and --y (required).  Their
+records are the fields of the result dataclasses, led by the coupling for
+`ground` and `meanfield`.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -77,20 +85,10 @@ def emit_report(reports, fmt: str, suite: str = "adhoc", seed: int = 0,
         }
         return _json_bytes(doc)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for r in reports:
-            writer.writerow([
-                r.check_id,
-                json.dumps(r.params, sort_keys=True, allow_nan=False),
-                _g17(r.abs_err),
-                _g17(r.rel_err),
-                "true" if r.passed else "false",
-                _g17(r.tol_used.abs_tol),
-                _g17(r.tol_used.rel_tol),
-            ])
-        return buf.getvalue().encode()
+        return _csv_bytes(_CSV_COLUMNS, [
+            (r.check_id, json.dumps(r.params, sort_keys=True, allow_nan=False),
+             r.abs_err, r.rel_err, r.passed, r.tol_used.abs_tol,
+             r.tol_used.rel_tol) for r in reports])
     raise DomainError(f"unknown format {fmt!r}")
 
 
@@ -112,20 +110,9 @@ def parse_report(data: bytes, fmt: str) -> list[IdentityReport]:
         doc = json.loads(data.decode())
         return [build(c) for c in doc["checks"]]
     if fmt == "csv":
-        rows = list(csv.reader(io.StringIO(data.decode())))
-        out = []
-        for row in rows[1:]:
-            rec = dict(zip(_CSV_COLUMNS, row))
-            out.append(build({
-                "id": rec["id"],
-                "params": json.loads(rec["params"]),
-                "abs_err": rec["abs_err"],
-                "rel_err": rec["rel_err"],
-                "pass": rec["pass"] == "true",
-                "tol_abs": rec["tol_abs"],
-                "tol_rel": rec["tol_rel"],
-            }))
-        return out
+        return [build({**rec, "params": json.loads(rec["params"]),
+                       "pass": rec["pass"] == "true"})
+                for rec in csv.DictReader(io.StringIO(data.decode()))]
     raise DomainError(f"unknown format {fmt!r}")
 
 
@@ -141,13 +128,33 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode()
 
 
+def _cell(c) -> str:
+    if isinstance(c, bool):
+        return "true" if c else "false"
+    return c if isinstance(c, str) else _g17(c)
+
+
 def _csv_bytes(header, rows) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([c if isinstance(c, str) else _g17(c) for c in row])
+        writer.writerow([_cell(c) for c in row])
     return buf.getvalue().encode()
+
+
+def _emit(ns, doc) -> None:
+    """Write one record (a dict) or a list of records in ns.format.
+
+    JSON writes doc as it is; CSV writes the keys as the header row and one
+    row per record.  A format of None (xi with --output only) means JSON.
+    """
+    if ns.format == "csv":
+        records = doc if isinstance(doc, list) else [doc]
+        data = _csv_bytes(records[0].keys(), [r.values() for r in records])
+    else:
+        data = _json_bytes(doc)
+    _write(ns, data)
 
 
 def _cmd_xi(ns) -> int:
@@ -156,11 +163,7 @@ def _cmd_xi(ns) -> int:
         # bare value on stdout for interactive use
         sys.stdout.write(_g17(value) + "\n")
         return 0
-    if (ns.format or "json") == "json":
-        data = _json_bytes({"u": ns.u, "v": ns.v, "value": value})
-    else:
-        data = _csv_bytes(("u", "v", "value"), [(ns.u, ns.v, value)])
-    _write(ns, data)
+    _emit(ns, {"u": ns.u, "v": ns.v, "value": value})
     return 0
 
 
@@ -201,53 +204,27 @@ def _cmd_verify(ns) -> int:
     return 0 if summary.all_pass else 1
 
 
-def _cmd_dicke(ns) -> int:
-    params = DickeParams(omega_a=ns.omega_a, omega_c=ns.omega_c,
-                         y=ns.y if ns.y is not None else 0.0,
-                         n_atoms=ns.n_atoms, fock_cutoff=ns.cutoff)
-    if ns.target == "ground":
-        if ns.y is None:
-            raise DomainError("ground requires --y")
-        res = ground_state(params)
-        doc = {"y": ns.y, "energy": res.energy,
-               "photon_number": res.photon_number,
-               "sz_expect": res.sz_expect, "parity": res.parity,
-               "cutoff_converged": res.cutoff_converged}
-        data = _json_bytes(doc) if ns.format == "json" else _csv_bytes(
-            ("y", "energy", "photon_number", "sz_expect", "parity",
-             "cutoff_converged"),
-            [(ns.y, res.energy, res.photon_number, res.sz_expect,
-              res.parity, str(res.cutoff_converged).lower())])
-        _write(ns, data)
-        return 0
-    if ns.target == "meanfield":
-        if ns.y is None:
-            raise DomainError("meanfield requires --y")
-        res = mean_field(params)
-        doc = {"y": ns.y, "y_c": res.y_c,
-               "order_parameter_sq_per_atom": res.order_parameter_sq_per_atom,
-               "energy_per_atom": res.energy_per_atom}
-        data = _json_bytes(doc) if ns.format == "json" else _csv_bytes(
-            ("y", "y_c", "order_parameter_sq_per_atom", "energy_per_atom"),
-            [(ns.y, res.y_c, res.order_parameter_sq_per_atom,
-              res.energy_per_atom)])
-        _write(ns, data)
-        return 0
-    # scan
+def _cmd_dicke_ground(ns) -> int:
+    res = ground_state(DickeParams(ns.omega_a, ns.omega_c, ns.y,
+                                   ns.n_atoms, ns.cutoff))
+    _emit(ns, {"y": ns.y, **asdict(res)})
+    return 0
+
+
+def _cmd_dicke_meanfield(ns) -> int:
+    res = mean_field(DickeParams(ns.omega_a, ns.omega_c, ns.y))
+    _emit(ns, {"y": ns.y, **asdict(res)})
+    return 0
+
+
+def _cmd_dicke_scan(ns) -> int:
     if ns.steps < 1:
         raise DomainError("--steps must be >= 1")
+    params = DickeParams(ns.omega_a, ns.omega_c, n_atoms=ns.n_atoms,
+                         fock_cutoff=ns.cutoff)
     y_grid = np.linspace(ns.y_min, ns.y_max, ns.steps)
     rows = spectrum_scan(params, [float(y) for y in y_grid])
-    if ns.format == "json":
-        data = _json_bytes([{"y": r.y, "energy": r.energy,
-                             "photon_number": r.photon_number,
-                             "gap": r.gap, "parity": r.parity}
-                            for r in rows])
-    else:
-        data = _csv_bytes(("y", "energy", "photon_number", "gap", "parity"),
-                          [(r.y, r.energy, r.photon_number, r.gap, r.parity)
-                           for r in rows])
-    _write(ns, data)
+    _emit(ns, [asdict(r) for r in rows])
     return 0
 
 
@@ -325,25 +302,42 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_d = sub.add_parser("dicke", help="collective spin-boson model tools",
                          formatter_class=fmt_cls)
-    p_d.add_argument("target", choices=("ground", "scan", "meanfield"))
-    p_d.add_argument("--omega-a", type=float, default=1.0,
-                     help="two-level splitting")
-    p_d.add_argument("--omega-c", type=float, default=1.0,
-                     help="mode frequency")
-    p_d.add_argument("--y", type=float, default=None,
-                     help="coupling (ground/meanfield)")
-    p_d.add_argument("--y-min", type=float, default=0.0,
+    # each target takes only the flags it reads; shared ones via parents=
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--omega-a", type=float, default=1.0,
+                        help="two-level splitting")
+    shared.add_argument("--omega-c", type=float, default=1.0,
+                        help="mode frequency")
+    _add_common(shared)
+    coupling = argparse.ArgumentParser(add_help=False)
+    coupling.add_argument("--y", type=float, required=True, help="coupling")
+    size = argparse.ArgumentParser(add_help=False)
+    size.add_argument("--n-atoms", type=int, default=8,
+                      help="number of two-level systems")
+    size.add_argument("--cutoff", type=int, default=60,
+                      help="boson Fock-space cutoff")
+    targets = p_d.add_subparsers(dest="target", required=True)
+
+    p_g = targets.add_parser("ground", parents=[shared, coupling, size],
+                             help="exact ground state at one coupling",
+                             formatter_class=fmt_cls)
+    p_g.set_defaults(func=_cmd_dicke_ground)
+
+    p_s = targets.add_parser("scan", parents=[shared, size],
+                             help="ground state and gap along a coupling grid",
+                             formatter_class=fmt_cls)
+    p_s.add_argument("--y-min", type=float, default=0.0,
                      help="scan grid start")
-    p_d.add_argument("--y-max", type=float, default=3.0,
+    p_s.add_argument("--y-max", type=float, default=3.0,
                      help="scan grid end")
-    p_d.add_argument("--steps", type=int, default=13,
+    p_s.add_argument("--steps", type=int, default=13,
                      help="scan grid points")
-    p_d.add_argument("--n-atoms", type=int, default=8,
-                     help="number of two-level systems")
-    p_d.add_argument("--cutoff", type=int, default=60,
-                     help="boson Fock-space cutoff")
-    _add_common(p_d)
-    p_d.set_defaults(func=_cmd_dicke)
+    p_s.set_defaults(func=_cmd_dicke_scan)
+
+    p_m = targets.add_parser("meanfield", parents=[shared, coupling],
+                             help="closed-form zero-temperature mean field",
+                             formatter_class=fmt_cls)
+    p_m.set_defaults(func=_cmd_dicke_meanfield)
     return parser
 
 
@@ -356,10 +350,7 @@ def dispatch(argv) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return ns.func(ns)
-    except (DomainError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DomainError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

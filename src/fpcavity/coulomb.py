@@ -170,16 +170,6 @@ def dipole_dipole_energy(dipoles: Sequence[DipoleSpec], frame: CavityFrame,
     return total / (8.0 * math.pi * L ** 3)
 
 
-def _free_dipole_pair(d1: np.ndarray, r1: np.ndarray,
-                      d2: np.ndarray, r2: np.ndarray) -> float:
-    """Free-space dipole-dipole energy (1/4pi) [d1.d2 - 3 (d1.rhat)(d2.rhat)]/r^3."""
-    dr = r1 - r2
-    r2n = float(dr @ dr)
-    r = math.sqrt(r2n)
-    return (float(d1 @ d2) - 3.0 * float(d1 @ dr) * float(d2 @ dr) / r2n) \
-        / (4.0 * math.pi * r2n * r)
-
-
 def brute_force_coulomb(dipoles: Sequence[DipoleSpec], frame: CavityFrame,
                         n_images: int) -> float:
     """Independent image-lattice oracle for dipole_dipole_energy.
@@ -193,16 +183,25 @@ def brute_force_coulomb(dipoles: Sequence[DipoleSpec], frame: CavityFrame,
         raise DomainError("need at least two dipoles")
     if n_images < 0:
         raise DomainError("n_images must be non-negative")
+    n_range = range(-n_images, n_images + 1)
+    images = []  # per dipole: image positions and moments, (M, 3) each
+    for d in dipoles:
+        r = d.pos()
+        lattice = image_positions(r[2], frame, n_range)
+        r_img = np.tile(r, (len(lattice), 1))
+        r_img[:, 2] = [z for z, _ in lattice]
+        images.append((r_img, np.stack([o for _, o in lattice]) @ d.mom()))
     total = 0.0
     for i, da in enumerate(dipoles):
         ra, ma = da.pos(), da.mom()
-        for j, db in enumerate(dipoles):
+        for j, (r_img, m_img) in enumerate(images):
             if i == j:
                 continue
-            rb, mb = db.pos(), db.mom()
-            images = image_positions(rb[2], frame,
-                                     range(-n_images, n_images + 1))
-            for z_img, orient in images:
-                r_img = np.array([rb[0], rb[1], z_img])
-                total += 0.5 * _free_dipole_pair(ma, ra, orient @ mb, r_img)
+            # free-space pair energy (1/4pi) [d1.d2 - 3 (d1.rhat)(d2.rhat)]/r^3
+            dr = ra - r_img
+            r2 = np.einsum("ij,ij->i", dr, dr)
+            proj = (dr @ ma) * np.einsum("ij,ij->i", m_img, dr)
+            pair = (m_img @ ma - 3.0 * proj / r2) \
+                / (4.0 * math.pi * r2 * np.sqrt(r2))
+            total += 0.5 * float(pair.sum())
     return total

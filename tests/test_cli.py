@@ -202,6 +202,46 @@ def test_dicke_scan_reproducible(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["dicke", "meanfield", "--y", "2", "--n-atoms", "500", "--cutoff", "9000"],
+    ["dicke", "meanfield", "--y", "2", "--y-min", "1"],
+    ["dicke", "scan", "--y", "7"],
+    ["dicke", "ground", "--y", "2", "--steps", "0"],
+])
+def test_dicke_flags_only_where_used(argv, capsys):
+    # meanfield is closed form in omega_a, omega_c and y; scan sweeps its own
+    # grid; ground solves at one coupling: each rejects the others' flags
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+# closed form at y = 2, omega_a = omega_c = 1: every value is exact
+_MEANFIELD_Y2 = {
+    "json": (b'{\n  "y": 2.0,\n  "y_c": 1.0,\n'
+             b'  "order_parameter_sq_per_atom": 0.9375,\n'
+             b'  "energy_per_atom": -1.0625\n}\n'),
+    "csv": (b"y,y_c,order_parameter_sq_per_atom,energy_per_atom\n"
+            b"2,1,0.9375,-1.0625\n"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_dicke_meanfield_bytes(fmt, tmp_path, capsys):
+    argv = ["dicke", "meanfield", "--y", "2", "--format", fmt]
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out.encode() == _MEANFIELD_Y2[fmt]
+    out = tmp_path / f"mf.{fmt}"
+    assert dispatch(argv + ["--output", str(out)]) == 0
+    assert out.read_bytes() == _MEANFIELD_Y2[fmt]
+
+
+def test_dicke_ground_csv_header_and_flag(capsys):
+    assert dispatch(["dicke", "ground", "--y", "2", "--format", "csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "y,energy,photon_number,sz_expect,parity,cutoff_converged"
+    assert row.split(",")[-1] == "true"
+
+
 # ---------------------------------------------------------------------------
 # report serialization
 # ---------------------------------------------------------------------------
