@@ -257,14 +257,15 @@ def _add_common(p, seed=False, bare_value=False):
 
 def _build_parser() -> argparse.ArgumentParser:
     fmt_cls = argparse.ArgumentDefaultsHelpFormatter
+    # allow_abbrev=False everywhere: each flag has exactly one spelling
     parser = argparse.ArgumentParser(
-        prog="fpcavity",
+        prog="fpcavity", allow_abbrev=False,
         description="Mirror-cavity interaction kernels, their identity "
                     "verification suite, and Dicke-model sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_xi = sub.add_parser("xi", help="evaluate the inverse-cube lattice sum",
-                          formatter_class=fmt_cls)
+                          formatter_class=fmt_cls, allow_abbrev=False)
     p_xi.add_argument("--u", type=float, required=True,
                       help="axial argument (2-periodic)")
     p_xi.add_argument("--v", type=float, required=True,
@@ -273,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_xi.set_defaults(func=_cmd_xi)
 
     p_k = sub.add_parser("kernel", help="evaluate an interaction kernel",
-                         formatter_class=fmt_cls)
+                         formatter_class=fmt_cls, allow_abbrev=False)
     p_k.add_argument("--family", choices=("E", "D"), required=True,
                      help="E: Coulomb image kernel; D: quadratic "
                           "displacement-field kernel")
@@ -294,24 +295,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_k.set_defaults(func=_cmd_kernel)
 
     p_v = sub.add_parser("verify", help="run the identity verification suite",
-                         formatter_class=fmt_cls)
+                         formatter_class=fmt_cls, allow_abbrev=False)
     p_v.add_argument("target", nargs="?", choices=SUITE_NAMES, default="all")
     _add_max_subdivisions(p_v)
     _add_common(p_v, seed=True)
     p_v.set_defaults(func=_cmd_verify)
 
     p_d = sub.add_parser("dicke", help="collective spin-boson model tools",
-                         formatter_class=fmt_cls)
+                         formatter_class=fmt_cls, allow_abbrev=False)
     # each target takes only the flags it reads; shared ones via parents=
-    shared = argparse.ArgumentParser(add_help=False)
+    shared = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     shared.add_argument("--omega-a", type=float, default=1.0,
                         help="two-level splitting")
     shared.add_argument("--omega-c", type=float, default=1.0,
                         help="mode frequency")
     _add_common(shared)
-    coupling = argparse.ArgumentParser(add_help=False)
+    coupling = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     coupling.add_argument("--y", type=float, required=True, help="coupling")
-    size = argparse.ArgumentParser(add_help=False)
+    size = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     size.add_argument("--n-atoms", type=int, default=8,
                       help="number of two-level systems")
     size.add_argument("--cutoff", type=int, default=60,
@@ -320,12 +321,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_g = targets.add_parser("ground", parents=[shared, coupling, size],
                              help="exact ground state at one coupling",
-                             formatter_class=fmt_cls)
+                             formatter_class=fmt_cls, allow_abbrev=False)
     p_g.set_defaults(func=_cmd_dicke_ground)
 
     p_s = targets.add_parser("scan", parents=[shared, size],
                              help="ground state and gap along a coupling grid",
-                             formatter_class=fmt_cls)
+                             formatter_class=fmt_cls, allow_abbrev=False)
     p_s.add_argument("--y-min", type=float, default=0.0,
                      help="scan grid start")
     p_s.add_argument("--y-max", type=float, default=3.0,
@@ -336,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_m = targets.add_parser("meanfield", parents=[shared, coupling],
                              help="closed-form zero-temperature mean field",
-                             formatter_class=fmt_cls)
+                             formatter_class=fmt_cls, allow_abbrev=False)
     p_m.set_defaults(func=_cmd_dicke_meanfield)
     return parser
 

@@ -5,8 +5,12 @@ identity suite) is built on four ingredients defined here: the cylindrical
 Bessel functions J0, J1, J2 (thin wrappers of scipy.special.jv), the
 image-lattice moments behind the inverse-cube lattice sum xi(u, v), an
 adaptive Gauss-Kronrod integrator for exponentially decaying integrands on
-(0, inf), scalar or vector valued, and the closed form of the two-sided
-mode sum sum_n e^{i alpha n} n^m / (n^2 + beta^2).
+(0, inf), scalar or vector valued, and the two-sided mode sum
+sum_n e^{i alpha n} n^m / (n^2 + beta^2) by two independent routes: its
+hyperbolic closed form, and its symmetric truncation summed term by term
+in blocks of consecutive n (angle addition from one block's cos/sin table,
+constant memory in the truncation, within 2e-15 of the sum of the moduli
+of the terms).
 
 All functions are pure; units are dimensionless throughout.
 """
@@ -16,6 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,7 +69,8 @@ DEFAULT_TOL = Tolerance()
 class ModeSumArgs:
     """Arguments of the mode sum sum_n e^{i alpha n} n^m / (n^2 + beta^2).
 
-    m is restricted to {0, 1}: the sum diverges for m >= 2.
+    alpha and beta must be finite, beta positive, and m is restricted to
+    {0, 1}: the sum diverges for m >= 2.
     """
 
     alpha: float
@@ -72,6 +78,8 @@ class ModeSumArgs:
     m: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise DomainError("alpha and beta must be finite")
         if not self.beta > 0:
             raise DomainError("beta must be positive")
         if self.m not in (0, 1):
@@ -382,17 +390,57 @@ def hyperbolic_mode_sum(args: ModeSumArgs) -> complex:
     return 1j * pref * (top - bot) / ratio_den
 
 
+# The direct sum runs over n = n0 + k, k in [0, _BLOCK), in chunks of
+# _CHUNK blocks: n and the weights take 0.5 MB per chunk whatever n_max is.
+_BLOCK = 1024
+_CHUNK = 32
+_K = np.arange(_BLOCK, dtype=float)
+
+
 def direct_mode_sum(args: ModeSumArgs, n_max: int) -> complex:
     """Symmetric truncation sum_{|n| <= n_max} e^{i alpha n} n^m / (n^2 + beta^2).
 
     The +n and -n terms are combined before accumulation, which is required
-    for the conditionally convergent m = 1 case.
+    for the conditionally convergent m = 1 case: 1/beta^2 + 2 Re sum_{n>=1}
+    for m = 0 and 2i Im sum_{n>=1} for m = 1.
+
+    The terms are summed in blocks n = n0 + k of _BLOCK consecutive n, with
+    cos(alpha k) and sin(alpha k) taken once per call and cos(alpha n0),
+    sin(alpha n0) once per block; the angle-addition identities join them.
+    Memory stays constant in n_max.  Against a term-by-term fsum of the
+    same truncation the result is within 2e-15 times the sum of the moduli
+    of the terms (1.5e-15 at alpha = pi, m = 1, n_max = 10^6, where each
+    term is the rounding error of its phase); at alpha = 0 the m = 1 sum is
+    exactly 0j.
+
+    n_max must be a positive integer (a Python or numpy int).
     """
+    try:
+        n_max = operator.index(n_max)
+    except TypeError:
+        raise DomainError(f"n_max must be an integer, got {n_max!r}") from None
     if n_max < 1:
         raise DomainError("n_max must be positive")
+    alpha = args.alpha
     beta2 = args.beta * args.beta
-    n = np.arange(1, n_max + 1, dtype=float)
-    denom = n * n + beta2
+    trig_k = np.stack([np.cos(alpha * _K), np.sin(alpha * _K)], axis=1)
+    re = im = 0.0
+    for first in range(1, n_max + 1, _BLOCK * _CHUNK):
+        blocks = min(_CHUNK, (n_max - first) // _BLOCK + 1)
+        n = np.arange(first, first + blocks * _BLOCK, dtype=float)
+        w = n * n
+        w += beta2
+        if args.m == 0:
+            np.divide(1.0, w, out=w)
+        else:
+            np.divide(n, w, out=w)
+        w[n_max + 1 - first:] = 0.0
+        # per block: c = sum_k w cos(alpha k), s = sum_k w sin(alpha k)
+        c, s = (w.reshape(blocks, _BLOCK) @ trig_k).T
+        phase = alpha * n[::_BLOCK]
+        cos0, sin0 = np.cos(phase), np.sin(phase)
+        re += float(cos0 @ c - sin0 @ s)
+        im += float(sin0 @ c + cos0 @ s)
     if args.m == 0:
-        return complex(1.0 / beta2 + 2.0 * float(np.sum(np.cos(args.alpha * n) / denom)))
-    return 2j * float(np.sum(np.sin(args.alpha * n) * n / denom))
+        return complex(1.0 / beta2 + 2.0 * re)
+    return 2j * im

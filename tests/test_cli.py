@@ -215,6 +215,19 @@ def test_dicke_flags_only_where_used(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["dicke", "ground", "--y", "1.3", "--n", "4", "--cut", "3"],
+    ["verify", "green", "--max", "1", "--form", "csv"],
+    ["dicke", "scan", "--y", "7"],
+])
+def test_flags_have_one_spelling(argv, capsys):
+    # a prefix of a long flag is not that flag
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
 # closed form at y = 2, omega_a = omega_c = 1: every value is exact
 _MEANFIELD_Y2 = {
     "json": (b'{\n  "y": 2.0,\n  "y_c": 1.0,\n'

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ from scipy import special
 from fpcavity import (ConvergenceError, DomainError, ModeSumArgs, Tolerance,
                       apery_zeta3, bessel_j, direct_mode_sum,
                       hyperbolic_mode_sum, integrate_semi_infinite, xi)
-from fpcavity.specfun import _lattice_moments
+from fpcavity.specfun import _BLOCK, _CHUNK, _lattice_moments
 
 TIGHT = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=4000)
 
@@ -383,6 +384,68 @@ def test_mode_sum_args_validation():
         ModeSumArgs(0.0, 1.0, 2)
     with pytest.raises(DomainError):
         direct_mode_sum(ModeSumArgs(0.0, 1.0, 0), 0)
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+    (0.5, math.inf), (0.5, math.nan),
+])
+def test_mode_sum_args_reject_non_finite(alpha, beta):
+    with pytest.raises(DomainError):
+        ModeSumArgs(alpha, beta, 0)
+
+
+def test_direct_mode_sum_rejects_non_integral_n_max():
+    args = ModeSumArgs(0.5, 1.0, 0)
+    for bad in (2.5, 3.0, "3"):
+        with pytest.raises(DomainError):
+            direct_mode_sum(args, bad)
+    assert direct_mode_sum(args, np.int64(3)) == direct_mode_sum(args, 3)
+
+
+# n_max on and around the block and chunk boundaries of the blocked sum
+_CHUNK_N = _BLOCK * _CHUNK
+_BOUNDARY_N_MAX = [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, _CHUNK_N - 1,
+                   _CHUNK_N + 1, 3 * _CHUNK_N + 7]
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, math.pi, 2.5, 6.0])
+def test_direct_mode_sum_matches_fsum_reference(alpha, m):
+    # the symmetric truncation term by term, paired as the sum pairs it;
+    # the bound is relative to the sum of the moduli of the terms
+    beta2 = 0.7 ** 2
+    trig = math.cos if m == 0 else math.sin
+    terms = [2.0 * n ** m / (n * n + beta2) for n in
+             range(1, max(_BOUNDARY_N_MAX) + 1)]
+    paired = [t * trig(alpha * n) for n, t in enumerate(terms, 1)]
+    for n_max in _BOUNDARY_N_MAX:
+        got = direct_mode_sum(ModeSumArgs(alpha, 0.7, m), n_max)
+        if m == 0:
+            want = complex(1.0 / beta2 + math.fsum(paired[:n_max]))
+            scale = 1.0 / beta2 + math.fsum(terms[:n_max])
+        else:
+            want = 1j * math.fsum(paired[:n_max])
+            scale = math.fsum(terms[:n_max])
+        assert abs(got - want) <= 1e-14 * scale, n_max
+
+
+def test_direct_mode_sum_odd_zero_at_block_boundaries():
+    for n_max in _BOUNDARY_N_MAX:
+        assert direct_mode_sum(ModeSumArgs(0.0, 0.7, 1), n_max) == 0j
+
+
+def test_direct_mode_sum_memory_constant_in_n_max():
+    # an n_max-long array of doubles would take 8 MB
+    args = ModeSumArgs(0.5, 1.0, 1)
+    direct_mode_sum(args, 10)
+    tracemalloc.start()
+    try:
+        direct_mode_sum(args, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_tolerance_validation():
