@@ -8,8 +8,9 @@ one verification failure, 2 argument or domain error.
 The --tol-abs/--tol-rel flags of `kernel` set the accuracy of the D
 family's quadratures (the E family is a fixed-accuracy lattice sum), and
 --max-subdivisions caps their panel splits.  `verify` takes only
---max-subdivisions, which caps the effort of every check's quadratures;
-its pass thresholds are pinned per check.  `xi` (a fixed-accuracy lattice
+--max-subdivisions (an integer >= 1, with --seed an integer >= 0), which
+caps the effort of every check's quadratures and never moves a pass
+threshold: those are pinned per check.  `xi` (a fixed-accuracy lattice
 sum) and `dicke` (exact diagonalization) take no tolerance flags.
 
 Each `dicke` target takes only the flags it reads, besides --format and
@@ -193,9 +194,8 @@ def _cmd_kernel(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
-    cfg = VerifyConfig(seed=ns.seed)
-    summary = run_suite(ns.target, cfg,
-                        Tolerance(max_subdivisions=ns.max_subdivisions))
+    summary = run_suite(ns.target, VerifyConfig(
+        seed=ns.seed, max_subdivisions=ns.max_subdivisions))
     data = emit_report(summary.reports, ns.format, suite=summary.suite,
                        seed=summary.seed, warnings=summary.warnings)
     _write(ns, data)

@@ -199,9 +199,16 @@ def _kernel_d_reference(sign: str, sep: Separation,
     return _kernel_from_base(_d_plus_reference, sign, sep, tol)
 
 
-def _gl_grid(x_max: float, width: float, order: int = 20):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    n_panels = max(4, int(math.ceil(x_max / width)))
+# Gauss-Legendre nodes per panel of the spectral route's transverse grid
+_GL_ORDER = 20
+# grid nodes times axial terms of kernel_d_spectral, the scaling of its work:
+# about 1.5e-8 s per unit measured on a 2-core x86 box, so up to about 6 s
+# per call at the bound (the same bound as dicke.MAX_SOLVER_WORK)
+_MAX_SPECTRAL_WORK = 400_000_000
+
+
+def _gl_grid(x_max: float, n_panels: int):
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
     edges = np.linspace(0.0, x_max, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -218,20 +225,33 @@ def kernel_d_spectral(sep: Separation, regulator_eps: float,
     damped by exp(-eps k_perp).  Conditionally convergent as eps -> 0:
     meant for epsilon-extrapolated cross-checks against kernel_d, not for
     production use.
+
+    regulator_eps must be positive and finite.  The work, grid nodes times
+    axial terms, grows like 1/eps^2 (and like v at large v); a request
+    above _MAX_SPECTRAL_WORK is a DomainError before any array is built.
     """
     _check_d_domain(sep)
-    if not regulator_eps > 0:
-        raise DomainError("regulator_eps must be positive")
+    if not 0.0 < regulator_eps < math.inf:
+        raise DomainError("regulator_eps must be positive and finite")
     eps = regulator_eps
     u, v = sep.u, sep.v
     x_max = math.log(1.0 / min(tol.abs_tol, 1e-9)) / eps
     width = min(2.0, math.pi / (2.0 * max(v, 0.25)))
-    xs, ws = _gl_grid(x_max, width)
+    # each factor capped at the bound, which keeps ceil off inf and does
+    # not change the verdict
+    n_panels = max(4, math.ceil(min(x_max / width, _MAX_SPECTRAL_WORK)))
+    n_max = max(64, math.ceil(min(24.0 / eps, _MAX_SPECTRAL_WORK)))
+    work = _GL_ORDER * n_panels * (n_max + 1)
+    if work > _MAX_SPECTRAL_WORK:
+        raise DomainError(
+            f"the spectral route at eps = {eps!r}, v = {v!r} needs "
+            f"{work:.3g} node-terms, above its work bound "
+            f"{_MAX_SPECTRAL_WORK}")
+    xs, ws = _gl_grid(x_max, n_panels)
     j0 = _jv(0, xs * v)
     j1 = _jv(1, xs * v)
     j2 = _jv(2, xs * v)
     damp = np.exp(-eps * xs) * ws
-    n_max = max(64, int(math.ceil(24.0 / eps)))
     xx = yy = zz = xz = 0.0
     xs2 = xs * xs
     for n in range(n_max + 1):

@@ -63,14 +63,16 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
 class ModeSumArgs:
     """Arguments of the mode sum sum_n e^{i alpha n} n^m / (n^2 + beta^2).
 
-    alpha and beta must be finite, beta positive, and m is restricted to
-    {0, 1}: the sum diverges for m >= 2.
+    alpha and beta must be finite, beta positive with 1/beta^2 (the n = 0
+    term of m = 0) a finite double, so beta above about 7.5e-155, and m is
+    restricted to {0, 1}: the sum diverges for m >= 2.
     """
 
     alpha: float
@@ -82,6 +84,9 @@ class ModeSumArgs:
             raise DomainError("alpha and beta must be finite")
         if not self.beta > 0:
             raise DomainError("beta must be positive")
+        if not self.beta * self.beta > 1.0 / _FLOAT_MAX:
+            raise DomainError(f"beta = {self.beta!r} is too small: 1/beta^2 "
+                              "overflows")
         if self.m not in (0, 1):
             raise DomainError("m must be 0 or 1 (the sum diverges for m >= 2)")
 
@@ -381,13 +386,17 @@ def hyperbolic_mode_sum(args: ModeSumArgs) -> complex:
     # {cosh,sinh}(beta(pi - alpha))/sinh(pi beta) through non-positive
     # exponents only: |pi - alpha| <= pi keeps this overflow-free at any beta
     arg = beta * (math.pi - alpha)
-    top = math.exp(arg - math.pi * beta)
-    bot = math.exp(-arg - math.pi * beta)
     ratio_den = -math.expm1(-2.0 * math.pi * beta)
     pref = math.pi * beta ** (args.m - 1)
     if args.m == 0:
+        top = math.exp(arg - math.pi * beta)
+        bot = math.exp(-arg - math.pi * beta)
         return complex(pref * (top + bot) / ratio_den)
-    return 1j * pref * (top - bot) / ratio_den
+    # 2 e^{-pi beta} sinh(arg) with expm1, free of the cancellation of
+    # e^{arg} - e^{-arg} at small |arg|
+    odd = math.copysign(math.exp(abs(arg) - math.pi * beta)
+                        * -math.expm1(-2.0 * abs(arg)), arg)
+    return 1j * pref * odd / ratio_den
 
 
 # The direct sum runs over n = n0 + k, k in [0, _BLOCK), in chunks of
@@ -413,7 +422,9 @@ def direct_mode_sum(args: ModeSumArgs, n_max: int) -> complex:
     term is the rounding error of its phase); at alpha = 0 the m = 1 sum is
     exactly 0j.
 
-    n_max must be a positive integer (a Python or numpy int).
+    alpha is reduced into [0, 2pi) first, as in hyperbolic_mode_sum, so a
+    huge alpha gives a finite sum.  n_max must be a positive integer (a
+    Python or numpy int).
     """
     try:
         n_max = operator.index(n_max)
@@ -421,7 +432,7 @@ def direct_mode_sum(args: ModeSumArgs, n_max: int) -> complex:
         raise DomainError(f"n_max must be an integer, got {n_max!r}") from None
     if n_max < 1:
         raise DomainError("n_max must be positive")
-    alpha = args.alpha
+    alpha = args.alpha % (2.0 * math.pi)
     beta2 = args.beta * args.beta
     trig_k = np.stack([np.cos(alpha * _K), np.sin(alpha * _K)], axis=1)
     re = im = 0.0

@@ -5,9 +5,13 @@ through independent code paths: quadratures of hyperbolic Bessel integrands
 on one side, the image-lattice moments S3 = sum rho^-3, S5 = sum rho^-5 and
 T5 = sum a rho^-5 on the other (xi = S3, with the exact derivatives
 d/dv xi = -3 v S5 and d/du xi = -3 T5).  Reports carry both error measures
-and the tolerance that was applied; a numerical failure in any check becomes
-a failed report rather than aborting the run.  An aggregate run is
+and the pass threshold that was applied; a numerical failure in any check
+becomes a failed report rather than aborting the run.  An aggregate run is
 deterministic given its seed.
+
+Pass thresholds are pinned: each check reads its TOL_* constant and no
+argument moves it.  max_subdivisions, the quadratures' panel-split budget,
+caps only effort; a budget that runs out gives a failed report.
 
 Check identifiers:
 
@@ -29,19 +33,20 @@ Check identifiers:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .coulomb import Separation, kernel_e
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 from .geometry import CavityFrame
 from .radiation import (_cosh_ratio, _kernel_d_reference, _sinh_ratio,
                         anisotropy_delta)
-from .specfun import (ModeSumArgs, Tolerance, _jv, _lattice_moments,
-                      _quad_finite, direct_mode_sum, hyperbolic_mode_sum,
-                      integrate_semi_infinite, xi)
+from .specfun import (DEFAULT_TOL, ModeSumArgs, Tolerance, _jv,
+                      _lattice_moments, _quad_finite, direct_mode_sum,
+                      hyperbolic_mode_sum, integrate_semi_infinite, xi)
 
 __all__ = [
     "IdentityReport",
@@ -91,18 +96,21 @@ TOL_GREEN = Tolerance(abs_tol=1e-6, rel_tol=1e-13)
 TOL_AXIAL = Tolerance(abs_tol=1e-12, rel_tol=1e-15)
 TOL_CONTINUUM = Tolerance(abs_tol=1e-12, rel_tol=1e-15)
 TOL_DECAY = Tolerance(abs_tol=1.0, rel_tol=1e-15)  # pass <=> metric <= 1
+# default panel-split budget of every quadrature of the suite
+_BUDGET = DEFAULT_TOL.max_subdivisions
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Grids and seed of the aggregate run.
+    """Grids, seed and panel-split budget of the aggregate run.
 
     Defaults reproduce the acceptance configuration; all randomized inputs
-    derive from the seed.  Pass thresholds are the module-level per-check
-    tolerances.
+    derive from the seed, an integer >= 0.  max_subdivisions, an integer
+    >= 1, caps only effort: pass thresholds are the pinned TOL_* constants.
     """
 
     seed: int = 42
+    max_subdivisions: int = _BUDGET
     u_grid: tuple = tuple(round(0.1 + 0.2 * i, 1) for i in range(10))
     v_grid: tuple = (0.25, 0.5, 1.0, 2.0, 4.0)
     n_random_separations: int = 20
@@ -117,15 +125,23 @@ class VerifyConfig:
     axial_u: tuple = (0.3, 0.7, 1.0, 1.5)
     aniso_lengths: tuple = (1.0, 2.0, 4.0, 8.0)
     aniso_cutoff: float = math.pi
-    aniso_decay_factor: float = 1e-2
+
+    def __post_init__(self):
+        for name, least in (("seed", 0), ("max_subdivisions", 1)):
+            value = getattr(self, name)
+            # the integers are the types operator.index accepts
+            if not (hasattr(value, "__index__")
+                    and operator.index(value) >= least):
+                raise DomainError(f"{name} must be an integer >= {least}, "
+                                  f"got {value!r}")
 
 
-def _engine(tol: Tolerance) -> Tolerance:
-    """Internal computation tolerance: an order below the pass tolerance,
-    floored so engine work stays reasonable."""
+def _engine(tol: Tolerance, max_subdivisions: int) -> Tolerance:
+    """Internal computation tolerance: an order below the pass threshold
+    tol, floored so engine work stays reasonable."""
     return Tolerance(abs_tol=max(1e-12, 1e-2 * tol.abs_tol),
                      rel_tol=max(1e-11, 1e-2 * tol.rel_tol),
-                     max_subdivisions=tol.max_subdivisions)
+                     max_subdivisions=max_subdivisions)
 
 
 def _as_array(x):
@@ -191,19 +207,19 @@ def _cosh_ratio_diff(x, u, u_prime):
     return num / (-np.expm1(-2.0 * x))
 
 
-def check_bessel_hyperbolic(u: float, v: float, tol: Tolerance = TOL_EQ22,
-                            deriv_tol: Tolerance | None = None) -> list[IdentityReport]:
+def check_bessel_hyperbolic(u: float, v: float, *,
+                            max_subdivisions: int = _BUDGET
+                            ) -> list[IdentityReport]:
     """Check the four hyperbolic-integral identities at one (u, v).
 
     The integral sides go through the adaptive quadrature; the lattice sides
     go through the lattice moments, xi = S3 with the exact derivatives
     d/dv xi = -3 v S5 and d/du xi = -3 T5, so the two routes share no code.
-    deriv_tol (default: 100x looser relative tolerance) applies to the two
-    derivative identities.
+    Thresholds are pinned, TOL_DERIV (100x looser relative) for the two
+    derivative identities and TOL_EQ22 for the others; max_subdivisions
+    caps only the quadrature effort.
     """
-    if deriv_tol is None:
-        deriv_tol = TOL_DERIV
-    eng = _engine(tol)
+    eng = _engine(TOL_EQ22, max_subdivisions)
     rate = min(u, 2.0 - u)
     # xi by its module-level name, which lets a test substitute a shifted xi
     # (as for SELF_CANCEL); the derivative sides take S5 and T5 directly
@@ -215,20 +231,20 @@ def check_bessel_hyperbolic(u: float, v: float, tol: Tolerance = TOL_EQ22,
         return integrate_semi_infinite(f, rate, eng)
 
     return [
-        _checked("EQ22", params, tol, lambda: (
+        _checked("EQ22", params, TOL_EQ22, lambda: (
             quad(lambda x: x * _cosh_ratio(x, u) * _jv(1, x * v)),
             v * s3)),
-        _checked("EQ29_PLUS", params, tol, lambda: (
+        _checked("EQ29_PLUS", params, TOL_EQ22, lambda: (
             quad(lambda x: x * x * _cosh_ratio(x, u)
                  * (_jv(0, x * v) + _jv(2, x * v))),
             2.0 * s3)),
         # (2 + 2 v d/dv) xi
-        _checked("EQ29_MINUS", params, deriv_tol, lambda: (
+        _checked("EQ29_MINUS", params, TOL_DERIV, lambda: (
             quad(lambda x: x * x * _cosh_ratio(x, u)
                  * (_jv(0, x * v) - _jv(2, x * v))),
             2.0 * s3 - 6.0 * v * v * s5)),
         # v d/du xi
-        _checked("EQ30", params, deriv_tol, lambda: (
+        _checked("EQ30", params, TOL_DERIV, lambda: (
             quad(lambda x: x * x * _sinh_ratio(x, u) * _jv(1, x * v)),
             -3.0 * v * t5)),
     ]
@@ -239,9 +255,8 @@ def check_bessel_hyperbolic(u: float, v: float, tol: Tolerance = TOL_EQ22,
 # ---------------------------------------------------------------------------
 
 def check_kernel_cancellation(sep_samples: Sequence[Separation],
-                              z_samples: Sequence[float],
-                              tol: Tolerance = TOL_EQ21,
-                              self_cancel_tol: Tolerance | None = None,
+                              z_samples: Sequence[float], *,
+                              max_subdivisions: int = _BUDGET,
                               kernel_e_fn: Callable = kernel_e,
                               kernel_d_fn: Callable = _kernel_d_reference
                               ) -> list[IdentityReport]:
@@ -250,7 +265,8 @@ def check_kernel_cancellation(sep_samples: Sequence[Separation],
     EQ21: for each separation, E+ must equal -(1/2 pi) D+ entrywise, with
     the residual normalized by the largest E+ entry.  SELF_CANCEL: for each
     z/L, the xi part of the self-energy matrix (weight 1/8 pi) must cancel
-    the quadratic single-dipole term (weight 1/16 pi^2).
+    the quadratic single-dipole term (weight 1/16 pi^2).  Thresholds are
+    pinned (TOL_EQ21, TOL_SELF); max_subdivisions caps only D+'s effort.
 
     D+ comes by default from the unsplit hyperbolic integrand, not from
     kernel_d: kernel_d adds the nearest image pair back in closed form, and
@@ -259,10 +275,8 @@ def check_kernel_cancellation(sep_samples: Sequence[Separation],
     are injectable so corrupted kernels can be used to demonstrate the
     checks actually bite.
     """
-    if self_cancel_tol is None:
-        self_cancel_tol = TOL_SELF
-    eng = _engine(tol)
-    eng_self = _engine(self_cancel_tol)
+    eng = _engine(TOL_EQ21, max_subdivisions)
+    eng_self = _engine(TOL_SELF, max_subdivisions)
 
     def eq21(sep):
         e_mat = kernel_e_fn("plus", sep, eng).m
@@ -277,19 +291,20 @@ def check_kernel_cancellation(sep_samples: Sequence[Separation],
         return xi_part, -quad_part, float(np.max(np.abs(xi_part)))
 
     reports = [_checked("EQ21", {"u": sep.u, "v": sep.v, "phi": sep.phi},
-                        tol, eq21, sep) for sep in sep_samples]
-    reports += [_checked("SELF_CANCEL", {"z_over_L": z}, self_cancel_tol,
+                        TOL_EQ21, eq21, sep) for sep in sep_samples]
+    reports += [_checked("SELF_CANCEL", {"z_over_L": z}, TOL_SELF,
                          self_cancel, z) for z in z_samples]
     return reports
 
 
-def check_mode_sum(grid: Sequence[ModeSumArgs], n_max: int,
-                   tol: Tolerance = TOL_MODESUM) -> list[IdentityReport]:
+def check_mode_sum(grid: Sequence[ModeSumArgs],
+                   n_max: int) -> list[IdentityReport]:
     """Direct symmetric mode sums against the hyperbolic closed form.
 
     Each side is the pair [real, imag] and the error is the largest
     component error.  For m in {0, 1} one component of both sides is
     exactly zero, so that equals the modulus of the complex difference.
+    The threshold is pinned (TOL_MODESUM); no quadrature runs here.
     """
     def sides(args):
         closed = hyperbolic_mode_sum(args)
@@ -297,12 +312,12 @@ def check_mode_sum(grid: Sequence[ModeSumArgs], n_max: int,
         return [direct.real, direct.imag], [closed.real, closed.imag]
 
     return [_checked("EQ27", {"alpha": args.alpha, "beta": args.beta,
-                              "m": args.m, "n_max": n_max}, tol, sides, args)
-            for args in grid]
+                              "m": args.m, "n_max": n_max}, TOL_MODESUM,
+                     sides, args) for args in grid]
 
 
-def check_lipschitz(u: float, v: float,
-                    tol: Tolerance = TOL_LIPSCHITZ) -> list[IdentityReport]:
+def check_lipschitz(u: float, v: float, *,
+                    max_subdivisions: int = _BUDGET) -> list[IdentityReport]:
     """Laplace-Bessel integrals against their closed inverse-distance forms.
 
     The integrands decay only like e^{-xu}.  At the default tolerance both
@@ -310,16 +325,17 @@ def check_lipschitz(u: float, v: float,
     u > 0.  Closer to u = 0 at v > 0 (u = 5e-3 at v = 3, u = 1e-3 at
     v = 0.5) the quadrature runs out of panel splits and the check comes
     back failed.  kernel_d has no such limit: it takes the x^2 forms of
-    these transforms in closed form.
+    these transforms in closed form.  The threshold is pinned
+    (TOL_LIPSCHITZ); max_subdivisions caps only the quadrature effort.
     """
-    eng = _engine(tol)
+    eng = _engine(TOL_LIPSCHITZ, max_subdivisions)
     params = {"u": u, "v": v}
     return [
-        _checked("EQ33", params, tol, lambda: (
+        _checked("EQ33", params, TOL_LIPSCHITZ, lambda: (
             integrate_semi_infinite(
                 lambda x: np.exp(-x * u) * _jv(0, x * v), u, eng),
             (u * u + v * v) ** -0.5)),
-        _checked("EQ34", params, tol, lambda: (
+        _checked("EQ34", params, TOL_LIPSCHITZ, lambda: (
             integrate_semi_infinite(
                 lambda x: x * np.exp(-x * u) * _jv(1, x * v), u, eng),
             v * (u * u + v * v) ** -1.5)),
@@ -350,16 +366,17 @@ def _paired_inverse_distance_sum(u: float, u_prime: float, v: float,
     return total
 
 
-def check_green(u: float, u_prime: float, v: float,
-                tol: Tolerance = TOL_GREEN) -> IdentityReport:
+def check_green(u: float, u_prime: float, v: float, *,
+                max_subdivisions: int = _BUDGET) -> IdentityReport:
     """Two-plane Green's-function identity.
 
     The image sum (paired, since single terms diverge) against the
-    difference-of-cosh-ratios integral.
+    difference-of-cosh-ratios integral.  The threshold is pinned
+    (TOL_GREEN); max_subdivisions caps only the quadrature effort.
     """
-    eng = _engine(tol)
+    eng = _engine(TOL_GREEN, max_subdivisions)
     rate = min(u, 2.0 - u, u_prime, 2.0 - u_prime)
-    return _checked("EQ36", {"u": u, "u_prime": u_prime, "v": v}, tol,
+    return _checked("EQ36", {"u": u, "u_prime": u_prime, "v": v}, TOL_GREEN,
                     lambda: (_paired_inverse_distance_sum(u, u_prime, v),
                              integrate_semi_infinite(
                                  lambda x: _cosh_ratio_diff(x, u, u_prime)
@@ -367,11 +384,15 @@ def check_green(u: float, u_prime: float, v: float,
 
 
 def check_axial_and_aniso(rho_z_samples: Sequence[float],
-                          L_samples: Sequence[float], cutoff: float,
-                          tol: Tolerance = TOL_AXIAL,
+                          L_samples: Sequence[float], cutoff: float, *,
+                          max_subdivisions: int = _BUDGET,
                           decay_factor: float = 1e-2) -> list[IdentityReport]:
-    """Axial rotation invariance and coincident-point anisotropy decay."""
-    eng = _engine(tol)
+    """Axial rotation invariance and coincident-point anisotropy decay.
+
+    Thresholds are pinned (TOL_AXIAL, TOL_CONTINUUM, TOL_DECAY);
+    max_subdivisions caps only the quadrature effort.
+    """
+    eng = _engine(TOL_AXIAL, max_subdivisions)
 
     def axial(u):
         worst = 0.0
@@ -380,8 +401,8 @@ def check_axial_and_aniso(rho_z_samples: Sequence[float],
             worst = max(worst, abs(m[0, 2]), abs(m[2, 0]))
         return worst, 0.0
 
-    reports = [_checked("AXIAL20", {"u": u, "entry": "xz/zx"}, tol, axial, u)
-               for u in rho_z_samples]
+    reports = [_checked("AXIAL20", {"u": u, "entry": "xz/zx"}, TOL_AXIAL,
+                        axial, u) for u in rho_z_samples]
 
     # continuum surrogate: the angular integral that kills the anisotropy
     reports.append(_checked(
@@ -434,26 +455,19 @@ def random_separations(n: int, seed: int) -> list[Separation]:
     return out
 
 
-def run_suite(suite: str, config: VerifyConfig | None = None,
-              tol: Tolerance | None = None) -> VerificationSummary:
+def run_suite(suite: str,
+              config: VerifyConfig | None = None) -> VerificationSummary:
     """Run one named check family (or 'all') on the configured grids.
 
-    tol, when given, only caps the internal computation effort
-    (max_subdivisions); pass thresholds are the per-check tolerances pinned
-    in the configuration.
+    The configuration's max_subdivisions caps every quadrature's effort;
+    pass thresholds stay the pinned per-check TOL_* constants.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     cfg = config if config is not None else VerifyConfig()
     reports: list[IdentityReport] = []
     warnings: list[str] = []
-
-    def eff(t: Tolerance) -> Tolerance:
-        # the caller's tolerance only caps internal effort; pass thresholds
-        # stay pinned per check family
-        if tol is None:
-            return t
-        return Tolerance(t.abs_tol, t.rel_tol, tol.max_subdivisions)
+    budget = cfg.max_subdivisions
 
     def note_empty(name, items):
         if len(items) == 0:
@@ -464,7 +478,7 @@ def run_suite(suite: str, config: VerifyConfig | None = None,
         for u in note_empty("bessel u_grid", cfg.u_grid):
             for v in cfg.v_grid:
                 reports.extend(check_bessel_hyperbolic(
-                    u, v, eff(TOL_EQ22), eff(TOL_DERIV)))
+                    u, v, max_subdivisions=budget))
         if len(cfg.v_grid) == 0:
             warnings.append("no coverage: empty grid for bessel v_grid")
     if suite in ("all", "cancellation"):
@@ -472,30 +486,29 @@ def run_suite(suite: str, config: VerifyConfig | None = None,
         note_empty("cancellation separations", seps)
         note_empty("cancellation z grid", cfg.z_over_L)
         reports.extend(check_kernel_cancellation(
-            seps, cfg.z_over_L, eff(TOL_EQ21), eff(TOL_SELF)))
+            seps, cfg.z_over_L, max_subdivisions=budget))
     if suite in ("all", "modesum"):
         grid = [ModeSumArgs(alpha=a, beta=b, m=m)
                 for a in cfg.modesum_alphas
                 for b in cfg.modesum_betas
                 for m in cfg.modesum_orders]
         note_empty("mode-sum grid", grid)
-        reports.extend(check_mode_sum(grid, cfg.modesum_n_max,
-                                      eff(TOL_MODESUM)))
+        reports.extend(check_mode_sum(grid, cfg.modesum_n_max))
     if suite in ("all", "lipschitz"):
         pairs = [(u, v) for u in cfg.lipschitz_u for v in cfg.lipschitz_v]
         note_empty("Laplace-Bessel grid", pairs)
         for u, v in pairs:
-            reports.extend(check_lipschitz(u, v, eff(TOL_LIPSCHITZ)))
+            reports.extend(check_lipschitz(u, v, max_subdivisions=budget))
     if suite in ("all", "green"):
         for u, up, v in note_empty("Green triples", cfg.green_triples):
-            reports.append(check_green(u, up, v, eff(TOL_GREEN)))
+            reports.append(check_green(u, up, v, max_subdivisions=budget))
     if suite in ("all", "aniso"):
         note_empty("axial grid", cfg.axial_u)
         note_empty("anisotropy length grid", cfg.aniso_lengths)
         if len(cfg.axial_u) > 0 or len(cfg.aniso_lengths) > 0:
             reports.extend(check_axial_and_aniso(
                 cfg.axial_u, cfg.aniso_lengths, cfg.aniso_cutoff,
-                eff(TOL_AXIAL), decay_factor=cfg.aniso_decay_factor))
+                max_subdivisions=budget))
     if len(reports) == 0:
         warnings.append("no coverage: suite produced zero reports")
     return VerificationSummary(suite=suite, seed=cfg.seed, reports=reports,
@@ -503,7 +516,6 @@ def run_suite(suite: str, config: VerifyConfig | None = None,
                                warnings=warnings)
 
 
-def run_all(config: VerifyConfig | None = None,
-            tol: Tolerance | None = None) -> VerificationSummary:
+def run_all(config: VerifyConfig | None = None) -> VerificationSummary:
     """Run every check family; aggregate passes iff every report passes."""
-    return run_suite("all", config, tol)
+    return run_suite("all", config)

@@ -59,6 +59,8 @@ def test_kernel_non_finite_input_exit_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["kernel", "--family", "D", "--u", "0.5", "--v", "1",
      "--tol-abs", "inf", "--tol-rel", "inf"],
+    ["kernel", "--family", "D", "--u", "0.5", "--v", "1", "--spectral",
+     "--eps", "inf"],
     ["dicke", "ground", "--y", "nan"],
     ["dicke", "meanfield", "--y", "inf"],
 ])
@@ -81,6 +83,18 @@ def test_tolerance_flags_only_where_used(argv, capsys):
     # and quadrature accuracies are pinned per check, so it takes only
     # --max-subdivisions
     assert dispatch(argv) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "cancellation", "--seed", "-1"],
+    ["verify", "modesum", "--max-subdivisions", "0"],
+    ["verify", "lipschitz", "--max-subdivisions", "-5"],
+])
+def test_verify_bad_seed_or_budget_exit_2(argv, capsys):
+    # refused before any check runs, even by a suite without quadratures
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err
 
 
 def test_kernel_spectral_flag_restrictions(capsys):

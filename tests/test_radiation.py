@@ -10,7 +10,7 @@ from fpcavity import (AnisotropyResult, CavityFrame, ConvergenceError,
                       integrate_semi_infinite, kernel_d, kernel_d_spectral,
                       quadratic_self_term, kernel_e, reflection_matrix,
                       self_energy_matrix, xi)
-from fpcavity import coulomb, specfun
+from fpcavity import coulomb, radiation, specfun
 from fpcavity.radiation import (_d_rows, _kernel_d_reference,
                                 _laplace_bessel_x2, _nearest_pair_rows)
 from fpcavity.specfun import _jv
@@ -223,6 +223,23 @@ def test_spectral_richardson_matches_production():
 def test_spectral_regulator_validation():
     with pytest.raises(DomainError):
         kernel_d_spectral(Separation(1.0, 0.5), 0.0)
+    for bad in (math.inf, math.nan, -math.inf):
+        with pytest.raises(DomainError):
+            kernel_d_spectral(Separation(1.0, 0.5), bad)
+
+
+@pytest.mark.parametrize("eps, v", [(1e-6, 1.0), (5e-324, 1.0),
+                                    (0.003, 0.0), (0.5, 1e6)])
+def test_spectral_work_bound_refuses_before_building(eps, v, monkeypatch):
+    # the grid and the Bessel tables are never built for a refused request:
+    # eps = 1e-6 would otherwise ask for arrays of ~3e8 doubles each
+    def never(*args, **kwargs):
+        raise AssertionError("grid built before the work bound was checked")
+
+    monkeypatch.setattr(radiation, "_gl_grid", never)
+    monkeypatch.setattr(radiation, "_jv", never)
+    with pytest.raises(DomainError, match="work bound"):
+        kernel_d_spectral(Separation(0.7, v), eps)
 
 
 # ---------------------------------------------------------------------------

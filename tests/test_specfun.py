@@ -395,6 +395,59 @@ def test_mode_sum_args_reject_non_finite(alpha, beta):
         ModeSumArgs(alpha, beta, 0)
 
 
+def test_direct_mode_sum_reduces_huge_alpha():
+    # alpha n overflows unless alpha is reduced mod 2pi first
+    args = ModeSumArgs(1e305, 1.0, 0)
+    got = direct_mode_sum(args, 10 ** 6)
+    assert math.isfinite(got.real) and math.isfinite(got.imag)
+    assert got == direct_mode_sum(
+        ModeSumArgs(1e305 % (2.0 * math.pi), 1.0, 0), 10 ** 6)
+    assert direct_mode_sum(ModeSumArgs(-1e305, 0.5, 1), 100) == \
+        direct_mode_sum(ModeSumArgs(-1e305 % (2.0 * math.pi), 0.5, 1), 100)
+
+
+def _closed_form_mp(alpha, beta, m):
+    a = mpmath.mpf(alpha) % (2 * mpmath.pi)
+    b = mpmath.mpf(beta)
+    if m == 0:
+        return (mpmath.pi / b * mpmath.cosh(b * (mpmath.pi - a))
+                / mpmath.sinh(mpmath.pi * b))
+    return (mpmath.pi * mpmath.sinh(b * (mpmath.pi - a))
+            / mpmath.sinh(mpmath.pi * b))
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("alpha", [1e-3, 0.5, 3.0, 3.3, 6.0])
+def test_hyperbolic_mode_sum_small_beta_against_mpmath(alpha, m):
+    # the m = 1 numerator sinh(beta (pi - alpha)) loses digits to
+    # cancellation at small beta unless it is formed with expm1
+    with mpmath.workdps(40):
+        for k in range(151):
+            beta = 10.0 ** -k
+            got = hyperbolic_mode_sum(ModeSumArgs(alpha, beta, m))
+            want = _closed_form_mp(alpha, beta, m)
+            value = got.real if m == 0 else got.imag
+            assert abs(value - want) <= 1e-14 * abs(want), k
+
+
+@pytest.mark.parametrize("beta", [1e-155, 1e-160, 1e-200, 1e-310, 5e-324])
+def test_mode_sum_args_reject_beta_with_overflowing_square(beta):
+    # 1/beta^2, the n = 0 term, is not a finite double
+    with pytest.raises(DomainError):
+        ModeSumArgs(0.5, beta, 0)
+
+
+def test_mode_sum_finite_at_smallest_beta():
+    beta = 7.46e-155
+    for m in (0, 1):
+        args = ModeSumArgs(0.5, beta, m)
+        for value in (hyperbolic_mode_sum(args), direct_mode_sum(args, 100)):
+            assert math.isfinite(value.real) and math.isfinite(value.imag)
+    # pi sinh(beta (pi - alpha)) / sinh(pi beta) -> pi - alpha as beta -> 0
+    closed = hyperbolic_mode_sum(ModeSumArgs(0.5, beta, 1)).imag
+    assert closed == pytest.approx(math.pi - 0.5, rel=1e-14)
+
+
 def test_direct_mode_sum_rejects_non_integral_n_max():
     args = ModeSumArgs(0.5, 1.0, 0)
     for bad in (2.5, 3.0, "3"):

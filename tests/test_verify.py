@@ -11,6 +11,8 @@ from fpcavity import (KernelMatrix, ModeSumArgs, Separation, Tolerance,
                       check_axial_and_aniso, check_bessel_hyperbolic,
                       check_green, check_kernel_cancellation, check_lipschitz,
                       check_mode_sum, kernel_d, kernel_e, run_all, run_suite)
+from fpcavity import verify
+from fpcavity.errors import DomainError
 from fpcavity.verify import (VerifyConfig, _report, random_separations)
 
 
@@ -109,8 +111,7 @@ def test_lipschitz_failure_is_a_report():
     # too few panel splits for the near-singular u = 1e-4 integrands: both
     # identities come back failed instead of the ConvergenceError aborting
     start = time.perf_counter()
-    reports = check_lipschitz(1e-4, 1.0,
-                              Tolerance(1e-9, 1e-13, max_subdivisions=50))
+    reports = check_lipschitz(1e-4, 1.0, max_subdivisions=50)
     assert time.perf_counter() - start < 5.0
     assert [r.check_id for r in reports] == ["EQ33", "EQ34"]
     for r in reports:
@@ -176,14 +177,33 @@ def test_cancellation_on_axis_structure():
     assert reports[0].rel_err < 1e-10
 
 
-def test_mutation_sign_flip_detected():
-    def flipped_d(sign, sep, tol):
-        k = kernel_d(sign, sep, tol)
-        return KernelMatrix(-k.m, k.kind)
+def _flipped_d(sign, sep, tol):
+    k = kernel_d(sign, sep, tol)
+    return KernelMatrix(-k.m, k.kind)
 
+
+def test_mutation_sign_flip_detected():
     reports = check_kernel_cancellation(_sample_seps()[:2], [0.4],
-                                        kernel_d_fn=flipped_d)
+                                        kernel_d_fn=_flipped_d)
     assert any(not r.passed for r in reports)
+
+
+def test_mutation_sign_flip_fails_eq21_at_every_budget():
+    # no argument sets a threshold: a loose Tolerance is refused outright,
+    # and the split budget leaves the pinned TOL_EQ21 in force
+    seps = _sample_seps()[:2]
+    with pytest.raises(TypeError):
+        check_kernel_cancellation(seps, [], Tolerance(10.0, 10.0),
+                                  kernel_d_fn=_flipped_d)
+    with pytest.raises(TypeError):
+        check_kernel_cancellation(seps, [], tol=Tolerance(10.0, 10.0),
+                                  kernel_d_fn=_flipped_d)
+    for budget in (1, 4000, 10 ** 6):
+        reports = check_kernel_cancellation(seps, [], kernel_d_fn=_flipped_d,
+                                            max_subdivisions=budget)
+        assert [r.check_id for r in reports] == ["EQ21", "EQ21"]
+        assert not any(r.passed for r in reports)
+        assert all(r.tol_used == verify.TOL_EQ21 for r in reports)
 
 
 def test_mutation_dropped_direct_term_detected():
@@ -217,6 +237,71 @@ def test_mutation_dropped_j2_detected():
 # ---------------------------------------------------------------------------
 # aggregate runs
 # ---------------------------------------------------------------------------
+
+# every positional argument of each check, then a stray Tolerance
+_POSITIONAL = [
+    (check_bessel_hyperbolic, (1.0, 1.0)),
+    (check_kernel_cancellation, ([Separation(0.5, 0.5)], [0.5])),
+    (check_mode_sum, ([ModeSumArgs(0.5, 1.0, 0)], 10)),
+    (check_lipschitz, (1.0, 1.0)),
+    (check_green, (0.5, 1.0, 1.0)),
+    (check_axial_and_aniso, ([0.7], [1.0, 2.0], math.pi)),
+]
+
+
+@pytest.mark.parametrize("check, args", _POSITIONAL,
+                         ids=[c.__name__ for c, _ in _POSITIONAL])
+def test_checks_take_no_tolerance(check, args):
+    with pytest.raises(TypeError):
+        check(*args, Tolerance(10.0, 10.0))
+
+
+def _pinned(r):
+    """The TOL_* constant that check id (and ANISO38 form) pins."""
+    if r.check_id == "ANISO38":
+        return (verify.TOL_CONTINUUM if r.params["form"].startswith("continuum")
+                else verify.TOL_DECAY)
+    return {"EQ22": verify.TOL_EQ22, "EQ29_PLUS": verify.TOL_EQ22,
+            "EQ29_MINUS": verify.TOL_DERIV, "EQ30": verify.TOL_DERIV,
+            "EQ21": verify.TOL_EQ21, "SELF_CANCEL": verify.TOL_SELF,
+            "EQ27": verify.TOL_MODESUM, "EQ33": verify.TOL_LIPSCHITZ,
+            "EQ34": verify.TOL_LIPSCHITZ, "EQ36": verify.TOL_GREEN,
+            "AXIAL20": verify.TOL_AXIAL}[r.check_id]
+
+
+@pytest.mark.parametrize("budget", [1, 50])
+def test_budget_never_moves_a_threshold(budget):
+    cfg = VerifyConfig(max_subdivisions=budget, u_grid=(0.5,), v_grid=(1.0,),
+                       n_random_separations=1, z_over_L=(0.5,),
+                       modesum_alphas=(0.5,), modesum_betas=(1.0,),
+                       modesum_n_max=10, lipschitz_u=(1e-4,),
+                       lipschitz_v=(1.0,), green_triples=((0.5, 1.0, 1.0),),
+                       axial_u=(0.7,), aniso_lengths=(1.0, 2.0))
+    summary = run_all(cfg)
+    assert {r.check_id for r in summary.reports} == {
+        "EQ22", "EQ29_PLUS", "EQ29_MINUS", "EQ30", "EQ21", "SELF_CANCEL",
+        "EQ27", "EQ33", "EQ34", "EQ36", "AXIAL20", "ANISO38"}
+    # the budget starves some quadratures: those rows fail, none passes
+    # by a looser threshold
+    assert not summary.all_pass
+    for r in summary.reports:
+        assert (r.tol_used.abs_tol, r.tol_used.rel_tol) == (
+            _pinned(r).abs_tol, _pinned(r).rel_tol), r.check_id
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("seed", -1), ("seed", 1.5), ("seed", "42"), ("max_subdivisions", 0),
+    ("max_subdivisions", -3), ("max_subdivisions", 2.0),
+])
+def test_verify_config_rejects_bad_seed_and_budget(field, bad):
+    with pytest.raises(DomainError):
+        VerifyConfig(**{field: bad})
+
+
+def test_verify_config_takes_numpy_integers():
+    cfg = VerifyConfig(seed=np.int64(3), max_subdivisions=np.int32(7))
+    assert cfg.seed == 3 and cfg.max_subdivisions == 7
+
 
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError):
