@@ -19,9 +19,9 @@ zz and xz are integrated together, as the four rows of one vector-valued
 adaptive pass, so J0, J1, J2 and the ratios are evaluated once per node and
 each entry still meets the tolerance on its own.
 
-As it stands the integrand decays only like exp(-x min(u, 2-u)).  Near a
-mirror that makes the pass slow, and at (u, v) = (1e-3, 1) or (1.99, 2) it
-does not converge within the default 4000 panel splits.  kernel_d therefore splits off the nearest image pair: with
+As it stands the integrand decays only like exp(-x min(u, 2-u)), so near
+a mirror J(xv) oscillates many times before it is damped.  kernel_d
+therefore splits off the nearest image pair: with
 ch/sinh(x) = sum_{n>=0} [e^{-x(2n+u)} + e^{-x(2n+2-u)}] and sh/sinh(x) the
 same with e^{-x(2n+2-u)} - e^{-x(2n+u)},
 
@@ -37,8 +37,11 @@ image lattice that E+ sums, so checking E+ = -(1/2 pi) D+ on the split
 route would partly compare the lattice with itself.  The unsplit integrand
 therefore stays as the reference route (_kernel_d_reference) that the
 verification suite uses for EQ21, SELF_CANCEL and AXIAL20; it never calls
-the lattice code.  Both routes build their rows with one helper (_d_rows)
-that takes the two hyperbolic weights.
+the lattice code.  It integrates its slow tail in the oscillatory-tail
+mode of integrate_semi_infinite (half-period pi/v), which sums half-period
+panels and extrapolates them, so it converges down to u = 1e-3 in a few
+ms.  Both routes build their rows with one helper (_d_rows) that takes the
+two hyperbolic weights.
 
 The spectral (per-axial-index) representation converges only
 conditionally and is kept as a regulated cross-check: each transverse
@@ -57,7 +60,8 @@ from .coulomb import (D_MINUS, D_PLUS, KernelMatrix, Separation, _check_sign,
                       _rotate)
 from .errors import DomainError
 from .geometry import CavityFrame, reflection_matrix
-from .specfun import DEFAULT_TOL, Tolerance, _jv, _quad_finite, integrate_semi_infinite
+from .specfun import (DEFAULT_TOL, Tolerance, _bessel_half_period, _jv,
+                      _quad_finite, integrate_semi_infinite)
 
 __all__ = [
     "AnisotropyResult",
@@ -163,11 +167,13 @@ def _d_plus_base(u: float, v: float, tol: Tolerance) -> np.ndarray:
 
 def _d_plus_reference(u: float, v: float, tol: Tolerance) -> np.ndarray:
     """D+ entries from the unsplit integrand, the route verify checks EQ21
-    against: it shares no closed form with the image lattice."""
+    against: it shares no closed form with the image lattice.  For v > 0
+    the quadrature runs in its oscillatory-tail mode."""
     def rows(x):
         return _d_rows(x, v, _cosh_ratio(x, u), _sinh_ratio(x, u))
 
-    return _d_matrix(integrate_semi_infinite(rows, min(u, 2.0 - u), tol))
+    return _d_matrix(integrate_semi_infinite(
+        rows, min(u, 2.0 - u), tol, half_period=_bessel_half_period(v)))
 
 
 def _kernel_from_base(base, sign: str, sep: Separation,
@@ -193,18 +199,27 @@ def _kernel_d_reference(sign: str, sep: Separation,
                         tol: Tolerance = DEFAULT_TOL) -> KernelMatrix:
     """kernel_d by the unsplit integrand: the independent route of verify.
 
-    Slow near a mirror, where the integrand decays like
-    exp(-x min(u, 2-u)), and it may raise ConvergenceError there.
+    The integrand decays like exp(-x min(u, 2-u)); the oscillatory-tail
+    mode keeps it to a few ms down to u = 1e-3 (or 1.999), where it is
+    within about 1e-12 of kernel_d relative to the largest entry.  Its
+    accuracy there is bounded by the rounding of the large, oscillating
+    tail panels: a tolerance asking for more, for a small entry next to a
+    mirror, raises ConvergenceError.
     """
     return _kernel_from_base(_d_plus_reference, sign, sep, tol)
 
 
 # Gauss-Legendre nodes per panel of the spectral route's transverse grid
 _GL_ORDER = 20
-# grid nodes times axial terms of kernel_d_spectral, the scaling of its work:
-# about 1.5e-8 s per unit measured on a 2-core x86 box, so up to about 6 s
-# per call at the bound (the same bound as dicke.MAX_SOLVER_WORK)
+# grid nodes times (axial terms + _BESSEL_TABLE_TERMS), the scaling of
+# kernel_d_spectral's work: about 1.5e-8 s per unit measured on a 2-core x86
+# box, so up to about 6 s per call at the bound (the same bound as
+# dicke.MAX_SOLVER_WORK).  The three Bessel tables cost about as much as 175
+# axial terms per node: at v = 2500, eps = 0.5 (65 axial terms) a call took
+# 3.5-5.3 s, the time of 240 units per node.
 _MAX_SPECTRAL_WORK = 400_000_000
+_BESSEL_TABLE_TERMS = 175
+_FLOAT_TINY = float(np.finfo(float).tiny)
 
 
 def _gl_grid(x_max: float, n_panels: int):
@@ -226,9 +241,12 @@ def kernel_d_spectral(sep: Separation, regulator_eps: float,
     meant for epsilon-extrapolated cross-checks against kernel_d, not for
     production use.
 
-    regulator_eps must be positive and finite.  The work, grid nodes times
-    axial terms, grows like 1/eps^2 (and like v at large v); a request
-    above _MAX_SPECTRAL_WORK is a DomainError before any array is built.
+    regulator_eps must be positive and finite, and small enough that the
+    squared grid nodes stay normal doubles (up to about 1e152; above, the
+    n = 0 term would be 0/0).  The work, grid nodes times the axial terms
+    and the three Bessel tables, grows like 1/eps^2 (and like v at large
+    v); a request above _MAX_SPECTRAL_WORK is a DomainError before any
+    array is built.
     """
     _check_d_domain(sep)
     if not 0.0 < regulator_eps < math.inf:
@@ -241,13 +259,18 @@ def kernel_d_spectral(sep: Separation, regulator_eps: float,
     # not change the verdict
     n_panels = max(4, math.ceil(min(x_max / width, _MAX_SPECTRAL_WORK)))
     n_max = max(64, math.ceil(min(24.0 / eps, _MAX_SPECTRAL_WORK)))
-    work = _GL_ORDER * n_panels * (n_max + 1)
+    work = _GL_ORDER * n_panels * (n_max + 1 + _BESSEL_TABLE_TERMS)
     if work > _MAX_SPECTRAL_WORK:
         raise DomainError(
             f"the spectral route at eps = {eps!r}, v = {v!r} needs "
             f"{work:.3g} node-terms, above its work bound "
             f"{_MAX_SPECTRAL_WORK}")
     xs, ws = _gl_grid(x_max, n_panels)
+    # xs[0] is the smallest node; the n = 0 term divides it by its square
+    if not xs[0] * xs[0] >= _FLOAT_TINY:
+        raise DomainError(
+            f"regulator_eps = {eps!r} is too large: the squared grid nodes "
+            "underflow")
     j0 = _jv(0, xs * v)
     j1 = _jv(1, xs * v)
     j2 = _jv(2, xs * v)

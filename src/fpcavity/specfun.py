@@ -5,7 +5,8 @@ identity suite) is built on four ingredients defined here: the cylindrical
 Bessel functions J0, J1, J2 (thin wrappers of scipy.special.jv), the
 image-lattice moments behind the inverse-cube lattice sum xi(u, v), an
 adaptive Gauss-Kronrod integrator for exponentially decaying integrands on
-(0, inf), scalar or vector valued, and the two-sided mode sum
+(0, inf), scalar or vector valued, with an oscillatory-tail mode for
+slowly damped Bessel-type integrands, and the two-sided mode sum
 sum_n e^{i alpha n} n^m / (n^2 + beta^2) by two independent routes: its
 hyperbolic closed form, and its symmetric truncation summed term by term
 in blocks of consecutive n (angle addition from one block's cos/sin table,
@@ -103,6 +104,12 @@ class ModeSumArgs:
 def _jv(order: int, x: np.ndarray) -> np.ndarray:
     """Vectorized J_order for order in {0, 1, 2}, x >= 0."""
     return special.jv(order, np.asarray(x, dtype=float))
+
+
+def _bessel_half_period(v: float) -> float | None:
+    """Half-period in x of J_n(x v), for the oscillatory-tail mode of
+    integrate_semi_infinite; None at v = 0, where nothing oscillates."""
+    return math.pi / v if v > 0 else None
 
 
 def bessel_j(order: int, x: float) -> float:
@@ -269,13 +276,14 @@ def _unconverged(err, total, tol: Tolerance) -> bool:
                                         tol.rel_tol * np.abs(total))))
 
 
-def _adaptive(f: Callable, edges: list[float], tol: Tolerance):
-    """Adaptive panel subdivision over the panels defined by edges.
+def _subdivide(f: Callable, edges: list[float]):
+    """The adaptive panel subdivision over the panels defined by edges, one
+    step at a time.
 
-    A float for an integrand with one value per node; for one returning k
-    rows, a length-k array.  The pass ends when every component's summed
-    error is within its own max(abs_tol, rel_tol * |total_i|), and each
-    step splits the panel with the largest error in any component.
+    Yields the running integral and its summed |K15 - G7| error, first over
+    the seed panels and then after each split of the panel with the largest
+    error in any component: floats for an integrand with one value per
+    node; for one returning k rows, length-k arrays.
     """
     heap: list[tuple] = []
     # the counter breaks ties between zero-width panels before the values
@@ -288,15 +296,8 @@ def _adaptive(f: Callable, edges: list[float], tol: Tolerance):
         total += val
         err += e
         heapq.heappush(heap, (-_peak(e), a, b, next(order), val, e))
-    splits = 0
-    while _unconverged(err, total, tol):
-        if splits >= tol.max_subdivisions:
-            raise ConvergenceError(
-                f"quadrature error {_peak(err):.3e} above tolerance after "
-                f"{splits} subdivisions",
-                best_estimate=total,
-                achieved_error=err,
-            )
+    while True:
+        yield total, err
         _, a, b, _, val, e = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         v1, e1 = _gauss_kronrod(f, a, mid)
@@ -305,8 +306,25 @@ def _adaptive(f: Callable, edges: list[float], tol: Tolerance):
         err += e1 + e2 - e
         heapq.heappush(heap, (-_peak(e1), a, mid, next(order), v1, e1))
         heapq.heappush(heap, (-_peak(e2), mid, b, next(order), v2, e2))
-        splits += 1
-    return total
+
+
+def _adaptive(f: Callable, edges: list[float], tol: Tolerance):
+    """Adaptive panel subdivision over the panels defined by edges.
+
+    A float for an integrand with one value per node; for one returning k
+    rows, a length-k array.  The pass ends when every component's summed
+    error is within its own max(abs_tol, rel_tol * |total_i|).
+    """
+    for splits, (total, err) in enumerate(_subdivide(f, edges)):
+        if not _unconverged(err, total, tol):
+            return total
+        if splits >= tol.max_subdivisions:
+            raise ConvergenceError(
+                f"quadrature error {_peak(err):.3e} above tolerance after "
+                f"{splits} subdivisions",
+                best_estimate=total,
+                achieved_error=err,
+            )
 
 
 def _quad_finite(f: Callable, a: float, b: float,
@@ -332,14 +350,114 @@ def _seed_edges(x_max: float) -> list[float]:
     return edges
 
 
+# Oscillatory-tail mode: the head [0, x0] spans _HEAD_HALF_PERIODS
+# half-periods; the tail is summed one half-period panel at a time, and the
+# first transform is taken after _MIN_TAIL_PANELS panels.  The Levin order
+# grows with the panel count up to _LEVIN_MAX_ORDER and then slides over
+# the latest partial sums (the transform's rounding error grows with the
+# order).
+_HEAD_HALF_PERIODS = 4
+_MIN_TAIL_PANELS = 4
+_LEVIN_MAX_ORDER = 16
+
+
+def _levin_u(sums: np.ndarray, terms: np.ndarray, first: float) -> np.ndarray:
+    """Levin u-transform of the partial sums s_0..s_k, column by column.
+
+    sums and terms are (k + 1, c) arrays of the partial sums and of the
+    terms a_n that end them; the remainder estimates are
+    omega_n = (first + n) a_n.  A column in which an omega is 0 (a row of
+    exact zeros) or the transform overflows gets its last partial sum.
+    """
+    k = len(sums) - 1
+    n = first + np.arange(k + 1)
+    coef = np.array([(-1.0) ** j * math.comb(k, j) for j in range(k + 1)])
+    coef *= (n / n[-1]) ** (k - 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = coef[:, None] / (n[:, None] * terms)
+        est = (w * sums).sum(axis=0) / w.sum(axis=0)
+    return np.where(np.isfinite(est), est, sums[-1])
+
+
+def _oscillatory_tail(f: Callable, x0: float, h: float, x_max: float,
+                      tol: Tolerance):
+    """The head [0, x0] by adaptive subdivision and the tail by half-period
+    panels [x, x + h] whose partial sums Levin's u-transform extrapolates;
+    see integrate_semi_infinite.
+
+    Each step refines whichever part holds the larger error: the head
+    splits its worst panel when it does so in a component that has not yet
+    converged, or once the tail has reached x_max; otherwise the tail takes
+    one more half-period.  The tail panels' summed error only grows, so a
+    component whose transforms agree within its target while that sum
+    alone exceeds it cannot converge, and the pass fails at once.
+    """
+    head = _subdivide(f, _seed_edges(x0))
+    head_total, head_err = next(head)
+    scalar = isinstance(head_total, float)
+
+    def out(values):
+        return float(values[0]) if scalar else values
+
+    sums, terms = [], []
+    partial = tail_err = np.zeros(np.shape(head_total) or (1,))
+    est, gaps = partial, (math.inf, math.inf)
+    x = x0
+    splits = 0
+    while True:
+        gap = np.maximum(*gaps)
+        total = head_total + est
+        err = head_err + tail_err + gap
+        target = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total))
+        bad = err > target
+        if not np.any(bad):
+            return out(total)
+        stuck = bad & (tail_err > target) & (gap <= target)
+        if splits >= tol.max_subdivisions or np.any(stuck):
+            raise ConvergenceError(
+                f"quadrature error {float(np.max(err)):.3e} above tolerance "
+                f"after {splits} subdivisions and tail half-periods",
+                best_estimate=out(total), achieved_error=out(err))
+        splits += 1
+        if x >= x_max or np.any(bad & (head_err > tail_err + gap)):
+            head_total, head_err = next(head)
+            continue
+        # two K15 panels per half-period: one panel's |K15 - G7| on a
+        # whole half-wave is about 1e-12 of its value, and these add up
+        mid = x + 0.5 * h
+        v1, e1 = _gauss_kronrod(f, x, mid)
+        v2, e2 = _gauss_kronrod(f, mid, x + h)
+        x += h
+        val = np.atleast_1d(v1 + v2)
+        partial = partial + val
+        tail_err = tail_err + e1 + e2
+        sums.append(partial)
+        terms.append(val)
+        if x >= x_max:
+            # the plain partial sum has reached the truncation point
+            est, gaps = partial, (0.0, 0.0)
+        elif len(sums) >= _MIN_TAIL_PANELS:
+            lo = max(0, len(sums) - _LEVIN_MAX_ORDER - 1)
+            new = _levin_u(np.array(sums[lo:]), np.array(terms[lo:]),
+                           _HEAD_HALF_PERIODS + lo)
+            # the larger of the last two gaps between successive
+            # transforms, so that two that agree by accident do not end
+            # the tail
+            if len(sums) > _MIN_TAIL_PANELS:
+                gaps = (gaps[1], np.abs(new - est))
+            est = new
+        else:
+            est = partial
+
+
 def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
-                            tol: Tolerance = DEFAULT_TOL):
+                            tol: Tolerance = DEFAULT_TOL,
+                            half_period: float | None = None):
     """Integrate a vectorized real integrand over (0, inf).
 
     The integrand maps an array of n nodes to n values, and the result is a
     float; or to a (k, n) array, one row per component, and the result is a
-    length-k array from one adaptive pass in which every component meets
-    the tolerance on its own.
+    length-k array in which every component meets the tolerance on its own.
 
     The integrand must decay at least like exp(-decay_rate_hint * x) for
     large x; behaviour at 0 may be integrably singular (panels never touch
@@ -348,9 +466,28 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     exponential decay, and the remainder is integrated adaptively with
     per-panel Gauss-Kronrod error estimates.
 
+    half_period, when given, selects the oscillatory-tail mode, for an
+    integrand that oscillates with that half-period far from 0 (pi/v for a
+    factor J_n(x v)) and is smooth on its scale there.  The head [0, x0],
+    x0 four half-periods, is integrated adaptively as above, and the tail
+    one half-period at a time (two K15 panels each); Levin's u-transform
+    (Levin 1973, Int. J. Comput. Math. B3) extrapolates the tail's partial
+    sums, per component.  The error estimate is the larger of the last two
+    gaps between successive transforms plus the head's and the tail
+    panels' |K15 - G7|, against each component's
+    max(abs_tol, rel_tol * |I_i|); each step splits a head panel or adds a
+    tail panel, whichever part holds the larger error.  The cost then no
+    longer grows with the number of oscillations before exp(-rate x) damps
+    them.  When the head and four tail half-periods already reach the
+    truncation point, the plain adaptive pass runs instead; when the tail
+    reaches it, the plain partial sum is taken.
+
     Raises ConvergenceError (carrying the best estimate and the achieved
     error, per component for a vector integrand) when the tolerance cannot
-    be met within max_subdivisions panel splits.
+    be met within max_subdivisions steps: panel splits, and in the
+    oscillatory-tail mode tail half-periods as well.  The mode also raises
+    it at once when a component's transforms have settled but the tail
+    panels' summed error alone, which only grows, exceeds its target.
     """
     if not decay_rate_hint > 0:
         raise DomainError("decay_rate_hint must be positive")
@@ -362,6 +499,12 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     # absorb polynomial prefactors x^2 into the truncation point
     for _ in range(3):
         x_max = (log_inv_tol + 2.0 * math.log1p(x_max)) / rate + 10.0
+    if half_period is not None:
+        if not 0.0 < half_period < math.inf:
+            raise DomainError("half_period must be positive and finite")
+        x0 = _HEAD_HALF_PERIODS * half_period
+        if x0 + _MIN_TAIL_PANELS * half_period < x_max:
+            return _oscillatory_tail(integrand, x0, half_period, x_max, tol)
     return _adaptive(integrand, _seed_edges(x_max), tol)
 
 

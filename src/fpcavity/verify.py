@@ -44,9 +44,10 @@ from .errors import ConvergenceError, DomainError
 from .geometry import CavityFrame
 from .radiation import (_cosh_ratio, _kernel_d_reference, _sinh_ratio,
                         anisotropy_delta)
-from .specfun import (DEFAULT_TOL, ModeSumArgs, Tolerance, _jv,
-                      _lattice_moments, _quad_finite, direct_mode_sum,
-                      hyperbolic_mode_sum, integrate_semi_infinite, xi)
+from .specfun import (DEFAULT_TOL, ModeSumArgs, Tolerance,
+                      _bessel_half_period, _jv, _lattice_moments,
+                      _quad_finite, direct_mode_sum, hyperbolic_mode_sum,
+                      integrate_semi_infinite, xi)
 
 __all__ = [
     "IdentityReport",
@@ -212,41 +213,50 @@ def check_bessel_hyperbolic(u: float, v: float, *,
                             ) -> list[IdentityReport]:
     """Check the four hyperbolic-integral identities at one (u, v).
 
-    The integral sides go through the adaptive quadrature; the lattice sides
-    go through the lattice moments, xi = S3 with the exact derivatives
-    d/dv xi = -3 v S5 and d/du xi = -3 T5, so the two routes share no code.
-    Thresholds are pinned, TOL_DERIV (100x looser relative) for the two
-    derivative identities and TOL_EQ22 for the others; max_subdivisions
-    caps only the quadrature effort.
+    The integral sides are the four rows of one quadrature pass (in its
+    oscillatory-tail mode when v > 0), so J0, J1, J2 and the hyperbolic
+    ratios are evaluated once per node; the lattice sides go through the
+    lattice moments, xi = S3 with the exact derivatives d/dv xi = -3 v S5
+    and d/du xi = -3 T5, so the two routes share no code.  Thresholds are
+    pinned, TOL_DERIV (100x looser relative) for the two derivative
+    identities and TOL_EQ22 for the others; every row meets the engine
+    tolerance of TOL_EQ22, and max_subdivisions caps only the quadrature
+    effort.  A quadrature that runs out of panel splits fails all four
+    rows.
     """
     eng = _engine(TOL_EQ22, max_subdivisions)
-    rate = min(u, 2.0 - u)
     # xi by its module-level name, which lets a test substitute a shifted xi
     # (as for SELF_CANCEL); the derivative sides take S5 and T5 directly
     s3 = xi(u, v)
     _, s5, t5 = _lattice_moments(u, v)
     params = {"u": u, "v": v}
 
-    def quad(f):
-        return integrate_semi_infinite(f, rate, eng)
+    def rows(x):
+        xv = x * v
+        j0, j1, j2 = _jv(0, xv), _jv(1, xv), _jv(2, xv)
+        ch = x * _cosh_ratio(x, u)
+        return np.array([ch * j1, x * ch * (j0 + j2), x * ch * (j0 - j2),
+                         x * x * _sinh_ratio(x, u) * j1])
+
+    try:
+        lhs = integrate_semi_infinite(rows, min(u, 2.0 - u), eng,
+                                      half_period=_bessel_half_period(v))
+    except ConvergenceError as exc:
+        lhs = exc
+
+    def sides(row, rhs):
+        if isinstance(lhs, ConvergenceError):
+            raise lhs
+        return lhs[row], rhs
 
     return [
-        _checked("EQ22", params, TOL_EQ22, lambda: (
-            quad(lambda x: x * _cosh_ratio(x, u) * _jv(1, x * v)),
-            v * s3)),
-        _checked("EQ29_PLUS", params, TOL_EQ22, lambda: (
-            quad(lambda x: x * x * _cosh_ratio(x, u)
-                 * (_jv(0, x * v) + _jv(2, x * v))),
-            2.0 * s3)),
+        _checked("EQ22", params, TOL_EQ22, sides, 0, v * s3),
+        _checked("EQ29_PLUS", params, TOL_EQ22, sides, 1, 2.0 * s3),
         # (2 + 2 v d/dv) xi
-        _checked("EQ29_MINUS", params, TOL_DERIV, lambda: (
-            quad(lambda x: x * x * _cosh_ratio(x, u)
-                 * (_jv(0, x * v) - _jv(2, x * v))),
-            2.0 * s3 - 6.0 * v * v * s5)),
+        _checked("EQ29_MINUS", params, TOL_DERIV, sides, 2,
+                 2.0 * s3 - 6.0 * v * v * s5),
         # v d/du xi
-        _checked("EQ30", params, TOL_DERIV, lambda: (
-            quad(lambda x: x * x * _sinh_ratio(x, u) * _jv(1, x * v)),
-            -3.0 * v * t5)),
+        _checked("EQ30", params, TOL_DERIV, sides, 3, -3.0 * v * t5),
     ]
 
 
@@ -320,24 +330,25 @@ def check_lipschitz(u: float, v: float, *,
                     max_subdivisions: int = _BUDGET) -> list[IdentityReport]:
     """Laplace-Bessel integrals against their closed inverse-distance forms.
 
-    The integrands decay only like e^{-xu}.  At the default tolerance both
-    identities hold for u >= 0.01 with v in [0, 3], and at v = 0 for any
-    u > 0.  Closer to u = 0 at v > 0 (u = 5e-3 at v = 3, u = 1e-3 at
-    v = 0.5) the quadrature runs out of panel splits and the check comes
-    back failed.  kernel_d has no such limit: it takes the x^2 forms of
-    these transforms in closed form.  The threshold is pinned
+    The integrands decay only like e^{-xu}.  For v > 0 the quadrature runs
+    in its oscillatory-tail mode, so the cost does not grow with the
+    number of oscillations of J(xv) before the decay: at u = 1e-4 or 1e-3
+    both identities hold in a few ms.  The threshold is pinned
     (TOL_LIPSCHITZ); max_subdivisions caps only the quadrature effort.
     """
     eng = _engine(TOL_LIPSCHITZ, max_subdivisions)
+    half_period = _bessel_half_period(v)
     params = {"u": u, "v": v}
+
+    def quad(f):
+        return integrate_semi_infinite(f, u, eng, half_period=half_period)
+
     return [
         _checked("EQ33", params, TOL_LIPSCHITZ, lambda: (
-            integrate_semi_infinite(
-                lambda x: np.exp(-x * u) * _jv(0, x * v), u, eng),
+            quad(lambda x: np.exp(-x * u) * _jv(0, x * v)),
             (u * u + v * v) ** -0.5)),
         _checked("EQ34", params, TOL_LIPSCHITZ, lambda: (
-            integrate_semi_infinite(
-                lambda x: x * np.exp(-x * u) * _jv(1, x * v), u, eng),
+            quad(lambda x: x * np.exp(-x * u) * _jv(1, x * v)),
             v * (u * u + v * v) ** -1.5)),
     ]
 
@@ -371,7 +382,8 @@ def check_green(u: float, u_prime: float, v: float, *,
     """Two-plane Green's-function identity.
 
     The image sum (paired, since single terms diverge) against the
-    difference-of-cosh-ratios integral.  The threshold is pinned
+    difference-of-cosh-ratios integral, in the quadrature's
+    oscillatory-tail mode for v > 0.  The threshold is pinned
     (TOL_GREEN); max_subdivisions caps only the quadrature effort.
     """
     eng = _engine(TOL_GREEN, max_subdivisions)
@@ -380,7 +392,8 @@ def check_green(u: float, u_prime: float, v: float, *,
                     lambda: (_paired_inverse_distance_sum(u, u_prime, v),
                              integrate_semi_infinite(
                                  lambda x: _cosh_ratio_diff(x, u, u_prime)
-                                 * _jv(0, x * v), rate, eng)))
+                                 * _jv(0, x * v), rate, eng,
+                                 half_period=_bessel_half_period(v))))
 
 
 def check_axial_and_aniso(rho_z_samples: Sequence[float],

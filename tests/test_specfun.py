@@ -343,6 +343,101 @@ def test_quadrature_vector_failure_carries_per_component_arrays():
     assert err.achieved_error[0] > 1e-13
 
 
+def _laplace_bessel_rows(a, v):
+    # e^{-ax} J0(vx), a row of zeros and x^2 e^{-ax} J1(vx)/(2 + x):
+    # oscillating with half-period pi/v, damped only like e^{-ax}
+    def rows(x):
+        damp = np.exp(-a * x)
+        return np.array([damp * special.jv(0, v * x), np.zeros_like(x),
+                         x * x * damp * special.jv(1, v * x) / (2.0 + x)])
+    return rows
+
+
+def test_quadrature_tail_mode_against_mpmath_quadosc():
+    a, v = 1e-3, 1.0
+    with mpmath.workdps(15):
+        want = float(mpmath.quadosc(
+            lambda x: x * x * mpmath.exp(-a * x) * mpmath.besselj(1, v * x)
+            / (2 + x), [0, mpmath.inf], omega=v))
+    got = integrate_semi_infinite(_laplace_bessel_rows(a, v), a, TIGHT,
+                                  half_period=math.pi / v)
+    assert got.shape == (3,)
+    assert got[0] == pytest.approx((a * a + v * v) ** -0.5, rel=1e-12)
+    assert got[1] == 0.0
+    assert got[2] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_quadrature_tail_mode_scalar_laplace_bessel():
+    # int_0^inf x e^{-ux} J1(vx) dx = v (u^2 + v^2)^(-3/2); the plain pass
+    # runs out of panel splits at u = 1e-4
+    u, v = 1e-4, 0.5
+    val = integrate_semi_infinite(lambda x: x * np.exp(-u * x)
+                                  * special.jv(1, v * x), u, TIGHT,
+                                  half_period=math.pi / v)
+    assert type(val) is float
+    assert val == pytest.approx(v * (u * u + v * v) ** -1.5, rel=1e-12)
+
+
+def test_quadrature_tail_mode_budget_failure_carries_per_component_arrays():
+    # the head's seed panels are free; eight steps do not reach two
+    # successive transforms of the tail
+    with pytest.raises(ConvergenceError) as exc_info:
+        integrate_semi_infinite(_laplace_bessel_rows(1e-3, 1.0), 1e-3,
+                                Tolerance(1e-12, 1e-12, max_subdivisions=8),
+                                half_period=math.pi)
+    err = exc_info.value
+    assert np.shape(err.best_estimate) == (3,)
+    assert np.shape(err.achieved_error) == (3,)
+    assert err.achieved_error[0] > 1e-12
+    assert err.best_estimate[1] == 0.0
+
+
+def test_quadrature_tail_mode_counts_tail_panel_errors():
+    # a bump of width 0.1 at x = 30 is not smooth on the half-period scale:
+    # the K15 panels of the tail cannot resolve it, and their |K15 - G7|
+    # keeps the pass from accepting an extrapolation 4e-4 off
+    def f(x):
+        return (np.exp(-1e-3 * x) * special.jv(0, x)
+                + np.exp(-100.0 * (x - 30.0) ** 2))
+
+    with pytest.raises(ConvergenceError):
+        integrate_semi_infinite(f, 1e-3, half_period=math.pi)
+
+
+def test_quadrature_tail_mode_stops_below_the_rounding_floor():
+    # x^2 sinh(x(u-1))/sinh(x) J1(x) at u = 0.005 integrates to -0.0133,
+    # while its tail panels are of order 100: their summed |K15 - G7|, at
+    # the rounding level, exceeds abs_tol 1e-12.  The pass fails once the
+    # transforms agree, not after spending the whole budget
+    u = 0.005
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return (x * x * (np.exp(x * (u - 2.0)) - np.exp(-x * u))
+                / -np.expm1(-2.0 * x) * special.jv(1, x))
+
+    with pytest.raises(ConvergenceError):
+        integrate_semi_infinite(f, u, Tolerance(1e-12, 1e-10),
+                                half_period=math.pi)
+    assert len(calls) < 100
+
+
+def test_quadrature_tail_mode_falls_back_to_plain_pass():
+    # at v = 0.25 four head and four tail half-periods reach past the
+    # truncation point (about 80 at rate 0.5): the plain pass runs, bit for
+    # bit
+    f = lambda x: x * np.exp(-0.5 * x) * special.jv(1, 0.25 * x)
+    assert integrate_semi_infinite(f, 0.5, TIGHT, half_period=4.0 * math.pi) \
+        == integrate_semi_infinite(f, 0.5, TIGHT)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_quadrature_rejects_bad_half_period(bad):
+    with pytest.raises(DomainError):
+        integrate_semi_infinite(lambda x: np.exp(-x), 1.0, half_period=bad)
+
+
 # ---------------------------------------------------------------------------
 # mode sums
 # ---------------------------------------------------------------------------
