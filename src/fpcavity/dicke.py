@@ -9,9 +9,13 @@ superradiant doublet is degenerate to machine precision.
 
 Each block, with its states ordered by photon number, is banded with a
 half-bandwidth of about N/2.  The solver builds it in band storage straight
-from the matrix elements, takes its two lowest eigenvalues from a banded
-eigensolver and the ground vector by inverse iteration; no dense matrix is
-formed.  Its guard bounds the eigensolver's work, block size squared times
+from the matrix elements; no dense matrix is formed.  Bisection with banded
+Cholesky factorizations finds a shift certified below the block's lowest
+eigenvalue, and a Lanczos iteration on the inverse of the shifted block,
+one banded solve with that one factor per step, spans the two lowest
+eigenvectors.  Rayleigh-Ritz of H on that basis gives the two lowest
+eigenvalues and the ground vector together, each pair within a residual of
+1e-12 |H|.  The solver's guard bounds its work, block size squared times
 half-bandwidth, before anything is built.  `build_hamiltonian` scatters the
 same elements into the dense matrix for tests and inspection; its guard
 bounds the dimension, since the dense matrix is what costs memory.
@@ -32,7 +36,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dsyevr
 
 from .errors import ConvergenceError, DomainError
 
@@ -49,11 +54,29 @@ __all__ = [
 
 # dense Hamiltonians of build_hamiltonian: a memory bound
 MAX_DIMENSION = 20000
-# block size squared times half-bandwidth, the scaling of eig_banded's band
-# reduction: 3e-9 to 1.2e-8 s per unit measured on a 2-core x86 box, so up
-# to about 5 s per solve at the bound
+# block size squared times half-bandwidth.  The solver's own cost grows
+# only as block size times half-bandwidth squared (the factorizations) and
+# block size times half-bandwidth per Lanczos step; a ground_state near the
+# bound, N = 48 and cutoff 160 (blocks of 3945 states, half-bandwidth 25,
+# 3.9e8), took 55-65 ms on a 2-core x86 box
 MAX_SOLVER_WORK = 400_000_000
-_MAX_INVERSE_ITERATIONS = 50
+# Lanczos steps per parity block: about twice the most, 28, that the
+# blocks of 2027 parameter sets took (N up to 64, cutoffs 5 to 4000, y in
+# [1e-6, 120], omega_a / omega_c from 1/4 to 4); the basis and H times it
+# then hold at most 2 x 60 vectors, under 1 MB at 859 states
+_MAX_LANCZOS_STEPS = 60
+# Rayleigh-Ritz checks of the Lanczos basis, each a small dense eigensolve:
+# the first at 12 vectors, just below the 13 to 17 that most blocks take,
+# then one every other step
+_FIRST_CHECK = 12
+_CHECK_EVERY = 2
+# each eigenpair (E, x) returned meets |H x - E x| <= _RESIDUAL |H|
+_RESIDUAL = 1e-12
+# the shift's bisection stops at a bracket on E0 this wide, and the shift
+# used sits this far below the bracket's certified lower end; both in
+# units of |H|
+_SHIFT_BRACKET = 1e-3
+_SHIFT_MARGIN = 1e-10
 # the ground vector's probability weight on photon numbers n >= 0.8 cutoff
 # above which the cutoff counts as not converged
 _CUTOFF_TAIL = 1e-8
@@ -184,13 +207,15 @@ class _Block:
     m: np.ndarray
     n: np.ndarray
     lowest: np.ndarray  # the two lowest eigenvalues, ascending
+    ground: np.ndarray  # unit eigenvector of lowest[0]
     # largest absolute row sum, an upper bound on the spectral norm and the
     # scale of the eigensolver's rounding
     norm: float
 
 
 def _solve_blocks(p: DickeParams) -> list[_Block]:
-    """The even and the odd parity block, with their two lowest eigenvalues.
+    """The even and the odd parity block, with their two lowest eigenvalues
+    and ground vectors.
 
     A block lists its states photon-major, by n (N + 1) + m.  H then links
     only neighbouring photon numbers, so each block is banded with a
@@ -216,70 +241,139 @@ def _solve_blocks(p: DickeParams) -> list[_Block]:
         ab[0] = diag[on]
         ab[width, lo] = c[link]
         # every block holds at least two states: N >= 1 and cutoff >= 1
-        lowest = eig_banded(ab, lower=True, eigvals_only=True, select="i",
-                            select_range=(0, 1), check_finite=False)
-        norm = float(_band_matvec(np.abs(ab), np.ones(ab.shape[1])).max())
+        lowest, ground, norm = _lowest_pair(ab)
         blocks.append(_Block(ab=ab, m=m[on], n=n[on], lowest=lowest,
-                             norm=norm))
+                             ground=ground, norm=norm))
     return blocks
 
 
 def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    y = ab[0] * x
-    for d in range(1, ab.shape[0]):
-        y[d:] += ab[d, :-d] * x[:-d]
-        y[:-d] += ab[d, :-d] * x[d:]
-    return y
+    return dsbmv(ab.shape[0] - 1, 1.0, ab, x, lower=1)
 
 
-def _ground_vector(block: _Block) -> np.ndarray:
-    """Unit eigenvector of the block's lowest eigenvalue E0, by inverse
-    iteration on H - (E0 - 1e-10 |H|) until |H x - E0 x| <= 1e-12 |H|.
+def _lowest_pair(ab: np.ndarray):
+    """The two lowest eigenvalues of a block, ascending, its unit ground
+    vector and |H|, by shift-invert Lanczos on one banded Cholesky factor.
 
-    Both bounds scale with H, so the result does too.  The first start is
-    the basis state of the lowest diagonal entry, which makes the result
-    exact when H is diagonal.  A ground state more than about 1400 photons
-    away from it overlaps it by less than the smallest double, which the
-    solves cannot recover; the uniform vector is the second start.
+    Both eigenpairs (E, x) returned meet |H x - E x| <= 1e-12 |H|; past
+    the step cap the iteration raises ConvergenceError instead.  It runs on
+    H scaled by the power of two just above |H|, which is exact and keeps
+    every iterate in range whatever the scale of H.
     """
-    e0 = float(block.lowest[0])
-    scale = block.norm
-    shifted = block.ab.copy()
-    shifted[0] -= e0 - 1e-10 * scale
-    factor = cholesky_banded(shifted, lower=True, check_finite=False)
-    dim = block.ab.shape[1]
-    basis_state = np.zeros(dim)
-    basis_state[np.argmin(block.ab[0])] = 1.0
-    residual = math.inf
-    for x in (basis_state, np.ones(dim)):
-        for _ in range(_MAX_INVERSE_ITERATIONS):
-            x = cho_solve_banded((factor, True), x, check_finite=False)
-            # over the largest entry first: the entries are about 1/|H|,
-            # and the norm squares them, which underflows for a large |H|
-            x /= np.abs(x).max()
-            x /= np.linalg.norm(x)
-            residual = float(np.linalg.norm(
-                (_band_matvec(block.ab, x) - e0 * x) / scale))
-            if residual <= 1e-12:
-                return x
+    dim = ab.shape[1]
+    abs_rows = _band_matvec(np.abs(ab), np.ones(dim))
+    norm = float(abs_rows.max())
+    if not ab[1:].any():
+        # no couplings (y = 0): the sorted diagonal and a basis vector
+        order = np.argsort(ab[0], kind="stable")[:2]
+        ground = np.zeros(dim)
+        ground[order[0]] = 1.0
+        return ab[0][order], ground, norm
+    exponent = math.frexp(norm)[1]
+    h = np.ldexp(ab, -exponent)
+    bound = _RESIDUAL * math.ldexp(norm, -exponent)
+    factor = _shifted_factor(h, np.ldexp(abs_rows, -exponent))
+    steps = min(dim, _MAX_LANCZOS_STEPS)
+    # the Lanczos vectors as rows, and H times each
+    basis, h_basis = np.empty((steps, dim)), np.empty((steps, dim))
+    # The Krylov space starts one solve away from a fixed pseudo-random
+    # vector, which overlaps every eigenvector.  From the vector itself,
+    # whose ground component is not small, the first steps would have to
+    # cancel the huge 1/(E0 - sigma) part of the solves, and with sigma
+    # close to E0 that costs the second Ritz vector its last digits.
+    start = _solve(factor, np.random.default_rng(0).standard_normal(dim))
+    basis[0] = start / np.linalg.norm(start)
+    h_basis[0] = _band_matvec(h, basis[0])
+    for size in range(1, steps + 1):
+        if size == steps or size >= _FIRST_CHECK and (
+                size - _FIRST_CHECK) % _CHECK_EVERY == 0:
+            energies, vectors, residual = _ritz_pairs(basis[:size],
+                                                      h_basis[:size])
+            if residual.max() <= bound:
+                return np.ldexp(energies, exponent), vectors[0], norm
+        if size < steps:
+            w = _solve(factor, basis[size - 1])
+            # full reorthogonalization: classical Gram-Schmidt, twice
+            for _ in range(2):
+                w -= basis[:size].T @ (basis[:size] @ w)
+            basis[size] = w / np.linalg.norm(w)
+            h_basis[size] = _band_matvec(h, basis[size])
     raise ConvergenceError(
-        f"inverse iteration missed its residual bound from both starts, "
-        f"{_MAX_INVERSE_ITERATIONS} steps each", best_estimate=e0,
-        achieved_error=residual * scale)
+        f"shift-invert Lanczos missed the residual bound |Hx - Ex| <= "
+        f"{_RESIDUAL} |H| in {steps} steps",
+        best_estimate=float(np.ldexp(energies[0], exponent)),
+        achieved_error=float(np.ldexp(residual.max(), exponent)))
+
+
+def _shifted_factor(h: np.ndarray, abs_rows: np.ndarray) -> np.ndarray:
+    """The lower banded Cholesky factor of H - sigma, sigma below the lowest
+    eigenvalue E0; abs_rows holds the absolute row sums of H.
+
+    Bisection between two bounds on E0, the Gershgorin lower bound and the
+    smallest diagonal entry: a factorization that succeeds certifies its
+    shift below E0.  It stops once the bracket is narrower than
+    _SHIFT_BRACKET |H|.  The accepted shift backs off from the highest
+    certified one by 1e-10 |H|, so rounding in that certificate cannot
+    leave it at or above E0.
+    """
+    norm = float(abs_rows.max())
+    lo = float((h[0] + np.abs(h[0]) - abs_rows).min())
+    hi = float(h[0].min())
+    shifted = h.copy()
+    while hi - lo > _SHIFT_BRACKET * norm:
+        mid = 0.5 * (lo + hi)
+        shifted[0] = h[0] - mid
+        if dpbtrf(shifted, lower=1)[1] == 0:
+            lo = mid
+        else:
+            hi = mid
+    sigma = lo - _SHIFT_MARGIN * norm
+    shifted[0] = h[0] - sigma
+    factor, info = dpbtrf(shifted, lower=1)
+    if info != 0:
+        raise ConvergenceError(
+            f"H - sigma did not factor at sigma = {sigma!r}, below the "
+            f"certified shift {lo!r}", best_estimate=hi,
+            achieved_error=hi - sigma)
+    return factor
+
+
+def _solve(factor: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return dpbtrs(factor, x, lower=1)[0]
+
+
+def _ritz_pairs(basis: np.ndarray, h_basis: np.ndarray):
+    """Rayleigh-Ritz of H on the rows of an orthonormal basis, given H times
+    each row: the two lowest Ritz values, their unit vectors as rows, and
+    the norms of their residuals H x - E x.
+
+    H itself, not the shifted inverse, is projected, so the Ritz values
+    carry a rounding of a few eps |H| however close the shift is to E0.
+    """
+    energies, s, _, _, info = dsyevr(basis @ h_basis.T, range="I",
+                                     lower=1, il=1, iu=2)
+    if info != 0:
+        raise ConvergenceError(f"the Rayleigh-Ritz eigensolve failed "
+                               f"(LAPACK dsyevr info {info})")
+    energies, s = energies[:2], s[:, :2]
+    vectors = s.T @ basis
+    residual = s.T @ h_basis - energies[:, None] * vectors
+    return energies, vectors, np.linalg.norm(residual, axis=1)
 
 
 def _ground_observables(p: DickeParams):
     even, odd = _solve_blocks(p)
     e_even, e_odd = float(even.lowest[0]), float(odd.lowest[0])
-    # Block minima closer than the eigensolver's rounding, a few eps |H|,
-    # are a tie, and a tie goes to even parity: deep in the superradiant
-    # phase the doublet is degenerate below machine precision.
+    # Block minima closer than the rounding of their Rayleigh-Ritz values,
+    # a few eps |H| from the banded products and the small dense
+    # eigensolve, are a tie, and a tie goes to even parity: deep in the
+    # superradiant phase the doublet is degenerate below machine precision.
     tie = 8 * np.finfo(float).eps * max(even.norm, odd.norm)
     if e_odd < e_even - tie:
         parity, block, energy = -1.0, odd, e_odd
     else:
         parity, block, energy = 1.0, even, e_even
-    prob = _ground_vector(block) ** 2
+    prob = block.ground ** 2
     photon = float(prob @ block.n)
     sz = float(prob @ (block.m - 0.5 * p.n_atoms))
     tail = float(prob[block.n >= 0.8 * p.fock_cutoff].sum())

@@ -200,12 +200,24 @@ def _checked(check_id: str, params: dict, tol: Tolerance,
 
 
 def _cosh_ratio_diff(x, u, u_prime):
-    # [cosh(x(u-1)) - cosh(x(u'-1))]/sinh(x), written through expm1 so the
-    # small-x cancellation between the two cosh terms is done analytically
+    # [cosh(x a) - cosh(x b)]/sinh(x) with a = u-1, b = u'-1, through
+    # cosh(xa) - cosh(xb) = 2 sinh(x(a+b)/2) sinh(x(a-b)/2).  With a >= b
+    # (the ratio is odd under the swap) and s = a + b, that is
+    # e^{x(a-1)} expm1(-x(a-b)) expm1(-x s) for s >= 0 and
+    # -e^{-x(b+1)} expm1(-x(a-b)) expm1(x s) for s < 0 (the numerator over
+    # e^x, as the denominator -expm1(-2x) is): every exponent is at most 0,
+    # so nothing overflows at large x, and expm1 does the cancellations at
+    # u' near u and near 2 - u analytically.
     a, b = u - 1.0, u_prime - 1.0
-    num = (np.exp(x * (b - 1.0)) * np.expm1(x * (a - b))
-           + np.exp(-x * (b + 1.0)) * np.expm1(x * (b - a)))
-    return num / (-np.expm1(-2.0 * x))
+    sign = 1.0
+    if a < b:
+        a, b, sign = b, a, -1.0
+    s = a + b
+    if s >= 0.0:
+        num = np.exp(x * (a - 1.0)) * np.expm1(-x * s)
+    else:
+        num = -np.exp(-x * (b + 1.0)) * np.expm1(x * s)
+    return sign * num * np.expm1(-x * (a - b)) / (-np.expm1(-2.0 * x))
 
 
 def check_bessel_hyperbolic(u: float, v: float, *,

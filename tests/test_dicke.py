@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from fpcavity import (DickeParams, DomainError, build_hamiltonian,
-                      ground_state, mean_field, spectrum_scan)
+from fpcavity import (ConvergenceError, DickeParams, DomainError,
+                      build_hamiltonian, ground_state, mean_field,
+                      spectrum_scan)
 from fpcavity import dicke
 from fpcavity.cli import dispatch
 from fpcavity.dicke import parity_diagonal
@@ -194,7 +195,7 @@ def test_solver_guard_bounds_work_not_dimension(n_atoms, cutoff,
     def never(*args, **kwargs):
         raise AssertionError("the solve started")
     monkeypatch.setattr(dicke, "_elements", never)
-    monkeypatch.setattr(dicke, "eig_banded", never)
+    monkeypatch.setattr(dicke, "dpbtrf", never)
     p = DickeParams(y=1.0, n_atoms=n_atoms, fock_cutoff=cutoff)
     assert p.dimension <= dicke.MAX_DIMENSION
     with pytest.raises(DomainError):
@@ -227,25 +228,89 @@ def test_solver_guard_half_bandwidth_is_exact(n_atoms, monkeypatch):
 # banded parity-block solver
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("y", [0.0, 0.5, 1.0, 2.0, 3.0])
-@pytest.mark.parametrize("omega_a, omega_c, n_atoms, cutoff", [
-    (1.0, 1.0, 1, 1),     # two states per parity block
-    (1.0, 1.0, 4, 20),
-    (2.0, 0.5, 3, 30),
-    (0.7, 1.3, 8, 40),
+def _dense_block_levels(p: DickeParams) -> np.ndarray:
+    """The two lowest eigenvalues of each dense parity block, sorted."""
+    h = build_hamiltonian(p)
+    signs = parity_diagonal(p)
+    return np.sort(np.concatenate([
+        np.linalg.eigvalsh(h[np.ix_(signs == s, signs == s)])[:2]
+        for s in (1.0, -1.0)]))
+
+
+@pytest.mark.parametrize("omega_a, omega_c, n_atoms, cutoff, y", [
+    (omega_a, omega_c, n_atoms, cutoff, y)
+    for omega_a, omega_c, n_atoms, cutoff in (
+        (0.7, 1.3, 8, 40),
+        (1.0, 1.0, 1, 1),     # two states per parity block
+        (1.0, 1.0, 4, 20),
+        (2.0, 0.5, 3, 30),
+        (4.0, 1.0, 8, 40),    # omega_a / omega_c of 4 and 1/4
+        (0.25, 1.0, 8, 40))
+    # at y = 1e-6 the levels above each block's ground state come in
+    # clusters split by about 1e-6
+    for y in (0.0, 1e-6, 0.5, 1.0, 2.0, 3.0)
+] + [
+    (1.0, 1.0, 1, 400, 3.0),   # tridiagonal blocks of 401 states
+    (1.0, 1.0, 16, 100, 1.0),  # the benchmark's large size
+    (1.0, 1.0, 16, 100, 3.0),
 ])
 def test_solver_against_dense_parity_blocks(omega_a, omega_c, n_atoms,
                                             cutoff, y):
     p = DickeParams(omega_a, omega_c, y, n_atoms, cutoff)
-    h = build_hamiltonian(p)
-    signs = parity_diagonal(p)
-    w = np.sort(np.concatenate([
-        np.linalg.eigvalsh(h[np.ix_(signs == s, signs == s)])[:2]
-        for s in (1.0, -1.0)]))
+    w = _dense_block_levels(p)
     energy, _, _, _, gap, _ = dicke._ground_observables(p)
     tol = 1e-12 * max(1.0, abs(w[0]))
     assert abs(energy - w[0]) <= tol
     assert abs(gap - (w[1] - w[0])) <= tol
+
+
+@pytest.mark.parametrize("y, n_atoms, cutoff", [
+    (0.5, 8, 60), (3.0, 8, 60), (3.0, 1, 400), (1e-6, 4, 20)])
+def test_shift_within_rounding_of_ground_energy(y, n_atoms, cutoff,
+                                                monkeypatch):
+    # The solver's bisection stops well below E0; here the shift is the
+    # largest one at or below the dense E0 that still factors, within a
+    # few rounding steps of E0, so H - sigma is singular to working
+    # precision.  Both levels must still match the dense ones.
+    hugs = []
+
+    def hugging_factor(h, abs_rows):
+        rows = [np.diag(h[0])]
+        for d in range(1, h.shape[0]):
+            rows += [np.diag(h[d, :-d], -d), np.diag(h[d, :-d], d)]
+        e0 = np.linalg.eigvalsh(sum(rows))[0]
+        step = np.finfo(float).eps * abs_rows.max()
+        for k in range(100):
+            shifted = h.copy()
+            shifted[0] -= e0 - k * step
+            factor, info = dicke.dpbtrf(shifted, lower=1)
+            if info == 0:
+                hugs.append(k)
+                return factor
+        raise AssertionError("no shift within 100 rounding steps factors")
+    monkeypatch.setattr(dicke, "_shifted_factor", hugging_factor)
+    p = DickeParams(1.0, 1.0, y, n_atoms, cutoff)
+    w = _dense_block_levels(p)
+    energy, _, _, _, gap, _ = dicke._ground_observables(p)
+    assert len(hugs) == 2
+    tol = 1e-12 * max(1.0, abs(w[0]))
+    assert abs(energy - w[0]) <= tol
+    assert abs(gap - (w[1] - w[0])) <= tol
+
+
+def test_starved_lanczos_raises_not_returns(monkeypatch):
+    # four Lanczos vectors are far from the residual bound at this size;
+    # the solver must say so rather than return its best Ritz values
+    monkeypatch.setattr(dicke, "_MAX_LANCZOS_STEPS", 4)
+    p = DickeParams(y=2.0, n_atoms=8, fock_cutoff=60)
+    with pytest.raises(ConvergenceError) as err:
+        ground_state(p)
+    # |H| is above 60 here, so this residual misses the bound 1e-12 |H|
+    assert err.value.achieved_error > 1e-12 * 60
+    with pytest.raises(ConvergenceError):
+        spectrum_scan(p, [2.0])
+    with pytest.raises(ConvergenceError):
+        dicke._solve_blocks(p)
 
 
 def test_solver_never_builds_dense_hamiltonian(monkeypatch):
@@ -267,10 +332,10 @@ def test_zero_coupling_exact(omega_a, omega_c, n_atoms, cutoff):
 
 
 @pytest.mark.parametrize("y, n_atoms, cutoff", [
-    # about 100 photons: the vacuum start overlaps the ground state by about
-    # 1e-22, so inverse iteration needs more than three steps
+    # about 100 photons: the vacuum state overlaps the ground state by
+    # about 1e-22
     (5.0, 16, 160),
-    # about 3600 photons: the overlap underflows and the second start is used
+    # about 3600 photons: that overlap underflows
     (120.0, 1, 4000),
 ])
 def test_ground_vector_far_from_vacuum_hellmann_feynman(y, n_atoms, cutoff):

@@ -159,6 +159,17 @@ def test_green_check():
     assert rep.passed and rep.abs_err < 1e-6
 
 
+@pytest.mark.parametrize("u, u_prime", [(1.95, 0.1), (0.1, 1.95)])
+def test_green_arguments_near_opposite_mirrors(u, u_prime):
+    # at v = 0 the quadrature runs to x ~ 500, past the x ~ 380 where
+    # expm1(x (u - u')) overflows while its exponential factor underflows
+    rep = check_green(u, u_prime, 0.0)
+    assert rep.check_id == "EQ36"
+    assert all(math.isfinite(x) for x in (rep.lhs, rep.rhs, rep.abs_err,
+                                          rep.rel_err))
+    assert rep.passed
+
+
 def test_green_trivial_equal_arguments():
     rep = check_green(0.7, 0.7, 1.0)
     assert rep.lhs == 0.0
