@@ -175,7 +175,7 @@ def _cmd_kernel(ns) -> int:
     if ns.family == "E":
         if ns.spectral:
             raise DomainError("--spectral applies to the D family only")
-        mat = kernel_e(ns.sign, sep, tol).m
+        mat = kernel_e(ns.sign, sep).m
     else:
         if ns.spectral:
             if ns.sign != "plus":

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import CavityFrame, DipoleSpec, image_positions, reflection_matrix
-from .specfun import (DEFAULT_TOL, Tolerance, _lattice_moments,
-                      apery_zeta3, xi)
+from .specfun import _lattice_moments, apery_zeta3, xi
 
 __all__ = [
     "Separation",
@@ -99,14 +98,13 @@ def _e_plus_base(u: float, v: float) -> np.ndarray:
     return np.array([[xx, 0.0, xz], [0.0, s3, 0.0], [xz, 0.0, zz]])
 
 
-def kernel_e(sign: str, sep: Separation, tol: Tolerance = DEFAULT_TOL) -> KernelMatrix:
+def kernel_e(sign: str, sep: Separation) -> KernelMatrix:
     """Coulomb dipole-dipole kernel E+ (or E- = E+ . R) at a separation.
 
     Evaluated in the frame with the transverse separation along x, then
     conjugated by the rotation about z through sep.phi.  Coincident source
     points (v = 0 and u an even integer) are a domain error.  The lattice
-    result is accurate to about 1e-13 relative whatever tol is given; tol is
-    kept for the (sign, sep, tol) contract shared with kernel_d.
+    sum has a fixed accuracy of about 1e-13 relative.
     """
     _check_sign(sign)
     if sep.is_coincident():
@@ -144,12 +142,13 @@ def _pair_separations(da: DipoleSpec, db: DipoleSpec, frame: CavityFrame):
     return sep_plus, sep_minus
 
 
-def dipole_dipole_energy(dipoles: Sequence[DipoleSpec], frame: CavityFrame,
-                         tol: Tolerance = DEFAULT_TOL) -> float:
+def dipole_dipole_energy(dipoles: Sequence[DipoleSpec],
+                         frame: CavityFrame) -> float:
     """Total Coulomb dipole-dipole energy of the configuration (eps0 = 1).
 
     (1 / 8 pi L^3) sum over ordered pairs A != B of
-    d_A . [E+(direct separation) + E-(z_A + z_B axial, same transverse)] . d_B.
+    d_A . [E+(direct separation) + E-(z_A + z_B axial, same transverse)] . d_B,
+    with the kernels at the lattice sum's fixed accuracy.
     """
     if len(dipoles) < 2:
         raise DomainError("need at least two dipoles")
@@ -165,7 +164,7 @@ def dipole_dipole_energy(dipoles: Sequence[DipoleSpec], frame: CavityFrame,
             sp, sm = _pair_separations(da, db, frame)
             if sp.is_coincident():
                 raise DomainError("coincident dipoles")
-            k = kernel_e("plus", sp, tol).m + kernel_e("minus", sm, tol).m
+            k = kernel_e("plus", sp).m + kernel_e("minus", sm).m
             total += float(da.mom() @ k @ db.mom())
     return total / (8.0 * math.pi * L ** 3)
 

@@ -33,8 +33,8 @@ class CavityFrame:
     length_L: float = 1.0
 
     def __post_init__(self):
-        if not self.length_L > 0:
-            raise DomainError("cavity length must be positive")
+        if not 0.0 < self.length_L < math.inf:
+            raise DomainError("cavity length must be positive and finite")
 
 
 @dataclass(frozen=True)

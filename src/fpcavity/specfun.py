@@ -45,7 +45,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Accuracy request for series and quadratures.
+    """Accuracy request for quadratures.
 
     abs_tol and rel_tol must be positive and finite; a computation is
     accepted when its error estimate drops below
@@ -191,8 +191,8 @@ def xi(u: float, v: float, tol: Tolerance = DEFAULT_TOL) -> float:
     is a domain error.
 
     The moment S3 of _lattice_moments, accurate to about 1e-13 relative
-    whatever tol is given; tol is kept for the (u, v, tol) contract shared
-    with the quadrature routes.
+    whatever tol is given; tol is ignored, kept only for callers that still
+    pass one.
     """
     return _lattice_moments(u, v)[0]
 
@@ -327,14 +327,11 @@ def _adaptive(f: Callable, edges: list[float], tol: Tolerance):
             )
 
 
-def _quad_finite(f: Callable, a: float, b: float,
-                 tol: Tolerance = DEFAULT_TOL) -> float:
-    """Adaptive quadrature of a vectorized integrand on a finite interval."""
+def _quad_finite(f: Callable, a: float, b: float, tol: Tolerance) -> float:
+    """Adaptive quadrature on [a, b] from eight equal seed panels."""
     if not b > a:
         raise DomainError("need b > a")
-    n_seed = 8
-    edges = list(np.linspace(a, b, n_seed + 1))
-    return _adaptive(f, edges, tol)
+    return _adaptive(f, list(np.linspace(a, b, 9)), tol)
 
 
 def _seed_edges(x_max: float) -> list[float]:

@@ -42,8 +42,8 @@ import numpy as np
 from .coulomb import Separation, kernel_e
 from .errors import ConvergenceError, DomainError
 from .geometry import CavityFrame
-from .radiation import (_cosh_ratio, _kernel_d_reference, _sinh_ratio,
-                        anisotropy_delta)
+from .radiation import (_axial_radius, _cosh_ratio, _kernel_d_reference,
+                        _sinh_ratio, anisotropy_delta)
 from .specfun import (DEFAULT_TOL, ModeSumArgs, Tolerance,
                       _bessel_half_period, _jv, _lattice_moments,
                       _quad_finite, direct_mode_sum, hyperbolic_mode_sum,
@@ -108,6 +108,7 @@ class VerifyConfig:
     Defaults reproduce the acceptance configuration; all randomized inputs
     derive from the seed, an integer >= 0.  max_subdivisions, an integer
     >= 1, caps only effort: pass thresholds are the pinned TOL_* constants.
+    aniso_lengths and aniso_cutoff are checked as anisotropy_delta does.
     """
 
     seed: int = 42
@@ -135,6 +136,8 @@ class VerifyConfig:
                     and operator.index(value) >= least):
                 raise DomainError(f"{name} must be an integer >= {least}, "
                                   f"got {value!r}")
+        for length in self.aniso_lengths:
+            _axial_radius(CavityFrame(length), self.aniso_cutoff)
 
 
 def _engine(tol: Tolerance, max_subdivisions: int) -> Tolerance:
@@ -289,6 +292,7 @@ def check_kernel_cancellation(sep_samples: Sequence[Separation],
     z/L, the xi part of the self-energy matrix (weight 1/8 pi) must cancel
     the quadratic single-dipole term (weight 1/16 pi^2).  Thresholds are
     pinned (TOL_EQ21, TOL_SELF); max_subdivisions caps only D+'s effort.
+    kernel_e_fn is called as (sign, sep) and kernel_d_fn as (sign, sep, tol).
 
     D+ comes by default from the unsplit hyperbolic integrand, not from
     kernel_d: kernel_d adds the nearest image pair back in closed form, and
@@ -301,12 +305,12 @@ def check_kernel_cancellation(sep_samples: Sequence[Separation],
     eng_self = _engine(TOL_SELF, max_subdivisions)
 
     def eq21(sep):
-        e_mat = kernel_e_fn("plus", sep, eng).m
+        e_mat = kernel_e_fn("plus", sep).m
         d_mat = kernel_d_fn("plus", sep, eng).m
         return e_mat, -d_mat / (2.0 * math.pi), float(np.max(np.abs(e_mat)))
 
     def self_cancel(z):
-        xi_part = (xi(2.0 * z, 0.0, eng_self) / (8.0 * math.pi)
+        xi_part = (xi(2.0 * z, 0.0) / (8.0 * math.pi)
                    * np.diag([-1.0, -1.0, -2.0]))
         quad_part = kernel_d_fn("minus", Separation(2.0 * z, 0.0),
                                 eng_self).m / (16.0 * math.pi ** 2)
@@ -440,12 +444,10 @@ def check_axial_and_aniso(rho_z_samples: Sequence[float],
                   "lengths": list(L_samples)}
 
         def decay():
-            normalized = []
-            for L in L_samples:
-                res = anisotropy_delta(CavityFrame(L), cutoff, eng)
-                normalized.append(abs(res.delta) / res.isotropic_scale)
-            ratios = [normalized[i + 1] / normalized[i]
-                      for i in range(len(normalized) - 1)]
+            results = [anisotropy_delta(CavityFrame(L), cutoff)
+                       for L in L_samples]
+            normalized = [abs(r.delta) / r.isotropic_scale for r in results]
+            ratios = [b / a for a, b in zip(normalized, normalized[1:])]
             # metric < 1 encodes: strictly decreasing AND final below
             # decay_factor times the first value
             metric = max(max(ratios),

@@ -14,7 +14,7 @@ from fpcavity import (CavityFrame, DickeParams, DipoleSpec, KernelMatrix,
                       Separation, brute_force_coulomb, build_hamiltonian,
                       dipole_dipole_energy, direct_mode_sum, ground_state,
                       kernel_d, kernel_e, mean_field, spectrum_scan,
-                      Tolerance, ModeSumArgs)
+                      ModeSumArgs)
 from fpcavity.dicke import parity_diagonal
 from fpcavity.verify import check_kernel_cancellation, random_separations
 from tests_helpers import free_space_term
@@ -112,7 +112,6 @@ def test_criterion_08_axial_invariance(full_summary):
 def test_criterion_09_coulomb_oracle():
     rng = np.random.default_rng(9091)
     frame = CavityFrame(1.0)
-    tight = Tolerance(1e-12, 1e-12, 4000)
     worst = 0.0
     for n_dipoles in (2, 3, 2):
         dipoles = []
@@ -121,7 +120,7 @@ def test_criterion_09_coulomb_oracle():
                    rng.uniform(0.15, 0.85))
             mom = tuple(rng.uniform(-1.0, 1.0, size=3))
             dipoles.append(DipoleSpec(pos, mom))
-        kernel_route = dipole_dipole_energy(dipoles, frame, tight)
+        kernel_route = dipole_dipole_energy(dipoles, frame)
         oracle = brute_force_coulomb(dipoles, frame, n_images=10 ** 4)
         worst = max(worst, abs(kernel_route - oracle) / abs(oracle))
     _criterion(9, worst < 1e-6,
@@ -190,8 +189,8 @@ def test_criterion_12_mutation_sensitivity():
         k = kernel_d(sign, sep, tol)
         return KernelMatrix(-k.m, k.kind)
 
-    def gutted_e(sign, sep, tol):
-        k = kernel_e(sign, sep, tol)
+    def gutted_e(sign, sep):
+        k = kernel_e(sign, sep)
         return KernelMatrix(k.m - free_space_term(sep, sign), k.kind)
 
     def no_j2_d(sign, sep, tol):

@@ -37,8 +37,7 @@ def test_kernel_json_matches_library(capsys):
                      "--u", "0.5", "--v", "1.0", "--phi", "0.3"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
-    ref = kernel_e("plus", Separation(0.5, 1.0, 0.3),
-                   Tolerance(1e-10, 1e-10, 4000)).m
+    ref = kernel_e("plus", Separation(0.5, 1.0, 0.3)).m
     assert np.allclose(np.array(doc["matrix"]), ref, rtol=0, atol=0)
 
 

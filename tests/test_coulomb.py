@@ -25,7 +25,7 @@ def free_space_kernel(sep: Separation) -> np.ndarray:
 
 def test_axial_specialization():
     sep = Separation(0.5, 0.0)
-    mat = kernel_e("plus", sep, TIGHT).m
+    mat = kernel_e("plus", sep).m
     expected = xi(0.5, 0.0, TIGHT) * np.diag([1.0, 1.0, -2.0])
     assert np.allclose(mat, expected, atol=1e-11, rtol=0)
 
@@ -125,7 +125,7 @@ def _axial_pair():
 
 
 def test_energy_matches_brute_force_axial_pair():
-    energy = dipole_dipole_energy(_axial_pair(), FRAME, TIGHT)
+    energy = dipole_dipole_energy(_axial_pair(), FRAME)
     oracle = brute_force_coulomb(_axial_pair(), FRAME, n_images=10 ** 4)
     assert energy == pytest.approx(oracle, rel=1e-6)
 
@@ -184,7 +184,7 @@ def test_energy_matches_brute_force_random_configs():
     rng = np.random.default_rng(2024)
     for n_dipoles in (2, 3, 2):
         d = random_configuration(rng, n_dipoles)
-        energy = dipole_dipole_energy(d, FRAME, TIGHT)
+        energy = dipole_dipole_energy(d, FRAME)
         oracle = brute_force_coulomb(d, FRAME, n_images=10 ** 4)
         assert energy == pytest.approx(oracle, rel=1e-6)
 
@@ -195,8 +195,8 @@ def test_energy_rescales_with_cavity_length():
     L = 2.5
     d2 = [DipoleSpec((p.pos()[0] * L, p.pos()[1] * L, p.pos()[2] * L),
                      tuple(p.mom())) for p in d1]
-    e1 = dipole_dipole_energy(d1, CavityFrame(1.0), TIGHT)
-    e2 = dipole_dipole_energy(d2, CavityFrame(L), TIGHT)
+    e1 = dipole_dipole_energy(d1, CavityFrame(1.0))
+    e2 = dipole_dipole_energy(d2, CavityFrame(L))
     assert e2 == pytest.approx(e1 / L ** 3, rel=1e-10)
 
 

@@ -161,6 +161,11 @@ def test_frame_and_wavevector_validation():
         WaveVector(-1, (0.0, 0.0))
 
 
+def test_frame_requires_finite_length():
+    with pytest.raises(DomainError):
+        CavityFrame(math.inf)
+
+
 def test_dipole_spec_helpers():
     d = DipoleSpec((0.1, 0.2, 0.3), (0.0, 0.0, 1.0))
     assert d.pos().shape == (3,)

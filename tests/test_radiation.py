@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from fpcavity import (AnisotropyResult, CavityFrame, DomainError, Separation,
                       Tolerance, anisotropy_delta, integrate_semi_infinite,
@@ -38,7 +39,7 @@ def test_matrix_symmetric_in_base_frame():
 
 def test_cancellation_against_coulomb_kernel():
     sep = Separation(0.5, 1.0)
-    e_mat = kernel_e("plus", sep, TIGHT).m
+    e_mat = kernel_e("plus", sep).m
     d_mat = kernel_d("plus", sep, TIGHT).m
     resid = np.abs(e_mat + d_mat / (2.0 * math.pi)).max()
     assert resid < 1e-7 * np.abs(e_mat).max()
@@ -324,13 +325,47 @@ def _delta_closed_form(radius: float) -> float:
     return total
 
 
+def _quadrature_reference(radius: float) -> tuple[float, float]:
+    # delta and isotropic_scale / (pi^3 / L^2) by scipy's quad of each
+    # per-n transverse integrand x (2n^2 -+ x^2)/(x^2 + n^2) on [0, X],
+    # each to 1e-14 R^2 (the terms are at most about R^2, their sum R^3)
+    delta = scale = 0.0
+    abs_tol = 1e-14 * radius * radius
+    for n in range(0, int(math.floor(radius)) + 1):
+        x_top = math.sqrt(radius * radius - n * n)
+        weight = 1.0 if n == 0 else 2.0
+        n2 = float(n * n)
+        for sign in (1.0, -1.0):
+            value = integrate.quad(
+                lambda x: x * (2.0 * n2 - sign * x * x) / (x * x + n2),
+                0.0, x_top, epsabs=abs_tol, epsrel=1e-14)[0]
+            if sign > 0:
+                delta += weight * value
+            else:
+                scale += weight * value
+    return delta, scale
+
+
+ANISO_LENGTHS = (1.0, 1.5, 2.0, 3.7, 4.0, 8.0, 64.0)
+
+
+@pytest.mark.parametrize("L", ANISO_LENGTHS)
+def test_anisotropy_against_quadrature(L):
+    # cutoff pi gives radius L: non-integer radii, and integer ones where
+    # X = 0 at n = R
+    res = anisotropy_delta(CavityFrame(L), math.pi)
+    pref = math.pi ** 3 / L ** 2
+    delta, scale = _quadrature_reference(L)
+    assert abs(res.isotropic_scale - pref * scale) \
+        <= 1e-13 * res.isotropic_scale
+    assert abs(res.delta - pref * delta) <= 1e-13 * res.isotropic_scale
+
+
 def test_anisotropy_against_closed_form():
-    for L in (1.0, 2.0, 4.0):
-        res = anisotropy_delta(CavityFrame(L), math.pi, TIGHT)
-        radius = L  # cutoff * L / pi with cutoff = pi
-        expected = math.pi ** 3 / L ** 2 * _delta_closed_form(radius)
-        assert res.delta == pytest.approx(expected, rel=1e-10)
-        assert res.isotropic_scale > 0
+    for L in ANISO_LENGTHS:
+        res = anisotropy_delta(CavityFrame(L), math.pi)
+        expected = math.pi ** 3 / L ** 2 * _delta_closed_form(L)
+        assert abs(res.delta - expected) <= 1e-13 * res.isotropic_scale
 
 
 def test_anisotropy_normalized_decay():
@@ -347,6 +382,32 @@ def test_anisotropy_requires_one_axial_mode():
         anisotropy_delta(CavityFrame(0.5), math.pi)
     with pytest.raises(DomainError):
         anisotropy_delta(CavityFrame(1.0), -1.0)
+
+
+def test_anisotropy_requires_finite_cutoff():
+    with pytest.raises(DomainError):
+        anisotropy_delta(CavityFrame(1.0), math.inf)
+
+
+@pytest.mark.parametrize("length, cutoff", [(1e7, math.pi),
+                                            (1e300, 1e300)])
+def test_anisotropy_refuses_too_many_axial_modes(monkeypatch, length,
+                                                 cutoff):
+    # 1e7 axial modes, and a radius that overflows to inf, are refused
+    # before any array is built or any quadrature runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done for a refused cutoff")
+
+    monkeypatch.setattr(radiation.np, "arange", refuse)
+    monkeypatch.setattr(specfun, "_adaptive", refuse)
+    with pytest.raises(DomainError):
+        anisotropy_delta(CavityFrame(length), cutoff)
+
+
+def test_anisotropy_accepts_the_mode_bound():
+    res = anisotropy_delta(CavityFrame(radiation._MAX_AXIAL_MODES + 0.5),
+                           math.pi)
+    assert math.isfinite(res.delta) and res.isotropic_scale > 0
 
 
 def test_anisotropy_result_fields():

@@ -254,8 +254,8 @@ def test_mutation_sign_flip_fails_eq21_at_every_budget():
 def test_mutation_dropped_direct_term_detected():
     from tests_helpers import free_space_term
 
-    def gutted_e(sign, sep, tol):
-        k = kernel_e(sign, sep, tol)
+    def gutted_e(sign, sep):
+        k = kernel_e(sign, sep)
         return KernelMatrix(k.m - free_space_term(sep, sign), k.kind)
 
     reports = check_kernel_cancellation(_sample_seps()[:2], [],
@@ -339,6 +339,14 @@ def test_budget_never_moves_a_threshold(budget):
     ("max_subdivisions", -3), ("max_subdivisions", 2.0),
 ])
 def test_verify_config_rejects_bad_seed_and_budget(field, bad):
+    with pytest.raises(DomainError):
+        VerifyConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("field, bad", [("aniso_lengths", (0.5, 1.0)),
+                                        ("aniso_cutoff", math.inf)])
+def test_verify_config_rejects_bad_anisotropy_grid(field, bad):
+    # refused at construction, before run_suite runs any check
     with pytest.raises(DomainError):
         VerifyConfig(**{field: bad})
 
