@@ -16,8 +16,9 @@ hyperbolic summed form
 with ch = cosh(x(u-1)), sh = sinh(x(u-1)), the hyperbolic ratios folded
 into stable non-positive exponentials.  The four distinct entries xx, yy,
 zz and xz are integrated together, as the four rows of one vector-valued
-adaptive pass, so J0, J1, J2 and the ratios are evaluated once per node and
-each entry still meets the tolerance on its own.
+adaptive pass, so J0, J1 and the ratios are evaluated once per node and
+each entry still meets the tolerance on its own; J2 enters only through
+J0 + J2 = 2 J1(xv)/(xv).
 
 As it stands the integrand decays only like exp(-x min(u, 2-u)), so near
 a mirror J(xv) oscillates many times before it is damped.  kernel_d
@@ -60,8 +61,8 @@ from .coulomb import (D_MINUS, D_PLUS, KernelMatrix, Separation, _check_sign,
                       _rotate)
 from .errors import DomainError
 from .geometry import CavityFrame, reflection_matrix
-from .specfun import (DEFAULT_TOL, Tolerance, _bessel_half_period, _jv,
-                      integrate_semi_infinite)
+from .specfun import (DEFAULT_TOL, Tolerance, _bessel_half_period,
+                      _bessel_j0_j1_sum, _jv, integrate_semi_infinite)
 
 __all__ = [
     "AnisotropyResult",
@@ -111,12 +112,15 @@ def _check_d_domain(sep: Separation):
 def _d_rows(x: np.ndarray, v: float, ch: np.ndarray,
             sh: np.ndarray) -> np.ndarray:
     """The rows xx, yy, zz and xz of the D+ integrand (without the factor
-    pi) at the nodes x, given the cosh weight ch and the sinh weight sh."""
-    xv = x * v
-    j0, j1, j2 = _jv(0, xv), _jv(1, xv), _jv(2, xv)
+    pi) at the nodes x, given the cosh weight ch and the sinh weight sh.
+
+    J2 enters only through J0 + J2 = 2 J1(xv)/(xv), so two Bessel orders
+    are evaluated per node: xx carries J2 - J0 = (J0 + J2) - 2 J0.
+    """
+    j0, j1, j02 = _bessel_j0_j1_sum(x * v)
     ch = x * x * ch
     sh = x * x * sh
-    return np.array([ch * (j2 - j0), -ch * (j0 + j2), 2.0 * ch * j0,
+    return np.array([ch * (j02 - 2.0 * j0), -ch * j02, 2.0 * ch * j0,
                      -2.0 * sh * j1])
 
 

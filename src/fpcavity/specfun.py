@@ -2,11 +2,12 @@
 
 Everything downstream (Coulomb kernels, displacement-field kernels, the
 identity suite) is built on four ingredients defined here: the cylindrical
-Bessel functions J0, J1, J2 (thin wrappers of scipy.special.jv), the
-image-lattice moments behind the inverse-cube lattice sum xi(u, v), an
-adaptive Gauss-Kronrod integrator for exponentially decaying integrands on
-(0, inf), scalar or vector valued, with an oscillatory-tail mode for
-slowly damped Bessel-type integrands, and the two-sided mode sum
+Bessel functions J0, J1, J2 (thin wrappers of scipy.special.jv; integrands
+that need J2 only in J0 + J2 take it as 2 J1(x)/x), the image-lattice
+moments behind the inverse-cube lattice sum xi(u, v), an adaptive
+Gauss-Kronrod integrator for exponentially decaying integrands on (0, inf),
+scalar or vector valued, with an oscillatory-tail mode for slowly damped
+Bessel-type integrands, and the two-sided mode sum
 sum_n e^{i alpha n} n^m / (n^2 + beta^2) by two independent routes: its
 hyperbolic closed form, and its symmetric truncation summed term by term
 in blocks of consecutive n (angle addition from one block's cos/sin table,
@@ -106,10 +107,36 @@ def _jv(order: int, x: np.ndarray) -> np.ndarray:
     return special.jv(order, np.asarray(x, dtype=float))
 
 
+# Below this argument 2 J1(x)/x is 1 - x^2/8 to rounding (the next term,
+# x^4/192, is under 1e-17 relative), while the quotient of jv(1, x) drifts:
+# 8e-16 relative at 1e-4, 3.5e-14 at 1e-300, and 0 from x ~ 1e-307, where
+# jv(1, x) underflows.
+_J1_QUOTIENT_MIN = 2e-4
+
+
+def _bessel_j0_j1_sum(x: np.ndarray):
+    """J0(x), J1(x) and J0(x) + J2(x) at x >= 0, from two Bessel orders.
+
+    The sum is 2 J1(x)/x by the recurrence J0 + J2 = 2 J1(x)/x, and its
+    series 1 - x^2/8 below _J1_QUOTIENT_MIN, exactly 1 at x = 0.
+    """
+    x = np.asarray(x, dtype=float)
+    j0, j1 = _jv(0, x), _jv(1, x)
+    # each branch sees only arguments on its own side of the threshold
+    lo = np.minimum(x, _J1_QUOTIENT_MIN)
+    j02 = np.where(x < _J1_QUOTIENT_MIN, 1.0 - 0.125 * lo * lo,
+                   2.0 * j1 / np.maximum(x, _J1_QUOTIENT_MIN))
+    return j0, j1, j02
+
+
 def _bessel_half_period(v: float) -> float | None:
     """Half-period in x of J_n(x v), for the oscillatory-tail mode of
-    integrate_semi_infinite; None at v = 0, where nothing oscillates."""
-    return math.pi / v if v > 0 else None
+    integrate_semi_infinite; None at v = 0, where nothing oscillates, and
+    where pi/v overflows (nothing oscillates within any truncation point)."""
+    if not v > 0:
+        return None
+    half_period = math.pi / v
+    return half_period if half_period < math.inf else None
 
 
 def bessel_j(order: int, x: float) -> float:
@@ -245,21 +272,29 @@ _G7_IDX = np.arange(1, 15, 2)
 _G7_WEIGHTS = np.concatenate([_WG[:-1], _WG[-1:], _WG[-2::-1]])
 
 
-def _gauss_kronrod(f: Callable, a: float, b: float):
-    """K15 estimate of int_a^b f and the |K15 - G7| error estimate.
+def _gauss_kronrod(f: Callable, a, b) -> list[tuple]:
+    """K15 estimates of int f over the panels [a_i, b_i] and their
+    |K15 - G7| error estimates, from one call of f.
 
-    f returns one value per node, or a (k, n) array with one row per
-    component; the estimate and the error are then length-k arrays.
+    f receives the 15 nodes of every panel in one array, panel after panel,
+    and returns one value per node, or a (k, n) array with one row per
+    component.  Returns one (estimate, error) pair per panel: floats, or
+    length-k arrays.
     """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    x = mid + half * _K15_NODES
+    x = (mid[:, None] + half[:, None] * _K15_NODES).ravel()
     y = np.asarray(f(x), dtype=float)
+    scalar = y.ndim == 1
+    # one row of 15 node values per panel (and component)
+    y = y.reshape(y.shape[:-1] + (len(a), 15))
     k15 = half * (y @ _K15_WEIGHTS)
-    g7 = half * (y[..., _G7_IDX] @ _G7_WEIGHTS)
-    if y.ndim == 1:
-        k15, g7 = float(k15), float(g7)
-    return k15, abs(k15 - g7)
+    err = np.abs(k15 - half * (y[..., _G7_IDX] @ _G7_WEIGHTS))
+    if scalar:
+        return list(zip(k15.tolist(), err.tolist()))
+    return list(zip(k15.T, err.T))
 
 
 def _peak(e) -> float:
@@ -278,7 +313,8 @@ def _unconverged(err, total, tol: Tolerance) -> bool:
 
 def _subdivide(f: Callable, edges: list[float]):
     """The adaptive panel subdivision over the panels defined by edges, one
-    step at a time.
+    step at a time, each step one call of f (all seed panels, then both
+    halves of the split panel).
 
     Yields the running integral and its summed |K15 - G7| error, first over
     the seed panels and then after each split of the panel with the largest
@@ -291,8 +327,8 @@ def _subdivide(f: Callable, edges: list[float]):
     order = itertools.count()
     total = 0.0
     err = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, e = _gauss_kronrod(f, a, b)
+    panels = _gauss_kronrod(f, edges[:-1], edges[1:])
+    for a, b, (val, e) in zip(edges[:-1], edges[1:], panels):
         total += val
         err += e
         heapq.heappush(heap, (-_peak(e), a, b, next(order), val, e))
@@ -300,8 +336,7 @@ def _subdivide(f: Callable, edges: list[float]):
         yield total, err
         _, a, b, _, val, e = heapq.heappop(heap)
         mid = 0.5 * (a + b)
-        v1, e1 = _gauss_kronrod(f, a, mid)
-        v2, e2 = _gauss_kronrod(f, mid, b)
+        (v1, e1), (v2, e2) = _gauss_kronrod(f, (a, mid), (mid, b))
         total += v1 + v2 - val
         err += e1 + e2 - e
         heapq.heappush(heap, (-_peak(e1), a, mid, next(order), v1, e1))
@@ -422,8 +457,7 @@ def _oscillatory_tail(f: Callable, x0: float, h: float, x_max: float,
         # two K15 panels per half-period: one panel's |K15 - G7| on a
         # whole half-wave is about 1e-12 of its value, and these add up
         mid = x + 0.5 * h
-        v1, e1 = _gauss_kronrod(f, x, mid)
-        v2, e2 = _gauss_kronrod(f, mid, x + h)
+        (v1, e1), (v2, e2) = _gauss_kronrod(f, (x, mid), (mid, x + h))
         x += h
         val = np.atleast_1d(v1 + v2)
         partial = partial + val
@@ -455,6 +489,10 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     The integrand maps an array of n nodes to n values, and the result is a
     float; or to a (k, n) array, one row per component, and the result is a
     length-k array in which every component meets the tolerance on its own.
+    Each step of the pass makes one call of the integrand, on the nodes of
+    all the panels it evaluates (all seed panels, or both halves of a split
+    panel or of a tail half-period) in one array, so the integrand must act
+    elementwise on an array of any length.
 
     The integrand must decay at least like exp(-decay_rate_hint * x) for
     large x; behaviour at 0 may be integrably singular (panels never touch

@@ -45,9 +45,9 @@ from .geometry import CavityFrame
 from .radiation import (_axial_radius, _cosh_ratio, _kernel_d_reference,
                         _sinh_ratio, anisotropy_delta)
 from .specfun import (DEFAULT_TOL, ModeSumArgs, Tolerance,
-                      _bessel_half_period, _jv, _lattice_moments,
-                      _quad_finite, direct_mode_sum, hyperbolic_mode_sum,
-                      integrate_semi_infinite, xi)
+                      _bessel_half_period, _bessel_j0_j1_sum, _jv,
+                      _lattice_moments, _quad_finite, direct_mode_sum,
+                      hyperbolic_mode_sum, integrate_semi_infinite, xi)
 
 __all__ = [
     "IdentityReport",
@@ -108,7 +108,12 @@ class VerifyConfig:
     Defaults reproduce the acceptance configuration; all randomized inputs
     derive from the seed, an integer >= 0.  max_subdivisions, an integer
     >= 1, caps only effort: pass thresholds are the pinned TOL_* constants.
-    aniso_lengths and aniso_cutoff are checked as anisotropy_delta does.
+    Every grid is checked against the domain of the check that reads it
+    when the config is built, so a bad entry is a DomainError naming its
+    field rather than an abort halfway through a run: u values in (0, 2)
+    (lipschitz_u only positive and finite), z/L in (0, 1), transverse v
+    finite and >= 0, mode-sum entries as ModeSumArgs takes them, and
+    aniso_lengths and aniso_cutoff as anisotropy_delta does.
     """
 
     seed: int = 42
@@ -129,13 +134,46 @@ class VerifyConfig:
     aniso_cutoff: float = math.pi
 
     def __post_init__(self):
-        for name, least in (("seed", 0), ("max_subdivisions", 1)):
+        for name, least in (("seed", 0), ("max_subdivisions", 1),
+                            ("n_random_separations", 0),
+                            ("modesum_n_max", 1)):
             value = getattr(self, name)
             # the integers are the types operator.index accepts
             if not (hasattr(value, "__index__")
                     and operator.index(value) >= least):
                 raise DomainError(f"{name} must be an integer >= {least}, "
                                   f"got {value!r}")
+
+        def in_cavity(u):
+            return 0.0 < u < 2.0
+
+        def transverse(v):
+            return 0.0 <= v < math.inf
+
+        for name, inside, domain in (
+                ("u_grid", in_cavity, "0 < u < 2"),
+                ("v_grid", transverse, "0 <= v < inf"),
+                ("z_over_L", lambda z: 0.0 < z < 1.0, "0 < z/L < 1"),
+                ("lipschitz_u", lambda u: 0.0 < u < math.inf, "0 < u < inf"),
+                ("lipschitz_v", transverse, "0 <= v < inf"),
+                ("green_triples", lambda t: (in_cavity(t[0])
+                                             and in_cavity(t[1])
+                                             and transverse(t[2])),
+                 "(u, u', v) with 0 < u, u' < 2 and 0 <= v < inf"),
+                ("axial_u", in_cavity, "0 < u < 2")):
+            for value in getattr(self, name):
+                if not inside(value):
+                    raise DomainError(f"{name} entries must satisfy "
+                                      f"{domain}, got {value!r}")
+        for name, make in (("modesum_alphas", lambda a: ModeSumArgs(a, 1.0, 0)),
+                           ("modesum_betas", lambda b: ModeSumArgs(0.0, b, 0)),
+                           ("modesum_orders",
+                            lambda m: ModeSumArgs(0.0, 1.0, m))):
+            for value in getattr(self, name):
+                try:
+                    make(value)
+                except DomainError as exc:
+                    raise DomainError(f"{name}: {exc}") from None
         for length in self.aniso_lengths:
             _axial_radius(CavityFrame(length), self.aniso_cutoff)
 
@@ -229,15 +267,16 @@ def check_bessel_hyperbolic(u: float, v: float, *,
     """Check the four hyperbolic-integral identities at one (u, v).
 
     The integral sides are the four rows of one quadrature pass (in its
-    oscillatory-tail mode when v > 0), so J0, J1, J2 and the hyperbolic
-    ratios are evaluated once per node; the lattice sides go through the
-    lattice moments, xi = S3 with the exact derivatives d/dv xi = -3 v S5
-    and d/du xi = -3 T5, so the two routes share no code.  Thresholds are
-    pinned, TOL_DERIV (100x looser relative) for the two derivative
-    identities and TOL_EQ22 for the others; every row meets the engine
-    tolerance of TOL_EQ22, and max_subdivisions caps only the quadrature
-    effort.  A quadrature that runs out of panel splits fails all four
-    rows.
+    oscillatory-tail mode when v > 0), so J0, J1 and the hyperbolic ratios
+    are evaluated once per node; J2 enters only through the identity
+    J0 + J2 = 2 J1(xv)/(xv), and J0 - J2 is 2 J0 - (J0 + J2).  The lattice
+    sides go through the lattice moments, xi = S3 with the exact
+    derivatives d/dv xi = -3 v S5 and d/du xi = -3 T5, so the two routes
+    share no code.  Thresholds are pinned, TOL_DERIV (100x looser
+    relative) for the two derivative identities and TOL_EQ22 for the
+    others; every row meets the engine tolerance of TOL_EQ22, and
+    max_subdivisions caps only the quadrature effort.  A quadrature that
+    runs out of panel splits fails all four rows.
     """
     eng = _engine(TOL_EQ22, max_subdivisions)
     # xi by its module-level name, which lets a test substitute a shifted xi
@@ -247,10 +286,9 @@ def check_bessel_hyperbolic(u: float, v: float, *,
     params = {"u": u, "v": v}
 
     def rows(x):
-        xv = x * v
-        j0, j1, j2 = _jv(0, xv), _jv(1, xv), _jv(2, xv)
+        j0, j1, j02 = _bessel_j0_j1_sum(x * v)
         ch = x * _cosh_ratio(x, u)
-        return np.array([ch * j1, x * ch * (j0 + j2), x * ch * (j0 - j2),
+        return np.array([ch * j1, x * ch * j02, x * ch * (2.0 * j0 - j02),
                          x * x * _sinh_ratio(x, u) * j1])
 
     try:

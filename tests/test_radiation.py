@@ -107,6 +107,18 @@ def test_reference_route_next_to_a_mirror(u, v):
     assert np.abs(d - ref).max() < 2e-12 * np.abs(d).max()
 
 
+@pytest.mark.parametrize("route", [kernel_d, _kernel_d_reference])
+@pytest.mark.parametrize("v", [1e-300, 5e-324])
+def test_tiny_transverse_separation_matches_the_axis(route, v):
+    # J0 + J2 comes from its series at tiny x v, not from the quotient
+    # 2 J1(xv)/(xv), which drifts there or underflows to 0; at 5e-324 the
+    # half-period pi/v overflows and the reference takes the plain pass
+    axis = route("plus", Separation(0.7, 0.0)).m
+    assert axis[0, 2] == 0.0 and axis[2, 0] == 0.0
+    tiny = route("plus", Separation(0.7, v)).m
+    assert np.abs(tiny - axis).max() <= 1e-15 * np.abs(axis).max()
+
+
 def test_reference_route_never_touches_the_lattice(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("lattice code called from the integral route")

@@ -1,3 +1,5 @@
+import heapq
+import itertools
 import math
 import tracemalloc
 
@@ -11,7 +13,10 @@ from scipy import special
 from fpcavity import (ConvergenceError, DomainError, ModeSumArgs, Tolerance,
                       apery_zeta3, bessel_j, direct_mode_sum,
                       hyperbolic_mode_sum, integrate_semi_infinite, xi)
-from fpcavity.specfun import _BLOCK, _CHUNK, _lattice_moments
+from fpcavity.specfun import (_BLOCK, _CHUNK, _G7_IDX, _G7_WEIGHTS,
+                              _HEAD_HALF_PERIODS, _K15_NODES, _K15_WEIGHTS,
+                              _bessel_j0_j1_sum, _lattice_moments,
+                              _quad_finite, _subdivide)
 
 TIGHT = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=4000)
 
@@ -101,6 +106,17 @@ def test_bessel_recurrence_dense_grid():
         lhs = 2.0 * bessel_j(1, float(x)) / float(x)
         rhs = bessel_j(0, float(x)) + bessel_j(2, float(x))
         assert abs(lhs - rhs) < 1e-12
+
+
+@pytest.mark.parametrize("x", [0.0, 5e-324, 1e-300, 1e-8, 1e-4, 1.0, 30.0])
+def test_bessel_j0_plus_j2_from_j1_against_mpmath(x):
+    # J0 + J2 = 2 J1(x)/x without the order-2 call; at small x the series,
+    # where the quotient of jv(1, x) drifts (3.5e-14 at 1e-300) or is 0
+    j0, j1, j02 = _bessel_j0_j1_sum(np.array([x]))
+    with mpmath.workdps(40):
+        want = 1.0 if x == 0.0 else float(2 * mpmath.besselj(1, x) / x)
+    assert abs(j02[0] - want) <= 1e-15 * abs(want)
+    assert j0[0] == special.jv(0, x) and j1[0] == special.jv(1, x)
 
 
 def test_bessel_derivative_identity():
@@ -420,7 +436,8 @@ def test_quadrature_tail_mode_stops_below_the_rounding_floor():
     with pytest.raises(ConvergenceError):
         integrate_semi_infinite(f, u, Tolerance(1e-12, 1e-10),
                                 half_period=math.pi)
-    assert len(calls) < 100
+    # fewer than 100 K15 panels of 15 nodes
+    assert sum(len(x) for x in calls) < 100 * 15
 
 
 def test_quadrature_tail_mode_falls_back_to_plain_pass():
@@ -436,6 +453,113 @@ def test_quadrature_tail_mode_falls_back_to_plain_pass():
 def test_quadrature_rejects_bad_half_period(bad):
     with pytest.raises(DomainError):
         integrate_semi_infinite(lambda x: np.exp(-x), 1.0, half_period=bad)
+
+
+# ---------------------------------------------------------------------------
+# one integrand call per quadrature step
+# ---------------------------------------------------------------------------
+
+def _panel_nodes(a, b):
+    # the 15 Kronrod nodes of the one panel [a, b]
+    return 0.5 * (a + b) + 0.5 * (b - a) * _K15_NODES
+
+
+def _per_panel_nodes(f, edges, steps):
+    """The nodes, panel after panel, that a subdivision evaluating one panel
+    per call of f visits over `steps` splits: the seed panels in order, then
+    both halves of the panel with the largest |K15 - G7| (in any
+    component), first half first."""
+    visited = []
+
+    def panel(a, b):
+        x = _panel_nodes(a, b)
+        visited.append(x)
+        y = np.asarray(f(x), dtype=float)
+        half = 0.5 * (b - a)
+        k15 = half * (y @ _K15_WEIGHTS)
+        g7 = half * (y[..., _G7_IDX] @ _G7_WEIGHTS)
+        return float(np.max(np.abs(k15 - g7)))
+
+    order = itertools.count()
+    heap = [(-panel(a, b), a, b, next(order))
+            for a, b in zip(edges[:-1], edges[1:])]
+    heapq.heapify(heap)
+    for _ in range(steps):
+        _, a, b, _ = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        for lo, hi in ((a, mid), (mid, b)):
+            heapq.heappush(heap, (-panel(lo, hi), lo, hi, next(order)))
+    return visited
+
+
+def _recording(f):
+    calls = []
+
+    def g(x):
+        calls.append(np.array(x))
+        return f(x)
+    return g, calls
+
+
+_SCALAR = lambda x: np.exp(-x) * np.cos(3.0 * x)  # noqa: E731
+_VECTOR = lambda x: np.array([np.exp(-x) * np.cos(3.0 * x),  # noqa: E731
+                              x * np.exp(-2.0 * x) * np.sin(7.0 * x)])
+
+
+@pytest.mark.parametrize("f", [_SCALAR, _VECTOR], ids=["scalar", "k_by_n"])
+def test_subdivision_calls_the_integrand_once_per_step(f):
+    edges = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 30.0]
+    g, calls = _recording(f)
+    steps = _subdivide(g, edges)
+    next(steps)
+    assert len(calls) == 1 and len(calls[0]) == 15 * (len(edges) - 1)
+    for split in range(1, 21):
+        next(steps)
+        assert len(calls) == 1 + split and len(calls[-1]) == 30
+    assert np.array_equal(np.concatenate(calls),
+                          np.concatenate(_per_panel_nodes(f, edges, 20)))
+
+
+def test_quad_finite_calls_the_integrand_once_per_step():
+    # a peak of width 0.03 at 0.1: the seed panels alone do not resolve it
+    f = lambda t: 1.0 / (9e-4 + (t - 0.1) ** 2)  # noqa: E731
+    g, calls = _recording(f)
+    got = _quad_finite(g, -1.0, 1.0, TIGHT)
+    want = (math.atan(0.9 / 0.03) + math.atan(1.1 / 0.03)) / 0.03
+    assert got == pytest.approx(want, rel=1e-12)
+    # the eight seed panels in one call, then one call per split
+    assert len(calls[0]) == 8 * 15 and len(calls) > 1
+    assert all(len(x) == 30 for x in calls[1:])
+    edges = list(np.linspace(-1.0, 1.0, 9))
+    assert np.array_equal(
+        np.concatenate(calls),
+        np.concatenate(_per_panel_nodes(f, edges, len(calls) - 1)))
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: np.exp(-1e-3 * x) * special.jv(0, x),
+    _laplace_bessel_rows(1e-3, 1.0)], ids=["scalar", "k_by_n"])
+def test_tail_mode_calls_the_integrand_once_per_half_period(f):
+    # a tolerance no step meets: the pass takes exactly its budget of head
+    # splits and tail half-periods, each one call of the integrand
+    budget = 30
+    h = math.pi
+    g, calls = _recording(f)
+    with pytest.raises(ConvergenceError, match=f"after {budget} "):
+        integrate_semi_infinite(g, 1e-3, Tolerance(1e-300, 1e-300, budget),
+                                half_period=h)
+    assert len(calls) == 1 + budget
+    x0 = _HEAD_HALF_PERIODS * h
+    head = [x for x in calls if x.max() < x0]
+    tail = [x for x in calls if x.min() > x0]
+    assert len(head) + len(tail) == len(calls) and len(tail) > 4
+    # each tail call holds the two K15 panels of one half-period, in order
+    x = x0
+    for nodes in tail:
+        mid = x + 0.5 * h
+        assert np.array_equal(nodes, np.concatenate(
+            [_panel_nodes(x, mid), _panel_nodes(mid, x + h)]))
+        x += h
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,21 @@ def test_verify_config_rejects_bad_anisotropy_grid(field, bad):
         VerifyConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("u_grid", (2.5,)), ("v_grid", (-1.0,)), ("z_over_L", (1.5,)),
+    ("lipschitz_u", (-1.0,)), ("lipschitz_v", (math.nan,)),
+    ("green_triples", ((2.5, 1.0, 1.0),)), ("axial_u", (2.5,)),
+    ("modesum_betas", (-1.0,)), ("modesum_orders", (2,)),
+    ("modesum_n_max", 0), ("n_random_separations", -1),
+])
+def test_verify_config_rejects_bad_grid_entries(field, bad):
+    # refused at construction, naming the field: a bad grid entry used to
+    # raise only when its check ran, halfway through run_suite("all"), and
+    # u_grid with the quadrature's own message
+    with pytest.raises(DomainError, match=field):
+        VerifyConfig(**{field: bad})
+
+
 def test_verify_config_takes_numpy_integers():
     cfg = VerifyConfig(seed=np.int64(3), max_subdivisions=np.int32(7))
     assert cfg.seed == 3 and cfg.max_subdivisions == 7
