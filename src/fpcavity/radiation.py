@@ -41,8 +41,9 @@ verification suite uses for EQ21, SELF_CANCEL and AXIAL20; it never calls
 the lattice code.  It integrates its slow tail in the oscillatory-tail
 mode of integrate_semi_infinite (half-period pi/v), which sums half-period
 panels and extrapolates them, so it converges down to u = 1e-3 in a few
-ms.  Both routes build their rows with one helper (_d_rows) that takes the
-two hyperbolic weights.
+ms.  Both routes build their rows with one helper (_d_rows) from the two
+hyperbolic weights, which one helper (_hyperbolic_weights) computes
+together.
 
 The spectral (per-axial-index) representation converges only
 conditionally and is kept as a regulated cross-check: each transverse
@@ -62,7 +63,8 @@ from .coulomb import (D_MINUS, D_PLUS, KernelMatrix, Separation, _check_sign,
 from .errors import DomainError
 from .geometry import CavityFrame, reflection_matrix
 from .specfun import (DEFAULT_TOL, Tolerance, _bessel_half_period,
-                      _bessel_j0_j1_sum, _jv, integrate_semi_infinite)
+                      _bessel_j0_j1_sum, _jv, _truncation_point,
+                      integrate_semi_infinite)
 
 __all__ = [
     "AnisotropyResult",
@@ -89,15 +91,17 @@ class AnisotropyResult:
     isotropic_scale: float
 
 
-def _cosh_ratio(x: np.ndarray, u: float) -> np.ndarray:
-    # cosh(x(u-1))/sinh(x) = (e^{x(u-2)} + e^{-xu}) / (1 - e^{-2x});
-    # all exponents are <= 0 for 0 < u < 2, so this never overflows
-    return (np.exp(x * (u - 2.0)) + np.exp(-x * u)) / (-np.expm1(-2.0 * x))
+def _hyperbolic_weights(x: np.ndarray, u: float):
+    """cosh(x(u-1))/sinh(x) and sinh(x(u-1))/sinh(x) at the nodes x.
 
-
-def _sinh_ratio(x: np.ndarray, u: float) -> np.ndarray:
-    # sinh(x(u-1))/sinh(x), same stable exponentials
-    return (np.exp(x * (u - 2.0)) - np.exp(-x * u)) / (-np.expm1(-2.0 * x))
+    Both are (e^{x(u-2)} +- e^{-xu}) / (1 - e^{-2x}), with the three
+    exponentials taken once for the pair; all exponents are <= 0 for
+    0 < u < 2, so neither weight overflows.
+    """
+    far = np.exp(x * (u - 2.0))
+    near = np.exp(-x * u)
+    den = -np.expm1(-2.0 * x)
+    return (far + near) / den, (far - near) / den
 
 
 def _check_d_domain(sep: Separation):
@@ -107,6 +111,17 @@ def _check_d_domain(sep: Separation):
         raise DomainError(
             "quadratic kernel requires 0 < u < 2 (hyperbolic integrand "
             "converges only there)")
+
+
+def _check_bessel_argument(v: float, rate: float, tol: Tolerance):
+    """Refuse a v at which x v overflows at the quadrature's nodes, which
+    reach the truncation point (in the oscillatory-tail mode one half-period
+    past it; the factor 2 covers that)."""
+    x_max = _truncation_point(rate, tol)
+    if not 2.0 * x_max * v < math.inf:
+        raise DomainError(
+            f"v = {v!r} is too large: the Bessel argument x v overflows at "
+            f"the quadrature's truncation point x = {x_max:.3g}")
 
 
 def _d_rows(x: np.ndarray, v: float, ch: np.ndarray,
@@ -125,13 +140,20 @@ def _d_rows(x: np.ndarray, v: float, ch: np.ndarray,
 
 
 def _laplace_bessel_x2(a: float, v: float) -> tuple[float, float, float]:
-    """int_0^inf x^2 e^{-xa} J_n(xv) dx for n = 0, 1, 2, in closed form.
+    """int_0^inf x^2 e^{-xa} J_n(xv) dx for n = 0, 1, 2, in closed form, at
+    a > 0.
 
     With r^2 = a^2 + v^2 they are (2a^2 - v^2)/r^5, 3av/r^5 and 3v^2/r^5:
-    the a-derivatives of the Laplace-Bessel forms EQ33/EQ34.
+    the a-derivatives of the Laplace-Bessel forms EQ33/EQ34.  They are
+    formed from r = hypot(a, v), c = a/r and s = v/r as (2c^2 - s^2)/r^3,
+    3cs/r^3 and 3s^2/r^3, which neither overflows nor gives inf * 0 at
+    any finite v.
     """
-    inv5 = (a * a + v * v) ** -2.5
-    return (2.0 * a * a - v * v) * inv5, 3.0 * a * v * inv5, 3.0 * v * v * inv5
+    r = math.hypot(a, v)
+    c, s = a / r, v / r
+    q = 1.0 / r
+    inv3 = q * q * q
+    return (2.0 * c * c - s * s) * inv3, 3.0 * c * s * inv3, 3.0 * s * s * inv3
 
 
 def _nearest_pair_rows(u: float, v: float) -> np.ndarray:
@@ -162,10 +184,12 @@ def _d_plus_base(u: float, v: float, tol: Tolerance) -> np.ndarray:
     """
     def remainder(x):
         damp = np.exp(-2.0 * x)
-        return _d_rows(x, v, damp * _cosh_ratio(x, u),
-                       damp * _sinh_ratio(x, u))
+        ch, sh = _hyperbolic_weights(x, u)
+        return _d_rows(x, v, damp * ch, damp * sh)
 
-    rows = integrate_semi_infinite(remainder, 2.0 + min(u, 2.0 - u), tol)
+    rate = 2.0 + min(u, 2.0 - u)
+    _check_bessel_argument(v, rate, tol)
+    rows = integrate_semi_infinite(remainder, rate, tol)
     return _d_matrix(rows + _nearest_pair_rows(u, v))
 
 
@@ -174,10 +198,12 @@ def _d_plus_reference(u: float, v: float, tol: Tolerance) -> np.ndarray:
     against: it shares no closed form with the image lattice.  For v > 0
     the quadrature runs in its oscillatory-tail mode."""
     def rows(x):
-        return _d_rows(x, v, _cosh_ratio(x, u), _sinh_ratio(x, u))
+        return _d_rows(x, v, *_hyperbolic_weights(x, u))
 
+    rate = min(u, 2.0 - u)
+    _check_bessel_argument(v, rate, tol)
     return _d_matrix(integrate_semi_infinite(
-        rows, min(u, 2.0 - u), tol, half_period=_bessel_half_period(v)))
+        rows, rate, tol, half_period=_bessel_half_period(v)))
 
 
 def _kernel_from_base(base, sign: str, sep: Separation,

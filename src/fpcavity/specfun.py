@@ -2,12 +2,13 @@
 
 Everything downstream (Coulomb kernels, displacement-field kernels, the
 identity suite) is built on four ingredients defined here: the cylindrical
-Bessel functions J0, J1, J2 (thin wrappers of scipy.special.jv; integrands
-that need J2 only in J0 + J2 take it as 2 J1(x)/x), the image-lattice
-moments behind the inverse-cube lattice sum xi(u, v), an adaptive
-Gauss-Kronrod integrator for exponentially decaying integrands on (0, inf),
-scalar or vector valued, with an oscillatory-tail mode for slowly damped
-Bessel-type integrands, and the two-sided mode sum
+Bessel functions J0, J1, J2 (scipy.special's Cephes j0/j1 for orders 0
+and 1 up to x = 25 and its AMOS jv above 25 and for order 2, each where it
+is the more accurate; integrands that need J2 only in J0 + J2 take it as
+2 J1(x)/x), the image-lattice moments behind the inverse-cube lattice sum
+xi(u, v), an adaptive Gauss-Kronrod integrator for exponentially decaying
+integrands on (0, inf), scalar or vector valued, with an oscillatory-tail
+mode for slowly damped Bessel-type integrands, and the two-sided mode sum
 sum_n e^{i alpha n} n^m / (n^2 + beta^2) by two independent routes: its
 hyperbolic closed form, and its symmetric truncation summed term by term
 in blocks of consecutive n (angle addition from one block's cos/sin table,
@@ -96,21 +97,50 @@ class ModeSumArgs:
 # ---------------------------------------------------------------------------
 # Bessel functions J0, J1, J2
 #
-# scipy.special.jv for every order.  Against mpmath on [0, 1e4] it is within
-# 4e-16 absolute, and 1e-14 relative wherever |J| > 0.05.  The Cephes j0/j1
-# routines are faster but reach 6e-12 relative at some points with
-# |J| > 1e-4, past the 1e-12 the Bessel tests pin.
+# One Bessel source, _jv, with each argument range going to the routine
+# that is more accurate there.  Largest errors against 30-digit mpmath over
+# orders 0 and 1, 2000 uniform points per range:
+#
+#   routine          range         abs error   rel error where |J| > 0.05
+#   Cephes j0/j1     [0, 25]       4.4e-16     4.7e-15
+#   AMOS jv          [0, 25]       4.2e-16     7.1e-15
+#   Cephes j0/j1     [25, 50]      3.7e-16     6.8e-15
+#   Cephes j0/j1     (30, 1000)    1.3e-15     9.0e-15
+#   AMOS jv          [25, 1000]    8.3e-17     8.2e-16
+#
+# (4.4e-16 is 2 ulp at J0 ~ 1 on (0, 1).)  Orders 0 and 1 therefore come
+# from Cephes up to _CEPHES_MAX = 25 and from jv above it.  On a 2-core x86
+# box Cephes takes about 40 ns per point there and jv about 1 us.  Beyond
+# 25 Cephes drifts further, to 5e-12 relative at x ~ 2000-10000, past the
+# 1e-12 the Bessel tests pin.  Order 2 is jv everywhere.
 # ---------------------------------------------------------------------------
 
+_CEPHES_MAX = 25.0
+
+
 def _jv(order: int, x: np.ndarray) -> np.ndarray:
-    """Vectorized J_order for order in {0, 1, 2}, x >= 0."""
-    return special.jv(order, np.asarray(x, dtype=float))
+    """Vectorized J_order for order in {0, 1, 2}, x >= 0.
+
+    Orders 0 and 1 from scipy.special.j0/j1 at x <= _CEPHES_MAX and from
+    scipy.special.jv above it (jv sees only those arguments); order 2 from
+    jv.  Within 5e-16 absolute of mpmath on [0, 60].
+    """
+    x = np.asarray(x, dtype=float)
+    if order == 2:
+        return special.jv(2, x)
+    j = (special.j0 if order == 0 else special.j1)(x)
+    far = x > _CEPHES_MAX
+    if far.any():
+        j = np.asarray(j)
+        j[far] = special.jv(order, x[far])
+    return j
 
 
 # Below this argument 2 J1(x)/x is 1 - x^2/8 to rounding (the next term,
-# x^4/192, is under 1e-17 relative), while the quotient of jv(1, x) drifts:
-# 8e-16 relative at 1e-4, 3.5e-14 at 1e-300, and 0 from x ~ 1e-307, where
-# jv(1, x) underflows.
+# x^4/192, is under 1e-17 relative), while the quotient drifts: with jv's
+# J1 by 8e-16 relative at 1e-4, 3.5e-14 at 1e-300 and to 0 from x ~ 1e-307;
+# with Cephes j1, which _jv takes there, by 5e-12 at 1e-310, 0.27 at 1e-320
+# and to 0 at 5e-324, where J1 underflows.
 _J1_QUOTIENT_MIN = 2e-4
 
 
@@ -140,11 +170,12 @@ def _bessel_half_period(v: float) -> float | None:
 
 
 def bessel_j(order: int, x: float) -> float:
-    """Cylindrical Bessel function J_order(x) for order in {0, 1, 2}, x >= 0."""
+    """Cylindrical Bessel function J_order(x) for order in {0, 1, 2} and
+    finite x >= 0."""
     if order not in (0, 1, 2):
         raise DomainError(f"order must be 0, 1 or 2, got {order}")
-    if x < 0:
-        raise DomainError("x must be non-negative")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"x must be finite and non-negative, got {x!r}")
     return float(_jv(order, np.asarray([x]))[0])
 
 
@@ -200,7 +231,10 @@ def _lattice_moments(u: float, v: float) -> tuple[float, float, float]:
         # a rho^-5 -> 1/(3r^3), all free of cancellation at any v
         s3 += (0.5 / (r * (r + big_a)) + 0.5 * p3 + 0.5 * big_a * p5
                + big_a * (0.5 * p7 - 7.0 / 6.0 * a2 * p9))
-        s5 += ((2.0 * r + big_a) / (6.0 * r2 * r * (r + big_a) ** 2)
+        # (2r + A)/(r + A) as (2 + t)/(1 + t), t = A/r: 2, not inf/inf, once
+        # v * v overflows
+        t = big_a / r
+        s5 += (p3 * (2.0 + t) / (6.0 * (1.0 + t) * (r + big_a))
                + 0.5 * p5 + 5.0 / 6.0 * big_a * p7
                + big_a * (7.0 / 6.0 * p9 - 3.5 * a2 * p11))
         t5 += sign * (p3 / 6.0 + 0.5 * big_a * p5
@@ -270,16 +304,20 @@ _K15_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[-1:], _WGK[-2::-1]])
 # positions of the Gauss points inside the 15-node array: odd indices
 _G7_IDX = np.arange(1, 15, 2)
 _G7_WEIGHTS = np.concatenate([_WG[:-1], _WG[-1:], _WG[-2::-1]])
+# the columns K15 and K15 - G7 of one product with the node values
+_GK_WEIGHTS = np.stack([_K15_WEIGHTS, _K15_WEIGHTS], axis=1)
+_GK_WEIGHTS[_G7_IDX, 1] -= _G7_WEIGHTS
 
 
-def _gauss_kronrod(f: Callable, a, b) -> list[tuple]:
-    """K15 estimates of int f over the panels [a_i, b_i] and their
-    |K15 - G7| error estimates, from one call of f.
+def _gauss_kronrod(f: Callable, a, b):
+    """K15 estimates of int f over the panels [a_i, b_i], their
+    |K15 - G7| error estimates and each panel's largest error, from one
+    call of f and one product with the (15, 2) weight matrix.
 
     f receives the 15 nodes of every panel in one array, panel after panel,
     and returns one value per node, or a (k, n) array with one row per
-    component.  Returns one (estimate, error) pair per panel: floats, or
-    length-k arrays.
+    component.  Returns (estimates, errors, peaks), one entry per panel:
+    floats, or for k rows length-k arrays (peaks are floats either way).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -287,20 +325,14 @@ def _gauss_kronrod(f: Callable, a, b) -> list[tuple]:
     half = 0.5 * (b - a)
     x = (mid[:, None] + half[:, None] * _K15_NODES).ravel()
     y = np.asarray(f(x), dtype=float)
-    scalar = y.ndim == 1
     # one row of 15 node values per panel (and component)
     y = y.reshape(y.shape[:-1] + (len(a), 15))
-    k15 = half * (y @ _K15_WEIGHTS)
-    err = np.abs(k15 - half * (y[..., _G7_IDX] @ _G7_WEIGHTS))
-    if scalar:
-        return list(zip(k15.tolist(), err.tolist()))
-    return list(zip(k15.T, err.T))
-
-
-def _peak(e) -> float:
-    # a panel's largest error over its components; plain floats stay on
-    # the fast scalar path
-    return e if isinstance(e, float) else float(e.max())
+    gk = (y @ _GK_WEIGHTS) * half[:, None]
+    k15, err = gk[..., 0], np.abs(gk[..., 1])
+    if y.ndim == 2:
+        err = err.tolist()
+        return k15.tolist(), err, err
+    return k15.T, err.T, err.max(axis=0).tolist()
 
 
 def _unconverged(err, total, tol: Tolerance) -> bool:
@@ -328,19 +360,19 @@ def _subdivide(f: Callable, edges: list[float]):
     total = 0.0
     err = 0.0
     panels = _gauss_kronrod(f, edges[:-1], edges[1:])
-    for a, b, (val, e) in zip(edges[:-1], edges[1:], panels):
+    for a, b, val, e, peak in zip(edges[:-1], edges[1:], *panels):
         total += val
         err += e
-        heapq.heappush(heap, (-_peak(e), a, b, next(order), val, e))
+        heapq.heappush(heap, (-peak, a, b, next(order), val, e))
     while True:
         yield total, err
         _, a, b, _, val, e = heapq.heappop(heap)
         mid = 0.5 * (a + b)
-        (v1, e1), (v2, e2) = _gauss_kronrod(f, (a, mid), (mid, b))
+        (v1, v2), (e1, e2), (p1, p2) = _gauss_kronrod(f, (a, mid), (mid, b))
         total += v1 + v2 - val
         err += e1 + e2 - e
-        heapq.heappush(heap, (-_peak(e1), a, mid, next(order), v1, e1))
-        heapq.heappush(heap, (-_peak(e2), mid, b, next(order), v2, e2))
+        heapq.heappush(heap, (-p1, a, mid, next(order), v1, e1))
+        heapq.heappush(heap, (-p2, mid, b, next(order), v2, e2))
 
 
 def _adaptive(f: Callable, edges: list[float], tol: Tolerance):
@@ -355,8 +387,8 @@ def _adaptive(f: Callable, edges: list[float], tol: Tolerance):
             return total
         if splits >= tol.max_subdivisions:
             raise ConvergenceError(
-                f"quadrature error {_peak(err):.3e} above tolerance after "
-                f"{splits} subdivisions",
+                f"quadrature error {float(np.max(err)):.3e} above tolerance "
+                f"after {splits} subdivisions",
                 best_estimate=total,
                 achieved_error=err,
             )
@@ -457,7 +489,7 @@ def _oscillatory_tail(f: Callable, x0: float, h: float, x_max: float,
         # two K15 panels per half-period: one panel's |K15 - G7| on a
         # whole half-wave is about 1e-12 of its value, and these add up
         mid = x + 0.5 * h
-        (v1, e1), (v2, e2) = _gauss_kronrod(f, (x, mid), (mid, x + h))
+        (v1, v2), (e1, e2), _ = _gauss_kronrod(f, (x, mid), (mid, x + h))
         x += h
         val = np.atleast_1d(v1 + v2)
         partial = partial + val
@@ -479,6 +511,24 @@ def _oscillatory_tail(f: Callable, x0: float, h: float, x_max: float,
             est = new
         else:
             est = partial
+
+
+def _truncation_point(decay_rate_hint: float, tol: Tolerance) -> float:
+    """Where integrate_semi_infinite truncates (0, inf) for an integrand
+    decaying like x^2 exp(-decay_rate_hint * x): its nodes lie below this
+    point, or in the oscillatory-tail mode at most one half-period past it.
+    """
+    if not decay_rate_hint > 0:
+        raise DomainError("decay_rate_hint must be positive")
+    rate = decay_rate_hint
+    # an abs_tol above 1 truncates no earlier than abs_tol = 1 would, which
+    # keeps x_max positive
+    log_inv_tol = max(math.log(1.0 / tol.abs_tol), 0.0)
+    x_max = log_inv_tol / rate + 10.0
+    # absorb polynomial prefactors x^2 into the truncation point
+    for _ in range(3):
+        x_max = (log_inv_tol + 2.0 * math.log1p(x_max)) / rate + 10.0
+    return x_max
 
 
 def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
@@ -524,16 +574,7 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     it at once when a component's transforms have settled but the tail
     panels' summed error alone, which only grows, exceeds its target.
     """
-    if not decay_rate_hint > 0:
-        raise DomainError("decay_rate_hint must be positive")
-    rate = decay_rate_hint
-    # an abs_tol above 1 truncates no earlier than abs_tol = 1 would, which
-    # keeps x_max positive
-    log_inv_tol = max(math.log(1.0 / tol.abs_tol), 0.0)
-    x_max = log_inv_tol / rate + 10.0
-    # absorb polynomial prefactors x^2 into the truncation point
-    for _ in range(3):
-        x_max = (log_inv_tol + 2.0 * math.log1p(x_max)) / rate + 10.0
+    x_max = _truncation_point(decay_rate_hint, tol)
     if half_period is not None:
         if not 0.0 < half_period < math.inf:
             raise DomainError("half_period must be positive and finite")

@@ -42,8 +42,8 @@ import numpy as np
 from .coulomb import Separation, kernel_e
 from .errors import ConvergenceError, DomainError
 from .geometry import CavityFrame
-from .radiation import (_axial_radius, _cosh_ratio, _kernel_d_reference,
-                        _sinh_ratio, anisotropy_delta)
+from .radiation import (_axial_radius, _hyperbolic_weights,
+                        _kernel_d_reference, anisotropy_delta)
 from .specfun import (DEFAULT_TOL, ModeSumArgs, Tolerance,
                       _bessel_half_period, _bessel_j0_j1_sum, _jv,
                       _lattice_moments, _quad_finite, direct_mode_sum,
@@ -287,9 +287,10 @@ def check_bessel_hyperbolic(u: float, v: float, *,
 
     def rows(x):
         j0, j1, j02 = _bessel_j0_j1_sum(x * v)
-        ch = x * _cosh_ratio(x, u)
+        ch, sh = _hyperbolic_weights(x, u)
+        ch = x * ch
         return np.array([ch * j1, x * ch * j02, x * ch * (2.0 * j0 - j02),
-                         x * x * _sinh_ratio(x, u) * j1])
+                         x * x * sh * j1])
 
     try:
         lhs = integrate_semi_infinite(rows, min(u, 2.0 - u), eng,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,39 @@ def test_domain_restrictions():
         kernel_d("plus", Separation(-0.4, 1.0))
     with pytest.raises(DomainError):
         kernel_d("both", Separation(0.5, 1.0))
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("kernel", [kernel_e, kernel_d, _kernel_d_reference],
+                         ids=["E", "D", "D_reference"])
+@pytest.mark.parametrize("v", [1e150, 1e155, 1e200, 1e308])
+def test_huge_v_gives_finite_entries_or_domain_error(v, kernel, sign):
+    # v * v overflows from about 1.3e154; at 1e308 so does x v at the
+    # quadrature's truncation point.  Every warning is an error here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            m = kernel(sign, Separation(0.5, v)).m
+        except DomainError:
+            # the lattice side has no Bessel argument to overflow
+            assert kernel is not kernel_e
+            return
+    assert np.all(np.isfinite(m))
+
+
+def test_huge_v_refusal_names_the_bessel_argument():
+    with pytest.raises(DomainError, match="x v overflows"):
+        kernel_d("plus", Separation(0.5, 1e308))
+    # the same v is accepted where x v stays finite at every node
+    assert np.all(np.isfinite(kernel_d("plus", Separation(0.5, 1e306)).m))
+
+
+@pytest.mark.parametrize("a", [0.5, 1.5])
+@pytest.mark.parametrize("v", [1e155, 1e200, 1e308])
+def test_laplace_bessel_x2_finite_at_huge_v(a, v):
+    # r = hypot(a, v): no v * v, so no inf * 0 once it would overflow; the
+    # exact values are below the smallest double
+    assert _laplace_bessel_x2(a, v) == (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

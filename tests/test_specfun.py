@@ -15,7 +15,7 @@ from fpcavity import (ConvergenceError, DomainError, ModeSumArgs, Tolerance,
                       hyperbolic_mode_sum, integrate_semi_infinite, xi)
 from fpcavity.specfun import (_BLOCK, _CHUNK, _G7_IDX, _G7_WEIGHTS,
                               _HEAD_HALF_PERIODS, _K15_NODES, _K15_WEIGHTS,
-                              _bessel_j0_j1_sum, _lattice_moments,
+                              _bessel_j0_j1_sum, _jv, _lattice_moments,
                               _quad_finite, _subdivide)
 
 TIGHT = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=4000)
@@ -100,6 +100,61 @@ def test_bessel_domain_errors():
         bessel_j(0, -0.5)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_bessel_refuses_non_finite_x(order, x):
+    with pytest.raises(DomainError):
+        bessel_j(order, x)
+
+
+def _splice_grid():
+    # [0, 60] densely, and the splice point 25 with its neighbouring doubles
+    near = [25.0]
+    for direction in (0.0, math.inf):
+        x = 25.0
+        for _ in range(3):
+            x = math.nextafter(x, direction)
+            near.append(x)
+    return np.concatenate([np.linspace(0.0, 60.0, 1201), near,
+                           np.linspace(24.9, 25.1, 41)])
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_jv_splice_against_mpmath(order):
+    # orders 0 and 1 come from Cephes up to 25 and from jv above it; both
+    # sides of the splice stay within 5e-16 absolute of 30-digit mpmath
+    xs = _splice_grid()
+    got = _jv(order, xs)
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.besselj(order, mpmath.mpf(float(x))))
+                         for x in xs])
+    err = np.abs(got - want)
+    assert err.max() <= 5e-16
+    big = np.abs(want) > 0.05
+    assert (err[big] / np.abs(want[big])).max() <= 1e-14
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_jv_routes_only_large_arguments_to_jv(order, monkeypatch):
+    seen = []
+    jv = special.jv
+
+    def recording_jv(n, x):
+        seen.append(np.array(x, dtype=float))
+        return jv(n, x)
+
+    monkeypatch.setattr(special, "jv", recording_jv)
+    xs = _splice_grid()
+    got = _jv(order, xs)
+    assert np.concatenate(seen).min() > 25.0
+    assert len(np.concatenate(seen)) == np.count_nonzero(xs > 25.0)
+    assert np.array_equal(got[xs > 25.0], jv(order, xs[xs > 25.0]))
+    # all at or below the splice: no jv call at all
+    seen.clear()
+    _jv(order, np.linspace(0.0, 25.0, 101))
+    assert seen == []
+
+
 def test_bessel_recurrence_dense_grid():
     # 2 J1(x)/x == J0(x) + J2(x)
     for x in np.linspace(0.05, 50.0, 1200):
@@ -115,8 +170,13 @@ def test_bessel_j0_plus_j2_from_j1_against_mpmath(x):
     j0, j1, j02 = _bessel_j0_j1_sum(np.array([x]))
     with mpmath.workdps(40):
         want = 1.0 if x == 0.0 else float(2 * mpmath.besselj(1, x) / x)
+        want_j0 = float(mpmath.besselj(0, x))
+        want_j1 = float(mpmath.besselj(1, x))
     assert abs(j02[0] - want) <= 1e-15 * abs(want)
-    assert j0[0] == special.jv(0, x) and j1[0] == special.jv(1, x)
+    assert j0[0] == _jv(0, x) and j1[0] == _jv(1, x)
+    assert abs(j0[0] - want_j0) <= 5e-16
+    assert abs(j1[0] - want_j1) <= 5e-16
+    assert abs(j1[0] - want_j1) <= 1e-14 * abs(want_j1)
 
 
 def test_bessel_derivative_identity():
@@ -268,13 +328,11 @@ def test_quadrature_plain_exponential():
 
 
 def test_quadrature_bessel_laplace_value():
-    from fpcavity.specfun import _jv
     val = integrate_semi_infinite(lambda x: np.exp(-x) * _jv(0, x), 1.0, TIGHT)
     assert val == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
 
 def test_quadrature_bessel_laplace_derivative_value():
-    from fpcavity.specfun import _jv
     val = integrate_semi_infinite(
         lambda x: x * np.exp(-x) * _jv(1, 2.0 * x), 1.0, TIGHT)
     assert val == pytest.approx(2.0 * 5.0 ** -1.5, abs=1e-12)
@@ -321,7 +379,6 @@ def test_quadrature_scalar_integrand_returns_float():
 
 
 def test_quadrature_vector_matches_scalar_passes():
-    from fpcavity.specfun import _jv
     rows = [lambda x: np.exp(-x),
             lambda x: np.exp(-x) * _jv(0, x),
             lambda x: x * np.exp(-x) * _jv(1, 2.0 * x)]
