@@ -24,6 +24,10 @@ Whether the Fock cutoff holds the ground state is read off the ground
 vector itself: its probability weight on the top fifth of the photon
 numbers must be negligible.
 
+The solver's BLAS and LAPACK routines (dsbmv, dpbtrf, dpbtrs, dsyevr,
+from scipy.linalg) are loaded on the first solve, not on import; the
+mean field and build_hamiltonian run without them.
+
 The zero-temperature mean-field transition sits at y_c = sqrt(omega_c
 omega_a): below it the ground state is the trivial product state; above it
 a symmetry-breaking boson amplitude appears, given in closed form.
@@ -36,8 +40,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dsyevr
 
 from .errors import ConvergenceError, DomainError
 
@@ -80,6 +82,35 @@ _SHIFT_MARGIN = 1e-10
 # the ground vector's probability weight on photon numbers n >= 0.8 cutoff
 # above which the cutoff counts as not converged
 _CUTOFF_TAIL = 1e-8
+
+# The solver's routines and the scipy.linalg submodule of each.  They
+# become module names on the first solve (_load_lapack), or when one is
+# first read from outside (__getattr__); importing scipy.linalg costs
+# about 0.3 s.
+_ROUTINES = {"dsbmv": "blas", "dpbtrf": "lapack", "dpbtrs": "lapack",
+             "dsyevr": "lapack"}
+_routines_loaded = False
+
+
+def _load_lapack() -> None:
+    """Bind the _ROUTINES as module names, once.  A name that is already
+    set, as by a test's monkeypatch, is kept."""
+    global _routines_loaded
+    if _routines_loaded:
+        return
+    from scipy.linalg import blas, lapack
+    names = globals()
+    for name, submodule in _ROUTINES.items():
+        names.setdefault(name, getattr(
+            blas if submodule == "blas" else lapack, name))
+    _routines_loaded = True
+
+
+def __getattr__(name: str):
+    if name in _ROUTINES:
+        _load_lapack()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -260,6 +291,7 @@ def _lowest_pair(ab: np.ndarray):
     H scaled by the power of two just above |H|, which is exact and keeps
     every iterate in range whatever the scale of H.
     """
+    _load_lapack()
     dim = ab.shape[1]
     abs_rows = _band_matvec(np.abs(ab), np.ones(dim))
     norm = float(abs_rows.max())

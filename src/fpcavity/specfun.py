@@ -15,6 +15,9 @@ in blocks of consecutive n (angle addition from one block's cos/sin table,
 constant memory in the truncation, within 2e-15 of the sum of the moduli
 of the terms).
 
+scipy.special is loaded on the first Bessel call, not on import, so the
+lattice sums and the mode sums run without it.
+
 All functions are pure; units are dimensionless throughout.
 """
 
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .errors import ConvergenceError, DomainError
 
@@ -117,14 +119,30 @@ class ModeSumArgs:
 
 _CEPHES_MAX = 25.0
 
+# scipy.special, once _scipy_special has imported it.  Importing it costs
+# about 0.3 s, which the lattice sums, the mode sums and the Dicke solver
+# never need.
+_special = None
+
+
+def _scipy_special():
+    """scipy.special, imported on the first call and kept in _special."""
+    global _special
+    if _special is None:
+        from scipy import special
+        _special = special
+    return _special
+
 
 def _jv(order: int, x: np.ndarray) -> np.ndarray:
     """Vectorized J_order for order in {0, 1, 2}, x >= 0.
 
     Orders 0 and 1 from scipy.special.j0/j1 at x <= _CEPHES_MAX and from
     scipy.special.jv above it (jv sees only those arguments); order 2 from
-    jv.  Within 5e-16 absolute of mpmath on [0, 60].
+    jv.  Within 5e-16 absolute of mpmath on [0, 60].  scipy.special is
+    loaded on the first call.
     """
+    special = _special or _scipy_special()
     x = np.asarray(x, dtype=float)
     if order == 2:
         return special.jv(2, x)

@@ -42,8 +42,9 @@ import numpy as np
 from .coulomb import Separation, kernel_e
 from .errors import ConvergenceError, DomainError
 from .geometry import CavityFrame
-from .radiation import (_axial_radius, _hyperbolic_weights,
-                        _kernel_d_reference, anisotropy_delta)
+from .radiation import (_axial_radius, _check_bessel_argument,
+                        _hyperbolic_weights, _kernel_d_reference,
+                        anisotropy_delta)
 from .specfun import (DEFAULT_TOL, ModeSumArgs, Tolerance,
                       _bessel_half_period, _bessel_j0_j1_sum, _jv,
                       _lattice_moments, _quad_finite, direct_mode_sum,
@@ -113,7 +114,9 @@ class VerifyConfig:
     field rather than an abort halfway through a run: u values in (0, 2)
     (lipschitz_u only positive and finite), z/L in (0, 1), transverse v
     finite and >= 0, mode-sum entries as ModeSumArgs takes them, and
-    aniso_lengths and aniso_cutoff as anisotropy_delta does.
+    aniso_lengths and aniso_cutoff as anisotropy_delta does.  A v of
+    v_grid or green_triples is also refused where the quadrature's Bessel
+    argument x v would overflow for the u it is paired with.
     """
 
     seed: int = 42
@@ -176,6 +179,16 @@ class VerifyConfig:
                     raise DomainError(f"{name}: {exc}") from None
         for length in self.aniso_lengths:
             _axial_radius(CavityFrame(length), self.aniso_cutoff)
+        bessel_eng = _engine(TOL_EQ22, self.max_subdivisions)
+        green_eng = _engine(TOL_GREEN, self.max_subdivisions)
+        for name, v, rate, eng in (
+                [("v_grid", v, min(u, 2.0 - u), bessel_eng)
+                 for u in self.u_grid for v in self.v_grid]
+                + [("green_triples", v, min(u, 2.0 - u, up, 2.0 - up),
+                    green_eng) for u, up, v in self.green_triples]):
+            refused = _bessel_overflow(v, rate, eng)
+            if refused is not None:
+                raise DomainError(f"{name}: {refused}")
 
 
 def _engine(tol: Tolerance, max_subdivisions: int) -> Tolerance:
@@ -223,6 +236,19 @@ def _failed_report(check_id: str, params: dict, tol: Tolerance,
     return IdentityReport(check_id=check_id, params=params, lhs=None,
                           rhs=None, abs_err=math.inf, rel_err=math.inf,
                           passed=False, tol_used=tol)
+
+
+def _bessel_overflow(v: float, rate: float,
+                     tol: Tolerance) -> DomainError | None:
+    """The DomainError of radiation._check_bessel_argument when the Bessel
+    argument x v overflows at the quadrature's nodes, else None.  A rate
+    <= 0 (u outside the cavity) is left to the quadrature to refuse."""
+    if rate > 0:
+        try:
+            _check_bessel_argument(v, rate, tol)
+        except DomainError as exc:
+            return exc
+    return None
 
 
 def _checked(check_id: str, params: dict, tol: Tolerance,
@@ -276,14 +302,22 @@ def check_bessel_hyperbolic(u: float, v: float, *,
     relative) for the two derivative identities and TOL_EQ22 for the
     others; every row meets the engine tolerance of TOL_EQ22, and
     max_subdivisions caps only the quadrature effort.  A quadrature that
-    runs out of panel splits fails all four rows.
+    runs out of panel splits fails all four rows, and so does a v at which
+    the Bessel argument x v overflows at the quadrature's nodes.
     """
     eng = _engine(TOL_EQ22, max_subdivisions)
+    params = {"u": u, "v": v}
+    refused = _bessel_overflow(v, min(u, 2.0 - u), eng)
+    if refused is not None:
+        return [_failed_report(check_id, params, tol, refused)
+                for check_id, tol in (("EQ22", TOL_EQ22),
+                                      ("EQ29_PLUS", TOL_EQ22),
+                                      ("EQ29_MINUS", TOL_DERIV),
+                                      ("EQ30", TOL_DERIV))]
     # xi by its module-level name, which lets a test substitute a shifted xi
     # (as for SELF_CANCEL); the derivative sides take S5 and T5 directly
     s3 = xi(u, v)
     _, s5, t5 = _lattice_moments(u, v)
-    params = {"u": u, "v": v}
 
     def rows(x):
         j0, j1, j02 = _bessel_j0_j1_sum(x * v)
@@ -306,9 +340,10 @@ def check_bessel_hyperbolic(u: float, v: float, *,
     return [
         _checked("EQ22", params, TOL_EQ22, sides, 0, v * s3),
         _checked("EQ29_PLUS", params, TOL_EQ22, sides, 1, 2.0 * s3),
-        # (2 + 2 v d/dv) xi
+        # (2 + 2 v d/dv) xi; v s5 first, since v v overflows where s5
+        # underflows
         _checked("EQ29_MINUS", params, TOL_DERIV, sides, 2,
-                 2.0 * s3 - 6.0 * v * v * s5),
+                 2.0 * s3 - 6.0 * v * (v * s5)),
         # v d/du xi
         _checked("EQ30", params, TOL_DERIV, sides, 3, -3.0 * v * t5),
     ]
@@ -422,8 +457,8 @@ def _paired_inverse_distance_sum(u: float, u_prime: float, v: float,
     total = float(np.sum((a * a + v * v) ** -0.5 - (b * b + v * v) ** -0.5))
 
     def tail(x, xp):
-        r = math.sqrt(x * x + v * v)
-        rp = math.sqrt(xp * xp + v * v)
+        r = math.hypot(x, v)
+        rp = math.hypot(xp, v)
         return 0.5 * math.log((xp + rp) / (x + r))
 
     edge = 2.0 * (n_terms + 0.5)
@@ -439,11 +474,17 @@ def check_green(u: float, u_prime: float, v: float, *,
     The image sum (paired, since single terms diverge) against the
     difference-of-cosh-ratios integral, in the quadrature's
     oscillatory-tail mode for v > 0.  The threshold is pinned
-    (TOL_GREEN); max_subdivisions caps only the quadrature effort.
+    (TOL_GREEN); max_subdivisions caps only the quadrature effort.  The
+    report fails at a v where the Bessel argument x v overflows at the
+    quadrature's nodes.
     """
     eng = _engine(TOL_GREEN, max_subdivisions)
     rate = min(u, 2.0 - u, u_prime, 2.0 - u_prime)
-    return _checked("EQ36", {"u": u, "u_prime": u_prime, "v": v}, TOL_GREEN,
+    params = {"u": u, "u_prime": u_prime, "v": v}
+    refused = _bessel_overflow(v, rate, eng)
+    if refused is not None:
+        return _failed_report("EQ36", params, TOL_GREEN, refused)
+    return _checked("EQ36", params, TOL_GREEN,
                     lambda: (_paired_inverse_distance_sum(u, u_prime, v),
                              integrate_semi_infinite(
                                  lambda x: _cosh_ratio_diff(x, u, u_prime)

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -168,6 +169,27 @@ def test_green_arguments_near_opposite_mirrors(u, u_prime):
     assert all(math.isfinite(x) for x in (rep.lhs, rep.rhs, rep.abs_err,
                                           rep.rel_err))
     assert rep.passed
+
+
+@pytest.mark.parametrize("v", [1e150, 1e160, 1e200, 1e308])
+def test_huge_transverse_distance_gives_no_nan(v):
+    # v v overflowed where s5 underflowed (EQ29_MINUS: inf x 0), and the
+    # Green tail took log(inf / inf); at 1e308 the Bessel argument x v
+    # overflows at the quadrature's nodes, and every row fails instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = check_bessel_hyperbolic(0.5, v) + [check_green(0.5, 1.0, v)]
+    assert [r.check_id for r in reports] == [
+        "EQ22", "EQ29_PLUS", "EQ29_MINUS", "EQ30", "EQ36"]
+    for r in reports:
+        assert not math.isnan(r.abs_err) and not math.isnan(r.rel_err)
+        if v < 1e300:
+            assert r.passed
+            VerifyConfig(v_grid=(v,), green_triples=((0.5, 1.0, v),))
+        else:
+            assert not r.passed and r.abs_err == math.inf
+            assert r.params["error"].startswith("DomainError")
+            assert "overflows" in r.params["error"]
 
 
 def test_green_trivial_equal_arguments():
@@ -357,6 +379,8 @@ def test_verify_config_rejects_bad_anisotropy_grid(field, bad):
     ("green_triples", ((2.5, 1.0, 1.0),)), ("axial_u", (2.5,)),
     ("modesum_betas", (-1.0,)), ("modesum_orders", (2,)),
     ("modesum_n_max", 0), ("n_random_separations", -1),
+    # the Bessel argument x v overflows at the quadrature's nodes
+    ("v_grid", (1e308,)), ("green_triples", ((0.5, 1.0, 1e308),)),
 ])
 def test_verify_config_rejects_bad_grid_entries(field, bad):
     # refused at construction, naming the field: a bad grid entry used to
