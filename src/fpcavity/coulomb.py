@@ -91,13 +91,10 @@ def _e_plus_base(u: float, v: float) -> np.ndarray:
     at rho_n = (v, 0, a = 2n + u), written through the lattice moments: with
     a^2 = rho^2 - v^2, sum (1 - 3 a^2/rho^2)/rho^3 = -2 S3 + 3 v^2 S5.
     """
-    s3, s5, t5 = _lattice_moments(u, v)
-    # v (v S5) and 3 (v T5): at a huge v, v * v and 3 v overflow while S5
-    # and T5 are 0, and inf * 0 would be NaN
-    v2s5 = v * (v * s5)
+    s3, v2s5, vt5 = _lattice_moments(u, v)
     xx = s3 - 3.0 * v2s5
     zz = 3.0 * v2s5 - 2.0 * s3
-    xz = -3.0 * (v * t5)
+    xz = -3.0 * vt5
     return np.array([[xx, 0.0, xz], [0.0, s3, 0.0], [xz, 0.0, zz]])
 
 

@@ -15,10 +15,13 @@ eigenvalue, and a Lanczos iteration on the inverse of the shifted block,
 one banded solve with that one factor per step, spans the two lowest
 eigenvectors.  Rayleigh-Ritz of H on that basis gives the two lowest
 eigenvalues and the ground vector together, each pair within a residual of
-1e-12 |H|.  The solver's guard bounds its work, block size squared times
-half-bandwidth, before anything is built.  `build_hamiltonian` scatters the
-same elements into the dense matrix for tests and inspection; its guard
-bounds the dimension, since the dense matrix is what costs memory.
+1e-12 |H|.  Before anything is built, the solver's guard bounds the flops
+of its worst case, the bisection's factorizations and 60 Lanczos steps,
+to MAX_SOLVER_WORK, and the Lanczos basis to 8e6 doubles; solves near the
+bound, such as N = 199 at cutoff 99 or N = 64 at cutoff 1420, take
+0.4-0.5 s per coupling on a 2-core x86 box.  `build_hamiltonian` scatters
+the same elements into the dense matrix for tests and inspection; its
+guard bounds the dimension, since the dense matrix is what costs memory.
 
 Whether the Fock cutoff holds the ground state is read off the ground
 vector itself: its probability weight on the top fifth of the photon
@@ -56,17 +59,22 @@ __all__ = [
 
 # dense Hamiltonians of build_hamiltonian: a memory bound
 MAX_DIMENSION = 20000
-# block size squared times half-bandwidth.  The solver's own cost grows
-# only as block size times half-bandwidth squared (the factorizations) and
-# block size times half-bandwidth per Lanczos step; a ground_state near the
-# bound, N = 48 and cutoff 160 (blocks of 3945 states, half-bandwidth 25,
-# 3.9e8), took 55-65 ms on a 2-core x86 box
-MAX_SOLVER_WORK = 400_000_000
 # Lanczos steps per parity block: about twice the most, 28, that the
 # blocks of 2027 parameter sets took (N up to 64, cutoffs 5 to 4000, y in
 # [1e-6, 120], omega_a / omega_c from 1/4 to 4); the basis and H times it
 # then hold at most 2 x 60 vectors, under 1 MB at 859 states
 _MAX_LANCZOS_STEPS = 60
+# floating-point operations of one parity-block solve (see
+# _check_solver_work).  Solves near the bound took 0.4-0.5 s per coupling
+# on a 2-core x86 box: N = 199 at cutoff 99 (blocks of 10000 states,
+# half-bandwidth 101, 1.85e9), N = 100 at cutoff 564, N = 64 at cutoff
+# 1420 and N = 300 at cutoff 35
+MAX_SOLVER_WORK = 2_000_000_000
+# doubles of the Lanczos basis and H times it, 2 x 60 per block state
+# (64 MB).  It binds below N ~ 40, at blocks of 66666 states: N = 1 at
+# cutoff 66665 took 0.15-0.19 s, N = 16 at 7842 0.34-0.45 s and N = 32 at
+# 4039 0.42-0.51 s
+_MAX_BASIS_DOUBLES = 8_000_000
 # Rayleigh-Ritz checks of the Lanczos basis, each a small dense eigensolve:
 # the first at 12 vectors, just below the 13 to 17 that most blocks take,
 # then one every other step
@@ -79,6 +87,10 @@ _RESIDUAL = 1e-12
 # units of |H|
 _SHIFT_BRACKET = 1e-3
 _SHIFT_MARGIN = 1e-10
+# banded Cholesky factorizations per block: the bisection's, which halve a
+# bracket of at most 2 |H| until it is below _SHIFT_BRACKET |H|, and the
+# one at the shift
+_FACTORIZATIONS = math.ceil(math.log2(2.0 / _SHIFT_BRACKET)) + 1
 # the ground vector's probability weight on photon numbers n >= 0.8 cutoff
 # above which the cutoff counts as not converged
 _CUTOFF_TAIL = 1e-8
@@ -172,15 +184,28 @@ def _check_dimension(p: DickeParams) -> None:
 
 
 def _check_solver_work(p: DickeParams) -> None:
+    """Refuse, before anything is built, a solve whose flops exceed
+    MAX_SOLVER_WORK or whose Lanczos basis exceeds _MAX_BASIS_DOUBLES.
+
+    Per parity block of n states and half-bandwidth k, _lowest_pair makes
+    up to _FACTORIZATIONS banded Cholesky factorizations of n k^2 flops,
+    and up to _MAX_LANCZOS_STEPS = S steps of one banded solve and one
+    banded product, 8 n k flops together, plus reorthogonalization, 4 n S^2
+    flops over all steps.
+    """
     # the larger parity block, and its half-bandwidth in photon-major order:
     # N/2 + 1 for even N, (N + 3)/2 for odd N >= 3, 1 (tridiagonal) at N = 1
     block = (p.dimension + 1) // 2
     half_bandwidth = 1 if p.n_atoms == 1 else (p.n_atoms + 3) // 2
-    if block * block * half_bandwidth > MAX_SOLVER_WORK:
+    steps = _MAX_LANCZOS_STEPS
+    work = block * (_FACTORIZATIONS * half_bandwidth ** 2
+                    + 8 * steps * half_bandwidth + 4 * steps ** 2)
+    if work > MAX_SOLVER_WORK or 2 * steps * block > _MAX_BASIS_DOUBLES:
         raise DomainError(
             f"parity blocks of {block} states with half-bandwidth "
-            f"{half_bandwidth} exceed the solver's work bound "
-            f"{MAX_SOLVER_WORK} (block size squared times half-bandwidth)")
+            f"{half_bandwidth} exceed the solver's bounds: {work:.3g} flops "
+            f"(at most {MAX_SOLVER_WORK:.3g}) and {2 * steps * block} "
+            f"doubles of Lanczos basis (at most {_MAX_BASIS_DOUBLES})")
 
 
 def _elements(p: DickeParams):

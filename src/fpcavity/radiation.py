@@ -38,12 +38,16 @@ image lattice that E+ sums, so checking E+ = -(1/2 pi) D+ on the split
 route would partly compare the lattice with itself.  The unsplit integrand
 therefore stays as the reference route (_kernel_d_reference) that the
 verification suite uses for EQ21, SELF_CANCEL and AXIAL20; it never calls
-the lattice code.  It integrates its slow tail in the oscillatory-tail
-mode of integrate_semi_infinite (half-period pi/v), which sums half-period
-panels and extrapolates them, so it converges down to u = 1e-3 in a few
-ms.  Both routes build their rows with one helper (_d_rows) from the two
-hyperbolic weights, which one helper (_hyperbolic_weights) computes
-together.
+the lattice code.  Both routes build their rows with one helper (_d_rows)
+from the two hyperbolic weights, which one helper (_hyperbolic_weights)
+computes together.
+
+Both pass the half-period pi/v of J(xv) to integrate_semi_infinite, which
+sums half-period panels and extrapolates them past 50 half-periods before
+its truncation point.  So the reference converges down to u = 1e-3 in a
+few ms, and a kernel_d call takes 1.7-2.0 ms at v = 30 and 0.65-1.1 ms at
+v = 1e3-1e4 on a 2-core x86 box (the plain pass took 100-135 ms at 1e3
+and did not converge at 1e4); at v <= 3 it takes the plain pass.
 
 The spectral (per-axial-index) representation converges only
 conditionally and is kept as a regulated cross-check: each transverse
@@ -63,8 +67,7 @@ from .coulomb import (D_MINUS, D_PLUS, KernelMatrix, Separation, _check_sign,
 from .errors import DomainError
 from .geometry import CavityFrame, reflection_matrix
 from .specfun import (DEFAULT_TOL, Tolerance, _bessel_half_period,
-                      _bessel_j0_j1_sum, _jv, _truncation_point,
-                      integrate_semi_infinite)
+                      _bessel_j0_j1_sum, _jv, integrate_semi_infinite)
 
 __all__ = [
     "AnisotropyResult",
@@ -111,17 +114,6 @@ def _check_d_domain(sep: Separation):
         raise DomainError(
             "quadratic kernel requires 0 < u < 2 (hyperbolic integrand "
             "converges only there)")
-
-
-def _check_bessel_argument(v: float, rate: float, tol: Tolerance):
-    """Refuse a v at which x v overflows at the quadrature's nodes, which
-    reach the truncation point (in the oscillatory-tail mode one half-period
-    past it; the factor 2 covers that)."""
-    x_max = _truncation_point(rate, tol)
-    if not 2.0 * x_max * v < math.inf:
-        raise DomainError(
-            f"v = {v!r} is too large: the Bessel argument x v overflows at "
-            f"the quadrature's truncation point x = {x_max:.3g}")
 
 
 def _d_rows(x: np.ndarray, v: float, ch: np.ndarray,
@@ -187,23 +179,19 @@ def _d_plus_base(u: float, v: float, tol: Tolerance) -> np.ndarray:
         ch, sh = _hyperbolic_weights(x, u)
         return _d_rows(x, v, damp * ch, damp * sh)
 
-    rate = 2.0 + min(u, 2.0 - u)
-    _check_bessel_argument(v, rate, tol)
-    rows = integrate_semi_infinite(remainder, rate, tol)
+    rows = integrate_semi_infinite(remainder, 2.0 + min(u, 2.0 - u), tol,
+                                   half_period=_bessel_half_period(v))
     return _d_matrix(rows + _nearest_pair_rows(u, v))
 
 
 def _d_plus_reference(u: float, v: float, tol: Tolerance) -> np.ndarray:
     """D+ entries from the unsplit integrand, the route verify checks EQ21
-    against: it shares no closed form with the image lattice.  For v > 0
-    the quadrature runs in its oscillatory-tail mode."""
+    against: it shares no closed form with the image lattice."""
     def rows(x):
         return _d_rows(x, v, *_hyperbolic_weights(x, u))
 
-    rate = min(u, 2.0 - u)
-    _check_bessel_argument(v, rate, tol)
     return _d_matrix(integrate_semi_infinite(
-        rows, rate, tol, half_period=_bessel_half_period(v)))
+        rows, min(u, 2.0 - u), tol, half_period=_bessel_half_period(v)))
 
 
 def _kernel_from_base(base, sign: str, sep: Separation,
@@ -243,10 +231,9 @@ def _kernel_d_reference(sign: str, sep: Separation,
 _GL_ORDER = 20
 # grid nodes times (axial terms + _BESSEL_TABLE_TERMS), the scaling of
 # kernel_d_spectral's work: about 1.5e-8 s per unit measured on a 2-core x86
-# box, so up to about 6 s per call at the bound (the same bound as
-# dicke.MAX_SOLVER_WORK).  The three Bessel tables cost about as much as 175
-# axial terms per node: at v = 2500, eps = 0.5 (65 axial terms) a call took
-# 3.5-5.3 s, the time of 240 units per node.
+# box, so up to about 6 s per call at the bound.  The three Bessel tables
+# cost about as much as 175 axial terms per node: at v = 2500, eps = 0.5
+# (65 axial terms) a call took 3.5-5.3 s, the time of 240 units per node.
 _MAX_SPECTRAL_WORK = 400_000_000
 _BESSEL_TABLE_TERMS = 175
 _FLOAT_TINY = float(np.finfo(float).tiny)
@@ -350,6 +337,15 @@ def _axial_radius(frame: CavityFrame, cutoff: float) -> float:
     return radius
 
 
+def _anisotropy_summand(n, radius: float):
+    """3 n^2 log1p(X^2/n^2) - X^2 with X^2 = (R - n)(R + n), exactly 0 at
+    n = R: twice the xx - zz transverse integral at axial index n, without
+    the factor pi^3/L^2.  Its integral over n in [0, R], the continuum
+    limit of the axial sum, is 0."""
+    x2 = (radius - n) * (radius + n)
+    return 3.0 * (n * n * np.log1p(x2 / (n * n))) - x2
+
+
 def anisotropy_delta(frame: CavityFrame, cutoff: float) -> AnisotropyResult:
     """Anisotropy xx - zz of the coincident-point kernel under a cutoff.
 
@@ -368,10 +364,12 @@ def anisotropy_delta(frame: CavityFrame, cutoff: float) -> AnisotropyResult:
     L = frame.length_L
     radius = _axial_radius(frame, cutoff)
     n = np.arange(1.0, math.floor(radius) + 1.0)
-    x2 = (radius - n) * (radius + n)  # X^2, exactly 0 at n = R
-    log_term = n * n * np.log1p(x2 / (n * n))
+    terms = _anisotropy_summand(n, radius)
+    x2 = (radius - n) * (radius + n)
     half_r2, pref = 0.5 * radius * radius, math.pi ** 3 / (L * L)
+    # the isotropic summand X^2 + n^2 log1p(X^2/n^2), from delta's
     return AnisotropyResult(
-        delta=pref * (float(np.sum(3.0 * log_term - x2)) - half_r2),
+        delta=pref * (float(np.sum(terms)) - half_r2),
         cavity_length=L, cutoff=cutoff,
-        isotropic_scale=pref * (float(np.sum(x2 + log_term)) + half_r2))
+        isotropic_scale=pref * (float(np.sum(x2 + (terms + x2) / 3.0))
+                                + half_r2))

@@ -178,9 +178,10 @@ def _bessel_j0_j1_sum(x: np.ndarray):
 
 
 def _bessel_half_period(v: float) -> float | None:
-    """Half-period in x of J_n(x v), for the oscillatory-tail mode of
-    integrate_semi_infinite; None at v = 0, where nothing oscillates, and
-    where pi/v overflows (nothing oscillates within any truncation point)."""
+    """Half-period in x of J_n(x v), which every integrand with that factor
+    passes to integrate_semi_infinite; None at v = 0, where nothing
+    oscillates, and where pi/v overflows (nothing oscillates within any
+    truncation point)."""
     if not v > 0:
         return None
     half_period = math.pi / v
@@ -210,14 +211,19 @@ _LATTICE_2N = 2.0 * np.arange(-_LATTICE_N, _LATTICE_N + 1)
 
 
 def _lattice_moments(u: float, v: float) -> tuple[float, float, float]:
-    """S3 = sum rho^-3, S5 = sum rho^-5 and T5 = sum a rho^-5 over the image
-    lattice a = 2n + u, rho^2 = a^2 + v^2, n in Z.
+    """S3 = sum rho^-3 and the scaled moments v^2 S5 = sum v^2 rho^-5 and
+    v T5 = sum v a rho^-5 over the image lattice a = 2n + u,
+    rho^2 = a^2 + v^2, n in Z.
 
     The one place the rho^-3/rho^-5 lattice is summed: xi = S3, the Coulomb
-    kernel E+ and the exact derivatives d/dv xi = -3 v S5, d/du xi = -3 T5
-    all come from these three numbers.  Accurate to about 1e-13 relative
-    (T5 relative to sum |a| rho^-5: T5 itself cancels to exponentially small
-    values at large v).
+    kernel E+ and the exact derivatives v d/dv xi = -3 v^2 S5,
+    v d/du xi = -3 v T5 all come from these three numbers.  Each scaled
+    term is formed as rho^-3 times v^2/rho^2 or v a/rho^2, both at most 1
+    in magnitude, so nothing underflows or overflows before S3 itself does
+    (S3 ~ 1/v^2 at large v, while S5 alone underflows from v ~ 1e77), and
+    every value is finite at every finite v.  Accurate to about 1e-13
+    relative (v T5 relative to sum v |a| rho^-5: T5 itself cancels to
+    exponentially small values at large v).
     """
     if not (math.isfinite(u) and math.isfinite(v)):
         raise DomainError("u and v must be finite")
@@ -230,16 +236,24 @@ def _lattice_moments(u: float, v: float) -> tuple[float, float, float]:
     a = _LATTICE_2N + u
     rho2 = a * a + v * v
     inv3 = rho2 ** -1.5
-    inv5 = inv3 / rho2
-    s3, s5, t5 = float(np.sum(inv3)), float(np.sum(inv5)), float(a @ inv5)
+    # v / rho^2 <= 1/v, and 0 once v * v overflows
+    z = v / rho2
+    s3, s5, t5 = (float(np.sum(inv3)), float(np.sum(inv3 * (z * v))),
+                  float((a * z) @ inv3))
     # Each side's tail from its first omitted |a| = A, with step 2 in a:
     # sum f = (1/2) int_A^inf f + f(A)/2 - f'(A)/6 + f'''(A)/90.  The n < 0
     # side is the mirror image and enters T5 (odd in a) with a minus sign.
+    # The scaled moments take the rho^-5 bracket times v^2 and v as the
+    # bracket with every power r^-k lowered to r^-(k-2), times
+    # w = v^2/r^2 and z = v/r^2.
     for big_a, sign in ((2 * _LATTICE_N + 2 + u, 1.0),
                         (2 * _LATTICE_N + 2 - u, -1.0)):
         a2 = big_a * big_a
         r2 = a2 + v * v
         r = math.sqrt(r2)
+        z = v / r2
+        w = z * v
+        p1 = 1.0 / r
         p3 = 1.0 / (r2 * r)
         p5 = p3 / r2
         p7 = p5 / r2
@@ -252,12 +266,12 @@ def _lattice_moments(u: float, v: float) -> tuple[float, float, float]:
         # (2r + A)/(r + A) as (2 + t)/(1 + t), t = A/r: 2, not inf/inf, once
         # v * v overflows
         t = big_a / r
-        s5 += (p3 * (2.0 + t) / (6.0 * (1.0 + t) * (r + big_a))
-               + 0.5 * p5 + 5.0 / 6.0 * big_a * p7
-               + big_a * (7.0 / 6.0 * p9 - 3.5 * a2 * p11))
-        t5 += sign * (p3 / 6.0 + 0.5 * big_a * p5
-                      - (p5 - 5.0 * a2 * p7) / 6.0
-                      - p7 / 6.0 + a2 * (7.0 / 3.0 * p9 - 3.5 * a2 * p11))
+        s5 += w * (p1 * (2.0 + t) / (6.0 * (1.0 + t) * (r + big_a))
+                   + 0.5 * p3 + 5.0 / 6.0 * big_a * p5
+                   + big_a * (7.0 / 6.0 * p7 - 3.5 * a2 * p9))
+        t5 += sign * z * (p1 / 6.0 + 0.5 * big_a * p3
+                          - (p3 - 5.0 * a2 * p5) / 6.0
+                          - p5 / 6.0 + a2 * (7.0 / 3.0 * p7 - 3.5 * a2 * p9))
     return s3, s5, t5
 
 
@@ -441,6 +455,11 @@ def _seed_edges(x_max: float) -> list[float]:
 _HEAD_HALF_PERIODS = 4
 _MIN_TAIL_PANELS = 4
 _LEVIN_MAX_ORDER = 16
+# The tail mode runs past this many half-periods in [0, x_max]; below it
+# the plain pass is faster (medians of 3, 2-core x86 box): up to 35-50 for
+# the four-row Bessel pass and the unsplit D+, up to 55-95 for the
+# remainder of kernel_d.
+_TAIL_MIN_SPAN = 50
 
 
 def _levin_u(sums: np.ndarray, terms: np.ndarray, first: float) -> np.ndarray:
@@ -461,11 +480,10 @@ def _levin_u(sums: np.ndarray, terms: np.ndarray, first: float) -> np.ndarray:
     return np.where(np.isfinite(est), est, sums[-1])
 
 
-def _oscillatory_tail(f: Callable, x0: float, h: float, x_max: float,
-                      tol: Tolerance):
-    """The head [0, x0] by adaptive subdivision and the tail by half-period
-    panels [x, x + h] whose partial sums Levin's u-transform extrapolates;
-    see integrate_semi_infinite.
+def _oscillatory_tail(f: Callable, h: float, x_max: float, tol: Tolerance):
+    """The head [0, x0], x0 = _HEAD_HALF_PERIODS h, by adaptive subdivision
+    and the tail by half-period panels [x, x + h] whose partial sums Levin's
+    u-transform extrapolates; see integrate_semi_infinite.
 
     Each step refines whichever part holds the larger error: the head
     splits its worst panel when it does so in a component that has not yet
@@ -474,6 +492,7 @@ def _oscillatory_tail(f: Callable, x0: float, h: float, x_max: float,
     component whose transforms agree within its target while that sum
     alone exceeds it cannot converge, and the pass fails at once.
     """
+    x0 = _HEAD_HALF_PERIODS * h
     head = _subdivide(f, _seed_edges(x0))
     head_total, head_err = next(head)
     scalar = isinstance(head_total, float)
@@ -531,11 +550,13 @@ def _oscillatory_tail(f: Callable, x0: float, h: float, x_max: float,
             est = partial
 
 
-def _truncation_point(decay_rate_hint: float, tol: Tolerance) -> float:
+def _truncation(decay_rate_hint: float, tol: Tolerance,
+                half_period: float | None) -> tuple[float, float]:
     """Where integrate_semi_infinite truncates (0, inf) for an integrand
-    decaying like x^2 exp(-decay_rate_hint * x): its nodes lie below this
-    point, or in the oscillatory-tail mode at most one half-period past it.
-    """
+    decaying like x^2 exp(-decay_rate_hint * x), x_max, and the span
+    x_max / half_period (0 without one).  The one Bessel-argument guard:
+    DomainError where x v = pi x / half_period overflows at the farthest
+    node, one half-period past x_max."""
     if not decay_rate_hint > 0:
         raise DomainError("decay_rate_hint must be positive")
     rate = decay_rate_hint
@@ -546,7 +567,17 @@ def _truncation_point(decay_rate_hint: float, tol: Tolerance) -> float:
     # absorb polynomial prefactors x^2 into the truncation point
     for _ in range(3):
         x_max = (log_inv_tol + 2.0 * math.log1p(x_max)) / rate + 10.0
-    return x_max
+    if half_period is None:
+        return x_max, 0.0
+    if not 0.0 < half_period < math.inf:
+        raise DomainError("half_period must be positive and finite")
+    span = x_max / half_period
+    if not (span + 1.0) * math.pi < math.inf:
+        raise DomainError(
+            f"the Bessel argument x v overflows at the quadrature's farthest "
+            f"node x = {x_max + half_period:.3g}: the half-period pi/v = "
+            f"{half_period!r} is too small")
+    return x_max, span
 
 
 def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
@@ -569,21 +600,24 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     exponential decay, and the remainder is integrated adaptively with
     per-panel Gauss-Kronrod error estimates.
 
-    half_period, when given, selects the oscillatory-tail mode, for an
-    integrand that oscillates with that half-period far from 0 (pi/v for a
-    factor J_n(x v)) and is smooth on its scale there.  The head [0, x0],
-    x0 four half-periods, is integrated adaptively as above, and the tail
-    one half-period at a time (two K15 panels each); Levin's u-transform
-    (Levin 1973, Int. J. Comput. Math. B3) extrapolates the tail's partial
-    sums, per component.  The error estimate is the larger of the last two
-    gaps between successive transforms plus the head's and the tail
-    panels' |K15 - G7|, against each component's
-    max(abs_tol, rel_tol * |I_i|); each step splits a head panel or adds a
-    tail panel, whichever part holds the larger error.  The cost then no
-    longer grows with the number of oscillations before exp(-rate x) damps
-    them.  When the head and four tail half-periods already reach the
-    truncation point, the plain adaptive pass runs instead; when the tail
-    reaches it, the plain partial sum is taken.
+    half_period only describes the integrand: it oscillates with that
+    half-period far from 0 (pi/v for a factor J_n(x v)) and is smooth on
+    its scale there.  The quadrature chooses its mode by one rule: when
+    the truncation point lies more than _TAIL_MIN_SPAN = 50 half-periods
+    out, it runs the oscillatory-tail mode, else the plain pass, which is
+    faster there.  The tail mode integrates the head [0, x0], x0 four
+    half-periods, adaptively and the tail one half-period at a time (two
+    K15 panels each); Levin's u-transform (Levin 1973, Int. J. Comput.
+    Math. B3) extrapolates the tail's partial sums, per component.  The
+    error estimate is the larger of the last two gaps between successive
+    transforms plus the head's and the tail panels' |K15 - G7|, against
+    each component's max(abs_tol, rel_tol * |I_i|); each step splits a head
+    panel or adds a tail panel, whichever part holds the larger error.  The
+    cost then no longer grows with the number of oscillations before
+    exp(-rate x) damps them; when the tail reaches the truncation point,
+    the plain partial sum is taken.  The one guard: DomainError where the
+    Bessel argument x v = pi x / half_period overflows at the farthest node
+    the pass can reach, one half-period past the truncation point.
 
     Raises ConvergenceError (carrying the best estimate and the achieved
     error, per component for a vector integrand) when the tolerance cannot
@@ -592,13 +626,9 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     it at once when a component's transforms have settled but the tail
     panels' summed error alone, which only grows, exceeds its target.
     """
-    x_max = _truncation_point(decay_rate_hint, tol)
-    if half_period is not None:
-        if not 0.0 < half_period < math.inf:
-            raise DomainError("half_period must be positive and finite")
-        x0 = _HEAD_HALF_PERIODS * half_period
-        if x0 + _MIN_TAIL_PANELS * half_period < x_max:
-            return _oscillatory_tail(integrand, x0, half_period, x_max, tol)
+    x_max, span = _truncation(decay_rate_hint, tol, half_period)
+    if span > _TAIL_MIN_SPAN:
+        return _oscillatory_tail(integrand, half_period, x_max, tol)
     return _adaptive(integrand, _seed_edges(x_max), tol)
 
 

@@ -4,10 +4,10 @@ Every analytic claim the kernels rest on is checked by computing both sides
 through independent code paths: quadratures of hyperbolic Bessel integrands
 on one side, the image-lattice moments S3 = sum rho^-3, S5 = sum rho^-5 and
 T5 = sum a rho^-5 on the other (xi = S3, with the exact derivatives
-d/dv xi = -3 v S5 and d/du xi = -3 T5).  Reports carry both error measures
-and the pass threshold that was applied; a numerical failure in any check
-becomes a failed report rather than aborting the run.  An aggregate run is
-deterministic given its seed.
+v d/dv xi = -3 v^2 S5 and v d/du xi = -3 v T5).  Reports carry both error
+measures and the pass threshold that was applied; a numerical failure in
+any check becomes a failed report rather than aborting the run.  An
+aggregate run is deterministic given its seed.
 
 Pass thresholds are pinned: each check reads its TOL_* constant and no
 argument moves it.  max_subdivisions, the quadratures' panel-split budget,
@@ -42,13 +42,14 @@ import numpy as np
 from .coulomb import Separation, kernel_e
 from .errors import ConvergenceError, DomainError
 from .geometry import CavityFrame
-from .radiation import (_axial_radius, _check_bessel_argument,
+from .radiation import (_anisotropy_summand, _axial_radius,
                         _hyperbolic_weights, _kernel_d_reference,
                         anisotropy_delta)
 from .specfun import (DEFAULT_TOL, ModeSumArgs, Tolerance,
                       _bessel_half_period, _bessel_j0_j1_sum, _jv,
-                      _lattice_moments, _quad_finite, direct_mode_sum,
-                      hyperbolic_mode_sum, integrate_semi_infinite, xi)
+                      _lattice_moments, _quad_finite, _truncation,
+                      direct_mode_sum, hyperbolic_mode_sum,
+                      integrate_semi_infinite, xi)
 
 __all__ = [
     "IdentityReport",
@@ -115,8 +116,9 @@ class VerifyConfig:
     (lipschitz_u only positive and finite), z/L in (0, 1), transverse v
     finite and >= 0, mode-sum entries as ModeSumArgs takes them, and
     aniso_lengths and aniso_cutoff as anisotropy_delta does.  A v of
-    v_grid or green_triples is also refused where the quadrature's Bessel
-    argument x v would overflow for the u it is paired with.
+    v_grid, lipschitz_v or green_triples is also refused where the
+    quadrature's Bessel argument x v would overflow for the u it is paired
+    with, by the quadrature's own guard.
     """
 
     seed: int = 42
@@ -179,16 +181,19 @@ class VerifyConfig:
                     raise DomainError(f"{name}: {exc}") from None
         for length in self.aniso_lengths:
             _axial_radius(CavityFrame(length), self.aniso_cutoff)
-        bessel_eng = _engine(TOL_EQ22, self.max_subdivisions)
-        green_eng = _engine(TOL_GREEN, self.max_subdivisions)
-        for name, v, rate, eng in (
-                [("v_grid", v, min(u, 2.0 - u), bessel_eng)
+        for name, tol, rate, v in (
+                [("v_grid", TOL_EQ22, min(u, 2.0 - u), v)
                  for u in self.u_grid for v in self.v_grid]
-                + [("green_triples", v, min(u, 2.0 - u, up, 2.0 - up),
-                    green_eng) for u, up, v in self.green_triples]):
-            refused = _bessel_overflow(v, rate, eng)
-            if refused is not None:
-                raise DomainError(f"{name}: {refused}")
+                + [("lipschitz_v", TOL_LIPSCHITZ, u, v)
+                   for u in self.lipschitz_u for v in self.lipschitz_v]
+                + [("green_triples", TOL_GREEN,
+                    min(u, 2.0 - u, up, 2.0 - up), v)
+                   for u, up, v in self.green_triples]):
+            try:
+                _truncation(rate, _engine(tol, self.max_subdivisions),
+                            _bessel_half_period(v))
+            except DomainError as exc:
+                raise DomainError(f"{name}: {exc}") from None
 
 
 def _engine(tol: Tolerance, max_subdivisions: int) -> Tolerance:
@@ -238,30 +243,18 @@ def _failed_report(check_id: str, params: dict, tol: Tolerance,
                           passed=False, tol_used=tol)
 
 
-def _bessel_overflow(v: float, rate: float,
-                     tol: Tolerance) -> DomainError | None:
-    """The DomainError of radiation._check_bessel_argument when the Bessel
-    argument x v overflows at the quadrature's nodes, else None.  A rate
-    <= 0 (u outside the cavity) is left to the quadrature to refuse."""
-    if rate > 0:
-        try:
-            _check_bessel_argument(v, rate, tol)
-        except DomainError as exc:
-            return exc
-    return None
-
-
 def _checked(check_id: str, params: dict, tol: Tolerance,
              sides: Callable, *args) -> IdentityReport:
     """Report check_id on sides(*args) -> (lhs, rhs) or (lhs, rhs, scale).
 
-    The one failure path of the suite: a ConvergenceError raised while
-    computing the sides becomes a failed report, so a numerical failure
-    never aborts a verification run.
+    The one failure path of the suite: a ConvergenceError or DomainError
+    raised while computing the sides becomes a failed report, so a
+    numerical failure, such as a quadrature that runs out of panel splits
+    or whose Bessel argument overflows, never aborts a verification run.
     """
     try:
         lhs, rhs, *scale = sides(*args)
-    except ConvergenceError as exc:
+    except (ConvergenceError, DomainError) as exc:
         return _failed_report(check_id, params, tol, exc)
     return _report(check_id, dict(params), lhs, rhs, tol, *scale)
 
@@ -292,32 +285,26 @@ def check_bessel_hyperbolic(u: float, v: float, *,
                             ) -> list[IdentityReport]:
     """Check the four hyperbolic-integral identities at one (u, v).
 
-    The integral sides are the four rows of one quadrature pass (in its
-    oscillatory-tail mode when v > 0), so J0, J1 and the hyperbolic ratios
-    are evaluated once per node; J2 enters only through the identity
-    J0 + J2 = 2 J1(xv)/(xv), and J0 - J2 is 2 J0 - (J0 + J2).  The lattice
-    sides go through the lattice moments, xi = S3 with the exact
-    derivatives d/dv xi = -3 v S5 and d/du xi = -3 T5, so the two routes
-    share no code.  Thresholds are pinned, TOL_DERIV (100x looser
-    relative) for the two derivative identities and TOL_EQ22 for the
-    others; every row meets the engine tolerance of TOL_EQ22, and
-    max_subdivisions caps only the quadrature effort.  A quadrature that
+    The integral sides are the four rows of one quadrature pass, so J0, J1
+    and the hyperbolic ratios are evaluated once per node; J2 enters only
+    through the identity J0 + J2 = 2 J1(xv)/(xv), and J0 - J2 is
+    2 J0 - (J0 + J2).  The lattice sides go through the lattice moments,
+    xi = S3 with the exact derivatives v d/dv xi = -3 v^2 S5 and
+    v d/du xi = -3 v T5, so the two routes share no code.  Thresholds are
+    pinned, TOL_DERIV (100x looser relative) for the two derivative
+    identities and TOL_EQ22 for the others; every row meets the engine
+    tolerance of TOL_EQ22, and max_subdivisions caps only the quadrature
+    effort.  A quadrature that
     runs out of panel splits fails all four rows, and so does a v at which
     the Bessel argument x v overflows at the quadrature's nodes.
     """
     eng = _engine(TOL_EQ22, max_subdivisions)
     params = {"u": u, "v": v}
-    refused = _bessel_overflow(v, min(u, 2.0 - u), eng)
-    if refused is not None:
-        return [_failed_report(check_id, params, tol, refused)
-                for check_id, tol in (("EQ22", TOL_EQ22),
-                                      ("EQ29_PLUS", TOL_EQ22),
-                                      ("EQ29_MINUS", TOL_DERIV),
-                                      ("EQ30", TOL_DERIV))]
     # xi by its module-level name, which lets a test substitute a shifted xi
-    # (as for SELF_CANCEL); the derivative sides take S5 and T5 directly
+    # (as for SELF_CANCEL); the derivative sides take v^2 S5 and v T5
+    # directly
     s3 = xi(u, v)
-    _, s5, t5 = _lattice_moments(u, v)
+    _, v2s5, vt5 = _lattice_moments(u, v)
 
     def rows(x):
         j0, j1, j02 = _bessel_j0_j1_sum(x * v)
@@ -329,23 +316,22 @@ def check_bessel_hyperbolic(u: float, v: float, *,
     try:
         lhs = integrate_semi_infinite(rows, min(u, 2.0 - u), eng,
                                       half_period=_bessel_half_period(v))
-    except ConvergenceError as exc:
+    except (ConvergenceError, DomainError) as exc:
         lhs = exc
 
     def sides(row, rhs):
-        if isinstance(lhs, ConvergenceError):
+        if isinstance(lhs, Exception):
             raise lhs
         return lhs[row], rhs
 
     return [
         _checked("EQ22", params, TOL_EQ22, sides, 0, v * s3),
         _checked("EQ29_PLUS", params, TOL_EQ22, sides, 1, 2.0 * s3),
-        # (2 + 2 v d/dv) xi; v s5 first, since v v overflows where s5
-        # underflows
+        # (2 + 2 v d/dv) xi
         _checked("EQ29_MINUS", params, TOL_DERIV, sides, 2,
-                 2.0 * s3 - 6.0 * v * (v * s5)),
+                 2.0 * s3 - 6.0 * v2s5),
         # v d/du xi
-        _checked("EQ30", params, TOL_DERIV, sides, 3, -3.0 * v * t5),
+        _checked("EQ30", params, TOL_DERIV, sides, 3, -3.0 * vt5),
     ]
 
 
@@ -420,10 +406,10 @@ def check_lipschitz(u: float, v: float, *,
                     max_subdivisions: int = _BUDGET) -> list[IdentityReport]:
     """Laplace-Bessel integrals against their closed inverse-distance forms.
 
-    The integrands decay only like e^{-xu}.  For v > 0 the quadrature runs
-    in its oscillatory-tail mode, so the cost does not grow with the
-    number of oscillations of J(xv) before the decay: at u = 1e-4 or 1e-3
-    both identities hold in a few ms.  The threshold is pinned
+    The integrands decay only like e^{-xu}.  Where J(xv) oscillates many
+    times before that decay the quadrature takes its oscillatory-tail mode,
+    so the cost does not grow with the number of oscillations: at u = 1e-4
+    or 1e-3 both identities hold in a few ms.  The threshold is pinned
     (TOL_LIPSCHITZ); max_subdivisions caps only the quadrature effort.
     """
     eng = _engine(TOL_LIPSCHITZ, max_subdivisions)
@@ -472,24 +458,19 @@ def check_green(u: float, u_prime: float, v: float, *,
     """Two-plane Green's-function identity.
 
     The image sum (paired, since single terms diverge) against the
-    difference-of-cosh-ratios integral, in the quadrature's
-    oscillatory-tail mode for v > 0.  The threshold is pinned
+    difference-of-cosh-ratios integral.  The threshold is pinned
     (TOL_GREEN); max_subdivisions caps only the quadrature effort.  The
     report fails at a v where the Bessel argument x v overflows at the
     quadrature's nodes.
     """
     eng = _engine(TOL_GREEN, max_subdivisions)
-    rate = min(u, 2.0 - u, u_prime, 2.0 - u_prime)
-    params = {"u": u, "u_prime": u_prime, "v": v}
-    refused = _bessel_overflow(v, rate, eng)
-    if refused is not None:
-        return _failed_report("EQ36", params, TOL_GREEN, refused)
-    return _checked("EQ36", params, TOL_GREEN,
+    return _checked("EQ36", {"u": u, "u_prime": u_prime, "v": v}, TOL_GREEN,
                     lambda: (_paired_inverse_distance_sum(u, u_prime, v),
                              integrate_semi_infinite(
                                  lambda x: _cosh_ratio_diff(x, u, u_prime)
-                                 * _jv(0, x * v), rate, eng,
-                                 half_period=_bessel_half_period(v))))
+                                 * _jv(0, x * v),
+                                 min(u, 2.0 - u, u_prime, 2.0 - u_prime),
+                                 eng, half_period=_bessel_half_period(v))))
 
 
 def check_axial_and_aniso(rho_z_samples: Sequence[float],
@@ -513,11 +494,15 @@ def check_axial_and_aniso(rho_z_samples: Sequence[float],
     reports = [_checked("AXIAL20", {"u": u, "entry": "xz/zx"}, TOL_AXIAL,
                         axial, u) for u in rho_z_samples]
 
-    # continuum surrogate: the angular integral that kills the anisotropy
+    # continuum limit: anisotropy_delta's own summand, integrated over the
+    # axial index n in [0, R] instead of summed, vanishes at any cutoff; in
+    # t = n/R and over R^3, its scale, the integrand is of order 1 at any R
+    radius = cutoff / math.pi
     reports.append(_checked(
         "ANISO38", {"form": "continuum_angular_integral"}, TOL_CONTINUUM,
-        lambda: (_quad_finite(lambda t: 3.0 * t * t - 1.0, -1.0, 1.0, eng),
-                 0.0)))
+        lambda: (_quad_finite(
+            lambda t: _anisotropy_summand(radius * t, radius) / radius ** 2,
+            0.0, 1.0, eng), 0.0)))
 
     if len(L_samples) >= 2:
         params = {"form": "decay", "cutoff": cutoff,

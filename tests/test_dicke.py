@@ -186,31 +186,56 @@ def test_dimension_guard():
         ground_state(DickeParams(n_atoms=200, fock_cutoff=200))
 
 
-@pytest.mark.parametrize("n_atoms, cutoff", [
-    (100, 150),  # dimension 15251: took about 16 s per coupling
-    (199, 99),   # dimension 20000
-])
-def test_solver_guard_bounds_work_not_dimension(n_atoms, cutoff,
-                                                monkeypatch):
+def _refused_before_building(p, monkeypatch, match):
     def never(*args, **kwargs):
         raise AssertionError("the solve started")
     monkeypatch.setattr(dicke, "_elements", never)
     monkeypatch.setattr(dicke, "dpbtrf", never)
+    with pytest.raises(DomainError, match=match):
+        ground_state(p)
+    with pytest.raises(DomainError, match=match):
+        spectrum_scan(p, [1.0])
+
+
+@pytest.mark.parametrize("n_atoms, cutoff", [
+    (399, 49),   # dimension 20000, half-bandwidth 201: 6.0e9 flops
+    (999, 19),   # dimension 20000, half-bandwidth 501: 3.1e10 flops
+])
+def test_solver_guard_bounds_work_not_dimension(n_atoms, cutoff,
+                                                monkeypatch):
     p = DickeParams(y=1.0, n_atoms=n_atoms, fock_cutoff=cutoff)
     assert p.dimension <= dicke.MAX_DIMENSION
-    with pytest.raises(DomainError):
-        ground_state(p)
-    with pytest.raises(DomainError):
-        spectrum_scan(p, [1.0])
+    _refused_before_building(p, monkeypatch, "flops")
+
+
+def test_solver_guard_bounds_the_lanczos_basis(monkeypatch):
+    # tridiagonal blocks of 70001 states: 1.0e9 flops, within the work
+    # bound, but 2 x 60 basis vectors of 70001 doubles
+    p = DickeParams(y=1.0, n_atoms=1, fock_cutoff=70000)
+    _refused_before_building(p, monkeypatch, "Lanczos basis")
 
 
 @pytest.mark.parametrize("n_atoms, cutoff", [
     (8, 60), (16, 100),                  # CLI default, bench large size
     (32, 120), (64, 30), (40, 150), (16, 160),
     (1, 4000), (1, 9999),                # tridiagonal blocks
+    # refused by the earlier bound, block size squared times
+    # half-bandwidth; each solves in 0.1-0.45 s per coupling
+    (100, 150), (199, 99), (64, 1000),
 ])
 def test_solver_guard_admits_used_sizes(n_atoms, cutoff):
     dicke._check_solver_work(DickeParams(n_atoms=n_atoms, fock_cutoff=cutoff))
+
+
+def test_ground_state_at_n100_cutoff150():
+    # a size the guard admits since it bounds the solver's own flops: the
+    # exact energy lies below the mean-field (product-state) energy and
+    # within 1e-3 of it
+    p = DickeParams(y=1.5, n_atoms=100, fock_cutoff=150)
+    result = ground_state(p)
+    bound = p.n_atoms * mean_field(p).energy_per_atom
+    assert result.cutoff_converged
+    assert bound * (1.0 + 1e-3) < result.energy < bound
 
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 7, 8, 16, 33])

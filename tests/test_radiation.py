@@ -128,7 +128,8 @@ def test_reference_route_never_touches_the_lattice(monkeypatch):
                          (coulomb, "_lattice_moments"), (coulomb, "xi"),
                          (coulomb, "kernel_e"), (coulomb, "_e_plus_base")):
         monkeypatch.setattr(module, name, forbidden)
-    # both separations take the oscillatory tail, the second next to a
+    # both separations span more than _TAIL_MIN_SPAN half-periods (about
+    # 110 and 42000) and take the oscillatory tail, the second next to a
     # mirror
     levin = specfun._levin_u
     levin_calls = []
@@ -138,7 +139,7 @@ def test_reference_route_never_touches_the_lattice(monkeypatch):
         return levin(*args)
 
     monkeypatch.setattr(specfun, "_levin_u", levin_u)
-    for sep in (Separation(0.6, 1.1, 0.2), Separation(1e-3, 3.0, 0.2)):
+    for sep in (Separation(0.3, 3.0, 0.2), Separation(1e-3, 3.0, 0.2)):
         levin_calls.clear()
         for sign in ("plus", "minus"):
             _kernel_d_reference(sign, sep)
@@ -245,6 +246,18 @@ def test_huge_v_gives_finite_entries_or_domain_error(v, kernel, sign):
             assert kernel is not kernel_e
             return
     assert np.all(np.isfinite(m))
+
+
+@pytest.mark.parametrize("v", [30.0, 1e3, 1e4, 1e5])
+@pytest.mark.parametrize("u", [1e-3, 0.3, 1.0, 1.999])
+def test_kernel_d_at_large_v(u, v):
+    # J(xv) oscillates thousands of times before e^{-2x} damps the
+    # remainder, so the quadrature takes its tail mode; the plain pass took
+    # 100-135 ms at v = 1e3 and ran out of panel splits at v = 1e4
+    sep = Separation(u, v, 0.4)
+    d = kernel_d("plus", sep).m
+    assert np.all(np.isfinite(d))
+    assert np.abs(d + 2.0 * math.pi * kernel_e("plus", sep).m).max() < 1e-10
 
 
 def test_huge_v_refusal_names_the_bessel_argument():

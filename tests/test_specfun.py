@@ -13,10 +13,12 @@ from scipy import special
 from fpcavity import (ConvergenceError, DomainError, ModeSumArgs, Tolerance,
                       apery_zeta3, bessel_j, direct_mode_sum,
                       hyperbolic_mode_sum, integrate_semi_infinite, xi)
+from fpcavity import specfun
 from fpcavity.specfun import (_BLOCK, _CHUNK, _G7_IDX, _G7_WEIGHTS,
                               _HEAD_HALF_PERIODS, _K15_NODES, _K15_WEIGHTS,
-                              _bessel_j0_j1_sum, _jv, _lattice_moments,
-                              _quad_finite, _subdivide)
+                              _TAIL_MIN_SPAN, _bessel_j0_j1_sum, _jv,
+                              _lattice_moments, _quad_finite, _subdivide,
+                              _truncation)
 
 TIGHT = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=4000)
 
@@ -268,14 +270,25 @@ def _mp_moments(u, v):
                 float(pos + neg), float(pos - neg))
 
 
+@pytest.mark.parametrize("v", [1e80, 1e100, 1e150])
+def test_scaled_lattice_moments_at_huge_v(v):
+    # S5 alone underflows from v ~ 1e77; v^2 S5 -> 2/(3 v^2) and S3 -> 1/v^2
+    # as the lattice turns into a sheet, and v T5 vanishes exponentially
+    s3, v2s5, vt5 = _lattice_moments(0.5, v)
+    assert s3 == pytest.approx(v ** -2, rel=1e-13)
+    assert v2s5 == pytest.approx(2.0 / 3.0 * v ** -2, rel=1e-13)
+    assert vt5 == 0.0
+
+
 def test_lattice_moments_against_mpmath():
+    # the moments come scaled: v^2 S5 and v T5
     for u in (1e-3, 0.3, 1.0, 1.5, 1.999):
         for v in (0.0, 0.5, 1.0, 4.0):
-            s3, s5, t5 = _lattice_moments(u, v)
+            s3, v2s5, vt5 = _lattice_moments(u, v)
             r3, r5, rt, t_scale = _mp_moments(u, v)
             assert abs(s3 - r3) <= 1e-13 * r3, (u, v)
-            assert abs(s5 - r5) <= 1e-13 * r5, (u, v)
-            assert abs(t5 - rt) <= 1e-13 * t_scale, (u, v)
+            assert abs(v2s5 - v * v * r5) <= 1e-13 * v * v * r5, (u, v)
+            assert abs(vt5 - v * rt) <= 1e-13 * v * t_scale, (u, v)
 
 
 def test_xi_against_poisson_bessel_k1_series():
@@ -498,12 +511,53 @@ def test_quadrature_tail_mode_stops_below_the_rounding_floor():
 
 
 def test_quadrature_tail_mode_falls_back_to_plain_pass():
-    # at v = 0.25 four head and four tail half-periods reach past the
-    # truncation point (about 80 at rate 0.5): the plain pass runs, bit for
-    # bit
+    # at v = 0.25 the truncation point (about 80 at rate 0.5) lies about 6
+    # half-periods out, far below _TAIL_MIN_SPAN: the plain pass runs, bit
+    # for bit
     f = lambda x: x * np.exp(-0.5 * x) * special.jv(1, 0.25 * x)
     assert integrate_semi_infinite(f, 0.5, TIGHT, half_period=4.0 * math.pi) \
         == integrate_semi_infinite(f, 0.5, TIGHT)
+
+
+@pytest.mark.parametrize("span", [0.999 * _TAIL_MIN_SPAN,
+                                  1.001 * _TAIL_MIN_SPAN])
+def test_quadrature_chooses_its_mode_by_the_span(span, monkeypatch):
+    # x e^{-x/2} J1(xv) with the half-period that puts the truncation point
+    # just below or just above _TAIL_MIN_SPAN half-periods out
+    x_max, _ = _truncation(0.5, TIGHT, None)
+    h = x_max / span
+    v = math.pi / h
+    assert _truncation(0.5, TIGHT, h) == (x_max, pytest.approx(span))
+    levin = specfun._levin_u
+    levin_calls = []
+
+    def levin_u(*args):
+        levin_calls.append(args)
+        return levin(*args)
+
+    monkeypatch.setattr(specfun, "_levin_u", levin_u)
+    f = lambda x: x * np.exp(-0.5 * x) * special.jv(1, v * x)
+    got = integrate_semi_infinite(f, 0.5, TIGHT, half_period=h)
+    assert got == pytest.approx(v * (0.25 + v * v) ** -1.5, rel=1e-11)
+    if span < _TAIL_MIN_SPAN:
+        assert not levin_calls
+        assert got == integrate_semi_infinite(f, 0.5, TIGHT)
+    else:
+        assert levin_calls
+
+
+def test_quadrature_refuses_an_overflowing_bessel_argument():
+    # the one Bessel-argument guard: x v = pi x / half_period overflows at
+    # the farthest node, one half-period past the truncation point (about
+    # 22 at rate 2); int e^{-2x} J0(xv) dx = 1/sqrt(4 + v^2)
+    for v in (1e306, 1e308):
+        f = lambda x: np.exp(-2.0 * x) * special.j0(v * x)
+        if v > 1e307:
+            with pytest.raises(DomainError, match="x v overflows"):
+                integrate_semi_infinite(f, 2.0, half_period=math.pi / v)
+        else:
+            assert integrate_semi_infinite(f, 2.0, half_period=math.pi / v) \
+                == pytest.approx(1.0 / v, rel=1e-8)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])

@@ -210,6 +210,37 @@ def test_green_reflection_and_swap():
     assert c.lhs == pytest.approx(-a.lhs, rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize("v", [1e80, 1e100, 1e150])
+def test_derivative_identity_at_huge_v(v):
+    # S5 alone underflows from v ~ 1e77: EQ29_MINUS's lattice side lost its
+    # v^2 S5 term there and took the wrong sign, passing only on abs_tol.
+    # The scaled moment keeps both sides at -2/v^2
+    eq29_minus = check_bessel_hyperbolic(0.5, v)[2]
+    assert eq29_minus.check_id == "EQ29_MINUS"
+    assert eq29_minus.rhs == pytest.approx(-2.0 / v ** 2, rel=1e-12)
+    assert eq29_minus.rel_err <= 1e-6
+
+
+@pytest.mark.parametrize("cutoff", [0.5, math.pi, 1e3, math.pi * 1e6])
+def test_continuum_row_integrates_the_anisotropy_summand(cutoff,
+                                                         monkeypatch):
+    # the row integrates anisotropy_delta's own summand over the axial
+    # index: it passes at any cutoff, and fails once the 3 of the summand
+    # becomes 2.999
+    def row():
+        return check_axial_and_aniso([], [1.0, 2.0], cutoff)[0]
+
+    assert row().params == {"form": "continuum_angular_integral"}
+    assert row().passed
+
+    def mutated(n, radius):
+        x2 = (radius - n) * (radius + n)
+        return 2.999 * (n * n * np.log1p(x2 / (n * n))) - x2
+
+    monkeypatch.setattr(verify, "_anisotropy_summand", mutated)
+    assert not row().passed
+
+
 def test_axial_and_aniso_structure():
     reports = check_axial_and_aniso([0.7], [1.0, 2.0, 4.0, 8.0], math.pi)
     ids = [r.check_id for r in reports]
@@ -381,6 +412,7 @@ def test_verify_config_rejects_bad_anisotropy_grid(field, bad):
     ("modesum_n_max", 0), ("n_random_separations", -1),
     # the Bessel argument x v overflows at the quadrature's nodes
     ("v_grid", (1e308,)), ("green_triples", ((0.5, 1.0, 1e308),)),
+    ("lipschitz_v", (1e308,)),
 ])
 def test_verify_config_rejects_bad_grid_entries(field, bad):
     # refused at construction, naming the field: a bad grid entry used to
