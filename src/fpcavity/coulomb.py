@@ -94,7 +94,9 @@ def _e_plus_base(u: float, v: float) -> np.ndarray:
     s3, v2s5, vt5 = _lattice_moments(u, v)
     xx = s3 - 3.0 * v2s5
     zz = 3.0 * v2s5 - 2.0 * s3
-    xz = -3.0 * vt5
+    # + 0.0 turns the -0.0 on the axis (vt5 = +0.0 at v = 0) into the +0.0
+    # kernel_d gives there, and leaves every other value as it is
+    xz = -3.0 * vt5 + 0.0
     return np.array([[xx, 0.0, xz], [0.0, s3, 0.0], [xz, 0.0, zz]])
 
 

@@ -213,9 +213,10 @@ def _elements(p: DickeParams):
 
     m is the spin index 0..N (S_z = m - N/2) and n the photon number
     0..cutoff.  Returns (m, n, value) arrays of the diagonal, over the
-    states in photon-major order n (N + 1) + m, and (m1, n1, m2, n2, value)
-    arrays of the couplings, each unordered pair of states once:
-    S_x (a + a') links |m, n> to |m + 1, n +- 1>.
+    states in photon-major order n (N + 1) + m, and (m1, n1, m2, n2,
+    strength) arrays of the couplings, each unordered pair of states once,
+    whose values are y/sqrt(N) times strength (_coupling_values): S_x
+    (a + a') links |m, n> to |m + 1, n +- 1>.
     """
     s = 0.5 * p.n_atoms
     n, m = np.divmod(np.arange(p.dimension), p.n_atoms + 1)
@@ -224,19 +225,25 @@ def _elements(p: DickeParams):
     # <m+1| S_x |m> = sqrt(s(s+1) - mz(mz+1)) / 2, <j+1| a' |j> = sqrt(j+1)
     sx = 0.5 * np.sqrt(s * (s + 1) - mz * (mz + 1))
     k, j = np.divmod(np.arange(p.n_atoms * p.fock_cutoff), p.fock_cutoff)
-    c = (p.y / math.sqrt(p.n_atoms)) * (sx[k] * np.sqrt(j + 1.0))
-    # |k, j> - |k+1, j+1> and |k, j+1> - |k+1, j>, both of strength c
+    strength = sx[k] * np.sqrt(j + 1.0)
+    # |k, j> - |k+1, j+1> and |k, j+1> - |k+1, j>, both of one strength
     couplings = (np.concatenate([k, k]), np.concatenate([j, j + 1]),
                  np.concatenate([k + 1, k + 1]), np.concatenate([j + 1, j]),
-                 np.concatenate([c, c]))
+                 np.concatenate([strength, strength]))
     return (m, n, diag), couplings
+
+
+def _coupling_values(p: DickeParams, strength: np.ndarray) -> np.ndarray:
+    """The matrix elements of the couplings of _elements at p.y."""
+    return (p.y / math.sqrt(p.n_atoms)) * strength
 
 
 def build_hamiltonian(p: DickeParams) -> np.ndarray:
     """Dense real symmetric Hamiltonian in the |m> x |n_phot> product basis,
     index m (cutoff + 1) + n."""
     _check_dimension(p)
-    (m, n, diag), (m1, n1, m2, n2, c) = _elements(p)
+    (m, n, diag), (m1, n1, m2, n2, strength) = _elements(p)
+    c = _coupling_values(p, strength)
     dim_b = p.fock_cutoff + 1
     h = np.zeros((p.dimension, p.dimension))
     i = m * dim_b + n
@@ -255,6 +262,21 @@ def parity_diagonal(p: DickeParams) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _BlockLayout:
+    """One parity block's band storage but for the coupling values, which
+    alone depend on y: the band with the diagonal in row 0 and zeros
+    elsewhere, the place ab[width, lo] and strength of each coupling, and
+    the spin index and photon number of each state."""
+
+    band: np.ndarray
+    width: np.ndarray
+    lo: np.ndarray
+    strength: np.ndarray
+    m: np.ndarray
+    n: np.ndarray
+
+
+@dataclass(frozen=True)
 class _Block:
     """One parity block in lower band storage, ab[d, i] = H[i + d, i], with
     the spin index and photon number of each of its states."""
@@ -269,16 +291,16 @@ class _Block:
     norm: float
 
 
-def _solve_blocks(p: DickeParams) -> list[_Block]:
-    """The even and the odd parity block, with their two lowest eigenvalues
-    and ground vectors.
+def _block_layouts(p: DickeParams) -> list[_BlockLayout]:
+    """The layouts of the even and the odd parity block, which depend on
+    everything in p but the coupling y.
 
     A block lists its states photon-major, by n (N + 1) + m.  H then links
     only neighbouring photon numbers, so each block is banded with a
     half-bandwidth of about N/2, whatever the cutoff.
     """
     _check_solver_work(p)
-    (m, n, diag), (m1, n1, m2, n2, c) = _elements(p)
+    (m, n, diag), (m1, n1, m2, n2, strength) = _elements(p)
     dim_s = p.n_atoms + 1
     parity = (m + n) % 2
     # position of each state in its block, by photon-major index
@@ -288,17 +310,31 @@ def _solve_blocks(p: DickeParams) -> list[_Block]:
     i1, i2 = pos[n1 * dim_s + m1], pos[n2 * dim_s + m2]
     # a coupling changes m + n by 0 or 2, so it stays inside its block
     link_parity = (m1 + n1) % 2
-    blocks = []
+    layouts = []
     for b in (0, 1):
         on, link = parity == b, link_parity == b
-        lo = np.minimum(i1[link], i2[link])
         width = np.abs(i1[link] - i2[link])
-        ab = np.zeros((int(width.max()) + 1, np.count_nonzero(on)))
-        ab[0] = diag[on]
-        ab[width, lo] = c[link]
+        band = np.zeros((int(width.max()) + 1, np.count_nonzero(on)))
+        band[0] = diag[on]
+        layouts.append(_BlockLayout(
+            band=band, width=width, lo=np.minimum(i1[link], i2[link]),
+            strength=strength[link], m=m[on], n=n[on]))
+    return layouts
+
+
+def _solve_blocks(p: DickeParams,
+                  layouts: list[_BlockLayout] | None = None) -> list[_Block]:
+    """The even and the odd parity block at p.y, with their two lowest
+    eigenvalues and ground vectors: the coupling values filled into the
+    layouts, which spectrum_scan builds once for all its couplings and
+    which are built from p when not given."""
+    blocks = []
+    for layout in layouts or _block_layouts(p):
+        ab = layout.band.copy()
+        ab[layout.width, layout.lo] = _coupling_values(p, layout.strength)
         # every block holds at least two states: N >= 1 and cutoff >= 1
         lowest, ground, norm = _lowest_pair(ab)
-        blocks.append(_Block(ab=ab, m=m[on], n=n[on], lowest=lowest,
+        blocks.append(_Block(ab=ab, m=layout.m, n=layout.n, lowest=lowest,
                              ground=ground, norm=norm))
     return blocks
 
@@ -418,8 +454,9 @@ def _ritz_pairs(basis: np.ndarray, h_basis: np.ndarray):
     return energies, vectors, np.linalg.norm(residual, axis=1)
 
 
-def _ground_observables(p: DickeParams):
-    even, odd = _solve_blocks(p)
+def _ground_observables(p: DickeParams,
+                        layouts: list[_BlockLayout] | None = None):
+    even, odd = _solve_blocks(p, layouts)
     e_even, e_odd = float(even.lowest[0]), float(odd.lowest[0])
     # Block minima closer than the rounding of their Rayleigh-Ritz values,
     # a few eps |H| from the banded products and the small dense
@@ -488,16 +525,21 @@ def mean_field(p: DickeParams) -> MeanFieldResult:
 
 
 def spectrum_scan(p: DickeParams, y_grid: Sequence[float]) -> list[ScanRow]:
-    """Ground-state observables and first gap along a coupling grid."""
+    """Ground-state observables and first gap along a coupling grid.
+
+    The parity blocks' layout is built once; each coupling fills in only
+    its coupling values.
+    """
     if len(y_grid) == 0:
         raise DomainError("y_grid must be non-empty")
+    layouts = _block_layouts(p)
     rows = []
     for y in y_grid:
         if y < 0:
             raise DomainError("couplings must be non-negative")
         py = DickeParams(p.omega_a, p.omega_c, float(y), p.n_atoms,
                          p.fock_cutoff)
-        energy, photon, _, parity, gap, _ = _ground_observables(py)
+        energy, photon, _, parity, gap, _ = _ground_observables(py, layouts)
         rows.append(ScanRow(y=float(y), energy=energy, photon_number=photon,
                             gap=gap, parity=parity))
     return rows

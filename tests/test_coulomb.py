@@ -68,6 +68,15 @@ def test_axial_isotropy():
     assert mat[0, 2] == 0.0 and mat[2, 0] == 0.0
 
 
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("u", [0.3, 1.0, 1.7])
+def test_axial_xz_entries_are_positive_zero(sign, u):
+    # on the axis the xz/zx entries are +0.0, as kernel_d gives them, so
+    # the CLI prints 0 and not -0 for both families
+    mat = kernel_e(sign, Separation(u, 0.0)).m
+    assert not np.signbit(mat[0, 2]) and not np.signbit(mat[2, 0])
+
+
 def test_kernel_is_traceless_and_symmetric():
     mat = kernel_e("plus", Separation(0.8, 1.7, 0.3)).m
     assert abs(np.trace(mat)) < 1e-11

@@ -148,9 +148,9 @@ def test_ground_state_solves_once(monkeypatch):
     calls = []
     solve = dicke._solve_blocks
 
-    def counted(p):
+    def counted(p, layouts=None):
         calls.append(p)
-        return solve(p)
+        return solve(p, layouts)
     monkeypatch.setattr(dicke, "_solve_blocks", counted)
     p = DickeParams(y=2.0, n_atoms=8, fock_cutoff=60)
     assert ground_state(p).cutoff_converged

@@ -16,6 +16,7 @@ from fpcavity import (ConvergenceError, DomainError, ModeSumArgs, Tolerance,
 from fpcavity import specfun
 from fpcavity.specfun import (_BLOCK, _CHUNK, _G7_IDX, _G7_WEIGHTS,
                               _HEAD_HALF_PERIODS, _K15_NODES, _K15_WEIGHTS,
+                              _MIN_TAIL_PANELS,
                               _TAIL_MIN_SPAN, _bessel_j0_j1_sum, _jv,
                               _lattice_moments, _quad_finite, _subdivide,
                               _truncation)
@@ -575,6 +576,14 @@ def _panel_nodes(a, b):
     return 0.5 * (a + b) + 0.5 * (b - a) * _K15_NODES
 
 
+def _panel_rule(f, a, b):
+    """K15 and |K15 - G7| (per component) of the one panel [a, b]."""
+    y = np.asarray(f(_panel_nodes(a, b)), dtype=float)
+    half = 0.5 * (b - a)
+    k15 = half * (y @ _K15_WEIGHTS)
+    return k15, np.abs(k15 - half * (y[..., _G7_IDX] @ _G7_WEIGHTS))
+
+
 def _per_panel_nodes(f, edges, steps):
     """The nodes, panel after panel, that a subdivision evaluating one panel
     per call of f visits over `steps` splits: the seed panels in order, then
@@ -583,13 +592,8 @@ def _per_panel_nodes(f, edges, steps):
     visited = []
 
     def panel(a, b):
-        x = _panel_nodes(a, b)
-        visited.append(x)
-        y = np.asarray(f(x), dtype=float)
-        half = 0.5 * (b - a)
-        k15 = half * (y @ _K15_WEIGHTS)
-        g7 = half * (y[..., _G7_IDX] @ _G7_WEIGHTS)
-        return float(np.max(np.abs(k15 - g7)))
+        visited.append(_panel_nodes(a, b))
+        return float(np.max(_panel_rule(f, a, b)[1]))
 
     order = itertools.count()
     heap = [(-panel(a, b), a, b, next(order))
@@ -631,6 +635,41 @@ def test_subdivision_calls_the_integrand_once_per_step(f):
                           np.concatenate(_per_panel_nodes(f, edges, 20)))
 
 
+def _split_to_target_nodes(f, edges, tol):
+    """The nodes, call after call, of a scalar subdivision that evaluates
+    each panel on its own: the seed panels in one call, then per step the
+    panels with the largest |K15 - G7|, taken worst first until the error
+    left in the others is within max(abs_tol, rel_tol |total|) (at most
+    the splits left in the budget), both halves of each in turn."""
+    order = itertools.count()
+    calls, heap = [], []
+
+    def panels(bounds):
+        calls.append(np.concatenate([_panel_nodes(a, b) for a, b in bounds]))
+        for a, b in bounds:
+            k15, e = _panel_rule(f, a, b)
+            heapq.heappush(heap, (-e, a, b, next(order), k15))
+
+    panels(list(zip(edges[:-1], edges[1:])))
+    splits = 0
+    while True:
+        total = sum(p[4] for p in heap)
+        err = sum(-p[0] for p in heap)
+        target = max(tol.abs_tol, tol.rel_tol * abs(total))
+        if err <= target or splits >= tol.max_subdivisions:
+            return calls
+        taken = [heapq.heappop(heap)]
+        while (len(taken) < tol.max_subdivisions - splits
+               and err + sum(p[0] for p in taken) > target):
+            taken.append(heapq.heappop(heap))
+        splits += len(taken)
+        halves = []
+        for _, a, b, _, _ in taken:
+            mid = 0.5 * (a + b)
+            halves += [(a, mid), (mid, b)]
+        panels(halves)
+
+
 def test_quad_finite_calls_the_integrand_once_per_step():
     # a peak of width 0.03 at 0.1: the seed panels alone do not resolve it
     f = lambda t: 1.0 / (9e-4 + (t - 0.1) ** 2)  # noqa: E731
@@ -638,39 +677,157 @@ def test_quad_finite_calls_the_integrand_once_per_step():
     got = _quad_finite(g, -1.0, 1.0, TIGHT)
     want = (math.atan(0.9 / 0.03) + math.atan(1.1 / 0.03)) / 0.03
     assert got == pytest.approx(want, rel=1e-12)
-    # the eight seed panels in one call, then one call per split
+    # the eight seed panels in one call, then one call per step, holding
+    # both halves of each panel the step splits, worst panel first
     assert len(calls[0]) == 8 * 15 and len(calls) > 1
-    assert all(len(x) == 30 for x in calls[1:])
+    assert all(len(x) % 30 == 0 for x in calls[1:])
+    assert max(len(x) for x in calls[1:]) > 30
     edges = list(np.linspace(-1.0, 1.0, 9))
-    assert np.array_equal(
-        np.concatenate(calls),
-        np.concatenate(_per_panel_nodes(f, edges, len(calls) - 1)))
+    want_calls = _split_to_target_nodes(f, edges, TIGHT)
+    assert len(calls) == len(want_calls)
+    for got_nodes, want_nodes in zip(calls, want_calls):
+        assert np.array_equal(got_nodes, want_nodes)
+
+
+@pytest.mark.parametrize("f", [_SCALAR, _VECTOR], ids=["scalar", "k_by_n"])
+def test_split_step_takes_one_panel_when_it_covers_the_excess(f):
+    # a target that the worst panel's error alone brings the rest within:
+    # the step splits that panel alone, bit for bit as a plain next() does;
+    # a target just beyond that takes a second panel in the same call
+    edges = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 30.0]
+    # the |K15 - G7| in each component of the panel whose largest one is
+    # the largest
+    worst = max((_panel_rule(f, a, b)[1]
+                 for a, b in zip(edges[:-1], edges[1:])), key=np.max)
+    for share, panels in ((0.999, 1), (1.001, 2)):
+        g, calls = _recording(f)
+        sent = _subdivide(g, edges)
+        _, err, splits = next(sent)
+        assert splits == 0
+        got = sent.send((err - share * worst, 100))
+        assert len(calls) == 2 and len(calls[1]) == 30 * panels
+        assert got[2] == panels
+        if panels == 1:
+            plain = _subdivide(f, edges)
+            next(plain)
+            want = next(plain)
+            assert want[2] == 1
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("f", [_SCALAR, _VECTOR], ids=["scalar", "k_by_n"])
+def test_split_step_never_takes_more_panels_than_the_budget_left(f):
+    # a target no split meets: a step takes exactly the room it is given
+    edges = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 30.0]
+    g, calls = _recording(f)
+    steps = _subdivide(g, edges)
+    next(steps)
+    for room, splits in ((3, 3), (1, 4), (5, 9)):
+        assert steps.send((1e-300, room))[2] == splits
+        assert len(calls[-1]) == 30 * room
+    # and the pass runs out of its budget exactly, never past it
+    for budget in (1, 7, 20):
+        g, calls = _recording(f)
+        with pytest.raises(ConvergenceError, match=f"after {budget} "):
+            specfun._adaptive(g, edges, Tolerance(1e-300, 1e-300, budget))
+        assert sum(len(x) for x in calls[1:]) == 30 * budget
 
 
 @pytest.mark.parametrize("f", [
     lambda x: np.exp(-1e-3 * x) * special.jv(0, x),
     _laplace_bessel_rows(1e-3, 1.0)], ids=["scalar", "k_by_n"])
-def test_tail_mode_calls_the_integrand_once_per_half_period(f):
+def test_tail_mode_calls_the_integrand_once_per_batch_of_half_periods(f):
     # a tolerance no step meets: the pass takes exactly its budget of head
-    # splits and tail half-periods, each one call of the integrand
-    budget = 30
+    # splits and tail half-periods, and no call of the integrand takes more
+    # than the budget has left (at 20 that cuts the last batch short)
     h = math.pi
-    g, calls = _recording(f)
-    with pytest.raises(ConvergenceError, match=f"after {budget} "):
-        integrate_semi_infinite(g, 1e-3, Tolerance(1e-300, 1e-300, budget),
-                                half_period=h)
-    assert len(calls) == 1 + budget
     x0 = _HEAD_HALF_PERIODS * h
-    head = [x for x in calls if x.max() < x0]
-    tail = [x for x in calls if x.min() > x0]
-    assert len(head) + len(tail) == len(calls) and len(tail) > 4
-    # each tail call holds the two K15 panels of one half-period, in order
+    for budget in (20, 30):
+        g, calls = _recording(f)
+        with pytest.raises(ConvergenceError, match=f"after {budget} "):
+            integrate_semi_infinite(g, 1e-3,
+                                    Tolerance(1e-300, 1e-300, budget),
+                                    half_period=h)
+        assert calls[0].max() < x0
+        # the first tail call holds the fewest half-periods that can end
+        # the tail; each holds the two K15 panels of consecutive
+        # half-periods, in order, continuing where the previous one stopped
+        x = x0
+        head_splits = fetched = 0
+        for nodes in calls[1:]:
+            if nodes.max() < x0:
+                # the head's share of a target this small is negative: one
+                # panel a step
+                assert len(nodes) == 30
+                head_splits += 1
+                continue
+            assert len(nodes) == 30 * (_MIN_TAIL_PANELS + 2) or fetched
+            # a batch is fetched once the last one is all taken
+            assert len(nodes) // 30 <= budget - head_splits - fetched
+            want = []
+            for _ in range(len(nodes) // 30):
+                mid = x + 0.5 * h
+                want += [_panel_nodes(x, mid), _panel_nodes(mid, x + h)]
+                x += h
+            assert np.array_equal(nodes, np.concatenate(want))
+            fetched += len(nodes) // 30
+        assert fetched > _MIN_TAIL_PANELS + 2
+        assert budget - head_splits <= fetched <= budget
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: np.exp(-1e-3 * x) * special.jv(0, x),
+    _laplace_bessel_rows(1e-3, 1.0)], ids=["scalar", "k_by_n"])
+def test_batched_half_periods_match_one_at_a_time(f):
+    # one call for n half-periods gives each one's K15 values and errors
+    # bit for bit as a call for that half-period alone
+    h, x0 = math.pi, 4.0 * math.pi
+    batch = specfun._half_periods(f, x0, h, 100.0, 9)
+    assert len(batch) == 9
     x = x0
-    for nodes in tail:
+    for (v, e) in batch:
         mid = x + 0.5 * h
-        assert np.array_equal(nodes, np.concatenate(
-            [_panel_nodes(x, mid), _panel_nodes(mid, x + h)]))
+        want_v, want_e, _ = specfun._gauss_kronrod(f, (x, mid), (mid, x + h))
+        assert np.array_equal(np.asarray(v), np.asarray(want_v))
+        assert np.array_equal(np.asarray(e), np.asarray(want_e))
         x += h
+    # none starts at or past x_max
+    assert len(specfun._half_periods(f, x0, h, x0 + 2.5 * h, 9)) == 3
+
+
+def test_tail_mode_head_splits_its_share_in_one_call():
+    # a Gaussian bump of width 0.01 at x = 1 in the head: once the tail's
+    # error leaves the head a positive share of the target, one call splits
+    # every head panel that share asks for
+    a, w = 1e-3, 0.01
+    g, calls = _recording(lambda x: np.exp(-a * x) * special.j0(x)
+                          + np.exp(-((x - 1.0) / w) ** 2))
+    got = integrate_semi_infinite(g, a, TIGHT, half_period=math.pi)
+    want = 1.0 / math.sqrt(1.0 + a * a) + w * math.sqrt(math.pi)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    head = [len(x) for x in calls[1:] if x.max() < _HEAD_HALF_PERIODS * math.pi]
+    assert all(n % 30 == 0 for n in head)
+    assert head[0] == 30 and max(head) > 30
+
+
+def test_tail_batches_do_not_change_the_result(monkeypatch):
+    # the pass with every batch cut to one half-period takes the same
+    # steps to the same bits, in more calls
+    f = _laplace_bessel_rows(1e-3, 1.0)
+    g, batched = _recording(f)
+    want = integrate_semi_infinite(g, 1e-3, TIGHT, half_period=math.pi)
+    fetch = specfun._half_periods
+    monkeypatch.setattr(specfun, "_half_periods",
+                        lambda f, x, h, x_max, n: fetch(f, x, h, x_max, 1))
+    g, single = _recording(f)
+    got = integrate_semi_infinite(g, 1e-3, TIGHT, half_period=math.pi)
+    assert np.array_equal(got, want)
+    assert len(single) > len(batched)
+    # the one-at-a-time pass evaluates a prefix of the batched pass's tail
+    tail = lambda calls: np.concatenate(  # noqa: E731
+        [x for x in calls if x.min() > _HEAD_HALF_PERIODS * math.pi])
+    assert np.array_equal(tail(single), tail(batched)[:len(tail(single))])
 
 
 # ---------------------------------------------------------------------------
