@@ -79,6 +79,20 @@ def _rotate(m: np.ndarray, phi: float) -> np.ndarray:
     return rz @ m @ rz.T
 
 
+# R = diag(-1, -1, 1), shared by every E- and D- kernel
+_REFLECTION = reflection_matrix()
+_REFLECTION.flags.writeable = False
+
+
+def _frame_kernel(xx, yy, zz, xz) -> np.ndarray:
+    """The kernel [[xx, 0, xz], [0, yy, 0], [xz, 0, zz]] in the frame with
+    the transverse separation along x, written into one array."""
+    m = np.zeros((3, 3))
+    m[0, 0], m[1, 1], m[2, 2] = xx, yy, zz
+    m[0, 2] = m[2, 0] = xz
+    return m
+
+
 def _check_sign(sign: str):
     if sign not in ("plus", "minus"):
         raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
@@ -97,7 +111,7 @@ def _e_plus_base(u: float, v: float) -> np.ndarray:
     # + 0.0 turns the -0.0 on the axis (vt5 = +0.0 at v = 0) into the +0.0
     # kernel_d gives there, and leaves every other value as it is
     xz = -3.0 * vt5 + 0.0
-    return np.array([[xx, 0.0, xz], [0.0, s3, 0.0], [xz, 0.0, zz]])
+    return _frame_kernel(xx, s3, zz, xz)
 
 
 def kernel_e(sign: str, sep: Separation) -> KernelMatrix:
@@ -113,7 +127,7 @@ def kernel_e(sign: str, sep: Separation) -> KernelMatrix:
         raise DomainError("kernel_e is singular at coincident source points")
     m = _rotate(_e_plus_base(sep.u, sep.v), sep.phi)
     if sign == "minus":
-        return KernelMatrix(m @ reflection_matrix(), E_MINUS)
+        return KernelMatrix(m @ _REFLECTION, E_MINUS)
     return KernelMatrix(m, E_PLUS)
 
 

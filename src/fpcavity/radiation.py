@@ -62,10 +62,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coulomb import (D_MINUS, D_PLUS, KernelMatrix, Separation, _check_sign,
-                      _rotate)
+from .coulomb import (_REFLECTION, D_MINUS, D_PLUS, KernelMatrix, Separation,
+                      _check_sign, _frame_kernel, _rotate)
 from .errors import DomainError
-from .geometry import CavityFrame, reflection_matrix
+from .geometry import CavityFrame
 from .specfun import (DEFAULT_TOL, Tolerance, _bessel_half_period,
                       _bessel_j0_j1_sum, _jv, integrate_semi_infinite)
 
@@ -125,10 +125,15 @@ def _d_rows(x: np.ndarray, v: float, ch: np.ndarray,
     are evaluated per node: xx carries J2 - J0 = (J0 + J2) - 2 J0.
     """
     j0, j1, j02 = _bessel_j0_j1_sum(x * v)
-    ch = x * x * ch
-    sh = x * x * sh
-    return np.array([ch * (j02 - 2.0 * j0), -ch * j02, 2.0 * ch * j0,
-                     -2.0 * sh * j1])
+    x2 = x * x
+    ch = x2 * ch
+    sh = x2 * sh
+    rows = np.empty((4, len(x)))
+    np.multiply(ch, j02 - 2.0 * j0, out=rows[0])
+    np.multiply(-ch, j02, out=rows[1])
+    np.multiply(2.0 * ch, j0, out=rows[2])
+    np.multiply(-2.0 * sh, j1, out=rows[3])
+    return rows
 
 
 def _laplace_bessel_x2(a: float, v: float) -> tuple[float, float, float]:
@@ -155,16 +160,16 @@ def _nearest_pair_rows(u: float, v: float) -> np.ndarray:
     Both exponentials enter the cosh weight with a plus sign; the sinh
     weight carries e^{-x(2-u)} - e^{-xu}.
     """
-    rows = np.zeros(4)
+    rows = (0.0, 0.0, 0.0, 0.0)
     for a, sinh_sign in ((u, -1.0), (2.0 - u, 1.0)):
         i0, i1, i2 = _laplace_bessel_x2(a, v)
-        rows += [i2 - i0, -(i0 + i2), 2.0 * i0, -2.0 * sinh_sign * i1]
-    return rows
+        rows = [r + t for r, t in zip(
+            rows, (i2 - i0, -(i0 + i2), 2.0 * i0, -2.0 * sinh_sign * i1))]
+    return np.array(rows)
 
 
 def _d_matrix(rows) -> np.ndarray:
-    xx, yy, zz, xz = rows
-    return math.pi * np.array([[xx, 0.0, xz], [0.0, yy, 0.0], [xz, 0.0, zz]])
+    return math.pi * _frame_kernel(*rows)
 
 
 def _d_plus_base(u: float, v: float, tol: Tolerance) -> np.ndarray:
@@ -200,7 +205,7 @@ def _kernel_from_base(base, sign: str, sep: Separation,
     _check_d_domain(sep)
     m = _rotate(base(sep.u, sep.v, tol), sep.phi)
     if sign == "minus":
-        return KernelMatrix(m @ reflection_matrix(), D_MINUS)
+        return KernelMatrix(m @ _REFLECTION, D_MINUS)
     return KernelMatrix(m, D_PLUS)
 
 

@@ -25,7 +25,6 @@ All functions are pure; units are dimensionless throughout.
 
 from __future__ import annotations
 
-import collections
 import heapq
 import itertools
 import math
@@ -173,10 +172,12 @@ def _bessel_j0_j1_sum(x: np.ndarray):
     """
     x = np.asarray(x, dtype=float)
     j0, j1 = _jv(0, x), _jv(1, x)
-    # each branch sees only arguments on its own side of the threshold
-    lo = np.minimum(x, _J1_QUOTIENT_MIN)
-    j02 = np.where(x < _J1_QUOTIENT_MIN, 1.0 - 0.125 * lo * lo,
-                   2.0 * j1 / np.maximum(x, _J1_QUOTIENT_MIN))
+    j02 = 2.0 * j1 / np.maximum(x, _J1_QUOTIENT_MIN)
+    # the series below the threshold, computed only where it is taken
+    small = x < _J1_QUOTIENT_MIN
+    if small.any():
+        lo = x[small]
+        j02[small] = 1.0 - 0.125 * lo * lo
     return j0, j1, j02
 
 
@@ -344,30 +345,29 @@ _GK_WEIGHTS = np.stack([_K15_WEIGHTS, _K15_WEIGHTS], axis=1)
 _GK_WEIGHTS[_G7_IDX, 1] -= _G7_WEIGHTS
 
 
-def _gauss_kronrod(f: Callable, a, b):
-    """K15 estimates of int f over the panels [a_i, b_i], their
-    |K15 - G7| error estimates and each panel's largest error, from one
-    call of f and one product with the (15, 2) weight matrix.
+def _gauss_kronrod(f: Callable, a: np.ndarray, b: np.ndarray):
+    """The K15 estimate of int f over each panel [a_i, b_i] and its
+    |K15 - G7| error estimate, from one call of f and one product with the
+    (15, 2) weight matrix, and each panel's largest error.
 
-    f receives the 15 nodes of every panel in one array, panel after panel,
-    and returns one value per node, or a (k, n) array with one row per
-    component.  Returns (estimates, errors, peaks), one entry per panel:
-    floats, or for k rows length-k arrays (peaks are floats either way).
+    a and b are arrays.  f receives the 15 nodes of every panel in one
+    array, panel after panel, and returns one value per node, or a (k, n)
+    array with one row per component.  Returns (rule, peaks): rule[i] is
+    panel i's (estimate, error), shape (panels, 2) for one value per node
+    and (panels, 2, k) for k rows, and peaks, shape (panels,), each
+    panel's largest error in any component.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = (mid[:, None] + half[:, None] * _K15_NODES).ravel()
     y = np.asarray(f(x), dtype=float)
     # one row of 15 node values per panel (and component)
-    y = y.reshape(y.shape[:-1] + (len(a), 15))
-    gk = (y @ _GK_WEIGHTS) * half[:, None]
-    k15, err = gk[..., 0], np.abs(gk[..., 1])
-    if y.ndim == 2:
-        err = err.tolist()
-        return k15.tolist(), err, err
-    return k15.T, err.T, err.max(axis=0).tolist()
+    gk = (y.reshape(y.shape[:-1] + (len(a), 15)) @ _GK_WEIGHTS) * half[:, None]
+    err = gk[..., 1]
+    np.abs(err, out=err)
+    if y.ndim == 1:
+        return gk, err
+    return gk.transpose(1, 2, 0), np.maximum.reduce(err, axis=0)
 
 
 def _target(total, tol: Tolerance):
@@ -375,76 +375,103 @@ def _target(total, tol: Tolerance):
     return np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total))
 
 
-def _subdivide(f: Callable, edges: list[float]):
+def _check_finite(values: np.ndarray):
+    """DomainError unless every integral and error estimate in values is
+    finite: a nan would compare False with any target and pass as
+    converged."""
+    if not all(map(math.isfinite, values.ravel().tolist())):
+        raise DomainError("the integral or its error estimate is not "
+                          "finite: the integrand gives nan or inf")
+
+
+def _running_sum(start, terms: np.ndarray):
+    """start + terms[0] + terms[1] + ..., added one term after the other
+    (per component), as a loop over the panels adds them."""
+    if len(terms) == 1:
+        return start + terms[0]
+    return np.add.accumulate(np.concatenate((start[None], terms)))[-1]
+
+
+def _subdivide(f: Callable, edges):
     """The adaptive panel subdivision over the panels defined by edges, one
     step at a time, each step one call of f: all seed panels, then both
     halves of every panel the step splits, panel after panel.
 
     Yields the running integral, its summed |K15 - G7| error and the number
-    of panels split so far: floats for an integrand with one value per
-    node; for one returning k rows, length-k arrays.  Each later step is
-    sent (target, room): it takes panels worst first (by the largest error
-    in any component) until the error left in the panels it has not taken
-    is within target in every component, at most room of them, and splits
-    them all.  Sent nothing (next), it splits the worst panel alone.
+    of panels split so far: numpy scalars for an integrand with one value
+    per node; for one returning k rows, length-k arrays.  Each later step
+    is sent (target, room): it takes panels worst first (by the largest
+    error in any component) until the error left in the panels it has not
+    taken is within target in every component, at most room of them, and
+    splits them all.  Sent nothing (next), it splits the worst panel alone.
+
+    The seed panels' estimates and errors stay in the one array
+    _gauss_kronrod returns them in, and np.add.accumulate sums them from a
+    0.0 row in panel order, so each sum has the bits of a loop adding the
+    panels to 0.0.  The worst-first order, a heap, is built only when a
+    step asks for a split; a split step adds the changes of the panels it
+    takes, (both halves - the panel), to the sums in the order it takes
+    them.  DomainError as soon as a sum is not finite: a nan would
+    compare False with every target and pass as converged.
     """
-    heap: list[tuple] = []
-    # the counter breaks ties between zero-width panels before the values
-    # would be compared (arrays have no order)
-    order = itertools.count()
-    total = 0.0
-    err = 0.0
+    edges = np.asarray(edges, dtype=float)
+    rule, peaks = _gauss_kronrod(f, edges[:-1], edges[1:])
+    # the running integral and error
+    sums = _running_sum(np.zeros(rule.shape[1:]), rule)
+    # the panels worst first, built at the first split: a heap of
+    # (-peak, a, b, row of rule), in which the row, in the order the panels
+    # were made, breaks the ties of equal panels
+    heap = None
     splits = 0
-    panels = _gauss_kronrod(f, edges[:-1], edges[1:])
-    for a, b, val, e, peak in zip(edges[:-1], edges[1:], *panels):
-        total += val
-        err += e
-        heapq.heappush(heap, (-peak, a, b, next(order), val, e))
     while True:
-        target, room = (yield total, err, splits) or (math.inf, 1)
-        popped = [heapq.heappop(heap)]
-        left = err - popped[0][5]
-        while len(popped) < room and heap and np.any(left > target):
-            popped.append(heapq.heappop(heap))
-            left = left - popped[-1][5]
+        _check_finite(sums)
+        target, room = (yield sums[0], sums[1], splits) or (math.inf, 1)
+        if heap is None:
+            heap = list(zip((-peaks).tolist(), edges[:-1].tolist(),
+                            edges[1:].tolist(), itertools.count()))
+            heapq.heapify(heap)
+        taken = [heapq.heappop(heap)]
+        left = sums[1] - rule[taken[0][3], 1]
+        while len(taken) < room and heap and (left > target).any():
+            taken.append(heapq.heappop(heap))
+            left = left - rule[taken[-1][3], 1]
         lo, hi = [], []
-        for _, a, b, *_ in popped:
+        for _, a, b, _ in taken:
             mid = 0.5 * (a + b)
             lo += (a, mid)
             hi += (mid, b)
-        vals, errs, peaks = _gauss_kronrod(f, lo, hi)
-        for i, (_, a, b, _, val, e) in enumerate(popped):
-            v1, v2 = vals[2 * i], vals[2 * i + 1]
-            e1, e2 = errs[2 * i], errs[2 * i + 1]
-            total += v1 + v2 - val
-            err += e1 + e2 - e
-            mid = hi[2 * i]
-            heapq.heappush(heap, (-peaks[2 * i], a, mid, next(order), v1, e1))
-            heapq.heappush(heap, (-peaks[2 * i + 1], mid, b, next(order), v2,
-                                  e2))
-        splits += len(popped)
+        new_rule, new_peaks = _gauss_kronrod(f, np.array(lo), np.array(hi))
+        sums = _running_sum(sums, new_rule[0::2] + new_rule[1::2]
+                            - rule[[panel[3] for panel in taken]])
+        for panel in zip((-new_peaks).tolist(), lo, hi,
+                         itertools.count(len(rule))):
+            heapq.heappush(heap, panel)
+        rule = np.concatenate((rule, new_rule))
+        splits += len(taken)
 
 
-def _adaptive(f: Callable, edges: list[float], tol: Tolerance):
+def _adaptive(f: Callable, edges: np.ndarray, tol: Tolerance):
     """Adaptive panel subdivision over the panels defined by edges.
 
     A float for an integrand with one value per node; for one returning k
     rows, a length-k array.  The pass ends when every component's summed
     error is within its own max(abs_tol, rel_tol * |total_i|); until then
     each step splits every panel that target asks for, in one call of f.
+    DomainError when the integral or its error is not finite.
     """
     steps = _subdivide(f, edges)
     total, err, splits = next(steps)
+    scalar = total.ndim == 0
     while True:
         target = _target(total, tol)
-        if not np.any(err > target):
-            return total
+        if not (err > target).any():
+            return float(total) if scalar else total
         if splits >= tol.max_subdivisions:
             raise ConvergenceError(
                 f"quadrature error {float(np.max(err)):.3e} above tolerance "
                 f"after {splits} subdivisions",
-                best_estimate=total,
-                achieved_error=err,
+                best_estimate=float(total) if scalar else total,
+                achieved_error=float(err) if scalar else err,
             )
         total, err, splits = steps.send(
             (target, tol.max_subdivisions - splits))
@@ -454,10 +481,10 @@ def _quad_finite(f: Callable, a: float, b: float, tol: Tolerance) -> float:
     """Adaptive quadrature on [a, b] from eight equal seed panels."""
     if not b > a:
         raise DomainError("need b > a")
-    return _adaptive(f, list(np.linspace(a, b, 9)), tol)
+    return _adaptive(f, np.linspace(a, b, 9), tol)
 
 
-def _seed_edges(x_max: float) -> list[float]:
+def _seed_edges(x_max: float) -> np.ndarray:
     # geometric seed panels: dense near 0 where integrands have their
     # structure, coarse towards the truncation point
     edges = [0.0]
@@ -467,7 +494,7 @@ def _seed_edges(x_max: float) -> list[float]:
         edges.append(x)
         x *= 2.0
     edges.append(x_max)
-    return edges
+    return np.array(edges)
 
 
 # Oscillatory-tail mode: the head [0, x0] spans _HEAD_HALF_PERIODS
@@ -484,20 +511,24 @@ _LEVIN_MAX_ORDER = 16
 # the four-row Bessel pass and the unsplit D+, up to 55-95 for the
 # remainder of kernel_d.
 _TAIL_MIN_SPAN = 50
+# Levin's signed binomial rows (-1)^j C(k, j), j = 0..k, for every order k
+# the transform takes
+_LEVIN_BINOMIALS = tuple(
+    np.array([(-1.0) ** j * math.comb(k, j) for j in range(k + 1)])
+    for k in range(_LEVIN_MAX_ORDER + 1))
 
 
 def _levin_u(sums: np.ndarray, terms: np.ndarray, first: float) -> np.ndarray:
     """Levin u-transform of the partial sums s_0..s_k, column by column.
 
     sums and terms are (k + 1, c) arrays of the partial sums and of the
-    terms a_n that end them; the remainder estimates are
-    omega_n = (first + n) a_n.  A column in which an omega is 0 (a row of
-    exact zeros) or the transform overflows gets its last partial sum.
+    terms a_n that end them, k <= _LEVIN_MAX_ORDER; the remainder estimates
+    are omega_n = (first + n) a_n.  A column in which an omega is 0 (a row
+    of exact zeros) or the transform overflows gets its last partial sum.
     """
     k = len(sums) - 1
     n = first + np.arange(k + 1)
-    coef = np.array([(-1.0) ** j * math.comb(k, j) for j in range(k + 1)])
-    coef *= (n / n[-1]) ** (k - 1)
+    coef = _LEVIN_BINOMIALS[k] * (n / n[-1]) ** (k - 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = coef[:, None] / (n[:, None] * terms)
         est = (w * sums).sum(axis=0) / w.sum(axis=0)
@@ -506,22 +537,20 @@ def _levin_u(sums: np.ndarray, terms: np.ndarray, first: float) -> np.ndarray:
 
 def _half_periods(f: Callable, x: float, h: float, x_max: float, n: int):
     """Up to n consecutive half-periods [x, x + h], [x + h, x + 2h], ...,
-    each starting before x_max, from one call of f: per half-period the K15
-    values and |K15 - G7| errors of its two panels, ((v1, v2), (e1, e2)).
+    each starting before x_max, from one call of f: per half-period the
+    _gauss_kronrod rule of its two panels, an array of shape
+    (half-periods, 2, 2), or (half-periods, 2, 2, k) for k rows.
 
     Two K15 panels per half-period: one panel's |K15 - G7| on a whole
     half-wave is about 1e-12 of its value, and these add up.
     """
-    lo, hi = [], []
-    while len(lo) < 2 * n and x < x_max:
-        mid = x + 0.5 * h
-        end = x + h
-        lo += (x, mid)
-        hi += (mid, end)
-        x = end
-    vals, errs, _ = _gauss_kronrod(f, lo, hi)
-    return collections.deque((vals[i:i + 2], errs[i:i + 2])
-                             for i in range(0, len(lo), 2))
+    edges = [x]
+    while len(edges) < 2 * n + 1 and x < x_max:
+        edges += (x + 0.5 * h, x + h)
+        x += h
+    edges = np.array(edges)
+    rule, _ = _gauss_kronrod(f, edges[:-1], edges[1:])
+    return rule.reshape((len(edges) // 2, 2) + rule.shape[1:])
 
 
 def _oscillatory_tail(f: Callable, h: float, x_max: float, tol: Tolerance):
@@ -537,9 +566,11 @@ def _oscillatory_tail(f: Callable, h: float, x_max: float, tol: Tolerance):
     in every component, else its worst panel.  The tail fetches
     half-periods in batches, one call of f each (_half_periods):
     _MIN_TAIL_PANELS + 2, the fewest that can end it, and then a third as
-    many as it has taken so far, so the batches grow geometrically; it
-    takes them one at a time, so every value and decision is that of a
-    tail fetched one half-period at a time.
+    many as it has taken so far, so the batches grow geometrically.  It
+    forms each batch's partial sums and summed errors in one pass, in the
+    order of the half-periods, into arrays that hold the whole tail
+    fetched so far, and takes the half-periods one at a time, so every
+    value and decision is that of a tail fetched one half-period at a time.
     The tail panels' summed error only grows, so a component whose
     transforms agree within its target while that sum alone exceeds it
     cannot converge, and the pass fails at once.
@@ -547,65 +578,77 @@ def _oscillatory_tail(f: Callable, h: float, x_max: float, tol: Tolerance):
     x0 = _HEAD_HALF_PERIODS * h
     head = _subdivide(f, _seed_edges(x0))
     head_total, head_err, head_splits = next(head)
-    scalar = isinstance(head_total, float)
+    scalar = head_total.ndim == 0
 
     def out(values):
         return float(values[0]) if scalar else values
 
-    sums, terms = [], []
-    partial = tail_err = np.zeros(np.shape(head_total) or (1,))
-    est, gaps = partial, (math.inf, math.inf)
+    # row i: the partial sum and the summed panel error after i tail
+    # half-periods and the term that ends that sum, for every half-period
+    # fetched so far; row 0 is the empty tail
+    sums = terms = errs = np.zeros((1, 1 if scalar else len(head_total)))
+    taken = 0
+    est, gaps = sums[0], (math.inf, math.inf)
     x = x0
-    fetched = collections.deque()
     while True:
+        tail_err = errs[taken]
         # head splits and tail half-periods taken so far
-        splits = head_splits + len(sums)
+        splits = head_splits + taken
         gap = np.maximum(*gaps)
         total = head_total + est
         err = head_err + tail_err + gap
         target = _target(total, tol)
         bad = err > target
-        if not np.any(bad):
+        if not bad.any():
+            _check_finite(total)
             return out(total)
         stuck = bad & (tail_err > target) & (gap <= target)
-        if splits >= tol.max_subdivisions or np.any(stuck):
+        if splits >= tol.max_subdivisions or stuck.any():
             raise ConvergenceError(
                 f"quadrature error {float(np.max(err)):.3e} above tolerance "
                 f"after {splits} subdivisions and tail half-periods",
                 best_estimate=out(total), achieved_error=out(err))
         room = tol.max_subdivisions - splits
-        if x >= x_max or np.any(bad & (head_err > tail_err + gap)):
+        if x >= x_max or (bad & (head_err > tail_err + gap)).any():
             share = target - tail_err - gap
             head_total, head_err, head_splits = head.send(
-                (share, room) if np.all(share > 0) else None)
+                (share, room) if (share > 0).all() else None)
             continue
-        if not fetched:
+        if taken == len(sums) - 1:
             # the fewest half-periods that can end the tail, then a third
             # of those taken so far: at most a quarter of them go unused
-            batch = -(-len(sums) // 3) or _MIN_TAIL_PANELS + 2
-            fetched = _half_periods(f, x, h, x_max, min(batch, room))
-        (v1, v2), (e1, e2) = fetched.popleft()
+            batch = -(-taken // 3) or _MIN_TAIL_PANELS + 2
+            rule = _half_periods(f, x, h, x_max, min(batch, room))
+            # in C order, which the transform's column sums over the rows
+            # take one row after the other
+            added = np.ascontiguousarray(
+                (rule[:, 0, 0] + rule[:, 1, 0]).reshape(len(rule), -1))
+            terms = np.concatenate((terms, added))
+            sums = np.concatenate((sums, np.add.accumulate(
+                np.concatenate((sums[-1:], added)))[1:]))
+            # each half-period adds the errors of its two panels in turn
+            errs = np.concatenate((errs, np.add.accumulate(np.concatenate(
+                (errs[-1:], rule[:, :, 1].reshape(2 * len(rule), -1))))[2::2]))
+        taken += 1
+        _check_finite(sums[taken])
+        _check_finite(errs[taken])
         x += h
-        val = np.atleast_1d(v1 + v2)
-        partial = partial + val
-        tail_err = tail_err + e1 + e2
-        sums.append(partial)
-        terms.append(val)
         if x >= x_max:
             # the plain partial sum has reached the truncation point
-            est, gaps = partial, (0.0, 0.0)
-        elif len(sums) >= _MIN_TAIL_PANELS:
-            lo = max(0, len(sums) - _LEVIN_MAX_ORDER - 1)
-            new = _levin_u(np.array(sums[lo:]), np.array(terms[lo:]),
-                           _HEAD_HALF_PERIODS + lo)
+            est, gaps = sums[taken], (0.0, 0.0)
+        elif taken >= _MIN_TAIL_PANELS:
+            first = max(0, taken - _LEVIN_MAX_ORDER - 1)
+            new = _levin_u(sums[first + 1:taken + 1],
+                           terms[first + 1:taken + 1],
+                           _HEAD_HALF_PERIODS + first)
             # the larger of the last two gaps between successive
             # transforms, so that two that agree by accident do not end
             # the tail
-            if len(sums) > _MIN_TAIL_PANELS:
+            if taken > _MIN_TAIL_PANELS:
                 gaps = (gaps[1], np.abs(new - est))
             est = new
         else:
-            est = partial
+            est = sums[taken]
 
 
 def _truncation(decay_rate_hint: float, tol: Tolerance,
@@ -691,9 +734,23 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     the truncation point, and taken one at a time with the same values and
     decisions as one call each.  The cost then no longer grows with the
     number of oscillations before exp(-rate x) damps them; when the tail
-    reaches the truncation point, the plain partial sum is taken.  The one guard: DomainError where the
-    Bessel argument x v = pi x / half_period overflows at the farthest node
-    the pass can reach, one half-period past the truncation point.
+    reaches the truncation point, the plain partial sum is taken.  The one
+    guard on the arguments: DomainError where the Bessel argument
+    x v = pi x / half_period overflows at the farthest node the pass can
+    reach, one half-period past the truncation point.
+
+    An integrand that gives nan or inf is a DomainError in both modes: the
+    plain pass and the head refuse a sum or an error that is not finite
+    after every step, and the tail refuses a half-period with a non-finite
+    partial sum or error when it takes it.  (A nan compares False with
+    every target, so without the check it would pass as converged.)
+
+    The bookkeeping is in arrays: a step's panels come back from one call
+    of the integrand and one product with the weight matrix, their sums are
+    added in panel order by np.add.accumulate, the panels are ordered worst
+    first only when a step splits, and the tail keeps its partial sums,
+    terms and errors in arrays that grow by a batch at a time.  Every
+    node, value and decision is that of a pass adding one panel at a time.
 
     Raises ConvergenceError (carrying the best estimate and the achieved
     error, per component for a vector integrand) when the tolerance cannot

@@ -204,15 +204,28 @@ def _engine(tol: Tolerance, max_subdivisions: int) -> Tolerance:
                      max_subdivisions=max_subdivisions)
 
 
-def _as_array(x):
-    return np.asarray(x, dtype=float)
+def _flat(side) -> list[float]:
+    """A report side, a number, a pair or a 3x3 array, as a flat list of
+    floats."""
+    if isinstance(side, np.ndarray):
+        return side.ravel().tolist()
+    if isinstance(side, (list, tuple)):
+        return [float(x) for x in side]
+    return [float(side)]
+
+
+def _largest(values: list[float]) -> float:
+    # nan if any value is nan, as numpy's max gives
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def _errors(lhs, rhs, scale=None) -> tuple[float, float]:
-    la, ra = _as_array(lhs), _as_array(rhs)
-    abs_err = float(np.max(np.abs(la - ra)))
-    denom = scale if scale is not None else max(float(np.max(np.abs(la))),
-                                                float(np.max(np.abs(ra))))
+    """The largest entrywise |lhs - rhs| of two sides of the same shape, and
+    that over scale, by default the largest |entry| of either side."""
+    la, ra = _flat(lhs), _flat(rhs)
+    abs_err = _largest([abs(a - b) for a, b in zip(la, ra, strict=True)])
+    denom = scale if scale is not None else max(
+        _largest([abs(a) for a in la]), _largest([abs(b) for b in ra]))
     if denom > 0:
         rel_err = abs_err / denom
     else:
@@ -220,9 +233,12 @@ def _errors(lhs, rhs, scale=None) -> tuple[float, float]:
     return abs_err, rel_err
 
 
-def _serializable(x):
-    a = _as_array(x)
-    return float(a) if a.ndim == 0 else a.tolist()
+def _serializable(side):
+    if isinstance(side, np.ndarray) and side.ndim:
+        return side.tolist()
+    if isinstance(side, (list, tuple)):
+        return [float(x) for x in side]
+    return float(side)
 
 
 def _report(check_id: str, params: dict, lhs, rhs, tol: Tolerance,

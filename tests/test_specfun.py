@@ -786,11 +786,11 @@ def test_batched_half_periods_match_one_at_a_time(f):
     batch = specfun._half_periods(f, x0, h, 100.0, 9)
     assert len(batch) == 9
     x = x0
-    for (v, e) in batch:
+    for got in batch:
         mid = x + 0.5 * h
-        want_v, want_e, _ = specfun._gauss_kronrod(f, (x, mid), (mid, x + h))
-        assert np.array_equal(np.asarray(v), np.asarray(want_v))
-        assert np.array_equal(np.asarray(e), np.asarray(want_e))
+        want, _ = specfun._gauss_kronrod(f, np.array([x, mid]),
+                                         np.array([mid, x + h]))
+        assert np.array_equal(got, want)
         x += h
     # none starts at or past x_max
     assert len(specfun._half_periods(f, x0, h, x0 + 2.5 * h, 9)) == 3
