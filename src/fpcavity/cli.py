@@ -6,8 +6,11 @@ byte-identical output.  Exit codes: 0 success / all checks pass, 1 at least
 one verification failure, 2 argument or domain error.
 
 The --tol-abs/--tol-rel flags of `kernel` set the accuracy of the D
-family's quadratures (the E family is a fixed-accuracy lattice sum), and
---max-subdivisions caps their panel splits.  `verify` takes only
+family's quadratures, 1e-10 each when omitted, and --max-subdivisions caps
+their panel splits, at 4000 when omitted.  The E family, a fixed-accuracy
+lattice sum, refuses all three, and --eps (the spectral regulator, 0.05
+when omitted) is refused without --spectral: a flag is never ignored.
+`verify` takes only
 --max-subdivisions (an integer >= 1, with --seed an integer >= 0), which
 caps the effort of every check's quadratures and never moves a pass
 threshold: those are pinned per check.  `xi` (a fixed-accuracy lattice
@@ -37,10 +40,13 @@ from .coulomb import Separation, kernel_e
 from .dicke import DickeParams, ground_state, mean_field, spectrum_scan
 from .errors import ConvergenceError, DomainError
 from .radiation import kernel_d, kernel_d_spectral
-from .specfun import Tolerance, xi
+from .specfun import DEFAULT_TOL, Tolerance, xi
 from .verify import SUITE_NAMES, IdentityReport, VerifyConfig, run_suite
 
 __all__ = ["dispatch", "emit_report", "parse_report", "main"]
+
+# the spectral regulator of `kernel --spectral` without --eps
+_DEFAULT_EPS = 0.05
 
 _CSV_COLUMNS = ("id", "params", "abs_err", "rel_err", "pass",
                 "tol_abs", "tol_rel")
@@ -170,17 +176,27 @@ def _cmd_xi(ns) -> int:
 
 def _cmd_kernel(ns) -> int:
     sep = Separation(u=ns.u, v=ns.v, phi=ns.phi)
-    tol = Tolerance(abs_tol=ns.tol_abs, rel_tol=ns.tol_rel,
-                    max_subdivisions=ns.max_subdivisions)
+    # the Tolerance fields given on the command line; the others keep
+    # their defaults
+    given = {field: value for field, value in (
+        ("abs_tol", ns.tol_abs), ("rel_tol", ns.tol_rel),
+        ("max_subdivisions", ns.max_subdivisions)) if value is not None}
+    if ns.eps is not None and not ns.spectral:
+        raise DomainError("--eps applies to the spectral route only")
     if ns.family == "E":
         if ns.spectral:
             raise DomainError("--spectral applies to the D family only")
+        if given:
+            raise DomainError("--tol-abs, --tol-rel and --max-subdivisions "
+                              "apply to the D family only")
         mat = kernel_e(ns.sign, sep).m
     else:
+        tol = Tolerance(**given)
         if ns.spectral:
             if ns.sign != "plus":
                 raise DomainError("the spectral route evaluates D plus only")
-            mat = kernel_d_spectral(sep, ns.eps, tol).m
+            eps = _DEFAULT_EPS if ns.eps is None else ns.eps
+            mat = kernel_d_spectral(sep, eps, tol).m
         else:
             mat = kernel_d(ns.sign, sep, tol).m
     if ns.format == "json":
@@ -229,16 +245,15 @@ def _cmd_dicke_scan(ns) -> int:
 
 
 def _add_tol(p):
-    p.add_argument("--tol-abs", type=float, default=1e-10,
-                   help="absolute accuracy of the D-family quadratures")
-    p.add_argument("--tol-rel", type=float, default=1e-10,
-                   help="relative accuracy of the D-family quadratures")
-    _add_max_subdivisions(p)
-
-
-def _add_max_subdivisions(p):
-    p.add_argument("--max-subdivisions", type=int, default=4000,
-                   help="adaptive quadrature panel-split budget")
+    p.add_argument("--tol-abs", type=float, default=None,
+                   help=f"absolute accuracy of the D-family quadratures, "
+                        f"{DEFAULT_TOL.abs_tol:g} if omitted")
+    p.add_argument("--tol-rel", type=float, default=None,
+                   help=f"relative accuracy of the D-family quadratures, "
+                        f"{DEFAULT_TOL.rel_tol:g} if omitted")
+    p.add_argument("--max-subdivisions", type=int, default=None,
+                   help=f"panel-split budget of the D-family quadratures, "
+                        f"{DEFAULT_TOL.max_subdivisions} if omitted")
 
 
 def _add_common(p, seed=False, bare_value=False):
@@ -288,8 +303,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="azimuth of the transverse separation")
     p_k.add_argument("--spectral", action="store_true",
                      help="use the regulated spectral route (D family)")
-    p_k.add_argument("--eps", type=float, default=0.05,
-                     help="spectral regulator")
+    p_k.add_argument("--eps", type=float, default=None,
+                     help=f"spectral regulator (with --spectral), "
+                          f"{_DEFAULT_EPS} if omitted")
     _add_tol(p_k)
     _add_common(p_k)
     p_k.set_defaults(func=_cmd_kernel)
@@ -297,7 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_v = sub.add_parser("verify", help="run the identity verification suite",
                          formatter_class=fmt_cls, allow_abbrev=False)
     p_v.add_argument("target", nargs="?", choices=SUITE_NAMES, default="all")
-    _add_max_subdivisions(p_v)
+    p_v.add_argument("--max-subdivisions", type=int, default=4000,
+                     help="adaptive quadrature panel-split budget")
     _add_common(p_v, seed=True)
     p_v.set_defaults(func=_cmd_verify)
 

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._memo import recall
 from .errors import DomainError
 from .geometry import CavityFrame, DipoleSpec, image_positions, reflection_matrix
 from .specfun import _lattice_moments, apery_zeta3, xi
@@ -93,11 +94,6 @@ def _frame_kernel(xx, yy, zz, xz) -> np.ndarray:
     return m
 
 
-def _check_sign(sign: str):
-    if sign not in ("plus", "minus"):
-        raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
-
-
 def _e_plus_base(u: float, v: float) -> np.ndarray:
     """E+ entries in the frame where the transverse separation lies along x.
 
@@ -114,21 +110,41 @@ def _e_plus_base(u: float, v: float) -> np.ndarray:
     return _frame_kernel(xx, s3, zz, xz)
 
 
+def _check_e_domain(sep: Separation):
+    if sep.is_coincident():
+        raise DomainError("kernel_e is singular at coincident source points")
+
+
+def _kernel_from_base(base, kinds: tuple[str, str], check_domain, sign: str,
+                      sep: Separation, *args) -> KernelMatrix:
+    """The plus or minus kernel (kinds[0] or kinds[1]) from
+    base(sep.u, sep.v, *args), the plus kernel in the frame with the
+    transverse separation along x: rotated about z through sep.phi, and
+    times R for the minus sign.
+
+    The base comes through the memo of the last result, so the other sign
+    at the same separation right after reuses it.
+    """
+    if sign not in ("plus", "minus"):
+        raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    check_domain(sep)
+    m = _rotate(recall(base, sep.u, sep.v, *args), sep.phi)
+    if sign == "minus":
+        return KernelMatrix(m @ _REFLECTION, kinds[1])
+    return KernelMatrix(m, kinds[0])
+
+
 def kernel_e(sign: str, sep: Separation) -> KernelMatrix:
     """Coulomb dipole-dipole kernel E+ (or E- = E+ . R) at a separation.
 
     Evaluated in the frame with the transverse separation along x, then
     conjugated by the rotation about z through sep.phi.  Coincident source
     points (v = 0 and u an even integer) are a domain error.  The lattice
-    sum has a fixed accuracy of about 1e-13 relative.
+    sum has a fixed accuracy of about 1e-13 relative.  Asking for the other
+    sign at the same separation right after reuses the last lattice sum.
     """
-    _check_sign(sign)
-    if sep.is_coincident():
-        raise DomainError("kernel_e is singular at coincident source points")
-    m = _rotate(_e_plus_base(sep.u, sep.v), sep.phi)
-    if sign == "minus":
-        return KernelMatrix(m @ _REFLECTION, E_MINUS)
-    return KernelMatrix(m, E_PLUS)
+    return _kernel_from_base(_e_plus_base, (E_PLUS, E_MINUS), _check_e_domain,
+                             sign, sep)
 
 
 def self_energy_matrix(z_over_L: float) -> KernelMatrix:

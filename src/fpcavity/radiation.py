@@ -62,8 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coulomb import (_REFLECTION, D_MINUS, D_PLUS, KernelMatrix, Separation,
-                      _check_sign, _frame_kernel, _rotate)
+from .coulomb import (D_MINUS, D_PLUS, KernelMatrix, Separation,
+                      _frame_kernel, _kernel_from_base, _rotate)
 from .errors import DomainError
 from .geometry import CavityFrame
 from .specfun import (DEFAULT_TOL, Tolerance, _bessel_half_period,
@@ -199,23 +199,16 @@ def _d_plus_reference(u: float, v: float, tol: Tolerance) -> np.ndarray:
         rows, min(u, 2.0 - u), tol, half_period=_bessel_half_period(v)))
 
 
-def _kernel_from_base(base, sign: str, sep: Separation,
-                      tol: Tolerance) -> KernelMatrix:
-    _check_sign(sign)
-    _check_d_domain(sep)
-    m = _rotate(base(sep.u, sep.v, tol), sep.phi)
-    if sign == "minus":
-        return KernelMatrix(m @ _REFLECTION, D_MINUS)
-    return KernelMatrix(m, D_PLUS)
-
-
 def kernel_d(sign: str, sep: Separation, tol: Tolerance = DEFAULT_TOL) -> KernelMatrix:
     """Quadratic displacement-field kernel D+ (or D- = D+ . R) in L = 1 units.
 
     Evaluated with the transverse separation along x and conjugated by the
-    rotation through sep.phi.  Requires 0 < u < 2.
+    rotation through sep.phi.  Requires 0 < u < 2.  Asking for the other
+    sign at the same separation and tolerance right after reuses the last
+    quadrature.
     """
-    return _kernel_from_base(_d_plus_base, sign, sep, tol)
+    return _kernel_from_base(_d_plus_base, (D_PLUS, D_MINUS), _check_d_domain,
+                             sign, sep, tol)
 
 
 def _kernel_d_reference(sign: str, sep: Separation,
@@ -227,9 +220,12 @@ def _kernel_d_reference(sign: str, sep: Separation,
     within about 1e-12 of kernel_d relative to the largest entry.  Its
     accuracy there is bounded by the rounding of the large, oscillating
     tail panels: a tolerance asking for more, for a small entry next to a
-    mirror, raises ConvergenceError.
+    mirror, raises ConvergenceError.  Asking for the other sign at the
+    same separation and tolerance right after reuses the last quadrature
+    of this route, never one of kernel_d.
     """
-    return _kernel_from_base(_d_plus_reference, sign, sep, tol)
+    return _kernel_from_base(_d_plus_reference, (D_PLUS, D_MINUS),
+                             _check_d_domain, sign, sep, tol)
 
 
 # Gauss-Legendre nodes per panel of the spectral route's transverse grid

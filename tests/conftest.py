@@ -1,6 +1,14 @@
 import pytest
 
-from fpcavity import run_all
+from fpcavity import _memo, run_all
+
+
+@pytest.fixture(autouse=True)
+def _empty_memo():
+    """Each test starts with an empty last-result memo, so a test that
+    patches a layer under a memoized route computes afresh and no test
+    depends on the one before it."""
+    _memo._slot = None
 
 
 @pytest.fixture(scope="session")

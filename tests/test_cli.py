@@ -105,6 +105,38 @@ def test_kernel_spectral_flag_restrictions(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "E", "--tol-abs", "1e-3"],
+    ["--family", "E", "--tol-rel", "1e-3"],
+    ["--family", "E", "--max-subdivisions", "10"],
+    ["--family", "E", "--eps", "7"],
+    ["--family", "D", "--eps", "0.1"],
+    ["--family", "D", "--sign", "minus", "--eps", "0.05"],
+])
+def test_kernel_refuses_flags_it_would_ignore(argv, capsys):
+    # the E family is a fixed-accuracy lattice sum, and only the spectral
+    # route reads the regulator
+    assert dispatch(["kernel", "--u", "0.5", "--v", "1", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err
+
+
+@pytest.mark.parametrize("implicit, explicit", [
+    (["--family", "D"], ["--family", "D", "--tol-abs", "1e-10",
+                         "--tol-rel", "1e-10", "--max-subdivisions", "4000"]),
+    (["--family", "D", "--spectral"],
+     ["--family", "D", "--spectral", "--eps", "0.05"]),
+])
+def test_kernel_omitted_flags_take_their_documented_values(implicit,
+                                                          explicit, capsys):
+    outputs = []
+    for argv in (implicit, explicit):
+        assert dispatch(["kernel", "--u", "1.0", "--v", "0.5", "--format",
+                         "csv", *argv]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_kernel_spectral_route_runs(capsys):
     code = dispatch(["kernel", "--family", "D", "--u", "1.0", "--v", "0.5",
                      "--spectral", "--eps", "0.1"])

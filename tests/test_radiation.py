@@ -139,11 +139,26 @@ def test_reference_route_never_touches_the_lattice(monkeypatch):
         return levin(*args)
 
     monkeypatch.setattr(specfun, "_levin_u", levin_u)
+    # the decay rate each quadrature is given: min(u, 2 - u) marks the
+    # unsplit integrand, 2 + min(u, 2 - u) the split one of kernel_d
+    decay_rates = []
+    quad = radiation.integrate_semi_infinite
+
+    def recording(integrand, decay_rate, *args, **kwargs):
+        decay_rates.append(decay_rate)
+        return quad(integrand, decay_rate, *args, **kwargs)
+
+    monkeypatch.setattr(radiation, "integrate_semi_infinite", recording)
     for sep in (Separation(0.3, 3.0, 0.2), Separation(1e-3, 3.0, 0.2)):
+        # kernel_d at the same separation and tolerance just before does
+        # not stand in for the reference's own quadrature
+        kernel_d("plus", sep)
         levin_calls.clear()
-        for sign in ("plus", "minus"):
+        decay_rates.clear()
+        for sign in ("minus", "plus"):
             _kernel_d_reference(sign, sep)
         assert levin_calls, sep
+        assert decay_rates == [min(sep.u, 2.0 - sep.u)], sep
 
 
 @pytest.mark.parametrize("a, v", [(0.3, 0.0), (0.3, 3.0), (1.0, 1.0),
