@@ -1,26 +1,31 @@
-"""The last result of the package's costly pure routes, kept for one repeat.
+"""The last result of each of the package's costly pure routes, kept for
+one repeat.
 
 Public calls ask for one input twice in a row: kernel_e, kernel_d and the
 reference route of verify for both signs of one separation (E- = E+ . R,
-D- = D+ . R share one base), and ground_state after spectrum_scan at the
-same parameters (one parity-block solve).  `recall` serves the second call
+D- = D+ . R share one base), ground_state after spectrum_scan at the same
+parameters (one parity-block solve), and consecutive couplings of one Dicke
+model (one build of the blocks' layouts).  `recall` serves the second call
 from the first.
 
-It holds a single entry, shared by every route, as one (key, value) tuple:
-the next call with another input replaces it, so a sweep over distinct
-inputs computes each of them.  The key is the route itself and every input
-exactly, floats by their bits (-0.0 and 0.0 differ), so a result served
-from the slot has the bits a fresh computation would give.  The slot is
-read and replaced whole, so threads that share it may lose each other's
-entry but never pair a key with another key's value.
+It holds one entry per route, a (key, value) tuple: the next call of that
+route with another input replaces it, so a sweep over distinct inputs
+computes each of them, while a call of another route in between leaves it
+alone.  The largest value kept is the Dicke layouts, two bands of
+(half-bandwidth + 1) x block-states doubles, about 18 MB at N = 64,
+cutoff 1000.  The key is every input exactly, floats by their bits (-0.0
+and 0.0 differ), so a result served from the memo has the bits a fresh
+computation would give.  An entry is read and replaced whole, so threads
+that share it may lose each other's entry but never pair a key with
+another key's value.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# (key, value) of the last recall that returned
-_slot = None
+# route -> (key, value) of the last recall of route that returned
+_entries = {}
 
 
 def _exact(x):
@@ -36,23 +41,21 @@ def _exact(x):
     return type(x), x
 
 
-def recall(route, *args, **derived):
-    """route(*args, **derived), or the value it returned last when the
-    last recall was of route at args exactly.
+def recall(route, *args):
+    """route(*args), or the value it returned last when the last recall of
+    route was at args exactly.
 
-    derived holds values computed from args alone, such as spectrum_scan's
-    block layouts, and is not part of the key.  An array value is kept
-    read-only and every caller gets its own copy; any other value must be
-    immutable.  A call that raises stores nothing.
+    An array value is kept read-only and every caller gets its own copy;
+    any other value must be immutable, as a tuple of read-only arrays is.
+    A call that raises stores nothing.
     """
-    global _slot
-    key = (route, tuple(map(_exact, args)))
-    slot = _slot
-    if slot is not None and slot[0] == key:
-        value = slot[1]
+    key = tuple(map(_exact, args))
+    entry = _entries.get(route)
+    if entry is not None and entry[0] == key:
+        value = entry[1]
     else:
-        value = route(*args, **derived)
+        value = route(*args)
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
-        _slot = key, value
+        _entries[route] = key, value
     return value.copy() if isinstance(value, np.ndarray) else value

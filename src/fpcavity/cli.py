@@ -8,8 +8,10 @@ one verification failure, 2 argument or domain error.
 The --tol-abs/--tol-rel flags of `kernel` set the accuracy of the D
 family's quadratures, 1e-10 each when omitted, and --max-subdivisions caps
 their panel splits, at 4000 when omitted.  The E family, a fixed-accuracy
-lattice sum, refuses all three, and --eps (the spectral regulator, 0.05
-when omitted) is refused without --spectral: a flag is never ignored.
+lattice sum, refuses all three.  The spectral route (--spectral) reads
+only --tol-abs, which sets its grid's reach, and refuses the other two;
+--eps (its regulator, 0.05 when omitted) is refused without --spectral: a
+flag is never ignored.
 `verify` takes only
 --max-subdivisions (an integer >= 1, with --seed an integer >= 0), which
 caps the effort of every check's quadratures and never moves a pass
@@ -195,6 +197,9 @@ def _cmd_kernel(ns) -> int:
         if ns.spectral:
             if ns.sign != "plus":
                 raise DomainError("the spectral route evaluates D plus only")
+            if ns.tol_rel is not None or ns.max_subdivisions is not None:
+                raise DomainError("--tol-rel and --max-subdivisions do not "
+                                  "apply to the spectral route")
             eps = _DEFAULT_EPS if ns.eps is None else ns.eps
             mat = kernel_d_spectral(sep, eps, tol).m
         else:

@@ -122,8 +122,8 @@ def _kernel_from_base(base, kinds: tuple[str, str], check_domain, sign: str,
     transverse separation along x: rotated about z through sep.phi, and
     times R for the minus sign.
 
-    The base comes through the memo of the last result, so the other sign
-    at the same separation right after reuses it.
+    The base comes through the memo of base's last result, so the next
+    call of base at the same separation, of either sign, reuses it.
     """
     if sign not in ("plus", "minus"):
         raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")

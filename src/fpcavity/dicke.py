@@ -9,11 +9,12 @@ superradiant doublet is degenerate to machine precision.
 
 Each block, with its states ordered by photon number, is banded with a
 half-bandwidth of about N/2.  The solver builds it in band storage straight
-from the matrix elements; no dense matrix is formed.  Bisection with banded
-Cholesky factorizations finds a shift certified below the block's lowest
-eigenvalue, and a Lanczos iteration on the inverse of the shifted block,
-one banded solve with that one factor per step, spans the two lowest
-eigenvectors.  Rayleigh-Ritz of H on that basis gives the two lowest
+from the matrix elements, once per model but for the coupling values, which
+consecutive couplings of the model fill in; no dense matrix is formed.
+Bisection with banded Cholesky factorizations finds a shift certified below
+the block's lowest eigenvalue, and a Lanczos iteration on the inverse of the
+shifted block, one banded solve with that one factor per step, spans the two
+lowest eigenvectors.  Rayleigh-Ritz of H on that basis gives the two lowest
 eigenvalues and the ground vector together, each pair within a residual of
 1e-12 |H|.  Before anything is built, the solver's guard bounds the flops
 of its worst case, the bisection's factorizations and 60 Lanczos steps,
@@ -27,9 +28,10 @@ Whether the Fock cutoff holds the ground state is read off the ground
 vector itself: its probability weight on the top fifth of the photon
 numbers must be negligible.
 
-The solver's BLAS and LAPACK routines (dsbmv, dpbtrf, dpbtrs, dsyevr,
-from scipy.linalg) are loaded on the first solve, not on import; the
-mean field and build_hamiltonian run without them.
+The solver's BLAS and LAPACK routines (dsbmv, dpbtrf, dpbtrs, dsyevr)
+are reached through scipy.linalg's blas and lapack modules, imported on the
+first solve, not on import; the mean field and build_hamiltonian run
+without them.
 
 The zero-temperature mean-field transition sits at y_c = sqrt(omega_c
 omega_a): below it the ground state is the trivial product state; above it
@@ -39,7 +41,7 @@ a symmetry-breaking boson amplitude appears, given in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -96,34 +98,11 @@ _FACTORIZATIONS = math.ceil(math.log2(2.0 / _SHIFT_BRACKET)) + 1
 # above which the cutoff counts as not converged
 _CUTOFF_TAIL = 1e-8
 
-# The solver's routines and the scipy.linalg submodule of each.  They
-# become module names on the first solve (_load_lapack), or when one is
-# first read from outside (__getattr__); importing scipy.linalg costs
-# about 0.3 s.
-_ROUTINES = {"dsbmv": "blas", "dpbtrf": "lapack", "dpbtrs": "lapack",
-             "dsyevr": "lapack"}
-_routines_loaded = False
-
-
-def _load_lapack() -> None:
-    """Bind the _ROUTINES as module names, once.  A name that is already
-    set, as by a test's monkeypatch, is kept."""
-    global _routines_loaded
-    if _routines_loaded:
-        return
-    from scipy.linalg import blas, lapack
-    names = globals()
-    for name, submodule in _ROUTINES.items():
-        names.setdefault(name, getattr(
-            blas if submodule == "blas" else lapack, name))
-    _routines_loaded = True
-
-
-def __getattr__(name: str):
-    if name in _ROUTINES:
-        _load_lapack()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# scipy.linalg.blas and scipy.linalg.lapack, once the first solve
+# (_lowest_pair) has imported them.  Importing scipy.linalg costs about
+# 0.3 s, which the mean field and build_hamiltonian never need.
+_blas = None
+_lapack = None
 
 
 @dataclass(frozen=True)
@@ -279,10 +258,9 @@ class _BlockLayout:
 
 @dataclass(frozen=True)
 class _Block:
-    """One parity block in lower band storage, ab[d, i] = H[i + d, i], with
+    """One parity block's two lowest eigenvalues and ground vector, with
     the spin index and photon number of each of its states."""
 
-    ab: np.ndarray
     m: np.ndarray
     n: np.ndarray
     lowest: np.ndarray  # the two lowest eigenvalues, ascending
@@ -292,9 +270,10 @@ class _Block:
     norm: float
 
 
-def _block_layouts(p: DickeParams) -> list[_BlockLayout]:
+def _block_layouts(p: DickeParams) -> tuple[_BlockLayout, ...]:
     """The layouts of the even and the odd parity block, which depend on
-    everything in p but the coupling y.
+    everything in p but the coupling y.  Their arrays are read-only, so
+    that the memo can hand them to every coupling of the model.
 
     A block lists its states photon-major, by n (N + 1) + m.  H then links
     only neighbouring photon numbers, so each block is banded with a
@@ -317,31 +296,32 @@ def _block_layouts(p: DickeParams) -> list[_BlockLayout]:
         width = np.abs(i1[link] - i2[link])
         band = np.zeros((int(width.max()) + 1, np.count_nonzero(on)))
         band[0] = diag[on]
-        layouts.append(_BlockLayout(
-            band=band, width=width, lo=np.minimum(i1[link], i2[link]),
-            strength=strength[link], m=m[on], n=n[on]))
-    return layouts
+        arrays = (band, width, np.minimum(i1[link], i2[link]),
+                  strength[link], m[on], n[on])
+        for array in arrays:
+            array.flags.writeable = False
+        layouts.append(_BlockLayout(*arrays))
+    return tuple(layouts)
 
 
-def _solve_blocks(p: DickeParams,
-                  layouts: list[_BlockLayout] | None = None) -> list[_Block]:
+def _solve_blocks(p: DickeParams) -> list[_Block]:
     """The even and the odd parity block at p.y, with their two lowest
     eigenvalues and ground vectors: the coupling values filled into the
-    layouts, which spectrum_scan builds once for all its couplings and
-    which are built from p when not given."""
+    layouts of p's model, recalled at y = 0, so that consecutive couplings
+    of one model build them once."""
     blocks = []
-    for layout in layouts or _block_layouts(p):
+    for layout in recall(_block_layouts, replace(p, y=0.0)):
         ab = layout.band.copy()
         ab[layout.width, layout.lo] = _coupling_values(p, layout.strength)
         # every block holds at least two states: N >= 1 and cutoff >= 1
         lowest, ground, norm = _lowest_pair(ab)
-        blocks.append(_Block(ab=ab, m=layout.m, n=layout.n, lowest=lowest,
+        blocks.append(_Block(m=layout.m, n=layout.n, lowest=lowest,
                              ground=ground, norm=norm))
     return blocks
 
 
 def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return dsbmv(ab.shape[0] - 1, 1.0, ab, x, lower=1)
+    return _blas.dsbmv(ab.shape[0] - 1, 1.0, ab, x, lower=1)
 
 
 def _lowest_pair(ab: np.ndarray):
@@ -353,7 +333,10 @@ def _lowest_pair(ab: np.ndarray):
     H scaled by the power of two just above |H|, which is exact and keeps
     every iterate in range whatever the scale of H.
     """
-    _load_lapack()
+    global _blas, _lapack
+    if _lapack is None:
+        from scipy.linalg import blas, lapack
+        _blas, _lapack = blas, lapack
     dim = ab.shape[1]
     abs_rows = _band_matvec(np.abs(ab), np.ones(dim))
     norm = float(abs_rows.max())
@@ -417,13 +400,13 @@ def _shifted_factor(h: np.ndarray, abs_rows: np.ndarray) -> np.ndarray:
     while hi - lo > _SHIFT_BRACKET * norm:
         mid = 0.5 * (lo + hi)
         shifted[0] = h[0] - mid
-        if dpbtrf(shifted, lower=1)[1] == 0:
+        if _lapack.dpbtrf(shifted, lower=1)[1] == 0:
             lo = mid
         else:
             hi = mid
     sigma = lo - _SHIFT_MARGIN * norm
     shifted[0] = h[0] - sigma
-    factor, info = dpbtrf(shifted, lower=1)
+    factor, info = _lapack.dpbtrf(shifted, lower=1)
     if info != 0:
         raise ConvergenceError(
             f"H - sigma did not factor at sigma = {sigma!r}, below the "
@@ -433,7 +416,7 @@ def _shifted_factor(h: np.ndarray, abs_rows: np.ndarray) -> np.ndarray:
 
 
 def _solve(factor: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return dpbtrs(factor, x, lower=1)[0]
+    return _lapack.dpbtrs(factor, x, lower=1)[0]
 
 
 def _ritz_pairs(basis: np.ndarray, h_basis: np.ndarray):
@@ -444,8 +427,8 @@ def _ritz_pairs(basis: np.ndarray, h_basis: np.ndarray):
     H itself, not the shifted inverse, is projected, so the Ritz values
     carry a rounding of a few eps |H| however close the shift is to E0.
     """
-    energies, s, _, _, info = dsyevr(basis @ h_basis.T, range="I",
-                                     lower=1, il=1, iu=2)
+    energies, s, _, _, info = _lapack.dsyevr(basis @ h_basis.T, range="I",
+                                             lower=1, il=1, iu=2)
     if info != 0:
         raise ConvergenceError(f"the Rayleigh-Ritz eigensolve failed "
                                f"(LAPACK dsyevr info {info})")
@@ -455,9 +438,8 @@ def _ritz_pairs(basis: np.ndarray, h_basis: np.ndarray):
     return energies, vectors, np.linalg.norm(residual, axis=1)
 
 
-def _ground_observables(p: DickeParams,
-                        layouts: list[_BlockLayout] | None = None):
-    even, odd = _solve_blocks(p, layouts)
+def _ground_observables(p: DickeParams):
+    even, odd = _solve_blocks(p)
     e_even, e_odd = float(even.lowest[0]), float(odd.lowest[0])
     # Block minima closer than the rounding of their Rayleigh-Ritz values,
     # a few eps |H| from the banded products and the small dense
@@ -496,14 +478,6 @@ def ground_state(p: DickeParams) -> GroundStateResult:
                              cutoff_converged=tail <= _CUTOFF_TAIL)
 
 
-def _classical_energy_per_atom(a_amp: float, theta: float, p: DickeParams) -> float:
-    # trial product state: boson coherent amplitude alpha = a_amp * sqrt(N),
-    # spin coherent state at polar angle theta (theta = 0 the ground spin)
-    return (p.omega_c * a_amp * a_amp
-            - 0.5 * p.omega_a * math.cos(theta)
-            + p.y * a_amp * math.sin(theta))
-
-
 def mean_field(p: DickeParams) -> MeanFieldResult:
     """Zero-temperature mean-field solution, in closed form.
 
@@ -530,22 +504,20 @@ def mean_field(p: DickeParams) -> MeanFieldResult:
 def spectrum_scan(p: DickeParams, y_grid: Sequence[float]) -> list[ScanRow]:
     """Ground-state observables and first gap along a coupling grid.
 
-    The parity blocks' layout is built once; each coupling fills in only
-    its coupling values.  A coupling whose parameters equal those of the
-    last solve, such as a ground_state call just before, reuses it, and
-    ground_state at the last coupling's parameters right after is free.
+    The parity blocks' layout is built once per model (_solve_blocks); each
+    coupling fills in only its coupling values.  A coupling whose
+    parameters equal those of the last solve, such as a ground_state call
+    just before, reuses it, and ground_state at the last coupling's
+    parameters right after is free.
     """
     if len(y_grid) == 0:
         raise DomainError("y_grid must be non-empty")
-    layouts = _block_layouts(p)
     rows = []
     for y in y_grid:
         if y < 0:
             raise DomainError("couplings must be non-negative")
-        py = DickeParams(p.omega_a, p.omega_c, float(y), p.n_atoms,
-                         p.fock_cutoff)
-        energy, photon, _, parity, gap, _ = recall(_ground_observables, py,
-                                                   layouts=layouts)
+        energy, photon, _, parity, gap, _ = recall(_ground_observables,
+                                                   replace(p, y=float(y)))
         rows.append(ScanRow(y=float(y), energy=energy, photon_number=photon,
                             gap=gap, parity=parity))
     return rows

@@ -8,7 +8,7 @@ def _empty_memo():
     """Each test starts with an empty last-result memo, so a test that
     patches a layer under a memoized route computes afresh and no test
     depends on the one before it."""
-    _memo._slot = None
+    _memo._entries.clear()
 
 
 @pytest.fixture(scope="session")

@@ -112,10 +112,12 @@ def test_kernel_spectral_flag_restrictions(capsys):
     ["--family", "E", "--eps", "7"],
     ["--family", "D", "--eps", "0.1"],
     ["--family", "D", "--sign", "minus", "--eps", "0.05"],
+    ["--family", "D", "--spectral", "--tol-rel", "1e-3"],
+    ["--family", "D", "--spectral", "--max-subdivisions", "1"],
 ])
 def test_kernel_refuses_flags_it_would_ignore(argv, capsys):
-    # the E family is a fixed-accuracy lattice sum, and only the spectral
-    # route reads the regulator
+    # the E family is a fixed-accuracy lattice sum, only the spectral route
+    # reads the regulator, and of the tolerance it reads only abs_tol
     assert dispatch(["kernel", "--u", "0.5", "--v", "1", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "error" in captured.err

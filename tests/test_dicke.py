@@ -2,14 +2,16 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from fpcavity import (ConvergenceError, DickeParams, DomainError,
                       build_hamiltonian, ground_state, mean_field,
                       spectrum_scan)
-from fpcavity import dicke
+from fpcavity import _memo, dicke
 from fpcavity.cli import dispatch
 from fpcavity.dicke import parity_diagonal
 
@@ -148,9 +150,9 @@ def test_ground_state_solves_once(monkeypatch):
     calls = []
     solve = dicke._solve_blocks
 
-    def counted(p, layouts=None):
+    def counted(p):
         calls.append(p)
-        return solve(p, layouts)
+        return solve(p)
     monkeypatch.setattr(dicke, "_solve_blocks", counted)
     p = DickeParams(y=2.0, n_atoms=8, fock_cutoff=60)
     assert ground_state(p).cutoff_converged
@@ -190,7 +192,7 @@ def _refused_before_building(p, monkeypatch, match):
     def never(*args, **kwargs):
         raise AssertionError("the solve started")
     monkeypatch.setattr(dicke, "_elements", never)
-    monkeypatch.setattr(dicke, "dpbtrf", never)
+    monkeypatch.setattr(lapack, "dpbtrf", never)
     with pytest.raises(DomainError, match=match):
         ground_state(p)
     with pytest.raises(DomainError, match=match):
@@ -241,12 +243,72 @@ def test_ground_state_at_n100_cutoff150():
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 7, 8, 16, 33])
 def test_solver_guard_half_bandwidth_is_exact(n_atoms, monkeypatch):
     # the guard's half-bandwidth formula against the blocks the solver builds
-    blocks = dicke._solve_blocks(DickeParams(y=1.0, n_atoms=n_atoms,
-                                             fock_cutoff=9))
-    widths = {b.ab.shape[0] - 1 for b in blocks}
+    layouts = dicke._block_layouts(DickeParams(n_atoms=n_atoms,
+                                               fock_cutoff=9))
+    widths = {layout.band.shape[0] - 1 for layout in layouts}
     monkeypatch.setattr(dicke, "MAX_SOLVER_WORK", 0)
     with pytest.raises(DomainError, match=f"half-bandwidth {max(widths)} "):
         dicke._check_solver_work(DickeParams(n_atoms=n_atoms, fock_cutoff=9))
+
+
+# ---------------------------------------------------------------------------
+# block layouts, one build per model
+# ---------------------------------------------------------------------------
+
+def _counted_layout_builds(monkeypatch) -> list:
+    """The models whose layouts are built from now on (one _elements call
+    each)."""
+    builds = []
+    elements = dicke._elements
+
+    def counted(p):
+        builds.append(p)
+        return elements(p)
+    monkeypatch.setattr(dicke, "_elements", counted)
+    return builds
+
+
+def test_scan_builds_the_layouts_once(monkeypatch):
+    builds = _counted_layout_builds(monkeypatch)
+    spectrum_scan(DickeParams(n_atoms=8, fock_cutoff=60),
+                  [0.25 * i for i in range(13)])
+    assert len(builds) == 1
+
+
+def test_ground_state_at_a_new_coupling_builds_no_layout(monkeypatch):
+    p = DickeParams(n_atoms=8, fock_cutoff=60)
+    spectrum_scan(p, [0.5, 1.0])
+    builds = _counted_layout_builds(monkeypatch)
+    got = ground_state(DickeParams(y=1.7, n_atoms=8, fock_cutoff=60))
+    assert builds == []
+    _memo._entries.clear()
+    want = ground_state(DickeParams(y=1.7, n_atoms=8, fock_cutoff=60))
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("change", [
+    {"n_atoms": 9}, {"fock_cutoff": 61}, {"omega_a": 1.25},
+    {"omega_c": 0.75}])
+def test_another_model_builds_its_own_layouts(change, monkeypatch):
+    p = DickeParams(y=1.0, n_atoms=8, fock_cutoff=60)
+    ground_state(p)
+    builds = _counted_layout_builds(monkeypatch)
+    other = replace(p, **change)
+    ground_state(other)
+    assert builds == [replace(other, y=0.0)]
+
+
+def test_kept_layouts_are_read_only(monkeypatch):
+    ground_state(DickeParams(y=1.0, n_atoms=4, fock_cutoff=10))
+    # the layouts the memo keeps, served without a build
+    builds = _counted_layout_builds(monkeypatch)
+    layouts = _memo.recall(dicke._block_layouts,
+                           DickeParams(n_atoms=4, fock_cutoff=10))
+    assert builds == []
+    for layout in layouts:
+        for array in vars(layout).values():
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +370,7 @@ def test_shift_within_rounding_of_ground_energy(y, n_atoms, cutoff,
         for k in range(100):
             shifted = h.copy()
             shifted[0] -= e0 - k * step
-            factor, info = dicke.dpbtrf(shifted, lower=1)
+            factor, info = lapack.dpbtrf(shifted, lower=1)
             if info == 0:
                 hugs.append(k)
                 return factor
@@ -453,10 +515,18 @@ def test_mean_field_superradiant_branch_oracle():
     assert res.energy_per_atom == pytest.approx(-17.0 / 16.0, abs=1e-10)
 
 
+def _classical_energy_per_atom(a_amp: float, theta: float,
+                               p: DickeParams) -> float:
+    # trial product state: boson coherent amplitude alpha = a_amp * sqrt(N),
+    # spin coherent state at polar angle theta (theta = 0 the ground spin)
+    return (p.omega_c * a_amp * a_amp
+            - 0.5 * p.omega_a * math.cos(theta)
+            + p.y * a_amp * math.sin(theta))
+
+
 def test_mean_field_parity_degenerate_minima():
     # the classical surface is invariant under flipping both the boson
     # amplitude and the spin azimuth
-    from fpcavity.dicke import _classical_energy_per_atom
     p = DickeParams(y=1.8)
     a_star = math.sqrt(mean_field(p).order_parameter_sq_per_atom)
     theta_star = math.acos((1.0 / 1.8) ** 2)

@@ -1,9 +1,10 @@
-"""The one-entry memo of the last kernel base or Dicke solve.
+"""The memo of the last kernel base, Dicke solve and Dicke layout, one
+entry per route.
 
-A repeat of the last input, in the other sign or through the other Dicke
-call, is served from the memo; any other input is computed afresh.  What
-the memo serves has the bits of a fresh computation, belongs to the
-caller, and is never an error.
+A repeat of a route's last input, in the other sign or through the other
+Dicke call, is served from the memo, also after calls of other routes in
+between; any other input is computed afresh.  What the memo serves has the
+bits of a fresh computation, belongs to the caller, and is never an error.
 """
 
 import math
@@ -26,7 +27,7 @@ SEPARATIONS = (Separation(0.4, 0.9, 1.1), Separation(0.5, 0.0),
 
 def _fresh(call):
     """call() with the memo emptied first."""
-    _memo._slot = None
+    _memo._entries.clear()
     return call()
 
 
@@ -92,7 +93,7 @@ def test_a_mutated_result_leaves_the_next_one_alone(route):
     sep = Separation(0.6, 1.1)
     want = {sign: _fresh(lambda: route(sign, sep)).m for sign in
             ("plus", "minus")}
-    _memo._slot = None
+    _memo._entries.clear()
     first = route("plus", sep)
     first.m[...] = 7.0
     for sign in ("minus", "plus"):
@@ -134,7 +135,8 @@ def test_one_computation_per_input(monkeypatch, route, module, layer):
     route("minus", Separation(0.7, 0.4))
     assert len(calls) == 1
     calls.clear()
-    # one entry: a second pass over distinct inputs computes them again
+    # one entry per route: a second pass over distinct inputs computes them
+    # again
     seps = [Separation(0.8, 0.4, 1.0), Separation(1.2, 0.9),
             Separation(0.3, 1.5)]
     for _ in range(2):
@@ -156,3 +158,24 @@ def test_ground_state_after_scan_reuses_the_solve(monkeypatch):
     solves.clear()
     ground_state(DickeParams(y=1.5, n_atoms=6, fock_cutoff=40))
     assert len(solves) == 2
+
+
+def test_another_route_in_between_keeps_the_entry(monkeypatch):
+    sums = _counted(monkeypatch, coulomb, "_lattice_moments")
+    sep = Separation(0.7, 0.4)
+    kernel_e("plus", sep)
+    kernel_d("plus", Separation(0.6, 1.1))
+    kernel_e("minus", sep)
+    assert len(sums) == 1
+
+
+def test_a_kernel_between_scan_and_ground_state_keeps_the_solve(monkeypatch):
+    solves = _counted(monkeypatch, dicke, "_lowest_pair")
+    p = DickeParams(y=1.4, n_atoms=6, fock_cutoff=40)
+    row = spectrum_scan(p, [p.y])[0]
+    kernel_d("plus", Separation(0.6, 1.1))
+    kernel_e("minus", Separation(0.6, 1.1))
+    g = ground_state(p)
+    assert len(solves) == 2
+    assert (g.energy, g.photon_number, g.parity) == (
+        row.energy, row.photon_number, row.parity)
