@@ -15,14 +15,17 @@ alone.  The largest value kept is the Dicke layouts, two bands of
 (half-bandwidth + 1) x block-states doubles, about 18 MB at N = 64,
 cutoff 1000.  The key is every input exactly, floats by their bits (-0.0
 and 0.0 differ), so a result served from the memo has the bits a fresh
-computation would give.  An entry is read and replaced whole, so threads
-that share it may lose each other's entry but never pair a key with
-another key's value.
+computation would give.  A Tolerance is its own key part: its floats are
+positive and finite, where equality is equality of bits.  An entry is
+read and replaced whole, so threads that share it may lose each other's
+entry but never pair a key with another key's value.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .specfun import Tolerance
 
 # route -> (key, value) of the last recall of route that returned
 _entries = {}
@@ -30,10 +33,13 @@ _entries = {}
 
 def _exact(x):
     """x as a key part that tells apart any two inputs a route could: a
-    float by its bits, a dataclass field by field, anything else by type
-    and value."""
+    float by its bits, a Tolerance by itself, any other dataclass field by
+    field (DickeParams, whose y may be -0.0), anything else by type and
+    value."""
     if isinstance(x, float):
         return type(x), float.hex(x)
+    if type(x) is Tolerance:
+        return x
     if hasattr(x, "__dataclass_fields__"):
         # the fields in order, from the instance dict: dataclasses.fields
         # would cost 5 us a key

@@ -9,7 +9,8 @@ The --tol-abs/--tol-rel flags of `kernel` set the accuracy of the D
 family's quadratures, 1e-10 each when omitted, and --max-subdivisions caps
 their panel splits, at 4000 when omitted.  The E family, a fixed-accuracy
 lattice sum, refuses all three.  The spectral route (--spectral) reads
-only --tol-abs, which sets its grid's reach, and refuses the other two;
+only --tol-abs, which sets its grid's reach log(1/tol-abs)/eps and must be
+below 1 there, and refuses the other two;
 --eps (its regulator, 0.05 when omitted) is refused without --spectral: a
 flag is never ignored.
 `verify` takes only
@@ -251,7 +252,8 @@ def _cmd_dicke_scan(ns) -> int:
 
 def _add_tol(p):
     p.add_argument("--tol-abs", type=float, default=None,
-                   help=f"absolute accuracy of the D-family quadratures, "
+                   help=f"absolute accuracy of the D-family quadratures "
+                        f"(with --spectral, below 1: the grid's reach), "
                         f"{DEFAULT_TOL.abs_tol:g} if omitted")
     p.add_argument("--tol-rel", type=float, default=None,
                    help=f"relative accuracy of the D-family quadratures, "

@@ -67,7 +67,7 @@ from .coulomb import (D_MINUS, D_PLUS, KernelMatrix, Separation,
 from .errors import DomainError
 from .geometry import CavityFrame
 from .specfun import (DEFAULT_TOL, Tolerance, _bessel_half_period,
-                      _bessel_j0_j1_sum, _jv, integrate_semi_infinite)
+                      _bessel_j0_g, _bessel_j2, integrate_semi_infinite)
 
 __all__ = [
     "AnisotropyResult",
@@ -121,18 +121,26 @@ def _d_rows(x: np.ndarray, v: float, ch: np.ndarray,
     """The rows xx, yy, zz and xz of the D+ integrand (without the factor
     pi) at the nodes x, given the cosh weight ch and the sinh weight sh.
 
-    J2 enters only through J0 + J2 = 2 J1(xv)/(xv), so two Bessel orders
-    are evaluated per node: xx carries J2 - J0 = (J0 + J2) - 2 J0.
+    One Bessel call gives J0 and g = J1(xv)/(xv); J2 enters only through
+    J0 + J2 = 2 g, so xx carries J2 - J0 = 2 (g - J0) and yy -(J0 + J2).
     """
-    j0, j1, j02 = _bessel_j0_j1_sum(x * v)
+    xv = x * v
+    j0, g = _bessel_j0_g(xv)
+    # c = 2 x^2 ch, then -2 x^2 ch, and s = -2 x^2 sh: every row is one
+    # product with them, in place
     x2 = x * x
-    ch = x2 * ch
-    sh = x2 * sh
+    c = x2 * ch
+    c += c
+    s = x2 * sh
+    s *= -2.0
     rows = np.empty((4, len(x)))
-    np.multiply(ch, j02 - 2.0 * j0, out=rows[0])
-    np.multiply(-ch, j02, out=rows[1])
-    np.multiply(2.0 * ch, j0, out=rows[2])
-    np.multiply(-2.0 * sh, j1, out=rows[3])
+    np.subtract(g, j0, out=rows[0])
+    rows[0] *= c
+    np.multiply(c, j0, out=rows[2])
+    c *= -1.0
+    np.multiply(c, g, out=rows[1])
+    np.multiply(xv, g, out=rows[3])
+    rows[3] *= s
     return rows
 
 
@@ -233,8 +241,11 @@ _GL_ORDER = 20
 # grid nodes times (axial terms + _BESSEL_TABLE_TERMS), the scaling of
 # kernel_d_spectral's work: about 1.5e-8 s per unit measured on a 2-core x86
 # box, so up to about 6 s per call at the bound.  The three Bessel tables
-# cost about as much as 175 axial terms per node: at v = 2500, eps = 0.5
-# (65 axial terms) a call took 3.5-5.3 s, the time of 240 units per node.
+# cost about as much as 175 axial terms per node when they came from
+# scipy's jv: at v = 2500, eps = 0.5 (65 axial terms) a call took
+# 3.5-5.3 s, the time of 240 units per node.  From the package's own J0
+# and J1(x)/x that call takes 3.3 s (4.7 s before, on the same box), so
+# the count errs on the safe side.
 _MAX_SPECTRAL_WORK = 400_000_000
 _BESSEL_TABLE_TERMS = 175
 _FLOAT_TINY = float(np.finfo(float).tiny)
@@ -259,19 +270,25 @@ def kernel_d_spectral(sep: Separation, regulator_eps: float,
     meant for epsilon-extrapolated cross-checks against kernel_d, not for
     production use.
 
-    regulator_eps must be positive and finite, and small enough that the
-    squared grid nodes stay normal doubles (up to about 1e152; above, the
-    n = 0 term would be 0/0).  The work, grid nodes times the axial terms
-    and the three Bessel tables, grows like 1/eps^2 (and like v at large
-    v); a request above _MAX_SPECTRAL_WORK is a DomainError before any
-    array is built.
+    The transverse grid reaches x_max = log(1/tol.abs_tol)/eps, where the
+    regulator has damped the integrand to tol.abs_tol; tol.abs_tol must
+    be below 1, where x_max > 0 (only abs_tol is read).  regulator_eps
+    must be positive and finite, and small enough that the squared grid
+    nodes stay normal doubles (up to about 1e152 at the default
+    tolerance; above, the n = 0 term would be 0/0).  The work, grid nodes
+    times the axial terms and the three Bessel tables, grows like 1/eps^2
+    (and like v at large v); a request above _MAX_SPECTRAL_WORK is a
+    DomainError before any array is built.
     """
     _check_d_domain(sep)
     if not 0.0 < regulator_eps < math.inf:
         raise DomainError("regulator_eps must be positive and finite")
+    if not tol.abs_tol < 1.0:
+        raise DomainError("the spectral route needs abs_tol < 1: its grid "
+                          "reaches log(1/abs_tol)/eps")
     eps = regulator_eps
     u, v = sep.u, sep.v
-    x_max = math.log(1.0 / min(tol.abs_tol, 1e-9)) / eps
+    x_max = math.log(1.0 / tol.abs_tol) / eps
     width = min(2.0, math.pi / (2.0 * max(v, 0.25)))
     # each factor capped at the bound, which keeps ceil off inf and does
     # not change the verdict
@@ -289,9 +306,10 @@ def kernel_d_spectral(sep: Separation, regulator_eps: float,
         raise DomainError(
             f"regulator_eps = {eps!r} is too large: the squared grid nodes "
             "underflow")
-    j0 = _jv(0, xs * v)
-    j1 = _jv(1, xs * v)
-    j2 = _jv(2, xs * v)
+    xv = xs * v
+    j0, g = _bessel_j0_g(xv)
+    j1 = xv * g
+    j2 = _bessel_j2(xv, j0, g)
     damp = np.exp(-eps * xs) * ws
     xx = yy = zz = xz = 0.0
     xs2 = xs * xs

@@ -2,23 +2,23 @@
 
 Everything downstream (Coulomb kernels, displacement-field kernels, the
 identity suite) is built on four ingredients defined here: the cylindrical
-Bessel functions J0, J1, J2 (scipy.special's Cephes j0/j1 for orders 0
-and 1 up to x = 25 and its AMOS jv above 25 and for order 2, each where it
-is the more accurate; integrands that need J2 only in J0 + J2 take it as
-2 J1(x)/x), the image-lattice moments behind the inverse-cube lattice sum
-xi(u, v), an adaptive Gauss-Kronrod integrator for exponentially decaying
-integrands on (0, inf), scalar or vector valued, with an oscillatory-tail
-mode for slowly damped Bessel-type integrands (each step splits every panel
-the tolerance asks for, and the tail takes its half-periods in batches, in
-one call of the integrand each), and the two-sided mode sum
-sum_n e^{i alpha n} n^m / (n^2 + beta^2) by two independent routes: its
-hyperbolic closed form, and its symmetric truncation summed term by term
-in blocks of consecutive n (angle addition from one block's cos/sin table,
-constant memory in the truncation, within 2e-15 of the sum of the moduli
-of the terms).
+Bessel functions J0, J1, J2 (the package's own, in numpy: J0 and
+J1(x)/x from one call, polynomial cells below x = 60.5 and Hankel's
+modulus-phase form above, with coefficients written from mpmath by
+tools/bessel_coefficients.py; J1 = x (J1(x)/x), and integrands that need
+J2 only in J0 + J2 take it as 2 J1(x)/x), the image-lattice moments behind
+the inverse-cube lattice sum xi(u, v), an adaptive Gauss-Kronrod
+integrator for exponentially decaying integrands on (0, inf), scalar or
+vector valued, with an oscillatory-tail mode for slowly damped Bessel-type
+integrands (each step splits every panel the tolerance asks for, and the
+tail takes its half-periods in batches, in one call of the integrand
+each), and the two-sided mode sum sum_n e^{i alpha n} n^m / (n^2 + beta^2)
+by two independent routes: its hyperbolic closed form, and its symmetric
+truncation summed term by term in blocks of consecutive n (angle addition
+from one block's cos/sin table, constant memory in the truncation, within
+2e-15 of the sum of the moduli of the terms).
 
-scipy.special is loaded on the first Bessel call, not on import, so the
-lattice sums and the mode sums run without it.
+Nothing here imports scipy.
 
 All functions are pure; units are dimensionless throughout.
 """
@@ -34,6 +34,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _bessel_coef
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -101,84 +102,179 @@ class ModeSumArgs:
 # ---------------------------------------------------------------------------
 # Bessel functions J0, J1, J2
 #
-# One Bessel source, _jv, with each argument range going to the routine
-# that is more accurate there.  Largest errors against 30-digit mpmath over
-# orders 0 and 1, 2000 uniform points per range:
+# One Bessel source, _bessel_j0_g: J0(x) and g(x) = J1(x)/x together, from
+# the tables of _bessel_coef (written from 50-digit mpmath by
+# tools/bessel_coefficients.py).  Below _FAR_X0 = 60.5 each x takes the
+# polynomials of degree 12 of the cell |x - c| <= 1/2 around the nearest
+# integer c; from _FAR_X0 on, Hankel's modulus-phase form (DLMF 10.17)
+# with four polynomials of degree 8 in w = _FAR_X0/x, combined with cos x
+# and sin x (never with the rounded x - pi/4).  _bessel_j0 is the J0 half
+# of the cells, for callers that need J0 alone.  J1 = x g, J0 + J2 = 2 g,
+# and J2 = 2 g - J0, from its own series below _J2_SERIES_MAX where that
+# difference cancels.  Largest errors against 30-digit mpmath, 10001
+# uniform points on [0, 100] with every cell edge and its three
+# neighbouring doubles each side, and 2000 geometric points on [100, 1e4]:
 #
-#   routine          range         abs error   rel error where |J| > 0.05
-#   Cephes j0/j1     [0, 25]       4.4e-16     4.7e-15
-#   AMOS jv          [0, 25]       4.2e-16     7.1e-15
-#   Cephes j0/j1     [25, 50]      3.7e-16     6.8e-15
-#   Cephes j0/j1     (30, 1000)    1.3e-15     9.0e-15
-#   AMOS jv          [25, 1000]    8.3e-17     8.2e-16
+#   range      function  abs error   rel error where |J| > 1e-4
+#   [0, 100]   J0        1.1e-16     1.3e-13
+#              J1        1.1e-16     1.3e-13
+#              J2        2.2e-16     1.0e-13
+#   [100, 1e4] J0        2.8e-17     2.2e-14
+#              J1        3.5e-17     1.4e-14
+#              J2        2.8e-17     3.5e-14
 #
-# (4.4e-16 is 2 ulp at J0 ~ 1 on (0, 1).)  Orders 0 and 1 therefore come
-# from Cephes up to _CEPHES_MAX = 25 and from jv above it.  On a 2-core x86
-# box Cephes takes about 40 ns per point there and jv about 1 us.  Beyond
-# 25 Cephes drifts further, to 5e-12 relative at x ~ 2000-10000, past the
-# 1e-12 the Bessel tests pin.  Order 2 is jv everywhere.
+# (1.1e-16 is 1 ulp at J0 ~ 0.97; next to a zero of J at large x the far
+# form's relative error is that of cos x and sin x, times their weights.)
+# g keeps its relative precision as x -> 0: 1/2 - x^2/16 + ..., exactly
+# 1/2 from x = 0 to about 2e-8, so J1 = x g is x/2, correctly rounded,
+# down to the subnormals.
+#
+# Each call is about 30 elementwise numpy calls: in the benchmark's
+# operations, where every one of them starts from a cold cache, a gather,
+# a reduction or a BLAS product costs several times an in-place multiply,
+# so the cells are evaluated by Horner's rule and the cell range reaches
+# 60.5, past which only 4 % of the Bessel arguments of a verify pass lie.
 # ---------------------------------------------------------------------------
 
-_CEPHES_MAX = 25.0
+# the coefficients by degree: (terms, cells, 2) for J0 and g side by side,
+# (terms, cells) for J0 alone
+_NEAR = np.ascontiguousarray(np.transpose(_bessel_coef.NEAR, (2, 0, 1)))
+_NEAR_J0 = np.ascontiguousarray(_NEAR[..., 0])
+_FAR_X0 = _bessel_coef.FAR_X0
+# the largest argument of the cells
+_NEAR_MAX = math.nextafter(_FAR_X0, 0.0)
+# J0 = r (A0 cos x + B0 sin x) and J1/x = r (A1 cos x + B1 sin x), with
+# r = 1/sqrt(pi x) = sqrt(w / (pi _FAR_X0)): the rows A0, A1, B0, B1 of
+# _FAR carry the factor 1/sqrt(pi _FAR_X0), which keeps sqrt(w) normal for
+# every finite x
+_FAR = np.array(_bessel_coef.FAR)[[0, 2, 1, 3]] / math.sqrt(
+    math.pi * _FAR_X0)                      # (4, far terms)
+_PAIR = np.ones(2)
 
-# scipy.special, once _scipy_special has imported it.  Importing it costs
-# about 0.3 s, which the lattice sums, the mode sums and the Dicke solver
-# never need.
-_special = None
+
+def _near(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The polynomials with coefficients a (by degree, from the table's
+    cells) at t: shape (2, n) for J0 and g, (n,) for J0 alone.
+
+    Horner's rule, each step two in-place elementwise numpy calls over
+    every node, J0 and g side by side as an (n, 2) array: after their
+    first touch these cost far less than a gathering or a reducing call,
+    and the polynomials are short.
+    """
+    if a.ndim == 3:
+        t = t[:, None] * _PAIR
+    p = a[-1] * t
+    for row in a[-2:0:-1]:
+        p += row
+        p *= t
+    p += a[0]
+    return p.T
 
 
-def _scipy_special():
-    """scipy.special, imported on the first call and kept in _special."""
-    global _special
-    if _special is None:
-        from scipy import special
-        _special = special
-    return _special
+def _far(x: np.ndarray) -> np.ndarray:
+    """J0 and J1(x)/x at x >= _FAR_X0 by the modulus-phase form, as the
+    rows of a (2, n) array."""
+    w = _FAR_X0 / x
+    powers = np.empty((len(x), _FAR.shape[1]))
+    powers[:, 0] = np.sqrt(w)
+    powers[:, 1:] = w[:, None]
+    amp = _FAR @ np.multiply.accumulate(powers, axis=1, out=powers).T
+    return amp[:2] * np.cos(x) + amp[2:] * np.sin(x)
+
+
+def _split(x, table):
+    """J0 and J1(x)/x for table = _NEAR, J0 alone for _NEAR_J0, each by
+    the form that applies.  A call with every x below _FAR_X0 is one pass
+    of Horner's rule; otherwise the far form runs over all of x (clipped
+    to its range) and, where some x is below _FAR_X0, np.where picks the
+    cells' values there.  J0 alone takes the J0 row of the far form, so
+    it has the bits of the pair everywhere."""
+    # fmin keeps huge x and NaN castable; both then miss the table
+    c = np.rint(np.fmin(x, _FAR_X0 + 1.0))
+    cells = c.astype(np.intp)
+    try:
+        a = table.take(cells, axis=1)
+    except IndexError:
+        pass  # some x at or past _FAR_X0
+    else:
+        return _near(a, x - c)
+    # a NaN fails the test and takes the far form, which returns NaN
+    near = x < _FAR_X0
+    far = _far(np.maximum(x, _FAR_X0))
+    if table is _NEAR_J0:
+        far = far[0]
+    if not near.any():
+        return far
+    a = table.take(cells, axis=1, mode="clip")
+    return np.where(near, _near(a, np.where(near, x - c, 0.0)), far)
+
+
+# nodes per pass of _split: the gathered cells are 26 doubles a node, the
+# far form's powers 9
+_CHUNK_NODES = 4096
+
+
+def _chunked(x, table):
+    x = np.asarray(x, dtype=float).ravel()
+    if len(x) <= _CHUNK_NODES:
+        return _split(x, table)
+    return np.concatenate([_split(x[i:i + _CHUNK_NODES], table)
+                           for i in range(0, len(x), _CHUNK_NODES)], axis=-1)
+
+
+def _bessel_j0_g(x: np.ndarray) -> np.ndarray:
+    """J0(x) and J1(x)/x at x >= 0 as the rows of one (2, n) array."""
+    return _chunked(x, _NEAR)
+
+
+def _bessel_j0(x: np.ndarray) -> np.ndarray:
+    """J0(x) at x >= 0: _bessel_j0_g's J0 row, from the J0 half of the
+    cells."""
+    return _chunked(x, _NEAR_J0)
+
+
+# Below this argument J2 is less than an eighth of 2 J1(x)/x (J2(1) =
+# 0.115), so J2 = 2 J1(x)/x - J0 would lose 3 bits or more to the
+# subtraction; J2 is there the ascending series
+# (x/2)^2 sum_j (-x^2/4)^j / (j! (j + 2)!), whose first omitted term is
+# below 2e-21 relative.
+_J2_SERIES_MAX = 1.0
+_J2_SERIES = tuple(1.0 / (math.factorial(j) * math.factorial(j + 2))
+                   for j in range(10))
+
+
+def _bessel_j2(x: np.ndarray, j0: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """J2(x) from J0(x) and g = J1(x)/x at the same x >= 0."""
+    j2 = 2.0 * g - j0
+    small = x < _J2_SERIES_MAX
+    if small.any():
+        q = 0.5 * x[small]
+        q = q * q
+        s = _J2_SERIES[-1]
+        for coef in _J2_SERIES[-2::-1]:
+            s = coef - q * s
+        j2[small] = q * s
+    return j2
 
 
 def _jv(order: int, x: np.ndarray) -> np.ndarray:
-    """Vectorized J_order for order in {0, 1, 2}, x >= 0.
-
-    Orders 0 and 1 from scipy.special.j0/j1 at x <= _CEPHES_MAX and from
-    scipy.special.jv above it (jv sees only those arguments); order 2 from
-    jv.  Within 5e-16 absolute of mpmath on [0, 60].  scipy.special is
-    loaded on the first call.
-    """
-    special = _special or _scipy_special()
+    """Vectorized J_order for order in {0, 1, 2}, x >= 0: J0 alone by the
+    J0 half of the tables, J1 and J2 from J0 and J1(x)/x."""
     x = np.asarray(x, dtype=float)
-    if order == 2:
-        return special.jv(2, x)
-    j = (special.j0 if order == 0 else special.j1)(x)
-    far = x > _CEPHES_MAX
-    if far.any():
-        j = np.asarray(j)
-        j[far] = special.jv(order, x[far])
-    return j
-
-
-# Below this argument 2 J1(x)/x is 1 - x^2/8 to rounding (the next term,
-# x^4/192, is under 1e-17 relative), while the quotient drifts: with jv's
-# J1 by 8e-16 relative at 1e-4, 3.5e-14 at 1e-300 and to 0 from x ~ 1e-307;
-# with Cephes j1, which _jv takes there, by 5e-12 at 1e-310, 0.27 at 1e-320
-# and to 0 at 5e-324, where J1 underflows.
-_J1_QUOTIENT_MIN = 2e-4
+    if order == 0:
+        return _bessel_j0(x).reshape(x.shape)
+    j0, g = _bessel_j0_g(x)
+    j = x.ravel() * g if order == 1 else _bessel_j2(x.ravel(), j0, g)
+    return j.reshape(x.shape)
 
 
 def _bessel_j0_j1_sum(x: np.ndarray):
-    """J0(x), J1(x) and J0(x) + J2(x) at x >= 0, from two Bessel orders.
-
-    The sum is 2 J1(x)/x by the recurrence J0 + J2 = 2 J1(x)/x, and its
-    series 1 - x^2/8 below _J1_QUOTIENT_MIN, exactly 1 at x = 0.
-    """
+    """J0(x), J1(x) and J0(x) + J2(x) at x >= 0, from one _bessel_j0_g
+    call: J1 = x g and, by the recurrence J0 + J2 = 2 J1(x)/x, the sum is
+    2 g (exactly 1 at x = 0)."""
     x = np.asarray(x, dtype=float)
-    j0, j1 = _jv(0, x), _jv(1, x)
-    j02 = 2.0 * j1 / np.maximum(x, _J1_QUOTIENT_MIN)
-    # the series below the threshold, computed only where it is taken
-    small = x < _J1_QUOTIENT_MIN
-    if small.any():
-        lo = x[small]
-        j02[small] = 1.0 - 0.125 * lo * lo
-    return j0, j1, j02
+    j0, g = _bessel_j0_g(x)
+    return j0, x * g, 2.0 * g
 
 
 def _bessel_half_period(v: float) -> float | None:

@@ -325,9 +325,18 @@ def check_bessel_hyperbolic(u: float, v: float, *,
     def rows(x):
         j0, j1, j02 = _bessel_j0_j1_sum(x * v)
         ch, sh = _hyperbolic_weights(x, u)
-        ch = x * ch
-        return np.array([ch * j1, x * ch * j02, x * ch * (2.0 * j0 - j02),
-                         x * x * sh * j1])
+        ch *= x
+        out = np.empty((4, len(x)))
+        np.multiply(ch, j1, out=out[0])
+        ch *= x
+        np.multiply(ch, j02, out=out[1])
+        np.multiply(j0, 2.0, out=out[2])
+        out[2] -= j02
+        out[2] *= ch
+        np.multiply(x, x, out=out[3])
+        out[3] *= sh
+        out[3] *= j1
+        return out
 
     try:
         lhs = integrate_semi_infinite(rows, min(u, 2.0 - u), eng,

@@ -139,6 +139,23 @@ def test_kernel_omitted_flags_take_their_documented_values(implicit,
     assert outputs[0] == outputs[1]
 
 
+def test_kernel_spectral_route_reads_tol_abs(capsys):
+    # --tol-abs sets the reach log(1/abs_tol)/eps of the spectral grid, so
+    # every value moves the output; at abs_tol >= 1 there is no grid
+    outputs = []
+    for tol in ("1e-3", "1e-9"):
+        assert dispatch(["kernel", "--family", "D", "--spectral", "--u",
+                         "0.5", "--v", "1", "--eps", "0.1", "--tol-abs", tol,
+                         "--format", "csv"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] != outputs[1]
+    for tol in ("1", "3.5"):
+        assert dispatch(["kernel", "--family", "D", "--spectral", "--u",
+                         "0.5", "--v", "1", "--tol-abs", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "abs_tol < 1" in captured.err
+
+
 def test_kernel_spectral_route_runs(capsys):
     code = dispatch(["kernel", "--family", "D", "--u", "1.0", "--v", "0.5",
                      "--spectral", "--eps", "0.1"])

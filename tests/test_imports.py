@@ -1,10 +1,10 @@
 """Which scipy subpackages each entry point loads.
 
-scipy.special (the Bessel functions) and scipy.linalg (the Dicke solver's
-BLAS and LAPACK) cost about 0.3 s each to import, and each part of the
-library needs at most one of them, so neither is imported with fpcavity.
-Every check runs in a fresh interpreter, since the test process has
-loaded both.
+scipy.linalg (the Dicke solver's BLAS and LAPACK) costs about 0.3 s to
+import and only the Dicke solver needs it, so it is not imported with
+fpcavity; scipy.special, as costly, is needed by no part of the library:
+the Bessel functions are the package's own.  Every check runs in a fresh
+interpreter, since the test process has loaded both.
 """
 
 import os
@@ -40,7 +40,10 @@ def _loaded_after(calls: str) -> list[str]:
      "fp.kernel_e('plus', fp.Separation(0.5, 1.0))\n"
      "fp.direct_mode_sum(fp.ModeSumArgs(0.5, 1.0, 0), 8)\n"
      "fp.anisotropy_delta(fp.CavityFrame(1.0), math.pi)", []),
-    ("fp.kernel_d('plus', fp.Separation(0.5, 1.0))", ["scipy.special"]),
+    ("fp.kernel_d('plus', fp.Separation(0.5, 1.0))", []),
+    ("fp.kernel_d_spectral(fp.Separation(0.5, 1.0), 0.1)\n"
+     "fp.bessel_j(2, 30.0)", []),
+    ("fp.run_suite('all')", []),
     ("fp.ground_state(fp.DickeParams(y=0.5, n_atoms=2, fock_cutoff=4))",
      ["scipy.linalg"]),
 ])

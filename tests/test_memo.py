@@ -100,6 +100,19 @@ def test_a_mutated_result_leaves_the_next_one_alone(route):
         assert np.array_equal(route(sign, sep).m, want[sign]), sign
 
 
+def test_tolerances_differing_in_the_last_bit_do_not_share_an_entry(
+        monkeypatch):
+    calls = _counted(monkeypatch, radiation, "integrate_semi_infinite")
+    sep = Separation(0.3, 3.0)
+    tol = Tolerance(abs_tol=1e-10)
+    kernel_d("plus", sep, tol)
+    kernel_d("minus", sep, Tolerance(abs_tol=1e-10))
+    assert len(calls) == 1
+    kernel_d("minus", sep, Tolerance(abs_tol=math.nextafter(1e-10, 1.0)))
+    assert len(calls) == 2
+    assert calls[0][2] is tol and calls[1][2].abs_tol > 1e-10
+
+
 def test_tolerances_differing_in_budget_do_not_share_an_entry():
     sep = Separation(0.3, 3.0)
     kernel_d("plus", sep, Tolerance())

@@ -258,16 +258,18 @@ def test_gauss_kronrod_matches_the_reference(f):
     assert peaks.tobytes() == np.asarray(want_peaks, dtype=float).tobytes()
 
 
-def test_j0_plus_j2_keeps_the_bits_of_both_branches():
-    # the series below 2e-4 patched in where it applies gives, bit for
-    # bit, what choosing between the two branches everywhere gives
-    x = np.concatenate([[0.0, 5e-324, 1e-300, 1e-8, 1.999e-4, 2e-4, 2.001e-4],
+def test_j0_plus_j2_is_twice_j1_over_x_bit_for_bit():
+    # one call of the Bessel source gives all three: J0, J1 = x g and
+    # J0 + J2 = 2 g, with g = J1(x)/x, from 0 through the subnormals to the
+    # far form
+    x = np.concatenate([[0.0, 5e-324, 1e-300, 1e-8, 2e-4, 0.5, 60.5, 1e3],
                         np.geomspace(1e-6, 60.0, 400)])
     j0, j1, j02 = specfun._bessel_j0_j1_sum(x)
-    lo = np.minimum(x, 2e-4)
-    want = np.where(x < 2e-4, 1.0 - 0.125 * lo * lo,
-                    2.0 * j1 / np.maximum(x, 2e-4))
-    assert j02.tobytes() == want.tobytes()
+    want_j0, g = specfun._bessel_j0_g(x)
+    assert j0.tobytes() == want_j0.tobytes()
+    assert j1.tobytes() == (x * g).tobytes()
+    assert j02.tobytes() == (2.0 * g).tobytes()
+    assert j02[0] == 1.0 and j1[0] == 0.0
 
 
 def test_levin_rows_come_from_the_table():

@@ -336,7 +336,7 @@ def test_spectral_work_bound_refuses_before_building(eps, v, monkeypatch):
         raise AssertionError("grid built before the work bound was checked")
 
     monkeypatch.setattr(radiation, "_gl_grid", never)
-    monkeypatch.setattr(radiation, "_jv", never)
+    monkeypatch.setattr(radiation, "_bessel_j0_g", never)
     with pytest.raises(DomainError, match="work bound"):
         kernel_d_spectral(Separation(0.7, v), eps)
 

@@ -1,6 +1,9 @@
 import heapq
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath
@@ -110,23 +113,31 @@ def test_bessel_refuses_non_finite_x(order, x):
         bessel_j(order, x)
 
 
-def _splice_grid():
-    # [0, 60] densely, and the splice point 25 with its neighbouring doubles
-    near = [25.0]
-    for direction in (0.0, math.inf):
-        x = 25.0
-        for _ in range(3):
-            x = math.nextafter(x, direction)
-            near.append(x)
+def _edges_grid():
+    # [0, 60] densely, a geometric grid on to 1e4, and every edge of the
+    # Bessel source's ranges (the cells' edges c + 1/2 and the start of the
+    # far form, 60.5) with its three neighbouring doubles each side
+    x0 = specfun._FAR_X0
+    near = []
+    for edge in np.arange(0.5, x0 + 1.0):
+        near.append(edge)
+        for direction in (0.0, math.inf):
+            x = edge
+            for _ in range(3):
+                x = math.nextafter(x, direction)
+                near.append(x)
     return np.concatenate([np.linspace(0.0, 60.0, 1201), near,
-                           np.linspace(24.9, 25.1, 41)])
+                           np.linspace(x0 - 0.35, x0 + 0.35, 71),
+                           np.geomspace(60.0, 1e4, 400)])
 
 
 @pytest.mark.parametrize("order", [0, 1])
 def test_jv_splice_against_mpmath(order):
-    # orders 0 and 1 come from Cephes up to 25 and from jv above it; both
-    # sides of the splice stay within 5e-16 absolute of 30-digit mpmath
-    xs = _splice_grid()
+    # orders 0 and 1 come from the polynomial cells below 60.5 and from the
+    # modulus-phase form above; every range edge stays within 5e-16
+    # absolute of 30-digit mpmath, and within 1e-12 relative wherever
+    # |J| > 1e-4
+    xs = _edges_grid()
     got = _jv(order, xs)
     with mpmath.workdps(30):
         want = np.array([float(mpmath.besselj(order, mpmath.mpf(float(x))))
@@ -135,27 +146,120 @@ def test_jv_splice_against_mpmath(order):
     assert err.max() <= 5e-16
     big = np.abs(want) > 0.05
     assert (err[big] / np.abs(want[big])).max() <= 1e-14
+    away = np.abs(want) > 1e-4
+    assert (err[away] / np.abs(want[away])).max() <= 1e-12
 
 
-@pytest.mark.parametrize("order", [0, 1])
-def test_jv_routes_only_large_arguments_to_jv(order, monkeypatch):
-    seen = []
-    jv = special.jv
+@pytest.mark.parametrize("x", [1e5, 3.7e6, 1e10, 1e15])
+def test_far_form_against_mpmath_at_large_x(x):
+    # the phase comes from cos x and sin x, so the error stays at the
+    # rounding of the amplitude sqrt(2/(pi x)) however large x is
+    j0, g = specfun._bessel_j0_g(np.array([x]))
+    with mpmath.workdps(40):
+        amp = float(mpmath.sqrt(2 / (mpmath.pi * x)))
+        want = (float(mpmath.besselj(0, x)),
+                float(mpmath.besselj(1, x) / x))
+    assert abs(j0[0] - want[0]) <= 4e-16 * amp
+    assert abs(g[0] - want[1]) <= 4e-16 * amp / x
 
-    def recording_jv(n, x):
-        seen.append(np.array(x, dtype=float))
-        return jv(n, x)
 
-    monkeypatch.setattr(special, "jv", recording_jv)
-    xs = _splice_grid()
-    got = _jv(order, xs)
-    assert np.concatenate(seen).min() > 25.0
-    assert len(np.concatenate(seen)) == np.count_nonzero(xs > 25.0)
-    assert np.array_equal(got[xs > 25.0], jv(order, xs[xs > 25.0]))
-    # all at or below the splice: no jv call at all
-    seen.clear()
-    _jv(order, np.linspace(0.0, 25.0, 101))
-    assert seen == []
+@pytest.mark.parametrize("pair", [False, True], ids=["j0", "j0_g"])
+def test_bessel_routes_only_large_arguments_to_the_far_form(pair,
+                                                             monkeypatch):
+    # a call all below 60.5 runs the cells alone, a call all from 60.5 on
+    # the modulus-phase form alone, and a mixed call gives each argument
+    # the value of its own form; the far form never sees an argument below
+    # 60.5
+    calls = {"near": 0, "far": []}
+    near, far = specfun._near, specfun._far
+
+    def near_counted(a, t):
+        calls["near"] += 1
+        return near(a, t)
+
+    def far_recorded(x):
+        calls["far"].append(np.array(x))
+        return far(x)
+
+    monkeypatch.setattr(specfun, "_near", near_counted)
+    monkeypatch.setattr(specfun, "_far", far_recorded)
+    fn = specfun._bessel_j0_g if pair else specfun._bessel_j0
+    x0 = specfun._FAR_X0
+    xs = _edges_grid()
+    got = fn(xs)
+    assert np.concatenate(calls["far"]).min() >= x0
+    lo = xs < x0
+    for part, n_near, n_far in ((lo, 1, 0), (~lo, 0, 1)):
+        calls["near"] = 0
+        calls["far"].clear()
+        assert np.array_equal(got[..., part], fn(xs[part]))
+        assert (calls["near"], len(calls["far"])) == (n_near, n_far)
+
+
+def test_a_long_call_works_in_chunks():
+    # the gathered cells take 26 doubles a node, so a long call (the
+    # spectral route's grid) runs in chunks: its memory does not grow with
+    # the number of nodes, and each node gets what a short call gives it
+    x = np.linspace(0.0, 200.0, 200_001)
+    tracemalloc.start()
+    try:
+        got = specfun._bessel_j0_g(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * got.nbytes + (4 << 20)
+    for lo in (0, 61_000, 199_000):
+        part = slice(lo, lo + 1000)
+        assert np.abs(got[:, part] - specfun._bessel_j0_g(x[part])).max() \
+            <= 1e-16
+
+
+def test_j0_alone_agrees_with_the_pair():
+    # the J0-only path takes the J0 half of the same tables
+    xs = _edges_grid()
+    assert np.abs(specfun._bessel_j0(xs)
+                  - specfun._bessel_j0_g(xs)[0]).max() <= 1e-16
+
+
+def test_bessel_exact_at_zero():
+    j0, g = specfun._bessel_j0_g(np.zeros(3))
+    assert (j0 == 1.0).all() and (g == 0.5).all()
+    for order, want in ((0, 1.0), (1, 0.0), (2, 0.0)):
+        got = _jv(order, np.zeros(2))
+        assert (got == want).all() and not np.signbit(got).any()
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-160, 1e-8, 1e-4, 0.01,
+                               0.5, 0.99, 1.0, 1.01])
+def test_bessel_small_arguments_keep_relative_precision(x):
+    # J1, 2 J1(x)/x and J2 to 1e-14 relative where they are normal doubles;
+    # J2 takes its series below 1, where 2 J1(x)/x - J0 cancels
+    j0, g = specfun._bessel_j0_g(np.array([x]))
+    with mpmath.workdps(40):
+        want_j1 = mpmath.besselj(1, x)
+        want_g2 = float(2 * want_j1 / x)
+        want_j1 = float(want_j1)
+        want_j2 = float(mpmath.besselj(2, x))
+    got_j1 = float(_jv(1, np.array([x]))[0])
+    got_j2 = float(_jv(2, np.array([x]))[0])
+    assert abs(2.0 * g[0] - want_g2) <= 1e-14 * want_g2
+    assert got_j1 == x * g[0]
+    tiny = float(np.finfo(float).tiny)
+    for got, want in ((got_j1, want_j1), (got_j2, want_j2)):
+        if abs(want) >= tiny:
+            assert abs(got - want) <= 1e-14 * abs(want)
+        else:
+            assert abs(got - want) <= tiny * 1e-14 + 5e-324 * 2
+
+
+def test_bessel_coefficient_tables_match_their_script():
+    # the committed tables are what tools/bessel_coefficients.py writes
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = os.path.join(root, "tools", "bessel_coefficients.py")
+    out = subprocess.run([sys.executable, script], capture_output=True,
+                         check=True).stdout
+    with open(specfun._bessel_coef.__file__, "rb") as f:
+        assert f.read() == out
 
 
 def test_bessel_recurrence_dense_grid():
@@ -168,8 +272,8 @@ def test_bessel_recurrence_dense_grid():
 
 @pytest.mark.parametrize("x", [0.0, 5e-324, 1e-300, 1e-8, 1e-4, 1.0, 30.0])
 def test_bessel_j0_plus_j2_from_j1_against_mpmath(x):
-    # J0 + J2 = 2 J1(x)/x without the order-2 call; at small x the series,
-    # where the quotient of jv(1, x) drifts (3.5e-14 at 1e-300) or is 0
+    # J0 + J2 = 2 J1(x)/x without the order-2 call, as twice g = J1(x)/x,
+    # which keeps its relative precision down to the subnormals
     j0, j1, j02 = _bessel_j0_j1_sum(np.array([x]))
     with mpmath.workdps(40):
         want = 1.0 if x == 0.0 else float(2 * mpmath.besselj(1, x) / x)
