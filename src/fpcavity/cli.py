@@ -273,7 +273,7 @@ def _add_common(p, seed=False, bare_value=False):
     p.add_argument("--output", default=None,
                    help="output file path (stdout if omitted)")
     if seed:
-        p.add_argument("--seed", type=int, default=42,
+        p.add_argument("--seed", type=int, default=VerifyConfig.seed,
                        help="seed for randomized grids")
 
 
@@ -320,7 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_v = sub.add_parser("verify", help="run the identity verification suite",
                          formatter_class=fmt_cls, allow_abbrev=False)
     p_v.add_argument("target", nargs="?", choices=SUITE_NAMES, default="all")
-    p_v.add_argument("--max-subdivisions", type=int, default=4000,
+    p_v.add_argument("--max-subdivisions", type=int,
+                     default=VerifyConfig.max_subdivisions,
                      help="adaptive quadrature panel-split budget")
     _add_common(p_v, seed=True)
     p_v.set_defaults(func=_cmd_verify)
@@ -329,17 +330,17 @@ def _build_parser() -> argparse.ArgumentParser:
                          formatter_class=fmt_cls, allow_abbrev=False)
     # each target takes only the flags it reads; shared ones via parents=
     shared = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    shared.add_argument("--omega-a", type=float, default=1.0,
+    shared.add_argument("--omega-a", type=float, default=DickeParams.omega_a,
                         help="two-level splitting")
-    shared.add_argument("--omega-c", type=float, default=1.0,
+    shared.add_argument("--omega-c", type=float, default=DickeParams.omega_c,
                         help="mode frequency")
     _add_common(shared)
     coupling = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     coupling.add_argument("--y", type=float, required=True, help="coupling")
     size = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    size.add_argument("--n-atoms", type=int, default=8,
+    size.add_argument("--n-atoms", type=int, default=DickeParams.n_atoms,
                       help="number of two-level systems")
-    size.add_argument("--cutoff", type=int, default=60,
+    size.add_argument("--cutoff", type=int, default=DickeParams.fock_cutoff,
                       help="boson Fock-space cutoff")
     targets = p_d.add_subparsers(dest="target", required=True)
 

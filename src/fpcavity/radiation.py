@@ -17,8 +17,9 @@ with ch = cosh(x(u-1)), sh = sinh(x(u-1)), the hyperbolic ratios folded
 into stable non-positive exponentials.  The four distinct entries xx, yy,
 zz and xz are integrated together, as the four rows of one vector-valued
 adaptive pass, so J0, J1 and the ratios are evaluated once per node and
-each entry still meets the tolerance on its own; J2 enters only through
-J0 + J2 = 2 J1(xv)/(xv).
+each entry still meets the tolerance on its own.  Every route takes J0
+and g = J1(xv)/(xv) from one Bessel call and forms the rest from them:
+J1 = xv g, J0 + J2 = 2 g and J0 - J2 = 2 (J0 - g).
 
 As it stands the integrand decays only like exp(-x min(u, 2-u)), so near
 a mirror J(xv) oscillates many times before it is damped.  kernel_d
@@ -67,7 +68,7 @@ from .coulomb import (D_MINUS, D_PLUS, KernelMatrix, Separation,
 from .errors import DomainError
 from .geometry import CavityFrame
 from .specfun import (DEFAULT_TOL, Tolerance, _bessel_half_period,
-                      _bessel_j0_g, _bessel_j2, integrate_semi_infinite)
+                      _bessel_j0_g, integrate_semi_infinite)
 
 __all__ = [
     "AnisotropyResult",
@@ -239,15 +240,16 @@ def _kernel_d_reference(sign: str, sep: Separation,
 # Gauss-Legendre nodes per panel of the spectral route's transverse grid
 _GL_ORDER = 20
 # grid nodes times (axial terms + _BESSEL_TABLE_TERMS), the scaling of
-# kernel_d_spectral's work: about 1.5e-8 s per unit measured on a 2-core x86
-# box, so up to about 6 s per call at the bound.  The three Bessel tables
-# cost about as much as 175 axial terms per node when they came from
-# scipy's jv: at v = 2500, eps = 0.5 (65 axial terms) a call took
-# 3.5-5.3 s, the time of 240 units per node.  From the package's own J0
-# and J1(x)/x that call takes 3.3 s (4.7 s before, on the same box), so
-# the count errs on the safe side.
-_MAX_SPECTRAL_WORK = 400_000_000
-_BESSEL_TABLE_TERMS = 175
+# kernel_d_spectral's work.  Building the grid, the Bessel pair and the
+# per-node arrays the axial sum reuses costs 7-16 axial terms per node.
+# One unit (one node of one axial term) took 1.2e-8 s on grids of 3e4
+# nodes, which stay in cache, and 2.1e-8 to 2.6e-8 s on grids of 1.5e6
+# to 2.9e6 nodes, where every temporary array is fresh memory (2-core x86
+# box): a call at the bound takes up to about 5 s, at v = 4500,
+# eps = 0.5 (65 axial terms, 1.9e8 units) 4.6 s, and about 2.6 s on a
+# small grid.
+_MAX_SPECTRAL_WORK = 200_000_000
+_BESSEL_TABLE_TERMS = 10
 _FLOAT_TINY = float(np.finfo(float).tiny)
 
 
@@ -276,7 +278,7 @@ def kernel_d_spectral(sep: Separation, regulator_eps: float,
     must be positive and finite, and small enough that the squared grid
     nodes stay normal doubles (up to about 1e152 at the default
     tolerance; above, the n = 0 term would be 0/0).  The work, grid nodes
-    times the axial terms and the three Bessel tables, grows like 1/eps^2
+    times the axial terms and the Bessel pair's share, grows like 1/eps^2
     (and like v at large v); a request above _MAX_SPECTRAL_WORK is a
     DomainError before any array is built.
     """
@@ -309,18 +311,22 @@ def kernel_d_spectral(sep: Separation, regulator_eps: float,
     xv = xs * v
     j0, g = _bessel_j0_g(xv)
     j1 = xv * g
-    j2 = _bessel_j2(xv, j0, g)
     damp = np.exp(-eps * xs) * ws
     xx = yy = zz = xz = 0.0
     xs2 = xs * xs
+    # x^2 (J0 + J2) = 2 x^2 g, x^2 (J0 - J2) = 2 x^2 (J0 - g) and 2 x^2 J0,
+    # the same at every n
+    xs2_j02 = 2.0 * xs2 * g
+    xs2_j0m2 = 2.0 * xs2 * (j0 - g)
+    xs2_j0 = 2.0 * xs2 * j0
     for n in range(n_max + 1):
         kn = math.pi * n
         inv_k2 = xs / (kn * kn + xs2)  # k_perp / k^2 on the grid
         w_cos = (1.0 if n == 0 else 2.0 * math.cos(math.pi * n * u))
         common = inv_k2 * damp
-        xx += w_cos * float(np.sum(common * ((2 * kn * kn + xs2) * j0 + xs2 * j2)))
-        yy += w_cos * float(np.sum(common * ((2 * kn * kn + xs2) * j0 - xs2 * j2)))
-        zz += w_cos * float(np.sum(common * (2.0 * xs2 * j0)))
+        xx += w_cos * float(np.sum(common * (2 * kn * kn * j0 + xs2_j02)))
+        yy += w_cos * float(np.sum(common * (2 * kn * kn * j0 + xs2_j0m2)))
+        zz += w_cos * float(np.sum(common * xs2_j0))
         if n > 0:
             xz += 4.0 * math.sin(math.pi * n * u) * kn \
                 * float(np.sum(common * xs * j1))

@@ -2,21 +2,22 @@
 
 Everything downstream (Coulomb kernels, displacement-field kernels, the
 identity suite) is built on four ingredients defined here: the cylindrical
-Bessel functions J0, J1, J2 (the package's own, in numpy: J0 and
-J1(x)/x from one call, polynomial cells below x = 60.5 and Hankel's
-modulus-phase form above, with coefficients written from mpmath by
-tools/bessel_coefficients.py; J1 = x (J1(x)/x), and integrands that need
-J2 only in J0 + J2 take it as 2 J1(x)/x), the image-lattice moments behind
-the inverse-cube lattice sum xi(u, v), an adaptive Gauss-Kronrod
-integrator for exponentially decaying integrands on (0, inf), scalar or
-vector valued, with an oscillatory-tail mode for slowly damped Bessel-type
-integrands (each step splits every panel the tolerance asks for, and the
-tail takes its half-periods in batches, in one call of the integrand
-each), and the two-sided mode sum sum_n e^{i alpha n} n^m / (n^2 + beta^2)
-by two independent routes: its hyperbolic closed form, and its symmetric
-truncation summed term by term in blocks of consecutive n (angle addition
-from one block's cos/sin table, constant memory in the truncation, within
-2e-15 of the sum of the moduli of the terms).
+Bessel functions J0, J1, J2 (the package's own, in numpy: one entry point
+gives J0 and J1(x)/x from one call, polynomial cells below x = 60.5 and
+Hankel's modulus-phase form above, with coefficients written from mpmath
+by tools/bessel_coefficients.py; every integrand forms J1 = x (J1(x)/x)
+and J0 +- J2 from that pair, and only the scalar bessel_j returns J2
+alone), the image-lattice moments behind the inverse-cube lattice sum
+xi(u, v), an adaptive Gauss-Kronrod integrator for exponentially decaying
+integrands on (0, inf), scalar or vector valued, with an oscillatory-tail
+mode for slowly damped Bessel-type integrands (each step splits every
+panel the tolerance asks for, and the tail takes its half-periods in
+batches, in one call of the integrand each), and the two-sided mode sum
+sum_n e^{i alpha n} n^m / (n^2 + beta^2) by two independent routes: its
+hyperbolic closed form, and its symmetric truncation summed term by term
+in blocks of consecutive n (angle addition from one block's cos/sin
+table, constant memory in the truncation, within 2e-15 of the sum of the
+moduli of the terms).
 
 Nothing here imports scipy.
 
@@ -108,9 +109,10 @@ class ModeSumArgs:
 # polynomials of degree 12 of the cell |x - c| <= 1/2 around the nearest
 # integer c; from _FAR_X0 on, Hankel's modulus-phase form (DLMF 10.17)
 # with four polynomials of degree 8 in w = _FAR_X0/x, combined with cos x
-# and sin x (never with the rounded x - pi/4).  _bessel_j0 is the J0 half
-# of the cells, for callers that need J0 alone.  J1 = x g, J0 + J2 = 2 g,
-# and J2 = 2 g - J0, from its own series below _J2_SERIES_MAX where that
+# and sin x (never with the rounded x - pi/4).  Every caller takes what it
+# needs from the pair: J0 is its first row, J1 = x g, J0 + J2 = 2 g and
+# J0 - J2 = 2 (J0 - g).  J2 alone, which only bessel_j(2, x) returns, is
+# 2 g - J0, from its own series below _J2_SERIES_MAX where that
 # difference cancels.  Largest errors against 30-digit mpmath, 10001
 # uniform points on [0, 100] with every cell edge and its three
 # neighbouring doubles each side, and 2000 geometric points on [100, 1e4]:
@@ -136,13 +138,9 @@ class ModeSumArgs:
 # 60.5, past which only 4 % of the Bessel arguments of a verify pass lie.
 # ---------------------------------------------------------------------------
 
-# the coefficients by degree: (terms, cells, 2) for J0 and g side by side,
-# (terms, cells) for J0 alone
+# the coefficients by degree: (terms, cells, 2), J0 and g side by side
 _NEAR = np.ascontiguousarray(np.transpose(_bessel_coef.NEAR, (2, 0, 1)))
-_NEAR_J0 = np.ascontiguousarray(_NEAR[..., 0])
 _FAR_X0 = _bessel_coef.FAR_X0
-# the largest argument of the cells
-_NEAR_MAX = math.nextafter(_FAR_X0, 0.0)
 # J0 = r (A0 cos x + B0 sin x) and J1/x = r (A1 cos x + B1 sin x), with
 # r = 1/sqrt(pi x) = sqrt(w / (pi _FAR_X0)): the rows A0, A1, B0, B1 of
 # _FAR carry the factor 1/sqrt(pi _FAR_X0), which keeps sqrt(w) normal for
@@ -154,15 +152,14 @@ _PAIR = np.ones(2)
 
 def _near(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The polynomials with coefficients a (by degree, from the table's
-    cells) at t: shape (2, n) for J0 and g, (n,) for J0 alone.
+    cells) at t, J0 and g as the rows of a (2, n) array.
 
     Horner's rule, each step two in-place elementwise numpy calls over
     every node, J0 and g side by side as an (n, 2) array: after their
     first touch these cost far less than a gathering or a reducing call,
     and the polynomials are short.
     """
-    if a.ndim == 3:
-        t = t[:, None] * _PAIR
+    t = t[:, None] * _PAIR
     p = a[-1] * t
     for row in a[-2:0:-1]:
         p += row
@@ -182,18 +179,16 @@ def _far(x: np.ndarray) -> np.ndarray:
     return amp[:2] * np.cos(x) + amp[2:] * np.sin(x)
 
 
-def _split(x, table):
-    """J0 and J1(x)/x for table = _NEAR, J0 alone for _NEAR_J0, each by
-    the form that applies.  A call with every x below _FAR_X0 is one pass
-    of Horner's rule; otherwise the far form runs over all of x (clipped
-    to its range) and, where some x is below _FAR_X0, np.where picks the
-    cells' values there.  J0 alone takes the J0 row of the far form, so
-    it has the bits of the pair everywhere."""
+def _split(x):
+    """J0 and J1(x)/x, each x by the form that applies.  A call with every
+    x below _FAR_X0 is one pass of Horner's rule; otherwise the far form
+    runs over all of x (clipped to its range) and, where some x is below
+    _FAR_X0, np.where picks the cells' values there."""
     # fmin keeps huge x and NaN castable; both then miss the table
     c = np.rint(np.fmin(x, _FAR_X0 + 1.0))
     cells = c.astype(np.intp)
     try:
-        a = table.take(cells, axis=1)
+        a = _NEAR.take(cells, axis=1)
     except IndexError:
         pass  # some x at or past _FAR_X0
     else:
@@ -201,11 +196,9 @@ def _split(x, table):
     # a NaN fails the test and takes the far form, which returns NaN
     near = x < _FAR_X0
     far = _far(np.maximum(x, _FAR_X0))
-    if table is _NEAR_J0:
-        far = far[0]
     if not near.any():
         return far
-    a = table.take(cells, axis=1, mode="clip")
+    a = _NEAR.take(cells, axis=1, mode="clip")
     return np.where(near, _near(a, np.where(near, x - c, 0.0)), far)
 
 
@@ -214,23 +207,14 @@ def _split(x, table):
 _CHUNK_NODES = 4096
 
 
-def _chunked(x, table):
+def _bessel_j0_g(x) -> np.ndarray:
+    """J0(x) and J1(x)/x at x >= 0 (flattened) as the rows of one (2, n)
+    array; a call of more than _CHUNK_NODES nodes runs in chunks."""
     x = np.asarray(x, dtype=float).ravel()
     if len(x) <= _CHUNK_NODES:
-        return _split(x, table)
-    return np.concatenate([_split(x[i:i + _CHUNK_NODES], table)
-                           for i in range(0, len(x), _CHUNK_NODES)], axis=-1)
-
-
-def _bessel_j0_g(x: np.ndarray) -> np.ndarray:
-    """J0(x) and J1(x)/x at x >= 0 as the rows of one (2, n) array."""
-    return _chunked(x, _NEAR)
-
-
-def _bessel_j0(x: np.ndarray) -> np.ndarray:
-    """J0(x) at x >= 0: _bessel_j0_g's J0 row, from the J0 half of the
-    cells."""
-    return _chunked(x, _NEAR_J0)
+        return _split(x)
+    return np.concatenate([_split(x[i:i + _CHUNK_NODES])
+                           for i in range(0, len(x), _CHUNK_NODES)], axis=1)
 
 
 # Below this argument J2 is less than an eighth of 2 J1(x)/x (J2(1) =
@@ -241,40 +225,6 @@ def _bessel_j0(x: np.ndarray) -> np.ndarray:
 _J2_SERIES_MAX = 1.0
 _J2_SERIES = tuple(1.0 / (math.factorial(j) * math.factorial(j + 2))
                    for j in range(10))
-
-
-def _bessel_j2(x: np.ndarray, j0: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """J2(x) from J0(x) and g = J1(x)/x at the same x >= 0."""
-    j2 = 2.0 * g - j0
-    small = x < _J2_SERIES_MAX
-    if small.any():
-        q = 0.5 * x[small]
-        q = q * q
-        s = _J2_SERIES[-1]
-        for coef in _J2_SERIES[-2::-1]:
-            s = coef - q * s
-        j2[small] = q * s
-    return j2
-
-
-def _jv(order: int, x: np.ndarray) -> np.ndarray:
-    """Vectorized J_order for order in {0, 1, 2}, x >= 0: J0 alone by the
-    J0 half of the tables, J1 and J2 from J0 and J1(x)/x."""
-    x = np.asarray(x, dtype=float)
-    if order == 0:
-        return _bessel_j0(x).reshape(x.shape)
-    j0, g = _bessel_j0_g(x)
-    j = x.ravel() * g if order == 1 else _bessel_j2(x.ravel(), j0, g)
-    return j.reshape(x.shape)
-
-
-def _bessel_j0_j1_sum(x: np.ndarray):
-    """J0(x), J1(x) and J0(x) + J2(x) at x >= 0, from one _bessel_j0_g
-    call: J1 = x g and, by the recurrence J0 + J2 = 2 J1(x)/x, the sum is
-    2 g (exactly 1 at x = 0)."""
-    x = np.asarray(x, dtype=float)
-    j0, g = _bessel_j0_g(x)
-    return j0, x * g, 2.0 * g
 
 
 def _bessel_half_period(v: float) -> float | None:
@@ -295,7 +245,20 @@ def bessel_j(order: int, x: float) -> float:
         raise DomainError(f"order must be 0, 1 or 2, got {order}")
     if not 0.0 <= x < math.inf:
         raise DomainError(f"x must be finite and non-negative, got {x!r}")
-    return float(_jv(order, np.asarray([x]))[0])
+    x = float(x)
+    j0, g = _bessel_j0_g(x)[:, 0].tolist()
+    if order == 0:
+        return j0
+    if order == 1:
+        return x * g
+    if x >= _J2_SERIES_MAX:
+        return 2.0 * g - j0
+    q = 0.5 * x
+    q = q * q
+    s = _J2_SERIES[-1]
+    for coef in _J2_SERIES[-2::-1]:
+        s = coef - q * s
+    return q * s
 
 
 # ---------------------------------------------------------------------------

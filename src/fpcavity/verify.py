@@ -46,9 +46,8 @@ from .radiation import (_anisotropy_summand, _axial_radius,
                         _hyperbolic_weights, _kernel_d_reference,
                         anisotropy_delta)
 from .specfun import (DEFAULT_TOL, ModeSumArgs, Tolerance,
-                      _bessel_half_period, _bessel_j0_j1_sum, _jv,
-                      _lattice_moments, _quad_finite, _truncation,
-                      direct_mode_sum, hyperbolic_mode_sum,
+                      _bessel_half_period, _bessel_j0_g, _lattice_moments,
+                      _quad_finite, _truncation, direct_mode_sum, hyperbolic_mode_sum,
                       integrate_semi_infinite, xi)
 
 __all__ = [
@@ -263,7 +262,8 @@ def _checked(check_id: str, params: dict, tol: Tolerance,
              sides: Callable, *args) -> IdentityReport:
     """Report check_id on sides(*args) -> (lhs, rhs) or (lhs, rhs, scale).
 
-    The one failure path of the suite: a ConvergenceError or DomainError
+    The failure path of the suite, with _quadrature_rows for the checks
+    whose rows share one quadrature: a ConvergenceError or DomainError
     raised while computing the sides becomes a failed report, so a
     numerical failure, such as a quadrature that runs out of panel splits
     or whose Bessel argument overflows, never aborts a verification run.
@@ -273,6 +273,26 @@ def _checked(check_id: str, params: dict, tol: Tolerance,
     except (ConvergenceError, DomainError) as exc:
         return _failed_report(check_id, params, tol, exc)
     return _report(check_id, dict(params), lhs, rhs, tol, *scale)
+
+
+def _quadrature_rows(params: dict, rows: Callable, rate: float,
+                     eng: Tolerance, v: float,
+                     checks: Sequence) -> list[IdentityReport]:
+    """Report each (check_id, tol, rhs) of checks on its row of one
+    vector-valued quadrature of rows, whose Bessel factors are J(xv).
+
+    One quadrature gives several report rows, so it fails them together:
+    a ConvergenceError or DomainError raised by it becomes a failed report
+    of every row, each with the same error.
+    """
+    try:
+        lhs = integrate_semi_infinite(rows, rate, eng,
+                                      half_period=_bessel_half_period(v))
+    except (ConvergenceError, DomainError) as exc:
+        return [_failed_report(check_id, params, tol, exc)
+                for check_id, tol, _ in checks]
+    return [_report(check_id, dict(params), row, rhs, tol)
+            for row, (check_id, tol, rhs) in zip(lhs, checks, strict=True)]
 
 
 def _cosh_ratio_diff(x, u, u_prime):
@@ -323,7 +343,10 @@ def check_bessel_hyperbolic(u: float, v: float, *,
     _, v2s5, vt5 = _lattice_moments(u, v)
 
     def rows(x):
-        j0, j1, j02 = _bessel_j0_j1_sum(x * v)
+        xv = x * v
+        j0, g = _bessel_j0_g(xv)
+        j1 = xv * g
+        j02 = 2.0 * g  # J0 + J2
         ch, sh = _hyperbolic_weights(x, u)
         ch *= x
         out = np.empty((4, len(x)))
@@ -338,26 +361,14 @@ def check_bessel_hyperbolic(u: float, v: float, *,
         out[3] *= j1
         return out
 
-    try:
-        lhs = integrate_semi_infinite(rows, min(u, 2.0 - u), eng,
-                                      half_period=_bessel_half_period(v))
-    except (ConvergenceError, DomainError) as exc:
-        lhs = exc
-
-    def sides(row, rhs):
-        if isinstance(lhs, Exception):
-            raise lhs
-        return lhs[row], rhs
-
-    return [
-        _checked("EQ22", params, TOL_EQ22, sides, 0, v * s3),
-        _checked("EQ29_PLUS", params, TOL_EQ22, sides, 1, 2.0 * s3),
+    return _quadrature_rows(params, rows, min(u, 2.0 - u), eng, v, [
+        ("EQ22", TOL_EQ22, v * s3),
+        ("EQ29_PLUS", TOL_EQ22, 2.0 * s3),
         # (2 + 2 v d/dv) xi
-        _checked("EQ29_MINUS", params, TOL_DERIV, sides, 2,
-                 2.0 * s3 - 6.0 * v2s5),
+        ("EQ29_MINUS", TOL_DERIV, 2.0 * s3 - 6.0 * v2s5),
         # v d/du xi
-        _checked("EQ30", params, TOL_DERIV, sides, 3, -3.0 * vt5),
-    ]
+        ("EQ30", TOL_DERIV, -3.0 * vt5),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -431,27 +442,33 @@ def check_lipschitz(u: float, v: float, *,
                     max_subdivisions: int = _BUDGET) -> list[IdentityReport]:
     """Laplace-Bessel integrals against their closed inverse-distance forms.
 
-    The integrands decay only like e^{-xu}.  Where J(xv) oscillates many
-    times before that decay the quadrature takes its oscillatory-tail mode,
-    so the cost does not grow with the number of oscillations: at u = 1e-4
-    or 1e-3 both identities hold in a few ms.  The threshold is pinned
+    EQ33, int e^{-xu} J0(xv) dx = (u^2 + v^2)^(-1/2), and EQ34,
+    int x e^{-xu} J1(xv) dx = v (u^2 + v^2)^(-3/2), are the two rows of one
+    quadrature pass, so J0 and J1 come from one Bessel call per node, each
+    row meets the engine tolerance on its own, and a quadrature that runs
+    out of panel splits fails both rows with the same error.  The
+    integrands decay only like e^{-xu}.  Where J(xv) oscillates many times
+    before that decay the quadrature takes its oscillatory-tail mode, so
+    the cost does not grow with the number of oscillations: at u = 1e-4 or
+    1e-3 both identities hold in a few ms.  The threshold is pinned
     (TOL_LIPSCHITZ); max_subdivisions caps only the quadrature effort.
     """
     eng = _engine(TOL_LIPSCHITZ, max_subdivisions)
-    half_period = _bessel_half_period(v)
-    params = {"u": u, "v": v}
 
-    def quad(f):
-        return integrate_semi_infinite(f, u, eng, half_period=half_period)
+    def rows(x):
+        xv = x * v
+        out = _bessel_j0_g(xv)
+        damp = np.exp(-x * u)
+        out[0] *= damp
+        out[1] *= xv  # J1 = xv g
+        damp *= x
+        out[1] *= damp
+        return out
 
-    return [
-        _checked("EQ33", params, TOL_LIPSCHITZ, lambda: (
-            quad(lambda x: np.exp(-x * u) * _jv(0, x * v)),
-            (u * u + v * v) ** -0.5)),
-        _checked("EQ34", params, TOL_LIPSCHITZ, lambda: (
-            quad(lambda x: x * np.exp(-x * u) * _jv(1, x * v)),
-            v * (u * u + v * v) ** -1.5)),
-    ]
+    return _quadrature_rows({"u": u, "v": v}, rows, u, eng, v, [
+        ("EQ33", TOL_LIPSCHITZ, (u * u + v * v) ** -0.5),
+        ("EQ34", TOL_LIPSCHITZ, v * (u * u + v * v) ** -1.5),
+    ])
 
 
 def _paired_inverse_distance_sum(u: float, u_prime: float, v: float,
@@ -493,7 +510,7 @@ def check_green(u: float, u_prime: float, v: float, *,
                     lambda: (_paired_inverse_distance_sum(u, u_prime, v),
                              integrate_semi_infinite(
                                  lambda x: _cosh_ratio_diff(x, u, u_prime)
-                                 * _jv(0, x * v),
+                                 * _bessel_j0_g(x * v)[0],
                                  min(u, 2.0 - u, u_prime, 2.0 - u_prime),
                                  eng, half_period=_bessel_half_period(v))))
 

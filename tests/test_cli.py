@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpcavity import Separation, Tolerance, kernel_e, xi
-from fpcavity.cli import dispatch, emit_report, parse_report
-from fpcavity.verify import IdentityReport
+from fpcavity import DickeParams, Separation, Tolerance, kernel_e, xi
+from fpcavity.cli import _build_parser, dispatch, emit_report, parse_report
+from fpcavity.verify import IdentityReport, VerifyConfig
 
 
 def test_xi_prints_bare_value(capsys):
@@ -180,6 +181,27 @@ def test_help_screens(argv, capsys):
     assert dispatch(argv) == 0
     out = capsys.readouterr().out
     assert "usage" in out.lower()
+
+
+@pytest.mark.parametrize("argv, config, flags", [
+    (["verify"], VerifyConfig,
+     {"seed": "seed", "max_subdivisions": "max_subdivisions"}),
+    (["dicke", "ground", "--y", "1"], DickeParams,
+     {"omega_a": "omega_a", "omega_c": "omega_c", "n_atoms": "n_atoms",
+      "cutoff": "fock_cutoff"}),
+    (["dicke", "scan"], DickeParams,
+     {"omega_a": "omega_a", "omega_c": "omega_c", "n_atoms": "n_atoms",
+      "cutoff": "fock_cutoff"}),
+    (["dicke", "meanfield", "--y", "1"], DickeParams,
+     {"omega_a": "omega_a", "omega_c": "omega_c"}),
+], ids=["verify", "dicke-ground", "dicke-scan", "dicke-meanfield"])
+def test_parser_defaults_are_the_library_defaults(argv, config, flags):
+    # an omitted flag means what the library means without the argument
+    ns = _build_parser().parse_args(argv)
+    defaults = {f.name: f.default for f in dataclasses.fields(config)}
+    for dest, field in flags.items():
+        got = getattr(ns, dest)
+        assert type(got) is type(defaults[field]) and got == defaults[field]
 
 
 def test_verify_modesum_json(capsys):

@@ -10,7 +10,7 @@ from scipy import special
 
 import quad_reference as ref
 from fpcavity import (ConvergenceError, DomainError, Separation, Tolerance,
-                      integrate_semi_infinite, kernel_d)
+                      bessel_j, integrate_semi_infinite, kernel_d)
 from fpcavity import specfun, verify
 from fpcavity.specfun import _K15_NODES
 from fpcavity.radiation import (_d_rows, _hyperbolic_weights,
@@ -259,17 +259,20 @@ def test_gauss_kronrod_matches_the_reference(f):
 
 
 def test_j0_plus_j2_is_twice_j1_over_x_bit_for_bit():
-    # one call of the Bessel source gives all three: J0, J1 = x g and
-    # J0 + J2 = 2 g, with g = J1(x)/x, from 0 through the subnormals to the
-    # far form
+    # one call of the Bessel source gives J0 and g = J1(x)/x, and bessel_j
+    # has their bits, from 0 through the subnormals to the far form: J1 is
+    # x g and, from x = 1 on, where it takes no series, J2 = 2 g - J0, so
+    # J0 + J2 is 2 g
     x = np.concatenate([[0.0, 5e-324, 1e-300, 1e-8, 2e-4, 0.5, 60.5, 1e3],
                         np.geomspace(1e-6, 60.0, 400)])
-    j0, j1, j02 = specfun._bessel_j0_j1_sum(x)
-    want_j0, g = specfun._bessel_j0_g(x)
-    assert j0.tobytes() == want_j0.tobytes()
-    assert j1.tobytes() == (x * g).tobytes()
-    assert j02.tobytes() == (2.0 * g).tobytes()
-    assert j02[0] == 1.0 and j1[0] == 0.0
+    for t in x.tolist():
+        j0, g = specfun._bessel_j0_g(t)[:, 0].tolist()
+        assert _bits(bessel_j(0, t)) == _bits(j0)
+        assert _bits(bessel_j(1, t)) == _bits(t * g)
+        if t >= 1.0:
+            assert _bits(bessel_j(2, t)) == _bits(2.0 * g - j0)
+    assert 2.0 * specfun._bessel_j0_g(0.0)[1, 0] == 1.0
+    assert bessel_j(1, 0.0) == 0.0
 
 
 def test_levin_rows_come_from_the_table():

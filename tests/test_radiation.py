@@ -14,7 +14,7 @@ from fpcavity import (AnisotropyResult, CavityFrame, DomainError, Separation,
 from fpcavity import coulomb, radiation, specfun
 from fpcavity.radiation import (_d_rows, _kernel_d_reference,
                                 _laplace_bessel_x2, _nearest_pair_rows)
-from fpcavity.specfun import _jv
+from fpcavity.specfun import _bessel_j0_g
 
 TIGHT = Tolerance(1e-12, 1e-12, 4000)
 
@@ -164,10 +164,15 @@ def test_reference_route_never_touches_the_lattice(monkeypatch):
 @pytest.mark.parametrize("a, v", [(0.3, 0.0), (0.3, 3.0), (1.0, 1.0),
                                   (1.7, 3.0), (2.5, 0.5)])
 def test_laplace_bessel_x2_closed_forms(a, v):
+    def bessel(order, xv):
+        # J0, J1 = xv g and J2 = 2 g - J0 from the pair J0, g = J1(xv)/(xv)
+        j0, g = _bessel_j0_g(xv)
+        return (j0, xv * g, 2.0 * g - j0)[order]
+
     closed = _laplace_bessel_x2(a, v)
     for order in (0, 1, 2):
         quad = integrate_semi_infinite(
-            lambda x: x * x * np.exp(-x * a) * _jv(order, x * v), a, TIGHT)
+            lambda x: x * x * np.exp(-x * a) * bessel(order, x * v), a, TIGHT)
         assert quad == pytest.approx(closed[order], rel=1e-12, abs=1e-14)
 
 

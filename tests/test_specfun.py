@@ -20,7 +20,7 @@ from fpcavity import specfun
 from fpcavity.specfun import (_BLOCK, _CHUNK, _G7_IDX, _G7_WEIGHTS,
                               _HEAD_HALF_PERIODS, _K15_NODES, _K15_WEIGHTS,
                               _MIN_TAIL_PANELS,
-                              _TAIL_MIN_SPAN, _bessel_j0_j1_sum, _jv,
+                              _TAIL_MIN_SPAN, _bessel_j0_g,
                               _lattice_moments, _quad_finite, _subdivide,
                               _truncation)
 
@@ -138,7 +138,8 @@ def test_jv_splice_against_mpmath(order):
     # absolute of 30-digit mpmath, and within 1e-12 relative wherever
     # |J| > 1e-4
     xs = _edges_grid()
-    got = _jv(order, xs)
+    j0, g = _bessel_j0_g(xs)
+    got = j0 if order == 0 else xs * g
     with mpmath.workdps(30):
         want = np.array([float(mpmath.besselj(order, mpmath.mpf(float(x))))
                          for x in xs])
@@ -163,9 +164,8 @@ def test_far_form_against_mpmath_at_large_x(x):
     assert abs(g[0] - want[1]) <= 4e-16 * amp / x
 
 
-@pytest.mark.parametrize("pair", [False, True], ids=["j0", "j0_g"])
-def test_bessel_routes_only_large_arguments_to_the_far_form(pair,
-                                                             monkeypatch):
+@pytest.mark.parametrize("fn", [_bessel_j0_g], ids=["j0_g"])
+def test_bessel_routes_only_large_arguments_to_the_far_form(fn, monkeypatch):
     # a call all below 60.5 runs the cells alone, a call all from 60.5 on
     # the modulus-phase form alone, and a mixed call gives each argument
     # the value of its own form; the far form never sees an argument below
@@ -183,7 +183,6 @@ def test_bessel_routes_only_large_arguments_to_the_far_form(pair,
 
     monkeypatch.setattr(specfun, "_near", near_counted)
     monkeypatch.setattr(specfun, "_far", far_recorded)
-    fn = specfun._bessel_j0_g if pair else specfun._bessel_j0
     x0 = specfun._FAR_X0
     xs = _edges_grid()
     got = fn(xs)
@@ -214,19 +213,12 @@ def test_a_long_call_works_in_chunks():
             <= 1e-16
 
 
-def test_j0_alone_agrees_with_the_pair():
-    # the J0-only path takes the J0 half of the same tables
-    xs = _edges_grid()
-    assert np.abs(specfun._bessel_j0(xs)
-                  - specfun._bessel_j0_g(xs)[0]).max() <= 1e-16
-
-
 def test_bessel_exact_at_zero():
     j0, g = specfun._bessel_j0_g(np.zeros(3))
     assert (j0 == 1.0).all() and (g == 0.5).all()
     for order, want in ((0, 1.0), (1, 0.0), (2, 0.0)):
-        got = _jv(order, np.zeros(2))
-        assert (got == want).all() and not np.signbit(got).any()
+        got = bessel_j(order, 0.0)
+        assert got == want and math.copysign(1.0, got) == 1.0
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-160, 1e-8, 1e-4, 0.01,
@@ -240,8 +232,8 @@ def test_bessel_small_arguments_keep_relative_precision(x):
         want_g2 = float(2 * want_j1 / x)
         want_j1 = float(want_j1)
         want_j2 = float(mpmath.besselj(2, x))
-    got_j1 = float(_jv(1, np.array([x]))[0])
-    got_j2 = float(_jv(2, np.array([x]))[0])
+    got_j1 = bessel_j(1, x)
+    got_j2 = bessel_j(2, x)
     assert abs(2.0 * g[0] - want_g2) <= 1e-14 * want_g2
     assert got_j1 == x * g[0]
     tiny = float(np.finfo(float).tiny)
@@ -274,13 +266,14 @@ def test_bessel_recurrence_dense_grid():
 def test_bessel_j0_plus_j2_from_j1_against_mpmath(x):
     # J0 + J2 = 2 J1(x)/x without the order-2 call, as twice g = J1(x)/x,
     # which keeps its relative precision down to the subnormals
-    j0, j1, j02 = _bessel_j0_j1_sum(np.array([x]))
+    j0, g = _bessel_j0_g(x)
+    j1, j02 = x * g, 2.0 * g
     with mpmath.workdps(40):
         want = 1.0 if x == 0.0 else float(2 * mpmath.besselj(1, x) / x)
         want_j0 = float(mpmath.besselj(0, x))
         want_j1 = float(mpmath.besselj(1, x))
     assert abs(j02[0] - want) <= 1e-15 * abs(want)
-    assert j0[0] == _jv(0, x) and j1[0] == _jv(1, x)
+    assert j0[0] == bessel_j(0, x) and j1[0] == bessel_j(1, x)
     assert abs(j0[0] - want_j0) <= 5e-16
     assert abs(j1[0] - want_j1) <= 5e-16
     assert abs(j1[0] - want_j1) <= 1e-14 * abs(want_j1)
@@ -440,19 +433,27 @@ def test_zeta3_odd_term_sum():
 # quadrature
 # ---------------------------------------------------------------------------
 
+def _j0(x):
+    return _bessel_j0_g(x)[0]
+
+
+def _j1(x):
+    return x * _bessel_j0_g(x)[1]
+
+
 def test_quadrature_plain_exponential():
     val = integrate_semi_infinite(lambda x: np.exp(-x), 1.0, TIGHT)
     assert val == pytest.approx(1.0, abs=1e-13)
 
 
 def test_quadrature_bessel_laplace_value():
-    val = integrate_semi_infinite(lambda x: np.exp(-x) * _jv(0, x), 1.0, TIGHT)
+    val = integrate_semi_infinite(lambda x: np.exp(-x) * _j0(x), 1.0, TIGHT)
     assert val == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
 
 def test_quadrature_bessel_laplace_derivative_value():
     val = integrate_semi_infinite(
-        lambda x: x * np.exp(-x) * _jv(1, 2.0 * x), 1.0, TIGHT)
+        lambda x: x * np.exp(-x) * _j1(2.0 * x), 1.0, TIGHT)
     assert val == pytest.approx(2.0 * 5.0 ** -1.5, abs=1e-12)
 
 
@@ -498,8 +499,8 @@ def test_quadrature_scalar_integrand_returns_float():
 
 def test_quadrature_vector_matches_scalar_passes():
     rows = [lambda x: np.exp(-x),
-            lambda x: np.exp(-x) * _jv(0, x),
-            lambda x: x * np.exp(-x) * _jv(1, 2.0 * x)]
+            lambda x: np.exp(-x) * _j0(x),
+            lambda x: x * np.exp(-x) * _j1(2.0 * x)]
     vec = integrate_semi_infinite(lambda x: np.array([f(x) for f in rows]),
                                   1.0, TIGHT)
     assert isinstance(vec, np.ndarray) and vec.shape == (3,)

@@ -122,6 +122,33 @@ def test_lipschitz_failure_is_a_report():
         assert r.params["error"].startswith("ConvergenceError")
 
 
+@pytest.mark.parametrize("u, v", [(1.0, 0.0), (1.0, 3.0), (1e-3, 1.0)])
+def test_lipschitz_makes_one_quadrature(u, v, monkeypatch):
+    # EQ33 and EQ34 are the two rows of one vector-valued pass
+    calls = []
+    quad = verify.integrate_semi_infinite
+
+    def counted(f, *args, **kwargs):
+        calls.append(args)
+        return quad(f, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "integrate_semi_infinite", counted)
+    reports = check_lipschitz(u, v)
+    assert len(calls) == 1
+    assert [r.check_id for r in reports] == ["EQ33", "EQ34"]
+    assert all(r.passed for r in reports)
+
+
+def test_lipschitz_starved_pass_fails_both_rows_alike():
+    # one panel split is too few at u = v = 1: the shared quadrature fails
+    # both identities, with the same error
+    r33, r34 = check_lipschitz(1.0, 1.0, max_subdivisions=1)
+    for r in (r33, r34):
+        assert not r.passed and r.abs_err == math.inf
+        assert r.params["error"].startswith("ConvergenceError")
+    assert r33.params == r34.params
+
+
 @pytest.mark.parametrize("u, v", [(1e-3, 1.0), (1e-3, 3.0), (1e-4, 0.5),
                                   (5e-3, 3.0)])
 def test_lipschitz_next_to_a_mirror(u, v):
