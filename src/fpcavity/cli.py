@@ -64,22 +64,23 @@ def _finite_or_null(x: float):
     return x if math.isfinite(x) else None
 
 
-def emit_report(reports, fmt: str, suite: str = "adhoc", seed: int = 0,
-                warnings=()) -> bytes:
+def emit_report(reports, fmt: str, suite: str = "adhoc",
+                seed: int = 0) -> bytes:
     """Serialize identity reports.
 
     JSON: {"suite", "seed", "all_pass", "warnings", "checks": [{"id",
     "params", "abs_err", "rel_err", "pass", "tol_abs", "tol_rel"}]}, strict
     JSON: a non-finite abs_err or rel_err (a check that failed to compute)
-    is null.  CSV: one row per check with the same columns (params
-    JSON-encoded), header row first, 17-significant-digit decimals.
+    is null; "warnings" is always the empty list, kept for the schema.
+    CSV: one row per check with the same columns (params JSON-encoded),
+    header row first, 17-significant-digit decimals.
     """
     if fmt == "json":
         doc = {
             "suite": suite,
             "seed": seed,
             "all_pass": all(r.passed for r in reports),
-            "warnings": list(warnings),
+            "warnings": [],
             "checks": [
                 {
                     "id": r.check_id,
@@ -218,11 +219,8 @@ def _cmd_kernel(ns) -> int:
 def _cmd_verify(ns) -> int:
     summary = run_suite(ns.target, VerifyConfig(
         seed=ns.seed, max_subdivisions=ns.max_subdivisions))
-    data = emit_report(summary.reports, ns.format, suite=summary.suite,
-                       seed=summary.seed, warnings=summary.warnings)
-    _write(ns, data)
-    for w in summary.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    _write(ns, emit_report(summary.reports, ns.format, suite=summary.suite,
+                           seed=summary.seed))
     return 0 if summary.all_pass else 1
 
 

@@ -3,7 +3,7 @@
 Everything downstream (Coulomb kernels, displacement-field kernels, the
 identity suite) is built on four ingredients defined here: the cylindrical
 Bessel functions J0, J1, J2 (the package's own, in numpy: one entry point
-gives J0 and J1(x)/x from one call, polynomial cells below x = 60.5 and
+gives J0 and J1(x)/x from one call, polynomial cells up to x = 60.5 and
 Hankel's modulus-phase form above, with coefficients written from mpmath
 by tools/bessel_coefficients.py; every integrand forms J1 = x (J1(x)/x)
 and J0 +- J2 from that pair, and only the scalar bessel_j returns J2
@@ -105,17 +105,18 @@ class ModeSumArgs:
 #
 # One Bessel source, _bessel_j0_g: J0(x) and g(x) = J1(x)/x together, from
 # the tables of _bessel_coef (written from 50-digit mpmath by
-# tools/bessel_coefficients.py).  Below _FAR_X0 = 60.5 each x takes the
+# tools/bessel_coefficients.py).  Up to _FAR_X0 = 60.5 each x takes the
 # polynomials of degree 12 of the cell |x - c| <= 1/2 around the nearest
-# integer c; from _FAR_X0 on, Hankel's modulus-phase form (DLMF 10.17)
-# with four polynomials of degree 8 in w = _FAR_X0/x, combined with cos x
-# and sin x (never with the rounded x - pi/4).  Every caller takes what it
-# needs from the pair: J0 is its first row, J1 = x g, J0 + J2 = 2 g and
-# J0 - J2 = 2 (J0 - g).  J2 alone, which only bessel_j(2, x) returns, is
-# 2 g - J0, from its own series below _J2_SERIES_MAX where that
-# difference cancels.  Largest errors against 30-digit mpmath, 10001
-# uniform points on [0, 100] with every cell edge and its three
-# neighbouring doubles each side, and 2000 geometric points on [100, 1e4]:
+# integer c (ties to even, so 60.5 is in cell 60); past _FAR_X0, Hankel's
+# modulus-phase form (DLMF 10.17) with four polynomials of degree 8 in
+# w = _FAR_X0/x, combined with cos x and sin x (never with the rounded
+# x - pi/4).  Every caller takes what it needs from the pair: J0 is its
+# first row, J1 = x g, J0 + J2 = 2 g and J0 - J2 = 2 (J0 - g).  J2 alone,
+# which only bessel_j(2, x) returns, is 2 g - J0, from its own series below
+# _J2_SERIES_MAX where that difference cancels.  Largest errors against
+# 30-digit mpmath, 10001 uniform points on [0, 100] with every cell edge
+# and its three neighbouring doubles each side, and 2000 geometric points
+# on [100, 1e4]:
 #
 #   range      function  abs error   rel error where |J| > 1e-4
 #   [0, 100]   J0        1.1e-16     1.3e-13
@@ -170,31 +171,38 @@ def _near(a: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _far(x: np.ndarray) -> np.ndarray:
     """J0 and J1(x)/x at x >= _FAR_X0 by the modulus-phase form, as the
-    rows of a (2, n) array."""
+    rows of a (2, n) array.
+
+    The amplitudes are einsum's plain sums of products, not a BLAS matrix
+    product, whose rounding depends on how many x share the call: each
+    value is the same bits whatever batch it comes in.
+    """
     w = _FAR_X0 / x
     powers = np.empty((len(x), _FAR.shape[1]))
     powers[:, 0] = np.sqrt(w)
     powers[:, 1:] = w[:, None]
-    amp = _FAR @ np.multiply.accumulate(powers, axis=1, out=powers).T
+    amp = np.einsum("kt,nt->kn", _FAR,
+                    np.multiply.accumulate(powers, axis=1, out=powers))
     return amp[:2] * np.cos(x) + amp[2:] * np.sin(x)
 
 
 def _split(x):
     """J0 and J1(x)/x, each x by the form that applies.  A call with every
-    x below _FAR_X0 is one pass of Horner's rule; otherwise the far form
-    runs over all of x (clipped to its range) and, where some x is below
-    _FAR_X0, np.where picks the cells' values there."""
+    x in a cell (x <= _FAR_X0) is one pass of Horner's rule; otherwise the
+    far form runs over all of x (clipped to its range) and, where some x is
+    in a cell, np.where picks the cells' values there, so each x gets the
+    form it gets alone."""
     # fmin keeps huge x and NaN castable; both then miss the table
     c = np.rint(np.fmin(x, _FAR_X0 + 1.0))
     cells = c.astype(np.intp)
     try:
         a = _NEAR.take(cells, axis=1)
     except IndexError:
-        pass  # some x at or past _FAR_X0
+        pass  # some x past _FAR_X0
     else:
         return _near(a, x - c)
     # a NaN fails the test and takes the far form, which returns NaN
-    near = x < _FAR_X0
+    near = x <= _FAR_X0
     far = _far(np.maximum(x, _FAR_X0))
     if not near.any():
         return far

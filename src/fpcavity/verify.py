@@ -6,8 +6,13 @@ on one side, the image-lattice moments S3 = sum rho^-3, S5 = sum rho^-5 and
 T5 = sum a rho^-5 on the other (xi = S3, with the exact derivatives
 v d/dv xi = -3 v^2 S5 and v d/du xi = -3 v T5).  Reports carry both error
 measures and the pass threshold that was applied; a numerical failure in
-any check becomes a failed report rather than aborting the run.  An
-aggregate run is deterministic given its seed.
+any check becomes a failed report rather than aborting the run.
+
+run_suite and run_all check every family on one fixed set of acceptance
+grids, the private constants _U_GRID through _ANISO_CUTOFF; VerifyConfig
+sets only the seed of the randomized EQ21 separations and the panel-split
+budget, so an aggregate run is deterministic given its seed.  The public
+check_* functions take any other grid point.
 
 Pass thresholds are pinned: each check reads its TOL_* constant and no
 argument moves it.  max_subdivisions, the quadratures' panel-split budget,
@@ -42,12 +47,11 @@ import numpy as np
 from .coulomb import Separation, kernel_e
 from .errors import ConvergenceError, DomainError
 from .geometry import CavityFrame
-from .radiation import (_anisotropy_summand, _axial_radius,
-                        _hyperbolic_weights, _kernel_d_reference,
-                        anisotropy_delta)
+from .radiation import (_anisotropy_summand, _hyperbolic_weights,
+                        _kernel_d_reference, anisotropy_delta)
 from .specfun import (DEFAULT_TOL, ModeSumArgs, Tolerance,
                       _bessel_half_period, _bessel_j0_g, _lattice_moments,
-                      _quad_finite, _truncation, direct_mode_sum, hyperbolic_mode_sum,
+                      _quad_finite, direct_mode_sum, hyperbolic_mode_sum,
                       integrate_semi_infinite, xi)
 
 __all__ = [
@@ -84,7 +88,6 @@ class VerificationSummary:
     seed: int
     reports: list
     all_pass: bool
-    warnings: list
 
 
 # pass tolerances pinned per check family
@@ -102,97 +105,44 @@ TOL_DECAY = Tolerance(abs_tol=1.0, rel_tol=1e-15)  # pass <=> metric <= 1
 _BUDGET = DEFAULT_TOL.max_subdivisions
 
 
+# the acceptance grids of run_suite; the check_* functions take any others
+_U_GRID = tuple(round(0.1 + 0.2 * i, 1) for i in range(10))
+_V_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
+_N_RANDOM_SEPARATIONS = 20
+_Z_OVER_L = tuple(round(0.1 * i, 1) for i in range(1, 10))
+_MODESUM_ALPHAS = (0.0, 0.5, math.pi)
+_MODESUM_BETAS = (0.3, 1.0, 3.0)
+_MODESUM_ORDERS = (0, 1)
+_MODESUM_N_MAX = 10 ** 6
+_LIPSCHITZ_U = (1.0, 2.0)
+_LIPSCHITZ_V = (0.0, 1.0, 3.0)
+_GREEN_TRIPLES = ((0.5, 1.0, 1.0), (0.3, 1.7, 0.5), (1.2, 0.8, 2.0))
+_AXIAL_U = (0.3, 0.7, 1.0, 1.5)
+_ANISO_LENGTHS = (1.0, 2.0, 4.0, 8.0)
+_ANISO_CUTOFF = math.pi
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Grids, seed and panel-split budget of the aggregate run.
+    """Seed and panel-split budget of the aggregate run.
 
-    Defaults reproduce the acceptance configuration; all randomized inputs
-    derive from the seed, an integer >= 0.  max_subdivisions, an integer
-    >= 1, caps only effort: pass thresholds are the pinned TOL_* constants.
-    Every grid is checked against the domain of the check that reads it
-    when the config is built, so a bad entry is a DomainError naming its
-    field rather than an abort halfway through a run: u values in (0, 2)
-    (lipschitz_u only positive and finite), z/L in (0, 1), transverse v
-    finite and >= 0, mode-sum entries as ModeSumArgs takes them, and
-    aniso_lengths and aniso_cutoff as anisotropy_delta does.  A v of
-    v_grid, lipschitz_v or green_triples is also refused where the
-    quadrature's Bessel argument x v would overflow for the u it is paired
-    with, by the quadrature's own guard.
+    The randomized EQ21 separations derive from the seed, an integer >= 0.
+    max_subdivisions, an integer >= 1, caps only effort: pass thresholds
+    are the pinned TOL_* constants.  The grids are the module's fixed
+    acceptance grids (_U_GRID, _V_GRID, ... _ANISO_CUTOFF).
     """
 
     seed: int = 42
     max_subdivisions: int = _BUDGET
-    u_grid: tuple = tuple(round(0.1 + 0.2 * i, 1) for i in range(10))
-    v_grid: tuple = (0.25, 0.5, 1.0, 2.0, 4.0)
-    n_random_separations: int = 20
-    z_over_L: tuple = tuple(round(0.1 * i, 1) for i in range(1, 10))
-    modesum_alphas: tuple = (0.0, 0.5, math.pi)
-    modesum_betas: tuple = (0.3, 1.0, 3.0)
-    modesum_orders: tuple = (0, 1)
-    modesum_n_max: int = 10 ** 6
-    lipschitz_u: tuple = (1.0, 2.0)
-    lipschitz_v: tuple = (0.0, 1.0, 3.0)
-    green_triples: tuple = ((0.5, 1.0, 1.0), (0.3, 1.7, 0.5), (1.2, 0.8, 2.0))
-    axial_u: tuple = (0.3, 0.7, 1.0, 1.5)
-    aniso_lengths: tuple = (1.0, 2.0, 4.0, 8.0)
-    aniso_cutoff: float = math.pi
 
     def __post_init__(self):
-        for name, least in (("seed", 0), ("max_subdivisions", 1),
-                            ("n_random_separations", 0),
-                            ("modesum_n_max", 1)):
+        for name, least in (("seed", 0), ("max_subdivisions", 1)):
             value = getattr(self, name)
             # the integers are the types operator.index accepts
             if not (hasattr(value, "__index__")
                     and operator.index(value) >= least):
                 raise DomainError(f"{name} must be an integer >= {least}, "
                                   f"got {value!r}")
-
-        def in_cavity(u):
-            return 0.0 < u < 2.0
-
-        def transverse(v):
-            return 0.0 <= v < math.inf
-
-        for name, inside, domain in (
-                ("u_grid", in_cavity, "0 < u < 2"),
-                ("v_grid", transverse, "0 <= v < inf"),
-                ("z_over_L", lambda z: 0.0 < z < 1.0, "0 < z/L < 1"),
-                ("lipschitz_u", lambda u: 0.0 < u < math.inf, "0 < u < inf"),
-                ("lipschitz_v", transverse, "0 <= v < inf"),
-                ("green_triples", lambda t: (in_cavity(t[0])
-                                             and in_cavity(t[1])
-                                             and transverse(t[2])),
-                 "(u, u', v) with 0 < u, u' < 2 and 0 <= v < inf"),
-                ("axial_u", in_cavity, "0 < u < 2")):
-            for value in getattr(self, name):
-                if not inside(value):
-                    raise DomainError(f"{name} entries must satisfy "
-                                      f"{domain}, got {value!r}")
-        for name, make in (("modesum_alphas", lambda a: ModeSumArgs(a, 1.0, 0)),
-                           ("modesum_betas", lambda b: ModeSumArgs(0.0, b, 0)),
-                           ("modesum_orders",
-                            lambda m: ModeSumArgs(0.0, 1.0, m))):
-            for value in getattr(self, name):
-                try:
-                    make(value)
-                except DomainError as exc:
-                    raise DomainError(f"{name}: {exc}") from None
-        for length in self.aniso_lengths:
-            _axial_radius(CavityFrame(length), self.aniso_cutoff)
-        for name, tol, rate, v in (
-                [("v_grid", TOL_EQ22, min(u, 2.0 - u), v)
-                 for u in self.u_grid for v in self.v_grid]
-                + [("lipschitz_v", TOL_LIPSCHITZ, u, v)
-                   for u in self.lipschitz_u for v in self.lipschitz_v]
-                + [("green_triples", TOL_GREEN,
-                    min(u, 2.0 - u, up, 2.0 - up), v)
-                   for u, up, v in self.green_triples]):
-            try:
-                _truncation(rate, _engine(tol, self.max_subdivisions),
-                            _bessel_half_period(v))
-            except DomainError as exc:
-                raise DomainError(f"{name}: {exc}") from None
 
 
 def _engine(tol: Tolerance, max_subdivisions: int) -> Tolerance:
@@ -451,8 +401,16 @@ def check_lipschitz(u: float, v: float, *,
     before that decay the quadrature takes its oscillatory-tail mode, so
     the cost does not grow with the number of oscillations: at u = 1e-4 or
     1e-3 both identities hold in a few ms.  The threshold is pinned
-    (TOL_LIPSCHITZ); max_subdivisions caps only the quadrature effort.
+    (TOL_LIPSCHITZ); max_subdivisions caps only the quadrature effort.  A
+    (u, v) so near the origin that (u^2 + v^2)^(-3/2) overflows, about
+    u^2 + v^2 < 3e-206, is refused with a DomainError.
     """
+    r2 = u * u + v * v
+    try:
+        eq33, eq34 = r2 ** -0.5, v * r2 ** -1.5
+    except (ZeroDivisionError, OverflowError):
+        raise DomainError(f"(u, v) = ({u!r}, {v!r}) is too near the origin: "
+                          "(u^2 + v^2)^(-3/2) overflows") from None
     eng = _engine(TOL_LIPSCHITZ, max_subdivisions)
 
     def rows(x):
@@ -466,21 +424,24 @@ def check_lipschitz(u: float, v: float, *,
         return out
 
     return _quadrature_rows({"u": u, "v": v}, rows, u, eng, v, [
-        ("EQ33", TOL_LIPSCHITZ, (u * u + v * v) ** -0.5),
-        ("EQ34", TOL_LIPSCHITZ, v * (u * u + v * v) ** -1.5),
+        ("EQ33", TOL_LIPSCHITZ, eq33),
+        ("EQ34", TOL_LIPSCHITZ, eq34),
     ])
 
 
-def _paired_inverse_distance_sum(u: float, u_prime: float, v: float,
-                                 n_terms: int = 20000) -> float:
+# terms |n| <= _GREEN_TERMS of the paired image sum are summed directly
+_GREEN_TERMS = 20000
+
+
+def _paired_inverse_distance_sum(u: float, u_prime: float, v: float) -> float:
     """sum_n [((2n+u)^2+v^2)^(-1/2) - ((2n+u')^2+v^2)^(-1/2)], paired terms.
 
     Each term alone diverges logarithmically; the difference decays like
-    n^(-2).  The tail beyond |n| <= n_terms is added in closed form (the
-    midpoint-rule integral of the difference has an elementary
-    antiderivative); its error is O(n_terms^-3).
+    n^(-2).  The tail beyond |n| <= _GREEN_TERMS is added in closed form
+    (the midpoint-rule integral of the difference has an elementary
+    antiderivative); its error is O(_GREEN_TERMS^-3).
     """
-    n = np.arange(-n_terms, n_terms + 1, dtype=float)
+    n = np.arange(-_GREEN_TERMS, _GREEN_TERMS + 1, dtype=float)
     a, b = 2.0 * n + u, 2.0 * n + u_prime
     total = float(np.sum((a * a + v * v) ** -0.5 - (b * b + v * v) ** -0.5))
 
@@ -489,7 +450,7 @@ def _paired_inverse_distance_sum(u: float, u_prime: float, v: float,
         rp = math.hypot(xp, v)
         return 0.5 * math.log((xp + rp) / (x + r))
 
-    edge = 2.0 * (n_terms + 0.5)
+    edge = 2.0 * (_GREEN_TERMS + 0.5)
     total += tail(edge + u, edge + u_prime)    # n -> +inf side
     total += tail(edge - u, edge - u_prime)    # n -> -inf side
     return total
@@ -591,63 +552,48 @@ def random_separations(n: int, seed: int) -> list[Separation]:
 
 def run_suite(suite: str,
               config: VerifyConfig | None = None) -> VerificationSummary:
-    """Run one named check family (or 'all') on the configured grids.
+    """Run one named check family (or 'all') on the acceptance grids.
 
-    The configuration's max_subdivisions caps every quadrature's effort;
-    pass thresholds stay the pinned per-check TOL_* constants.
+    The grids are the module constants: EQ22-EQ30 on _U_GRID x _V_GRID,
+    EQ21 at _N_RANDOM_SEPARATIONS seeded separations and SELF_CANCEL at
+    _Z_OVER_L, EQ27 on _MODESUM_ALPHAS x _MODESUM_BETAS x _MODESUM_ORDERS
+    at _MODESUM_N_MAX terms, EQ33/EQ34 on _LIPSCHITZ_U x _LIPSCHITZ_V, EQ36
+    at _GREEN_TRIPLES, AXIAL20 at _AXIAL_U and ANISO38 at _ANISO_LENGTHS
+    and _ANISO_CUTOFF.  The configuration's seed draws the separations and
+    its max_subdivisions caps every quadrature's effort; pass thresholds
+    stay the pinned per-check TOL_* constants.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     cfg = config if config is not None else VerifyConfig()
     reports: list[IdentityReport] = []
-    warnings: list[str] = []
     budget = cfg.max_subdivisions
-
-    def note_empty(name, items):
-        if len(items) == 0:
-            warnings.append(f"no coverage: empty grid for {name}")
-        return items
-
     if suite in ("all", "bessel"):
-        for u in note_empty("bessel u_grid", cfg.u_grid):
-            for v in cfg.v_grid:
+        for u in _U_GRID:
+            for v in _V_GRID:
                 reports.extend(check_bessel_hyperbolic(
                     u, v, max_subdivisions=budget))
-        if len(cfg.v_grid) == 0:
-            warnings.append("no coverage: empty grid for bessel v_grid")
     if suite in ("all", "cancellation"):
-        seps = random_separations(cfg.n_random_separations, cfg.seed)
-        note_empty("cancellation separations", seps)
-        note_empty("cancellation z grid", cfg.z_over_L)
         reports.extend(check_kernel_cancellation(
-            seps, cfg.z_over_L, max_subdivisions=budget))
+            random_separations(_N_RANDOM_SEPARATIONS, cfg.seed), _Z_OVER_L,
+            max_subdivisions=budget))
     if suite in ("all", "modesum"):
-        grid = [ModeSumArgs(alpha=a, beta=b, m=m)
-                for a in cfg.modesum_alphas
-                for b in cfg.modesum_betas
-                for m in cfg.modesum_orders]
-        note_empty("mode-sum grid", grid)
-        reports.extend(check_mode_sum(grid, cfg.modesum_n_max))
+        reports.extend(check_mode_sum(
+            [ModeSumArgs(alpha=a, beta=b, m=m) for a in _MODESUM_ALPHAS
+             for b in _MODESUM_BETAS for m in _MODESUM_ORDERS],
+            _MODESUM_N_MAX))
     if suite in ("all", "lipschitz"):
-        pairs = [(u, v) for u in cfg.lipschitz_u for v in cfg.lipschitz_v]
-        note_empty("Laplace-Bessel grid", pairs)
-        for u, v in pairs:
-            reports.extend(check_lipschitz(u, v, max_subdivisions=budget))
+        for u in _LIPSCHITZ_U:
+            for v in _LIPSCHITZ_V:
+                reports.extend(check_lipschitz(u, v, max_subdivisions=budget))
     if suite in ("all", "green"):
-        for u, up, v in note_empty("Green triples", cfg.green_triples):
+        for u, up, v in _GREEN_TRIPLES:
             reports.append(check_green(u, up, v, max_subdivisions=budget))
     if suite in ("all", "aniso"):
-        note_empty("axial grid", cfg.axial_u)
-        note_empty("anisotropy length grid", cfg.aniso_lengths)
-        if len(cfg.axial_u) > 0 or len(cfg.aniso_lengths) > 0:
-            reports.extend(check_axial_and_aniso(
-                cfg.axial_u, cfg.aniso_lengths, cfg.aniso_cutoff,
-                max_subdivisions=budget))
-    if len(reports) == 0:
-        warnings.append("no coverage: suite produced zero reports")
+        reports.extend(check_axial_and_aniso(
+            _AXIAL_U, _ANISO_LENGTHS, _ANISO_CUTOFF, max_subdivisions=budget))
     return VerificationSummary(suite=suite, seed=cfg.seed, reports=reports,
-                               all_pass=all(r.passed for r in reports),
-                               warnings=warnings)
+                               all_pass=all(r.passed for r in reports))
 
 
 def run_all(config: VerifyConfig | None = None) -> VerificationSummary:

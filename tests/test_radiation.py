@@ -333,10 +333,11 @@ def test_spectral_regulator_validation():
 @pytest.mark.parametrize("eps, v", [(1e-6, 1.0), (5e-324, 1.0),
                                     (0.003, 0.0), (0.5, 1e6), (0.5, 5000.0)])
 def test_spectral_work_bound_refuses_before_building(eps, v, monkeypatch):
-    # the grid and the Bessel tables are never built for a refused request:
+    # the grid and the Bessel pair are never built for a refused request:
     # eps = 1e-6 would otherwise ask for arrays of ~3e8 doubles each.  At
-    # v = 5000, eps = 0.5 the nodes times axial terms alone are half the
-    # bound; the three Bessel tables (175 terms per node) put it above
+    # v = 5000, eps = 0.5 the grid's 2.9e6 nodes times 65 axial terms are
+    # 1.9e8 node-terms, just below the bound of 2e8; the Bessel pair's 10
+    # terms per node bring it to 2.2e8, above
     def never(*args, **kwargs):
         raise AssertionError("grid built before the work bound was checked")
 

@@ -166,7 +166,7 @@ def test_far_form_against_mpmath_at_large_x(x):
 
 @pytest.mark.parametrize("fn", [_bessel_j0_g], ids=["j0_g"])
 def test_bessel_routes_only_large_arguments_to_the_far_form(fn, monkeypatch):
-    # a call all below 60.5 runs the cells alone, a call all from 60.5 on
+    # a call all up to 60.5 runs the cells alone, a call all past 60.5
     # the modulus-phase form alone, and a mixed call gives each argument
     # the value of its own form; the far form never sees an argument below
     # 60.5
@@ -187,12 +187,28 @@ def test_bessel_routes_only_large_arguments_to_the_far_form(fn, monkeypatch):
     xs = _edges_grid()
     got = fn(xs)
     assert np.concatenate(calls["far"]).min() >= x0
-    lo = xs < x0
+    lo = xs <= x0
     for part, n_near, n_far in ((lo, 1, 0), (~lo, 0, 1)):
         calls["near"] = 0
         calls["far"].clear()
         assert np.array_equal(got[..., part], fn(xs[part]))
         assert (calls["near"], len(calls["far"])) == (n_near, n_far)
+
+
+def test_a_value_does_not_depend_on_its_batch():
+    # every x of a mixed call longer than one chunk gets the bits of its
+    # one-point call: the far form uses no BLAS product, whose rounding
+    # depends on the batch, and 60.5 is in cell 60 alone or batched
+    rng = np.random.default_rng(7)
+    edges = [math.nextafter(specfun._FAR_X0, d) for d in (0.0, math.inf)]
+    x = np.concatenate([[1.0, 60.5, 70.0, 1e3, 1e8, 1e300, 0.0], edges,
+                        rng.uniform(0.0, 60.5, 2500),
+                        rng.uniform(60.5, 3060.0, 2500)])
+    rng.shuffle(x)
+    assert len(x) > specfun._CHUNK_NODES
+    got = specfun._bessel_j0_g(x)
+    alone = np.array([specfun._bessel_j0_g(t)[:, 0] for t in x.tolist()]).T
+    assert got.tobytes() == alone.tobytes()
 
 
 def test_a_long_call_works_in_chunks():
