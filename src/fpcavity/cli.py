@@ -6,18 +6,15 @@ byte-identical output.  Exit codes: 0 success / all checks pass, 1 at least
 one verification failure, 2 argument or domain error.
 
 The --tol-abs/--tol-rel flags of `kernel` set the accuracy of the D
-family's quadratures, 1e-10 each when omitted, and --max-subdivisions caps
-their panel splits, at 4000 when omitted.  The E family, a fixed-accuracy
-lattice sum, refuses all three.  The spectral route (--spectral) reads
-only --tol-abs, which sets its grid's reach log(1/tol-abs)/eps and must be
-below 1 there, and refuses the other two;
---eps (its regulator, 0.05 when omitted) is refused without --spectral: a
-flag is never ignored.
-`verify` takes only
---max-subdivisions (an integer >= 1, with --seed an integer >= 0), which
-caps the effort of every check's quadratures and never moves a pass
-threshold: those are pinned per check.  `xi` (a fixed-accuracy lattice
-sum) and `dicke` (exact diagonalization) take no tolerance flags.
+family's quadratures, 1e-10 each when omitted.  The E family, a
+fixed-accuracy lattice sum, refuses both.  The spectral route (--spectral)
+reads only --tol-abs, which sets its grid's reach log(1/tol-abs)/eps and
+must be below 1 there, and refuses --tol-rel; --eps (its regulator, 0.05
+when omitted) is refused without --spectral: a flag is never ignored.
+`verify` takes only --seed (an integer >= 0) besides --format and
+--output: every check's quadrature accuracy and pass threshold are pinned
+per check.  `xi` (a fixed-accuracy lattice sum) and `dicke` (exact
+diagonalization) take no tolerance flags.
 
 Each `dicke` target takes only the flags it reads, besides --format and
 --output: `ground` --omega-a, --omega-c, --y (required), --n-atoms and
@@ -183,25 +180,24 @@ def _cmd_kernel(ns) -> int:
     # the Tolerance fields given on the command line; the others keep
     # their defaults
     given = {field: value for field, value in (
-        ("abs_tol", ns.tol_abs), ("rel_tol", ns.tol_rel),
-        ("max_subdivisions", ns.max_subdivisions)) if value is not None}
+        ("abs_tol", ns.tol_abs), ("rel_tol", ns.tol_rel)) if value is not None}
     if ns.eps is not None and not ns.spectral:
         raise DomainError("--eps applies to the spectral route only")
     if ns.family == "E":
         if ns.spectral:
             raise DomainError("--spectral applies to the D family only")
         if given:
-            raise DomainError("--tol-abs, --tol-rel and --max-subdivisions "
-                              "apply to the D family only")
+            raise DomainError("--tol-abs and --tol-rel apply to the D family "
+                              "only")
         mat = kernel_e(ns.sign, sep).m
     else:
         tol = Tolerance(**given)
         if ns.spectral:
             if ns.sign != "plus":
                 raise DomainError("the spectral route evaluates D plus only")
-            if ns.tol_rel is not None or ns.max_subdivisions is not None:
-                raise DomainError("--tol-rel and --max-subdivisions do not "
-                                  "apply to the spectral route")
+            if ns.tol_rel is not None:
+                raise DomainError("--tol-rel does not apply to the spectral "
+                                  "route")
             eps = _DEFAULT_EPS if ns.eps is None else ns.eps
             mat = kernel_d_spectral(sep, eps, tol).m
         else:
@@ -217,8 +213,7 @@ def _cmd_kernel(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
-    summary = run_suite(ns.target, VerifyConfig(
-        seed=ns.seed, max_subdivisions=ns.max_subdivisions))
+    summary = run_suite(ns.target, VerifyConfig(seed=ns.seed))
     _write(ns, emit_report(summary.reports, ns.format, suite=summary.suite,
                            seed=summary.seed))
     return 0 if summary.all_pass else 1
@@ -246,19 +241,6 @@ def _cmd_dicke_scan(ns) -> int:
     rows = spectrum_scan(params, [float(y) for y in y_grid])
     _emit(ns, [asdict(r) for r in rows])
     return 0
-
-
-def _add_tol(p):
-    p.add_argument("--tol-abs", type=float, default=None,
-                   help=f"absolute accuracy of the D-family quadratures "
-                        f"(with --spectral, below 1: the grid's reach), "
-                        f"{DEFAULT_TOL.abs_tol:g} if omitted")
-    p.add_argument("--tol-rel", type=float, default=None,
-                   help=f"relative accuracy of the D-family quadratures, "
-                        f"{DEFAULT_TOL.rel_tol:g} if omitted")
-    p.add_argument("--max-subdivisions", type=int, default=None,
-                   help=f"panel-split budget of the D-family quadratures, "
-                        f"{DEFAULT_TOL.max_subdivisions} if omitted")
 
 
 def _add_common(p, seed=False, bare_value=False):
@@ -311,16 +293,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_k.add_argument("--eps", type=float, default=None,
                      help=f"spectral regulator (with --spectral), "
                           f"{_DEFAULT_EPS} if omitted")
-    _add_tol(p_k)
+    p_k.add_argument("--tol-abs", type=float, default=None,
+                     help=f"absolute accuracy of the D-family quadratures "
+                          f"(with --spectral, below 1: the grid's reach), "
+                          f"{DEFAULT_TOL.abs_tol:g} if omitted")
+    p_k.add_argument("--tol-rel", type=float, default=None,
+                     help=f"relative accuracy of the D-family quadratures, "
+                          f"{DEFAULT_TOL.rel_tol:g} if omitted")
     _add_common(p_k)
     p_k.set_defaults(func=_cmd_kernel)
 
     p_v = sub.add_parser("verify", help="run the identity verification suite",
                          formatter_class=fmt_cls, allow_abbrev=False)
     p_v.add_argument("target", nargs="?", choices=SUITE_NAMES, default="all")
-    p_v.add_argument("--max-subdivisions", type=int,
-                     default=VerifyConfig.max_subdivisions,
-                     help="adaptive quadrature panel-split budget")
     _add_common(p_v, seed=True)
     p_v.set_defaults(func=_cmd_verify)
 

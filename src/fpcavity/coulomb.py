@@ -208,7 +208,8 @@ def brute_force_coulomb(dipoles: Sequence[DipoleSpec], frame: CavityFrame,
     For each ordered pair (A, B) sums the free-space pair energy of d_A with
     every image of d_B over |n| <= n_images, at half weight so the ordered
     double count reproduces the 1/(8 pi) pair convention.  Deterministic
-    finite sum; the truncation error decays as 1/n_images^2.
+    finite sum; the truncation error decays as 1/n_images^2.  Coincident
+    dipoles are a domain error, as in dipole_dipole_energy.
     """
     if len(dipoles) < 2:
         raise DomainError("need at least two dipoles")
@@ -231,6 +232,8 @@ def brute_force_coulomb(dipoles: Sequence[DipoleSpec], frame: CavityFrame,
             # free-space pair energy (1/4pi) [d1.d2 - 3 (d1.rhat)(d2.rhat)]/r^3
             dr = ra - r_img
             r2 = np.einsum("ij,ij->i", dr, dr)
+            if not r2.all():
+                raise DomainError("coincident dipoles")
             proj = (dr @ ma) * np.einsum("ij,ij->i", m_img, dr)
             pair = (m_img @ ma - 3.0 * proj / r2) \
                 / (4.0 * math.pi * r2 * np.sqrt(r2))

@@ -9,6 +9,7 @@ consumed downstream is independent of the mode normalization.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,10 @@ class WaveVector:
     k_perp: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.n < 0:
-            raise DomainError("axial index must be non-negative")
+        if not (hasattr(self.n, "__index__") and operator.index(self.n) >= 0
+                and _finite_vector(self.k_perp, 2)):
+            raise DomainError("the axial index must be an integer >= 0 and "
+                              f"k_perp two finite numbers, got {self!r}")
 
 
 @dataclass(frozen=True)
@@ -56,11 +59,22 @@ class DipoleSpec:
     position: tuple[float, float, float]
     moment: tuple[float, float, float]
 
+    def __post_init__(self):
+        if not all(_finite_vector(a, 3) for a in (self.position, self.moment)):
+            raise DomainError("position and moment must be three finite "
+                              f"numbers each, got {self!r}")
+
     def pos(self) -> np.ndarray:
         return np.asarray(self.position, dtype=float)
 
     def mom(self) -> np.ndarray:
         return np.asarray(self.moment, dtype=float)
+
+
+def _finite_vector(values, size: int) -> bool:
+    """Whether values is a vector of size finite numbers."""
+    a = np.asarray(values, dtype=float)
+    return a.shape == (size,) and bool(np.isfinite(a).all())
 
 
 def _k_parts(k: WaveVector, frame: CavityFrame):
@@ -93,6 +107,8 @@ def mode_fn(kind: str, k: WaveVector, r, frame: CavityFrame = CavityFrame()) -> 
     components at z = 0 and z = L) and are divergence-free.  There is no TE
     mode with n = 0.
     """
+    if not _finite_vector(r, 3):
+        raise DomainError(f"position must be three finite numbers, got {r!r}")
     r = np.asarray(r, dtype=float)
     z = r[2]
     if not (0.0 <= z <= frame.length_L):

@@ -217,7 +217,9 @@ _CHUNK_NODES = 4096
 
 def _bessel_j0_g(x) -> np.ndarray:
     """J0(x) and J1(x)/x at x >= 0 (flattened) as the rows of one (2, n)
-    array; a call of more than _CHUNK_NODES nodes runs in chunks."""
+    array; a call of more than _CHUNK_NODES nodes runs in chunks.  x < 0,
+    unchecked on this hot path, is wrong: np.take wraps its negative cell
+    to the table's far end, giving J0 = -0.0915 at -1, not 0.7652."""
     x = np.asarray(x, dtype=float).ravel()
     if len(x) <= _CHUNK_NODES:
         return _split(x)

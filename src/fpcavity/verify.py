@@ -10,13 +10,13 @@ any check becomes a failed report rather than aborting the run.
 
 run_suite and run_all check every family on one fixed set of acceptance
 grids, the private constants _U_GRID through _ANISO_CUTOFF; VerifyConfig
-sets only the seed of the randomized EQ21 separations and the panel-split
-budget, so an aggregate run is deterministic given its seed.  The public
-check_* functions take any other grid point.
+sets only the seed of the randomized EQ21 separations, so an aggregate run
+is deterministic given its seed.  The public check_* functions take any
+other grid point.
 
 Pass thresholds are pinned: each check reads its TOL_* constant and no
-argument moves it.  max_subdivisions, the quadratures' panel-split budget,
-caps only effort; a budget that runs out gives a failed report.
+argument moves it.  The quadratures run at the library's default
+panel-split budget; one that does not converge gives a failed report.
 
 Check identifiers:
 
@@ -49,7 +49,7 @@ from .errors import ConvergenceError, DomainError
 from .geometry import CavityFrame
 from .radiation import (_anisotropy_summand, _hyperbolic_weights,
                         _kernel_d_reference, anisotropy_delta)
-from .specfun import (DEFAULT_TOL, ModeSumArgs, Tolerance,
+from .specfun import (ModeSumArgs, Tolerance,
                       _bessel_half_period, _bessel_j0_g, _lattice_moments,
                       _quad_finite, direct_mode_sum, hyperbolic_mode_sum,
                       integrate_semi_infinite, xi)
@@ -101,8 +101,6 @@ TOL_GREEN = Tolerance(abs_tol=1e-6, rel_tol=1e-13)
 TOL_AXIAL = Tolerance(abs_tol=1e-12, rel_tol=1e-15)
 TOL_CONTINUUM = Tolerance(abs_tol=1e-12, rel_tol=1e-15)
 TOL_DECAY = Tolerance(abs_tol=1.0, rel_tol=1e-15)  # pass <=> metric <= 1
-# default panel-split budget of every quadrature of the suite
-_BUDGET = DEFAULT_TOL.max_subdivisions
 
 
 # the acceptance grids of run_suite; the check_* functions take any others
@@ -124,33 +122,24 @@ _ANISO_CUTOFF = math.pi
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Seed and panel-split budget of the aggregate run.
-
-    The randomized EQ21 separations derive from the seed, an integer >= 0.
-    max_subdivisions, an integer >= 1, caps only effort: pass thresholds
-    are the pinned TOL_* constants.  The grids are the module's fixed
-    acceptance grids (_U_GRID, _V_GRID, ... _ANISO_CUTOFF).
-    """
+    """Seed of the aggregate run, an integer >= 0, from which the randomized
+    EQ21 separations derive; the grids are the module's fixed acceptance
+    grids and the pass thresholds the pinned TOL_* constants."""
 
     seed: int = 42
-    max_subdivisions: int = _BUDGET
 
     def __post_init__(self):
-        for name, least in (("seed", 0), ("max_subdivisions", 1)):
-            value = getattr(self, name)
-            # the integers are the types operator.index accepts
-            if not (hasattr(value, "__index__")
-                    and operator.index(value) >= least):
-                raise DomainError(f"{name} must be an integer >= {least}, "
-                                  f"got {value!r}")
+        # the integers are the types operator.index accepts
+        if not (hasattr(self.seed, "__index__")
+                and operator.index(self.seed) >= 0):
+            raise DomainError(f"seed {self.seed!r} is not an integer >= 0")
 
 
-def _engine(tol: Tolerance, max_subdivisions: int) -> Tolerance:
+def _engine(tol: Tolerance) -> Tolerance:
     """Internal computation tolerance: an order below the pass threshold
-    tol, floored so engine work stays reasonable."""
+    tol, floored so engine work stays reasonable; the default split budget."""
     return Tolerance(abs_tol=max(1e-12, 1e-2 * tol.abs_tol),
-                     rel_tol=max(1e-11, 1e-2 * tol.rel_tol),
-                     max_subdivisions=max_subdivisions)
+                     rel_tol=max(1e-11, 1e-2 * tol.rel_tol))
 
 
 def _flat(side) -> list[float]:
@@ -245,6 +234,12 @@ def _quadrature_rows(params: dict, rows: Callable, rate: float,
             for row, (check_id, tol, rhs) in zip(lhs, checks, strict=True)]
 
 
+def _check_domain(params: dict) -> None:
+    """Refuse a non-finite parameter, and a v < 0: J(xv) is read at xv >= 0."""
+    if not (all(map(math.isfinite, params.values())) and params["v"] >= 0):
+        raise DomainError(f"want finite parameters and v >= 0, got {params}")
+
+
 def _cosh_ratio_diff(x, u, u_prime):
     # [cosh(x a) - cosh(x b)]/sinh(x) with a = u-1, b = u'-1, through
     # cosh(xa) - cosh(xb) = 2 sinh(x(a+b)/2) sinh(x(a-b)/2).  With a >= b
@@ -266,9 +261,7 @@ def _cosh_ratio_diff(x, u, u_prime):
     return sign * num * np.expm1(-x * (a - b)) / (-np.expm1(-2.0 * x))
 
 
-def check_bessel_hyperbolic(u: float, v: float, *,
-                            max_subdivisions: int = _BUDGET
-                            ) -> list[IdentityReport]:
+def check_bessel_hyperbolic(u: float, v: float) -> list[IdentityReport]:
     """Check the four hyperbolic-integral identities at one (u, v).
 
     The integral sides are the four rows of one quadrature pass, so J0, J1
@@ -279,12 +272,11 @@ def check_bessel_hyperbolic(u: float, v: float, *,
     v d/du xi = -3 v T5, so the two routes share no code.  Thresholds are
     pinned, TOL_DERIV (100x looser relative) for the two derivative
     identities and TOL_EQ22 for the others; every row meets the engine
-    tolerance of TOL_EQ22, and max_subdivisions caps only the quadrature
-    effort.  A quadrature that
-    runs out of panel splits fails all four rows, and so does a v at which
-    the Bessel argument x v overflows at the quadrature's nodes.
+    tolerance of TOL_EQ22, at the library's default panel-split budget.  A
+    quadrature that does not converge fails all four rows, and so does a v
+    at which the Bessel argument x v overflows at the quadrature's nodes.
     """
-    eng = _engine(TOL_EQ22, max_subdivisions)
+    eng = _engine(TOL_EQ22)
     params = {"u": u, "v": v}
     # xi by its module-level name, which lets a test substitute a shifted xi
     # (as for SELF_CANCEL); the derivative sides take v^2 S5 and v T5
@@ -327,7 +319,6 @@ def check_bessel_hyperbolic(u: float, v: float, *,
 
 def check_kernel_cancellation(sep_samples: Sequence[Separation],
                               z_samples: Sequence[float], *,
-                              max_subdivisions: int = _BUDGET,
                               kernel_e_fn: Callable = kernel_e,
                               kernel_d_fn: Callable = _kernel_d_reference
                               ) -> list[IdentityReport]:
@@ -337,7 +328,7 @@ def check_kernel_cancellation(sep_samples: Sequence[Separation],
     the residual normalized by the largest E+ entry.  SELF_CANCEL: for each
     z/L, the xi part of the self-energy matrix (weight 1/8 pi) must cancel
     the quadratic single-dipole term (weight 1/16 pi^2).  Thresholds are
-    pinned (TOL_EQ21, TOL_SELF); max_subdivisions caps only D+'s effort.
+    pinned (TOL_EQ21, TOL_SELF), D+ at the default panel-split budget.
     kernel_e_fn is called as (sign, sep) and kernel_d_fn as (sign, sep, tol).
 
     D+ comes by default from the unsplit hyperbolic integrand, not from
@@ -347,8 +338,8 @@ def check_kernel_cancellation(sep_samples: Sequence[Separation],
     are injectable so corrupted kernels can be used to demonstrate the
     checks actually bite.
     """
-    eng = _engine(TOL_EQ21, max_subdivisions)
-    eng_self = _engine(TOL_SELF, max_subdivisions)
+    eng = _engine(TOL_EQ21)
+    eng_self = _engine(TOL_SELF)
 
     def eq21(sep):
         e_mat = kernel_e_fn("plus", sep).m
@@ -388,30 +379,32 @@ def check_mode_sum(grid: Sequence[ModeSumArgs],
                      sides, args) for args in grid]
 
 
-def check_lipschitz(u: float, v: float, *,
-                    max_subdivisions: int = _BUDGET) -> list[IdentityReport]:
+def check_lipschitz(u: float, v: float) -> list[IdentityReport]:
     """Laplace-Bessel integrals against their closed inverse-distance forms.
 
     EQ33, int e^{-xu} J0(xv) dx = (u^2 + v^2)^(-1/2), and EQ34,
     int x e^{-xu} J1(xv) dx = v (u^2 + v^2)^(-3/2), are the two rows of one
     quadrature pass, so J0 and J1 come from one Bessel call per node, each
-    row meets the engine tolerance on its own, and a quadrature that runs
-    out of panel splits fails both rows with the same error.  The
-    integrands decay only like e^{-xu}.  Where J(xv) oscillates many times
-    before that decay the quadrature takes its oscillatory-tail mode, so
-    the cost does not grow with the number of oscillations: at u = 1e-4 or
-    1e-3 both identities hold in a few ms.  The threshold is pinned
-    (TOL_LIPSCHITZ); max_subdivisions caps only the quadrature effort.  A
-    (u, v) so near the origin that (u^2 + v^2)^(-3/2) overflows, about
-    u^2 + v^2 < 3e-206, is refused with a DomainError.
+    row meets the engine tolerance on its own, and a quadrature that does
+    not converge fails both rows with the same error.  The integrands decay
+    only like e^{-xu}.  Where J(xv) oscillates many times before that decay
+    the quadrature takes its oscillatory-tail mode, so the cost does not
+    grow with the number of oscillations: at u = 1e-4 or 1e-3 both
+    identities hold in a few ms.  The threshold is pinned (TOL_LIPSCHITZ),
+    the quadrature at the library's default panel-split budget.  A
+    non-finite u or v, a v < 0, and a (u, v) so near the origin that
+    (u^2 + v^2)^(-3/2) overflows, about u^2 + v^2 < 3e-206, are refused
+    with a DomainError.
     """
+    params = {"u": u, "v": v}
+    _check_domain(params)
     r2 = u * u + v * v
     try:
         eq33, eq34 = r2 ** -0.5, v * r2 ** -1.5
     except (ZeroDivisionError, OverflowError):
         raise DomainError(f"(u, v) = ({u!r}, {v!r}) is too near the origin: "
                           "(u^2 + v^2)^(-3/2) overflows") from None
-    eng = _engine(TOL_LIPSCHITZ, max_subdivisions)
+    eng = _engine(TOL_LIPSCHITZ)
 
     def rows(x):
         xv = x * v
@@ -423,7 +416,7 @@ def check_lipschitz(u: float, v: float, *,
         out[1] *= damp
         return out
 
-    return _quadrature_rows({"u": u, "v": v}, rows, u, eng, v, [
+    return _quadrature_rows(params, rows, u, eng, v, [
         ("EQ33", TOL_LIPSCHITZ, eq33),
         ("EQ34", TOL_LIPSCHITZ, eq34),
     ])
@@ -456,18 +449,20 @@ def _paired_inverse_distance_sum(u: float, u_prime: float, v: float) -> float:
     return total
 
 
-def check_green(u: float, u_prime: float, v: float, *,
-                max_subdivisions: int = _BUDGET) -> IdentityReport:
+def check_green(u: float, u_prime: float, v: float) -> IdentityReport:
     """Two-plane Green's-function identity.
 
     The image sum (paired, since single terms diverge) against the
     difference-of-cosh-ratios integral.  The threshold is pinned
-    (TOL_GREEN); max_subdivisions caps only the quadrature effort.  The
-    report fails at a v where the Bessel argument x v overflows at the
-    quadrature's nodes.
+    (TOL_GREEN), the quadrature at the library's default panel-split
+    budget.  The report fails at a v where the Bessel argument x v
+    overflows at the quadrature's nodes; a non-finite argument or a v < 0
+    is refused with a DomainError.
     """
-    eng = _engine(TOL_GREEN, max_subdivisions)
-    return _checked("EQ36", {"u": u, "u_prime": u_prime, "v": v}, TOL_GREEN,
+    params = {"u": u, "u_prime": u_prime, "v": v}
+    _check_domain(params)
+    eng = _engine(TOL_GREEN)
+    return _checked("EQ36", params, TOL_GREEN,
                     lambda: (_paired_inverse_distance_sum(u, u_prime, v),
                              integrate_semi_infinite(
                                  lambda x: _cosh_ratio_diff(x, u, u_prime)
@@ -478,14 +473,13 @@ def check_green(u: float, u_prime: float, v: float, *,
 
 def check_axial_and_aniso(rho_z_samples: Sequence[float],
                           L_samples: Sequence[float], cutoff: float, *,
-                          max_subdivisions: int = _BUDGET,
                           decay_factor: float = 1e-2) -> list[IdentityReport]:
     """Axial rotation invariance and coincident-point anisotropy decay.
 
-    Thresholds are pinned (TOL_AXIAL, TOL_CONTINUUM, TOL_DECAY);
-    max_subdivisions caps only the quadrature effort.
+    Thresholds are pinned (TOL_AXIAL, TOL_CONTINUUM, TOL_DECAY); the
+    quadratures run at the library's default panel-split budget.
     """
-    eng = _engine(TOL_AXIAL, max_subdivisions)
+    eng = _engine(TOL_AXIAL)
 
     def axial(u):
         worst = 0.0
@@ -559,24 +553,21 @@ def run_suite(suite: str,
     _Z_OVER_L, EQ27 on _MODESUM_ALPHAS x _MODESUM_BETAS x _MODESUM_ORDERS
     at _MODESUM_N_MAX terms, EQ33/EQ34 on _LIPSCHITZ_U x _LIPSCHITZ_V, EQ36
     at _GREEN_TRIPLES, AXIAL20 at _AXIAL_U and ANISO38 at _ANISO_LENGTHS
-    and _ANISO_CUTOFF.  The configuration's seed draws the separations and
-    its max_subdivisions caps every quadrature's effort; pass thresholds
-    stay the pinned per-check TOL_* constants.
+    and _ANISO_CUTOFF.  The configuration's seed draws the separations;
+    every quadrature runs at the library's default panel-split budget, and
+    pass thresholds stay the pinned per-check TOL_* constants.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     cfg = config if config is not None else VerifyConfig()
     reports: list[IdentityReport] = []
-    budget = cfg.max_subdivisions
     if suite in ("all", "bessel"):
         for u in _U_GRID:
             for v in _V_GRID:
-                reports.extend(check_bessel_hyperbolic(
-                    u, v, max_subdivisions=budget))
+                reports.extend(check_bessel_hyperbolic(u, v))
     if suite in ("all", "cancellation"):
         reports.extend(check_kernel_cancellation(
-            random_separations(_N_RANDOM_SEPARATIONS, cfg.seed), _Z_OVER_L,
-            max_subdivisions=budget))
+            random_separations(_N_RANDOM_SEPARATIONS, cfg.seed), _Z_OVER_L))
     if suite in ("all", "modesum"):
         reports.extend(check_mode_sum(
             [ModeSumArgs(alpha=a, beta=b, m=m) for a in _MODESUM_ALPHAS
@@ -585,13 +576,13 @@ def run_suite(suite: str,
     if suite in ("all", "lipschitz"):
         for u in _LIPSCHITZ_U:
             for v in _LIPSCHITZ_V:
-                reports.extend(check_lipschitz(u, v, max_subdivisions=budget))
+                reports.extend(check_lipschitz(u, v))
     if suite in ("all", "green"):
         for u, up, v in _GREEN_TRIPLES:
-            reports.append(check_green(u, up, v, max_subdivisions=budget))
+            reports.append(check_green(u, up, v))
     if suite in ("all", "aniso"):
         reports.extend(check_axial_and_aniso(
-            _AXIAL_U, _ANISO_LENGTHS, _ANISO_CUTOFF, max_subdivisions=budget))
+            _AXIAL_U, _ANISO_LENGTHS, _ANISO_CUTOFF))
     return VerificationSummary(suite=suite, seed=cfg.seed, reports=reports,
                                all_pass=all(r.passed for r in reports))
 

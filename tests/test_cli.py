@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fpcavity import DickeParams, Separation, Tolerance, kernel_e, xi
 from fpcavity.cli import _build_parser, dispatch, emit_report, parse_report
 from fpcavity.verify import IdentityReport, VerifyConfig
+from tests_helpers import starve_verify
 
 
 def test_xi_prints_bare_value(capsys):
@@ -76,12 +77,15 @@ def test_non_finite_parameters_exit_2(argv, capsys):
     ["dicke", "ground", "--y", "2", "--max-subdivisions", "10"],
     ["verify", "green", "--tol-abs", "0.5"],
     ["verify", "green", "--tol-rel", "0.5"],
+    ["verify", "lipschitz", "--max-subdivisions", "1"],
+    ["kernel", "--family", "D", "--u", "0.5", "--v", "1",
+     "--max-subdivisions", "1"],
 ])
 def test_tolerance_flags_only_where_used(argv, capsys):
     # xi is a fixed-accuracy lattice sum and dicke diagonalizes exactly:
     # neither takes the quadrature tolerance flags; verify's pass thresholds
-    # and quadrature accuracies are pinned per check, so it takes only
-    # --max-subdivisions
+    # and quadrature accuracies are pinned per check, so it takes none; and
+    # no command takes a panel-split budget
     assert dispatch(argv) == 2
 
 
@@ -91,7 +95,8 @@ def test_tolerance_flags_only_where_used(argv, capsys):
     ["verify", "lipschitz", "--max-subdivisions", "-5"],
 ])
 def test_verify_bad_seed_or_budget_exit_2(argv, capsys):
-    # refused before any check runs, even by a suite without quadratures
+    # refused before any check runs, even by a suite without quadratures:
+    # a negative seed, and a budget flag, which verify does not take
     assert dispatch(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "error" in captured.err
@@ -126,7 +131,7 @@ def test_kernel_refuses_flags_it_would_ignore(argv, capsys):
 
 @pytest.mark.parametrize("implicit, explicit", [
     (["--family", "D"], ["--family", "D", "--tol-abs", "1e-10",
-                         "--tol-rel", "1e-10", "--max-subdivisions", "4000"]),
+                         "--tol-rel", "1e-10"]),
     (["--family", "D", "--spectral"],
      ["--family", "D", "--spectral", "--eps", "0.05"]),
 ])
@@ -184,8 +189,7 @@ def test_help_screens(argv, capsys):
 
 
 @pytest.mark.parametrize("argv, config, flags", [
-    (["verify"], VerifyConfig,
-     {"seed": "seed", "max_subdivisions": "max_subdivisions"}),
+    (["verify"], VerifyConfig, {"seed": "seed"}),
     (["dicke", "ground", "--y", "1"], DickeParams,
      {"omega_a": "omega_a", "omega_c": "omega_c", "n_atoms": "n_atoms",
       "cutoff": "fock_cutoff"}),
@@ -413,10 +417,11 @@ def _strict_json(data: str):
     return json.loads(data, parse_constant=reject)
 
 
-def test_failed_checks_emit_strict_json(capsys):
+def test_failed_checks_emit_strict_json(capsys, monkeypatch):
     # one panel split is too few for about half the Laplace-Bessel checks:
     # those rows fail with a ConvergenceError and an infinite error
-    assert dispatch(["verify", "lipschitz", "--max-subdivisions", "1"]) == 1
+    starve_verify(monkeypatch, 1)
+    assert dispatch(["verify", "lipschitz"]) == 1
     doc = _strict_json(capsys.readouterr().out)
     failed = [c for c in doc["checks"] if not c["pass"]]
     assert failed and all(c["abs_err"] is None and c["rel_err"] is None

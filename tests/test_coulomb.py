@@ -209,6 +209,15 @@ def test_energy_rescales_with_cavity_length():
     assert e2 == pytest.approx(e1 / L ** 3, rel=1e-10)
 
 
+def test_coincident_dipoles_refused_by_both_routes():
+    # unguarded, the brute-force sum divided 0 by 0 in the direct term
+    d = _axial_pair()[0]
+    with pytest.raises(DomainError, match="coincident dipoles"):
+        dipole_dipole_energy([d, d], FRAME)
+    with pytest.raises(DomainError, match="coincident dipoles"):
+        brute_force_coulomb([d, d, _axial_pair()[1]], FRAME, n_images=10)
+
+
 def test_energy_preconditions():
     with pytest.raises(DomainError):
         dipole_dipole_energy([_axial_pair()[0]], FRAME)

@@ -161,6 +161,42 @@ def test_frame_and_wavevector_validation():
         WaveVector(-1, (0.0, 0.0))
 
 
+@pytest.mark.parametrize("n, k_perp", [
+    (1.5, (0.0, 0.0)), (2.0, (1.0, 0.0)), ("1", (0.0, 0.0)),
+    (1, (math.inf, 0.0)), (1, (0.0, math.nan)), (1, (1.0,)),
+])
+def test_wavevector_refuses_non_integer_index_and_non_finite_k_perp(n, k_perp):
+    # unguarded, these gave nan or inf from dispersion and mode_fn
+    with pytest.raises(DomainError):
+        WaveVector(n, k_perp)
+
+
+def test_wavevector_takes_numpy_integers():
+    k = WaveVector(np.int64(2), (1.0, 0.5))
+    assert dispersion(k, FRAME) == dispersion(WaveVector(2, (1.0, 0.5)), FRAME)
+    assert np.array_equal(mode_fn("TM", k, (0.1, 0.2, 0.3), FRAME),
+                          mode_fn("TM", WaveVector(2, (1.0, 0.5)),
+                                  (0.1, 0.2, 0.3), FRAME))
+
+
+@pytest.mark.parametrize("kind", ["TE", "TM"])
+@pytest.mark.parametrize("r", [(math.nan, 0.0, 0.5), (0.0, math.inf, 0.5),
+                               (0.1, 0.2)])
+def test_mode_fn_refuses_a_non_finite_position(kind, r):
+    with pytest.raises(DomainError):
+        mode_fn(kind, WaveVector(1, (1.0, 0.0)), r, FRAME)
+
+
+@pytest.mark.parametrize("position, moment", [
+    ((math.nan, 0.0, 0.5), (0.0, 0.0, 1.0)),
+    ((0.0, 0.0, 0.5), (0.0, math.inf, 1.0)),
+    ((0.0, 0.5), (0.0, 0.0, 1.0)),
+])
+def test_dipole_spec_refuses_non_finite_values(position, moment):
+    with pytest.raises(DomainError):
+        DipoleSpec(position, moment)
+
+
 def test_frame_requires_finite_length():
     with pytest.raises(DomainError):
         CavityFrame(math.inf)

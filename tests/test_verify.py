@@ -15,6 +15,7 @@ from fpcavity import (KernelMatrix, ModeSumArgs, Separation, Tolerance,
 from fpcavity import verify
 from fpcavity.errors import DomainError
 from fpcavity.verify import (VerifyConfig, _report, random_separations)
+from tests_helpers import starve_verify
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +109,13 @@ def test_lipschitz_small_u_limit():
     assert all(r.passed for r in check_lipschitz(1e-4, 0.0))
 
 
-def test_lipschitz_failure_is_a_report():
+def test_lipschitz_failure_is_a_report(monkeypatch):
     # too few panel splits for the near-singular u = 1e-4 integrands (the
     # oscillatory-tail mode needs 12): both identities come back failed
     # instead of the ConvergenceError aborting
+    starve_verify(monkeypatch, 8)
     start = time.perf_counter()
-    reports = check_lipschitz(1e-4, 1.0, max_subdivisions=8)
+    reports = check_lipschitz(1e-4, 1.0)
     assert time.perf_counter() - start < 5.0
     assert [r.check_id for r in reports] == ["EQ33", "EQ34"]
     for r in reports:
@@ -139,10 +141,11 @@ def test_lipschitz_makes_one_quadrature(u, v, monkeypatch):
     assert all(r.passed for r in reports)
 
 
-def test_lipschitz_starved_pass_fails_both_rows_alike():
+def test_lipschitz_starved_pass_fails_both_rows_alike(monkeypatch):
     # one panel split is too few at u = v = 1: the shared quadrature fails
     # both identities, with the same error
-    r33, r34 = check_lipschitz(1.0, 1.0, max_subdivisions=1)
+    starve_verify(monkeypatch, 1)
+    r33, r34 = check_lipschitz(1.0, 1.0)
     for r in (r33, r34):
         assert not r.passed and r.abs_err == math.inf
         assert r.params["error"].startswith("ConvergenceError")
@@ -157,6 +160,25 @@ def test_lipschitz_refuses_a_point_at_the_origin(u, v):
     # closed forms
     with pytest.raises(DomainError, match="overflows"):
         check_lipschitz(u, v)
+
+
+@pytest.mark.parametrize("check, args", [
+    (check_lipschitz, (math.inf, 1.0)), (check_lipschitz, (math.nan, 1.0)),
+    (check_lipschitz, (1.0, math.inf)), (check_lipschitz, (1.0, -1.0)),
+    (check_green, (math.inf, 1.0, 1.0)), (check_green, (0.5, math.nan, 1.0)),
+    (check_green, (0.5, 1.0, math.inf)), (check_green, (0.5, 1.0, -1.0)),
+], ids=lambda a: getattr(a, "__name__", repr(a)))
+def test_lipschitz_and_green_refuse_bad_input(check, args, monkeypatch):
+    # refused before any quadrature runs: unguarded, u = inf gave two
+    # passing EQ33/EQ34 rows with lhs = rhs = 0, and a v < 0 read the
+    # Bessel factors J(xv) at negative arguments, where _bessel_j0_g gives
+    # wrong values
+    calls = []
+    monkeypatch.setattr(verify, "integrate_semi_infinite",
+                        lambda *a, **k: calls.append(a))
+    with pytest.raises(DomainError):
+        check(*args)
+    assert calls == []
 
 
 @pytest.mark.parametrize("u, v", [(1e-3, 1.0), (1e-3, 3.0), (1e-4, 0.5),
@@ -182,9 +204,10 @@ def test_bessel_hyperbolic_near_a_mirror():
     assert all(r.passed for r in check_bessel_hyperbolic(1.999, 3.0))
 
 
-def test_bessel_hyperbolic_starved_pass_fails_all_four_rows():
+def test_bessel_hyperbolic_starved_pass_fails_all_four_rows(monkeypatch):
     # the four identities share one quadrature pass
-    reports = check_bessel_hyperbolic(0.1, 4.0, max_subdivisions=1)
+    starve_verify(monkeypatch, 1)
+    reports = check_bessel_hyperbolic(0.1, 4.0)
     assert [r.check_id for r in reports] == [
         "EQ22", "EQ29_PLUS", "EQ29_MINUS", "EQ30"]
     for r in reports:
@@ -322,9 +345,10 @@ def test_mutation_sign_flip_detected():
     assert any(not r.passed for r in reports)
 
 
-def test_mutation_sign_flip_fails_eq21_at_every_budget():
+def test_mutation_sign_flip_fails_eq21_at_every_budget(monkeypatch):
     # no argument sets a threshold: a loose Tolerance is refused outright,
-    # and the split budget leaves the pinned TOL_EQ21 in force
+    # and any split budget of the quadratures leaves the pinned TOL_EQ21 in
+    # force
     seps = _sample_seps()[:2]
     with pytest.raises(TypeError):
         check_kernel_cancellation(seps, [], Tolerance(10.0, 10.0),
@@ -333,8 +357,8 @@ def test_mutation_sign_flip_fails_eq21_at_every_budget():
         check_kernel_cancellation(seps, [], tol=Tolerance(10.0, 10.0),
                                   kernel_d_fn=_flipped_d)
     for budget in (1, 4000, 10 ** 6):
-        reports = check_kernel_cancellation(seps, [], kernel_d_fn=_flipped_d,
-                                            max_subdivisions=budget)
+        starve_verify(monkeypatch, budget)
+        reports = check_kernel_cancellation(seps, [], kernel_d_fn=_flipped_d)
         assert [r.check_id for r in reports] == ["EQ21", "EQ21"]
         assert not any(r.passed for r in reports)
         assert all(r.tol_used == verify.TOL_EQ21 for r in reports)
@@ -372,7 +396,8 @@ def test_mutation_dropped_j2_detected():
 # aggregate runs
 # ---------------------------------------------------------------------------
 
-# every positional argument of each check, then a stray Tolerance
+# every positional argument of each check, then a stray Tolerance or a
+# panel-split budget
 _POSITIONAL = [
     (check_bessel_hyperbolic, (1.0, 1.0)),
     (check_kernel_cancellation, ([Separation(0.5, 0.5)], [0.5])),
@@ -388,6 +413,8 @@ _POSITIONAL = [
 def test_checks_take_no_tolerance(check, args):
     with pytest.raises(TypeError):
         check(*args, Tolerance(10.0, 10.0))
+    with pytest.raises(TypeError):
+        check(*args, max_subdivisions=1)
 
 
 def _pinned(r):
@@ -404,8 +431,9 @@ def _pinned(r):
 
 
 @pytest.mark.parametrize("budget", [1, 8])
-def test_budget_never_moves_a_threshold(budget):
-    summary = run_all(VerifyConfig(max_subdivisions=budget))
+def test_budget_never_moves_a_threshold(budget, monkeypatch):
+    starve_verify(monkeypatch, budget)
+    summary = run_all()
     assert {r.check_id for r in summary.reports} == {
         "EQ22", "EQ29_PLUS", "EQ29_MINUS", "EQ30", "EQ21", "SELF_CANCEL",
         "EQ27", "EQ33", "EQ34", "EQ36", "AXIAL20", "ANISO38"}
@@ -418,17 +446,18 @@ def test_budget_never_moves_a_threshold(budget):
 
 
 @pytest.mark.parametrize("field, bad", [
-    ("seed", -1), ("seed", 1.5), ("seed", "42"), ("max_subdivisions", 0),
-    ("max_subdivisions", -3), ("max_subdivisions", 2.0),
+    ("seed", -1), ("seed", 1.5), ("seed", "42"),
 ])
 def test_verify_config_rejects_bad_seed_and_budget(field, bad):
+    # the seed is the configuration's only field: a budget is refused too
     with pytest.raises(DomainError):
         VerifyConfig(**{field: bad})
+    with pytest.raises(TypeError):
+        VerifyConfig(max_subdivisions=8)
 
 
 def test_verify_config_takes_numpy_integers():
-    cfg = VerifyConfig(seed=np.int64(3), max_subdivisions=np.int32(7))
-    assert cfg.seed == 3 and cfg.max_subdivisions == 7
+    assert VerifyConfig(seed=np.int64(3)).seed == 3
 
 
 def test_run_suite_unknown_name():

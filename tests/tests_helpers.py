@@ -1,10 +1,21 @@
-"""Small shared helpers for kernel tests."""
+"""Small shared helpers for the kernel and verification tests."""
 
+import dataclasses
 import math
 
 import numpy as np
 
-from fpcavity import Separation, reflection_matrix
+from fpcavity import Separation, reflection_matrix, verify
+
+# verify's engine tolerance, before any test replaces it
+_ENGINE = verify._engine
+
+
+def starve_verify(monkeypatch, budget: int) -> None:
+    """Run every quadrature of verify's checks at a panel-split budget of
+    budget, each at its own engine accuracy, for the rest of the test."""
+    monkeypatch.setattr(verify, "_engine", lambda tol: dataclasses.replace(
+        _ENGINE(tol), max_subdivisions=budget))
 
 
 def free_space_term(sep: Separation, sign: str = "plus") -> np.ndarray:
