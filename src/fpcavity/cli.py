@@ -41,9 +41,9 @@ from .dicke import DickeParams, ground_state, mean_field, spectrum_scan
 from .errors import ConvergenceError, DomainError
 from .radiation import kernel_d, kernel_d_spectral
 from .specfun import DEFAULT_TOL, Tolerance, xi
-from .verify import SUITE_NAMES, IdentityReport, VerifyConfig, run_suite
+from .verify import SUITE_NAMES, VerifyConfig, run_suite
 
-__all__ = ["dispatch", "emit_report", "parse_report", "main"]
+__all__ = ["dispatch", "emit_report", "main"]
 
 # the spectral regulator of `kernel --spectral` without --eps
 _DEFAULT_EPS = 0.05
@@ -97,30 +97,6 @@ def emit_report(reports, fmt: str, suite: str = "adhoc",
             (r.check_id, json.dumps(r.params, sort_keys=True, allow_nan=False),
              r.abs_err, r.rel_err, r.passed, r.tol_used.abs_tol,
              r.tol_used.rel_tol) for r in reports])
-    raise DomainError(f"unknown format {fmt!r}")
-
-
-def parse_report(data: bytes, fmt: str) -> list[IdentityReport]:
-    """Inverse of emit_report for the fields present in the schema; a null
-    abs_err or rel_err reads back as inf."""
-    def err(x) -> float:
-        return math.inf if x is None else float(x)
-
-    def build(check):
-        return IdentityReport(
-            check_id=check["id"], params=check["params"], lhs=None, rhs=None,
-            abs_err=err(check["abs_err"]), rel_err=err(check["rel_err"]),
-            passed=bool(check["pass"]),
-            tol_used=Tolerance(abs_tol=float(check["tol_abs"]),
-                               rel_tol=float(check["tol_rel"])))
-
-    if fmt == "json":
-        doc = json.loads(data.decode())
-        return [build(c) for c in doc["checks"]]
-    if fmt == "csv":
-        return [build({**rec, "params": json.loads(rec["params"]),
-                       "pass": rec["pass"] == "true"})
-                for rec in csv.DictReader(io.StringIO(data.decode()))]
     raise DomainError(f"unknown format {fmt!r}")
 
 

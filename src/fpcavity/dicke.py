@@ -234,13 +234,6 @@ def build_hamiltonian(p: DickeParams) -> np.ndarray:
     return h
 
 
-def parity_diagonal(p: DickeParams) -> np.ndarray:
-    """Diagonal of exp[i pi (a'a + S_z + N/2)]: signs (-1)^(m_index + n)."""
-    m_idx = np.arange(p.n_atoms + 1)
-    n_idx = np.arange(p.fock_cutoff + 1)
-    return ((-1.0) ** (m_idx[:, None] + n_idx[None, :])).ravel()
-
-
 @dataclass(frozen=True)
 class _BlockLayout:
     """One parity block's band storage but for the coupling values, which

@@ -77,23 +77,43 @@ def _finite_vector(values, size: int) -> bool:
     return a.shape == (size,) and bool(np.isfinite(a).all())
 
 
+def _axial_k(k: WaveVector, frame: CavityFrame) -> float:
+    """k_n = n pi / L, refused with a DomainError where it overflows."""
+    try:
+        kn = operator.index(k.n) * math.pi / frame.length_L
+    except OverflowError:  # n beyond the doubles
+        kn = math.inf
+    if kn == math.inf:
+        raise DomainError(f"k_n = n pi / L overflows for {k!r} and {frame!r}")
+    return kn
+
+
 def _k_parts(k: WaveVector, frame: CavityFrame):
     kp = np.asarray(k.k_perp, dtype=float)
-    kp_mag = float(np.hypot(kp[0], kp[1]))
-    kn = k.n * math.pi / frame.length_L
-    if kp_mag > 0.0:
+    kp_mag = math.hypot(kp[0], kp[1])
+    if kp_mag == math.inf:
+        # |k_perp| overflows, its direction does not
+        kp_hat = kp / np.abs(kp).max()
+        kp_hat /= math.hypot(kp_hat[0], kp_hat[1])
+    elif kp_mag > 0.0:
         kp_hat = kp / kp_mag
     else:
         # polarization direction is arbitrary at k_perp = 0; fix it along x
         kp_hat = np.array([1.0, 0.0])
-    return kp, kp_mag, kp_hat, kn
+    return kp, kp_mag, kp_hat, _axial_k(k, frame)
 
 
 def dispersion(k: WaveVector, frame: CavityFrame = CavityFrame()) -> float:
-    """Mode frequency omega = sqrt(k_n^2 + |k_perp|^2) with c = 1."""
+    """Mode frequency omega = sqrt(k_n^2 + |k_perp|^2) with c = 1.
+
+    Formed with math.hypot, so it is finite wherever omega is a finite
+    double; where omega itself overflows, a DomainError.
+    """
     kp = np.asarray(k.k_perp, dtype=float)
-    kn = k.n * math.pi / frame.length_L
-    return math.sqrt(kn * kn + float(kp @ kp))
+    omega = math.hypot(_axial_k(k, frame), kp[0], kp[1])
+    if omega == math.inf:
+        raise DomainError(f"omega overflows for {k!r} and {frame!r}")
+    return omega
 
 
 def mode_fn(kind: str, k: WaveVector, r, frame: CavityFrame = CavityFrame()) -> np.ndarray:
@@ -105,7 +125,8 @@ def mode_fn(kind: str, k: WaveVector, r, frame: CavityFrame = CavityFrame()) -> 
 
     Both satisfy the perfect-mirror boundary conditions (vanishing tangential
     components at z = 0 and z = L) and are divergence-free.  There is no TE
-    mode with n = 0.
+    mode with n = 0.  A k_perp . r_perp or a k_n that overflows, and for TM
+    an overflowing omega, are refused with a DomainError.
     """
     if not _finite_vector(r, 3):
         raise DomainError(f"position must be three finite numbers, got {r!r}")
@@ -114,7 +135,11 @@ def mode_fn(kind: str, k: WaveVector, r, frame: CavityFrame = CavityFrame()) -> 
     if not (0.0 <= z <= frame.length_L):
         raise DomainError("position outside the cavity")
     kp, kp_mag, kp_hat, kn = _k_parts(k, frame)
-    phase = np.exp(1j * (kp[0] * r[0] + kp[1] * r[1]))
+    # in Python floats, which overflow to inf without a warning
+    k_dot_r = float(kp[0]) * float(r[0]) + float(kp[1]) * float(r[1])
+    if not math.isfinite(k_dot_r):
+        raise DomainError(f"k_perp . r overflows for {k!r} at {r!r}")
+    phase = np.exp(1j * k_dot_r)
     if kind == "TE":
         if k.n == 0:
             raise DomainError("no TE mode exists with axial index 0")

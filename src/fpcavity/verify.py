@@ -392,12 +392,14 @@ def check_lipschitz(u: float, v: float) -> list[IdentityReport]:
     grow with the number of oscillations: at u = 1e-4 or 1e-3 both
     identities hold in a few ms.  The threshold is pinned (TOL_LIPSCHITZ),
     the quadrature at the library's default panel-split budget.  A
-    non-finite u or v, a v < 0, and a (u, v) so near the origin that
-    (u^2 + v^2)^(-3/2) overflows, about u^2 + v^2 < 3e-206, are refused
-    with a DomainError.
+    non-finite u or v, a u <= 0 (the integrals diverge), a v < 0, and a
+    (u, v) so near the origin that (u^2 + v^2)^(-3/2) overflows, about
+    u^2 + v^2 < 3e-206, are refused with a DomainError before any work.
     """
     params = {"u": u, "v": v}
     _check_domain(params)
+    if not u > 0.0:
+        raise DomainError(f"want u > 0, got {params}")
     r2 = u * u + v * v
     try:
         eq33, eq34 = r2 ** -0.5, v * r2 ** -1.5
@@ -456,11 +458,14 @@ def check_green(u: float, u_prime: float, v: float) -> IdentityReport:
     difference-of-cosh-ratios integral.  The threshold is pinned
     (TOL_GREEN), the quadrature at the library's default panel-split
     budget.  The report fails at a v where the Bessel argument x v
-    overflows at the quadrature's nodes; a non-finite argument or a v < 0
-    is refused with a DomainError.
+    overflows at the quadrature's nodes; a non-finite argument, a u or
+    u_prime outside (0, 2), between the mirrors, and a v < 0 are refused
+    with a DomainError before any work.
     """
     params = {"u": u, "u_prime": u_prime, "v": v}
     _check_domain(params)
+    if not (0.0 < u < 2.0 and 0.0 < u_prime < 2.0):
+        raise DomainError(f"want u and u_prime in (0, 2), got {params}")
     eng = _engine(TOL_GREEN)
     return _checked("EQ36", params, TOL_GREEN,
                     lambda: (_paired_inverse_distance_sum(u, u_prime, v),

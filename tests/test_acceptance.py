@@ -15,9 +15,8 @@ from fpcavity import (CavityFrame, DickeParams, DipoleSpec, KernelMatrix,
                       dipole_dipole_energy, direct_mode_sum, ground_state,
                       kernel_d, kernel_e, mean_field, spectrum_scan,
                       ModeSumArgs)
-from fpcavity.dicke import parity_diagonal
 from fpcavity.verify import check_kernel_cancellation, random_separations
-from tests_helpers import free_space_term
+from tests_helpers import free_space_term, parity_diagonal
 
 
 def _criterion(num: int, ok: bool, detail: str):

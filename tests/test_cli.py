@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -7,10 +9,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpcavity import DickeParams, Separation, Tolerance, kernel_e, xi
-from fpcavity.cli import _build_parser, dispatch, emit_report, parse_report
+from fpcavity import (DickeParams, DomainError, Separation, Tolerance,
+                      kernel_e, xi)
+from fpcavity.cli import _build_parser, dispatch, emit_report
 from fpcavity.verify import IdentityReport, VerifyConfig
 from tests_helpers import starve_verify
+
+
+def parse_report(data: bytes, fmt: str) -> list[IdentityReport]:
+    """Inverse of emit_report for the fields present in the schema; a null
+    abs_err or rel_err reads back as inf."""
+    def err(x) -> float:
+        return math.inf if x is None else float(x)
+
+    def build(check):
+        return IdentityReport(
+            check_id=check["id"], params=check["params"], lhs=None, rhs=None,
+            abs_err=err(check["abs_err"]), rel_err=err(check["rel_err"]),
+            passed=bool(check["pass"]),
+            tol_used=Tolerance(abs_tol=float(check["tol_abs"]),
+                               rel_tol=float(check["tol_rel"])))
+
+    if fmt == "json":
+        doc = json.loads(data.decode())
+        return [build(c) for c in doc["checks"]]
+    if fmt == "csv":
+        return [build({**rec, "params": json.loads(rec["params"]),
+                       "pass": rec["pass"] == "true"})
+                for rec in csv.DictReader(io.StringIO(data.decode()))]
+    raise DomainError(f"unknown format {fmt!r}")
 
 
 def test_xi_prints_bare_value(capsys):

@@ -13,7 +13,7 @@ from fpcavity import (ConvergenceError, DickeParams, DomainError,
                       spectrum_scan)
 from fpcavity import _memo, dicke
 from fpcavity.cli import dispatch
-from fpcavity.dicke import parity_diagonal
+from tests_helpers import parity_diagonal
 
 
 def loop_built_hamiltonian(p: DickeParams) -> np.ndarray:

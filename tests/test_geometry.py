@@ -206,3 +206,33 @@ def test_dipole_spec_helpers():
     d = DipoleSpec((0.1, 0.2, 0.3), (0.0, 0.0, 1.0))
     assert d.pos().shape == (3,)
     assert d.mom()[2] == 1.0
+
+
+def test_dispersion_finite_wherever_omega_is():
+    # k_n^2 + |k_perp|^2 overflowed at |k_perp| = 1e200, where omega is not
+    # near the largest double
+    assert dispersion(WaveVector(1, (1e200, 0.0)), FRAME) == 1e200
+    assert dispersion(WaveVector(0, (3e307, 4e307)), FRAME) == \
+        pytest.approx(5e307, rel=1e-15)
+    for k, frame in [(WaveVector(1, (1.5e308, 1.5e308)), FRAME),
+                     (WaveVector(1, (0.0, 0.0)), CavityFrame(1e-308)),
+                     (WaveVector(10 ** 400, (0.0, 0.0)), FRAME)]:
+        with pytest.raises(DomainError):
+            dispersion(k, frame)
+
+
+@pytest.mark.parametrize("kind", ["TE", "TM"])
+def test_mode_fn_refuses_an_overflowing_phase(kind):
+    # k_perp . r = 1e309 gave [nan+nanj, ...]
+    with pytest.raises(DomainError):
+        mode_fn(kind, WaveVector(1, (1e308, 0.0)), (10.0, 0.0, 0.5), FRAME)
+
+
+def test_te_direction_survives_an_overflowing_k_perp():
+    # |k_perp| overflows, k_perp . r does not: the polarization is still the
+    # unit vector k_perp_hat x z_hat
+    val = mode_fn("TE", WaveVector(1, (1.5e308, 1.5e308)), (1e-300, 0.0, 0.5),
+                  FRAME)
+    assert np.all(np.isfinite(val))
+    assert abs(val[0]) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    assert val[1] == -val[0]

@@ -19,7 +19,8 @@ from fpcavity import (ConvergenceError, DomainError, ModeSumArgs, Tolerance,
 from fpcavity import specfun
 from fpcavity.specfun import (_BLOCK, _CHUNK, _G7_IDX, _G7_WEIGHTS,
                               _HEAD_HALF_PERIODS, _K15_NODES, _K15_WEIGHTS,
-                              _MIN_TAIL_PANELS,
+                              _MIN_TAIL_PANELS, _SUM_HEAD_MIN,
+                              _SUM_HEAD_REACH,
                               _TAIL_MIN_SPAN, _bessel_j0_g,
                               _lattice_moments, _quad_finite, _subdivide,
                               _truncation)
@@ -1062,6 +1063,10 @@ def test_direct_mode_sum_rejects_non_integral_n_max():
         with pytest.raises(DomainError):
             direct_mode_sum(args, bad)
     assert direct_mode_sum(args, np.int64(3)) == direct_mode_sum(args, 3)
+    # beyond 2^53 not every n is a double
+    assert math.isfinite(direct_mode_sum(args, 2 ** 53).real)
+    with pytest.raises(DomainError):
+        direct_mode_sum(args, 2 ** 53 + 1)
 
 
 # n_max on and around the block and chunk boundaries of the blocked sum
@@ -1070,25 +1075,73 @@ _BOUNDARY_N_MAX = [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, _CHUNK_N - 1,
                    _CHUNK_N + 1, 3 * _CHUNK_N + 7]
 
 
+def _head_length(alpha: float) -> int:
+    """The length of direct_mode_sum's blocked head before its tails."""
+    gap = 2.0 * abs(math.sin(0.5 * alpha))  # |1 - e^{i alpha}|
+    if gap == 0.0:
+        return _SUM_HEAD_MIN
+    return max(_SUM_HEAD_MIN, math.ceil(_SUM_HEAD_REACH / gap))
+
+
+def _signed_alpha(alpha: float) -> float:
+    """alpha mod 2pi in (-pi, pi], from mpmath, for the reference phases:
+    at alpha near 2pi, the rounding of a double alpha n is of order n
+    ulp(2pi), far above the sum's own rounding."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha) % (2 * mpmath.pi)
+        return float(a - 2 * mpmath.pi if a > mpmath.pi else a)
+
+
 @pytest.mark.parametrize("m", [0, 1])
-@pytest.mark.parametrize("alpha", [0.0, 0.5, math.pi, 2.5, 6.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, math.pi, 2.5, 6.0, 1e-3, 0.05,
+                                   2.0 * math.pi - 1e-3])
 def test_direct_mode_sum_matches_fsum_reference(alpha, m):
-    # the symmetric truncation term by term, paired as the sum pairs it;
-    # the bound is relative to the sum of the moduli of the terms
+    # the symmetric truncation term by term, paired as the sum pairs it, at
+    # the block and chunk boundaries of the head and just below, at and
+    # just above its length, where the tails take over; the bound is
+    # relative to the sum of the moduli of the terms
     beta2 = 0.7 ** 2
-    trig = math.cos if m == 0 else math.sin
-    terms = [2.0 * n ** m / (n * n + beta2) for n in
-             range(1, max(_BOUNDARY_N_MAX) + 1)]
-    paired = [t * trig(alpha * n) for n, t in enumerate(terms, 1)]
-    for n_max in _BOUNDARY_N_MAX:
+    head = _head_length(alpha)
+    ends = sorted({*_BOUNDARY_N_MAX, head - 1, head, head + 1, 10 ** 6})
+    n = np.arange(1, ends[-1] + 1, dtype=float)
+    terms = 2.0 * n ** m / (n * n + beta2)
+    trig = np.cos if m == 0 else np.sin
+    paired = terms * trig(_signed_alpha(alpha) * n)
+    # fsum of each stretch between two ends, then of the stretches so far:
+    # each stretch's sum rounds once, within 1.2e-16 of its moduli
+    starts = [0, *ends[:-1]]
+    stretch_paired = [math.fsum(paired[a:b]) for a, b in zip(starts, ends)]
+    stretch_terms = [math.fsum(terms[a:b]) for a, b in zip(starts, ends)]
+    for i, n_max in enumerate(ends, 1):
         got = direct_mode_sum(ModeSumArgs(alpha, 0.7, m), n_max)
+        total = math.fsum(stretch_paired[:i])
         if m == 0:
-            want = complex(1.0 / beta2 + math.fsum(paired[:n_max]))
-            scale = 1.0 / beta2 + math.fsum(terms[:n_max])
+            want = complex(1.0 / beta2 + total)
+            scale = 1.0 / beta2 + math.fsum(stretch_terms[:i])
         else:
-            want = 1j * math.fsum(paired[:n_max])
-            scale = math.fsum(terms[:n_max])
+            want = 1j * total
+            scale = math.fsum(stretch_terms[:i])
         assert abs(got - want) <= 1e-14 * scale, n_max
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, math.pi])
+def test_direct_mode_sum_at_huge_n_max_meets_the_closed_form(alpha, m):
+    # the blocked sum alone would take about a month at 10^15 terms; the
+    # head and the two tails take about 0.1 ms.  The truncation error there
+    # is at most 2e-15 of the sum of the moduli of the terms.
+    n_max = 10 ** 15
+    for beta in (0.3, 0.7, 3.0):
+        args = ModeSumArgs(alpha, beta, m)
+        got = direct_mode_sum(args, n_max)
+        if alpha == 0.0 and m == 1:
+            assert got == 0j
+            continue
+        # the moduli: the m = 0 sum at alpha = 0, and for m = 1 about
+        # 2 sum_{n <= n_max} 1/n
+        scale = (hyperbolic_mode_sum(ModeSumArgs(0.0, beta, 0)).real
+                 if m == 0 else 2.0 * math.log(n_max))
+        assert abs(got - hyperbolic_mode_sum(args)) <= 1e-14 * scale, beta
 
 
 def test_direct_mode_sum_odd_zero_at_block_boundaries():

@@ -167,12 +167,15 @@ def test_lipschitz_refuses_a_point_at_the_origin(u, v):
     (check_lipschitz, (1.0, math.inf)), (check_lipschitz, (1.0, -1.0)),
     (check_green, (math.inf, 1.0, 1.0)), (check_green, (0.5, math.nan, 1.0)),
     (check_green, (0.5, 1.0, math.inf)), (check_green, (0.5, 1.0, -1.0)),
+    (check_lipschitz, (-1.0, 1.0)), (check_lipschitz, (0.0, 1.0)),
+    (check_green, (2.5, 1.0, 1.0)), (check_green, (0.5, 0.0, 1.0)),
 ], ids=lambda a: getattr(a, "__name__", repr(a)))
 def test_lipschitz_and_green_refuse_bad_input(check, args, monkeypatch):
     # refused before any quadrature runs: unguarded, u = inf gave two
-    # passing EQ33/EQ34 rows with lhs = rhs = 0, and a v < 0 read the
-    # Bessel factors J(xv) at negative arguments, where _bessel_j0_g gives
-    # wrong values
+    # passing EQ33/EQ34 rows with lhs = rhs = 0, a v < 0 read the Bessel
+    # factors J(xv) at negative arguments, where _bessel_j0_g gives wrong
+    # values, and a u <= 0 or a u, u_prime outside (0, 2) gave failed rows
+    # whose error was the quadrature's refusal of its decay rate
     calls = []
     monkeypatch.setattr(verify, "integrate_semi_infinite",
                         lambda *a, **k: calls.append(a))

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from fpcavity import Separation, reflection_matrix, verify
+from fpcavity import DickeParams, Separation, reflection_matrix, verify
 
 # verify's engine tolerance, before any test replaces it
 _ENGINE = verify._engine
@@ -28,3 +28,10 @@ def free_space_term(sep: Separation, sign: str = "plus") -> np.ndarray:
     if sign == "minus":
         term = term @ reflection_matrix()
     return term
+
+
+def parity_diagonal(p: DickeParams) -> np.ndarray:
+    """Diagonal of exp[i pi (a'a + S_z + N/2)]: signs (-1)^(m_index + n)."""
+    m_idx = np.arange(p.n_atoms + 1)
+    n_idx = np.arange(p.fock_cutoff + 1)
+    return ((-1.0) ** (m_idx[:, None] + n_idx[None, :])).ravel()
