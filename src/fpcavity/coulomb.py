@@ -20,7 +20,7 @@ import numpy as np
 from ._memo import recall
 from .errors import DomainError
 from .geometry import CavityFrame, DipoleSpec, image_positions, reflection_matrix
-from .specfun import _lattice_moments, apery_zeta3, xi
+from .specfun import _MIN_IMAGE_DISTANCE, _lattice_moments, apery_zeta3, xi
 
 __all__ = [
     "Separation",
@@ -139,9 +139,11 @@ def kernel_e(sign: str, sep: Separation) -> KernelMatrix:
 
     Evaluated in the frame with the transverse separation along x, then
     conjugated by the rotation about z through sep.phi.  Coincident source
-    points (v = 0 and u an even integer) are a domain error.  The lattice
-    sum has a fixed accuracy of about 1e-13 relative.  Asking for the other
-    sign at the same separation right after reuses the last lattice sum.
+    points (v = 0 and u an even integer) are a domain error, and so is any
+    separation whose nearest image lies within 1e-100, where the entries
+    would overflow.  The lattice sum has a fixed accuracy of about 1e-13
+    relative.  Asking for the other sign at the same separation right
+    after reuses the last lattice sum.
     """
     return _kernel_from_base(_e_plus_base, (E_PLUS, E_MINUS), _check_e_domain,
                              sign, sep)
@@ -152,7 +154,8 @@ def self_energy_matrix(z_over_L: float) -> KernelMatrix:
 
     (zeta(3)/4) diag(1, 1, -2) + xi(2z/L, 0) diag(-1, -1, -2) in L = 1
     units; the physical prefactor 1/(8 pi eps0 L^3) belongs to the energy
-    assembly.  Diverges as the dipole reaches a mirror.
+    assembly.  Diverges as the dipole reaches a mirror; nearer than 5e-101 L
+    is a domain error.
     """
     if not (0.0 < z_over_L < 1.0):
         raise DomainError("dipole must lie strictly between the mirrors")
@@ -180,7 +183,7 @@ def dipole_dipole_energy(dipoles: Sequence[DipoleSpec],
 
     (1 / 8 pi L^3) sum over ordered pairs A != B of
     d_A . [E+(direct separation) + E-(z_A + z_B axial, same transverse)] . d_B,
-    with the kernels at the lattice sum's fixed accuracy.
+    with the kernels at the lattice sum's fixed accuracy and their domain.
     """
     if len(dipoles) < 2:
         raise DomainError("need at least two dipoles")
@@ -209,7 +212,7 @@ def brute_force_coulomb(dipoles: Sequence[DipoleSpec], frame: CavityFrame,
     every image of d_B over |n| <= n_images, at half weight so the ordered
     double count reproduces the 1/(8 pi) pair convention.  Deterministic
     finite sum; the truncation error decays as 1/n_images^2.  Coincident
-    dipoles are a domain error, as in dipole_dipole_energy.
+    dipoles, or an image within 1e-100 L, are a domain error, as there.
     """
     if len(dipoles) < 2:
         raise DomainError("need at least two dipoles")
@@ -232,8 +235,9 @@ def brute_force_coulomb(dipoles: Sequence[DipoleSpec], frame: CavityFrame,
             # free-space pair energy (1/4pi) [d1.d2 - 3 (d1.rhat)(d2.rhat)]/r^3
             dr = ra - r_img
             r2 = np.einsum("ij,ij->i", dr, dr)
-            if not r2.all():
-                raise DomainError("coincident dipoles")
+            if not math.sqrt(r2.min()) >= _MIN_IMAGE_DISTANCE * frame.length_L:
+                raise DomainError("coincident dipoles: an image within "
+                                  f"{_MIN_IMAGE_DISTANCE:g} L")
             proj = (dr @ ma) * np.einsum("ij,ij->i", m_img, dr)
             pair = (m_img @ ma - 3.0 * proj / r2) \
                 / (4.0 * math.pi * r2 * np.sqrt(r2))

@@ -68,7 +68,8 @@ from .coulomb import (D_MINUS, D_PLUS, KernelMatrix, Separation,
 from .errors import DomainError
 from .geometry import CavityFrame
 from .specfun import (DEFAULT_TOL, Tolerance, _bessel_half_period,
-                      _bessel_j0_g, integrate_semi_infinite)
+                      _bessel_j0_g, _check_image_distance,
+                      integrate_semi_infinite)
 
 __all__ = [
     "AnisotropyResult",
@@ -115,6 +116,7 @@ def _check_d_domain(sep: Separation):
         raise DomainError(
             "quadratic kernel requires 0 < u < 2 (hyperbolic integrand "
             "converges only there)")
+    _check_image_distance(sep.u, sep.v)
 
 
 def _d_rows(x: np.ndarray, v: float, ch: np.ndarray,
@@ -212,9 +214,10 @@ def kernel_d(sign: str, sep: Separation, tol: Tolerance = DEFAULT_TOL) -> Kernel
     """Quadratic displacement-field kernel D+ (or D- = D+ . R) in L = 1 units.
 
     Evaluated with the transverse separation along x and conjugated by the
-    rotation through sep.phi.  Requires 0 < u < 2.  Asking for the other
-    sign at the same separation and tolerance right after reuses the last
-    quadrature.
+    rotation through sep.phi.  Requires 0 < u < 2 and the nearest image,
+    at hypot(min(u, 2 - u), v), no nearer than 1e-100, where the entries
+    would overflow.  Asking for the other sign at the same separation and
+    tolerance right after reuses the last quadrature.
     """
     return _kernel_from_base(_d_plus_base, (D_PLUS, D_MINUS), _check_d_domain,
                              sign, sep, tol)
@@ -338,7 +341,8 @@ def quadratic_self_term(z_over_L: float, tol: Tolerance = DEFAULT_TOL) -> Kernel
 
     This is the piece that cancels the xi part of the Coulomb self-energy
     matrix; the coincident-point part D+(0) is divergent and excluded (only
-    its anisotropy is exposed, see anisotropy_delta).
+    its anisotropy is exposed, see anisotropy_delta).  As in kernel_d, a
+    dipole nearer than 5e-101 L to a mirror is a domain error.
     """
     if not (0.0 < z_over_L < 1.0):
         raise DomainError("dipole must lie strictly between the mirrors")

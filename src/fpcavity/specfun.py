@@ -10,16 +10,16 @@ and J0 +- J2 from that pair, and only the scalar bessel_j returns J2
 alone), the image-lattice moments behind the inverse-cube lattice sum
 xi(u, v), an adaptive Gauss-Kronrod integrator for exponentially decaying
 integrands on (0, inf), scalar or vector valued, with an oscillatory-tail
-mode for slowly damped Bessel-type integrands (each step splits every
-panel the tolerance asks for, and the tail takes its half-periods in
-batches, in one call of the integrand each), and the two-sided mode sum
-sum_n e^{i alpha n} n^m / (n^2 + beta^2) by two independent routes: its
-hyperbolic closed form, and its symmetric truncation: a head summed term
-by term in blocks of consecutive n (angle addition from one block's
-cos/sin table), then the rest as the difference of two tails built from
-the summand alone (the Euler transformation, or Euler-Maclaurin at
-alpha = 0), so the cost does not grow with the truncation; within a few
-1e-15 of the sum of the moduli of the terms.
+mode for slowly damped Bessel-type integrands (one driver at one fixed
+budget; each step splits every panel the tolerance asks for, and the tail
+takes its half-periods in batches, in one call of the integrand each), and
+the two-sided mode sum sum_n e^{i alpha n} n^m / (n^2 + beta^2) by two
+independent routes: its hyperbolic closed form, and its symmetric
+truncation: a head summed term by term in blocks of consecutive n (angle
+addition from one block's cos/sin table), then the rest as the difference
+of two tails built from the summand alone (the Euler transformation, or
+Euler-Maclaurin at alpha = 0), so the cost does not grow with the
+truncation; within a few 1e-15 of the sum of the moduli of the terms.
 
 Nothing here imports scipy.
 
@@ -59,18 +59,16 @@ class Tolerance:
 
     abs_tol and rel_tol must be positive and finite; a computation is
     accepted when its error estimate drops below
-    max(abs_tol, rel_tol * |result|).
+    max(abs_tol, rel_tol * |result|).  The panel-split budget is not part
+    of the request: every quadrature has the same fixed one.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_subdivisions: int = 4000
 
     def __post_init__(self):
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise DomainError("tolerances must be positive and finite")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
 
 
 DEFAULT_TOL = Tolerance()
@@ -283,6 +281,19 @@ def bessel_j(order: int, x: float) -> float:
 # where the summand varies on the scale of the first omitted term.
 _LATTICE_N = 64
 _LATTICE_2N = 2.0 * np.arange(-_LATTICE_N, _LATTICE_N + 1)
+# The nearest image distance (in units of L) below which the lattice sums
+# and both kernels are refused: their largest entry, about 4 pi / r^3 (D+
+# zz on the axis), overflows below r = 4.2e-103, and is 1.3e301 at 1e-100.
+_MIN_IMAGE_DISTANCE = 1e-100
+
+
+def _check_image_distance(u: float, v: float):
+    """DomainError when the nearest image of a separation with u in [0, 2],
+    hypot(min(u, 2 - u), v) away, is nearer than _MIN_IMAGE_DISTANCE."""
+    if not math.hypot(min(u, 2.0 - u), v) >= _MIN_IMAGE_DISTANCE:
+        raise DomainError(
+            f"the nearest image lies within {_MIN_IMAGE_DISTANCE:g} of the "
+            "source point, where the kernels overflow")
 
 
 def _lattice_moments(u: float, v: float) -> tuple[float, float, float]:
@@ -298,16 +309,15 @@ def _lattice_moments(u: float, v: float) -> tuple[float, float, float]:
     (S3 ~ 1/v^2 at large v, while S5 alone underflows from v ~ 1e77), and
     every value is finite at every finite v.  Accurate to about 1e-13
     relative (v T5 relative to sum v |a| rho^-5: T5 itself cancels to
-    exponentially small values at large v).
+    exponentially small values at large v).  DomainError when the nearest
+    image is nearer than _MIN_IMAGE_DISTANCE (_check_image_distance).
     """
     if not (math.isfinite(u) and math.isfinite(v)):
         raise DomainError("u and v must be finite")
     if v < 0:
         raise DomainError("v must be non-negative")
     u = u % 2.0
-    if v == 0.0 and u == 0.0:
-        raise DomainError("the lattice sum diverges at v = 0 with u an even "
-                          "integer")
+    _check_image_distance(u, v)
     a = _LATTICE_2N + u
     rho2 = a * a + v * v
     inv3 = rho2 ** -1.5
@@ -356,7 +366,8 @@ def xi(u: float, v: float, tol: Tolerance = DEFAULT_TOL) -> float:
     Periodic in u with period 2 and symmetric under u -> 2 - u.  Finite for
     v > 0, and for v = 0 whenever u is not an even integer (there the n
     hitting 2n + u = 0 contributes a non-summable term).  Non-finite u or v
-    is a domain error.
+    is a domain error, and so is a nearest image (u reduced mod 2, at
+    distance hypot(min(u, 2 - u), v)) nearer than 1e-100.
 
     The moment S3 of _lattice_moments, accurate to about 1e-13 relative
     whatever tol is given; tol is ignored, kept only for callers that still
@@ -521,40 +532,6 @@ def _subdivide(f: Callable, edges):
         splits += len(taken)
 
 
-def _adaptive(f: Callable, edges: np.ndarray, tol: Tolerance):
-    """Adaptive panel subdivision over the panels defined by edges.
-
-    A float for an integrand with one value per node; for one returning k
-    rows, a length-k array.  The pass ends when every component's summed
-    error is within its own max(abs_tol, rel_tol * |total_i|); until then
-    each step splits every panel that target asks for, in one call of f.
-    DomainError when the integral or its error is not finite.
-    """
-    steps = _subdivide(f, edges)
-    total, err, splits = next(steps)
-    scalar = total.ndim == 0
-    while True:
-        target = _target(total, tol)
-        if not (err > target).any():
-            return float(total) if scalar else total
-        if splits >= tol.max_subdivisions:
-            raise ConvergenceError(
-                f"quadrature error {float(np.max(err)):.3e} above tolerance "
-                f"after {splits} subdivisions",
-                best_estimate=float(total) if scalar else total,
-                achieved_error=float(err) if scalar else err,
-            )
-        total, err, splits = steps.send(
-            (target, tol.max_subdivisions - splits))
-
-
-def _quad_finite(f: Callable, a: float, b: float, tol: Tolerance) -> float:
-    """Adaptive quadrature on [a, b] from eight equal seed panels."""
-    if not b > a:
-        raise DomainError("need b > a")
-    return _adaptive(f, np.linspace(a, b, 9), tol)
-
-
 def _seed_edges(x_max: float) -> np.ndarray:
     # geometric seed panels: dense near 0 where integrands have their
     # structure, coarse towards the truncation point
@@ -582,6 +559,8 @@ _LEVIN_MAX_ORDER = 16
 # the four-row Bessel pass and the unsplit D+, up to 55-95 for the
 # remainder of kernel_d.
 _TAIL_MIN_SPAN = 50
+# The most head panel splits and tail half-periods one pass may take
+_MAX_SUBDIVISIONS = 4000
 # Levin's signed binomial rows (-1)^j C(k, j), j = 0..k, for every order k
 # the transform takes
 _LEVIN_BINOMIALS = tuple(
@@ -624,62 +603,60 @@ def _half_periods(f: Callable, x: float, h: float, x_max: float, n: int):
     return rule.reshape((len(edges) // 2, 2) + rule.shape[1:])
 
 
-def _oscillatory_tail(f: Callable, h: float, x_max: float, tol: Tolerance):
-    """The head [0, x0], x0 = _HEAD_HALF_PERIODS h, by adaptive subdivision
-    and the tail by half-period panels [x, x + h] whose partial sums Levin's
-    u-transform extrapolates; see integrate_semi_infinite.
-
-    Each step refines whichever part holds the larger error: the head
-    when it does so in a component that has not yet converged, or once the
-    tail has reached x_max; otherwise the tail takes one more half-period.
-    A head step splits, in one call of f, the panels its share of the
-    target, target - tail error - gap, asks for when that share is positive
-    in every component, else its worst panel.  The tail fetches
-    half-periods in batches, one call of f each (_half_periods):
-    _MIN_TAIL_PANELS + 2, the fewest that can end it, and then a third as
-    many as it has taken so far, so the batches grow geometrically.  It
-    forms each batch's partial sums and summed errors in one pass, in the
-    order of the half-periods, into arrays that hold the whole tail
-    fetched so far, and takes the half-periods one at a time, so every
-    value and decision is that of a tail fetched one half-period at a time.
-    The tail panels' summed error only grows, so a component whose
-    transforms agree within its target while that sum alone exceeds it
-    cannot converge, and the pass fails at once.
+def _integrate(f: Callable, edges: np.ndarray, h: float | None,
+               x_max: float, tol: Tolerance):
+    """The one quadrature driver, by the rules of integrate_semi_infinite:
+    the head, the panels defined by edges, by adaptive subdivision and,
+    when the head ends before x_max, the tail in half-periods [x, x + h]
+    whose partial sums Levin's u-transform extrapolates.  A head that
+    reaches x_max leaves no tail (h is unused): the plain pass.  Head
+    splits and tail half-periods together may number _MAX_SUBDIVISIONS,
+    read at the call.  The tail's partial sums and errors are formed a
+    batch at a time into arrays that hold the whole tail fetched so far.
     """
-    x0 = _HEAD_HALF_PERIODS * h
-    head = _subdivide(f, _seed_edges(x0))
+    budget = _MAX_SUBDIVISIONS
+    head = _subdivide(f, edges)
     head_total, head_err, head_splits = next(head)
     scalar = head_total.ndim == 0
 
     def out(values):
-        return float(values[0]) if scalar else values
+        return values.item() if scalar else values
 
+    x = float(edges[-1])
+    has_tail = x < x_max
     # row i: the partial sum and the summed panel error after i tail
     # half-periods and the term that ends that sum, for every half-period
     # fetched so far; row 0 is the empty tail
     sums = terms = errs = np.zeros((1, 1 if scalar else len(head_total)))
     taken = 0
     est, gaps = sums[0], (math.inf, math.inf)
-    x = x0
     while True:
-        tail_err = errs[taken]
         # head splits and tail half-periods taken so far
         splits = head_splits + taken
-        gap = np.maximum(*gaps)
-        total = head_total + est
-        err = head_err + tail_err + gap
+        total, err = head_total, head_err
+        if has_tail:
+            tail_err, gap = errs[taken], np.maximum(*gaps)
+            total = head_total + est
+            err = head_err + tail_err + gap
         target = _target(total, tol)
         bad = err > target
         if not bad.any():
-            _check_finite(total)
+            if has_tail:
+                # the head's sums are checked at every step
+                _check_finite(total)
             return out(total)
-        stuck = bad & (tail_err > target) & (gap <= target)
-        if splits >= tol.max_subdivisions or stuck.any():
+        stuck = has_tail and (
+            bad & (tail_err > target) & (gap <= target)).any()
+        if splits >= budget or stuck:
             raise ConvergenceError(
                 f"quadrature error {float(np.max(err)):.3e} above tolerance "
                 f"after {splits} subdivisions and tail half-periods",
                 best_estimate=out(total), achieved_error=out(err))
-        room = tol.max_subdivisions - splits
+        room = budget - splits
+        if not has_tail:
+            # the whole target is the head's
+            head_total, head_err, head_splits = head.send((target, room))
+            continue
         if x >= x_max or (bad & (head_err > tail_err + gap)).any():
             share = target - tail_err - gap
             head_total, head_err, head_splits = head.send(
@@ -720,6 +697,14 @@ def _oscillatory_tail(f: Callable, h: float, x_max: float, tol: Tolerance):
             est = new
         else:
             est = sums[taken]
+
+
+def _quad_finite(f: Callable, a: float, b: float, tol: Tolerance) -> float:
+    """Adaptive quadrature on [a, b] from eight equal seed panels: a pass
+    of _integrate whose head reaches b."""
+    if not b > a:
+        raise DomainError("need b > a")
+    return _integrate(f, np.linspace(a, b, 9), None, b, tol)
 
 
 def _truncation(decay_rate_hint: float, tol: Tolerance,
@@ -770,7 +755,7 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     target t_i = max(abs_tol, rel_tol * |I_i|), a step takes the panels
     with the largest error (in any component) one by one until the error
     left in the others is within t_i in every component, at most as many
-    as max_subdivisions has left, and splits them all in one call.  When the
+    as the budget has left, and splits them all in one call.  When the
     worst panel alone covers the excess, that is the one split of the
     one-panel-per-step rule, with the same arithmetic.  One call of the
     four-row Bessel integrand of the verify suite takes about 65 us for 2
@@ -786,14 +771,14 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
 
     half_period only describes the integrand: it oscillates with that
     half-period far from 0 (pi/v for a factor J_n(x v)) and is smooth on
-    its scale there.  The quadrature chooses its mode by one rule: when
-    the truncation point lies more than _TAIL_MIN_SPAN = 50 half-periods
-    out, it runs the oscillatory-tail mode, else the plain pass, which is
-    faster there.  The tail mode integrates the head [0, x0], x0 four
-    half-periods, adaptively and the tail one half-period at a time (two
-    K15 panels each); Levin's u-transform (Levin 1973, Int. J. Comput.
-    Math. B3) extrapolates the tail's partial sums, per component.  The
-    error estimate is the larger of the last two gaps between successive
+    its scale there.  One rule chooses the mode: when the truncation point
+    lies more than _TAIL_MIN_SPAN = 50 half-periods out, the head ends at
+    x0 = four half-periods and the oscillatory-tail mode integrates the
+    tail one half-period at a time (two K15 panels each); else the head
+    reaches the truncation point, and this plain pass, with no tail, is
+    faster.  Levin's u-transform (Levin 1973, Int. J. Comput. Math. B3)
+    extrapolates the tail's partial sums, per component.  The error
+    estimate is the larger of the last two gaps between successive
     transforms plus the head's and the tail panels' |K15 - G7|, against
     each component's max(abs_tol, rel_tol * |I_i|); each step refines the
     head or adds a tail half-period, whichever part holds the larger error.
@@ -816,26 +801,20 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     partial sum or error when it takes it.  (A nan compares False with
     every target, so without the check it would pass as converged.)
 
-    The bookkeeping is in arrays: a step's panels come back from one call
-    of the integrand and one product with the weight matrix, their sums are
-    added in panel order by np.add.accumulate, the panels are ordered worst
-    first only when a step splits, and the tail keeps its partial sums,
-    terms and errors in arrays that grow by a batch at a time.  Every
+    The bookkeeping is in arrays (see _subdivide and _integrate), and every
     node, value and decision is that of a pass adding one panel at a time.
 
     Raises ConvergenceError (carrying the best estimate and the achieved
     error, per component for a vector integrand) when the tolerance cannot
-    be met within max_subdivisions panel splits, and in the
-    oscillatory-tail mode tail half-periods as well; a tail half-period
-    counts when it is taken, not when its batch is evaluated.  The mode
-    also raises it at once when a component's transforms have settled but
-    the tail panels' summed error alone, which only grows, exceeds its
-    target.
+    be met within the fixed budget of _MAX_SUBDIVISIONS = 4000 panel splits
+    and tail half-periods together; a tail half-period counts when it is
+    taken, not when its batch is evaluated.  The tail mode also raises it
+    at once when a component's transforms have settled but the tail
+    panels' summed error alone, which only grows, exceeds its target.
     """
     x_max, span = _truncation(decay_rate_hint, tol, half_period)
-    if span > _TAIL_MIN_SPAN:
-        return _oscillatory_tail(integrand, half_period, x_max, tol)
-    return _adaptive(integrand, _seed_edges(x_max), tol)
+    x0 = _HEAD_HALF_PERIODS * half_period if span > _TAIL_MIN_SPAN else x_max
+    return _integrate(integrand, _seed_edges(x0), half_period, x_max, tol)
 
 
 # ---------------------------------------------------------------------------

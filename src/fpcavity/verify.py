@@ -15,8 +15,8 @@ is deterministic given its seed.  The public check_* functions take any
 other grid point.
 
 Pass thresholds are pinned: each check reads its TOL_* constant and no
-argument moves it.  The quadratures run at the library's default
-panel-split budget; one that does not converge gives a failed report.
+argument moves it.  The quadratures run at the fixed panel-split
+budget; one that does not converge gives a failed report.
 
 Check identifiers:
 
@@ -137,7 +137,7 @@ class VerifyConfig:
 
 def _engine(tol: Tolerance) -> Tolerance:
     """Internal computation tolerance: an order below the pass threshold
-    tol, floored so engine work stays reasonable; the default split budget."""
+    tol, floored so engine work stays reasonable."""
     return Tolerance(abs_tol=max(1e-12, 1e-2 * tol.abs_tol),
                      rel_tol=max(1e-11, 1e-2 * tol.rel_tol))
 
@@ -272,7 +272,7 @@ def check_bessel_hyperbolic(u: float, v: float) -> list[IdentityReport]:
     v d/du xi = -3 v T5, so the two routes share no code.  Thresholds are
     pinned, TOL_DERIV (100x looser relative) for the two derivative
     identities and TOL_EQ22 for the others; every row meets the engine
-    tolerance of TOL_EQ22, at the library's default panel-split budget.  A
+    tolerance of TOL_EQ22, at the quadrature's fixed panel-split budget.  A
     quadrature that does not converge fails all four rows, and so does a v
     at which the Bessel argument x v overflows at the quadrature's nodes.
     """
@@ -328,7 +328,7 @@ def check_kernel_cancellation(sep_samples: Sequence[Separation],
     the residual normalized by the largest E+ entry.  SELF_CANCEL: for each
     z/L, the xi part of the self-energy matrix (weight 1/8 pi) must cancel
     the quadratic single-dipole term (weight 1/16 pi^2).  Thresholds are
-    pinned (TOL_EQ21, TOL_SELF), D+ at the default panel-split budget.
+    pinned (TOL_EQ21, TOL_SELF), D+ at the fixed panel-split budget.
     kernel_e_fn is called as (sign, sep) and kernel_d_fn as (sign, sep, tol).
 
     D+ comes by default from the unsplit hyperbolic integrand, not from
@@ -391,10 +391,10 @@ def check_lipschitz(u: float, v: float) -> list[IdentityReport]:
     the quadrature takes its oscillatory-tail mode, so the cost does not
     grow with the number of oscillations: at u = 1e-4 or 1e-3 both
     identities hold in a few ms.  The threshold is pinned (TOL_LIPSCHITZ),
-    the quadrature at the library's default panel-split budget.  A
-    non-finite u or v, a u <= 0 (the integrals diverge), a v < 0, and a
-    (u, v) so near the origin that (u^2 + v^2)^(-3/2) overflows, about
-    u^2 + v^2 < 3e-206, are refused with a DomainError before any work.
+    the quadrature at the fixed panel-split budget.  A non-finite u or v,
+    a u <= 0 (the integrals diverge), a v < 0, and a (u, v) so near the
+    origin that (u^2 + v^2)^(-3/2) overflows, about u^2 + v^2 < 3e-206,
+    are refused with a DomainError before any work.
     """
     params = {"u": u, "v": v}
     _check_domain(params)
@@ -456,11 +456,11 @@ def check_green(u: float, u_prime: float, v: float) -> IdentityReport:
 
     The image sum (paired, since single terms diverge) against the
     difference-of-cosh-ratios integral.  The threshold is pinned
-    (TOL_GREEN), the quadrature at the library's default panel-split
-    budget.  The report fails at a v where the Bessel argument x v
-    overflows at the quadrature's nodes; a non-finite argument, a u or
-    u_prime outside (0, 2), between the mirrors, and a v < 0 are refused
-    with a DomainError before any work.
+    (TOL_GREEN), the quadrature at the fixed panel-split budget.  The
+    report fails at a v where the Bessel argument x v overflows at the
+    quadrature's nodes; a non-finite argument, a u or u_prime outside
+    (0, 2), between the mirrors, and a v < 0 are refused with a
+    DomainError before any work.
     """
     params = {"u": u, "u_prime": u_prime, "v": v}
     _check_domain(params)
@@ -482,8 +482,14 @@ def check_axial_and_aniso(rho_z_samples: Sequence[float],
     """Axial rotation invariance and coincident-point anisotropy decay.
 
     Thresholds are pinned (TOL_AXIAL, TOL_CONTINUUM, TOL_DECAY); the
-    quadratures run at the library's default panel-split budget.
+    quadratures run at the fixed panel-split budget.  A decay_factor not
+    positive and finite, or L_samples not strictly increasing, are refused
+    with a DomainError before any work.
     """
+    if not (0.0 < decay_factor < math.inf
+            and all(a < b for a, b in zip(L_samples, L_samples[1:]))):
+        raise DomainError("decay_factor must be positive and finite and "
+                          "L_samples strictly increasing")
     eng = _engine(TOL_AXIAL)
 
     def axial(u):
@@ -559,8 +565,8 @@ def run_suite(suite: str,
     at _MODESUM_N_MAX terms, EQ33/EQ34 on _LIPSCHITZ_U x _LIPSCHITZ_V, EQ36
     at _GREEN_TRIPLES, AXIAL20 at _AXIAL_U and ANISO38 at _ANISO_LENGTHS
     and _ANISO_CUTOFF.  The configuration's seed draws the separations;
-    every quadrature runs at the library's default panel-split budget, and
-    pass thresholds stay the pinned per-check TOL_* constants.
+    every quadrature runs at the fixed panel-split budget, and pass
+    thresholds stay the pinned per-check TOL_* constants.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")

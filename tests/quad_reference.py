@@ -6,10 +6,12 @@ sums turned into an array at every tail step.
 The tests compare the array driver with it call by call: the nodes of
 every integrand call, the estimates and errors of every step, the results
 and the ConvergenceError payloads must agree bit for bit.  Only the
-bookkeeping is copied; the rule constants, the truncation point and the
-tolerance come from fpcavity.specfun, as they are shared.  Like the
-original, it does not refuse a non-finite integrand, which the array
-driver turns into a DomainError.
+bookkeeping is copied; the rule constants, the truncation point, the
+tolerance and the panel-split budget (read at every use) come from
+fpcavity.specfun, as they are shared.  Like the original, it does not
+refuse a non-finite integrand, which the array driver turns into a
+DomainError.  Where the array driver runs one loop for every pass, the
+reference keeps the plain pass (_adaptive) and the tail mode apart.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from fpcavity.errors import ConvergenceError
+from fpcavity import specfun
+from fpcavity.errors import ConvergenceError, DomainError
 from fpcavity.specfun import (_GK_WEIGHTS, _HEAD_HALF_PERIODS, _K15_NODES,
                               _LEVIN_MAX_ORDER, _MIN_TAIL_PANELS,
                               _TAIL_MIN_SPAN, DEFAULT_TOL, Tolerance,
@@ -119,15 +122,15 @@ def _adaptive(f: Callable, edges: list[float], tol: Tolerance):
         target = _target(total, tol)
         if not np.any(err > target):
             return total
-        if splits >= tol.max_subdivisions:
+        if splits >= specfun._MAX_SUBDIVISIONS:
             raise ConvergenceError(
                 f"quadrature error {float(np.max(err)):.3e} above tolerance "
-                f"after {splits} subdivisions",
+                f"after {splits} subdivisions and tail half-periods",
                 best_estimate=total,
                 achieved_error=err,
             )
         total, err, splits = steps.send(
-            (target, tol.max_subdivisions - splits))
+            (target, specfun._MAX_SUBDIVISIONS - splits))
 
 
 def _quad_finite(f: Callable, a: float, b: float, tol: Tolerance) -> float:
@@ -232,12 +235,12 @@ def _oscillatory_tail(f: Callable, h: float, x_max: float, tol: Tolerance):
         if not np.any(bad):
             return out(total)
         stuck = bad & (tail_err > target) & (gap <= target)
-        if splits >= tol.max_subdivisions or np.any(stuck):
+        if splits >= specfun._MAX_SUBDIVISIONS or np.any(stuck):
             raise ConvergenceError(
                 f"quadrature error {float(np.max(err)):.3e} above tolerance "
                 f"after {splits} subdivisions and tail half-periods",
                 best_estimate=out(total), achieved_error=out(err))
-        room = tol.max_subdivisions - splits
+        room = specfun._MAX_SUBDIVISIONS - splits
         if x >= x_max or np.any(bad & (head_err > tail_err + gap)):
             share = target - tail_err - gap
             head_total, head_err, head_splits = head.send(

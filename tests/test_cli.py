@@ -77,6 +77,21 @@ def test_kernel_domain_error_exit_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--family", "D", "--u", "1e-160", "--v", "0"],
+    ["kernel", "--family", "E", "--u", "0", "--v", "1e-160", "--format",
+     "csv"],
+    ["xi", "--u", "0", "--v", "1e-160"],
+])
+def test_near_coincident_separation_exit_2(argv, capsys):
+    # nearer than 1e-100 the entries overflowed: D died on a nan in its
+    # JSON, E and xi printed nan and inf
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nearest image" in captured.err
+    assert "nan" not in captured.err and "inf" not in captured.err
+
+
 def test_kernel_non_finite_input_exit_2(capsys):
     code = dispatch(["kernel", "--family", "E", "--u", "nan", "--v", "1"])
     assert code == 2

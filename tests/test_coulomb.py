@@ -11,7 +11,7 @@ from fpcavity import (CavityFrame, DipoleSpec, DomainError, Separation,
                       self_energy_matrix, xi)
 
 FRAME = CavityFrame(1.0)
-TIGHT = Tolerance(1e-12, 1e-12, 4000)
+TIGHT = Tolerance(1e-12, 1e-12)
 
 
 def free_space_kernel(sep: Separation) -> np.ndarray:
@@ -216,6 +216,49 @@ def test_coincident_dipoles_refused_by_both_routes():
         dipole_dipole_energy([d, d], FRAME)
     with pytest.raises(DomainError, match="coincident dipoles"):
         brute_force_coulomb([d, d, _axial_pair()[1]], FRAME, n_images=10)
+
+
+# separations whose nearest image lies within 1e-100 (u reduced mod 2)
+NEAR_COINCIDENT = [Separation(1e-160, 0.0), Separation(0.0, 1e-160),
+                   Separation(-1e-160, 0.0), Separation(4.0, 1e-101),
+                   Separation(0.0, math.nextafter(1e-100, 0.0))]
+
+
+@pytest.mark.parametrize("sep", NEAR_COINCIDENT)
+def test_near_coincident_points_raise(sep):
+    # nearer than the floor r^-3 overflows: xi was inf and E+ had nan
+    # entries, now both refuse
+    with pytest.raises(DomainError, match="nearest image"):
+        xi(sep.u, sep.v)
+    for sign in ("plus", "minus"):
+        with pytest.raises(DomainError, match="nearest image"):
+            kernel_e(sign, sep)
+
+
+@pytest.mark.parametrize("sep", [Separation(1e-100, 0.0),
+                                 Separation(0.0, 1e-100),
+                                 Separation(2.0, 1e-100, 0.7)])
+def test_kernel_e_is_finite_at_the_image_distance_floor(sep):
+    assert math.isfinite(xi(sep.u, sep.v))
+    for sign in ("plus", "minus"):
+        assert np.isfinite(kernel_e(sign, sep).m).all()
+
+
+def test_near_coincident_dipoles_refused_by_both_routes():
+    # 1e-160 apart: the energy was nan and the brute-force sum -inf
+    d = DipoleSpec((0.0, 0.0, 0.5), (0.0, 0.0, 1.0))
+    near = DipoleSpec((1e-160, 0.0, 0.5), (1.0, 0.0, 0.0))
+    with pytest.raises(DomainError, match="nearest image"):
+        self_energy_matrix(1e-160)
+    with pytest.raises(DomainError, match="nearest image"):
+        dipole_dipole_energy([d, near], FRAME)
+    with pytest.raises(DomainError, match="coincident dipoles"):
+        brute_force_coulomb([d, near], FRAME, n_images=3)
+    # and all are finite just past the floor
+    assert np.isfinite(self_energy_matrix(5e-101).m).all()
+    apart = DipoleSpec((2e-100, 0.0, 0.5), (1.0, 0.0, 0.0))
+    assert math.isfinite(dipole_dipole_energy([d, apart], FRAME))
+    assert math.isfinite(brute_force_coulomb([d, apart], FRAME, n_images=3))
 
 
 def test_energy_preconditions():

@@ -16,7 +16,7 @@ from fpcavity.specfun import _K15_NODES
 from fpcavity.radiation import (_d_rows, _hyperbolic_weights,
                                 _kernel_d_reference)
 
-TIGHT = Tolerance(1e-12, 1e-12, 4000)
+TIGHT = Tolerance(1e-12, 1e-12)
 EDGES = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 30.0]
 
 
@@ -102,9 +102,36 @@ TAIL_IDS = ["scalar", "four_rows"]
 
 @pytest.mark.parametrize("f", PLAIN, ids=PLAIN_IDS)
 @pytest.mark.parametrize("tol", [TIGHT, Tolerance(1e-9, 1e-7),
-                                 Tolerance(1e-14, 1e-14, 4000)])
+                                 Tolerance(1e-14, 1e-14)])
 def test_plain_pass_matches_the_reference(f, tol):
     _assert_same(f, 1.0, tol)
+
+
+def _finite_bump(t):
+    # a peak of width 0.03 at 0.1 on [-1, 1], and a narrower one at 0.7
+    return 1.0 / (9e-4 + (t - 0.1) ** 2) + np.exp(-((t - 0.7) / 0.005) ** 2)
+
+
+def _finite_rows(t):
+    return np.array([_finite_bump(t), np.cos(5.0 * t), np.zeros_like(t),
+                     1e-8 * _finite_bump(-t)])
+
+
+@pytest.mark.parametrize("f", [_finite_bump, _finite_rows],
+                         ids=["scalar", "four_rows"])
+@pytest.mark.parametrize("tol, budget", [
+    (TIGHT, 4000), (Tolerance(1e-9, 1e-7), 4000),
+    (Tolerance(1e-300, 1e-300), 1), (Tolerance(1e-300, 1e-300), 13),
+    (TIGHT, 3)])
+def test_quad_finite_matches_the_reference(f, tol, budget, monkeypatch):
+    # the finite-interval pass, from eight equal seed panels, converged and
+    # with its budget spent: same nodes, same result or same error payload
+    monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", budget)
+    got, got_calls = _outcome(specfun._quad_finite, f, -1.0, 1.0, tol)
+    want, want_calls = _outcome(ref._quad_finite, f, -1.0, 1.0, tol)
+    assert got == want
+    _same_calls(got_calls, want_calls)
+    assert got[0] == ("result" if budget == 4000 else "error")
 
 
 def test_bumps_take_many_panels_per_step():
@@ -116,18 +143,21 @@ def test_bumps_take_many_panels_per_step():
 
 @pytest.mark.parametrize("f", PLAIN, ids=PLAIN_IDS)
 @pytest.mark.parametrize("budget", [1, 2, 5, 13, 40])
-def test_spent_budget_matches_the_reference(f, budget):
+def test_spent_budget_matches_the_reference(f, budget, monkeypatch):
     # a tolerance below the rounding: the pass spends its budget, and the
     # error's message, estimate and achieved error are the reference's
-    got = _assert_same(f, 1.0, Tolerance(1e-300, 1e-300, budget))
+    monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", budget)
+    got = _assert_same(f, 1.0, Tolerance(1e-300, 1e-300))
     assert got[0] == "error"
 
 
 @pytest.mark.parametrize("f", TAIL, ids=TAIL_IDS)
-@pytest.mark.parametrize("tol", [TIGHT, Tolerance(1e-10, 1e-10),
-                                 Tolerance(1e-300, 1e-300, 25),
-                                 Tolerance(1e-12, 1e-12, 8)])
-def test_tail_mode_matches_the_reference(f, tol):
+@pytest.mark.parametrize("tol, budget", [
+    (TIGHT, 4000), (Tolerance(1e-10, 1e-10), 4000),
+    (Tolerance(1e-300, 1e-300), 25), (Tolerance(1e-12, 1e-12), 8)],
+    ids=["tol0", "tol1", "tol2", "tol3"])
+def test_tail_mode_matches_the_reference(f, tol, budget, monkeypatch):
+    monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", budget)
     _assert_same(f, 1e-3, tol, half_period=math.pi)
 
 
@@ -312,7 +342,8 @@ def test_non_finite_integrand_is_a_domain_error(bad, shape):
             integrate_semi_infinite(tail, 1e-3, half_period=math.pi)
 
 
-def test_non_finite_component_is_refused_before_the_others_converge():
+def test_non_finite_component_is_refused_before_the_others_converge(
+        monkeypatch):
     # one row turns nan past x = 30 while the others cannot meet a target
     # of 1e-300: the tail refuses the nan once it takes it, not after the
     # budget
@@ -321,8 +352,9 @@ def test_non_finite_component_is_refused_before_the_others_converge():
         return np.array([np.where(x > 30.0, np.nan, damp * np.cos(x)),
                          damp * np.sin(x)])
 
+    monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", 200)
     with pytest.raises(DomainError):
-        integrate_semi_infinite(rows, 1e-3, Tolerance(1e-300, 1e-300, 200),
+        integrate_semi_infinite(rows, 1e-3, Tolerance(1e-300, 1e-300),
                                 half_period=math.pi)
 
 

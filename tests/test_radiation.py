@@ -16,7 +16,7 @@ from fpcavity.radiation import (_d_rows, _kernel_d_reference,
                                 _laplace_bessel_x2, _nearest_pair_rows)
 from fpcavity.specfun import _bessel_j0_g
 
-TIGHT = Tolerance(1e-12, 1e-12, 4000)
+TIGHT = Tolerance(1e-12, 1e-12)
 
 
 @pytest.mark.parametrize("u", [0.5, 1.0, 1.4])
@@ -351,6 +351,25 @@ def test_spectral_work_bound_refuses_before_building(eps, v, monkeypatch):
 # single-dipole quadratic term
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("sep", [Separation(1e-160, 0.0),
+                                 Separation(1e-101, 5e-101),
+                                 Separation(math.nextafter(1e-100, 0.0), 0.0)])
+def test_near_coincident_d_kernel_raises(sep):
+    # the nearest pair's closed form overflowed there and gave nan entries
+    for route in (kernel_d, _kernel_d_reference):
+        with pytest.raises(DomainError, match="nearest image"):
+            route("plus", sep)
+    with pytest.raises(DomainError, match="nearest image"):
+        quadratic_self_term(1e-160)
+
+
+def test_d_kernel_is_finite_at_the_image_distance_floor():
+    for sep in (Separation(1e-100, 0.0), Separation(2.0 - 2.0 ** -52, 1e-100)):
+        for sign in ("plus", "minus"):
+            assert np.isfinite(kernel_d(sign, sep).m).all()
+    assert np.isfinite(quadratic_self_term(5e-101).m).all()
+
+
 def test_quadratic_self_term_closed_form():
     mat = quadratic_self_term(0.25, TIGHT).m
     expected = 2.0 * math.pi * xi(0.5, 0.0, TIGHT) * np.diag([1.0, 1.0, 2.0])
@@ -479,7 +498,7 @@ def test_anisotropy_refuses_too_many_axial_modes(monkeypatch, length,
         raise AssertionError("work done for a refused cutoff")
 
     monkeypatch.setattr(radiation.np, "arange", refuse)
-    monkeypatch.setattr(specfun, "_adaptive", refuse)
+    monkeypatch.setattr(specfun, "_integrate", refuse)
     with pytest.raises(DomainError):
         anisotropy_delta(CavityFrame(length), cutoff)
 

@@ -25,7 +25,7 @@ from fpcavity.specfun import (_BLOCK, _CHUNK, _G7_IDX, _G7_WEIGHTS,
                               _lattice_moments, _quad_finite, _subdivide,
                               _truncation)
 
-TIGHT = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=4000)
+TIGHT = Tolerance(abs_tol=1e-12, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +478,7 @@ def test_quadrature_integrable_singularities_at_zero():
     # panels never touch the endpoints, so integrable singularities at 0
     # are within the contract
     val = integrate_semi_infinite(lambda x: np.exp(-x) / np.sqrt(x), 1.0,
-                                  Tolerance(1e-9, 1e-9, 4000))
+                                  Tolerance(1e-9, 1e-9))
     assert val == pytest.approx(math.sqrt(math.pi), abs=1e-9)
     euler_gamma = 0.5772156649015329
     val = integrate_semi_infinite(lambda x: np.log(x) * np.exp(-x), 1.0,
@@ -486,11 +486,11 @@ def test_quadrature_integrable_singularities_at_zero():
     assert val == pytest.approx(-euler_gamma, abs=1e-10)
 
 
-def test_quadrature_reports_failure_with_best_estimate():
+def test_quadrature_reports_failure_with_best_estimate(monkeypatch):
     nasty = lambda x: np.cos(40.0 * x) * np.exp(-0.1 * x)
+    monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", 1)
     with pytest.raises(ConvergenceError) as exc_info:
-        integrate_semi_infinite(nasty, 0.1,
-                                Tolerance(1e-13, 1e-13, max_subdivisions=1))
+        integrate_semi_infinite(nasty, 0.1, Tolerance(1e-13, 1e-13))
     err = exc_info.value
     assert err.best_estimate is not None
     assert err.achieved_error > 0
@@ -540,12 +540,13 @@ def test_quadrature_vector_holds_small_component_to_abs_tol():
     assert small == pytest.approx(1e-6 / 401.0, abs=1e-13)
 
 
-def test_quadrature_vector_failure_carries_per_component_arrays():
+def test_quadrature_vector_failure_carries_per_component_arrays(
+        monkeypatch):
     nasty = lambda x: np.array([np.cos(40.0 * x) * np.exp(-0.1 * x),
                                 np.exp(-x)])
+    monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", 1)
     with pytest.raises(ConvergenceError) as exc_info:
-        integrate_semi_infinite(nasty, 0.1,
-                                Tolerance(1e-13, 1e-13, max_subdivisions=1))
+        integrate_semi_infinite(nasty, 0.1, Tolerance(1e-13, 1e-13))
     err = exc_info.value
     assert np.shape(err.best_estimate) == (2,)
     assert np.shape(err.achieved_error) == (2,)
@@ -587,13 +588,14 @@ def test_quadrature_tail_mode_scalar_laplace_bessel():
     assert val == pytest.approx(v * (u * u + v * v) ** -1.5, rel=1e-12)
 
 
-def test_quadrature_tail_mode_budget_failure_carries_per_component_arrays():
+def test_quadrature_tail_mode_budget_failure_carries_per_component_arrays(
+        monkeypatch):
     # the head's seed panels are free; eight steps do not reach two
     # successive transforms of the tail
+    monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", 8)
     with pytest.raises(ConvergenceError) as exc_info:
         integrate_semi_infinite(_laplace_bessel_rows(1e-3, 1.0), 1e-3,
-                                Tolerance(1e-12, 1e-12, max_subdivisions=8),
-                                half_period=math.pi)
+                                Tolerance(1e-12, 1e-12), half_period=math.pi)
     err = exc_info.value
     assert np.shape(err.best_estimate) == (3,)
     assert np.shape(err.achieved_error) == (3,)
@@ -778,10 +780,10 @@ def _split_to_target_nodes(f, edges, tol):
         total = sum(p[4] for p in heap)
         err = sum(-p[0] for p in heap)
         target = max(tol.abs_tol, tol.rel_tol * abs(total))
-        if err <= target or splits >= tol.max_subdivisions:
+        if err <= target or splits >= specfun._MAX_SUBDIVISIONS:
             return calls
         taken = [heapq.heappop(heap)]
-        while (len(taken) < tol.max_subdivisions - splits
+        while (len(taken) < specfun._MAX_SUBDIVISIONS - splits
                and err + sum(p[0] for p in taken) > target):
             taken.append(heapq.heappop(heap))
         splits += len(taken)
@@ -839,7 +841,8 @@ def test_split_step_takes_one_panel_when_it_covers_the_excess(f):
 
 
 @pytest.mark.parametrize("f", [_SCALAR, _VECTOR], ids=["scalar", "k_by_n"])
-def test_split_step_never_takes_more_panels_than_the_budget_left(f):
+def test_split_step_never_takes_more_panels_than_the_budget_left(
+        f, monkeypatch):
     # a target no split meets: a step takes exactly the room it is given
     edges = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 30.0]
     g, calls = _recording(f)
@@ -850,26 +853,29 @@ def test_split_step_never_takes_more_panels_than_the_budget_left(f):
         assert len(calls[-1]) == 30 * room
     # and the pass runs out of its budget exactly, never past it
     for budget in (1, 7, 20):
+        monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", budget)
         g, calls = _recording(f)
         with pytest.raises(ConvergenceError, match=f"after {budget} "):
-            specfun._adaptive(g, edges, Tolerance(1e-300, 1e-300, budget))
+            specfun._integrate(g, np.array(edges), None, edges[-1],
+                               Tolerance(1e-300, 1e-300))
         assert sum(len(x) for x in calls[1:]) == 30 * budget
 
 
 @pytest.mark.parametrize("f", [
     lambda x: np.exp(-1e-3 * x) * special.jv(0, x),
     _laplace_bessel_rows(1e-3, 1.0)], ids=["scalar", "k_by_n"])
-def test_tail_mode_calls_the_integrand_once_per_batch_of_half_periods(f):
+def test_tail_mode_calls_the_integrand_once_per_batch_of_half_periods(
+        f, monkeypatch):
     # a tolerance no step meets: the pass takes exactly its budget of head
     # splits and tail half-periods, and no call of the integrand takes more
     # than the budget has left (at 20 that cuts the last batch short)
     h = math.pi
     x0 = _HEAD_HALF_PERIODS * h
     for budget in (20, 30):
+        monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", budget)
         g, calls = _recording(f)
         with pytest.raises(ConvergenceError, match=f"after {budget} "):
-            integrate_semi_infinite(g, 1e-3,
-                                    Tolerance(1e-300, 1e-300, budget),
+            integrate_semi_infinite(g, 1e-3, Tolerance(1e-300, 1e-300),
                                     half_period=h)
         assert calls[0].max() < x0
         # the first tail call holds the fewest half-periods that can end
@@ -1165,8 +1171,9 @@ def test_direct_mode_sum_memory_constant_in_n_max():
 def test_tolerance_validation():
     with pytest.raises(DomainError):
         Tolerance(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        Tolerance(max_subdivisions=0)
+    # the budget is fixed, not part of the request
+    with pytest.raises(TypeError):
+        Tolerance(max_subdivisions=1)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])

@@ -314,6 +314,26 @@ def test_axial_and_aniso_structure():
     assert decay.params["loglog_slope"] < 0
 
 
+@pytest.mark.parametrize("lengths, decay_factor", [
+    ([1.0, 2.0], 0.0), ([1.0, 2.0], -1.0), ([1.0, 2.0], math.nan),
+    ([1.0, 2.0], math.inf), ([1.0, 1.0], 1e-2), ([2.0, 1.0], 1e-2),
+    ([1.0, math.nan, 4.0], 1e-2),
+])
+def test_axial_and_aniso_refuses_bad_decay_input(lengths, decay_factor,
+                                                 monkeypatch):
+    # 0 divided by zero and aborted the run, a negative or nan factor made
+    # the decay row pass untested, and repeated lengths made polyfit warn;
+    # all are refused before any work
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done for refused input")
+
+    monkeypatch.setattr(verify, "_kernel_d_reference", refuse)
+    monkeypatch.setattr(verify, "anisotropy_delta", refuse)
+    with pytest.raises(DomainError):
+        check_axial_and_aniso([0.7], lengths, math.pi,
+                              decay_factor=decay_factor)
+
+
 # ---------------------------------------------------------------------------
 # cancellation and mutation sensitivity
 # ---------------------------------------------------------------------------

@@ -1,21 +1,19 @@
 """Small shared helpers for the kernel and verification tests."""
 
-import dataclasses
 import math
 
 import numpy as np
 
-from fpcavity import DickeParams, Separation, reflection_matrix, verify
-
-# verify's engine tolerance, before any test replaces it
-_ENGINE = verify._engine
+from fpcavity import DickeParams, Separation, _memo, reflection_matrix, specfun
 
 
 def starve_verify(monkeypatch, budget: int) -> None:
-    """Run every quadrature of verify's checks at a panel-split budget of
-    budget, each at its own engine accuracy, for the rest of the test."""
-    monkeypatch.setattr(verify, "_engine", lambda tol: dataclasses.replace(
-        _ENGINE(tol), max_subdivisions=budget))
+    """Run every quadrature, verify's checks among them, at a panel-split
+    budget of budget, each at its own engine accuracy, for the rest of the
+    test.  The memo is emptied too: its keys do not hold the budget, so a
+    result computed before would be served at the starved budget."""
+    monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", budget)
+    _memo._entries.clear()
 
 
 def free_space_term(sep: Separation, sign: str = "plus") -> np.ndarray:
