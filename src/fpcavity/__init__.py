@@ -19,10 +19,10 @@ from .radiation import (AnisotropyResult, kernel_d, kernel_d_spectral,
 from .dicke import (DickeParams, GroundStateResult, MeanFieldResult, ScanRow,
                     build_hamiltonian, ground_state, mean_field,
                     spectrum_scan)
-from .verify import (IdentityReport, VerifyConfig, VerificationSummary,
+from .verify import (IdentityReport, VerificationSummary,
                      check_bessel_hyperbolic, check_kernel_cancellation,
                      check_mode_sum, check_lipschitz, check_green,
-                     check_axial_and_aniso, run_all, run_suite)
+                     check_axial_and_aniso, run_suite)
 
 __version__ = "0.1.0"
 
@@ -38,8 +38,8 @@ __all__ = [
     "quadratic_self_term", "anisotropy_delta",
     "DickeParams", "GroundStateResult", "MeanFieldResult", "ScanRow",
     "build_hamiltonian", "ground_state", "mean_field", "spectrum_scan",
-    "IdentityReport", "VerifyConfig", "VerificationSummary",
+    "IdentityReport", "VerificationSummary",
     "check_bessel_hyperbolic", "check_kernel_cancellation",
     "check_mode_sum", "check_lipschitz", "check_green",
-    "check_axial_and_aniso", "run_all", "run_suite",
+    "check_axial_and_aniso", "run_suite",
 ]

@@ -7,14 +7,13 @@ one verification failure, 2 argument or domain error.
 
 The --tol-abs/--tol-rel flags of `kernel` set the accuracy of the D
 family's quadratures, 1e-10 each when omitted.  The E family, a
-fixed-accuracy lattice sum, refuses both.  The spectral route (--spectral)
-reads only --tol-abs, which sets its grid's reach log(1/tol-abs)/eps and
-must be below 1 there, and refuses --tol-rel; --eps (its regulator, 0.05
-when omitted) is refused without --spectral: a flag is never ignored.
-`verify` takes only --seed (an integer >= 0) besides --format and
---output: every check's quadrature accuracy and pass threshold are pinned
-per check.  `xi` (a fixed-accuracy lattice sum) and `dicke` (exact
-diagonalization) take no tolerance flags.
+fixed-accuracy lattice sum, and the spectral route (--spectral, D plus
+only), a fixed grid, refuse both; --eps (the spectral regulator, 0.05 when
+omitted) is refused without --spectral: a flag is never ignored.
+`verify` takes only --seed (an integer >= 0, 42 when omitted) besides
+--format and --output, and hands it to run_suite: every check's quadrature
+accuracy and pass threshold are pinned per check.  `xi` (a fixed-accuracy
+lattice sum) and `dicke` (exact diagonalization) take no tolerance flags.
 
 Each `dicke` target takes only the flags it reads, besides --format and
 --output: `ground` --omega-a, --omega-c, --y (required), --n-atoms and
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
@@ -41,12 +41,14 @@ from .dicke import DickeParams, ground_state, mean_field, spectrum_scan
 from .errors import ConvergenceError, DomainError
 from .radiation import kernel_d, kernel_d_spectral
 from .specfun import DEFAULT_TOL, Tolerance, xi
-from .verify import SUITE_NAMES, VerifyConfig, run_suite
+from .verify import SUITE_NAMES, VerificationSummary, run_suite
 
 __all__ = ["dispatch", "emit_report", "main"]
 
 # the spectral regulator of `kernel --spectral` without --eps
 _DEFAULT_EPS = 0.05
+# the seed of `verify` without --seed, run_suite's own default
+_DEFAULT_SEED = inspect.signature(run_suite).parameters["seed"].default
 
 _CSV_COLUMNS = ("id", "params", "abs_err", "rel_err", "pass",
                 "tol_abs", "tol_rel")
@@ -61,22 +63,23 @@ def _finite_or_null(x: float):
     return x if math.isfinite(x) else None
 
 
-def emit_report(reports, fmt: str, suite: str = "adhoc",
-                seed: int = 0) -> bytes:
-    """Serialize identity reports.
+def emit_report(summary: VerificationSummary, fmt: str) -> bytes:
+    """Serialize the reports of a verification run.
 
     JSON: {"suite", "seed", "all_pass", "warnings", "checks": [{"id",
-    "params", "abs_err", "rel_err", "pass", "tol_abs", "tol_rel"}]}, strict
-    JSON: a non-finite abs_err or rel_err (a check that failed to compute)
-    is null; "warnings" is always the empty list, kept for the schema.
-    CSV: one row per check with the same columns (params JSON-encoded),
-    header row first, 17-significant-digit decimals.
+    "params", "abs_err", "rel_err", "pass", "tol_abs", "tol_rel"}]}, the
+    first three as the summary has them, strict JSON: a non-finite abs_err
+    or rel_err (a check that failed to compute) is null; "warnings" is
+    always the empty list, kept for the schema.  CSV: one row per check
+    with the same columns (params JSON-encoded), header row first,
+    17-significant-digit decimals.
     """
+    reports = summary.reports
     if fmt == "json":
         doc = {
-            "suite": suite,
-            "seed": seed,
-            "all_pass": all(r.passed for r in reports),
+            "suite": summary.suite,
+            "seed": summary.seed,
+            "all_pass": summary.all_pass,
             "warnings": [],
             "checks": [
                 {
@@ -159,25 +162,18 @@ def _cmd_kernel(ns) -> int:
         ("abs_tol", ns.tol_abs), ("rel_tol", ns.tol_rel)) if value is not None}
     if ns.eps is not None and not ns.spectral:
         raise DomainError("--eps applies to the spectral route only")
+    if ns.spectral and (ns.family, ns.sign) != ("D", "plus"):
+        raise DomainError("the spectral route evaluates D plus only")
+    if given and (ns.family == "E" or ns.spectral):
+        raise DomainError("--tol-abs and --tol-rel apply to the D family's "
+                          "quadratures only")
     if ns.family == "E":
-        if ns.spectral:
-            raise DomainError("--spectral applies to the D family only")
-        if given:
-            raise DomainError("--tol-abs and --tol-rel apply to the D family "
-                              "only")
         mat = kernel_e(ns.sign, sep).m
+    elif ns.spectral:
+        eps = _DEFAULT_EPS if ns.eps is None else ns.eps
+        mat = kernel_d_spectral(sep, eps).m
     else:
-        tol = Tolerance(**given)
-        if ns.spectral:
-            if ns.sign != "plus":
-                raise DomainError("the spectral route evaluates D plus only")
-            if ns.tol_rel is not None:
-                raise DomainError("--tol-rel does not apply to the spectral "
-                                  "route")
-            eps = _DEFAULT_EPS if ns.eps is None else ns.eps
-            mat = kernel_d_spectral(sep, eps, tol).m
-        else:
-            mat = kernel_d(ns.sign, sep, tol).m
+        mat = kernel_d(ns.sign, sep, Tolerance(**given)).m
     if ns.format == "json":
         data = _json_bytes({"family": ns.family, "sign": ns.sign,
                             "u": ns.u, "v": ns.v, "phi": ns.phi,
@@ -189,9 +185,8 @@ def _cmd_kernel(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
-    summary = run_suite(ns.target, VerifyConfig(seed=ns.seed))
-    _write(ns, emit_report(summary.reports, ns.format, suite=summary.suite,
-                           seed=summary.seed))
+    summary = run_suite(ns.target, ns.seed)
+    _write(ns, emit_report(summary, ns.format))
     return 0 if summary.all_pass else 1
 
 
@@ -219,7 +214,7 @@ def _cmd_dicke_scan(ns) -> int:
     return 0
 
 
-def _add_common(p, seed=False, bare_value=False):
+def _add_common(p, bare_value=False):
     if bare_value:
         p.add_argument("--format", choices=("json", "csv"), default=None,
                        help="structured output format (bare value if omitted)")
@@ -228,9 +223,6 @@ def _add_common(p, seed=False, bare_value=False):
                        help="output format")
     p.add_argument("--output", default=None,
                    help="output file path (stdout if omitted)")
-    if seed:
-        p.add_argument("--seed", type=int, default=VerifyConfig.seed,
-                       help="seed for randomized grids")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -270,8 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help=f"spectral regulator (with --spectral), "
                           f"{_DEFAULT_EPS} if omitted")
     p_k.add_argument("--tol-abs", type=float, default=None,
-                     help=f"absolute accuracy of the D-family quadratures "
-                          f"(with --spectral, below 1: the grid's reach), "
+                     help=f"absolute accuracy of the D-family quadratures, "
                           f"{DEFAULT_TOL.abs_tol:g} if omitted")
     p_k.add_argument("--tol-rel", type=float, default=None,
                      help=f"relative accuracy of the D-family quadratures, "
@@ -282,7 +273,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_v = sub.add_parser("verify", help="run the identity verification suite",
                          formatter_class=fmt_cls, allow_abbrev=False)
     p_v.add_argument("target", nargs="?", choices=SUITE_NAMES, default="all")
-    _add_common(p_v, seed=True)
+    _add_common(p_v)
+    p_v.add_argument("--seed", type=int, default=_DEFAULT_SEED,
+                     help="seed for randomized grids")
     p_v.set_defaults(func=_cmd_verify)
 
     p_d = sub.add_parser("dicke", help="collective spin-boson model tools",

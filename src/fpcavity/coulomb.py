@@ -169,12 +169,45 @@ def _pair_separations(da: DipoleSpec, db: DipoleSpec, frame: CavityFrame):
     """Separations entering the (A, B) pair energy: direct and image-series."""
     L = frame.length_L
     ra, rb = da.pos(), db.pos()
-    dxy = ra[:2] - rb[:2]
-    v = float(np.hypot(dxy[0], dxy[1])) / L
-    phi = math.atan2(dxy[1], dxy[0]) if v > 0 else 0.0
+    # in Python floats, which overflow to inf without a warning; an
+    # infinite v is refused by Separation
+    dx, dy = float(ra[0]) - float(rb[0]), float(ra[1]) - float(rb[1])
+    v = float(np.hypot(dx, dy)) / L
+    phi = math.atan2(dy, dx) if v > 0 else 0.0
     sep_plus = Separation((ra[2] - rb[2]) / L, v, phi)
     sep_minus = Separation((ra[2] + rb[2]) / L, v, phi)
     return sep_plus, sep_minus
+
+
+def _scaled_moment(d: DipoleSpec) -> tuple[np.ndarray, int]:
+    """The moment as (m, e) with moment = m 2**e and every |entry| of m
+    below 1: scaled by a power of two, which is exact."""
+    mom = d.mom()
+    e = math.frexp(float(np.abs(mom).max()))[1]
+    return np.ldexp(mom, -e), e
+
+
+def _energy(terms, L: float, denom: float) -> float:
+    """The sum of t 2**e over the (t, e) of terms, over denom L^3, in Python
+    floats.
+
+    The terms are scaled by 2**-top, top the exponent of the largest, before
+    they are summed, and L is split the same way, so nothing overflows on
+    the way: the energy is finite wherever it is a double, and beyond, a
+    DomainError.
+    """
+    top = max((e + math.frexp(t)[1] for t, e in terms if t), default=0)
+    total = 0.0
+    for t, e in terms:
+        total += math.ldexp(t, e - top)
+    # every scaled term is below 1 and denom >= 1, mant >= 1/2: only the
+    # last step can overflow
+    mant, exp = math.frexp(L)
+    try:
+        return math.ldexp(total / (denom * mant ** 3), top - 3 * exp)
+    except OverflowError:
+        raise DomainError("the energy overflows the doubles at "
+                          f"L = {L!r}") from None
 
 
 def dipole_dipole_energy(dipoles: Sequence[DipoleSpec],
@@ -184,6 +217,9 @@ def dipole_dipole_energy(dipoles: Sequence[DipoleSpec],
     (1 / 8 pi L^3) sum over ordered pairs A != B of
     d_A . [E+(direct separation) + E-(z_A + z_B axial, same transverse)] . d_B,
     with the kernels at the lattice sum's fixed accuracy and their domain.
+    Assembled in units of L with each moment scaled by a power of two, so
+    the result is finite wherever the energy is a double; beyond, a
+    DomainError.
     """
     if len(dipoles) < 2:
         raise DomainError("need at least two dipoles")
@@ -191,17 +227,18 @@ def dipole_dipole_energy(dipoles: Sequence[DipoleSpec],
     for d in dipoles:
         if not (0.0 < d.pos()[2] < L):
             raise DomainError("dipole outside the cavity")
-    total = 0.0
-    for i, da in enumerate(dipoles):
-        for j, db in enumerate(dipoles):
+    moments = [_scaled_moment(d) for d in dipoles]
+    terms = []
+    for i, (da, (ma, ea)) in enumerate(zip(dipoles, moments)):
+        for j, (db, (mb, eb)) in enumerate(zip(dipoles, moments)):
             if i == j:
                 continue
             sp, sm = _pair_separations(da, db, frame)
             if sp.is_coincident():
                 raise DomainError("coincident dipoles")
             k = kernel_e("plus", sp).m + kernel_e("minus", sm).m
-            total += float(da.mom() @ k @ db.mom())
-    return total / (8.0 * math.pi * L ** 3)
+            terms.append((float(ma @ k @ mb), ea + eb))
+    return _energy(terms, L, 8.0 * math.pi)
 
 
 def brute_force_coulomb(dipoles: Sequence[DipoleSpec], frame: CavityFrame,
@@ -212,34 +249,47 @@ def brute_force_coulomb(dipoles: Sequence[DipoleSpec], frame: CavityFrame,
     every image of d_B over |n| <= n_images, at half weight so the ordered
     double count reproduces the 1/(8 pi) pair convention.  Deterministic
     finite sum; the truncation error decays as 1/n_images^2.  Coincident
-    dipoles, or an image within 1e-100 L, are a domain error, as there.
+    dipoles, or an image within 1e-100 L, are a domain error, as there, and
+    so are a transverse separation over L and an energy beyond the doubles:
+    the sum runs in units of L with each moment scaled by a power of two.
     """
     if len(dipoles) < 2:
         raise DomainError("need at least two dipoles")
     if n_images < 0:
         raise DomainError("n_images must be non-negative")
+    L = frame.length_L
     n_range = range(-n_images, n_images + 1)
-    images = []  # per dipole: image positions and moments, (M, 3) each
+    # per dipole: its position, its image axial positions and scaled
+    # moments, and the moments' exponent
+    images = []
     for d in dipoles:
-        r = d.pos()
-        lattice = image_positions(r[2], frame, n_range)
-        r_img = np.tile(r, (len(lattice), 1))
-        r_img[:, 2] = [z for z, _ in lattice]
-        images.append((r_img, np.stack([o for _, o in lattice]) @ d.mom()))
-    total = 0.0
+        m, e = _scaled_moment(d)
+        lattice = image_positions(d.pos()[2], frame, n_range)
+        images.append((d.pos(), np.array([z for z, _ in lattice]),
+                       np.stack([o for _, o in lattice]) @ m, e))
+    terms = []
     for i, da in enumerate(dipoles):
-        ra, ma = da.pos(), da.mom()
-        for j, (r_img, m_img) in enumerate(images):
+        ra, (ma, ea) = da.pos(), _scaled_moment(da)
+        for j, (rb, z_img, m_img, eb) in enumerate(images):
             if i == j:
                 continue
+            # in units of L; the transverse offset is that of every image,
+            # formed in Python floats, which overflow without a warning
+            dx = (float(ra[0]) - float(rb[0])) / L
+            dy = (float(ra[1]) - float(rb[1])) / L
+            if not (math.isfinite(dx) and math.isfinite(dy)):
+                raise DomainError("the transverse separation over L "
+                                  "overflows")
+            dr = np.empty((len(z_img), 3))
+            dr[:, 0], dr[:, 1] = dx, dy
+            dr[:, 2] = (ra[2] - z_img) / L
             # free-space pair energy (1/4pi) [d1.d2 - 3 (d1.rhat)(d2.rhat)]/r^3
-            dr = ra - r_img
             r2 = np.einsum("ij,ij->i", dr, dr)
-            if not math.sqrt(r2.min()) >= _MIN_IMAGE_DISTANCE * frame.length_L:
+            if not math.sqrt(r2.min()) >= _MIN_IMAGE_DISTANCE:
                 raise DomainError("coincident dipoles: an image within "
                                   f"{_MIN_IMAGE_DISTANCE:g} L")
             proj = (dr @ ma) * np.einsum("ij,ij->i", m_img, dr)
             pair = (m_img @ ma - 3.0 * proj / r2) \
                 / (4.0 * math.pi * r2 * np.sqrt(r2))
-            total += 0.5 * float(pair.sum())
-    return total
+            terms.append((0.5 * float(pair.sum()), ea + eb))
+    return _energy(terms, L, 1.0)

@@ -266,8 +266,7 @@ def _gl_grid(x_max: float, n_panels: int):
     return xs, ws
 
 
-def kernel_d_spectral(sep: Separation, regulator_eps: float,
-                      tol: Tolerance = DEFAULT_TOL) -> KernelMatrix:
+def kernel_d_spectral(sep: Separation, regulator_eps: float) -> KernelMatrix:
     """D+ from the per-axial-index spectral representation, regulated.
 
     Sums two-sided over the axial index n with the transverse integrand
@@ -275,25 +274,21 @@ def kernel_d_spectral(sep: Separation, regulator_eps: float,
     meant for epsilon-extrapolated cross-checks against kernel_d, not for
     production use.
 
-    The transverse grid reaches x_max = log(1/tol.abs_tol)/eps, where the
-    regulator has damped the integrand to tol.abs_tol; tol.abs_tol must
-    be below 1, where x_max > 0 (only abs_tol is read).  regulator_eps
-    must be positive and finite, and small enough that the squared grid
-    nodes stay normal doubles (up to about 1e152 at the default
-    tolerance; above, the n = 0 term would be 0/0).  The work, grid nodes
-    times the axial terms and the Bessel pair's share, grows like 1/eps^2
-    (and like v at large v); a request above _MAX_SPECTRAL_WORK is a
-    DomainError before any array is built.
+    The transverse grid reaches x_max = log(1/DEFAULT_TOL.abs_tol)/eps,
+    where the regulator has damped the integrand to 1e-10, far below the
+    1e-3 or so that extrapolation in eps reaches.  regulator_eps must be
+    positive and finite, and small enough that the squared grid nodes stay
+    normal doubles (up to about 1e152; above, the n = 0 term would be
+    0/0).  The work, grid nodes times the axial terms and the Bessel
+    pair's share, grows like 1/eps^2 (and like v at large v); a request
+    above _MAX_SPECTRAL_WORK is a DomainError before any array is built.
     """
     _check_d_domain(sep)
     if not 0.0 < regulator_eps < math.inf:
         raise DomainError("regulator_eps must be positive and finite")
-    if not tol.abs_tol < 1.0:
-        raise DomainError("the spectral route needs abs_tol < 1: its grid "
-                          "reaches log(1/abs_tol)/eps")
     eps = regulator_eps
     u, v = sep.u, sep.v
-    x_max = math.log(1.0 / tol.abs_tol) / eps
+    x_max = math.log(1.0 / DEFAULT_TOL.abs_tol) / eps
     width = min(2.0, math.pi / (2.0 * max(v, 0.25)))
     # each factor capped at the bound, which keeps ceil off inf and does
     # not change the verdict

@@ -8,11 +8,10 @@ v d/dv xi = -3 v^2 S5 and v d/du xi = -3 v T5).  Reports carry both error
 measures and the pass threshold that was applied; a numerical failure in
 any check becomes a failed report rather than aborting the run.
 
-run_suite and run_all check every family on one fixed set of acceptance
-grids, the private constants _U_GRID through _ANISO_CUTOFF; VerifyConfig
-sets only the seed of the randomized EQ21 separations, so an aggregate run
-is deterministic given its seed.  The public check_* functions take any
-other grid point.
+run_suite checks one family, or all of them, on one fixed set of
+acceptance grids, the private constants _U_GRID through _ANISO_CUTOFF; its
+seed draws only the randomized EQ21 separations, so a run is deterministic
+given its seed.  The public check_* functions take any other grid point.
 
 Pass thresholds are pinned: each check reads its TOL_* constant and no
 argument moves it.  The quadratures run at the fixed panel-split
@@ -56,7 +55,6 @@ from .specfun import (ModeSumArgs, Tolerance,
 
 __all__ = [
     "IdentityReport",
-    "VerifyConfig",
     "VerificationSummary",
     "check_bessel_hyperbolic",
     "check_kernel_cancellation",
@@ -64,7 +62,6 @@ __all__ = [
     "check_lipschitz",
     "check_green",
     "check_axial_and_aniso",
-    "run_all",
     "run_suite",
     "SUITE_NAMES",
 ]
@@ -118,21 +115,6 @@ _GREEN_TRIPLES = ((0.5, 1.0, 1.0), (0.3, 1.7, 0.5), (1.2, 0.8, 2.0))
 _AXIAL_U = (0.3, 0.7, 1.0, 1.5)
 _ANISO_LENGTHS = (1.0, 2.0, 4.0, 8.0)
 _ANISO_CUTOFF = math.pi
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    """Seed of the aggregate run, an integer >= 0, from which the randomized
-    EQ21 separations derive; the grids are the module's fixed acceptance
-    grids and the pass thresholds the pinned TOL_* constants."""
-
-    seed: int = 42
-
-    def __post_init__(self):
-        # the integers are the types operator.index accepts
-        if not (hasattr(self.seed, "__index__")
-                and operator.index(self.seed) >= 0):
-            raise DomainError(f"seed {self.seed!r} is not an integer >= 0")
 
 
 def _engine(tol: Tolerance) -> Tolerance:
@@ -189,49 +171,29 @@ def _report(check_id: str, params: dict, lhs, rhs, tol: Tolerance,
                           tol_used=tol)
 
 
-def _failed_report(check_id: str, params: dict, tol: Tolerance,
-                   exc: Exception) -> IdentityReport:
-    params = dict(params, error=f"{type(exc).__name__}: {exc}")
-    return IdentityReport(check_id=check_id, params=params, lhs=None,
-                          rhs=None, abs_err=math.inf, rel_err=math.inf,
-                          passed=False, tol_used=tol)
+def _rows(params: dict, checks: Sequence, sides: Callable,
+          *args) -> list[IdentityReport]:
+    """Report each (check_id, tol) of checks on the (lhs, rhs) or
+    (lhs, rhs, scale) that sides(*args) gives for it, in the same order.
 
-
-def _checked(check_id: str, params: dict, tol: Tolerance,
-             sides: Callable, *args) -> IdentityReport:
-    """Report check_id on sides(*args) -> (lhs, rhs) or (lhs, rhs, scale).
-
-    The failure path of the suite, with _quadrature_rows for the checks
-    whose rows share one quadrature: a ConvergenceError or DomainError
-    raised while computing the sides becomes a failed report, so a
-    numerical failure, such as a quadrature that runs out of panel splits
-    or whose Bessel argument overflows, never aborts a verification run.
+    The one failure path of the suite.  sides computes every row of one
+    call, so a ConvergenceError or DomainError raised in it, such as a
+    quadrature that runs out of panel splits or whose Bessel argument
+    overflows, fails every row of that call with the same error and never
+    aborts a verification run.  Rows that share one quadrature, the four
+    Bessel identities at one (u, v) and EQ33/EQ34, thus fail together.
     """
     try:
-        lhs, rhs, *scale = sides(*args)
+        results = sides(*args)
     except (ConvergenceError, DomainError) as exc:
-        return _failed_report(check_id, params, tol, exc)
-    return _report(check_id, dict(params), lhs, rhs, tol, *scale)
-
-
-def _quadrature_rows(params: dict, rows: Callable, rate: float,
-                     eng: Tolerance, v: float,
-                     checks: Sequence) -> list[IdentityReport]:
-    """Report each (check_id, tol, rhs) of checks on its row of one
-    vector-valued quadrature of rows, whose Bessel factors are J(xv).
-
-    One quadrature gives several report rows, so it fails them together:
-    a ConvergenceError or DomainError raised by it becomes a failed report
-    of every row, each with the same error.
-    """
-    try:
-        lhs = integrate_semi_infinite(rows, rate, eng,
-                                      half_period=_bessel_half_period(v))
-    except (ConvergenceError, DomainError) as exc:
-        return [_failed_report(check_id, params, tol, exc)
-                for check_id, tol, _ in checks]
-    return [_report(check_id, dict(params), row, rhs, tol)
-            for row, (check_id, tol, rhs) in zip(lhs, checks, strict=True)]
+        failed = dict(params, error=f"{type(exc).__name__}: {exc}")
+        return [IdentityReport(check_id=check_id, params=dict(failed),
+                               lhs=None, rhs=None, abs_err=math.inf,
+                               rel_err=math.inf, passed=False, tol_used=tol)
+                for check_id, tol in checks]
+    return [_report(check_id, dict(params), lhs, rhs, tol, *scale)
+            for (check_id, tol), (lhs, rhs, *scale)
+            in zip(checks, results, strict=True)]
 
 
 def _check_domain(params: dict) -> None:
@@ -303,14 +265,14 @@ def check_bessel_hyperbolic(u: float, v: float) -> list[IdentityReport]:
         out[3] *= j1
         return out
 
-    return _quadrature_rows(params, rows, min(u, 2.0 - u), eng, v, [
-        ("EQ22", TOL_EQ22, v * s3),
-        ("EQ29_PLUS", TOL_EQ22, 2.0 * s3),
-        # (2 + 2 v d/dv) xi
-        ("EQ29_MINUS", TOL_DERIV, 2.0 * s3 - 6.0 * v2s5),
-        # v d/du xi
-        ("EQ30", TOL_DERIV, -3.0 * vt5),
-    ])
+    # EQ22, EQ29_PLUS, EQ29_MINUS against (2 + 2 v d/dv) xi and EQ30
+    # against v d/du xi
+    lattice = (v * s3, 2.0 * s3, 2.0 * s3 - 6.0 * v2s5, -3.0 * vt5)
+    return _rows(params, [("EQ22", TOL_EQ22), ("EQ29_PLUS", TOL_EQ22),
+                          ("EQ29_MINUS", TOL_DERIV), ("EQ30", TOL_DERIV)],
+                 lambda: zip(integrate_semi_infinite(
+                     rows, min(u, 2.0 - u), eng,
+                     half_period=_bessel_half_period(v)), lattice))
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +306,21 @@ def check_kernel_cancellation(sep_samples: Sequence[Separation],
     def eq21(sep):
         e_mat = kernel_e_fn("plus", sep).m
         d_mat = kernel_d_fn("plus", sep, eng).m
-        return e_mat, -d_mat / (2.0 * math.pi), float(np.max(np.abs(e_mat)))
+        return [(e_mat, -d_mat / (2.0 * math.pi),
+                 float(np.max(np.abs(e_mat))))]
 
     def self_cancel(z):
         xi_part = (xi(2.0 * z, 0.0) / (8.0 * math.pi)
                    * np.diag([-1.0, -1.0, -2.0]))
         quad_part = kernel_d_fn("minus", Separation(2.0 * z, 0.0),
                                 eng_self).m / (16.0 * math.pi ** 2)
-        return xi_part, -quad_part, float(np.max(np.abs(xi_part)))
+        return [(xi_part, -quad_part, float(np.max(np.abs(xi_part))))]
 
-    reports = [_checked("EQ21", {"u": sep.u, "v": sep.v, "phi": sep.phi},
-                        TOL_EQ21, eq21, sep) for sep in sep_samples]
-    reports += [_checked("SELF_CANCEL", {"z_over_L": z}, TOL_SELF,
-                         self_cancel, z) for z in z_samples]
+    reports = [r for sep in sep_samples for r in _rows(
+        {"u": sep.u, "v": sep.v, "phi": sep.phi}, [("EQ21", TOL_EQ21)],
+        eq21, sep)]
+    reports += [r for z in z_samples for r in _rows(
+        {"z_over_L": z}, [("SELF_CANCEL", TOL_SELF)], self_cancel, z)]
     return reports
 
 
@@ -372,11 +336,11 @@ def check_mode_sum(grid: Sequence[ModeSumArgs],
     def sides(args):
         closed = hyperbolic_mode_sum(args)
         direct = direct_mode_sum(args, n_max)
-        return [direct.real, direct.imag], [closed.real, closed.imag]
+        return [([direct.real, direct.imag], [closed.real, closed.imag])]
 
-    return [_checked("EQ27", {"alpha": args.alpha, "beta": args.beta,
-                              "m": args.m, "n_max": n_max}, TOL_MODESUM,
-                     sides, args) for args in grid]
+    return [r for args in grid for r in _rows(
+        {"alpha": args.alpha, "beta": args.beta, "m": args.m,
+         "n_max": n_max}, [("EQ27", TOL_MODESUM)], sides, args)]
 
 
 def check_lipschitz(u: float, v: float) -> list[IdentityReport]:
@@ -418,10 +382,10 @@ def check_lipschitz(u: float, v: float) -> list[IdentityReport]:
         out[1] *= damp
         return out
 
-    return _quadrature_rows(params, rows, u, eng, v, [
-        ("EQ33", TOL_LIPSCHITZ, eq33),
-        ("EQ34", TOL_LIPSCHITZ, eq34),
-    ])
+    return _rows(params, [("EQ33", TOL_LIPSCHITZ), ("EQ34", TOL_LIPSCHITZ)],
+                 lambda: zip(integrate_semi_infinite(
+                     rows, u, eng, half_period=_bessel_half_period(v)),
+                     (eq33, eq34)))
 
 
 # terms |n| <= _GREEN_TERMS of the paired image sum are summed directly
@@ -467,13 +431,13 @@ def check_green(u: float, u_prime: float, v: float) -> IdentityReport:
     if not (0.0 < u < 2.0 and 0.0 < u_prime < 2.0):
         raise DomainError(f"want u and u_prime in (0, 2), got {params}")
     eng = _engine(TOL_GREEN)
-    return _checked("EQ36", params, TOL_GREEN,
-                    lambda: (_paired_inverse_distance_sum(u, u_prime, v),
-                             integrate_semi_infinite(
-                                 lambda x: _cosh_ratio_diff(x, u, u_prime)
-                                 * _bessel_j0_g(x * v)[0],
-                                 min(u, 2.0 - u, u_prime, 2.0 - u_prime),
-                                 eng, half_period=_bessel_half_period(v))))
+    return _rows(params, [("EQ36", TOL_GREEN)],
+                 lambda: [(_paired_inverse_distance_sum(u, u_prime, v),
+                           integrate_semi_infinite(
+                               lambda x: _cosh_ratio_diff(x, u, u_prime)
+                               * _bessel_j0_g(x * v)[0],
+                               min(u, 2.0 - u, u_prime, 2.0 - u_prime),
+                               eng, half_period=_bessel_half_period(v)))])[0]
 
 
 def check_axial_and_aniso(rho_z_samples: Sequence[float],
@@ -497,20 +461,20 @@ def check_axial_and_aniso(rho_z_samples: Sequence[float],
         for sign in ("plus", "minus"):
             m = _kernel_d_reference(sign, Separation(u, 0.0), eng).m
             worst = max(worst, abs(m[0, 2]), abs(m[2, 0]))
-        return worst, 0.0
+        return [(worst, 0.0)]
 
-    reports = [_checked("AXIAL20", {"u": u, "entry": "xz/zx"}, TOL_AXIAL,
-                        axial, u) for u in rho_z_samples]
+    reports = [r for u in rho_z_samples for r in _rows(
+        {"u": u, "entry": "xz/zx"}, [("AXIAL20", TOL_AXIAL)], axial, u)]
 
     # continuum limit: anisotropy_delta's own summand, integrated over the
     # axial index n in [0, R] instead of summed, vanishes at any cutoff; in
     # t = n/R and over R^3, its scale, the integrand is of order 1 at any R
     radius = cutoff / math.pi
-    reports.append(_checked(
-        "ANISO38", {"form": "continuum_angular_integral"}, TOL_CONTINUUM,
-        lambda: (_quad_finite(
+    reports += _rows(
+        {"form": "continuum_angular_integral"}, [("ANISO38", TOL_CONTINUUM)],
+        lambda: [(_quad_finite(
             lambda t: _anisotropy_summand(radius * t, radius) / radius ** 2,
-            0.0, 1.0, eng), 0.0)))
+            0.0, 1.0, eng), 0.0)])
 
     if len(L_samples) >= 2:
         params = {"form": "decay", "cutoff": cutoff,
@@ -530,19 +494,15 @@ def check_axial_and_aniso(rho_z_samples: Sequence[float],
             # the fitted values join the report only once they exist
             params.update(normalized=normalized, loglog_slope=slope,
                           decay_factor=decay_factor)
-            return metric, 0.0
+            return [(metric, 0.0)]
 
-        reports.append(_checked("ANISO38", params, TOL_DECAY, decay))
+        reports += _rows(params, [("ANISO38", TOL_DECAY)], decay)
     return reports
 
 
 # ---------------------------------------------------------------------------
 # aggregate runs
 # ---------------------------------------------------------------------------
-
-SUITE_NAMES = ("all", "bessel", "cancellation", "modesum", "lipschitz",
-               "green", "aniso")
-
 
 def random_separations(n: int, seed: int) -> list[Separation]:
     """Seeded kernel-domain samples: u in (0.05, 1.95), v in (0.05, 3)."""
@@ -555,49 +515,49 @@ def random_separations(n: int, seed: int) -> list[Separation]:
     return out
 
 
-def run_suite(suite: str,
-              config: VerifyConfig | None = None) -> VerificationSummary:
-    """Run one named check family (or 'all') on the acceptance grids.
+# each suite's check calls on the acceptance grids, as a function of the
+# seed; "all" runs them in this order
+_SUITES: dict[str, Callable[[int], list]] = {
+    "bessel": lambda seed: [r for u in _U_GRID for v in _V_GRID
+                            for r in check_bessel_hyperbolic(u, v)],
+    "cancellation": lambda seed: check_kernel_cancellation(
+        random_separations(_N_RANDOM_SEPARATIONS, seed), _Z_OVER_L),
+    "modesum": lambda seed: check_mode_sum(
+        [ModeSumArgs(alpha=a, beta=b, m=m) for a in _MODESUM_ALPHAS
+         for b in _MODESUM_BETAS for m in _MODESUM_ORDERS], _MODESUM_N_MAX),
+    "lipschitz": lambda seed: [r for u in _LIPSCHITZ_U for v in _LIPSCHITZ_V
+                               for r in check_lipschitz(u, v)],
+    "green": lambda seed: [check_green(*t) for t in _GREEN_TRIPLES],
+    "aniso": lambda seed: check_axial_and_aniso(_AXIAL_U, _ANISO_LENGTHS,
+                                                _ANISO_CUTOFF),
+}
+
+SUITE_NAMES = ("all", *_SUITES)
+
+
+def run_suite(suite: str, seed: int = 42) -> VerificationSummary:
+    """Run one named check family, or 'all' of them, on the acceptance grids.
 
     The grids are the module constants: EQ22-EQ30 on _U_GRID x _V_GRID,
-    EQ21 at _N_RANDOM_SEPARATIONS seeded separations and SELF_CANCEL at
-    _Z_OVER_L, EQ27 on _MODESUM_ALPHAS x _MODESUM_BETAS x _MODESUM_ORDERS
-    at _MODESUM_N_MAX terms, EQ33/EQ34 on _LIPSCHITZ_U x _LIPSCHITZ_V, EQ36
-    at _GREEN_TRIPLES, AXIAL20 at _AXIAL_U and ANISO38 at _ANISO_LENGTHS
-    and _ANISO_CUTOFF.  The configuration's seed draws the separations;
-    every quadrature runs at the fixed panel-split budget, and pass
-    thresholds stay the pinned per-check TOL_* constants.
+    EQ21 at _N_RANDOM_SEPARATIONS separations drawn from seed and
+    SELF_CANCEL at _Z_OVER_L, EQ27 on _MODESUM_ALPHAS x _MODESUM_BETAS x
+    _MODESUM_ORDERS at _MODESUM_N_MAX terms, EQ33/EQ34 on _LIPSCHITZ_U x
+    _LIPSCHITZ_V, EQ36 at _GREEN_TRIPLES, AXIAL20 at _AXIAL_U and ANISO38
+    at _ANISO_LENGTHS and _ANISO_CUTOFF.  Every quadrature runs at the
+    fixed panel-split budget, and pass thresholds stay the pinned
+    per-check TOL_* constants.  The summary passes iff every report does.
+    A suite not in SUITE_NAMES, and a seed that is not an integer >= 0
+    (numpy integers are integers), are refused with a DomainError before
+    any work.
     """
+    # the integers are the types operator.index accepts
+    if not (hasattr(seed, "__index__") and operator.index(seed) >= 0):
+        raise DomainError(f"seed {seed!r} is not an integer >= 0")
     if suite not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    cfg = config if config is not None else VerifyConfig()
-    reports: list[IdentityReport] = []
-    if suite in ("all", "bessel"):
-        for u in _U_GRID:
-            for v in _V_GRID:
-                reports.extend(check_bessel_hyperbolic(u, v))
-    if suite in ("all", "cancellation"):
-        reports.extend(check_kernel_cancellation(
-            random_separations(_N_RANDOM_SEPARATIONS, cfg.seed), _Z_OVER_L))
-    if suite in ("all", "modesum"):
-        reports.extend(check_mode_sum(
-            [ModeSumArgs(alpha=a, beta=b, m=m) for a in _MODESUM_ALPHAS
-             for b in _MODESUM_BETAS for m in _MODESUM_ORDERS],
-            _MODESUM_N_MAX))
-    if suite in ("all", "lipschitz"):
-        for u in _LIPSCHITZ_U:
-            for v in _LIPSCHITZ_V:
-                reports.extend(check_lipschitz(u, v))
-    if suite in ("all", "green"):
-        for u, up, v in _GREEN_TRIPLES:
-            reports.append(check_green(u, up, v))
-    if suite in ("all", "aniso"):
-        reports.extend(check_axial_and_aniso(
-            _AXIAL_U, _ANISO_LENGTHS, _ANISO_CUTOFF))
-    return VerificationSummary(suite=suite, seed=cfg.seed, reports=reports,
+        raise DomainError(f"unknown suite {suite!r}; choose from "
+                          f"{SUITE_NAMES}")
+    seed = operator.index(seed)
+    reports = [r for name in (_SUITES if suite == "all" else (suite,))
+               for r in _SUITES[name](seed)]
+    return VerificationSummary(suite=suite, seed=seed, reports=reports,
                                all_pass=all(r.passed for r in reports))
-
-
-def run_all(config: VerifyConfig | None = None) -> VerificationSummary:
-    """Run every check family; aggregate passes iff every report passes."""
-    return run_suite("all", config)

@@ -1,6 +1,6 @@
 import pytest
 
-from fpcavity import _memo, run_all
+from fpcavity import _memo, run_suite
 
 
 @pytest.fixture(autouse=True)
@@ -14,4 +14,4 @@ def _empty_memo():
 @pytest.fixture(scope="session")
 def full_summary():
     """One aggregate verification run shared by every test that needs it."""
-    return run_all()
+    return run_suite("all")

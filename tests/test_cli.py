@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -10,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpcavity import (DickeParams, DomainError, Separation, Tolerance,
-                      kernel_e, xi)
+                      kernel_e, run_suite, xi)
 from fpcavity.cli import _build_parser, dispatch, emit_report
-from fpcavity.verify import IdentityReport, VerifyConfig
+from fpcavity.verify import IdentityReport, VerificationSummary
 from tests_helpers import starve_verify
 
 
@@ -133,6 +134,7 @@ def test_tolerance_flags_only_where_used(argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "cancellation", "--seed", "-1"],
+    ["verify", "modesum", "--seed", "-1"],
     ["verify", "modesum", "--max-subdivisions", "0"],
     ["verify", "lipschitz", "--max-subdivisions", "-5"],
 ])
@@ -161,11 +163,13 @@ def test_kernel_spectral_flag_restrictions(capsys):
     ["--family", "D", "--eps", "0.1"],
     ["--family", "D", "--sign", "minus", "--eps", "0.05"],
     ["--family", "D", "--spectral", "--tol-rel", "1e-3"],
+    ["--family", "D", "--spectral", "--tol-abs", "1e-9"],
+    ["--family", "D", "--spectral", "--tol-abs", "1"],
     ["--family", "D", "--spectral", "--max-subdivisions", "1"],
 ])
 def test_kernel_refuses_flags_it_would_ignore(argv, capsys):
-    # the E family is a fixed-accuracy lattice sum, only the spectral route
-    # reads the regulator, and of the tolerance it reads only abs_tol
+    # the E family is a fixed-accuracy lattice sum, the spectral route a
+    # fixed grid that takes no tolerance, and only it reads the regulator
     assert dispatch(["kernel", "--u", "0.5", "--v", "1", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "error" in captured.err
@@ -185,23 +189,6 @@ def test_kernel_omitted_flags_take_their_documented_values(implicit,
                          "csv", *argv]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-
-
-def test_kernel_spectral_route_reads_tol_abs(capsys):
-    # --tol-abs sets the reach log(1/abs_tol)/eps of the spectral grid, so
-    # every value moves the output; at abs_tol >= 1 there is no grid
-    outputs = []
-    for tol in ("1e-3", "1e-9"):
-        assert dispatch(["kernel", "--family", "D", "--spectral", "--u",
-                         "0.5", "--v", "1", "--eps", "0.1", "--tol-abs", tol,
-                         "--format", "csv"]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] != outputs[1]
-    for tol in ("1", "3.5"):
-        assert dispatch(["kernel", "--family", "D", "--spectral", "--u",
-                         "0.5", "--v", "1", "--tol-abs", tol]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "abs_tol < 1" in captured.err
 
 
 def test_kernel_spectral_route_runs(capsys):
@@ -230,21 +217,25 @@ def test_help_screens(argv, capsys):
     assert "usage" in out.lower()
 
 
-@pytest.mark.parametrize("argv, config, flags", [
-    (["verify"], VerifyConfig, {"seed": "seed"}),
-    (["dicke", "ground", "--y", "1"], DickeParams,
+_RUN_SUITE_DEFAULTS = {name: p.default for name, p in
+                       inspect.signature(run_suite).parameters.items()}
+_DICKE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(DickeParams)}
+
+
+@pytest.mark.parametrize("argv, defaults, flags", [
+    (["verify"], _RUN_SUITE_DEFAULTS, {"seed": "seed"}),
+    (["dicke", "ground", "--y", "1"], _DICKE_DEFAULTS,
      {"omega_a": "omega_a", "omega_c": "omega_c", "n_atoms": "n_atoms",
       "cutoff": "fock_cutoff"}),
-    (["dicke", "scan"], DickeParams,
+    (["dicke", "scan"], _DICKE_DEFAULTS,
      {"omega_a": "omega_a", "omega_c": "omega_c", "n_atoms": "n_atoms",
       "cutoff": "fock_cutoff"}),
-    (["dicke", "meanfield", "--y", "1"], DickeParams,
+    (["dicke", "meanfield", "--y", "1"], _DICKE_DEFAULTS,
      {"omega_a": "omega_a", "omega_c": "omega_c"}),
 ], ids=["verify", "dicke-ground", "dicke-scan", "dicke-meanfield"])
-def test_parser_defaults_are_the_library_defaults(argv, config, flags):
+def test_parser_defaults_are_the_library_defaults(argv, defaults, flags):
     # an omitted flag means what the library means without the argument
     ns = _build_parser().parse_args(argv)
-    defaults = {f.name: f.default for f in dataclasses.fields(config)}
     for dest, field in flags.items():
         got = getattr(ns, dest)
         assert type(got) is type(defaults[field]) and got == defaults[field]
@@ -404,10 +395,16 @@ def _sample_reports():
     ]
 
 
+def _summary(reports, suite="adhoc", seed=0):
+    """A summary of reports as run_suite gives one."""
+    return VerificationSummary(suite=suite, seed=seed, reports=reports,
+                               all_pass=all(r.passed for r in reports))
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_report_round_trip_bit_exact(fmt):
     reports = _sample_reports()
-    data = emit_report(reports, fmt, suite="adhoc", seed=1)
+    data = emit_report(_summary(reports, seed=1), fmt)
     back = parse_report(data, fmt)
     assert len(back) == len(reports)
     for a, b in zip(reports, back):
@@ -420,18 +417,26 @@ def test_report_round_trip_bit_exact(fmt):
 
 
 def test_emit_empty_reports_valid_json():
-    doc = json.loads(emit_report([], "json", suite="all", seed=42))
+    doc = json.loads(emit_report(_summary([], suite="all", seed=42), "json"))
+    assert (doc["suite"], doc["seed"]) == ("all", 42)
     assert doc["checks"] == []
     assert doc["all_pass"] is True
 
 
 def test_emit_mixed_pass_fail():
-    doc = json.loads(emit_report(_sample_reports(), "json"))
+    doc = json.loads(emit_report(_summary(_sample_reports()), "json"))
     assert doc["all_pass"] is False
 
 
+def test_emit_numpy_integer_seed_as_json():
+    # run_suite keeps the seed as a plain int: int64 is not JSON
+    doc = json.loads(emit_report(run_suite("green", seed=np.int64(3)),
+                                 "json"))
+    assert doc["seed"] == 3 and doc["all_pass"] is True
+
+
 def test_csv_seventeen_significant_digits():
-    data = emit_report(_sample_reports(), "csv").decode()
+    data = emit_report(_summary(_sample_reports()), "csv").decode()
     assert format(math.pi, ".17g") in data
 
 
@@ -445,7 +450,7 @@ def test_round_trip_property(abs_err, rel_err, tol_abs, tol_rel, passed, fmt):
                          lhs=None, rhs=None, abs_err=abs_err,
                          rel_err=rel_err, passed=passed,
                          tol_used=Tolerance(tol_abs, tol_rel))
-    back = parse_report(emit_report([rep], fmt), fmt)[0]
+    back = parse_report(emit_report(_summary([rep]), fmt), fmt)[0]
     assert back.abs_err == abs_err and back.rel_err == rel_err
     assert back.passed == passed
     assert back.tol_used.abs_tol == tol_abs
@@ -476,7 +481,7 @@ def test_infinite_errors_round_trip(fmt):
                          lhs=None, rhs=None, abs_err=math.inf,
                          rel_err=math.inf, passed=False,
                          tol_used=Tolerance(1e-9, 1e-13))
-    data = emit_report([rep], fmt)
+    data = emit_report(_summary([rep]), fmt)
     if fmt == "json":
         _strict_json(data.decode())
     back = parse_report(data, fmt)[0]

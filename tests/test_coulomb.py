@@ -267,3 +267,60 @@ def test_energy_preconditions():
     outside = [DipoleSpec((0, 0, 1.5), (0, 0, 1.0)), _axial_pair()[0]]
     with pytest.raises(DomainError):
         dipole_dipole_energy(outside, FRAME)
+
+
+def _both_energies(dipoles, frame):
+    return (dipole_dipole_energy(dipoles, frame),
+            brute_force_coulomb(dipoles, frame, n_images=5))
+
+
+@pytest.mark.parametrize("dipoles, frame", [
+    # 1e-90 L apart at L = 1e-40: about 1e389
+    ([DipoleSpec((0.0, 0.0, 0.5e-40), (0.0, 0.0, 1.0)),
+      DipoleSpec((1e-130, 0.0, 0.5e-40), (0.0, 0.0, 1.0))],
+     CavityFrame(1e-40)),
+    # moments of 1e200 at L = 1: about 1e400
+    ([DipoleSpec((0.0, 0.0, 0.25), (0.0, 0.0, 1e200)),
+      DipoleSpec((0.0, 0.0, 0.75), (0.0, 0.0, 1e200))], FRAME),
+], ids=["small-L", "large-moments"])
+def test_energy_beyond_the_doubles_is_refused(dipoles, frame):
+    # the energy was inf, or numpy overflowed on the way (a RuntimeWarning)
+    with pytest.raises(DomainError, match="overflows"):
+        dipole_dipole_energy(dipoles, frame)
+    with pytest.raises(DomainError, match="overflows"):
+        brute_force_coulomb(dipoles, frame, n_images=5)
+
+
+def test_energy_exact_under_power_of_two_scaling():
+    # positions scaled by 2^-365 and moments by 2^-600 scale the energy by
+    # exactly 2^(3 * 365 - 1200): the products of the moments underflowed
+    # and both routes gave 0, or nan
+    dipoles = [DipoleSpec((0.0, 0.0, 0.25), (0.0, 0.0, 1.0)),
+               DipoleSpec((0.1, 0.2, 0.75), (0.3, 0.0, 1.0))]
+    L = 2.0 ** -365
+    scaled = [DipoleSpec(tuple(x * L for x in d.position),
+                         tuple(math.ldexp(m, -600) for m in d.moment))
+              for d in dipoles]
+    want = [math.ldexp(e, -105) for e in _both_energies(dipoles, FRAME)]
+    assert want[0] != 0.0
+    assert list(_both_energies(scaled, CavityFrame(L))) == want
+
+
+def test_energy_finite_for_moments_of_opposite_scale():
+    # 2^1000 times the first moment and 2^-1000 times the second leave the
+    # energy as it is; the kernel times 2^1000 overflowed in the matmul
+    near = [DipoleSpec((0.0, 0.0, 0.5), (0.0, 0.0, 1.0)),
+            DipoleSpec((1e-3, 0.0, 0.5), (0.0, 0.0, 1.0))]
+    apart = [DipoleSpec(near[0].position, (0.0, 0.0, 2.0 ** 1000)),
+             DipoleSpec(near[1].position, (0.0, 0.0, 2.0 ** -1000))]
+    assert _both_energies(apart, FRAME) == _both_energies(near, FRAME)
+
+
+def test_transverse_separation_over_L_beyond_the_doubles_is_refused():
+    # the offset 2e308 overflowed in numpy's subtraction (a RuntimeWarning)
+    dipoles = [DipoleSpec((1e308, 0.0, 0.5), (0.0, 0.0, 1.0)),
+               DipoleSpec((-1e308, 0.0, 0.5), (0.0, 0.0, 1.0))]
+    with pytest.raises(DomainError, match="finite"):
+        dipole_dipole_energy(dipoles, FRAME)
+    with pytest.raises(DomainError, match="overflows"):
+        brute_force_coulomb(dipoles, FRAME, n_images=5)

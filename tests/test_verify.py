@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from fpcavity import (KernelMatrix, ModeSumArgs, Separation, Tolerance,
                       check_axial_and_aniso, check_bessel_hyperbolic,
                       check_green, check_kernel_cancellation, check_lipschitz,
-                      check_mode_sum, kernel_d, kernel_e, run_all, run_suite)
+                      check_mode_sum, kernel_d, kernel_e, run_suite)
 from fpcavity import verify
 from fpcavity.errors import DomainError
-from fpcavity.verify import (VerifyConfig, _report, random_separations)
+from fpcavity.verify import SUITE_NAMES, _report, random_separations
 from tests_helpers import starve_verify
 
 
@@ -456,7 +456,7 @@ def _pinned(r):
 @pytest.mark.parametrize("budget", [1, 8])
 def test_budget_never_moves_a_threshold(budget, monkeypatch):
     starve_verify(monkeypatch, budget)
-    summary = run_all()
+    summary = run_suite("all")
     assert {r.check_id for r in summary.reports} == {
         "EQ22", "EQ29_PLUS", "EQ29_MINUS", "EQ30", "EQ21", "SELF_CANCEL",
         "EQ27", "EQ33", "EQ34", "EQ36", "AXIAL20", "ANISO38"}
@@ -468,24 +468,51 @@ def test_budget_never_moves_a_threshold(budget, monkeypatch):
             _pinned(r).abs_tol, _pinned(r).rel_tol), r.check_id
 
 
-@pytest.mark.parametrize("field, bad", [
-    ("seed", -1), ("seed", 1.5), ("seed", "42"),
-])
-def test_verify_config_rejects_bad_seed_and_budget(field, bad):
-    # the seed is the configuration's only field: a budget is refused too
-    with pytest.raises(DomainError):
-        VerifyConfig(**{field: bad})
-    with pytest.raises(TypeError):
-        VerifyConfig(max_subdivisions=8)
+_CHECKS = ("check_bessel_hyperbolic", "check_kernel_cancellation",
+           "check_mode_sum", "check_lipschitz", "check_green",
+           "check_axial_and_aniso", "random_separations")
 
 
-def test_verify_config_takes_numpy_integers():
-    assert VerifyConfig(seed=np.int64(3)).seed == 3
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+@pytest.mark.parametrize("bad", [-1, 1.5, "42"])
+def test_run_suite_refuses_a_bad_seed_before_any_work(suite, bad,
+                                                      monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done for a refused seed")
+
+    for name in _CHECKS:
+        monkeypatch.setattr(verify, name, refuse)
+    with pytest.raises(DomainError, match="seed"):
+        run_suite(suite, seed=bad)
+
+
+def test_run_suite_takes_numpy_integers():
+    summary = run_suite("green", seed=np.int64(3))
+    assert summary.seed == 3 and type(summary.seed) is int
+    assert summary.all_pass
 
 
 def test_run_suite_unknown_name():
+    # a DomainError, which is a ValueError
+    with pytest.raises(DomainError, match="unknown suite"):
+        run_suite("everything")
     with pytest.raises(ValueError):
         run_suite("everything")
+
+
+def test_run_suite_takes_no_budget():
+    # the panel-split budget is the quadrature's own constant
+    with pytest.raises(TypeError):
+        run_suite("green", max_subdivisions=8)
+
+
+def test_all_is_the_single_suites_in_order(full_summary):
+    # the rows of "all" are those of each suite, in SUITE_NAMES order
+    singles = [r for name in SUITE_NAMES[1:]
+               for r in run_suite(name, seed=full_summary.seed).reports]
+    assert len(singles) == len(full_summary.reports)
+    for a, b in zip(full_summary.reports, singles):
+        assert a == b
 
 
 def test_run_suite_deterministic():
