@@ -165,13 +165,26 @@ def self_energy_matrix(z_over_L: float) -> KernelMatrix:
     return KernelMatrix(m, SELF)
 
 
+def _transverse_offset(ra: np.ndarray, rb: np.ndarray,
+                       L: float) -> tuple[float, float]:
+    """The transverse offset (dx, dy) of ra from rb, in Python floats, which
+    overflow to inf without a warning.  DomainError where its length over
+    L is not a finite double: the one guard, before any per-image array,
+    that keeps np.hypot and the image sums from overflowing with a
+    RuntimeWarning."""
+    dx, dy = float(ra[0]) - float(rb[0]), float(ra[1]) - float(rb[1])
+    if not math.hypot(dx, dy) / L < math.inf:
+        raise DomainError("the transverse separation over L overflows: it "
+                          "is not a finite double")
+    return dx, dy
+
+
 def _pair_separations(da: DipoleSpec, db: DipoleSpec, frame: CavityFrame):
     """Separations entering the (A, B) pair energy: direct and image-series."""
     L = frame.length_L
     ra, rb = da.pos(), db.pos()
-    # in Python floats, which overflow to inf without a warning; an
-    # infinite v is refused by Separation
-    dx, dy = float(ra[0]) - float(rb[0]), float(ra[1]) - float(rb[1])
+    dx, dy = _transverse_offset(ra, rb, L)
+    # np.hypot, not math.hypot, whose last bit differs at some points
     v = float(np.hypot(dx, dy)) / L
     phi = math.atan2(dy, dx) if v > 0 else 0.0
     sep_plus = Separation((ra[2] - rb[2]) / L, v, phi)
@@ -273,23 +286,23 @@ def brute_force_coulomb(dipoles: Sequence[DipoleSpec], frame: CavityFrame,
         for j, (rb, z_img, m_img, eb) in enumerate(images):
             if i == j:
                 continue
-            # in units of L; the transverse offset is that of every image,
-            # formed in Python floats, which overflow without a warning
-            dx = (float(ra[0]) - float(rb[0])) / L
-            dy = (float(ra[1]) - float(rb[1])) / L
-            if not (math.isfinite(dx) and math.isfinite(dy)):
-                raise DomainError("the transverse separation over L "
-                                  "overflows")
+            # in units of L; the transverse offset is that of every image.
+            # An offset of 1 L or more is scaled by 2^-k below 1 (exactly),
+            # so that neither r^3 nor the projections overflow, and the
+            # energy terms carry the factor 2^-3k in their exponent
+            dx, dy = _transverse_offset(ra, rb, L)
+            k = max(0, math.frexp(max(abs(dx), abs(dy)) / L)[1])
             dr = np.empty((len(z_img), 3))
-            dr[:, 0], dr[:, 1] = dx, dy
-            dr[:, 2] = (ra[2] - z_img) / L
+            dr[:, 0] = math.ldexp(dx / L, -k)
+            dr[:, 1] = math.ldexp(dy / L, -k)
+            dr[:, 2] = np.ldexp((ra[2] - z_img) / L, -k)
             # free-space pair energy (1/4pi) [d1.d2 - 3 (d1.rhat)(d2.rhat)]/r^3
             r2 = np.einsum("ij,ij->i", dr, dr)
-            if not math.sqrt(r2.min()) >= _MIN_IMAGE_DISTANCE:
+            if not math.ldexp(math.sqrt(r2.min()), k) >= _MIN_IMAGE_DISTANCE:
                 raise DomainError("coincident dipoles: an image within "
                                   f"{_MIN_IMAGE_DISTANCE:g} L")
             proj = (dr @ ma) * np.einsum("ij,ij->i", m_img, dr)
             pair = (m_img @ ma - 3.0 * proj / r2) \
                 / (4.0 * math.pi * r2 * np.sqrt(r2))
-            terms.append((0.5 * float(pair.sum()), ea + eb))
+            terms.append((0.5 * float(pair.sum()), ea + eb - 3 * k))
     return _energy(terms, L, 1.0)

@@ -11,15 +11,17 @@ alone), the image-lattice moments behind the inverse-cube lattice sum
 xi(u, v), an adaptive Gauss-Kronrod integrator for exponentially decaying
 integrands on (0, inf), scalar or vector valued, with an oscillatory-tail
 mode for slowly damped Bessel-type integrands (one driver at one fixed
-budget; each step splits every panel the tolerance asks for, and the tail
-takes its half-periods in batches, in one call of the integrand each), and
-the two-sided mode sum sum_n e^{i alpha n} n^m / (n^2 + beta^2) by two
-independent routes: its hyperbolic closed form, and its symmetric
-truncation: a head summed term by term in blocks of consecutive n (angle
-addition from one block's cos/sin table), then the rest as the difference
-of two tails built from the summand alone (the Euler transformation, or
-Euler-Maclaurin at alpha = 0), so the cost does not grow with the
-truncation; within a few 1e-15 of the sum of the moduli of the terms.
+budget; seed panels at most half a half-period wide, so that most passes
+end on their first call of the integrand; each step splits every panel
+the tolerance asks for, and the tail takes its half-periods in batches, in
+one call of the integrand each), and the two-sided mode sum
+sum_n e^{i alpha n} n^m / (n^2 + beta^2) by two independent routes: its
+hyperbolic closed form, and its symmetric truncation: a head summed term
+by term in blocks of consecutive n (angle addition from one block's
+cos/sin table), then the rest as the difference of two tails built from
+the summand alone (the Euler transformation, or Euler-Maclaurin at
+alpha = 0), so the cost does not grow with the truncation; within a few
+1e-15 of the sum of the moduli of the terms.
 
 Nothing here imports scipy.
 
@@ -316,7 +318,9 @@ def _lattice_moments(u: float, v: float) -> tuple[float, float, float]:
         raise DomainError("u and v must be finite")
     if v < 0:
         raise DomainError("v must be non-negative")
-    u = u % 2.0
+    # Python floats, which overflow to inf without a warning: numpy scalars
+    # would warn in the tail terms from v ~ 1e103
+    u, v = float(u) % 2.0, float(v)
     _check_image_distance(u, v)
     a = _LATTICE_2N + u
     rho2 = a * a + v * v
@@ -532,15 +536,24 @@ def _subdivide(f: Callable, edges):
         splits += len(taken)
 
 
-def _seed_edges(x_max: float) -> np.ndarray:
-    # geometric seed panels: dense near 0 where integrands have their
-    # structure, coarse towards the truncation point
+def _seed_edges(x_max: float, half_period: float | None) -> np.ndarray:
+    """The seed panels' edges on [0, x_max]: geometric from
+    min(1, x_max/8), dense near 0 where integrands have their structure,
+    but no panel wider than half_period/2, as the tail takes two K15 panels
+    per half-period (_half_periods).  Without a half-period the
+    panels are geometric to x_max.
+
+    Seeds that fine end most passes in their first call of the integrand:
+    a call costs far more than its nodes (see integrate_semi_infinite).  A
+    plain pass spans at most _TAIL_MIN_SPAN half-periods, so it seeds at
+    most about 100 capped panels; the tail mode's head, 8.
+    """
+    width = math.inf if half_period is None else 0.5 * half_period
     edges = [0.0]
-    step = min(1.0, x_max / 8.0)
-    x = step
+    x = min(1.0, x_max / 8.0, width)
     while x < x_max:
         edges.append(x)
-        x *= 2.0
+        x += min(x, width)
     edges.append(x_max)
     return np.array(edges)
 
@@ -555,9 +568,13 @@ _HEAD_HALF_PERIODS = 4
 _MIN_TAIL_PANELS = 4
 _LEVIN_MAX_ORDER = 16
 # The tail mode runs past this many half-periods in [0, x_max]; below it
-# the plain pass is faster (medians of 3, 2-core x86 box): up to 35-50 for
-# the four-row Bessel pass and the unsplit D+, up to 55-95 for the
-# remainder of kernel_d.
+# the plain pass is faster.  Chosen with geometric seed panels (medians of
+# 3, 2-core x86 box: up to 35-50 for the four-row Bessel pass and the
+# unsplit D+, up to 55-95 for the remainder of kernel_d) and re-checked
+# with the seeds of _seed_edges (medians of 9, same box): 100 takes about
+# 0.9 ms less of the 19 ms of run_suite("bessel") and of the 9 ms of
+# run_suite("cancellation"), 200 about 0.5 ms more of the first, and
+# kernel_d at the kernels benchmark's separations is the same at 35-200.
 _TAIL_MIN_SPAN = 50
 # The most head panel splits and tail half-periods one pass may take
 _MAX_SUBDIVISIONS = 4000
@@ -606,13 +623,16 @@ def _half_periods(f: Callable, x: float, h: float, x_max: float, n: int):
 def _integrate(f: Callable, edges: np.ndarray, h: float | None,
                x_max: float, tol: Tolerance):
     """The one quadrature driver, by the rules of integrate_semi_infinite:
-    the head, the panels defined by edges, by adaptive subdivision and,
-    when the head ends before x_max, the tail in half-periods [x, x + h]
-    whose partial sums Levin's u-transform extrapolates.  A head that
-    reaches x_max leaves no tail (h is unused): the plain pass.  Head
+    the head, the panels defined by edges (_seed_edges: fine enough that
+    most passes converge on this first call of f), by adaptive subdivision
+    and, when the head ends before x_max, the tail in half-periods
+    [x, x + h] whose partial sums Levin's u-transform extrapolates.  A head
+    that reaches x_max leaves no tail (h is unused): the plain pass.  Head
     splits and tail half-periods together may number _MAX_SUBDIVISIONS,
-    read at the call.  The tail's partial sums and errors are formed a
-    batch at a time into arrays that hold the whole tail fetched so far.
+    read at the call.  The tail fetches _LEVIN_MAX_ORDER half-periods in
+    its first call of f, enough to end most tails, and then a third as
+    many as it has taken; their partial sums and errors are formed a batch
+    at a time into arrays that hold the whole tail fetched so far.
     """
     budget = _MAX_SUBDIVISIONS
     head = _subdivide(f, edges)
@@ -663,9 +683,10 @@ def _integrate(f: Callable, edges: np.ndarray, h: float | None,
                 (share, room) if (share > 0).all() else None)
             continue
         if taken == len(sums) - 1:
-            # the fewest half-periods that can end the tail, then a third
-            # of those taken so far: at most a quarter of them go unused
-            batch = -(-taken // 3) or _MIN_TAIL_PANELS + 2
+            # enough half-periods to end most tails in one call, then a
+            # third of those taken so far, at most a quarter of which go
+            # unused
+            batch = -(-taken // 3) or _LEVIN_MAX_ORDER
             rule = _half_periods(f, x, h, x_max, min(batch, room))
             # in C order, which the transform's column sums over the rows
             # take one row after the other
@@ -758,9 +779,19 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     as the budget has left, and splits them all in one call.  When the
     worst panel alone covers the excess, that is the one split of the
     one-panel-per-step rule, with the same arithmetic.  One call of the
-    four-row Bessel integrand of the verify suite takes about 65 us for 2
-    panels and 125 us for 16 (2-core x86 box), so the number of calls more
-    than the number of nodes sets the cost.
+    four-row Bessel integrand of the verify suite with its K15 rule takes
+    about 37 us for 1 panel, 41 us for 8, 74 us for 48 and 117 us for 100
+    (warm, 2-core x86 Xeon box), so the number of calls more than the
+    number of nodes sets the cost.  The seed panels are therefore fine
+    enough that most passes converge on their first call: geometric from
+    min(1, x_max/8), dense near 0 where integrands have their structure,
+    but none wider than half_period/2, the two K15 panels per half-period
+    that the tail takes too (without a half-period, geometric to the
+    truncation point).  A plain pass spans at most _TAIL_MIN_SPAN
+    half-periods, so it seeds at most about 100 panels past the geometric
+    prefix; the tail mode's head, about 8.  A verify run of every suite
+    then makes 134 calls of its integrands, against 360 with geometric
+    seeds alone and a first tail batch of 6.
 
     The integrand must decay at least like exp(-decay_rate_hint * x) for
     large x; behaviour at 0 may be integrably singular (panels never touch
@@ -785,9 +816,10 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     A head step splits the panels the head's share of the target,
     t_i - tail error - gap, asks for when that share is positive in every
     component, else its worst panel.  The tail half-periods are evaluated
-    in batches, _MIN_TAIL_PANELS + 2 = 6 first (the fewest that can end
-    the tail) and then a third as many as taken so far, none starting past
-    the truncation point, and taken one at a time with the same values and
+    in batches, _LEVIN_MAX_ORDER = 16 first (enough to end most tails in
+    that one call; the fewest that can end one is _MIN_TAIL_PANELS + 2 = 6)
+    and then a third as many as taken so far, none starting past the
+    truncation point, and taken one at a time with the same values and
     decisions as one call each.  The cost then no longer grows with the
     number of oscillations before exp(-rate x) damps them; when the tail
     reaches the truncation point, the plain partial sum is taken.  The one
@@ -814,7 +846,8 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     """
     x_max, span = _truncation(decay_rate_hint, tol, half_period)
     x0 = _HEAD_HALF_PERIODS * half_period if span > _TAIL_MIN_SPAN else x_max
-    return _integrate(integrand, _seed_edges(x0), half_period, x_max, tol)
+    return _integrate(integrand, _seed_edges(x0, half_period), half_period,
+                      x_max, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -140,15 +140,16 @@ def _quad_finite(f: Callable, a: float, b: float, tol: Tolerance) -> float:
     return _adaptive(f, list(np.linspace(a, b, 9)), tol)
 
 
-def _seed_edges(x_max: float) -> list[float]:
+def _seed_edges(x_max: float, half_period: float | None) -> list[float]:
     # geometric seed panels: dense near 0 where integrands have their
-    # structure, coarse towards the truncation point
+    # structure, coarse towards the truncation point, but none wider than
+    # half a half-period
+    width = math.inf if half_period is None else 0.5 * half_period
     edges = [0.0]
-    step = min(1.0, x_max / 8.0)
-    x = step
+    x = min(1.0, x_max / 8.0, width)
     while x < x_max:
         edges.append(x)
-        x *= 2.0
+        x += min(x, width)
     edges.append(x_max)
     return edges
 
@@ -203,8 +204,8 @@ def _oscillatory_tail(f: Callable, h: float, x_max: float, tol: Tolerance):
     target, target - tail error - gap, asks for when that share is positive
     in every component, else its worst panel.  The tail fetches
     half-periods in batches, one call of f each (_half_periods):
-    _MIN_TAIL_PANELS + 2, the fewest that can end it, and then a third as
-    many as it has taken so far, so the batches grow geometrically; it
+    _LEVIN_MAX_ORDER, enough to end most tails, and then a third as many
+    as it has taken so far, so the batches grow geometrically; it
     takes them one at a time, so every value and decision is that of a
     tail fetched one half-period at a time.
     The tail panels' summed error only grows, so a component whose
@@ -212,7 +213,7 @@ def _oscillatory_tail(f: Callable, h: float, x_max: float, tol: Tolerance):
     cannot converge, and the pass fails at once.
     """
     x0 = _HEAD_HALF_PERIODS * h
-    head = _subdivide(f, _seed_edges(x0))
+    head = _subdivide(f, _seed_edges(x0, h))
     head_total, head_err, head_splits = next(head)
     scalar = isinstance(head_total, float)
 
@@ -247,9 +248,10 @@ def _oscillatory_tail(f: Callable, h: float, x_max: float, tol: Tolerance):
                 (share, room) if np.all(share > 0) else None)
             continue
         if not fetched:
-            # the fewest half-periods that can end the tail, then a third
-            # of those taken so far: at most a quarter of them go unused
-            batch = -(-len(sums) // 3) or _MIN_TAIL_PANELS + 2
+            # enough half-periods to end most tails in one call, then a
+            # third of those taken so far, at most a quarter of which go
+            # unused
+            batch = -(-len(sums) // 3) or _LEVIN_MAX_ORDER
             fetched = _half_periods(f, x, h, x_max, min(batch, room))
         (v1, v2), (e1, e2) = fetched.popleft()
         x += h
@@ -282,4 +284,4 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     x_max, span = _truncation(decay_rate_hint, tol, half_period)
     if span > _TAIL_MIN_SPAN:
         return _oscillatory_tail(integrand, half_period, x_max, tol)
-    return _adaptive(integrand, _seed_edges(x_max), tol)
+    return _adaptive(integrand, _seed_edges(x_max, half_period), tol)

@@ -465,10 +465,11 @@ def _strict_json(data: str):
 
 
 def test_failed_checks_emit_strict_json(capsys, monkeypatch):
-    # one panel split is too few for about half the Laplace-Bessel checks:
-    # those rows fail with a ConvergenceError and an infinite error
+    # one half-period is too few for the Bessel points whose pass takes the
+    # tail mode: those rows fail with a ConvergenceError and an infinite
+    # error
     starve_verify(monkeypatch, 1)
-    assert dispatch(["verify", "lipschitz"]) == 1
+    assert dispatch(["verify", "bessel"]) == 1
     doc = _strict_json(capsys.readouterr().out)
     failed = [c for c in doc["checks"] if not c["pass"]]
     assert failed and all(c["abs_err"] is None and c["rel_err"] is None

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,33 @@ def test_energy_finite_for_moments_of_opposite_scale():
     apart = [DipoleSpec(near[0].position, (0.0, 0.0, 2.0 ** 1000)),
              DipoleSpec(near[1].position, (0.0, 0.0, 2.0 ** -1000))]
     assert _both_energies(apart, FRAME) == _both_energies(near, FRAME)
+
+
+def test_transverse_length_beyond_the_doubles_is_refused():
+    # each coordinate of the offset is a double, its length 2.1e308 is not:
+    # np.hypot warned of the overflow in dipole_dipole_energy, and the
+    # per-image products did in brute_force_coulomb
+    dipoles = [DipoleSpec((1.5e308, 1.5e308, 0.5), (1.0, 0.0, 1.0)),
+               DipoleSpec((0.0, 0.0, 0.5), (1.0, 0.0, 1.0))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            dipole_dipole_energy(dipoles, FRAME)
+        with pytest.raises(DomainError, match="overflows"):
+            brute_force_coulomb(dipoles, FRAME, n_images=5)
+
+
+@pytest.mark.parametrize("offset", [1e103, 1e150, 1e200, 1e307])
+def test_huge_transverse_offset_gives_a_value_without_warning(offset):
+    # r^3 overflowed in brute_force_coulomb from about 5.6e102 L, and the
+    # lattice sum's tail terms in numpy scalars did in dipole_dipole_energy
+    # from about 1e103, each with a RuntimeWarning
+    dipoles = [DipoleSpec((offset, offset, 0.5), (1.0, 0.0, 1.0)),
+               DipoleSpec((0.0, 0.0, 0.25), (1.0, 0.0, 1.0))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        energies = _both_energies(dipoles, FRAME)
+    assert all(map(math.isfinite, energies))
 
 
 def test_transverse_separation_over_L_beyond_the_doubles_is_refused():

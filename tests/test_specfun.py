@@ -16,10 +16,10 @@ from scipy import special
 from fpcavity import (ConvergenceError, DomainError, ModeSumArgs, Tolerance,
                       apery_zeta3, bessel_j, direct_mode_sum,
                       hyperbolic_mode_sum, integrate_semi_infinite, xi)
-from fpcavity import specfun
+from fpcavity import Separation, _memo, kernel_d, specfun, verify
 from fpcavity.specfun import (_BLOCK, _CHUNK, _G7_IDX, _G7_WEIGHTS,
                               _HEAD_HALF_PERIODS, _K15_NODES, _K15_WEIGHTS,
-                              _MIN_TAIL_PANELS, _SUM_HEAD_MIN,
+                              _LEVIN_MAX_ORDER, _SUM_HEAD_MIN,
                               _SUM_HEAD_REACH,
                               _TAIL_MIN_SPAN, _bessel_j0_g,
                               _lattice_moments, _quad_finite, _subdivide,
@@ -635,13 +635,48 @@ def test_quadrature_tail_mode_stops_below_the_rounding_floor():
     assert sum(len(x) for x in calls) < 100 * 15
 
 
-def test_quadrature_tail_mode_falls_back_to_plain_pass():
+def _spying(monkeypatch, name):
+    """Replace specfun.<name> by a wrapper that records the arguments of
+    every call; returns the list they go into."""
+    fn = getattr(specfun, name)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(specfun, name, spy)
+    return calls
+
+
+def _assert_plain_seeds(gk_calls, x_max, h):
+    # the seed call of a plain pass: panels from 0 to the truncation point,
+    # geometric from min(1, x_max/8) while they are narrower than h/2, then
+    # each h/2 wide but the last, which ends at x_max
+    _, a, b = gk_calls[0]
+    assert a[0] == 0.0 and b[-1] == x_max
+    assert np.array_equal(a[1:], b[:-1])
+    width = b - a
+    assert width[0] == min(1.0, x_max / 8.0, 0.5 * h)
+    # the geometric prefix: each panel [x, 2x] after the first
+    prefix = np.argmin((a == 0.0) | (b == 2.0 * a))
+    assert prefix > 0 and np.all(width[:prefix] <= 0.5 * h)
+    assert np.allclose(width[prefix:-1], 0.5 * h, rtol=1e-12, atol=0.0)
+    assert 0.0 < width[-1] <= 0.5 * h * (1.0 + 1e-12)
+
+
+def test_quadrature_tail_mode_falls_back_to_plain_pass(monkeypatch):
     # at v = 0.25 the truncation point (about 80 at rate 0.5) lies about 6
-    # half-periods out, far below _TAIL_MIN_SPAN: the plain pass runs, bit
-    # for bit
+    # half-periods out, far below _TAIL_MIN_SPAN: the plain pass runs, no
+    # transform is taken, and its seed panels are at most h/2 wide
+    h = 4.0 * math.pi
+    levin_calls = _spying(monkeypatch, "_levin_u")
+    gk_calls = _spying(monkeypatch, "_gauss_kronrod")
     f = lambda x: x * np.exp(-0.5 * x) * special.jv(1, 0.25 * x)
-    assert integrate_semi_infinite(f, 0.5, TIGHT, half_period=4.0 * math.pi) \
-        == integrate_semi_infinite(f, 0.5, TIGHT)
+    got = integrate_semi_infinite(f, 0.5, TIGHT, half_period=h)
+    assert got == pytest.approx(0.25 * (0.25 + 0.0625) ** -1.5, rel=1e-11)
+    assert not levin_calls
+    _assert_plain_seeds(gk_calls, _truncation(0.5, TIGHT, None)[0], h)
 
 
 @pytest.mark.parametrize("span", [0.999 * _TAIL_MIN_SPAN,
@@ -653,20 +688,14 @@ def test_quadrature_chooses_its_mode_by_the_span(span, monkeypatch):
     h = x_max / span
     v = math.pi / h
     assert _truncation(0.5, TIGHT, h) == (x_max, pytest.approx(span))
-    levin = specfun._levin_u
-    levin_calls = []
-
-    def levin_u(*args):
-        levin_calls.append(args)
-        return levin(*args)
-
-    monkeypatch.setattr(specfun, "_levin_u", levin_u)
+    levin_calls = _spying(monkeypatch, "_levin_u")
+    gk_calls = _spying(monkeypatch, "_gauss_kronrod")
     f = lambda x: x * np.exp(-0.5 * x) * special.jv(1, v * x)
     got = integrate_semi_infinite(f, 0.5, TIGHT, half_period=h)
     assert got == pytest.approx(v * (0.25 + v * v) ** -1.5, rel=1e-11)
     if span < _TAIL_MIN_SPAN:
         assert not levin_calls
-        assert got == integrate_semi_infinite(f, 0.5, TIGHT)
+        _assert_plain_seeds(gk_calls, x_max, h)
     else:
         assert levin_calls
 
@@ -878,9 +907,10 @@ def test_tail_mode_calls_the_integrand_once_per_batch_of_half_periods(
             integrate_semi_infinite(g, 1e-3, Tolerance(1e-300, 1e-300),
                                     half_period=h)
         assert calls[0].max() < x0
-        # the first tail call holds the fewest half-periods that can end
-        # the tail; each holds the two K15 panels of consecutive
-        # half-periods, in order, continuing where the previous one stopped
+        # the first tail call holds _LEVIN_MAX_ORDER half-periods, or what
+        # the budget has left; each holds the two K15 panels of
+        # consecutive half-periods, in order, continuing where the
+        # previous one stopped
         x = x0
         head_splits = fetched = 0
         for nodes in calls[1:]:
@@ -890,7 +920,8 @@ def test_tail_mode_calls_the_integrand_once_per_batch_of_half_periods(
                 assert len(nodes) == 30
                 head_splits += 1
                 continue
-            assert len(nodes) == 30 * (_MIN_TAIL_PANELS + 2) or fetched
+            assert fetched or len(nodes) == 30 * min(
+                _LEVIN_MAX_ORDER, budget - head_splits)
             # a batch is fetched once the last one is all taken
             assert len(nodes) // 30 <= budget - head_splits - fetched
             want = []
@@ -900,8 +931,48 @@ def test_tail_mode_calls_the_integrand_once_per_batch_of_half_periods(
                 x += h
             assert np.array_equal(nodes, np.concatenate(want))
             fetched += len(nodes) // 30
-        assert fetched > _MIN_TAIL_PANELS + 2
+        assert fetched > _LEVIN_MAX_ORDER
         assert budget - head_splits <= fetched <= budget
+
+
+def test_verify_all_takes_few_integrand_calls(monkeypatch):
+    # seed panels at most half a half-period wide and a first tail batch of
+    # _LEVIN_MAX_ORDER half-periods end most passes in their first call of
+    # the integrand: 134 calls for the whole suite, against 360 with the
+    # geometric seeds alone and a first batch of six
+    calls = _spying(monkeypatch, "_gauss_kronrod")
+    _memo._entries.clear()
+    assert verify.run_suite("all").all_pass
+    assert len(calls) <= 140
+
+
+def _kernels_benchmark_separations():
+    """The 100 (u, v) of the kernels benchmark workload (phi, drawn from
+    its seed, only rotates the kernel): 75 cell centres of
+    u in (0.4, 1.6), cell i paired with v-cell 32 i mod 75 of (0.05, 1.5),
+    and 25 near a mirror, u = d and u = 2 - d in turn, d the cell centres
+    of (0.05, 0.25), v = 4 d."""
+    seps = [Separation(0.4 + 1.2 * (i + 0.5) / 75,
+                       0.05 + 1.45 * ((32 * i) % 75 + 0.5) / 75)
+            for i in range(75)]
+    for k in range(25):
+        d = 0.05 + 0.2 * (k + 0.5) / 25
+        seps.append(Separation(d if k % 2 == 0 else 2.0 - d, 4.0 * d))
+    return seps
+
+
+def test_kernel_d_converges_in_one_integrand_call(monkeypatch):
+    # at the default tolerance the remainder of D+ spans fewer than
+    # _TAIL_MIN_SPAN half-periods at every one of these separations: a
+    # plain pass whose seed panels, at most h/2 wide, already meet it
+    calls = _spying(monkeypatch, "_gauss_kronrod")
+    counts = []
+    for sep in _kernels_benchmark_separations():
+        _memo._entries.clear()
+        calls.clear()
+        kernel_d("plus", sep)
+        counts.append(len(calls))
+    assert counts == [1] * 100
 
 
 @pytest.mark.parametrize("f", [

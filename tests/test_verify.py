@@ -142,10 +142,11 @@ def test_lipschitz_makes_one_quadrature(u, v, monkeypatch):
 
 
 def test_lipschitz_starved_pass_fails_both_rows_alike(monkeypatch):
-    # one panel split is too few at u = v = 1: the shared quadrature fails
+    # at u = 0.01, v = 1 the pass takes the tail mode, which needs at least
+    # six half-periods: one is too few, and the shared quadrature fails
     # both identities, with the same error
     starve_verify(monkeypatch, 1)
-    r33, r34 = check_lipschitz(1.0, 1.0)
+    r33, r34 = check_lipschitz(0.01, 1.0)
     for r in (r33, r34):
         assert not r.passed and r.abs_err == math.inf
         assert r.params["error"].startswith("ConvergenceError")
@@ -252,6 +253,24 @@ def test_huge_transverse_distance_gives_no_nan(v):
             assert not r.passed and r.abs_err == math.inf
             assert r.params["error"].startswith("DomainError")
             assert "overflows" in r.params["error"]
+
+
+@pytest.mark.parametrize("triple, bound", [
+    ((0.5, 1.0, 1.0), 4.0e-17), ((0.3, 1.7, 0.5), 6.7e-17),
+    ((1.2, 0.8, 2.0), 1.0e-16)])
+def test_paired_image_sum_against_mpmath(triple, bound):
+    # each bound is the error of the 40001-term direct sum that the short
+    # head and its Euler-Maclaurin tails replaced.  The doubles 0.3 and 1.7
+    # are not mirror images (2 - 0.3 is 1.7 + 5.6e-17), so the second sum
+    # is 7.5e-17, not 0; 0.8 is exactly 2 - 1.2, so the third is 0
+    assert triple in verify._GREEN_TRIPLES
+    with mpmath.workdps(40):
+        u, u_prime, v = map(mpmath.mpf, triple)
+        want = mpmath.nsum(lambda n: ((2 * n + u) ** 2 + v ** 2) ** -0.5
+                           - ((2 * n + u_prime) ** 2 + v ** 2) ** -0.5,
+                           [-mpmath.inf, mpmath.inf])
+    got = verify._paired_inverse_distance_sum(*triple)
+    assert abs(got - want) <= bound
 
 
 def test_green_trivial_equal_arguments():
