@@ -245,12 +245,13 @@ _GL_ORDER = 20
 # grid nodes times (axial terms + _BESSEL_TABLE_TERMS), the scaling of
 # kernel_d_spectral's work.  Building the grid, the Bessel pair and the
 # per-node arrays the axial sum reuses costs 7-16 axial terms per node.
-# One unit (one node of one axial term) took 1.2e-8 s on grids of 3e4
-# nodes, which stay in cache, and 2.1e-8 to 2.6e-8 s on grids of 1.5e6
-# to 2.9e6 nodes, where every temporary array is fresh memory (2-core x86
-# box): a call at the bound takes up to about 5 s, at v = 4500,
-# eps = 0.5 (65 axial terms, 1.9e8 units) 4.6 s, and about 2.6 s on a
-# small grid.
+# Each axial term works in three reused grid-sized buffers.  One unit (one
+# node of one axial term) took 4.7e-9 s on a grid of 2.9e4 nodes, which
+# stays in cache, and 8.6e-9 to 1.0e-8 s on grids of 1.5e6 to 2.6e6 nodes
+# (medians of 3, 2-core x86 box; 6.5e-9 and 9.7e-9 to 1.1e-8 s there with
+# fresh temporaries): a call at the bound takes about 2 s at v = 4500,
+# eps = 0.5 (65 axial terms, 2.0e8 units), and 1.2 s on a small grid (4.4e4
+# nodes, 4530 axial terms, eps = 0.0053).
 _MAX_SPECTRAL_WORK = 200_000_000
 _BESSEL_TABLE_TERMS = 10
 _FLOAT_TINY = float(np.finfo(float).tiny)
@@ -317,17 +318,29 @@ def kernel_d_spectral(sep: Separation, regulator_eps: float) -> KernelMatrix:
     xs2_j02 = 2.0 * xs2 * g
     xs2_j0m2 = 2.0 * xs2 * (j0 - g)
     xs2_j0 = 2.0 * xs2 * j0
+    # each axial term works in these three grid-sized buffers
+    common, kn2_j0, term = np.empty_like(xs), np.empty_like(xs), \
+        np.empty_like(xs)
     for n in range(n_max + 1):
         kn = math.pi * n
-        inv_k2 = xs / (kn * kn + xs2)  # k_perp / k^2 on the grid
+        # k_perp / k^2 on the grid, times the weights
+        np.add(kn * kn, xs2, out=common)
+        np.divide(xs, common, out=common)
+        common *= damp
         w_cos = (1.0 if n == 0 else 2.0 * math.cos(math.pi * n * u))
-        common = inv_k2 * damp
-        xx += w_cos * float(np.sum(common * (2 * kn * kn * j0 + xs2_j02)))
-        yy += w_cos * float(np.sum(common * (2 * kn * kn * j0 + xs2_j0m2)))
-        zz += w_cos * float(np.sum(common * xs2_j0))
+        np.multiply(2 * kn * kn, j0, out=kn2_j0)
+        np.add(kn2_j0, xs2_j02, out=term)
+        term *= common
+        xx += w_cos * float(np.sum(term))
+        np.add(kn2_j0, xs2_j0m2, out=term)
+        term *= common
+        yy += w_cos * float(np.sum(term))
+        np.multiply(common, xs2_j0, out=term)
+        zz += w_cos * float(np.sum(term))
         if n > 0:
-            xz += 4.0 * math.sin(math.pi * n * u) * kn \
-                * float(np.sum(common * xs * j1))
+            np.multiply(common, xs, out=term)
+            term *= j1
+            xz += 4.0 * math.sin(math.pi * n * u) * kn * float(np.sum(term))
     return KernelMatrix(_rotate(_d_matrix((xx, yy, zz, xz)), sep.phi), D_PLUS)
 
 

@@ -11,7 +11,10 @@ tolerance and the panel-split budget (read at every use) come from
 fpcavity.specfun, as they are shared.  Like the original, it does not
 refuse a non-finite integrand, which the array driver turns into a
 DomainError.  Where the array driver runs one loop for every pass, the
-reference keeps the plain pass (_adaptive) and the tail mode apart.
+reference keeps the plain pass (_adaptive) and the tail mode apart; where
+the array driver forms a batch's transforms together and makes the tests
+of a tail step for every half-period of the batch at once, the reference
+takes one half-period a step.
 """
 
 from __future__ import annotations
@@ -58,9 +61,10 @@ def _gauss_kronrod(f: Callable, a, b):
     return k15.T, err.T, err.max(axis=0).tolist()
 
 
-def _subdivide(f: Callable, edges: list[float]):
+def _subdivide(f: Callable, edges: list[float], seeds=None):
     """The adaptive panel subdivision over the panels defined by edges, one
-    step at a time, each step one call of f: all seed panels, then both
+    step at a time, each step one call of f: all seed panels (unless seeds
+    brings their _gauss_kronrod estimates, errors and peaks), then both
     halves of every panel the step splits, panel after panel.
 
     Yields the running integral, its summed |K15 - G7| error and the number
@@ -78,7 +82,7 @@ def _subdivide(f: Callable, edges: list[float]):
     total = 0.0
     err = 0.0
     splits = 0
-    panels = _gauss_kronrod(f, edges[:-1], edges[1:])
+    panels = seeds or _gauss_kronrod(f, edges[:-1], edges[1:])
     for a, b, val, e, peak in zip(edges[:-1], edges[1:], *panels):
         total += val
         err += e
@@ -172,14 +176,11 @@ def _levin_u(sums: np.ndarray, terms: np.ndarray, first: float) -> np.ndarray:
     return np.where(np.isfinite(est), est, sums[-1])
 
 
-def _half_periods(f: Callable, x: float, h: float, x_max: float, n: int):
-    """Up to n consecutive half-periods [x, x + h], [x + h, x + 2h], ...,
-    each starting before x_max, from one call of f: per half-period the K15
-    values and |K15 - G7| errors of its two panels, ((v1, v2), (e1, e2)).
-
-    Two K15 panels per half-period: one panel's |K15 - G7| on a whole
-    half-wave is about 1e-12 of its value, and these add up.
-    """
+def _half_period_panels(x: float, h: float, x_max: float, n: int):
+    """The panels [lo_i, hi_i] of up to n consecutive half-periods
+    [x, x + h], [x + h, x + 2h], ..., each starting before x_max, two K15
+    panels per half-period: one panel's |K15 - G7| on a whole half-wave is
+    about 1e-12 of its value, and these add up."""
     lo, hi = [], []
     while len(lo) < 2 * n and x < x_max:
         mid = x + 0.5 * h
@@ -187,9 +188,22 @@ def _half_periods(f: Callable, x: float, h: float, x_max: float, n: int):
         lo += (x, mid)
         hi += (mid, end)
         x = end
-    vals, errs, _ = _gauss_kronrod(f, lo, hi)
+    return lo, hi
+
+
+def _pairs(vals, errs):
+    """Per half-period the K15 values and |K15 - G7| errors of its two
+    panels, ((v1, v2), (e1, e2))."""
     return collections.deque((vals[i:i + 2], errs[i:i + 2])
-                             for i in range(0, len(lo), 2))
+                             for i in range(0, len(vals), 2))
+
+
+def _half_periods(f: Callable, x: float, h: float, x_max: float, n: int):
+    """Up to n consecutive half-periods from x (_half_period_panels), from
+    one call of f, as _pairs."""
+    lo, hi = _half_period_panels(x, h, x_max, n)
+    vals, errs, _ = _gauss_kronrod(f, lo, hi)
+    return _pairs(vals, errs)
 
 
 def _oscillatory_tail(f: Callable, h: float, x_max: float, tol: Tolerance):
@@ -203,17 +217,22 @@ def _oscillatory_tail(f: Callable, h: float, x_max: float, tol: Tolerance):
     A head step splits, in one call of f, the panels its share of the
     target, target - tail error - gap, asks for when that share is positive
     in every component, else its worst panel.  The tail fetches
-    half-periods in batches, one call of f each (_half_periods):
-    _LEVIN_MAX_ORDER, enough to end most tails, and then a third as many
-    as it has taken so far, so the batches grow geometrically; it
-    takes them one at a time, so every value and decision is that of a
-    tail fetched one half-period at a time.
+    half-periods in batches: _LEVIN_MAX_ORDER, enough to end most tails,
+    in the head's first call of f, and then a third as many as it has
+    taken so far, one call each (_half_periods), so the batches grow
+    geometrically; it takes them one at a time, with one transform and
+    one set of tests per half-period.
     The tail panels' summed error only grows, so a component whose
     transforms agree within its target while that sum alone exceeds it
     cannot converge, and the pass fails at once.
     """
     x0 = _HEAD_HALF_PERIODS * h
-    head = _subdivide(f, _seed_edges(x0, h))
+    edges = _seed_edges(x0, h)
+    seeds = len(edges) - 1
+    lo, hi = _half_period_panels(
+        x0, h, x_max, min(_LEVIN_MAX_ORDER, specfun._MAX_SUBDIVISIONS))
+    vals, errs, peaks = _gauss_kronrod(f, edges[:-1] + lo, edges[1:] + hi)
+    head = _subdivide(f, edges, (vals[:seeds], errs[:seeds], peaks[:seeds]))
     head_total, head_err, head_splits = next(head)
     scalar = isinstance(head_total, float)
 
@@ -224,7 +243,7 @@ def _oscillatory_tail(f: Callable, h: float, x_max: float, tol: Tolerance):
     partial = tail_err = np.zeros(np.shape(head_total) or (1,))
     est, gaps = partial, (math.inf, math.inf)
     x = x0
-    fetched = collections.deque()
+    fetched = _pairs(vals[seeds:], errs[seeds:])
     while True:
         # head splits and tail half-periods taken so far
         splits = head_splits + len(sums)
@@ -248,11 +267,10 @@ def _oscillatory_tail(f: Callable, h: float, x_max: float, tol: Tolerance):
                 (share, room) if np.all(share > 0) else None)
             continue
         if not fetched:
-            # enough half-periods to end most tails in one call, then a
-            # third of those taken so far, at most a quarter of which go
+            # a third of those taken so far, at most a quarter of which go
             # unused
-            batch = -(-len(sums) // 3) or _LEVIN_MAX_ORDER
-            fetched = _half_periods(f, x, h, x_max, min(batch, room))
+            fetched = _half_periods(f, x, h, x_max,
+                                    min(-(-len(sums) // 3), room))
         (v1, v2), (e1, e2) = fetched.popleft()
         x += h
         val = np.atleast_1d(v1 + v2)

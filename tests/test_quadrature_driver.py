@@ -161,6 +161,56 @@ def test_tail_mode_matches_the_reference(f, tol, budget, monkeypatch):
     _assert_same(f, 1e-3, tol, half_period=math.pi)
 
 
+def _slow_tail_scalar(x):
+    # a term (1 + x)^-3 that the transform extrapolates slowly: the tail
+    # takes many batches, with head splits between some of them
+    return np.exp(-1e-3 * x) * (special.j0(x) + (1.0 + x) ** -3)
+
+
+def _slow_tail_rows(x):
+    return np.array([_slow_tail_scalar(x), np.zeros_like(x),
+                     x * x * np.exp(-1e-3 * x) * special.j1(x) / (2.0 + x)])
+
+
+@pytest.mark.parametrize("f", [_slow_tail_scalar, _slow_tail_rows],
+                         ids=TAIL_IDS)
+@pytest.mark.parametrize("tol", [Tolerance(1e-10, 1e-10), TIGHT,
+                                 Tolerance(1e-10, 1e-8)],
+                         ids=["tol0", "tol1", "tol2"])
+def test_slow_tail_matches_the_reference(f, tol):
+    # every batch's decisions, made for all its half-periods at once, are
+    # those of the reference, which takes one half-period a step; at TIGHT
+    # the rows' tail gets stuck
+    got = _assert_same(f, 1e-3, tol, half_period=math.pi)
+    assert got[0] == ("error" if f is _slow_tail_rows and tol is TIGHT
+                      else "result")
+
+
+@pytest.mark.parametrize("tol, budget", [
+    (TIGHT, 17), (TIGHT, 21), (Tolerance(1e-300, 1e-300), 17),
+    (Tolerance(1e-300, 1e-300), 34)], ids=["tol0", "tol1", "tol2", "tol3"])
+def test_budget_spent_inside_a_batch_matches_the_reference(tol, budget,
+                                                           monkeypatch):
+    # head splits between tail steps spend the budget before the fetched
+    # half-periods are all taken: the pass stops at the half-period that
+    # spends it, as the reference does
+    monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", budget)
+    got = _assert_same(_tail_rows, 1e-3, tol, half_period=math.pi)
+    assert got[0] == "error" and f"after {budget} " in got[1]
+
+
+@pytest.mark.parametrize("budget", [5, 6])
+def test_a_tail_ends_after_six_half_periods_at_the_fewest(budget,
+                                                          monkeypatch):
+    # the head alone meets the target, and the tail's terms fall off
+    # fast: the gap needs two transforms after the first, so five
+    # half-periods spend a budget of five and six end the pass
+    monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", budget)
+    got = _assert_same(lambda x: np.exp(-x) * special.j0(x), 1e-3,
+                       Tolerance(1e-10, 1e-10), half_period=math.pi)
+    assert got[0] == ("error" if budget == 5 else "result")
+
+
 def test_tail_mode_stuck_component_matches_the_reference():
     # x^2 sinh(x(u-1))/sinh(x) J1(x) at u = 0.005: the tail panels' summed
     # error alone exceeds the target, and the pass fails once the

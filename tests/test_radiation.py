@@ -14,7 +14,7 @@ from fpcavity import (AnisotropyResult, CavityFrame, DomainError, Separation,
 from fpcavity import coulomb, radiation, specfun
 from fpcavity.radiation import (_d_rows, _kernel_d_reference,
                                 _laplace_bessel_x2, _nearest_pair_rows)
-from fpcavity.specfun import _bessel_j0_g
+from fpcavity.specfun import DEFAULT_TOL, _bessel_j0_g
 
 TIGHT = Tolerance(1e-12, 1e-12)
 
@@ -131,14 +131,14 @@ def test_reference_route_never_touches_the_lattice(monkeypatch):
     # both separations span more than _TAIL_MIN_SPAN half-periods (about
     # 110 and 42000) and take the oscillatory tail, the second next to a
     # mirror
-    levin = specfun._levin_u
+    levin = specfun._levin_windows
     levin_calls = []
 
-    def levin_u(*args):
+    def levin_windows(*args):
         levin_calls.append(args)
         return levin(*args)
 
-    monkeypatch.setattr(specfun, "_levin_u", levin_u)
+    monkeypatch.setattr(specfun, "_levin_windows", levin_windows)
     # the decay rate each quadrature is given: min(u, 2 - u) marks the
     # unsplit integrand, 2 + min(u, 2 - u) the split one of kernel_d
     decay_rates = []
@@ -317,6 +317,45 @@ def test_spectral_richardson_matches_production():
     extrap = (8.0 * vals[2] - 6.0 * vals[1] + vals[0]) / 3.0
     resid = np.abs(extrap - ref).max() / np.abs(ref).max()
     assert resid < 1e-3
+
+
+def _spectral_with_temporaries(sep, eps):
+    """kernel_d_spectral's entries with one expression per entry and axial
+    term, each making its own grid-sized temporaries, in the same order of
+    operations and of summation."""
+    u, v = sep.u, sep.v
+    x_max = math.log(1.0 / DEFAULT_TOL.abs_tol) / eps
+    width = min(2.0, math.pi / (2.0 * max(v, 0.25)))
+    xs, ws = radiation._gl_grid(x_max, max(4, math.ceil(x_max / width)))
+    xv = xs * v
+    j0, g = _bessel_j0_g(xv)
+    j1 = xv * g
+    damp = np.exp(-eps * xs) * ws
+    xs2 = xs * xs
+    xx = yy = zz = xz = 0.0
+    for n in range(max(64, math.ceil(24.0 / eps)) + 1):
+        kn = math.pi * n
+        common = xs / (kn * kn + xs2) * damp
+        w_cos = 1.0 if n == 0 else 2.0 * math.cos(math.pi * n * u)
+        xx += w_cos * float(np.sum(common * (2 * kn * kn * j0
+                                             + 2.0 * xs2 * g)))
+        yy += w_cos * float(np.sum(common * (2 * kn * kn * j0
+                                             + 2.0 * xs2 * (j0 - g))))
+        zz += w_cos * float(np.sum(common * (2.0 * xs2 * j0)))
+        if n > 0:
+            xz += 4.0 * math.sin(math.pi * n * u) * kn \
+                * float(np.sum(common * xs * j1))
+    return radiation._rotate(radiation._d_matrix((xx, yy, zz, xz)), sep.phi)
+
+
+@pytest.mark.parametrize("sep, eps", [(Separation(0.5, 1.0), 0.1),
+                                      (Separation(1.7, 2.5, 0.4), 0.05),
+                                      (Separation(0.3, 0.0), 0.2)])
+def test_spectral_buffers_keep_every_bit(sep, eps):
+    # the axial loop works in reused buffers and forms 2 kn^2 J0 once for
+    # xx and yy: the entries keep the bits of fresh temporaries
+    got = kernel_d_spectral(sep, eps).m
+    assert got.tobytes() == _spectral_with_temporaries(sep, eps).tobytes()
 
 
 def test_spectral_regulator_validation():

@@ -212,6 +212,39 @@ def test_a_value_does_not_depend_on_its_batch():
     assert got.tobytes() == alone.tobytes()
 
 
+def test_each_bessel_form_sees_only_its_own_nodes(monkeypatch):
+    # in a mixed batch the cells run over the x up to 60.5 alone, at their
+    # offsets from their cells' centres, and the far form over the rest
+    # alone, each once, in the order of the batch
+    seen = {"near": [], "far": []}
+    near, far = specfun._near, specfun._far
+
+    def near_seen(a, t):
+        seen["near"].append(np.array(t))
+        return near(a, t)
+
+    def far_seen(x):
+        seen["far"].append(np.array(x))
+        return far(x)
+
+    monkeypatch.setattr(specfun, "_near", near_seen)
+    monkeypatch.setattr(specfun, "_far", far_seen)
+    x0 = specfun._FAR_X0
+    rng = np.random.default_rng(11)
+    x = np.concatenate([[0.0, 60.5, math.nextafter(x0, math.inf), 1e300],
+                        rng.uniform(0.0, 120.0, 300)])
+    rng.shuffle(x)
+    got = specfun._bessel_j0_g(x)
+    lo = x <= x0
+    assert len(seen["near"]) == len(seen["far"]) == 1
+    assert seen["near"][0].tobytes() == (x - np.rint(x))[lo].tobytes()
+    assert seen["far"][0].tobytes() == x[~lo].tobytes()
+    assert got[:, lo].tobytes() == near(specfun._NEAR.take(
+        np.rint(x[lo]).astype(np.intp), axis=1),
+        (x - np.rint(x))[lo]).tobytes()
+    assert got[:, ~lo].tobytes() == far(x[~lo]).tobytes()
+
+
 def test_a_long_call_works_in_chunks():
     # the gathered cells take 26 doubles a node, so a long call (the
     # spectral route's grid) runs in chunks: its memory does not grow with
@@ -906,22 +939,21 @@ def test_tail_mode_calls_the_integrand_once_per_batch_of_half_periods(
         with pytest.raises(ConvergenceError, match=f"after {budget} "):
             integrate_semi_infinite(g, 1e-3, Tolerance(1e-300, 1e-300),
                                     half_period=h)
-        assert calls[0].max() < x0
-        # the first tail call holds _LEVIN_MAX_ORDER half-periods, or what
-        # the budget has left; each holds the two K15 panels of
-        # consecutive half-periods, in order, continuing where the
-        # previous one stopped
+        # the first call holds the head's seed panels and then
+        # _LEVIN_MAX_ORDER half-periods, or what the budget has; each tail
+        # batch holds the two K15 panels of consecutive half-periods, in
+        # order, continuing where the previous one stopped
+        first = 30 * min(_LEVIN_MAX_ORDER, budget)
+        assert calls[0][:-first].max() < x0 < calls[0][-first:].min()
         x = x0
         head_splits = fetched = 0
-        for nodes in calls[1:]:
+        for nodes in [calls[0][-first:]] + calls[1:]:
             if nodes.max() < x0:
                 # the head's share of a target this small is negative: one
                 # panel a step
                 assert len(nodes) == 30
                 head_splits += 1
                 continue
-            assert fetched or len(nodes) == 30 * min(
-                _LEVIN_MAX_ORDER, budget - head_splits)
             # a batch is fetched once the last one is all taken
             assert len(nodes) // 30 <= budget - head_splits - fetched
             want = []
@@ -936,14 +968,20 @@ def test_tail_mode_calls_the_integrand_once_per_batch_of_half_periods(
 
 
 def test_verify_all_takes_few_integrand_calls(monkeypatch):
-    # seed panels at most half a half-period wide and a first tail batch of
-    # _LEVIN_MAX_ORDER half-periods end most passes in their first call of
-    # the integrand: 134 calls for the whole suite, against 360 with the
-    # geometric seeds alone and a first batch of six
+    # seed panels at most half a half-period wide, and a first tail batch
+    # of _LEVIN_MAX_ORDER half-periods in the same call as the head's
+    # seeds, end most passes in their first call of the integrand: 107
+    # calls for the whole suite, against 134 with the first tail batch in
+    # a call of its own and 360 with geometric seeds and a first batch of
+    # six.  Every tail there has four rows, and takes its transforms a
+    # batch at a time, none through a _levin_u call per half-period
     calls = _spying(monkeypatch, "_gauss_kronrod")
+    levin_calls = _spying(monkeypatch, "_levin_u")
+    batches = _spying(monkeypatch, "_levin_windows")
     _memo._entries.clear()
     assert verify.run_suite("all").all_pass
-    assert len(calls) <= 140
+    assert len(calls) <= 107
+    assert batches and not levin_calls
 
 
 def _kernels_benchmark_separations():
@@ -1010,23 +1048,68 @@ def test_tail_mode_head_splits_its_share_in_one_call():
     assert head[0] == 30 and max(head) > 30
 
 
+def _slow_tail_rows(x):
+    # _laplace_bessel_rows(1e-3, 1.0) whose first row adds (1 + x)^-3:
+    # that tail takes several batches and a head split between two of them
+    # to meet 1e-10
+    rows = _laplace_bessel_rows(1e-3, 1.0)(x)
+    rows[0] += np.exp(-1e-3 * x) * (1.0 + x) ** -3
+    return rows
+
+
 def test_tail_batches_do_not_change_the_result(monkeypatch):
-    # the pass with every batch cut to one half-period takes the same
-    # steps to the same bits, in more calls
-    f = _laplace_bessel_rows(1e-3, 1.0)
-    g, batched = _recording(f)
-    want = integrate_semi_infinite(g, 1e-3, TIGHT, half_period=math.pi)
+    # the pass with every batch after the first cut to one half-period
+    # takes the same steps to the same bits, in more calls
+    tol = Tolerance(1e-10, 1e-10)
+    g, batched = _recording(_slow_tail_rows)
+    want = integrate_semi_infinite(g, 1e-3, tol, half_period=math.pi)
+    assert len(batched) > 3
     fetch = specfun._half_periods
     monkeypatch.setattr(specfun, "_half_periods",
                         lambda f, x, h, x_max, n: fetch(f, x, h, x_max, 1))
-    g, single = _recording(f)
-    got = integrate_semi_infinite(g, 1e-3, TIGHT, half_period=math.pi)
+    g, single = _recording(_slow_tail_rows)
+    got = integrate_semi_infinite(g, 1e-3, tol, half_period=math.pi)
     assert np.array_equal(got, want)
     assert len(single) > len(batched)
     # the one-at-a-time pass evaluates a prefix of the batched pass's tail
     tail = lambda calls: np.concatenate(  # noqa: E731
         [x for x in calls if x.min() > _HEAD_HALF_PERIODS * math.pi])
     assert np.array_equal(tail(single), tail(batched)[:len(tail(single))])
+
+
+@pytest.mark.parametrize("columns", [1, 2, 4])
+def test_levin_windows_match_levin_u_window_by_window(columns):
+    # the transforms a batch of tail rows takes, from a few numpy calls for
+    # all of them, are those of _levin_u on each window alone, bit for bit:
+    # the growing first windows of 4 to 17 rows, the sliding windows of 17
+    # past 17 half-periods (one column numpy sums pairwise once a window
+    # has 8 rows or more), in any batch; and a column with an exact-zero
+    # term, or a term so small that the transform overflows, falls back to
+    # its last partial sum in every window that holds it
+    rng = np.random.default_rng(columns)
+    n = np.arange(60.0)[:, None]
+    terms = (rng.standard_normal((60, columns)) * (-1.0) ** n
+             / (1.0 + n) ** rng.uniform(0.5, 2.0, columns))
+    terms[0] = 0.0
+    terms[9, 0] = 0.0
+    terms[40, -1] = 5e-324
+    sums = np.add.accumulate(terms)
+    first = lambda e: max(0, e - _LEVIN_MAX_ORDER - 1)  # noqa: E731
+    want = {e: specfun._levin_u(sums[first(e) + 1:e + 1],
+                                terms[first(e) + 1:e + 1],
+                                _HEAD_HALF_PERIODS + first(e))
+            for e in range(4, 60)}
+    for lo, hi in ((4, 60), (4, 5), (4, 12), (12, 17), (16, 19), (17, 18),
+                   (20, 60)):
+        got = specfun._levin_windows(sums, terms, np.arange(lo, hi))
+        assert got.shape == (hi - lo, columns)
+        for e, est in zip(range(lo, hi), got):
+            assert est.tobytes() == want[e].tobytes(), e
+    for e in range(9, 26):
+        assert want[e][0] == sums[e, 0]
+    for e in range(40, 57):
+        assert want[e][-1] == sums[e, -1]
+    assert any(want[e][-1] != sums[e, -1] for e in range(20, 40))
 
 
 # ---------------------------------------------------------------------------
