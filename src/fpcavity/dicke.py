@@ -13,16 +13,24 @@ from the matrix elements, once per model but for the coupling values, which
 consecutive couplings of the model fill in; no dense matrix is formed.
 Bisection with banded Cholesky factorizations finds a shift certified below
 the block's lowest eigenvalue, and a Lanczos iteration on the inverse of the
-shifted block, one banded solve with that one factor per step, spans the two
-lowest eigenvectors.  Rayleigh-Ritz of H on that basis gives the two lowest
-eigenvalues and the ground vector together, each pair within a residual of
-1e-12 |H|.  Before anything is built, the solver's guard bounds the flops
-of its worst case, the bisection's factorizations and 60 Lanczos steps,
-to MAX_SOLVER_WORK, and the Lanczos basis to 8e6 doubles; solves near the
-bound, such as N = 199 at cutoff 99 or N = 64 at cutoff 1420, take
-0.4-0.5 s per coupling on a 2-core x86 box.  `build_hamiltonian` scatters
-the same elements into the dense matrix for tests and inspection; its
-guard bounds the dimension, since the dense matrix is what costs memory.
+shifted block, one banded solve with that one factor per step, spans its
+lowest eigenvectors.  Rayleigh-Ritz of H on that basis, whose projection
+grows by one row per step, is checked at every basis size from the fifth
+vector on.  The outputs read three levels: the lowest of each block, L0
+and K0, and min(L1, K0), where L is the block with the lower minimum and
+K the other.  So both blocks stop once their lowest pair is within a
+residual of 1e-12 |H|, mostly after 5 to 8 steps, and only L goes on, on
+the same basis, until its second pair is within that residual too or its
+second level certainly lies above K0.  Before anything is built, the
+solver's guard bounds the flops of its worst case, the bisection's
+factorizations and 45 Lanczos steps with a check at each, to
+MAX_SOLVER_WORK, and the Lanczos basis to 6e6 doubles; solves near the
+bound, such as N = 199 at cutoff 99 or N = 64 at cutoff 1400, take
+0.08-0.14 s per coupling on a 2-core x86 box.  A model whose matrix
+elements or |H| would overflow is refused first.  `build_hamiltonian`
+scatters the same elements into the dense matrix for tests and inspection;
+its guard bounds the dimension, since the dense matrix is what costs
+memory.
 
 Whether the Fock cutoff holds the ground state is read off the ground
 vector itself: its probability weight on the top fifth of the photon
@@ -62,27 +70,31 @@ __all__ = [
 
 # dense Hamiltonians of build_hamiltonian: a memory bound
 MAX_DIMENSION = 20000
-# Lanczos steps per parity block: about twice the most, 28, that the
-# blocks of 2027 parameter sets took (N up to 64, cutoffs 5 to 4000, y in
-# [1e-6, 120], omega_a / omega_c from 1/4 to 4); the basis and H times it
-# then hold at most 2 x 60 vectors, under 1 MB at 859 states
-_MAX_LANCZOS_STEPS = 60
+# Lanczos steps per parity block.  Over 3000 random parameter sets (N up to
+# 64, cutoffs 1 to 120, y up to 5 y_c, omega_a / omega_c from e^-6 to e^6)
+# the lowest pair took at most 24 steps, and over 1500 of them and 30 near
+# the solver's bounds the second pair, converged in full, at most 27.  At
+# 45 steps the guard's count of the worst case (_check_solver_work) is
+# below the earlier solver's count at 60 steps for every block shape.  The
+# basis and H times it hold at most 2 x 45 vectors, under 1 MB at 859
+# states.
+_MAX_LANCZOS_STEPS = 45
 # floating-point operations of one parity-block solve (see
-# _check_solver_work).  Solves near the bound took 0.4-0.5 s per coupling
-# on a 2-core x86 box: N = 199 at cutoff 99 (blocks of 10000 states,
-# half-bandwidth 101, 1.85e9), N = 100 at cutoff 564, N = 64 at cutoff
-# 1420 and N = 300 at cutoff 35
+# _check_solver_work).  Solves near the bound took 0.08-0.14 s per coupling
+# (y in {0.5, 1.5, 3}, layouts built) on a 2-core x86 box: N = 199 at
+# cutoff 99 (blocks of 10000 states, half-bandwidth 101, 1.73e9) and N = 64
+# at cutoff 1400.  Their worst case, 45 steps that miss the residual bound,
+# took 0.38 and 0.27 s.
 MAX_SOLVER_WORK = 2_000_000_000
-# doubles of the Lanczos basis and H times it, 2 x 60 per block state
-# (64 MB).  It binds below N ~ 40, at blocks of 66666 states: N = 1 at
-# cutoff 66665 took 0.15-0.19 s, N = 16 at 7842 0.34-0.45 s and N = 32 at
-# 4039 0.42-0.51 s
-_MAX_BASIS_DOUBLES = 8_000_000
-# Rayleigh-Ritz checks of the Lanczos basis, each a small dense eigensolve:
-# the first at 12 vectors, just below the 13 to 17 that most blocks take,
-# then one every other step
-_FIRST_CHECK = 12
-_CHECK_EVERY = 2
+# doubles of the Lanczos basis and H times it, 2 x 45 per block state
+# (48 MB).  It binds below N ~ 45, at blocks of 66666 states: N = 1 at
+# cutoff 66000 took 0.036-0.045 s, N = 16 at 7800 0.065-0.11 s and N = 32
+# at 4000 0.08-0.11 s
+_MAX_BASIS_DOUBLES = 6_000_000
+# Rayleigh-Ritz checks of the Lanczos basis, each a small dense eigensolve
+# and one Ritz pair's residual: at every size from 5 vectors on, where
+# most lowest pairs have converged (5 to 8 steps)
+_CHECKS_FROM = 5
 # each eigenpair (E, x) returned meets |H x - E x| <= _RESIDUAL |H|
 _RESIDUAL = 1e-12
 # the shift's bisection stops at a bracket on E0 this wide, and the shift
@@ -99,7 +111,7 @@ _FACTORIZATIONS = math.ceil(math.log2(2.0 / _SHIFT_BRACKET)) + 1
 _CUTOFF_TAIL = 1e-8
 
 # scipy.linalg.blas and scipy.linalg.lapack, once the first solve
-# (_lowest_pair) has imported them.  Importing scipy.linalg costs about
+# (_Lanczos) has imported them.  Importing scipy.linalg costs about
 # 0.3 s, which the mean field and build_hamiltonian never need.
 _blas = None
 _lapack = None
@@ -167,11 +179,15 @@ def _check_solver_work(p: DickeParams) -> None:
     """Refuse, before anything is built, a solve whose flops exceed
     MAX_SOLVER_WORK or whose Lanczos basis exceeds _MAX_BASIS_DOUBLES.
 
-    Per parity block of n states and half-bandwidth k, _lowest_pair makes
-    up to _FACTORIZATIONS banded Cholesky factorizations of n k^2 flops,
-    and up to _MAX_LANCZOS_STEPS = S steps of one banded solve and one
-    banded product, 8 n k flops together, plus reorthogonalization, 4 n S^2
-    flops over all steps.
+    Per parity block of n states and half-bandwidth k, a solve (_Lanczos)
+    makes up to _FACTORIZATIONS banded Cholesky factorizations of n k^2
+    flops, and up to _MAX_LANCZOS_STEPS = S steps of one banded solve and
+    one banded product, 8 n k flops together.  Over all steps, the
+    reorthogonalization takes 4 n S (S - 1) flops, the rows of the
+    projected matrix n S (S + 1), and the Rayleigh-Ritz checks, one Ritz
+    pair's residual at each size and a second one's at one size, at most
+    2 n S (S + 1) + 4 n S: 7 n S^2 + 3 n S in all, the small dense
+    eigensolves aside.
     """
     # the larger parity block, and its half-bandwidth in photon-major order:
     # N/2 + 1 for even N, (N + 3)/2 for odd N >= 3, 1 (tridiagonal) at N = 1
@@ -179,13 +195,37 @@ def _check_solver_work(p: DickeParams) -> None:
     half_bandwidth = 1 if p.n_atoms == 1 else (p.n_atoms + 3) // 2
     steps = _MAX_LANCZOS_STEPS
     work = block * (_FACTORIZATIONS * half_bandwidth ** 2
-                    + 8 * steps * half_bandwidth + 4 * steps ** 2)
+                    + 8 * steps * half_bandwidth + 7 * steps ** 2
+                    + 3 * steps)
     if work > MAX_SOLVER_WORK or 2 * steps * block > _MAX_BASIS_DOUBLES:
         raise DomainError(
             f"parity blocks of {block} states with half-bandwidth "
             f"{half_bandwidth} exceed the solver's bounds: {work:.3g} flops "
             f"(at most {MAX_SOLVER_WORK:.3g}) and {2 * steps * block} "
             f"doubles of Lanczos basis (at most {_MAX_BASIS_DOUBLES})")
+
+
+def _check_range(p: DickeParams) -> None:
+    """Refuse a model whose matrix elements would overflow, or twice its
+    largest absolute row sum |H|, which bounds every gap the solver forms.
+
+    Scalars only: the diagonal elements omega_a S_z + omega_c n are at
+    most omega_a N/2 + omega_c cutoff in size, the coupling elements
+    (y/sqrt(N)) <m+1|S_x|m> sqrt(n) at most (y/sqrt(N)) (N + 1)/4
+    sqrt(cutoff), and each row holds at most four couplings.
+    """
+    diagonal = 0.5 * p.omega_a * p.n_atoms + p.omega_c * p.fock_cutoff
+    coupling = (p.y / math.sqrt(p.n_atoms) * (0.25 * (p.n_atoms + 1))
+                * math.sqrt(p.fock_cutoff))
+    if not 2.0 * (diagonal + 4.0 * coupling) < math.inf:
+        element = ("diagonal elements omega_a S_z + omega_c n"
+                   if diagonal >= 4.0 * coupling else
+                   "coupling elements (y/sqrt(N)) S_x (a + a')")
+        raise DomainError(
+            f"the {element} of H overflow the solver's range: the diagonal "
+            f"reaches {diagonal:.3g} and a coupling {coupling:.3g}, and the "
+            f"solver needs twice |H|, at most the diagonal plus four "
+            f"couplings, to be finite")
 
 
 def _elements(p: DickeParams):
@@ -251,12 +291,13 @@ class _BlockLayout:
 
 @dataclass(frozen=True)
 class _Block:
-    """One parity block's two lowest eigenvalues and ground vector, with
-    the spin index and photon number of each of its states."""
+    """One parity block's lowest eigenvalues and ground vector, with the
+    spin index and photon number of each of its states."""
 
     m: np.ndarray
     n: np.ndarray
-    lowest: np.ndarray  # the two lowest eigenvalues, ascending
+    # the lowest eigenvalue, and the second where the solve converged it
+    lowest: np.ndarray
     ground: np.ndarray  # unit eigenvector of lowest[0]
     # largest absolute row sum, an upper bound on the spectral norm and the
     # scale of the eigensolver's rounding
@@ -298,81 +339,150 @@ def _block_layouts(p: DickeParams) -> tuple[_BlockLayout, ...]:
 
 
 def _solve_blocks(p: DickeParams) -> list[_Block]:
-    """The even and the odd parity block at p.y, with their two lowest
-    eigenvalues and ground vectors: the coupling values filled into the
-    layouts of p's model, recalled at y = 0, so that consecutive couplings
-    of one model build them once."""
-    blocks = []
-    for layout in recall(_block_layouts, replace(p, y=0.0)):
+    """The even and the odd parity block at p.y, with the levels that the
+    outputs read and the ground vectors: the coupling values filled into
+    the layouts of p's model, recalled at y = 0, so that consecutive
+    couplings of one model build them once.
+
+    Both blocks run until their lowest pair converges.  Then only the block
+    with the lower minimum, L, goes on, on the same basis, until its second
+    pair converges too or its second level L1 certainly lies above the
+    other block's minimum K0.  The outputs read L0, K0 and min(L1, K0); the
+    other block's second level is never below K0.
+    """
+    _check_range(p)
+    layouts = recall(_block_layouts, replace(p, y=0.0))
+    runs = []
+    for layout in layouts:
         ab = layout.band.copy()
         ab[layout.width, layout.lo] = _coupling_values(p, layout.strength)
         # every block holds at least two states: N >= 1 and cutoff >= 1
-        lowest, ground, norm = _lowest_pair(ab)
-        blocks.append(_Block(m=layout.m, n=layout.n, lowest=lowest,
-                             ground=ground, norm=norm))
-    return blocks
+        runs.append(_Lanczos(ab))
+    for run in runs:
+        run.converge(0)
+    low, other = sorted(runs, key=lambda run: run.levels[0])
+    low.converge(1, ceiling=other.levels[0])
+    return [_Block(m=layout.m, n=layout.n, lowest=np.array(run.levels),
+                   ground=run.ground, norm=run.norm)
+            for layout, run in zip(layouts, runs)]
 
 
 def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _blas.dsbmv(ab.shape[0] - 1, 1.0, ab, x, lower=1)
 
 
-def _lowest_pair(ab: np.ndarray):
-    """The two lowest eigenvalues of a block, ascending, its unit ground
-    vector and |H|, by shift-invert Lanczos on one banded Cholesky factor.
+class _Lanczos:
+    """Shift-invert Lanczos on one parity block, by one banded Cholesky
+    factor of H - sigma, that converges its lowest levels one at a time:
+    each converge() goes on from the basis the last one left.
 
-    Both eigenpairs (E, x) returned meet |H x - E x| <= 1e-12 |H|; past
-    the step cap the iteration raises ConvergenceError instead.  It runs on
-    H scaled by the power of two just above |H|, which is exact and keeps
-    every iterate in range whatever the scale of H.
+    It runs on H scaled by the power of two just above |H|, which is exact
+    and keeps every iterate in range whatever the scale of H.  `levels`
+    holds the lowest levels found, ascending, and `ground` the unit vector
+    of the first; each of their pairs (E, x) met |H x - E x| <= 1e-12 |H|.
     """
-    global _blas, _lapack
-    if _lapack is None:
-        from scipy.linalg import blas, lapack
-        _blas, _lapack = blas, lapack
-    dim = ab.shape[1]
-    abs_rows = _band_matvec(np.abs(ab), np.ones(dim))
-    norm = float(abs_rows.max())
-    if not ab[1:].any():
-        # no couplings (y = 0): the sorted diagonal and a basis vector
-        order = np.argsort(ab[0], kind="stable")[:2]
-        ground = np.zeros(dim)
-        ground[order[0]] = 1.0
-        return ab[0][order], ground, norm
-    exponent = math.frexp(norm)[1]
-    h = np.ldexp(ab, -exponent)
-    bound = _RESIDUAL * math.ldexp(norm, -exponent)
-    factor = _shifted_factor(h, np.ldexp(abs_rows, -exponent))
-    steps = min(dim, _MAX_LANCZOS_STEPS)
-    # the Lanczos vectors as rows, and H times each
-    basis, h_basis = np.empty((steps, dim)), np.empty((steps, dim))
-    # The Krylov space starts one solve away from a fixed pseudo-random
-    # vector, which overlaps every eigenvector.  From the vector itself,
-    # whose ground component is not small, the first steps would have to
-    # cancel the huge 1/(E0 - sigma) part of the solves, and with sigma
-    # close to E0 that costs the second Ritz vector its last digits.
-    start = _solve(factor, np.random.default_rng(0).standard_normal(dim))
-    basis[0] = start / np.linalg.norm(start)
-    h_basis[0] = _band_matvec(h, basis[0])
-    for size in range(1, steps + 1):
-        if size == steps or size >= _FIRST_CHECK and (
-                size - _FIRST_CHECK) % _CHECK_EVERY == 0:
-            energies, vectors, residual = _ritz_pairs(basis[:size],
-                                                      h_basis[:size])
-            if residual.max() <= bound:
-                return np.ldexp(energies, exponent), vectors[0], norm
-        if size < steps:
-            w = _solve(factor, basis[size - 1])
+
+    def __init__(self, ab: np.ndarray):
+        global _blas, _lapack
+        if _lapack is None:
+            from scipy.linalg import blas, lapack
+            _blas, _lapack = blas, lapack
+        dim = ab.shape[1]
+        abs_rows = _band_matvec(np.abs(ab), np.ones(dim))
+        self.norm = float(abs_rows.max())
+        if not ab[1:].any():
+            # no couplings (y = 0): the sorted diagonal and a basis vector
+            order = np.argsort(ab[0], kind="stable")[:2]
+            self.levels = [float(e) for e in ab[0][order]]
+            self.ground = np.zeros(dim)
+            self.ground[order[0]] = 1.0
+            return
+        self.levels, self.ground = [], None
+        self.exponent = math.frexp(self.norm)[1]
+        self.h = np.ldexp(ab, -self.exponent)
+        self.bound = _RESIDUAL * math.ldexp(self.norm, -self.exponent)
+        self.factor = _shifted_factor(self.h,
+                                      np.ldexp(abs_rows, -self.exponent))
+        steps = min(dim, _MAX_LANCZOS_STEPS)
+        # the Lanczos vectors as rows, H times each, and the lower triangle
+        # of H projected on them, one row per vector
+        self.basis = np.empty((steps, dim))
+        self.h_basis = np.empty((steps, dim))
+        self.projected = np.zeros((steps, steps))
+        self.size = 0
+        # the two lowest Ritz values on the basis and the coefficients of
+        # their vectors, as rows, or None between checks
+        self.ritz = None
+        # The Krylov space starts one solve away from a fixed pseudo-random
+        # vector, which overlaps every eigenvector.  From the vector itself,
+        # whose ground component is not small, the first steps would have to
+        # cancel the huge 1/(E0 - sigma) part of the solves, and with sigma
+        # close to E0 that costs the second Ritz vector its last digits.
+        self._append(_solve(self.factor,
+                            np.random.default_rng(0).standard_normal(dim)))
+
+    def converge(self, pair: int, ceiling: float = math.inf) -> None:
+        """Grow the basis until Ritz pair `pair` (0 the lowest) meets the
+        residual bound, and add its level to `levels`; or until its Ritz
+        value less its residual norm lies above `ceiling`, which adds
+        nothing.  Past the step cap raise ConvergenceError instead.
+
+        A Ritz value theta_j is at least the level E_j (Courant-Fischer),
+        and some level lies within the residual norm r_j of it.  Reading
+        that level as E_j, so E_j >= theta_j - r_j, trusts the Krylov space
+        not to have missed E_j, as reporting theta_j for E_j does.
+        """
+        while len(self.levels) <= pair:
+            if self.ritz is not None:
+                energy, vector, residual = self._ritz_pair(pair)
+                if residual <= self.bound:
+                    self.levels.append(math.ldexp(energy, self.exponent))
+                    if pair == 0:
+                        self.ground = vector
+                    return
+                if math.ldexp(energy - residual, self.exponent) > ceiling:
+                    return
+            if self.size == len(self.basis):
+                raise ConvergenceError(
+                    f"shift-invert Lanczos missed the residual bound "
+                    f"|Hx - Ex| <= {_RESIDUAL} |H| in {self.size} steps",
+                    best_estimate=math.ldexp(energy, self.exponent),
+                    achieved_error=math.ldexp(residual, self.exponent))
+            w = _solve(self.factor, self.basis[self.size - 1])
             # full reorthogonalization: classical Gram-Schmidt, twice
             for _ in range(2):
-                w -= basis[:size].T @ (basis[:size] @ w)
-            basis[size] = w / np.linalg.norm(w)
-            h_basis[size] = _band_matvec(h, basis[size])
-    raise ConvergenceError(
-        f"shift-invert Lanczos missed the residual bound |Hx - Ex| <= "
-        f"{_RESIDUAL} |H| in {steps} steps",
-        best_estimate=float(np.ldexp(energies[0], exponent)),
-        achieved_error=float(np.ldexp(residual.max(), exponent)))
+                w -= self.basis[:self.size].T @ (self.basis[:self.size] @ w)
+            self._append(w)
+
+    def _append(self, w: np.ndarray) -> None:
+        """Add the unit vector along w to the basis, with the Rayleigh-Ritz
+        check when the basis reaches a size that the schedule checks."""
+        k = self.size
+        self.basis[k] = w / np.linalg.norm(w)
+        self.h_basis[k] = _band_matvec(self.h, self.basis[k])
+        self.projected[k, :k + 1] = self.h_basis[:k + 1] @ self.basis[k]
+        self.size = k + 1
+        self.ritz = None
+        if self.size >= _CHECKS_FROM or self.size == len(self.basis):
+            # H itself, not the shifted inverse, is projected, so the Ritz
+            # values carry a rounding of a few eps |H| however close the
+            # shift is to E0
+            energies, s, _, _, info = _lapack.dsyevr(
+                self.projected[:self.size, :self.size], range="I", lower=1,
+                il=1, iu=2)
+            if info != 0:
+                raise ConvergenceError(f"the Rayleigh-Ritz eigensolve failed "
+                                       f"(LAPACK dsyevr info {info})")
+            self.ritz = energies[:2], s[:, :2].T
+
+    def _ritz_pair(self, pair: int):
+        """Ritz pair `pair` of the last check: its value, unit vector and
+        residual norm |H x - E x|."""
+        energies, coefficients = self.ritz
+        vector = coefficients[pair] @ self.basis[:self.size]
+        residual = (coefficients[pair] @ self.h_basis[:self.size]
+                    - energies[pair] * vector)
+        return float(energies[pair]), vector, float(np.linalg.norm(residual))
 
 
 def _shifted_factor(h: np.ndarray, abs_rows: np.ndarray) -> np.ndarray:
@@ -412,25 +522,6 @@ def _solve(factor: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _lapack.dpbtrs(factor, x, lower=1)[0]
 
 
-def _ritz_pairs(basis: np.ndarray, h_basis: np.ndarray):
-    """Rayleigh-Ritz of H on the rows of an orthonormal basis, given H times
-    each row: the two lowest Ritz values, their unit vectors as rows, and
-    the norms of their residuals H x - E x.
-
-    H itself, not the shifted inverse, is projected, so the Ritz values
-    carry a rounding of a few eps |H| however close the shift is to E0.
-    """
-    energies, s, _, _, info = _lapack.dsyevr(basis @ h_basis.T, range="I",
-                                             lower=1, il=1, iu=2)
-    if info != 0:
-        raise ConvergenceError(f"the Rayleigh-Ritz eigensolve failed "
-                               f"(LAPACK dsyevr info {info})")
-    energies, s = energies[:2], s[:, :2]
-    vectors = s.T @ basis
-    residual = s.T @ h_basis - energies[:, None] * vectors
-    return energies, vectors, np.linalg.norm(residual, axis=1)
-
-
 def _ground_observables(p: DickeParams):
     even, odd = _solve_blocks(p)
     e_even, e_odd = float(even.lowest[0]), float(odd.lowest[0])
@@ -447,8 +538,11 @@ def _ground_observables(p: DickeParams):
     photon = float(prob @ block.n)
     sz = float(prob @ (block.m - 0.5 * p.n_atoms))
     tail = float(prob[block.n >= 0.8 * p.fock_cutoff].sum())
-    all_w = np.sort(np.concatenate([even.lowest, odd.lowest]))
-    gap = float(all_w[1] - all_w[0])
+    # min(L1, K0) - L0, L the block with the lower minimum and K the other:
+    # K1 >= K0, and L1 is not among L's levels only when it lies above K0
+    low, other = sorted((even, odd), key=lambda b: b.lowest[0])
+    gap = float(np.min(low.lowest[1:], initial=other.lowest[0])
+                - low.lowest[0])
     return energy, photon, sz, parity, gap, tail
 
 

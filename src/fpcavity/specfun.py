@@ -876,7 +876,8 @@ def _truncation(decay_rate_hint: float, tol: Tolerance,
                 half_period: float | None) -> tuple[float, float]:
     """Where integrate_semi_infinite truncates (0, inf) for an integrand
     decaying like x^2 exp(-decay_rate_hint * x), x_max, and the span
-    x_max / half_period (0 without one).  The one Bessel-argument guard:
+    x_max / half_period (0 without one).  DomainError where a decay rate
+    too small makes x_max overflow, and the one Bessel-argument guard:
     DomainError where x v = pi x / half_period overflows at the farthest
     node, one half-period past x_max."""
     if not decay_rate_hint > 0:
@@ -889,6 +890,10 @@ def _truncation(decay_rate_hint: float, tol: Tolerance,
     # absorb polynomial prefactors x^2 into the truncation point
     for _ in range(3):
         x_max = (log_inv_tol + 2.0 * math.log1p(x_max)) / rate + 10.0
+    if not x_max < math.inf:
+        raise DomainError(
+            f"the truncation point overflows: decay_rate_hint = {rate!r} is "
+            f"too small")
     if half_period is None:
         return x_max, 0.0
     if not 0.0 < half_period < math.inf:

@@ -200,8 +200,8 @@ def _refused_before_building(p, monkeypatch, match):
 
 
 @pytest.mark.parametrize("n_atoms, cutoff", [
-    (399, 49),   # dimension 20000, half-bandwidth 201: 6.0e9 flops
-    (999, 19),   # dimension 20000, half-bandwidth 501: 3.1e10 flops
+    (399, 49),   # dimension 20000, half-bandwidth 201: 5.7e9 flops
+    (999, 19),   # dimension 20000, half-bandwidth 501: 3.2e10 flops
 ])
 def test_solver_guard_bounds_work_not_dimension(n_atoms, cutoff,
                                                 monkeypatch):
@@ -212,7 +212,7 @@ def test_solver_guard_bounds_work_not_dimension(n_atoms, cutoff,
 
 def test_solver_guard_bounds_the_lanczos_basis(monkeypatch):
     # tridiagonal blocks of 70001 states: 1.0e9 flops, within the work
-    # bound, but 2 x 60 basis vectors of 70001 doubles
+    # bound, but 2 x 45 basis vectors of 70001 doubles
     p = DickeParams(y=1.0, n_atoms=1, fock_cutoff=70000)
     _refused_before_building(p, monkeypatch, "Lanczos basis")
 
@@ -224,6 +224,8 @@ def test_solver_guard_bounds_the_lanczos_basis(monkeypatch):
     # refused by the earlier bound, block size squared times
     # half-bandwidth; each solves in 0.1-0.45 s per coupling
     (100, 150), (199, 99), (64, 1000),
+    # near the bound: 0.04-0.14 s per coupling
+    (64, 1400), (1, 66000), (32, 4000), (16, 7800),
 ])
 def test_solver_guard_admits_used_sizes(n_atoms, cutoff):
     dicke._check_solver_work(DickeParams(n_atoms=n_atoms, fock_cutoff=cutoff))
@@ -400,6 +402,110 @@ def test_starved_lanczos_raises_not_returns(monkeypatch):
         dicke._solve_blocks(p)
 
 
+def _dense_parity_blocks(p: DickeParams, h: np.ndarray):
+    """Per parity sign: the eigenvalues of the dense block of p's H, h, the
+    photon number of its ground vector, and an upper bound on the error of
+    that photon number for a ground vector whose residual meets 1e-12 |H|:
+    4 cutoff r / (E1 - E0) (Davis-Kahan), r the bound."""
+    signs = parity_diagonal(p)
+    photons = np.tile(np.arange(p.fock_cutoff + 1), p.n_atoms + 1)
+    blocks = {}
+    for sign in (1.0, -1.0):
+        on = signs == sign
+        block = h[np.ix_(on, on)]
+        w, v = np.linalg.eigh(block)
+        residual = 1e-12 * np.abs(block).sum(axis=1).max()
+        blocks[sign] = (w, float(v[:, 0] ** 2 @ photons[on]),
+                        4 * p.fock_cutoff * residual / (w[1] - w[0]))
+    return blocks
+
+
+def _oracle_models(count: int, seed: int):
+    """N 1-12, cutoff 1-40, omega_a / omega_c from e^-3 to e^3 and y from 0
+    to 5 y_c, the first two at y = 0 and 1e-6."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        ratio = math.exp(rng.uniform(-3.0, 3.0))
+        omega_a, omega_c = math.sqrt(ratio), 1.0 / math.sqrt(ratio)
+        n_atoms, cutoff = int(rng.integers(1, 13)), int(rng.integers(1, 41))
+        y_c = math.sqrt(omega_a * omega_c)
+        y = (0.0, 1e-6)[i] if i < 2 else float(rng.uniform(0.0, 5.0)) * y_c
+        yield DickeParams(omega_a, omega_c, y, n_atoms, cutoff)
+
+
+def test_solver_against_a_dense_oracle_sweep():
+    # energy, gap, parity and photon number of 100 seeded models against
+    # dense eigensolves of both parity blocks, and the residual of each
+    # block's ground vector against the dense block
+    for p in _oracle_models(100, seed=31):
+        h = build_hamiltonian(p)
+        for block in dicke._solve_blocks(p):
+            states = block.m * (p.fock_cutoff + 1) + block.n
+            x = block.ground
+            residual = h[np.ix_(states, states)] @ x - block.lowest[0] * x
+            assert np.linalg.norm(residual) <= 1.01e-12 * block.norm, p
+        dense = _dense_parity_blocks(p, h)
+        even, odd = dense[1.0][0], dense[-1.0][0]
+        levels = np.sort(np.concatenate([even[:2], odd[:2]]))
+        energy, photon, _, parity, gap, _ = dicke._ground_observables(p)
+        tol = 1e-12 * max(1.0, abs(levels[0]))
+        assert abs(energy - levels[0]) <= tol, p
+        assert abs(gap - (levels[1] - levels[0])) <= tol, p
+        # a doublet split by less than the rounding of either solve may
+        # come out in either block
+        if abs(even[0] - odd[0]) > tol:
+            assert parity == (1.0 if even[0] < odd[0] else -1.0), p
+        _, want, photon_tol = dense[parity]
+        assert abs(photon - want) <= photon_tol, p
+
+
+def _banded_layout(h: np.ndarray, half_bandwidth: int) -> dicke._BlockLayout:
+    """The layout of a symmetric banded block whose coupling values at
+    y / sqrt(N) = 1 are its off-diagonal elements."""
+    dim = len(h)
+    band = np.zeros((half_bandwidth + 1, dim))
+    band[0] = np.diag(h)
+    lower, upper = np.tril_indices(dim, -1)
+    near = lower - upper <= half_bandwidth
+    lower, upper = lower[near], upper[near]
+    return dicke._BlockLayout(band=band, width=lower - upper, lo=upper,
+                              strength=h[lower, upper], m=np.zeros(dim),
+                              n=np.arange(dim))
+
+
+@pytest.mark.parametrize("lower_block", ["even", "odd"])
+@pytest.mark.parametrize("margin", [1.0, 4e-8])
+def test_second_level_of_the_lower_block_below_the_other_minimum(
+        lower_block, margin, monkeypatch):
+    # Dicke blocks never take this branch: here the block with the lower
+    # minimum, L, has its second level L1 a margin below the other block's
+    # minimum K0, so the gap is L1 - L0 and L's second pair must converge
+    # in full, also when K0 lies within 1e-9 |H| of L1
+    rng = np.random.default_rng(5)
+    blocks = []
+    for _ in range(2):
+        h = np.diag(np.arange(40.0))
+        for d in (1, 2):
+            off = 0.2 * rng.standard_normal(40 - d)
+            h += np.diag(off, -d) + np.diag(off, d)
+        blocks.append(h)
+    low, other = (np.linalg.eigvalsh(h) for h in blocks)
+    blocks[1] += (low[1] + margin - other[0]) * np.eye(40)
+    if lower_block == "odd":
+        blocks.reverse()
+    layouts = tuple(_banded_layout(h, 2) for h in blocks)
+    monkeypatch.setattr(dicke, "_block_layouts", lambda p: layouts)
+    p = DickeParams(y=1.0, n_atoms=1, fock_cutoff=39)
+    solved = dicke._solve_blocks(p)
+    assert [len(block.lowest) for block in solved] == (
+        [2, 1] if lower_block == "even" else [1, 2])
+    energy, _, _, parity, gap, _ = dicke._ground_observables(p)
+    tol = 1e-12 * max(np.abs(h).sum(axis=1).max() for h in blocks)
+    assert parity == (1.0 if lower_block == "even" else -1.0)
+    assert energy == pytest.approx(low[0], abs=tol)
+    assert gap == pytest.approx(low[1] - low[0], abs=tol)
+
+
 def test_solver_never_builds_dense_hamiltonian(monkeypatch):
     def dense(p):
         raise AssertionError("dense Hamiltonian built")
@@ -545,6 +651,47 @@ def test_mean_field_overflow_is_domain_error(capsys):
     with pytest.raises(DomainError):
         mean_field(DickeParams(y=1e200))
     assert dispatch(["dicke", "meanfield", "--y", "1e200"]) == 2
+
+
+@pytest.mark.parametrize("p, element", [
+    (DickeParams(omega_c=1.7e308), "diagonal"),
+    (DickeParams(omega_a=1.7e308), "diagonal"),
+    (DickeParams(omega_c=1e307, fock_cutoff=60), "diagonal"),
+    # finite elements, but twice |H|, which bounds the gap, overflows
+    (DickeParams(omega_c=1.7e306, fock_cutoff=60), "diagonal"),
+    (DickeParams(y=1e308), "coupling"),
+])
+def test_solver_refuses_overflowing_elements(p, element, monkeypatch):
+    # refused before anything is built, naming the element that overflows;
+    # RuntimeWarnings are errors in this suite
+    def never(*args, **kwargs):
+        raise AssertionError("the solve started")
+    monkeypatch.setattr(dicke, "_elements", never)
+    for call in (lambda: ground_state(p),
+                 lambda: spectrum_scan(replace(p, y=0.0), [p.y])):
+        with pytest.raises(DomainError, match=f"the {element} elements"):
+            call()
+    if element == "diagonal":
+        # the mean field does not need the matrix elements
+        assert math.isfinite(mean_field(p).energy_per_atom)
+
+
+def test_cli_refuses_an_overflowing_coupling(capsys):
+    assert dispatch(["dicke", "ground", "--y", "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert "coupling elements" in err and "Lanczos" not in err
+
+
+@pytest.mark.parametrize("p", [
+    DickeParams(omega_c=1e306), DickeParams(y=3e306),
+    DickeParams(omega_a=1e307, y=1e306)])
+def test_solver_inside_its_range_stays_finite(p):
+    # within a factor of two of the guard: |H| and every gap stay finite
+    g = ground_state(p)
+    row = spectrum_scan(p, [p.y])[0]
+    assert all(math.isfinite(x) for x in (g.energy, g.photon_number,
+                                          g.sz_expect, row.gap))
+    assert row.gap >= 0.0
 
 
 def test_import_leaves_out_scipy_optimize():

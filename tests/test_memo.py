@@ -75,7 +75,7 @@ def test_signed_zeros_are_different_inputs(monkeypatch, route, module, layer,
 
 
 def test_dicke_signed_zero_coupling_is_a_different_input(monkeypatch):
-    solves = _counted(monkeypatch, dicke, "_lowest_pair")
+    solves = _counted(monkeypatch, dicke, "_Lanczos")
     zero, negative_zero = DickeParams(y=0.0), DickeParams(y=-0.0)
     assert spectrum_scan(zero, [0.0])[0].y == 0.0
     got = ground_state(negative_zero)
@@ -153,7 +153,7 @@ def test_one_computation_per_input(monkeypatch, route, module, layer):
 
 
 def test_ground_state_after_scan_reuses_the_solve(monkeypatch):
-    solves = _counted(monkeypatch, dicke, "_lowest_pair")
+    solves = _counted(monkeypatch, dicke, "_Lanczos")
     p = DickeParams(y=1.4, n_atoms=6, fock_cutoff=40)
     row = spectrum_scan(p, [p.y])[0]
     assert len(solves) == 2
@@ -177,7 +177,7 @@ def test_another_route_in_between_keeps_the_entry(monkeypatch):
 
 
 def test_a_kernel_between_scan_and_ground_state_keeps_the_solve(monkeypatch):
-    solves = _counted(monkeypatch, dicke, "_lowest_pair")
+    solves = _counted(monkeypatch, dicke, "_Lanczos")
     p = DickeParams(y=1.4, n_atoms=6, fock_cutoff=40)
     row = spectrum_scan(p, [p.y])[0]
     kernel_d("plus", Separation(0.6, 1.1))

@@ -747,6 +747,19 @@ def test_quadrature_refuses_an_overflowing_bessel_argument():
                 == pytest.approx(1.0 / v, rel=1e-8)
 
 
+@pytest.mark.parametrize("half_period", [None, 1.1])
+def test_quadrature_refuses_an_overflowing_truncation_point(half_period):
+    # at a decay rate of 5e-324 the truncation point log(1/tol) / rate is
+    # infinite; the refusal names the decay rate, not the Bessel argument
+    with pytest.raises(DomainError, match="decay_rate_hint = 5e-324") as err:
+        integrate_semi_infinite(lambda x: np.exp(-x), 5e-324,
+                                half_period=half_period)
+    assert "Bessel" not in str(err.value)
+    # a rate whose truncation point, about 2.8e301, is finite integrates
+    assert integrate_semi_infinite(lambda x: np.exp(-x), 1e-300) \
+        == pytest.approx(1.0, rel=1e-10)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
 def test_quadrature_rejects_bad_half_period(bad):
     with pytest.raises(DomainError):

@@ -235,6 +235,17 @@ def test_green_arguments_near_opposite_mirrors(u, u_prime):
     assert rep.passed
 
 
+def test_green_at_a_vanishing_decay_rate_blames_the_decay_rate():
+    # u = 5e-324 is in the domain, but the decay hint min(u, 2 - u) puts the
+    # quadrature's truncation point at infinity: the row fails with that
+    # cause, not with an overflowing Bessel argument
+    rep = check_green(5e-324, 2.1e-4, 2.85)
+    assert not rep.passed and rep.abs_err == math.inf
+    assert rep.params["error"] == (
+        "DomainError: the truncation point overflows: decay_rate_hint = "
+        "5e-324 is too small")
+
+
 @pytest.mark.parametrize("v", [1e150, 1e160, 1e200, 1e308])
 def test_huge_transverse_distance_gives_no_nan(v):
     # v v overflowed where s5 underflowed (EQ29_MINUS: inf x 0), and the
