@@ -29,8 +29,8 @@ bound, such as N = 199 at cutoff 99 or N = 64 at cutoff 1400, take
 0.08-0.14 s per coupling on a 2-core x86 box.  A model whose matrix
 elements or |H| would overflow is refused first.  `build_hamiltonian`
 scatters the same elements into the dense matrix for tests and inspection;
-its guard bounds the dimension, since the dense matrix is what costs
-memory.
+it refuses the same overflowing models, and its other guard bounds the
+dimension, since the dense matrix is what costs memory.
 
 Whether the Fock cutoff holds the ground state is read off the ground
 vector itself: its probability weight on the top fifth of the photon
@@ -262,6 +262,7 @@ def build_hamiltonian(p: DickeParams) -> np.ndarray:
     """Dense real symmetric Hamiltonian in the |m> x |n_phot> product basis,
     index m (cutoff + 1) + n."""
     _check_dimension(p)
+    _check_range(p)
     (m, n, diag), (m1, n1, m2, n2, strength) = _elements(p)
     c = _coupling_values(p, strength)
     dim_b = p.fock_cutoff + 1

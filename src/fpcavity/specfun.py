@@ -469,13 +469,8 @@ def _target(total, tol: Tolerance):
     return np.maximum(tol.abs_tol, tol.rel_tol * np.abs(total))
 
 
-def _check_finite(values: np.ndarray):
-    """DomainError unless every integral and error estimate in values is
-    finite: a nan would compare False with any target and pass as
-    converged."""
-    if not all(map(math.isfinite, values.ravel().tolist())):
-        raise DomainError("the integral or its error estimate is not "
-                          "finite: the integrand gives nan or inf")
+_NOT_FINITE = ("the integral or its error estimate is not finite: the "
+               "integrand gives nan or inf")
 
 
 def _running_sum(start, terms: np.ndarray):
@@ -520,7 +515,8 @@ def _subdivide(f: Callable, edges, seeds=None):
     heap = None
     splits = 0
     while True:
-        _check_finite(sums)
+        if not all(map(math.isfinite, sums.ravel().tolist())):
+            raise DomainError(_NOT_FINITE)
         target, room = (yield sums[0], sums[1], splits) or (math.inf, 1)
         if heap is None:
             heap = list(zip((-peaks).tolist(), edges[:-1].tolist(),
@@ -599,74 +595,49 @@ _LEVIN_BINOMIALS = tuple(
 _LEVIN_WINDOW = _LEVIN_MAX_ORDER + 1
 
 
-def _levin_coef(k: int, first: int):
-    """The remainder indices n = first..first + k of Levin's u-transform of
-    order k and its coefficients (-1)^j C(k, j) (n_j / n_k)^(k - 1)."""
-    n = first + np.arange(k + 1)
-    return n, _LEVIN_BINOMIALS[k] * (n / n[-1]) ** (k - 1)
-
-
-# the coefficients of the transforms of the tail's first, shorter windows,
-# rows 1..r, by r - 1, each padded to _LEVIN_WINDOW
+# the coefficients (-1)^j C(k, j) (n_j / n_k)^(k - 1), n_j =
+# _HEAD_HALF_PERIODS + j, of the transforms of the tail's first, shorter
+# windows, rows 1..k + 1, by k, each padded to _LEVIN_WINDOW
 _LEVIN_FIRST_COEF = np.array([
-    np.concatenate((_levin_coef(r - 1, _HEAD_HALF_PERIODS)[1],
-                    np.zeros(_LEVIN_WINDOW - r)))
-    for r in range(1, _LEVIN_WINDOW + 1)])
-
-
-def _levin_u(sums: np.ndarray, terms: np.ndarray, first: int) -> np.ndarray:
-    """Levin u-transform of the partial sums s_0..s_k, column by column.
-
-    sums and terms are (k + 1, c) arrays of the partial sums and of the
-    terms a_n that end them, k <= _LEVIN_MAX_ORDER; the remainder estimates
-    are omega_n = (first + n) a_n.  A column in which an omega is 0 (a row
-    of exact zeros) or the transform overflows gets its last partial sum.
-    """
-    n, coef = _levin_coef(len(sums) - 1, first)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = coef[:, None] / (n[:, None] * terms)
-        est = (w * sums).sum(axis=0) / w.sum(axis=0)
-    return np.where(np.isfinite(est), est, sums[-1])
+    np.concatenate((_LEVIN_BINOMIALS[k]
+                    * ((_HEAD_HALF_PERIODS + np.arange(k + 1))
+                       / (_HEAD_HALF_PERIODS + k)) ** (k - 1),
+                    np.zeros(_LEVIN_MAX_ORDER - k)))
+    for k in range(_LEVIN_WINDOW)])
 
 
 def _levin_windows(sums: np.ndarray, terms: np.ndarray,
                    ends: np.ndarray) -> np.ndarray:
     """The transform the tail takes after each row e of ends (consecutive,
-    each at least _MIN_TAIL_PANELS), one row per e: _levin_u of the rows
-    first + 1..e of sums and terms, first = max(0, e - _LEVIN_WINDOW), with
-    the remainder estimates of half-periods _HEAD_HALF_PERIODS + first on,
-    bit for bit.
+    each at least _MIN_TAIL_PANELS), one row per e: Levin's u-transform,
+    column by column, of the partial sums in rows first + 1..e of sums,
+    first = max(0, e - _LEVIN_WINDOW), with terms holding the terms a_n
+    that end them and the remainder estimates omega_n = n a_n of
+    half-periods n = _HEAD_HALF_PERIODS + first on.  A column in which an
+    omega is 0 (a row of exact zeros) or the transform overflows gets its
+    last partial sum.
 
-    The windows are stacked along a new first axis and summed over their
-    rows in one call.  With several columns numpy adds those rows one after
-    the other, as in _levin_u, so a first window shorter than _LEVIN_WINDOW
-    rows joins in, padded with -0.0 (x + -0.0 = x).  One column numpy sums
-    pairwise, in an order set by its length: there only full windows are
-    stacked, and each shorter one takes _levin_u.
+    The windows are stacked along a new axis, a first window shorter than
+    _LEVIN_WINDOW rows padded with -0.0 (x + -0.0 = x), and each is summed
+    one row after the other (np.add.accumulate), in the same order for any
+    number of columns.
     """
-    parts = []
-    if sums.shape[1] == 1:
-        short = ends[ends < _LEVIN_WINDOW].tolist()
-        parts = [_levin_u(sums[1:e + 1], terms[1:e + 1], _HEAD_HALF_PERIODS)
-                 for e in short]
-        ends = ends[len(short):]
-    if len(ends):
-        firsts = np.maximum(ends - _LEVIN_WINDOW, 0)
-        rows = firsts[:, None] + np.arange(1, _LEVIN_WINDOW + 1)
-        n = (_HEAD_HALF_PERIODS - 1) + rows
-        coef = _LEVIN_BINOMIALS[-1] * (n / n[:, -1:]) ** (_LEVIN_MAX_ORDER - 1)
-        length = ends - firsts
-        shorter = length < _LEVIN_WINDOW
-        coef[shorter] = _LEVIN_FIRST_COEF[length[shorter] - 1]
-        pad = rows > ends[:, None]
-        rows = np.minimum(rows, ends[:, None])
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w = coef[:, :, None] / (n[:, :, None] * terms[rows])
-            ws = w * sums[rows]
-            w[pad] = ws[pad] = -0.0
-            est = ws.sum(axis=1) / w.sum(axis=1)
-        parts.append(np.where(np.isfinite(est), est, sums[ends]))
-    return np.vstack(parts)
+    firsts = np.maximum(ends - _LEVIN_WINDOW, 0)
+    rows = firsts[:, None] + np.arange(1, _LEVIN_WINDOW + 1)
+    n = (_HEAD_HALF_PERIODS - 1) + rows
+    coef = _LEVIN_BINOMIALS[-1] * (n / n[:, -1:]) ** (_LEVIN_MAX_ORDER - 1)
+    # a window shorter than _LEVIN_WINDOW starts at row 1
+    shorter = ends < _LEVIN_WINDOW
+    coef[shorter] = _LEVIN_FIRST_COEF[ends[shorter] - 1]
+    pad = rows > ends[:, None]
+    rows = np.minimum(rows, ends[:, None])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = coef[:, :, None] / (n[:, :, None] * terms[rows])
+        ws = w * sums[rows]
+        w[pad] = ws[pad] = -0.0
+        est = (np.add.accumulate(ws, axis=1)[:, -1]
+               / np.add.accumulate(w, axis=1)[:, -1])
+    return np.where(np.isfinite(est), est, sums[ends])
 
 
 def _half_period_edges(x: float, h: float, x_max: float, n: int):
@@ -702,38 +673,21 @@ class _Tail:
     last two gaps between successive transforms, so that two that agree by
     accident do not end the tail.  Once the tail reaches x_max, the
     estimate is the plain partial sum, with no gap.  The rows of a batch
-    are formed together, their transforms by _levin_windows.
+    are formed together, their transforms by _levin_windows, and verdict
+    decides the steps of all of them at once.
     """
 
     def __init__(self, columns: int, x: float, h: float, x_max: float):
         self.sums = self.terms = self.errs = self.ests = np.zeros((1, columns))
-        self.gaps = np.full((1, columns), math.inf)
-        # the last |est_i - est_(i-1)|: inf until two transforms
-        self.step = self.gaps[-1:]
         # where the fetched half-periods end
         self.x, self.h, self.x_max = x, h, x_max
-
-    @property
-    def last(self) -> int:
-        return len(self.sums) - 1
-
-    def reaches(self, row: int) -> bool:
-        """Whether the tail has reached x_max after row half-periods."""
-        return row == self.last and self.x >= self.x_max
-
-    def fetch(self, f: Callable, n: int):
-        """Up to n more half-periods, in one call of f."""
-        self.add(_half_periods(f, self.x, self.h, self.x_max, n))
 
     def add(self, rule: np.ndarray):
         """The rows of the half-periods of rule (as _half_periods gives)."""
         top = len(self.sums)
         for _ in range(len(rule)):
             self.x += self.h
-        # in C order, which the transform's column sums over the rows
-        # take one row after the other
-        added = np.ascontiguousarray(
-            (rule[:, 0, 0] + rule[:, 1, 0]).reshape(len(rule), -1))
+        added = (rule[:, 0, 0] + rule[:, 1, 0]).reshape(len(rule), -1)
         self.terms = np.concatenate((self.terms, added))
         self.sums = np.concatenate((self.sums, np.add.accumulate(
             np.concatenate((self.sums[-1:], added)))[1:]))
@@ -741,46 +695,59 @@ class _Tail:
         self.errs = np.concatenate((self.errs, np.add.accumulate(
             np.concatenate((self.errs[-1:],
                             rule[:, :, 1].reshape(2 * len(rule), -1))))[2::2]))
-        rows = np.arange(top, len(self.sums))
         ests = self.sums[top:].copy()
         # no transform where the tail reaches x_max
         levin = np.arange(max(top, _MIN_TAIL_PANELS),
                           len(self.sums) - (self.x >= self.x_max))
-        if len(levin):
-            ests[levin - top] = _levin_windows(self.sums, self.terms, levin)
-        # a row past one the pass refuses may hold inf - inf
-        with np.errstate(invalid="ignore"):
-            steps = np.abs(ests - np.concatenate((self.ests[-1:], ests[:-1])))
-        steps[rows <= _MIN_TAIL_PANELS] = math.inf
-        gaps = np.maximum(np.concatenate((self.step, steps[:-1])), steps)
-        if self.reaches(self.last):
-            gaps[-1] = 0.0
+        ests[levin - top] = _levin_windows(self.sums, self.terms, levin)
         self.ests = np.concatenate((self.ests, ests))
-        self.step = steps[-1:]
-        self.gaps = np.concatenate((self.gaps, gaps))
-
-    def stop(self, taken: int, head_total, head_err, room: int,
-             tol: Tolerance) -> int:
-        """The first row past taken at which a pass whose head holds
-        head_total and head_err, with room splits and half-periods left,
-        stops taking half-periods, or else the last row fetched: a row that
-        is not finite, or one at which _integrate's tests converge, fail,
-        run out of budget or turn to the head, made for every row at once
-        with the same arithmetic."""
-        rows = slice(taken + 1, None)
-        tail_err, gap = self.errs[rows], self.gaps[rows]
+        # each row's |est_i - est_(i-1)|, inf until two transforms; a row
+        # past one the pass refuses may hold inf - inf
         with np.errstate(invalid="ignore"):
+            steps = np.abs(self.ests - np.concatenate((self.ests[:1],
+                                                       self.ests[:-1])))
+        steps[:_MIN_TAIL_PANELS + 1] = math.inf
+        self.gaps = np.maximum(np.concatenate((steps[:1], steps[:-1])), steps)
+        if self.x >= self.x_max:
+            self.gaps[-1] = 0.0
+
+    def verdict(self, taken: int, head_total, head_err, room: int,
+                tol: Tolerance):
+        """The first row from taken on that decides a step, for a head
+        holding head_total and head_err and a budget spent from row room
+        on, tested for every row at once with the arithmetic of one row at
+        a time: (row, test, total, err, share), with the row's estimate,
+        error and head's share of the target, t_i - tail error - gap, and
+        the first test that fires there: 0 a partial sum or error, or the
+        estimate where it converges, is not finite (DomainError); 1 every
+        component converged; 2 the budget is spent or a component is stuck
+        (ConvergenceError); 3 the head holds the larger error in a
+        component above its target, or the tail has reached x_max (a head
+        step); 4 none up to the last row fetched (fetch more)."""
+        rows = slice(taken, None)
+        tail_err, gap = self.errs[rows], self.gaps[rows]
+        # a row past one the pass refuses may hold inf - inf, and a total
+        # may overflow: test 0 refuses both
+        with np.errstate(invalid="ignore", over="ignore"):
             total = head_total + self.ests[rows]
             err = head_err + tail_err + gap
             target = _target(total, tol)
             bad = err > target
-            fires = ~(np.isfinite(self.sums[rows]).all(axis=1)
-                      & np.isfinite(tail_err).all(axis=1) & bad.any(axis=1))
-            fires |= (bad & (((tail_err > target) & (gap <= target))
-                             | (head_err > tail_err + gap))).any(axis=1)
-        fires[room - 1:] = True
-        fires[-1] = True
-        return taken + 1 + int(np.argmax(fires))
+            converged = ~bad.any(axis=1)
+            tests = np.array((
+                ~(np.isfinite(self.sums[rows])
+                  & np.isfinite(tail_err)).all(axis=1)
+                | converged & ~np.isfinite(total).all(axis=1),
+                converged,
+                (bad & (tail_err > target) & (gap <= target)).any(axis=1),
+                (bad & (head_err > tail_err + gap)).any(axis=1),
+                np.zeros(len(total), dtype=bool)))
+        tests[2, max(room - taken, 0):] = True
+        tests[3, -1] |= self.x >= self.x_max
+        tests[4, -1] = True
+        i, test = divmod(int(tests.T.argmax()), 5)
+        return (taken + i, test, total[i], err[i],
+                target[i] - tail_err[i] - gap[i])
 
 
 def _integrate(f: Callable, edges: np.ndarray, h: float | None,
@@ -790,14 +757,12 @@ def _integrate(f: Callable, edges: np.ndarray, h: float | None,
     most passes converge on this first call of f), by adaptive subdivision
     and, when the head ends before x_max, the tail in half-periods
     [x, x + h] whose partial sums Levin's u-transform extrapolates (_Tail).
-    A head that reaches x_max leaves no tail (h is unused): the plain pass.
-    Head splits and tail half-periods together may number
-    _MAX_SUBDIVISIONS, read at the call.  The first call of f takes the
-    head's seed panels and _LEVIN_MAX_ORDER tail half-periods, enough to
-    end most tails; later ones, a third as many half-periods as the tail
-    has taken.  The tests of a step are made for every fetched half-period
-    at once (_Tail.stop), and the pass jumps to the first at which one
-    fires: the values and decisions are those of one half-period a step.
+    A head that reaches x_max leaves no tail (h is unused): the plain pass,
+    a loop of head steps alone.  Head splits and tail half-periods together
+    may number _MAX_SUBDIVISIONS, read at the call.  The first call of f
+    takes the head's seed panels and _LEVIN_MAX_ORDER tail half-periods;
+    later ones, a third as many half-periods as the tail has taken.  One
+    function, _Tail.verdict, decides every step of the tail mode.
     """
     budget = _MAX_SUBDIVISIONS
     x = float(edges[-1])
@@ -806,10 +771,9 @@ def _integrate(f: Callable, edges: np.ndarray, h: float | None,
     if has_tail:
         # the head's seed panels and the first tail batch, enough
         # half-periods to end most tails, in one call of f
-        first = _half_period_edges(x, h, x_max, min(_LEVIN_MAX_ORDER, budget))
-        rule, peaks = _gauss_kronrod(
-            f, np.concatenate((edges[:-1], first[:-1])),
-            np.concatenate((edges[1:], first[1:])))
+        both = np.concatenate((edges, _half_period_edges(
+            x, h, x_max, min(_LEVIN_MAX_ORDER, budget))[1:]))
+        rule, peaks = _gauss_kronrod(f, both[:-1], both[1:])
         n = len(edges) - 1
         seeds = rule[:n], peaks[:n]
     head = _subdivide(f, edges, seeds)
@@ -819,49 +783,43 @@ def _integrate(f: Callable, edges: np.ndarray, h: float | None,
     def out(values):
         return values.item() if scalar else values
 
-    if has_tail:
-        tail = _Tail(1 if scalar else len(head_total), x, h, x_max)
-        tail.add(rule[n:].reshape((-1, 2) + rule.shape[1:]))
+    def unconverged(total, err, splits: int) -> ConvergenceError:
+        return ConvergenceError(
+            f"quadrature error {float(np.max(err)):.3e} above tolerance "
+            f"after {splits} subdivisions and tail half-periods",
+            best_estimate=out(total), achieved_error=out(err))
+
+    while not has_tail:
+        # the whole target is the head's
+        target = _target(head_total, tol)
+        if not (head_err > target).any():
+            return out(head_total)
+        if head_splits >= budget:
+            raise unconverged(head_total, head_err, head_splits)
+        head_total, head_err, head_splits = head.send(
+            (target, budget - head_splits))
+    tail = _Tail(1 if scalar else len(head_total), x, h, x_max)
+    tail.add(rule[n:].reshape((-1, 2) + rule.shape[1:]))
     taken = 0
     while True:
-        # head splits and tail half-periods taken so far
-        splits = head_splits + taken
-        total, err = head_total, head_err
-        if has_tail:
-            tail_err, gap = tail.errs[taken], tail.gaps[taken]
-            total = head_total + tail.ests[taken]
-            err = head_err + tail_err + gap
-        target = _target(total, tol)
-        bad = err > target
-        if not bad.any():
-            if has_tail:
-                # the head's sums are checked at every step
-                _check_finite(total)
+        taken, test, total, err, share = tail.verdict(
+            taken, head_total, head_err, budget - head_splits, tol)
+        # head splits and tail half-periods the budget has left
+        room = budget - head_splits - taken
+        if test == 0:
+            raise DomainError(_NOT_FINITE)
+        if test == 1:
             return out(total)
-        stuck = has_tail and (
-            bad & (tail_err > target) & (gap <= target)).any()
-        if splits >= budget or stuck:
-            raise ConvergenceError(
-                f"quadrature error {float(np.max(err)):.3e} above tolerance "
-                f"after {splits} subdivisions and tail half-periods",
-                best_estimate=out(total), achieved_error=out(err))
-        room = budget - splits
-        if not has_tail:
-            # the whole target is the head's
-            head_total, head_err, head_splits = head.send((target, room))
-            continue
-        if tail.reaches(taken) or (bad & (head_err > tail_err + gap)).any():
-            share = target - tail_err - gap
+        if test == 2:
+            raise unconverged(total, err, head_splits + taken)
+        if test == 3:
             head_total, head_err, head_splits = head.send(
                 (share, room) if (share > 0).all() else None)
-            continue
-        if taken == tail.last:
+        else:
             # a third as many as taken so far, at most a quarter of which
-            # go unused
-            tail.fetch(f, min(-(-taken // 3), room))
-        taken = tail.stop(taken, head_total, head_err, room, tol)
-        _check_finite(tail.sums[taken])
-        _check_finite(tail.errs[taken])
+            # go unused, in one call of f
+            tail.add(_half_periods(f, tail.x, h, x_max,
+                                   min(-(-taken // 3), room)))
 
 
 def _quad_finite(f: Callable, a: float, b: float, tol: Tolerance) -> float:
@@ -971,18 +929,21 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     seed panels (enough to end most tails there; the fewest that can end
     one is _MIN_TAIL_PANELS + 2 = 6), and then a third as many as taken so
     far, none starting past the truncation point.  A batch's partial sums,
-    transforms and gaps are formed together, and the tests of a step are
-    made for every half-period of the batch at once: the pass goes on from
-    the first at which one fires, with the values and decisions of taking
-    the half-periods one at a time.  So a tail-mode pass of the four-row
-    Bessel integrand of the verify suite costs about 0.36 ms, against
-    0.19 ms for a plain pass and 0.57 ms with one transform and one set of
-    tests per half-period (warm, same box).  The cost no longer grows with
-    the number of oscillations before exp(-rate x) damps them; when the
-    tail reaches the truncation point, the plain partial sum is taken.  The
-    one guard on the arguments: DomainError where the Bessel argument
-    x v = pi x / half_period overflows at the farthest node the pass can
-    reach, one half-period past the truncation point.
+    transforms and gaps are formed together, each transform summing its
+    window row after row, for one component as for several.  One verdict
+    makes the tests of a step for every half-period of the batch at once,
+    in one order (not finite, converged, budget spent or stuck, head
+    step): the pass goes on from the first at which one fires, with the
+    values and decisions of taking the half-periods one at a time.  So a
+    tail-mode pass of the four-row Bessel integrand of the verify suite
+    costs about 0.36 ms, against 0.19 ms for a plain pass and 0.57 ms with
+    one transform and one set of tests per half-period (warm, same box).
+    The cost no longer grows with the number of oscillations before
+    exp(-rate x) damps them; when the tail reaches the truncation point,
+    the plain partial sum is taken.  The one guard on the arguments:
+    DomainError where the Bessel argument x v = pi x / half_period
+    overflows at the farthest node the pass can reach, one half-period
+    past the truncation point.
 
     An integrand that gives nan or inf is a DomainError in both modes: the
     plain pass and the head refuse a sum or an error that is not finite
@@ -1031,6 +992,14 @@ def hyperbolic_mode_sum(args: ModeSumArgs) -> complex:
     arg = beta * (math.pi - alpha)
     ratio_den = -math.expm1(-2.0 * math.pi * beta)
     pref = math.pi * beta ** (args.m - 1)
+    if math.isinf(arg):
+        # arg - pi beta would be inf - inf: the same two exponents,
+        # -alpha beta and -(2pi - alpha) beta, formed directly
+        top = math.exp(-alpha * beta)
+        bot = math.exp((alpha - 2.0 * math.pi) * beta)
+        if args.m == 0:
+            return complex(pref * (top + bot) / ratio_den)
+        return 1j * pref * (top - bot) / ratio_den
     if args.m == 0:
         top = math.exp(arg - math.pi * beta)
         bot = math.exp(-arg - math.pi * beta)

@@ -10,11 +10,12 @@ bookkeeping is copied; the rule constants, the truncation point, the
 tolerance and the panel-split budget (read at every use) come from
 fpcavity.specfun, as they are shared.  Like the original, it does not
 refuse a non-finite integrand, which the array driver turns into a
-DomainError.  Where the array driver runs one loop for every pass, the
-reference keeps the plain pass (_adaptive) and the tail mode apart; where
-the array driver forms a batch's transforms together and makes the tests
-of a tail step for every half-period of the batch at once, the reference
-takes one half-period a step.
+DomainError.  It keeps the plain pass (_adaptive) and the tail mode in
+functions of their own; where the array driver forms a batch's transforms together and decides the
+steps of every half-period of the batch at once, the reference takes one
+half-period a step, with one transform and one set of tests each.  Its
+Levin transform sums its partial sums row after row, in the one order the
+array driver's transforms take for any number of components.
 """
 
 from __future__ import annotations
@@ -163,8 +164,10 @@ def _levin_u(sums: np.ndarray, terms: np.ndarray, first: float) -> np.ndarray:
 
     sums and terms are (k + 1, c) arrays of the partial sums and of the
     terms a_n that end them; the remainder estimates are
-    omega_n = (first + n) a_n.  A column in which an omega is 0 (a row of
-    exact zeros) or the transform overflows gets its last partial sum.
+    omega_n = (first + n) a_n.  Its sums run over the rows one after the
+    other, whatever the number of columns.  A column in which an omega is
+    0 (a row of exact zeros) or the transform overflows gets its last
+    partial sum.
     """
     k = len(sums) - 1
     n = first + np.arange(k + 1)
@@ -172,7 +175,8 @@ def _levin_u(sums: np.ndarray, terms: np.ndarray, first: float) -> np.ndarray:
     coef *= (n / n[-1]) ** (k - 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = coef[:, None] / (n[:, None] * terms)
-        est = (w * sums).sum(axis=0) / w.sum(axis=0)
+        est = (np.add.accumulate(w * sums)[-1]
+               / np.add.accumulate(w)[-1])
     return np.where(np.isfinite(est), est, sums[-1])
 
 

@@ -660,15 +660,18 @@ def test_mean_field_overflow_is_domain_error(capsys):
     # finite elements, but twice |H|, which bounds the gap, overflows
     (DickeParams(omega_c=1.7e306, fock_cutoff=60), "diagonal"),
     (DickeParams(y=1e308), "coupling"),
+    (DickeParams(omega_c=1.7e308, n_atoms=2, fock_cutoff=4), "diagonal"),
 ])
 def test_solver_refuses_overflowing_elements(p, element, monkeypatch):
-    # refused before anything is built, naming the element that overflows;
-    # RuntimeWarnings are errors in this suite
+    # refused before anything is built, naming the element that overflows,
+    # by the solver and by the dense build_hamiltonian alike; RuntimeWarnings
+    # are errors in this suite
     def never(*args, **kwargs):
         raise AssertionError("the solve started")
     monkeypatch.setattr(dicke, "_elements", never)
     for call in (lambda: ground_state(p),
-                 lambda: spectrum_scan(replace(p, y=0.0), [p.y])):
+                 lambda: spectrum_scan(replace(p, y=0.0), [p.y]),
+                 lambda: build_hamiltonian(p)):
         with pytest.raises(DomainError, match=f"the {element} elements"):
             call()
     if element == "diagonal":

@@ -211,6 +211,22 @@ def test_a_tail_ends_after_six_half_periods_at_the_fewest(budget,
     assert got[0] == ("error" if budget == 5 else "result")
 
 
+def test_tail_reaching_the_truncation_point_matches_the_reference():
+    # a real decay far slower than the hint: the transforms keep moving
+    # and the tail runs to x_max, where its estimate is the plain partial
+    # sum with no gap.  The kinks put the tail panels' error near 0.8 of
+    # the target and the head's near 0.45: not converged, not stuck, and
+    # the head holds the smaller error, so only the tail having reached
+    # x_max turns the pass to the head
+    def f(x):
+        slow = np.exp(-0.05 * x)
+        return (slow + 9e-8 * np.abs(np.sin(2.9 * x)) * (x < 1.2)
+                + 6.5e-11 * np.abs(np.sin(7.3 * x)) * slow * (x > 1.2))
+
+    got = _assert_same(f, 1.0, Tolerance(1e-12, 1e-300), half_period=0.3)
+    assert got[0] == "result"
+
+
 def test_tail_mode_stuck_component_matches_the_reference():
     # x^2 sinh(x(u-1))/sinh(x) J1(x) at u = 0.005: the tail panels' summed
     # error alone exceeds the target, and the pass fails once the
@@ -406,6 +422,18 @@ def test_non_finite_component_is_refused_before_the_others_converge(
     with pytest.raises(DomainError):
         integrate_semi_infinite(rows, 1e-3, Tolerance(1e-300, 1e-300),
                                 half_period=math.pi)
+
+
+def test_overflowing_total_is_a_domain_error():
+    # head and tail are each finite, about 9e307 and 1e308, but their sum
+    # overflows: the tail mode refuses the total where it would converge,
+    # with no overflow warning on the way
+    def f(x):
+        return (1e305 * np.exp(-1e-3 * x) * (1.0 + np.sin(x))
+                + 2.5e307 * np.exp(-((x - 6.0) / 2.0) ** 2))
+
+    with pytest.raises(DomainError, match="not finite"):
+        integrate_semi_infinite(f, 1e-3, half_period=math.pi)
 
 
 def test_non_finite_value_in_a_split_panel_is_a_domain_error():

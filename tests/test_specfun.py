@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+import quad_reference
 from fpcavity import (ConvergenceError, DomainError, ModeSumArgs, Tolerance,
                       apery_zeta3, bessel_j, direct_mode_sum,
                       hyperbolic_mode_sum, integrate_semi_infinite, xi)
@@ -703,7 +705,7 @@ def test_quadrature_tail_mode_falls_back_to_plain_pass(monkeypatch):
     # half-periods out, far below _TAIL_MIN_SPAN: the plain pass runs, no
     # transform is taken, and its seed panels are at most h/2 wide
     h = 4.0 * math.pi
-    levin_calls = _spying(monkeypatch, "_levin_u")
+    levin_calls = _spying(monkeypatch, "_levin_windows")
     gk_calls = _spying(monkeypatch, "_gauss_kronrod")
     f = lambda x: x * np.exp(-0.5 * x) * special.jv(1, 0.25 * x)
     got = integrate_semi_infinite(f, 0.5, TIGHT, half_period=h)
@@ -721,7 +723,7 @@ def test_quadrature_chooses_its_mode_by_the_span(span, monkeypatch):
     h = x_max / span
     v = math.pi / h
     assert _truncation(0.5, TIGHT, h) == (x_max, pytest.approx(span))
-    levin_calls = _spying(monkeypatch, "_levin_u")
+    levin_calls = _spying(monkeypatch, "_levin_windows")
     gk_calls = _spying(monkeypatch, "_gauss_kronrod")
     f = lambda x: x * np.exp(-0.5 * x) * special.jv(1, v * x)
     got = integrate_semi_infinite(f, 0.5, TIGHT, half_period=h)
@@ -987,14 +989,14 @@ def test_verify_all_takes_few_integrand_calls(monkeypatch):
     # calls for the whole suite, against 134 with the first tail batch in
     # a call of its own and 360 with geometric seeds and a first batch of
     # six.  Every tail there has four rows, and takes its transforms a
-    # batch at a time, none through a _levin_u call per half-period
+    # batch at a time
     calls = _spying(monkeypatch, "_gauss_kronrod")
-    levin_calls = _spying(monkeypatch, "_levin_u")
     batches = _spying(monkeypatch, "_levin_windows")
     _memo._entries.clear()
     assert verify.run_suite("all").all_pass
     assert len(calls) <= 107
-    assert batches and not levin_calls
+    assert batches
+    assert all(sums.shape[1] == 4 for sums, _, _ in batches)
 
 
 def _kernels_benchmark_separations():
@@ -1093,12 +1095,12 @@ def test_tail_batches_do_not_change_the_result(monkeypatch):
 @pytest.mark.parametrize("columns", [1, 2, 4])
 def test_levin_windows_match_levin_u_window_by_window(columns):
     # the transforms a batch of tail rows takes, from a few numpy calls for
-    # all of them, are those of _levin_u on each window alone, bit for bit:
-    # the growing first windows of 4 to 17 rows, the sliding windows of 17
-    # past 17 half-periods (one column numpy sums pairwise once a window
-    # has 8 rows or more), in any batch; and a column with an exact-zero
-    # term, or a term so small that the transform overflows, falls back to
-    # its last partial sum in every window that holds it
+    # all of them, are those of the reference's _levin_u on each window
+    # alone, bit for bit: the growing first windows of 4 to 17 rows, the
+    # sliding windows of 17 past 17 half-periods, in any batch, summed row
+    # after row for one column as for several; and a column with an
+    # exact-zero term, or a term so small that the transform overflows,
+    # falls back to its last partial sum in every window that holds it
     rng = np.random.default_rng(columns)
     n = np.arange(60.0)[:, None]
     terms = (rng.standard_normal((60, columns)) * (-1.0) ** n
@@ -1108,9 +1110,9 @@ def test_levin_windows_match_levin_u_window_by_window(columns):
     terms[40, -1] = 5e-324
     sums = np.add.accumulate(terms)
     first = lambda e: max(0, e - _LEVIN_MAX_ORDER - 1)  # noqa: E731
-    want = {e: specfun._levin_u(sums[first(e) + 1:e + 1],
-                                terms[first(e) + 1:e + 1],
-                                _HEAD_HALF_PERIODS + first(e))
+    want = {e: quad_reference._levin_u(sums[first(e) + 1:e + 1],
+                                       terms[first(e) + 1:e + 1],
+                                       _HEAD_HALF_PERIODS + first(e))
             for e in range(4, 60)}
     for lo, hi in ((4, 60), (4, 5), (4, 12), (12, 17), (16, 19), (17, 18),
                    (20, 60)):
@@ -1210,6 +1212,58 @@ def test_hyperbolic_mode_sum_small_beta_against_mpmath(alpha, m):
             want = _closed_form_mp(alpha, beta, m)
             value = got.real if m == 0 else got.imag
             assert abs(value - want) <= 1e-14 * abs(want), k
+
+
+def _closed_form_exponents_mp(alpha, beta, m):
+    # the closed form as (e^{-alpha beta} +- e^{-(2pi - alpha) beta}) /
+    # (1 - e^{-2pi beta}), whose exponents lose nothing to cancellation:
+    # at 40 digits beta (pi - alpha) would lose an alpha below 1e-40
+    a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+    top, bot = mpmath.exp(-a * b), mpmath.exp(-(2 * mpmath.pi - a) * b)
+    ratio = (top + bot if m == 0 else top - bot) / -mpmath.expm1(
+        -2 * mpmath.pi * b)
+    return mpmath.pi * b ** (m - 1) * ratio
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_hyperbolic_mode_sum_huge_beta_against_mpmath(m):
+    # beta (pi - alpha) overflows from beta ~ 5.7e307 on, where
+    # arg - pi beta would be inf - inf (nan at 1e308): there the exponents
+    # -alpha beta and -(2pi - alpha) beta are formed directly, which is
+    # accurate to about (1 + alpha beta) ulps, and e^{-alpha beta} is not
+    # negligible where alpha is within 1e3 / beta of 0.  Elsewhere arg -
+    # pi beta carries a rounding of about pi beta ulps.  Any warning fails
+    # the test; every value is finite
+    rng = np.random.default_rng(32)
+    top = sys.float_info.max
+    draws = [(float(rng.uniform(0.0, 2.0 * math.pi)),
+              float(10.0 ** rng.uniform(-3.0, math.log10(top))))
+             for _ in range(600)]
+    for beta in (*rng.uniform(top / math.pi, top, 60).tolist(), top):
+        draws += [(0.0, beta), (float(rng.uniform(0.0, 2.0 * math.pi)), beta),
+                  (float(10.0 ** rng.uniform(-3.0, 3.0)) / beta, beta)]
+    eps = sys.float_info.epsilon
+    # draws whose beta (pi - alpha) overflows and whose value is not 0
+    reached = 0
+    with warnings.catch_warnings(), mpmath.workdps(40):
+        warnings.simplefilter("error")
+        for alpha, beta in draws:
+            got = hyperbolic_mode_sum(ModeSumArgs(alpha, beta, m))
+            assert math.isfinite(got.real) and math.isfinite(got.imag)
+            value = got.real if m == 0 else got.imag
+            if m == 1 and alpha == 0.0:
+                # odd in n: exactly 0, where alpha -> 0+ tends to pi
+                assert got == 0j
+                continue
+            overflows = math.isinf(beta * (math.pi - alpha))
+            scale = alpha * beta if overflows else math.pi * beta
+            want = _closed_form_exponents_mp(alpha, beta, m)
+            # a few subnormal ulps where the value underflows
+            assert (abs(value - want)
+                    <= 8.0 * eps * (1.0 + scale) * abs(want) + 1e-323), (
+                alpha, beta)
+            reached += overflows and value != 0.0
+    assert reached >= 40
 
 
 @pytest.mark.parametrize("beta", [1e-155, 1e-160, 1e-200, 1e-310, 5e-324])
