@@ -7,13 +7,14 @@ spin-boson (Dicke) criticality toolbox.
 """
 
 from .errors import ConvergenceError, DomainError
-from .specfun import (Tolerance, ModeSumArgs, bessel_j, xi, apery_zeta3,
-                      integrate_semi_infinite, hyperbolic_mode_sum,
-                      direct_mode_sum)
+from .specfun import Tolerance, bessel_j, integrate_semi_infinite
+from .lattice import xi, apery_zeta3
+from .modesum import ModeSumArgs, hyperbolic_mode_sum, direct_mode_sum
 from .geometry import (CavityFrame, WaveVector, DipoleSpec, mode_fn,
-                       dispersion, reflection_matrix, image_positions)
-from .coulomb import (Separation, KernelMatrix, kernel_e, self_energy_matrix,
-                      dipole_dipole_energy, brute_force_coulomb)
+                       dispersion, reflection_matrix, image_positions,
+                       Separation, KernelMatrix)
+from .coulomb import (kernel_e, self_energy_matrix, dipole_dipole_energy,
+                      brute_force_coulomb)
 from .radiation import (AnisotropyResult, kernel_d, kernel_d_spectral,
                         quadratic_self_term, anisotropy_delta)
 from .dicke import (DickeParams, GroundStateResult, MeanFieldResult, ScanRow,

@@ -36,11 +36,13 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .coulomb import Separation, kernel_e
+from .coulomb import kernel_e
 from .dicke import DickeParams, ground_state, mean_field, spectrum_scan
 from .errors import ConvergenceError, DomainError
+from .geometry import Separation
+from .lattice import xi
 from .radiation import kernel_d, kernel_d_spectral
-from .specfun import DEFAULT_TOL, Tolerance, xi
+from .specfun import DEFAULT_TOL, Tolerance
 from .verify import SUITE_NAMES, VerificationSummary, run_suite
 
 __all__ = ["dispatch", "emit_report", "main"]

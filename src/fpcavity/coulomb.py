@@ -12,19 +12,17 @@ kernels identity-check friendly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._memo import recall
 from .errors import DomainError
-from .geometry import CavityFrame, DipoleSpec, image_positions, reflection_matrix
-from .specfun import _MIN_IMAGE_DISTANCE, _lattice_moments, apery_zeta3, xi
+from .geometry import (_MIN_IMAGE_DISTANCE, CavityFrame, DipoleSpec,
+                       KernelMatrix, Separation, _frame_kernel,
+                       _kernel_from_base, image_positions)
+from .lattice import _lattice_moments, apery_zeta3, xi
 
 __all__ = [
-    "Separation",
-    "KernelMatrix",
     "kernel_e",
     "self_energy_matrix",
     "dipole_dipole_energy",
@@ -33,65 +31,7 @@ __all__ = [
 
 E_PLUS = "E_PLUS"
 E_MINUS = "E_MINUS"
-D_PLUS = "D_PLUS"
-D_MINUS = "D_MINUS"
 SELF = "SELF"
-
-
-@dataclass(frozen=True)
-class Separation:
-    """Dimensionless two-dipole separation.
-
-    u = rho_z / L (axial), v = rho_perp / L >= 0 (transverse magnitude),
-    phi = azimuth of the transverse separation in the x-y plane.
-    """
-
-    u: float
-    v: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.u, self.v, self.phi))):
-            raise DomainError("separation u, v and phi must be finite")
-        if self.v < 0:
-            raise DomainError("transverse separation v must be non-negative")
-
-    def is_coincident(self) -> bool:
-        return self.v == 0.0 and self.u % 2.0 == 0.0
-
-
-@dataclass
-class KernelMatrix:
-    """A real 3x3 interaction kernel in L = 1 reduced units."""
-
-    m: np.ndarray
-    kind: str
-
-
-def _rot_z(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _rotate(m: np.ndarray, phi: float) -> np.ndarray:
-    if phi == 0.0:
-        return m
-    rz = _rot_z(phi)
-    return rz @ m @ rz.T
-
-
-# R = diag(-1, -1, 1), shared by every E- and D- kernel
-_REFLECTION = reflection_matrix()
-_REFLECTION.flags.writeable = False
-
-
-def _frame_kernel(xx, yy, zz, xz) -> np.ndarray:
-    """The kernel [[xx, 0, xz], [0, yy, 0], [xz, 0, zz]] in the frame with
-    the transverse separation along x, written into one array."""
-    m = np.zeros((3, 3))
-    m[0, 0], m[1, 1], m[2, 2] = xx, yy, zz
-    m[0, 2] = m[2, 0] = xz
-    return m
 
 
 def _e_plus_base(u: float, v: float) -> np.ndarray:
@@ -113,25 +53,6 @@ def _e_plus_base(u: float, v: float) -> np.ndarray:
 def _check_e_domain(sep: Separation):
     if sep.is_coincident():
         raise DomainError("kernel_e is singular at coincident source points")
-
-
-def _kernel_from_base(base, kinds: tuple[str, str], check_domain, sign: str,
-                      sep: Separation, *args) -> KernelMatrix:
-    """The plus or minus kernel (kinds[0] or kinds[1]) from
-    base(sep.u, sep.v, *args), the plus kernel in the frame with the
-    transverse separation along x: rotated about z through sep.phi, and
-    times R for the minus sign.
-
-    The base comes through the memo of base's last result, so the next
-    call of base at the same separation, of either sign, reuses it.
-    """
-    if sign not in ("plus", "minus"):
-        raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    check_domain(sep)
-    m = _rotate(recall(base, sep.u, sep.v, *args), sep.phi)
-    if sign == "minus":
-        return KernelMatrix(m @ _REFLECTION, kinds[1])
-    return KernelMatrix(m, kinds[0])
 
 
 def kernel_e(sign: str, sep: Separation) -> KernelMatrix:
@@ -177,6 +98,22 @@ def _transverse_offset(ra: np.ndarray, rb: np.ndarray,
         raise DomainError("the transverse separation over L overflows: it "
                           "is not a finite double")
     return dx, dy
+
+
+def _within_range(dipoles: Sequence[DipoleSpec], frame: CavityFrame,
+                  reach: int):
+    """dipoles and frame as they are where reach L is a finite double, else
+    with every position and L scaled by 2^-b, b the bit length of reach,
+    so that no sum or difference of positions up to reach L overflows.  A
+    power of two scales exactly but for subnormal coordinates, so every
+    quantity in units of L keeps its value."""
+    L = frame.length_L
+    if reach * L < math.inf:
+        return dipoles, frame
+    b = reach.bit_length()
+    return ([DipoleSpec(tuple(math.ldexp(x, -b) for x in d.position),
+                        d.moment) for d in dipoles],
+            CavityFrame(math.ldexp(L, -b)))
 
 
 def _pair_separations(da: DipoleSpec, db: DipoleSpec, frame: CavityFrame):
@@ -230,9 +167,10 @@ def dipole_dipole_energy(dipoles: Sequence[DipoleSpec],
     (1 / 8 pi L^3) sum over ordered pairs A != B of
     d_A . [E+(direct separation) + E-(z_A + z_B axial, same transverse)] . d_B,
     with the kernels at the lattice sum's fixed accuracy and their domain.
-    Assembled in units of L with each moment scaled by a power of two, so
-    the result is finite wherever the energy is a double; beyond, a
-    DomainError.
+    Assembled in units of L with each moment scaled by a power of two, and
+    where z_A + z_B would overflow (L above half the largest double) with
+    the positions and L scaled by a power of two together, so the result
+    is finite wherever the energy is a double; beyond, a DomainError.
     """
     if len(dipoles) < 2:
         raise DomainError("need at least two dipoles")
@@ -241,6 +179,8 @@ def dipole_dipole_energy(dipoles: Sequence[DipoleSpec],
         if not (0.0 < d.pos()[2] < L):
             raise DomainError("dipole outside the cavity")
     moments = [_scaled_moment(d) for d in dipoles]
+    # z_A + z_B reaches 2 L
+    dipoles, frame = _within_range(dipoles, frame, 2)
     terms = []
     for i, (da, (ma, ea)) in enumerate(zip(dipoles, moments)):
         for j, (db, (mb, eb)) in enumerate(zip(dipoles, moments)):
@@ -264,12 +204,18 @@ def brute_force_coulomb(dipoles: Sequence[DipoleSpec], frame: CavityFrame,
     finite sum; the truncation error decays as 1/n_images^2.  Coincident
     dipoles, or an image within 1e-100 L, are a domain error, as there, and
     so are a transverse separation over L and an energy beyond the doubles:
-    the sum runs in units of L with each moment scaled by a power of two.
+    the sum runs in units of L with each moment scaled by a power of two,
+    and where an image position or distance, up to (2 n_images + 2) L,
+    would overflow, with the positions and L scaled by a power of two
+    together.
     """
     if len(dipoles) < 2:
         raise DomainError("need at least two dipoles")
     if n_images < 0:
         raise DomainError("n_images must be non-negative")
+    length = frame.length_L
+    # the distance of a dipole from an image reaches (2 n_images + 2) L
+    dipoles, frame = _within_range(dipoles, frame, 2 * n_images + 2)
     L = frame.length_L
     n_range = range(-n_images, n_images + 1)
     # per dipole: its position, its image axial positions and scaled
@@ -305,4 +251,4 @@ def brute_force_coulomb(dipoles: Sequence[DipoleSpec], frame: CavityFrame,
             pair = (m_img @ ma - 3.0 * proj / r2) \
                 / (4.0 * math.pi * r2 * np.sqrt(r2))
             terms.append((0.5 * float(pair.sum()), ea + eb - 3 * k))
-    return _energy(terms, L, 1.0)
+    return _energy(terms, length, 1.0)

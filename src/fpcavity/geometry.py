@@ -4,6 +4,12 @@ The cavity is bounded by perfect plane mirrors at z = 0 and z = L with its
 axis along z.  Transverse-electric (TE) and transverse-magnetic (TM) mode
 functions are returned unnormalized (bare spatial profiles); every quantity
 consumed downstream is independent of the mode normalization.
+
+Both kernel families, the Coulomb kernels of coulomb and the
+displacement-field kernels of radiation, share what is defined here: the
+separation and kernel types, the rotation about z, the frame kernel, the
+plus and minus kernels from one memoized base, and the image-distance
+floor.  So neither imports the other.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._memo import recall
 from .errors import DomainError
 
 __all__ = [
@@ -24,6 +31,8 @@ __all__ = [
     "dispersion",
     "reflection_matrix",
     "image_positions",
+    "Separation",
+    "KernelMatrix",
 ]
 
 
@@ -178,3 +187,92 @@ def image_positions(z_dip: float, frame: CavityFrame, n_range) -> list[tuple[flo
         out.append((2 * n * L + z_dip, ident))
         out.append((2 * n * L - z_dip, refl))
     return out
+
+
+@dataclass(frozen=True)
+class Separation:
+    """Dimensionless two-dipole separation.
+
+    u = rho_z / L (axial), v = rho_perp / L >= 0 (transverse magnitude),
+    phi = azimuth of the transverse separation in the x-y plane.
+    """
+
+    u: float
+    v: float
+    phi: float = 0.0
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.u, self.v, self.phi))):
+            raise DomainError("separation u, v and phi must be finite")
+        if self.v < 0:
+            raise DomainError("transverse separation v must be non-negative")
+
+    def is_coincident(self) -> bool:
+        return self.v == 0.0 and self.u % 2.0 == 0.0
+
+
+@dataclass
+class KernelMatrix:
+    """A real 3x3 interaction kernel in L = 1 reduced units."""
+
+    m: np.ndarray
+    kind: str
+
+
+def _rot_z(phi: float) -> np.ndarray:
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _rotate(m: np.ndarray, phi: float) -> np.ndarray:
+    if phi == 0.0:
+        return m
+    rz = _rot_z(phi)
+    return rz @ m @ rz.T
+
+
+# R = diag(-1, -1, 1), shared by every E- and D- kernel
+_REFLECTION = reflection_matrix()
+_REFLECTION.flags.writeable = False
+
+
+def _frame_kernel(xx, yy, zz, xz) -> np.ndarray:
+    """The kernel [[xx, 0, xz], [0, yy, 0], [xz, 0, zz]] in the frame with
+    the transverse separation along x, written into one array."""
+    m = np.zeros((3, 3))
+    m[0, 0], m[1, 1], m[2, 2] = xx, yy, zz
+    m[0, 2] = m[2, 0] = xz
+    return m
+
+
+def _kernel_from_base(base, kinds: tuple[str, str], check_domain, sign: str,
+                      sep: Separation, *args) -> KernelMatrix:
+    """The plus or minus kernel (kinds[0] or kinds[1]) from
+    base(sep.u, sep.v, *args), the plus kernel in the frame with the
+    transverse separation along x: rotated about z through sep.phi, and
+    times R for the minus sign.
+
+    The base comes through the memo of base's last result, so the next
+    call of base at the same separation, of either sign, reuses it.
+    """
+    if sign not in ("plus", "minus"):
+        raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    check_domain(sep)
+    m = _rotate(recall(base, sep.u, sep.v, *args), sep.phi)
+    if sign == "minus":
+        return KernelMatrix(m @ _REFLECTION, kinds[1])
+    return KernelMatrix(m, kinds[0])
+
+# The nearest image distance (in units of L) below which the lattice sums
+# and both kernels are refused: their largest entry, about 4 pi / r^3 (D+
+# zz on the axis), overflows below r = 4.2e-103, and is 1.3e301 at 1e-100.
+_MIN_IMAGE_DISTANCE = 1e-100
+
+
+def _check_image_distance(u: float, v: float):
+    """DomainError when the nearest image of a separation with u in [0, 2],
+    hypot(min(u, 2 - u), v) away, is nearer than _MIN_IMAGE_DISTANCE."""
+    if not math.hypot(min(u, 2.0 - u), v) >= _MIN_IMAGE_DISTANCE:
+        raise DomainError(
+            f"the nearest image lies within {_MIN_IMAGE_DISTANCE:g} of the "
+            "source point, where the kernels overflow")

@@ -63,13 +63,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coulomb import (D_MINUS, D_PLUS, KernelMatrix, Separation,
-                      _frame_kernel, _kernel_from_base, _rotate)
 from .errors import DomainError
-from .geometry import CavityFrame
+from .geometry import (CavityFrame, KernelMatrix, Separation,
+                       _check_image_distance, _frame_kernel,
+                       _kernel_from_base, _rotate)
 from .specfun import (DEFAULT_TOL, Tolerance, _bessel_half_period,
-                      _bessel_j0_g, _check_image_distance,
-                      integrate_semi_infinite)
+                      _bessel_j0_g, integrate_semi_infinite)
 
 __all__ = [
     "AnisotropyResult",
@@ -78,6 +77,9 @@ __all__ = [
     "quadratic_self_term",
     "anisotropy_delta",
 ]
+
+D_PLUS = "D_PLUS"
+D_MINUS = "D_MINUS"
 
 
 @dataclass(frozen=True)

@@ -1,29 +1,23 @@
-"""Special functions and quadrature primitives.
+"""Bessel functions and quadrature: the integral route of EQ21.
 
-Everything downstream (Coulomb kernels, displacement-field kernels, the
-identity suite) is built on four ingredients defined here: the cylindrical
-Bessel functions J0, J1, J2 (the package's own, in numpy: one entry point
-gives J0 and J1(x)/x from one call, polynomial cells up to x = 60.5 and
-Hankel's modulus-phase form above, with coefficients written from mpmath
-by tools/bessel_coefficients.py; every integrand forms J1 = x (J1(x)/x)
-and J0 +- J2 from that pair, and only the scalar bessel_j returns J2
-alone), the image-lattice moments behind the inverse-cube lattice sum
-xi(u, v), an adaptive Gauss-Kronrod integrator for exponentially decaying
-integrands on (0, inf), scalar or vector valued, with an oscillatory-tail
-mode for slowly damped Bessel-type integrands (one driver at one fixed
-budget; seed panels at most half a half-period wide, so that most passes
-end on their first call of the integrand; each step splits every panel
-the tolerance asks for; the tail fetches its half-periods in batches, the
-first in the same call of the integrand as the head's seed panels, and
-makes the tests of its steps for a whole batch at once), and the two-sided
-mode sum
-sum_n e^{i alpha n} n^m / (n^2 + beta^2) by two independent routes: its
-hyperbolic closed form, and its symmetric truncation: a head summed term
-by term in blocks of consecutive n (angle addition from one block's
-cos/sin table), then the rest as the difference of two tails built from
-the summand alone (the Euler transformation, or Euler-Maclaurin at
-alpha = 0), so the cost does not grow with the truncation; within a few
-1e-15 of the sum of the moduli of the terms.
+The displacement-field kernels (radiation) and the integral side of every
+identity the suite checks are built on the two ingredients defined here:
+the cylindrical Bessel functions J0, J1, J2 (the package's own, in numpy:
+one entry point gives J0 and J1(x)/x from one call, polynomial cells up to
+x = 60.5 and Hankel's modulus-phase form above, with coefficients written
+from mpmath by tools/bessel_coefficients.py; every integrand forms
+J1 = x (J1(x)/x) and J0 +- J2 from that pair, and only the scalar bessel_j
+returns J2 alone), and an adaptive Gauss-Kronrod integrator for
+exponentially decaying integrands on (0, inf), scalar or vector valued,
+with an oscillatory-tail mode for slowly damped Bessel-type integrands
+(one driver at one fixed budget; seed panels at most half a half-period
+wide, so that most passes end on their first call of the integrand; each
+step splits every panel the tolerance asks for; the tail fetches its
+half-periods in batches, the first in the same call of the integrand as
+the head's seed panels, and makes the tests of its steps for a whole batch
+at once).  Nothing here or in radiation imports the image lattice
+(lattice) or the Coulomb kernels built on it (coulomb), the other side of
+EQ21: tests/test_imports.py reads the import graph.
 
 Nothing here imports scipy.
 
@@ -35,7 +29,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,14 +39,9 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "Tolerance",
-    "ModeSumArgs",
     "DEFAULT_TOL",
     "bessel_j",
-    "xi",
-    "apery_zeta3",
     "integrate_semi_infinite",
-    "hyperbolic_mode_sum",
-    "direct_mode_sum",
 ]
 
 
@@ -76,32 +64,6 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
-_FLOAT_MAX = float(np.finfo(float).max)
-
-
-@dataclass(frozen=True)
-class ModeSumArgs:
-    """Arguments of the mode sum sum_n e^{i alpha n} n^m / (n^2 + beta^2).
-
-    alpha and beta must be finite, beta positive with 1/beta^2 (the n = 0
-    term of m = 0) a finite double, so beta above about 7.5e-155, and m is
-    restricted to {0, 1}: the sum diverges for m >= 2.
-    """
-
-    alpha: float
-    beta: float
-    m: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise DomainError("alpha and beta must be finite")
-        if not self.beta > 0:
-            raise DomainError("beta must be positive")
-        if not self.beta * self.beta > 1.0 / _FLOAT_MAX:
-            raise DomainError(f"beta = {self.beta!r} is too small: 1/beta^2 "
-                              "overflows")
-        if self.m not in (0, 1):
-            raise DomainError("m must be 0 or 1 (the sum diverges for m >= 2)")
 
 
 # ---------------------------------------------------------------------------
@@ -280,120 +242,6 @@ def bessel_j(order: int, x: float) -> float:
         s = coef - q * s
     return q * s
 
-
-# ---------------------------------------------------------------------------
-# Image-lattice moments and the inverse-cube lattice sum xi(u, v)
-# ---------------------------------------------------------------------------
-
-# |n| <= _LATTICE_N is summed term by term and the rest of each side by
-# Euler-Maclaurin through the third-derivative correction.  The remainder is
-# below 1e-15 relative for v <= 4 and peaks near 5e-14 relative at v ~ 40,
-# where the summand varies on the scale of the first omitted term.
-_LATTICE_N = 64
-_LATTICE_2N = 2.0 * np.arange(-_LATTICE_N, _LATTICE_N + 1)
-# The nearest image distance (in units of L) below which the lattice sums
-# and both kernels are refused: their largest entry, about 4 pi / r^3 (D+
-# zz on the axis), overflows below r = 4.2e-103, and is 1.3e301 at 1e-100.
-_MIN_IMAGE_DISTANCE = 1e-100
-
-
-def _check_image_distance(u: float, v: float):
-    """DomainError when the nearest image of a separation with u in [0, 2],
-    hypot(min(u, 2 - u), v) away, is nearer than _MIN_IMAGE_DISTANCE."""
-    if not math.hypot(min(u, 2.0 - u), v) >= _MIN_IMAGE_DISTANCE:
-        raise DomainError(
-            f"the nearest image lies within {_MIN_IMAGE_DISTANCE:g} of the "
-            "source point, where the kernels overflow")
-
-
-def _lattice_moments(u: float, v: float) -> tuple[float, float, float]:
-    """S3 = sum rho^-3 and the scaled moments v^2 S5 = sum v^2 rho^-5 and
-    v T5 = sum v a rho^-5 over the image lattice a = 2n + u,
-    rho^2 = a^2 + v^2, n in Z.
-
-    The one place the rho^-3/rho^-5 lattice is summed: xi = S3, the Coulomb
-    kernel E+ and the exact derivatives v d/dv xi = -3 v^2 S5,
-    v d/du xi = -3 v T5 all come from these three numbers.  Each scaled
-    term is formed as rho^-3 times v^2/rho^2 or v a/rho^2, both at most 1
-    in magnitude, so nothing underflows or overflows before S3 itself does
-    (S3 ~ 1/v^2 at large v, while S5 alone underflows from v ~ 1e77), and
-    every value is finite at every finite v.  Accurate to about 1e-13
-    relative (v T5 relative to sum v |a| rho^-5: T5 itself cancels to
-    exponentially small values at large v).  DomainError when the nearest
-    image is nearer than _MIN_IMAGE_DISTANCE (_check_image_distance).
-    """
-    if not (math.isfinite(u) and math.isfinite(v)):
-        raise DomainError("u and v must be finite")
-    if v < 0:
-        raise DomainError("v must be non-negative")
-    # Python floats, which overflow to inf without a warning: numpy scalars
-    # would warn in the tail terms from v ~ 1e103
-    u, v = float(u) % 2.0, float(v)
-    _check_image_distance(u, v)
-    a = _LATTICE_2N + u
-    rho2 = a * a + v * v
-    inv3 = rho2 ** -1.5
-    # v / rho^2 <= 1/v, and 0 once v * v overflows
-    z = v / rho2
-    s3, s5, t5 = (float(np.sum(inv3)), float(np.sum(inv3 * (z * v))),
-                  float((a * z) @ inv3))
-    # Each side's tail from its first omitted |a| = A, with step 2 in a:
-    # sum f = (1/2) int_A^inf f + f(A)/2 - f'(A)/6 + f'''(A)/90.  The n < 0
-    # side is the mirror image and enters T5 (odd in a) with a minus sign.
-    # The scaled moments take the rho^-5 bracket times v^2 and v as the
-    # bracket with every power r^-k lowered to r^-(k-2), times
-    # w = v^2/r^2 and z = v/r^2.
-    for big_a, sign in ((2 * _LATTICE_N + 2 + u, 1.0),
-                        (2 * _LATTICE_N + 2 - u, -1.0)):
-        a2 = big_a * big_a
-        r2 = a2 + v * v
-        r = math.sqrt(r2)
-        z = v / r2
-        w = z * v
-        p1 = 1.0 / r
-        p3 = 1.0 / (r2 * r)
-        p5 = p3 / r2
-        p7 = p5 / r2
-        p9 = p7 / r2
-        p11 = p9 / r2
-        # int_A^inf rho^-3 = 1/(r(r+A)), rho^-5 -> (2r+A)/(3r^3(r+A)^2),
-        # a rho^-5 -> 1/(3r^3), all free of cancellation at any v
-        s3 += (0.5 / (r * (r + big_a)) + 0.5 * p3 + 0.5 * big_a * p5
-               + big_a * (0.5 * p7 - 7.0 / 6.0 * a2 * p9))
-        # (2r + A)/(r + A) as (2 + t)/(1 + t), t = A/r: 2, not inf/inf, once
-        # v * v overflows
-        t = big_a / r
-        s5 += w * (p1 * (2.0 + t) / (6.0 * (1.0 + t) * (r + big_a))
-                   + 0.5 * p3 + 5.0 / 6.0 * big_a * p5
-                   + big_a * (7.0 / 6.0 * p7 - 3.5 * a2 * p9))
-        t5 += sign * z * (p1 / 6.0 + 0.5 * big_a * p3
-                          - (p3 - 5.0 * a2 * p5) / 6.0
-                          - p5 / 6.0 + a2 * (7.0 / 3.0 * p7 - 3.5 * a2 * p9))
-    return s3, s5, t5
-
-
-def xi(u: float, v: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Two-sided lattice sum sum_{n in Z} ((2n + u)^2 + v^2)^(-3/2).
-
-    Periodic in u with period 2 and symmetric under u -> 2 - u.  Finite for
-    v > 0, and for v = 0 whenever u is not an even integer (there the n
-    hitting 2n + u = 0 contributes a non-summable term).  Non-finite u or v
-    is a domain error, and so is a nearest image (u reduced mod 2, at
-    distance hypot(min(u, 2 - u), v)) nearer than 1e-100.
-
-    The moment S3 of _lattice_moments, accurate to about 1e-13 relative
-    whatever tol is given; tol is ignored, kept only for callers that still
-    pass one.
-    """
-    return _lattice_moments(u, v)[0]
-
-
-_ZETA3 = 1.2020569031595942854
-
-
-def apery_zeta3() -> float:
-    """zeta(3) = sum 1/n^3 to full double precision."""
-    return _ZETA3
 
 
 # ---------------------------------------------------------------------------
@@ -967,212 +815,3 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     x0 = _HEAD_HALF_PERIODS * half_period if span > _TAIL_MIN_SPAN else x_max
     return _integrate(integrand, _seed_edges(x0, half_period), half_period,
                       x_max, tol)
-
-
-# ---------------------------------------------------------------------------
-# Mode sums
-# ---------------------------------------------------------------------------
-
-def hyperbolic_mode_sum(args: ModeSumArgs) -> complex:
-    """Closed form of sum_{n in Z} e^{i alpha n} n^m / (n^2 + beta^2).
-
-    Valid for m in {0, 1}; alpha is reduced into [0, 2pi) first (the sum is
-    2pi-periodic).  At alpha = 0 the m = 1 sum vanishes identically by
-    antisymmetry and is returned as exact zero; for alpha > 0,
-
-        pi i^m beta^(m-1) / sinh(pi beta) * cosh(beta (pi - alpha))   (m even)
-                                            sinh(beta (pi - alpha))   (m odd)
-    """
-    alpha = args.alpha % (2.0 * math.pi)
-    beta = args.beta
-    if args.m == 1 and alpha == 0.0:
-        return 0j
-    # {cosh,sinh}(beta(pi - alpha))/sinh(pi beta) through non-positive
-    # exponents only: |pi - alpha| <= pi keeps this overflow-free at any beta
-    arg = beta * (math.pi - alpha)
-    ratio_den = -math.expm1(-2.0 * math.pi * beta)
-    pref = math.pi * beta ** (args.m - 1)
-    if math.isinf(arg):
-        # arg - pi beta would be inf - inf: the same two exponents,
-        # -alpha beta and -(2pi - alpha) beta, formed directly
-        top = math.exp(-alpha * beta)
-        bot = math.exp((alpha - 2.0 * math.pi) * beta)
-        if args.m == 0:
-            return complex(pref * (top + bot) / ratio_den)
-        return 1j * pref * (top - bot) / ratio_den
-    if args.m == 0:
-        top = math.exp(arg - math.pi * beta)
-        bot = math.exp(-arg - math.pi * beta)
-        return complex(pref * (top + bot) / ratio_den)
-    # 2 e^{-pi beta} sinh(arg) with expm1, free of the cancellation of
-    # e^{arg} - e^{-arg} at small |arg|
-    odd = math.copysign(math.exp(abs(arg) - math.pi * beta)
-                        * -math.expm1(-2.0 * abs(arg)), arg)
-    return 1j * pref * odd / ratio_den
-
-
-# The head of the direct sum runs over n = n0 + k, k in [0, _BLOCK), in
-# chunks of _CHUNK blocks: n and the weights take 0.5 MB per chunk whatever
-# the head's length is, in two buffers each call fills chunk by chunk from
-# _OFFSETS.
-_BLOCK = 1024
-_CHUNK = 32
-_K = np.arange(_BLOCK, dtype=float)
-_OFFSETS = np.arange(_BLOCK * _CHUNK, dtype=float)
-# The head runs to n = max(_SUM_HEAD_MIN, _SUM_HEAD_REACH/|1 - e^{i alpha}|),
-# and the rest of the truncation is added through its tails.  That far out,
-# a term of the Euler transformation is at most about j/_SUM_HEAD_REACH of
-# the one before, so fewer than 15 reach _EULER_EPS; _EULER_TERMS only caps
-# the loop.
-_SUM_HEAD_MIN = 4096
-_SUM_HEAD_REACH = 256.0
-_EULER_EPS = 2.0 ** -60
-_EULER_TERMS = 64
-# B_2j / 2j for j = 1, 2, 3: the Euler-Maclaurin corrections of _em_ends
-_EM_COEF = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0)
-# 2pi - math.tau
-_TAU_LO = 2.4492935982947064e-16
-
-
-def _em_ends(k: int, beta: float) -> float:
-    """The end terms of Euler-Maclaurin at x = k for f = 1/(x^2 + beta^2).
-
-    -f(k)/2 - sum_j B_2j/(2j)! f^(2j-1)(k), with f^(p) = Im(d^p/dx^p of
-    1/(x - i beta))/beta = Im((-1)^p p!/(k - i beta)^(p+1))/beta.  With
-    k >= _SUM_HEAD_MIN the next correction is below 1e-34.
-    """
-    g = 1.0 / complex(k, -beta)
-    q = g * g
-    power, total = q, 0.0
-    for coef in _EM_COEF:
-        total += coef * power.imag
-        power *= q
-    return total / beta - 0.5 / (k * k + beta * beta)
-
-
-def _euler_tail(alpha: float, beta: float, m: int, k: int,
-                one_minus_z: complex) -> complex:
-    """sum_{n > k} z^n f(n) by the Euler transformation, z = e^{i alpha}.
-
-    z^(k+1)/(1 - z) sum_j w^j Delta^j f(k + 1), w = z/(1 - z), with the
-    forward differences of f taken exactly from its partial fraction:
-    f = Im(g)/beta for m = 0 and Re(g) for m = 1, g(n) = 1/(n - i beta),
-    and Delta^j g(n) = (-1)^j j!/prod_{l=0..j}(n + l - i beta).
-    """
-    w = complex(math.cos(alpha), math.sin(alpha)) / one_minus_z
-    n = float(k + 1)
-    d = complex(n, -beta)
-    phase = alpha * n
-    coef = complex(math.cos(phase), math.sin(phase)) / one_minus_z
-    diff = 1.0 / d
-    total = 0j
-    for j in range(1, _EULER_TERMS + 1):
-        total += coef * (diff.imag / beta if m == 0 else diff.real)
-        coef *= w
-        diff *= -j / (d + j)
-        # a bound on the next term, with g_j = Delta^j g(n), now diff:
-        # |Re g_j| <= |g_j| and, with s the sum of the arguments
-        # atan(beta/(n + l)) of the factors of its denominator,
-        # |Im g_j| = |g_j| |sin s| <= |g_j| min(1, (j + 1) beta/n)
-        size = abs(coef * diff)
-        if m == 0:
-            size *= min(1.0 / beta, (j + 1) / n)
-        if size <= _EULER_EPS * abs(total):
-            break
-    return total
-
-
-def direct_mode_sum(args: ModeSumArgs, n_max: int) -> complex:
-    """Symmetric truncation sum_{|n| <= n_max} e^{i alpha n} n^m / (n^2 + beta^2).
-
-    The +n and -n terms are combined before accumulation, which is required
-    for the conditionally convergent m = 1 case: 1/beta^2 + 2 Re P for m = 0
-    and 2i Im P for m = 1, P = sum_{n=1}^{n_max} z^n f(n), z = e^{i alpha},
-    f(n) = n^m/(n^2 + beta^2).
-
-    The head, n up to H = min(n_max, max(4096, ceil(256/|1 - z|))), is
-    summed term by term in blocks n = n0 + k of _BLOCK consecutive n, with
-    cos(alpha k) and sin(alpha k) taken once per call and cos(alpha n0),
-    sin(alpha n0) once per block; the angle-addition identities join them.
-    Memory stays constant in n_max.  When H < n_max, the rest is added as
-    T(H) - T(n_max), T(K) = sum_{n>K} z^n f(n), formed from f alone (never
-    from the closed form hyperbolic_mode_sum, the other side of EQ27):
-    for z != 1 by the Euler transformation
-    z^(K+1)/(1 - z) sum_j (z/(1 - z))^j Delta^j f(K + 1), with the
-    differences exact from the partial fraction of f, and at alpha = 0
-    (m = 0; the m = 1 sum is exactly 0j) by Euler-Maclaurin from the
-    integral atan(beta/K)/beta, the two integrals joined into one arctan.
-    So the cost does not grow with n_max: about 0.1 ms a call at n_max =
-    10^6 or 10^15 on a 2-core x86 box, against 3 ms for the blocked sum
-    alone at 10^6.  The head is longer than 4096 where |1 - z| < 1/16, as
-    nearer the tail's terms would shrink too slowly; where alpha is so near
-    0 mod 2pi that 256/|1 - z| reaches n_max, H is n_max and the call is
-    the plain blocked sum, at no more cost than without the tails.  Against
-    a term-by-term fsum of the same truncation, with exactly reduced
-    phases, the result is within 2e-15 times the sum of the moduli of the
-    terms, and within 3.5e-15 at alpha = pi, m = 1, where each term is the
-    rounding error of its phase; at alpha = 0 the m = 1 sum is exactly 0j.
-
-    alpha is reduced into [0, 2pi) first, as in hyperbolic_mode_sum, so a
-    huge alpha gives a finite sum, and then into (-pi, pi] with 2pi in two
-    doubles, so that alpha near 2pi is summed as accurately as alpha near 0.
-    n_max must be an integer (a Python or numpy int) in [1, 2^53], where
-    every n is exactly a double.
-    """
-    try:
-        n_max = operator.index(n_max)
-    except TypeError:
-        raise DomainError(f"n_max must be an integer, got {n_max!r}") from None
-    if not 1 <= n_max <= 2 ** 53:
-        raise DomainError(f"n_max must be in [1, 2^53], got {n_max}")
-    alpha = args.alpha % (2.0 * math.pi)
-    if alpha > math.pi:
-        # alpha - 2pi to one rounding: alpha - math.tau is exact, and
-        # 2pi = math.tau + _TAU_LO.  Near 2pi the phases alpha n then carry
-        # no error of order n ulp(2pi), which a block's terms, all of about
-        # the same phase there, would add up.
-        alpha = (alpha - 2.0 * math.pi) - _TAU_LO
-    beta, m = args.beta, args.m
-    beta2 = beta * beta
-    # 1 - z = 2 sin^2(alpha/2) - i sin(alpha), free of the cancellation of
-    # 1 - cos(alpha) near alpha = 0 mod 2pi
-    one_minus_z = complex(2.0 * math.sin(0.5 * alpha) ** 2, -math.sin(alpha))
-    reach = (_SUM_HEAD_MIN if alpha == 0.0
-             else max(_SUM_HEAD_MIN, _SUM_HEAD_REACH / abs(one_minus_z)))
-    head = n_max if reach >= n_max else math.ceil(reach)
-    trig_k = np.stack([np.cos(alpha * _K), np.sin(alpha * _K)], axis=1)
-    n_buf, w_buf = np.empty(_BLOCK * _CHUNK), np.empty(_BLOCK * _CHUNK)
-    re = im = 0.0
-    for first in range(1, head + 1, _BLOCK * _CHUNK):
-        blocks = min(_CHUNK, (head - first) // _BLOCK + 1)
-        n, w = n_buf[:blocks * _BLOCK], w_buf[:blocks * _BLOCK]
-        np.add(_OFFSETS[:blocks * _BLOCK], first, out=n)
-        np.multiply(n, n, out=w)
-        w += beta2
-        if m == 0:
-            np.divide(1.0, w, out=w)
-        else:
-            np.divide(n, w, out=w)
-        w[head + 1 - first:] = 0.0
-        # per block: c = sum_k w cos(alpha k), s = sum_k w sin(alpha k)
-        c, s = (w.reshape(blocks, _BLOCK) @ trig_k).T
-        phase = alpha * n[::_BLOCK]
-        cos0, sin0 = np.cos(phase), np.sin(phase)
-        re += float(cos0 @ c - sin0 @ s)
-        im += float(sin0 @ c + cos0 @ s)
-    if head < n_max:
-        if alpha == 0.0:
-            if m == 0:
-                # int_H^N dx/(x^2 + beta^2) as one arctan: the difference
-                # of atan(beta/H) and atan(beta/N) loses digits at large beta
-                re += (math.atan(beta * ((n_max - head) / n_max)
-                                 / (head + beta * (beta / n_max))) / beta
-                       + _em_ends(head, beta) - _em_ends(n_max, beta))
-        else:
-            tail = (_euler_tail(alpha, beta, m, head, one_minus_z)
-                    - _euler_tail(alpha, beta, m, n_max, one_minus_z))
-            re += tail.real
-            im += tail.imag
-    if m == 0:
-        return complex(1.0 / beta2 + 2.0 * re)
-    return 2j * im

@@ -43,15 +43,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coulomb import Separation, kernel_e
+from .coulomb import kernel_e
 from .errors import ConvergenceError, DomainError
-from .geometry import CavityFrame
+from .geometry import CavityFrame, Separation
+from .lattice import _lattice_moments, xi
+from .modesum import ModeSumArgs, direct_mode_sum, hyperbolic_mode_sum
 from .radiation import (_anisotropy_summand, _hyperbolic_weights,
                         _kernel_d_reference, anisotropy_delta)
-from .specfun import (ModeSumArgs, Tolerance,
-                      _bessel_half_period, _bessel_j0_g, _lattice_moments,
-                      _quad_finite, direct_mode_sum, hyperbolic_mode_sum,
-                      integrate_semi_infinite, xi)
+from .specfun import (Tolerance, _bessel_half_period, _bessel_j0_g,
+                      _quad_finite, integrate_semi_infinite)
 
 __all__ = [
     "IdentityReport",
@@ -356,15 +356,21 @@ def check_lipschitz(u: float, v: float) -> list[IdentityReport]:
     grow with the number of oscillations: at u = 1e-4 or 1e-3 both
     identities hold in a few ms.  The threshold is pinned (TOL_LIPSCHITZ),
     the quadrature at the fixed panel-split budget.  A non-finite u or v,
-    a u <= 0 (the integrals diverge), a v < 0, and a (u, v) so near the
+    a u <= 0 (the integrals diverge), a v < 0, a (u, v) so near the
     origin that (u^2 + v^2)^(-3/2) overflows, about u^2 + v^2 < 3e-206,
-    are refused with a DomainError before any work.
+    and one so far from it that u^2 + v^2 overflows, u or v above about
+    1.3e154, are refused with a DomainError before any work: there the
+    closed forms would be formed from an infinite u^2 + v^2, and from u
+    about 1.7e307 on the damping e^{-xu} would overflow in x u.
     """
     params = {"u": u, "v": v}
     _check_domain(params)
     if not u > 0.0:
         raise DomainError(f"want u > 0, got {params}")
     r2 = u * u + v * v
+    if r2 == math.inf:
+        raise DomainError(f"(u, v) = ({u!r}, {v!r}) is too far from the "
+                          "origin: u^2 + v^2 overflows")
     try:
         eq33, eq34 = r2 ** -0.5, v * r2 ** -1.5
     except (ZeroDivisionError, OverflowError):

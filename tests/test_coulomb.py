@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from fpcavity import (CavityFrame, DipoleSpec, DomainError, Separation,
                       Tolerance, apery_zeta3, brute_force_coulomb,
                       dipole_dipole_energy, kernel_e, reflection_matrix,
-                      self_energy_matrix, xi)
+                      self_energy_matrix, specfun, xi)
 
 FRAME = CavityFrame(1.0)
 TIGHT = Tolerance(1e-12, 1e-12)
@@ -352,3 +353,61 @@ def test_transverse_separation_over_L_beyond_the_doubles_is_refused():
         dipole_dipole_energy(dipoles, FRAME)
     with pytest.raises(DomainError, match="overflows"):
         brute_force_coulomb(dipoles, FRAME, n_images=5)
+
+
+def test_lattice_route_never_touches_the_bessel_functions_or_quadrature(
+        monkeypatch):
+    # every quadrature pass calls _gauss_kronrod and every Bessel call
+    # _split, each looked up in specfun at the call
+    def forbidden(*args, **kwargs):
+        raise AssertionError("integral route called from the lattice route")
+
+    for name in ("_gauss_kronrod", "_split"):
+        monkeypatch.setattr(specfun, name, forbidden)
+    for u, v, phi in ((0.5, 1.0, 0.0), (1e-3, 0.25, 0.3), (1.7, 30.0, 2.0),
+                      (0.3, 0.0, 0.0), (1.0, 1e4, 0.0)):
+        assert math.isfinite(xi(u, v))
+        for sign in ("plus", "minus"):
+            assert np.isfinite(kernel_e(sign, Separation(u, v, phi)).m).all()
+    assert np.isfinite(self_energy_matrix(0.3).m).all()
+    dipoles = [DipoleSpec((0.0, 0.0, 0.25), (0.0, 0.0, 1.0)),
+               DipoleSpec((0.1, 0.2, 0.75), (0.3, 0.0, 1.0))]
+    assert math.isfinite(dipole_dipole_energy(dipoles, FRAME))
+    assert math.isfinite(brute_force_coulomb(dipoles, FRAME, n_images=3))
+
+
+@pytest.mark.parametrize("length, z, offset, n_images", [
+    (sys.float_info.max, (0.9, 0.3), 0.0, 3),
+    (1e308, (0.3, 0.6), 0.1, 50),
+])
+def test_energy_at_a_huge_length_without_warning(length, z, offset, n_images):
+    # z_A + z_B overflowed in dipole_dipole_energy ("overflow in scalar
+    # add"), and the image positions and distances did in
+    # brute_force_coulomb ("overflow in subtract", "invalid value in
+    # divide")
+    dipoles = [DipoleSpec((0.0, 0.0, z[0] * length), (0.0, 0.0, 1.0)),
+               DipoleSpec((offset * length, 0.0, z[1] * length),
+                          (1.0, 0.0, 1.0))]
+    frame = CavityFrame(length)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(dipole_dipole_energy(dipoles, frame))
+        assert math.isfinite(brute_force_coulomb(dipoles, frame, n_images))
+
+
+def test_energy_at_a_huge_length_is_that_at_length_one_scaled():
+    # positions, L and moments times 2^1023 scale the energy by exactly
+    # 2^(2 * 1023 - 3 * 1023): the positions and L are scaled back by a
+    # power of two together, which leaves every separation over L as it is
+    unit = [DipoleSpec((0.0, 0.0, 0.9), (0.0, 0.0, 1.0)),
+            DipoleSpec((0.1, 0.2, 0.3), (1.0, 0.0, 1.0))]
+    big = [DipoleSpec(tuple(math.ldexp(x, 1023) for x in d.position),
+                      tuple(math.ldexp(m, 1023) for m in d.moment))
+           for d in unit]
+    for energy in (dipole_dipole_energy,
+                   lambda ds, frame: brute_force_coulomb(ds, frame, 3)):
+        want = math.ldexp(energy(unit, FRAME), -1023)
+        assert want != 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert energy(big, CavityFrame(2.0 ** 1023)) == want

@@ -1,12 +1,19 @@
-"""Which scipy subpackages each entry point loads.
+"""Which modules each part of the package imports.
+
+The two routes of EQ21 share no code: the lattice route (lattice, and
+coulomb built on it) imports neither the Bessel functions and quadrature
+(specfun) nor the displacement-field kernels built on them (radiation),
+and the other way round.  The import graph is read from the sources.
 
 scipy.linalg (the Dicke solver's BLAS and LAPACK) costs about 0.3 s to
 import and only the Dicke solver needs it, so it is not imported with
 fpcavity; scipy.special, as costly, is needed by no part of the library:
-the Bessel functions are the package's own.  Every check runs in a fresh
-interpreter, since the test process has loaded both.
+the Bessel functions are the package's own.  Every check of what an entry
+point loads runs in a fresh interpreter, since the test process has
+loaded both.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -68,3 +75,67 @@ fp.ground_state(fp.DickeParams(y=0.5, n_atoms=2, fock_cutoff=4))
 print(len(calls) > 0)
 """
     assert _run(code).split() == ["True"]
+
+
+PACKAGE = os.path.join(SRC, "fpcavity")
+MODULES = sorted(name[:-3] for name in os.listdir(PACKAGE)
+                 if name.endswith(".py"))
+LATTICE_ROUTE = {"lattice", "coulomb"}
+INTEGRAL_ROUTE = {"specfun", "radiation"}
+
+
+def _package_imports(module: str) -> set[str]:
+    """The package modules that module imports anywhere in its source, at
+    module level or inside a function; a name taken from the package
+    itself counts as importing __init__."""
+    with open(os.path.join(PACKAGE, module + ".py")) as fh:
+        tree = ast.parse(fh.read())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name.split(".")[1:] for alias in node.names
+                       if alias.name.split(".")[0] == "fpcavity"]
+            found.update(t[0] if t else "__init__" for t in targets)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                parts = (node.module or "").split(".")
+                if parts[0] != "fpcavity":
+                    continue
+                parts = parts[1:]
+            else:
+                assert node.level == 1, (module, node.lineno)
+                parts = node.module.split(".") if node.module else []
+            if parts:
+                found.add(parts[0])
+            else:  # from . import name: a module, or a name of __init__
+                found.update(alias.name if alias.name in MODULES
+                             else "__init__" for alias in node.names)
+    return found
+
+
+def _reach() -> dict[str, set[str]]:
+    """Each module with every package module it imports, directly or
+    through others, itself included."""
+    direct = {m: _package_imports(m) for m in MODULES}
+    reach = {}
+    for module in MODULES:
+        seen, todo = {module}, [module]
+        while todo:
+            for m in direct[todo.pop()] - seen:
+                seen.add(m)
+                todo.append(m)
+        reach[module] = seen
+    return reach
+
+
+def test_the_two_routes_share_no_import():
+    reach = _reach()
+    assert LATTICE_ROUTE | INTEGRAL_ROUTE | {"modesum"} <= set(MODULES)
+    for module in LATTICE_ROUTE:
+        assert not reach[module] & INTEGRAL_ROUTE, module
+    for module in INTEGRAL_ROUTE:
+        assert not reach[module] & LATTICE_ROUTE, module
+    assert not reach["modesum"] & (LATTICE_ROUTE | INTEGRAL_ROUTE)
+    both = {m for m in MODULES
+            if reach[m] & LATTICE_ROUTE and reach[m] & INTEGRAL_ROUTE}
+    assert both == {"verify", "cli", "__init__"}

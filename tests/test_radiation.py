@@ -11,7 +11,7 @@ from fpcavity import (AnisotropyResult, CavityFrame, DomainError, Separation,
                       Tolerance, anisotropy_delta, integrate_semi_infinite,
                       kernel_d, kernel_d_spectral, quadratic_self_term,
                       kernel_e, reflection_matrix, self_energy_matrix, xi)
-from fpcavity import coulomb, radiation, specfun
+from fpcavity import coulomb, lattice, radiation, specfun
 from fpcavity.radiation import (_d_rows, _kernel_d_reference,
                                 _laplace_bessel_x2, _nearest_pair_rows)
 from fpcavity.specfun import DEFAULT_TOL, _bessel_j0_g
@@ -124,7 +124,7 @@ def test_reference_route_never_touches_the_lattice(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("lattice code called from the integral route")
 
-    for module, name in ((specfun, "_lattice_moments"), (specfun, "xi"),
+    for module, name in ((lattice, "_lattice_moments"), (lattice, "xi"),
                          (coulomb, "_lattice_moments"), (coulomb, "xi"),
                          (coulomb, "kernel_e"), (coulomb, "_e_plus_base")):
         monkeypatch.setattr(module, name, forbidden)

@@ -19,13 +19,12 @@ from fpcavity import (ConvergenceError, DomainError, ModeSumArgs, Tolerance,
                       apery_zeta3, bessel_j, direct_mode_sum,
                       hyperbolic_mode_sum, integrate_semi_infinite, xi)
 from fpcavity import Separation, _memo, kernel_d, specfun, verify
-from fpcavity.specfun import (_BLOCK, _CHUNK, _G7_IDX, _G7_WEIGHTS,
-                              _HEAD_HALF_PERIODS, _K15_NODES, _K15_WEIGHTS,
-                              _LEVIN_MAX_ORDER, _SUM_HEAD_MIN,
-                              _SUM_HEAD_REACH,
-                              _TAIL_MIN_SPAN, _bessel_j0_g,
-                              _lattice_moments, _quad_finite, _subdivide,
-                              _truncation)
+from fpcavity.lattice import _lattice_moments
+from fpcavity.modesum import _BLOCK, _CHUNK, _SUM_HEAD_MIN, _SUM_HEAD_REACH
+from fpcavity.specfun import (_G7_IDX, _G7_WEIGHTS, _HEAD_HALF_PERIODS,
+                              _K15_NODES, _K15_WEIGHTS, _LEVIN_MAX_ORDER,
+                              _TAIL_MIN_SPAN, _bessel_j0_g, _quad_finite,
+                              _subdivide, _truncation)
 
 TIGHT = Tolerance(abs_tol=1e-12, rel_tol=1e-12)
 

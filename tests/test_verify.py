@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 import warnings
 
@@ -161,6 +162,25 @@ def test_lipschitz_refuses_a_point_at_the_origin(u, v):
     # closed forms
     with pytest.raises(DomainError, match="overflows"):
         check_lipschitz(u, v)
+
+
+@pytest.mark.parametrize("u, v", [(sys.float_info.max, 8.9e-11),
+                                  (1e155, 1.0), (1.0, 1e155)])
+def test_lipschitz_refuses_a_point_far_from_the_origin(u, v, monkeypatch):
+    # u^2 + v^2 overflows: the closed forms came from an infinite r^2, and
+    # at u = 1.8e308 the damping e^{-xu} overflowed in x u with a
+    # RuntimeWarning; now a DomainError before any quadrature
+    calls = []
+    monkeypatch.setattr(verify, "integrate_semi_infinite",
+                        lambda *a, **k: calls.append(a))
+    with pytest.raises(DomainError, match="far from the origin"):
+        check_lipschitz(u, v)
+    assert calls == []
+
+
+def test_lipschitz_just_inside_the_far_bound_gives_finite_rows():
+    for r in check_lipschitz(1e154, 1.0):
+        assert math.isfinite(r.abs_err) and math.isfinite(r.rel_err), r
 
 
 @pytest.mark.parametrize("check, args", [
