@@ -49,6 +49,7 @@ a symmetry-breaking boson amplitude appears, given in closed form.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -99,7 +100,12 @@ _CHECKS_FROM = 5
 _RESIDUAL = 1e-12
 # the shift's bisection stops at a bracket on E0 this wide, and the shift
 # used sits this far below the bracket's certified lower end; both in
-# units of |H|
+# units of |H|.  A looser bracket saves factorizations but leaves the shift
+# farther below E0, and Lanczos takes more steps: one warm solve (layouts
+# built, median over y in [0.1, 2.7], 2-core x86 box) at N = 8, cutoff 60
+# and N = 16, cutoff 100 took 0.67 and 1.58 ms at 1e-2 (20 banded solves
+# per N = 8 solve), 0.42 and 1.13 ms at 1e-3 (12) and 0.40 and 1.11 ms at
+# 1e-4 (10), which would move every output's last digits for that 5 %.
 _SHIFT_BRACKET = 1e-3
 _SHIFT_MARGIN = 1e-10
 # banded Cholesky factorizations per block: the bisection's, which halve a
@@ -111,8 +117,9 @@ _FACTORIZATIONS = math.ceil(math.log2(2.0 / _SHIFT_BRACKET)) + 1
 _CUTOFF_TAIL = 1e-8
 
 # scipy.linalg.blas and scipy.linalg.lapack, once the first solve
-# (_Lanczos) has imported them.  Importing scipy.linalg costs about
-# 0.3 s, which the mean field and build_hamiltonian never need.
+# (_Lanczos) has imported them.  Importing scipy.linalg after numpy takes
+# 0.10-0.15 s (python -X importtime, 2-core x86 box), which the mean field
+# and build_hamiltonian never need.
 _blas = None
 _lapack = None
 
@@ -135,7 +142,16 @@ class DickeParams:
             raise DomainError("frequencies must be positive")
         if self.y < 0:
             raise DomainError("coupling must be non-negative")
-        if self.n_atoms < 1 or self.fock_cutoff < 1:
+        try:
+            # an int or a numpy integer: N + 1 spin and cutoff + 1 photon
+            # states
+            sizes = (operator.index(self.n_atoms),
+                     operator.index(self.fock_cutoff))
+        except TypeError:
+            raise DomainError("n_atoms and fock_cutoff must be integers "
+                              f"(got {self.n_atoms!r}, {self.fock_cutoff!r})"
+                              ) from None
+        if min(sizes) < 1:
             raise DomainError("n_atoms and fock_cutoff must be positive")
 
     @property
@@ -279,8 +295,9 @@ def build_hamiltonian(p: DickeParams) -> np.ndarray:
 class _BlockLayout:
     """One parity block's band storage but for the coupling values, which
     alone depend on y: the band with the diagonal in row 0 and zeros
-    elsewhere, the place ab[width, lo] and strength of each coupling, and
-    the spin index and photon number of each state."""
+    elsewhere, in Fortran order as LAPACK takes it, the place ab[width, lo]
+    and strength of each coupling, the spin index and photon number of
+    each state, and the Lanczos start vector (_Lanczos)."""
 
     band: np.ndarray
     width: np.ndarray
@@ -288,6 +305,7 @@ class _BlockLayout:
     strength: np.ndarray
     m: np.ndarray
     n: np.ndarray
+    start: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -318,21 +336,27 @@ def _block_layouts(p: DickeParams) -> tuple[_BlockLayout, ...]:
     (m, n, diag), (m1, n1, m2, n2, strength) = _elements(p)
     dim_s = p.n_atoms + 1
     parity = (m + n) % 2
-    # position of each state in its block, by photon-major index
-    pos = np.empty(p.dimension, dtype=int)
-    for b in (0, 1):
-        pos[parity == b] = np.arange(np.count_nonzero(parity == b))
+    # position of each state in its block, by photon-major index: the
+    # number of states of its parity before it
+    before = np.cumsum(parity)
+    pos = np.where(parity, before - 1, np.arange(p.dimension) - before)
     i1, i2 = pos[n1 * dim_s + m1], pos[n2 * dim_s + m2]
     # a coupling changes m + n by 0 or 2, so it stays inside its block
     link_parity = (m1 + n1) % 2
+    # the states and the couplings of each block, even first, in order
+    states = np.split(np.argsort(parity, kind="stable"),
+                      [p.dimension - int(before[-1])])
+    links = np.split(np.argsort(link_parity, kind="stable"),
+                     [len(link_parity) - int(link_parity.sum())])
     layouts = []
-    for b in (0, 1):
-        on, link = parity == b, link_parity == b
-        width = np.abs(i1[link] - i2[link])
-        band = np.zeros((int(width.max()) + 1, np.count_nonzero(on)))
+    for on, link in zip(states, links):
+        j1, j2 = i1[link], i2[link]
+        width = np.abs(j1 - j2)
+        # Fortran order: f2py would copy a C-ordered band on every call
+        band = np.zeros((int(width.max()) + 1, len(on)), order="F")
         band[0] = diag[on]
-        arrays = (band, width, np.minimum(i1[link], i2[link]),
-                  strength[link], m[on], n[on])
+        arrays = (band, width, np.minimum(j1, j2), strength[link], m[on],
+                  n[on], np.random.default_rng(0).standard_normal(len(on)))
         for array in arrays:
             array.flags.writeable = False
         layouts.append(_BlockLayout(*arrays))
@@ -355,10 +379,10 @@ def _solve_blocks(p: DickeParams) -> list[_Block]:
     layouts = recall(_block_layouts, replace(p, y=0.0))
     runs = []
     for layout in layouts:
-        ab = layout.band.copy()
+        ab = layout.band.copy(order="F")
         ab[layout.width, layout.lo] = _coupling_values(p, layout.strength)
         # every block holds at least two states: N >= 1 and cutoff >= 1
-        runs.append(_Lanczos(ab))
+        runs.append(_Lanczos(ab, layout.start))
     for run in runs:
         run.converge(0)
     low, other = sorted(runs, key=lambda run: run.levels[0])
@@ -375,7 +399,8 @@ def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
 class _Lanczos:
     """Shift-invert Lanczos on one parity block, by one banded Cholesky
     factor of H - sigma, that converges its lowest levels one at a time:
-    each converge() goes on from the basis the last one left.
+    each converge() goes on from the basis the last one left.  The band ab
+    is in Fortran order, and start is the block's start vector.
 
     It runs on H scaled by the power of two just above |H|, which is exact
     and keeps every iterate in range whatever the scale of H.  `levels`
@@ -383,7 +408,7 @@ class _Lanczos:
     of the first; each of their pairs (E, x) met |H x - E x| <= 1e-12 |H|.
     """
 
-    def __init__(self, ab: np.ndarray):
+    def __init__(self, ab: np.ndarray, start: np.ndarray):
         global _blas, _lapack
         if _lapack is None:
             from scipy.linalg import blas, lapack
@@ -419,8 +444,7 @@ class _Lanczos:
         # whose ground component is not small, the first steps would have to
         # cancel the huge 1/(E0 - sigma) part of the solves, and with sigma
         # close to E0 that costs the second Ritz vector its last digits.
-        self._append(_solve(self.factor,
-                            np.random.default_rng(0).standard_normal(dim)))
+        self._append(_solve(self.factor, start))
 
     def converge(self, pair: int, ceiling: float = math.inf) -> None:
         """Grow the basis until Ritz pair `pair` (0 the lowest) meets the
@@ -459,7 +483,7 @@ class _Lanczos:
         """Add the unit vector along w to the basis, with the Rayleigh-Ritz
         check when the basis reaches a size that the schedule checks."""
         k = self.size
-        self.basis[k] = w / np.linalg.norm(w)
+        self.basis[k] = w / math.sqrt(w @ w)
         self.h_basis[k] = _band_matvec(self.h, self.basis[k])
         self.projected[k, :k + 1] = self.h_basis[:k + 1] @ self.basis[k]
         self.size = k + 1
@@ -483,7 +507,8 @@ class _Lanczos:
         vector = coefficients[pair] @ self.basis[:self.size]
         residual = (coefficients[pair] @ self.h_basis[:self.size]
                     - energies[pair] * vector)
-        return float(energies[pair]), vector, float(np.linalg.norm(residual))
+        return (float(energies[pair]), vector,
+                math.sqrt(residual @ residual))
 
 
 def _shifted_factor(h: np.ndarray, abs_rows: np.ndarray) -> np.ndarray:
@@ -500,7 +525,7 @@ def _shifted_factor(h: np.ndarray, abs_rows: np.ndarray) -> np.ndarray:
     norm = float(abs_rows.max())
     lo = float((h[0] + np.abs(h[0]) - abs_rows).min())
     hi = float(h[0].min())
-    shifted = h.copy()
+    shifted = h.copy(order="F")
     while hi - lo > _SHIFT_BRACKET * norm:
         mid = 0.5 * (lo + hi)
         shifted[0] = h[0] - mid
@@ -581,17 +606,41 @@ def mean_field(p: DickeParams) -> MeanFieldResult:
     the classical product-state energy is least at cos(theta) = y_c^2/y^2,
     with alpha^2/N = y^2 (1 - cos^2 theta) / (4 omega_c^2) reported as the
     order parameter and E/N = -(omega_a/4) (y^2/y_c^2 + y_c^2/y^2).
+
+    Each product and quotient is formed on the significands of the
+    frequencies and the coupling, with their powers of two kept apart
+    (math.frexp), so no intermediate underflows or overflows: wherever the
+    formulas above, in that order of operations, keep every intermediate a
+    normal float, the result has their bits, and elsewhere it has the same
+    few roundings.  Only an order parameter or energy beyond the float
+    range is refused.
     """
-    y_c = math.sqrt(p.omega_a * p.omega_c)
+    ma, ea = math.frexp(p.omega_a)
+    mc, ec = math.frexp(p.omega_c)
+    # omega_a omega_c = prod 2^e_prod
+    prod, e_prod = ma * mc, ea + ec
+    odd = e_prod % 2
+    y_c = math.ldexp(math.sqrt(math.ldexp(prod, odd)), (e_prod - odd) // 2)
     if p.y <= y_c:
         return MeanFieldResult(y_c=y_c, order_parameter_sq_per_atom=0.0,
                                energy_per_atom=-0.5 * p.omega_a)
-    y2 = p.y * p.y
-    cos_theta = p.omega_a * p.omega_c / y2
-    order = y2 * (1.0 - cos_theta * cos_theta) / (4.0 * p.omega_c ** 2)
-    energy = -0.25 * p.omega_a * (y2 / (p.omega_a * p.omega_c) + cos_theta)
-    if not (math.isfinite(order) and math.isfinite(energy)):
-        raise DomainError(f"the mean-field solution overflows at y = {p.y}")
+    # y^2 = y2 2^(2 ey)
+    my, ey = math.frexp(p.y)
+    y2 = my * my
+    # in (0, 1]: y > y_c, so y^2 > omega_a omega_c
+    cos_theta = math.ldexp(prod / y2, e_prod - 2 * ey)
+    # y^2 / (omega_a omega_c) = ratio 2^e_ratio, at least 1; past 2^1000
+    # cos theta is below its rounding
+    ratio, e_ratio = y2 / prod, 2 * ey - e_prod
+    if e_ratio < 1000:
+        ratio, e_ratio = math.frexp(math.ldexp(ratio, e_ratio) + cos_theta)
+    try:
+        order = math.ldexp(y2 * (1.0 - cos_theta * cos_theta)
+                           / (4.0 * (mc * mc)), 2 * (ey - ec))
+        energy = math.ldexp(-0.25 * ma * ratio, ea + e_ratio)
+    except OverflowError:
+        raise DomainError(
+            f"the mean-field solution overflows at y = {p.y}") from None
     return MeanFieldResult(y_c=y_c, order_parameter_sq_per_atom=order,
                            energy_per_atom=energy)
 

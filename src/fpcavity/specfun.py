@@ -390,12 +390,16 @@ def _subdivide(f: Callable, edges, seeds=None):
         splits += len(taken)
 
 
-def _seed_edges(x_max: float, half_period: float | None) -> np.ndarray:
+def _seed_edges(x_max: float, half_period: float | None,
+                decay_rate: float) -> np.ndarray:
     """The seed panels' edges on [0, x_max]: geometric from
-    min(1, x_max/8), dense near 0 where integrands have their structure,
-    but no panel wider than half_period/2, as the tail takes two K15 panels
-    per half-period (_half_periods).  Without a half-period the
-    panels are geometric to x_max.
+    min(1, x_max/8, 4/decay_rate), dense near 0 where integrands have their
+    structure, but no panel wider than half_period/2, as the tail takes two
+    K15 panels per half-period (_half_periods).  Without a half-period the
+    panels are geometric to x_max.  The first panel ends within four decay
+    lengths: at a rate of 1e4, exp(-decay_rate x) on a first panel [0, 1]
+    has all but e^-43 of its weight before the first node, and the K15 and
+    G7 sums there agree on a value near 0.
 
     Seeds that fine end most passes in their first call of the integrand:
     a call costs far more than its nodes (see integrate_semi_infinite).  A
@@ -404,7 +408,7 @@ def _seed_edges(x_max: float, half_period: float | None) -> np.ndarray:
     """
     width = math.inf if half_period is None else 0.5 * half_period
     edges = [0.0]
-    x = min(1.0, x_max / 8.0, width)
+    x = min(1.0, x_max / 8.0, width, 4.0 / decay_rate)
     while x < x_max:
         edges.append(x)
         x += min(x, width)
@@ -740,15 +744,16 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     (warm, 2-core x86 Xeon box), so the number of calls more than the
     number of nodes sets the cost.  The seed panels are therefore fine
     enough that most passes converge on their first call: geometric from
-    min(1, x_max/8), dense near 0 where integrands have their structure,
-    but none wider than half_period/2, the two K15 panels per half-period
-    that the tail takes too (without a half-period, geometric to the
-    truncation point).  A plain pass spans at most _TAIL_MIN_SPAN
-    half-periods, so it seeds at most about 100 panels past the geometric
-    prefix; the tail mode's head, about 8, in the same call as the first
-    tail batch.  A verify run of every suite then makes 107 calls of its
-    integrands, against 134 with the first tail batch in a call of its own
-    and 360 with geometric seeds alone and a first tail batch of 6.
+    min(1, x_max/8, 4/decay_rate_hint), dense near 0 where integrands have
+    their structure, but none wider than half_period/2, the two K15 panels
+    per half-period that the tail takes too (without a half-period,
+    geometric to the truncation point).  A plain pass spans at most
+    _TAIL_MIN_SPAN half-periods, so it seeds at most about 100 panels past
+    the geometric prefix; the tail mode's head, about 8, in the same call
+    as the first tail batch.  A verify run of every suite then makes 107
+    calls of its integrands, against 134 with the first tail batch in a
+    call of its own and 360 with geometric seeds alone and a first tail
+    batch of 6.
 
     The integrand must decay at least like exp(-decay_rate_hint * x) for
     large x; behaviour at 0 may be integrably singular (panels never touch
@@ -813,5 +818,6 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     """
     x_max, span = _truncation(decay_rate_hint, tol, half_period)
     x0 = _HEAD_HALF_PERIODS * half_period if span > _TAIL_MIN_SPAN else x_max
-    return _integrate(integrand, _seed_edges(x0, half_period), half_period,
-                      x_max, tol)
+    return _integrate(integrand,
+                      _seed_edges(x0, half_period, decay_rate_hint),
+                      half_period, x_max, tol)

@@ -145,13 +145,14 @@ def _quad_finite(f: Callable, a: float, b: float, tol: Tolerance) -> float:
     return _adaptive(f, list(np.linspace(a, b, 9)), tol)
 
 
-def _seed_edges(x_max: float, half_period: float | None) -> list[float]:
+def _seed_edges(x_max: float, half_period: float | None,
+                decay_rate: float) -> list[float]:
     # geometric seed panels: dense near 0 where integrands have their
     # structure, coarse towards the truncation point, but none wider than
-    # half a half-period
+    # half a half-period, and the first within four decay lengths
     width = math.inf if half_period is None else 0.5 * half_period
     edges = [0.0]
-    x = min(1.0, x_max / 8.0, width)
+    x = min(1.0, x_max / 8.0, width, 4.0 / decay_rate)
     while x < x_max:
         edges.append(x)
         x += min(x, width)
@@ -210,7 +211,8 @@ def _half_periods(f: Callable, x: float, h: float, x_max: float, n: int):
     return _pairs(vals, errs)
 
 
-def _oscillatory_tail(f: Callable, h: float, x_max: float, tol: Tolerance):
+def _oscillatory_tail(f: Callable, h: float, x_max: float, rate: float,
+                      tol: Tolerance):
     """The head [0, x0], x0 = _HEAD_HALF_PERIODS h, by adaptive subdivision
     and the tail by half-period panels [x, x + h] whose partial sums Levin's
     u-transform extrapolates; see integrate_semi_infinite.
@@ -231,7 +233,7 @@ def _oscillatory_tail(f: Callable, h: float, x_max: float, tol: Tolerance):
     cannot converge, and the pass fails at once.
     """
     x0 = _HEAD_HALF_PERIODS * h
-    edges = _seed_edges(x0, h)
+    edges = _seed_edges(x0, h, rate)
     seeds = len(edges) - 1
     lo, hi = _half_period_panels(
         x0, h, x_max, min(_LEVIN_MAX_ORDER, specfun._MAX_SUBDIVISIONS))
@@ -305,5 +307,7 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     """fpcavity.specfun.integrate_semi_infinite on the reference driver."""
     x_max, span = _truncation(decay_rate_hint, tol, half_period)
     if span > _TAIL_MIN_SPAN:
-        return _oscillatory_tail(integrand, half_period, x_max, tol)
-    return _adaptive(integrand, _seed_edges(x_max, half_period), tol)
+        return _oscillatory_tail(integrand, half_period, x_max,
+                                 decay_rate_hint, tol)
+    return _adaptive(integrand,
+                     _seed_edges(x_max, half_period, decay_rate_hint), tol)

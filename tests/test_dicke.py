@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -313,6 +314,61 @@ def test_kept_layouts_are_read_only(monkeypatch):
                 array[0] = 1
 
 
+class _Recording:
+    """A stand-in for scipy's blas or lapack module that records the bands
+    the banded routines are given and the factors dpbtrf returns."""
+
+    def __init__(self, module, seen: list):
+        self._module, self._seen = module, seen
+
+    def __getattr__(self, name):
+        routine = getattr(self._module, name)
+        if name not in ("dsbmv", "dpbtrf", "dpbtrs"):
+            return routine
+
+        def call(*args, **kwargs):
+            out = routine(*args, **kwargs)
+            returned = out[:1] if name == "dpbtrf" else ()
+            for array in args + returned:
+                if isinstance(array, np.ndarray) and array.ndim == 2:
+                    self._seen.append((name, array))
+            return out
+        return call
+
+
+def test_solver_passes_fortran_bands_and_draws_one_start_per_block(
+        monkeypatch):
+    # f2py copies a C-ordered band on every call; and the start vectors are
+    # drawn once per model, with its layouts, not once per coupling
+    ground_state(DickeParams(y=1.0, n_atoms=2, fock_cutoff=4))
+    seen, draws = [], []
+    monkeypatch.setattr(dicke, "_blas", _Recording(dicke._blas, seen))
+    monkeypatch.setattr(dicke, "_lapack", _Recording(dicke._lapack, seen))
+    rng = np.random.default_rng
+
+    def counted(*args):
+        draws.append(args)
+        return rng(*args)
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    _memo._entries.clear()
+    p = DickeParams(n_atoms=8, fock_cutoff=60)
+    couplings = [0.5, 1.0, 1.5, 2.0, 3.0]
+    rows = spectrum_scan(p, couplings)
+    assert len(draws) == 2
+    assert {name for name, _ in seen} == {"dsbmv", "dpbtrf", "dpbtrs"}
+    assert all(array.flags.f_contiguous for _, array in seen)
+    for layout in _memo.recall(dicke._block_layouts, p):
+        assert layout.band.flags.f_contiguous
+        assert np.array_equal(layout.start, rng(0).standard_normal(
+            layout.band.shape[1]))
+    # the same rows as solves of one coupling each, every one drawing its
+    # own start vectors
+    for y, row in zip(couplings, rows):
+        _memo._entries.clear()
+        assert repr(spectrum_scan(p, [y])[0]) == repr(row)
+    assert len(draws) == 2 + 2 * len(couplings)
+
+
 # ---------------------------------------------------------------------------
 # banded parity-block solver
 # ---------------------------------------------------------------------------
@@ -463,14 +519,16 @@ def _banded_layout(h: np.ndarray, half_bandwidth: int) -> dicke._BlockLayout:
     """The layout of a symmetric banded block whose coupling values at
     y / sqrt(N) = 1 are its off-diagonal elements."""
     dim = len(h)
-    band = np.zeros((half_bandwidth + 1, dim))
+    band = np.zeros((half_bandwidth + 1, dim), order="F")
     band[0] = np.diag(h)
     lower, upper = np.tril_indices(dim, -1)
     near = lower - upper <= half_bandwidth
     lower, upper = lower[near], upper[near]
     return dicke._BlockLayout(band=band, width=lower - upper, lo=upper,
                               strength=h[lower, upper], m=np.zeros(dim),
-                              n=np.arange(dim))
+                              n=np.arange(dim),
+                              start=np.random.default_rng(0).standard_normal(
+                                  dim))
 
 
 @pytest.mark.parametrize("lower_block", ["even", "odd"])
@@ -593,6 +651,25 @@ def test_params_reject_non_finite(field, bad):
         DickeParams(**{field: bad})
 
 
+@pytest.mark.parametrize("sizes", [
+    {"n_atoms": 2.5}, {"fock_cutoff": 4.5}, {"n_atoms": 8.0},
+    {"fock_cutoff": "4"}, {"n_atoms": None}])
+def test_params_reject_non_integral_sizes(sizes):
+    # a size that is not an integer has no basis: refused on construction,
+    # not an IndexError inside the solve
+    with pytest.raises(DomainError, match="integers"):
+        DickeParams(y=1.0, **{"n_atoms": 2, "fock_cutoff": 4, **sizes})
+
+
+def test_params_take_numpy_integer_sizes():
+    p = DickeParams(y=1.0, n_atoms=np.int64(2), fock_cutoff=np.int32(4))
+    _memo._entries.clear()
+    got = ground_state(p)
+    _memo._entries.clear()
+    assert repr(got) == repr(ground_state(
+        DickeParams(y=1.0, n_atoms=2, fock_cutoff=4)))
+
+
 # ---------------------------------------------------------------------------
 # mean field
 # ---------------------------------------------------------------------------
@@ -651,6 +728,104 @@ def test_mean_field_overflow_is_domain_error(capsys):
     with pytest.raises(DomainError):
         mean_field(DickeParams(y=1e200))
     assert dispatch(["dicke", "meanfield", "--y", "1e200"]) == 2
+
+
+def _exact_mean_field(omega_a: float, omega_c: float, y: float):
+    """The order parameter and the energy per atom above y_c, in exact
+    rational arithmetic: (y^2 - y_c^4/y^2) / (4 omega_c^2) and
+    -(omega_a/4) (y^2/y_c^2 + y_c^2/y^2), y_c^2 = omega_a omega_c."""
+    a, c, y2 = Fraction(omega_a), Fraction(omega_c), Fraction(y) ** 2
+    return ((y2 - (a * c) ** 2 / y2) / (4 * c * c),
+            -a / 4 * (y2 / (a * c) + a * c / y2))
+
+
+@pytest.mark.parametrize("omega_a, omega_c, y", [
+    (1e-170, 1e-170, 1e-160),  # y_c^2 and y^2 underflow
+    (1e-320, 1.0, 1.0),        # y^2 / y_c^2 overflows, omega_a times it not
+    (1e10, 1e-160, 1e-60),     # omega_c^2 underflows
+    (1e-300, 1e300, 1e5),      # the order parameter underflows in full
+    (5e-324, 1.0, 1e-100),
+    (1.0, 1.0, 1e154),         # order parameter and energy near the top
+])
+def test_mean_field_finite_wherever_the_exact_result_is(omega_a, omega_c, y):
+    res = mean_field(DickeParams(omega_a, omega_c, y))
+    order, energy = _exact_mean_field(omega_a, omega_c, y)
+    assert math.sqrt(omega_a) * math.sqrt(omega_c) < y
+    assert res.y_c == pytest.approx(math.sqrt(omega_a) * math.sqrt(omega_c),
+                                    rel=4e-16)
+    assert res.order_parameter_sq_per_atom == pytest.approx(float(order),
+                                                            rel=1e-15)
+    assert res.energy_per_atom == pytest.approx(float(energy), rel=1e-15)
+
+
+@pytest.mark.parametrize("omega_a, omega_c, y", [
+    (1.0, 1e-320, 1.0), (1e-200, 1e-200, 1e200), (5e-324, 5e-324, 1.0),
+    (1e-300, 1e-300, 1e10)])
+def test_mean_field_refuses_only_an_overflowing_result(omega_a, omega_c, y):
+    order, energy = _exact_mean_field(omega_a, omega_c, y)
+    assert max(order, -energy) > 2 ** 1024
+    with pytest.raises(DomainError, match="overflows"):
+        mean_field(DickeParams(omega_a, omega_c, y))
+
+
+def test_mean_field_against_exact_arithmetic_sweep():
+    # frequencies and couplings over the whole float range, against exact
+    # rationals: finite within a few roundings, or refused where the exact
+    # result overflows
+    rng = np.random.default_rng(34)
+    finite = refused = 0
+    for _ in range(400):
+        omega_a, omega_c = 10.0 ** rng.uniform(-320, 300, 2)
+        y = float(math.sqrt(omega_a) * math.sqrt(omega_c)
+                  * 10.0 ** rng.uniform(0.001, 300))
+        if not 0.0 < y < math.inf:
+            continue
+        order, energy = _exact_mean_field(omega_a, omega_c, y)
+        if max(order, -energy) > 2 ** 1025:
+            with pytest.raises(DomainError):
+                mean_field(DickeParams(omega_a, omega_c, y))
+            refused += 1
+        elif max(order, -energy) < 2 ** 1023:
+            res = mean_field(DickeParams(omega_a, omega_c, y))
+            for got, want in ((res.order_parameter_sq_per_atom, order),
+                              (res.energy_per_atom, energy)):
+                assert got == pytest.approx(float(want), rel=1e-15,
+                                            abs=1e-323)
+            finite += 1
+    assert finite > 100 and refused > 100
+
+
+def test_mean_field_in_range_has_the_bits_of_the_plain_formulas():
+    # where no intermediate leaves the normal range, the significand-and-
+    # exponent form rounds exactly as the formulas of the docstring do
+    rng = np.random.default_rng(35)
+    for _ in range(2000):
+        omega_a, omega_c = (float(x) for x in np.exp(rng.uniform(-30, 30, 2)))
+        y = math.sqrt(omega_a * omega_c) * float(np.exp(rng.uniform(-2, 8)))
+        res = mean_field(DickeParams(omega_a, omega_c, y))
+        y_c = math.sqrt(omega_a * omega_c)
+        if y <= y_c:
+            want = (y_c, 0.0, -0.5 * omega_a)
+        else:
+            y2 = y * y
+            cos_theta = omega_a * omega_c / y2
+            want = (y_c,
+                    y2 * (1.0 - cos_theta * cos_theta)
+                    / (4.0 * (omega_c * omega_c)),
+                    -0.25 * omega_a * (y2 / (omega_a * omega_c) + cos_theta))
+        assert (res.y_c, res.order_parameter_sq_per_atom,
+                res.energy_per_atom) == want
+
+
+def test_cli_mean_field_at_extreme_frequencies(capsys):
+    assert dispatch(["dicke", "meanfield", "--omega-a", "5e-324",
+                     "--omega-c", "5e-324", "--y", "1"]) == 2
+    assert "overflows" in capsys.readouterr().err
+    assert dispatch(["dicke", "meanfield", "--omega-a", "1e-170",
+                     "--omega-c", "1e-170", "--y", "1e-160", "--format",
+                     "csv"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert [float(x) for x in row] == [1e-160, 1e-170, 2.5e19, -2.5e-151]
 
 
 @pytest.mark.parametrize("p, element", [

@@ -161,6 +161,27 @@ def test_tail_mode_matches_the_reference(f, tol, budget, monkeypatch):
     _assert_same(f, 1e-3, tol, half_period=math.pi)
 
 
+@pytest.mark.parametrize("rate", [1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
+def test_fast_decay_is_resolved(rate):
+    # the first seed panel ends within four decay lengths: a first panel
+    # [0, 1] gave 3.2e-21 for 1e-4 at a rate of 1e4, with no error
+    f = lambda x: np.exp(-rate * x)
+    _assert_same(f, rate)
+    assert integrate_semi_infinite(f, rate) == pytest.approx(1.0 / rate,
+                                                             rel=1e-12)
+
+
+def test_fast_decay_in_the_tail_mode():
+    # a truncation point 100 half-periods out takes the tail mode, whose
+    # head seeds start at 4/rate too
+    rate, h = 1e3, 0.1
+    f = lambda x: np.exp(-rate * x) * np.cos(math.pi / h * x)
+    _assert_same(f, rate, half_period=h)
+    want = rate / (rate ** 2 + (math.pi / h) ** 2)
+    assert integrate_semi_infinite(f, rate, half_period=h) == pytest.approx(
+        want, rel=1e-10)
+
+
 def _slow_tail_scalar(x):
     # a term (1 + x)^-3 that the transform extrapolates slowly: the tail
     # takes many batches, with head splits between some of them

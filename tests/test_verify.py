@@ -110,6 +110,16 @@ def test_lipschitz_small_u_limit():
     assert all(r.passed for r in check_lipschitz(1e-4, 0.0))
 
 
+@pytest.mark.parametrize("u", [1e4, 1e8])
+def test_lipschitz_fast_decay(u):
+    # e^{-xu} decays within the first seed panel; EQ33 holds to the
+    # relative tolerance, not only by TOL_LIPSCHITZ's abs_tol
+    r33, r34 = check_lipschitz(u, 1.0)
+    assert r33.passed and r34.passed
+    assert r33.lhs == pytest.approx(r33.rhs, rel=1e-12)
+    assert r34.lhs == pytest.approx(r34.rhs, rel=1e-12)
+
+
 def test_lipschitz_failure_is_a_report(monkeypatch):
     # too few panel splits for the near-singular u = 1e-4 integrands (the
     # oscillatory-tail mode needs 12): both identities come back failed
