@@ -114,8 +114,10 @@ def xi(u: float, v: float, tol=None) -> float:
     distance hypot(min(u, 2 - u), v)) nearer than 1e-100.
 
     The moment S3 of _lattice_moments, accurate to about 1e-13 relative
-    whatever tol is given; tol is ignored, kept only for callers that still
-    pass one.
+    whatever tol is given.  tol is ignored: it is kept only for the one
+    caller that still passes it, the shifted xi of
+    perfbench/test_checks_bite.py, and goes with that call (ROADMAP item
+    10).
     """
     return _lattice_moments(u, v)[0]
 

@@ -67,33 +67,28 @@ def hyperbolic_mode_sum(args: ModeSumArgs) -> complex:
 
         pi i^m beta^(m-1) / sinh(pi beta) * cosh(beta (pi - alpha))   (m even)
                                             sinh(beta (pi - alpha))   (m odd)
+
+    The ratios are formed at every beta as
+    (e^{-alpha beta} +- e^{-(2pi - alpha) beta}) / (1 - e^{-2pi beta}).
+    Every exponent is at most 0, so nothing overflows, and each is a
+    product rounded once, not a difference with pi beta, so the result is
+    good to about (1 + min(alpha, 2pi - alpha) beta) ulps, and an alpha
+    below ulp(pi)/2 is not lost.
     """
     alpha = args.alpha % (2.0 * math.pi)
     beta = args.beta
     if args.m == 1 and alpha == 0.0:
         return 0j
-    # {cosh,sinh}(beta(pi - alpha))/sinh(pi beta) through non-positive
-    # exponents only: |pi - alpha| <= pi keeps this overflow-free at any beta
-    arg = beta * (math.pi - alpha)
+    near, far = alpha * beta, (2.0 * math.pi - alpha) * beta
     ratio_den = -math.expm1(-2.0 * math.pi * beta)
     pref = math.pi * beta ** (args.m - 1)
-    if math.isinf(arg):
-        # arg - pi beta would be inf - inf: the same two exponents,
-        # -alpha beta and -(2pi - alpha) beta, formed directly
-        top = math.exp(-alpha * beta)
-        bot = math.exp((alpha - 2.0 * math.pi) * beta)
-        if args.m == 0:
-            return complex(pref * (top + bot) / ratio_den)
-        return 1j * pref * (top - bot) / ratio_den
     if args.m == 0:
-        top = math.exp(arg - math.pi * beta)
-        bot = math.exp(-arg - math.pi * beta)
-        return complex(pref * (top + bot) / ratio_den)
-    # 2 e^{-pi beta} sinh(arg) with expm1, free of the cancellation of
-    # e^{arg} - e^{-arg} at small |arg|
-    odd = math.copysign(math.exp(abs(arg) - math.pi * beta)
-                        * -math.expm1(-2.0 * abs(arg)), arg)
-    return 1j * pref * odd / ratio_den
+        return complex(pref * (math.exp(-near) + math.exp(-far)) / ratio_den)
+    # e^{-near} - e^{-far} as e^{-min(near, far)} (1 - e^{-2|arg|}), arg =
+    # beta (pi - alpha): expm1 is free of the cancellation at alpha near pi
+    arg = beta * (math.pi - alpha)
+    odd = math.exp(-min(near, far)) * -math.expm1(-2.0 * abs(arg))
+    return 1j * pref * math.copysign(odd, arg) / ratio_den
 
 
 # The head of the direct sum runs over n = n0 + k, k in [0, _BLOCK), in
@@ -111,6 +106,11 @@ _OFFSETS = np.arange(_BLOCK * _CHUNK, dtype=float)
 # the loop.
 _SUM_HEAD_MIN = 4096
 _SUM_HEAD_REACH = 256.0
+# The longest head a call sums: where alpha is so near 0 mod 2pi that the
+# head runs to n_max, a term costs about 5.5e-9 s (2-core x86 box), so a
+# head at the bound takes about 1.7 s, and one of 2^53 terms would take
+# about 1.6 years
+_MAX_HEAD_TERMS = 300_000_000
 _EULER_EPS = 2.0 ** -60
 _EULER_TERMS = 64
 # B_2j / 2j for j = 1, 2, 3: the Euler-Maclaurin corrections of _em_ends
@@ -202,7 +202,9 @@ def direct_mode_sum(args: ModeSumArgs, n_max: int) -> complex:
     huge alpha gives a finite sum, and then into (-pi, pi] with 2pi in two
     doubles, so that alpha near 2pi is summed as accurately as alpha near 0.
     n_max must be an integer (a Python or numpy int) in [1, 2^53], where
-    every n is exactly a double.
+    every n is exactly a double.  A head longer than _MAX_HEAD_TERMS (alpha
+    within about 256/n_max of 0 mod 2pi, and n_max above the bound) is a
+    DomainError before any term is summed.
     """
     try:
         n_max = operator.index(n_max)
@@ -225,6 +227,10 @@ def direct_mode_sum(args: ModeSumArgs, n_max: int) -> complex:
     reach = (_SUM_HEAD_MIN if alpha == 0.0
              else max(_SUM_HEAD_MIN, _SUM_HEAD_REACH / abs(one_minus_z)))
     head = n_max if reach >= n_max else math.ceil(reach)
+    if head > _MAX_HEAD_TERMS:
+        raise DomainError(f"alpha = {args.alpha!r} with n_max = {n_max} "
+                          f"needs a head of {head} terms, above the bound "
+                          f"{_MAX_HEAD_TERMS}: alpha is too near 0 mod 2pi")
     trig_k = np.stack([np.cos(alpha * _K), np.sin(alpha * _K)], axis=1)
     n_buf, w_buf = np.empty(_BLOCK * _CHUNK), np.empty(_BLOCK * _CHUNK)
     re = im = 0.0

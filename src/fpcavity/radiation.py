@@ -41,14 +41,15 @@ therefore stays as the reference route (_kernel_d_reference) that the
 verification suite uses for EQ21, SELF_CANCEL and AXIAL20; it never calls
 the lattice code.  Both routes build their rows with one helper (_d_rows)
 from the two hyperbolic weights, which one helper (_hyperbolic_weights)
-computes together.
+computes together; the difference of two cosh ratios that the
+verification suite integrates for EQ36 (_cosh_ratio_diff) is formed here
+too.
 
 Both pass the half-period pi/v of J(xv) to integrate_semi_infinite, which
 sums half-period panels and extrapolates them past 50 half-periods before
 its truncation point.  So the reference converges down to u = 1e-3 in a
 few ms, and a kernel_d call takes 1.7-2.0 ms at v = 30 and 0.65-1.1 ms at
-v = 1e3-1e4 on a 2-core x86 box (the plain pass took 100-135 ms at 1e3
-and did not converge at 1e4); at v <= 3 it takes the plain pass.
+v = 1e3-1e4 on a 2-core x86 box; at v <= 3 it takes the plain pass.
 
 The spectral (per-axial-index) representation converges only
 conditionally and is kept as a regulated cross-check: each transverse
@@ -109,6 +110,30 @@ def _hyperbolic_weights(x: np.ndarray, u: float):
     near = np.exp(-x * u)
     den = -np.expm1(-2.0 * x)
     return (far + near) / den, (far - near) / den
+
+
+def _cosh_ratio_diff(x: np.ndarray, u: float, u_prime: float):
+    """[cosh(x a) - cosh(x b)]/sinh(x) at the nodes x, a = u-1, b = u'-1:
+    the weight of the Green's-function integral of EQ36.
+
+    Through cosh(xa) - cosh(xb) = 2 sinh(x(a+b)/2) sinh(x(a-b)/2).  With
+    a >= b (the ratio is odd under the swap) and s = a + b, that is
+    e^{x(a-1)} expm1(-x(a-b)) expm1(-x s) for s >= 0 and
+    -e^{-x(b+1)} expm1(-x(a-b)) expm1(x s) for s < 0 (the numerator over
+    e^x, as the denominator -expm1(-2x) is): every exponent is at most 0,
+    so nothing overflows at large x, and expm1 does the cancellations at
+    u' near u and near 2 - u analytically.
+    """
+    a, b = u - 1.0, u_prime - 1.0
+    sign = 1.0
+    if a < b:
+        a, b, sign = b, a, -1.0
+    s = a + b
+    if s >= 0.0:
+        num = np.exp(x * (a - 1.0)) * np.expm1(-x * s)
+    else:
+        num = -np.exp(-x * (b + 1.0)) * np.expm1(x * s)
+    return sign * num * np.expm1(-x * (a - b)) / (-np.expm1(-2.0 * x))
 
 
 def _check_d_domain(sep: Separation):

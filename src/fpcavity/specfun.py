@@ -438,24 +438,13 @@ _LEVIN_MAX_ORDER = 16
 _TAIL_MIN_SPAN = 50
 # The most head panel splits and tail half-periods one pass may take
 _MAX_SUBDIVISIONS = 4000
-# Levin's signed binomial rows (-1)^j C(k, j), j = 0..k, for every order k
-# the transform takes
-_LEVIN_BINOMIALS = tuple(
-    np.array([(-1.0) ** j * math.comb(k, j) for j in range(k + 1)])
-    for k in range(_LEVIN_MAX_ORDER + 1))
 # the partial sums in the transform of the highest order
 _LEVIN_WINDOW = _LEVIN_MAX_ORDER + 1
-
-
-# the coefficients (-1)^j C(k, j) (n_j / n_k)^(k - 1), n_j =
-# _HEAD_HALF_PERIODS + j, of the transforms of the tail's first, shorter
-# windows, rows 1..k + 1, by k, each padded to _LEVIN_WINDOW
-_LEVIN_FIRST_COEF = np.array([
-    np.concatenate((_LEVIN_BINOMIALS[k]
-                    * ((_HEAD_HALF_PERIODS + np.arange(k + 1))
-                       / (_HEAD_HALF_PERIODS + k)) ** (k - 1),
-                    np.zeros(_LEVIN_MAX_ORDER - k)))
-    for k in range(_LEVIN_WINDOW)])
+# Levin's signed binomial rows (-1)^j C(k, j), j = 0..k, for every order k
+# the transform takes, each padded with zeros to _LEVIN_WINDOW
+_LEVIN_ROWS = np.array([[(-1.0) ** j * math.comb(k, j) if j <= k else 0.0
+                         for j in range(_LEVIN_WINDOW)]
+                        for k in range(_LEVIN_WINDOW)])
 
 
 def _levin_windows(sums: np.ndarray, terms: np.ndarray,
@@ -469,7 +458,10 @@ def _levin_windows(sums: np.ndarray, terms: np.ndarray,
     omega is 0 (a row of exact zeros) or the transform overflows gets its
     last partial sum.
 
-    The windows are stacked along a new axis, a first window shorter than
+    Every window has order k = min(e, _LEVIN_WINDOW) - 1, and its rows j
+    the coefficients (-1)^j C(k, j) (n_j / n_k)^(k - 1), from one rule for
+    the tail's first, shorter windows and the full ones alike.  The
+    windows are stacked along a new axis, a window shorter than
     _LEVIN_WINDOW rows padded with -0.0 (x + -0.0 = x), and each is summed
     one row after the other (np.add.accumulate), in the same order for any
     number of columns.
@@ -477,10 +469,9 @@ def _levin_windows(sums: np.ndarray, terms: np.ndarray,
     firsts = np.maximum(ends - _LEVIN_WINDOW, 0)
     rows = firsts[:, None] + np.arange(1, _LEVIN_WINDOW + 1)
     n = (_HEAD_HALF_PERIODS - 1) + rows
-    coef = _LEVIN_BINOMIALS[-1] * (n / n[:, -1:]) ** (_LEVIN_MAX_ORDER - 1)
-    # a window shorter than _LEVIN_WINDOW starts at row 1
-    shorter = ends < _LEVIN_WINDOW
-    coef[shorter] = _LEVIN_FIRST_COEF[ends[shorter] - 1]
+    # the order k of each window, whose last half-period is n_k = n_0 + k
+    order = np.minimum(ends, _LEVIN_WINDOW)[:, None] - 1
+    coef = _LEVIN_ROWS[order[:, 0]] * (n / (n[:, :1] + order)) ** (order - 1)
     pad = rows > ends[:, None]
     rows = np.minimum(rows, ends[:, None])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -686,12 +677,14 @@ def _truncation(decay_rate_hint: float, tol: Tolerance,
                 half_period: float | None) -> tuple[float, float]:
     """Where integrate_semi_infinite truncates (0, inf) for an integrand
     decaying like x^2 exp(-decay_rate_hint * x), x_max, and the span
-    x_max / half_period (0 without one).  DomainError where a decay rate
-    too small makes x_max overflow, and the one Bessel-argument guard:
-    DomainError where x v = pi x / half_period overflows at the farthest
-    node, one half-period past x_max."""
-    if not decay_rate_hint > 0:
-        raise DomainError("decay_rate_hint must be positive")
+    x_max / half_period (0 without one).  DomainError for a decay rate not
+    positive and finite, or one so small that x_max overflows, and the one
+    Bessel-argument guard: DomainError where x v = pi x / half_period
+    overflows at the farthest node, one half-period past x_max."""
+    if not 0.0 < decay_rate_hint < math.inf:
+        # at an infinite rate the seed panels would start at 4/rate = 0 and
+        # never grow
+        raise DomainError("decay_rate_hint must be positive and finite")
     rate = decay_rate_hint
     # an abs_tol above 1 truncates no earlier than abs_tol = 1 would, which
     # keeps x_max positive
@@ -751,9 +744,7 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     _TAIL_MIN_SPAN half-periods, so it seeds at most about 100 panels past
     the geometric prefix; the tail mode's head, about 8, in the same call
     as the first tail batch.  A verify run of every suite then makes 107
-    calls of its integrands, against 134 with the first tail batch in a
-    call of its own and 360 with geometric seeds alone and a first tail
-    batch of 6.
+    calls of its integrands.
 
     The integrand must decay at least like exp(-decay_rate_hint * x) for
     large x; behaviour at 0 may be integrably singular (panels never touch
@@ -789,14 +780,13 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     step): the pass goes on from the first at which one fires, with the
     values and decisions of taking the half-periods one at a time.  So a
     tail-mode pass of the four-row Bessel integrand of the verify suite
-    costs about 0.36 ms, against 0.19 ms for a plain pass and 0.57 ms with
-    one transform and one set of tests per half-period (warm, same box).
-    The cost no longer grows with the number of oscillations before
-    exp(-rate x) damps them; when the tail reaches the truncation point,
-    the plain partial sum is taken.  The one guard on the arguments:
-    DomainError where the Bessel argument x v = pi x / half_period
-    overflows at the farthest node the pass can reach, one half-period
-    past the truncation point.
+    costs about 0.36 ms, against 0.19 ms for a plain pass (warm, same
+    box), and the cost does not grow with the number of oscillations
+    before exp(-rate x) damps them; when the tail reaches the truncation
+    point, the plain partial sum is taken.  The guards on the arguments:
+    DomainError for a decay_rate_hint not positive and finite, and where
+    the Bessel argument x v = pi x / half_period overflows at the farthest
+    node the pass can reach, one half-period past the truncation point.
 
     An integrand that gives nan or inf is a DomainError in both modes: the
     plain pass and the head refuse a sum or an error that is not finite

@@ -48,8 +48,9 @@ from .errors import ConvergenceError, DomainError
 from .geometry import CavityFrame, Separation
 from .lattice import _lattice_moments, xi
 from .modesum import ModeSumArgs, direct_mode_sum, hyperbolic_mode_sum
-from .radiation import (_anisotropy_summand, _hyperbolic_weights,
-                        _kernel_d_reference, anisotropy_delta)
+from .radiation import (_anisotropy_summand, _cosh_ratio_diff,
+                        _hyperbolic_weights, _kernel_d_reference,
+                        anisotropy_delta)
 from .specfun import (Tolerance, _bessel_half_period, _bessel_j0_g,
                       _quad_finite, integrate_semi_infinite)
 
@@ -200,27 +201,6 @@ def _check_domain(params: dict) -> None:
     """Refuse a non-finite parameter, and a v < 0: J(xv) is read at xv >= 0."""
     if not (all(map(math.isfinite, params.values())) and params["v"] >= 0):
         raise DomainError(f"want finite parameters and v >= 0, got {params}")
-
-
-def _cosh_ratio_diff(x, u, u_prime):
-    # [cosh(x a) - cosh(x b)]/sinh(x) with a = u-1, b = u'-1, through
-    # cosh(xa) - cosh(xb) = 2 sinh(x(a+b)/2) sinh(x(a-b)/2).  With a >= b
-    # (the ratio is odd under the swap) and s = a + b, that is
-    # e^{x(a-1)} expm1(-x(a-b)) expm1(-x s) for s >= 0 and
-    # -e^{-x(b+1)} expm1(-x(a-b)) expm1(x s) for s < 0 (the numerator over
-    # e^x, as the denominator -expm1(-2x) is): every exponent is at most 0,
-    # so nothing overflows at large x, and expm1 does the cancellations at
-    # u' near u and near 2 - u analytically.
-    a, b = u - 1.0, u_prime - 1.0
-    sign = 1.0
-    if a < b:
-        a, b, sign = b, a, -1.0
-    s = a + b
-    if s >= 0.0:
-        num = np.exp(x * (a - 1.0)) * np.expm1(-x * s)
-    else:
-        num = -np.exp(-x * (b + 1.0)) * np.expm1(x * s)
-    return sign * num * np.expm1(-x * (a - b)) / (-np.expm1(-2.0 * x))
 
 
 def check_bessel_hyperbolic(u: float, v: float) -> list[IdentityReport]:

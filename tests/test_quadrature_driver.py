@@ -393,9 +393,12 @@ def test_j0_plus_j2_is_twice_j1_over_x_bit_for_bit():
 
 
 def test_levin_rows_come_from_the_table():
-    for k, row in enumerate(specfun._LEVIN_BINOMIALS):
+    # one row per order k, zero-padded to the longest window
+    width = specfun._LEVIN_WINDOW
+    assert specfun._LEVIN_ROWS.shape == (width, width)
+    for k, row in enumerate(specfun._LEVIN_ROWS):
         assert row.tolist() == [(-1.0) ** j * math.comb(k, j)
-                                for j in range(k + 1)]
+                                for j in range(k + 1)] + [0.0] * (width - k - 1)
 
 
 # ---------------------------------------------------------------------------

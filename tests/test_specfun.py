@@ -345,19 +345,19 @@ def test_bessel_derivative_identity():
 
 def test_xi_odd_cube_closed_form():
     # sum over odd integers k of |k|^-3 equals (7/4) zeta(3)
-    assert xi(1.0, 0.0, TIGHT) == pytest.approx(1.75 * apery_zeta3(), rel=1e-10)
+    assert xi(1.0, 0.0) == pytest.approx(1.75 * apery_zeta3(), rel=1e-10)
 
 
 def test_xi_brute_force_oracle():
     n = np.arange(-10 ** 6, 10 ** 6 + 1, dtype=float)
     brute = float(np.sum(((2 * n + 0.5) ** 2) ** -1.5))
-    assert xi(0.5, 0.0, TIGHT) == pytest.approx(brute, abs=1e-10)
+    assert xi(0.5, 0.0) == pytest.approx(brute, abs=1e-10)
 
 
 def test_xi_brute_force_oracle_transverse():
     n = np.arange(-10 ** 6, 10 ** 6 + 1, dtype=float)
     brute = float(np.sum(((2 * n + 0.7) ** 2 + 1.3 ** 2) ** -1.5))
-    assert xi(0.7, 1.3, TIGHT) == pytest.approx(brute, abs=1e-10)
+    assert xi(0.7, 1.3) == pytest.approx(brute, abs=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
@@ -746,6 +746,18 @@ def test_quadrature_refuses_an_overflowing_bessel_argument():
         else:
             assert integrate_semi_infinite(f, 2.0, half_period=math.pi / v) \
                 == pytest.approx(1.0 / v, rel=1e-8)
+
+
+@pytest.mark.parametrize("half_period", [None, 1.1])
+def test_quadrature_refuses_an_infinite_decay_rate(half_period):
+    # the seed panels would start at 4/rate = 0 and never grow: the pass
+    # would not return.  _truncation is asked first, so that a missing
+    # guard fails here instead of hanging below
+    with pytest.raises(DomainError, match="decay_rate_hint"):
+        _truncation(math.inf, TIGHT, half_period)
+    with pytest.raises(DomainError, match="decay_rate_hint"):
+        integrate_semi_infinite(lambda x: np.exp(-x), math.inf,
+                                half_period=half_period)
 
 
 @pytest.mark.parametrize("half_period", [None, 1.1])
@@ -1226,12 +1238,11 @@ def _closed_form_exponents_mp(alpha, beta, m):
 
 @pytest.mark.parametrize("m", [0, 1])
 def test_hyperbolic_mode_sum_huge_beta_against_mpmath(m):
-    # beta (pi - alpha) overflows from beta ~ 5.7e307 on, where
-    # arg - pi beta would be inf - inf (nan at 1e308): there the exponents
-    # -alpha beta and -(2pi - alpha) beta are formed directly, which is
-    # accurate to about (1 + alpha beta) ulps, and e^{-alpha beta} is not
-    # negligible where alpha is within 1e3 / beta of 0.  Elsewhere arg -
-    # pi beta carries a rounding of about pi beta ulps.  Any warning fails
+    # the exponents -alpha beta and -(2pi - alpha) beta are formed
+    # directly at every beta, so each is accurate to about
+    # (1 + min(alpha, 2pi - alpha) beta) ulps, also where beta (pi - alpha)
+    # overflows (from beta ~ 5.7e307 on), and e^{-alpha beta} is not
+    # negligible where alpha is within 1e3 / beta of 0.  Any warning fails
     # the test; every value is finite
     rng = np.random.default_rng(32)
     top = sys.float_info.max
@@ -1255,7 +1266,7 @@ def test_hyperbolic_mode_sum_huge_beta_against_mpmath(m):
                 assert got == 0j
                 continue
             overflows = math.isinf(beta * (math.pi - alpha))
-            scale = alpha * beta if overflows else math.pi * beta
+            scale = min(alpha, 2.0 * math.pi - alpha) * beta
             want = _closed_form_exponents_mp(alpha, beta, m)
             # a few subnormal ulps where the value underflows
             assert (abs(value - want)
@@ -1263,6 +1274,30 @@ def test_hyperbolic_mode_sum_huge_beta_against_mpmath(m):
                 alpha, beta)
             reached += overflows and value != 0.0
     assert reached >= 40
+
+
+def test_hyperbolic_mode_sum_keeps_a_small_alpha_at_large_beta():
+    # alpha beta in [1e-3, 1e3], where e^{-alpha beta} carries the value:
+    # an alpha below ulp(pi)/2 would be lost in beta (pi - alpha), and
+    # beta (pi - alpha) - pi beta would carry a rounding of pi beta ulps
+    rng = np.random.default_rng(35)
+    eps = sys.float_info.epsilon
+    with mpmath.workdps(40):
+        for _ in range(600):
+            beta = float(10.0 ** rng.uniform(3.0, 300.0))
+            alpha = float(10.0 ** rng.uniform(-3.0, 3.0)) / beta
+            m = int(rng.integers(2))
+            got = hyperbolic_mode_sum(ModeSumArgs(alpha, beta, m))
+            value = got.real if m == 0 else got.imag
+            want = _closed_form_exponents_mp(alpha, beta, m)
+            scale = min(alpha, 2.0 * math.pi - alpha) * beta
+            # a few subnormal ulps where the value underflows
+            assert (abs(value - want)
+                    <= 8.0 * eps * (1.0 + scale) * abs(want) + 1e-323), (
+                alpha, beta, m)
+    assert hyperbolic_mode_sum(ModeSumArgs(1e-17, 1e18, 0)) == \
+        pytest.approx(float(_closed_form_exponents_mp(1e-17, 1e18, 0)),
+                      rel=1e-15)
 
 
 @pytest.mark.parametrize("beta", [1e-155, 1e-160, 1e-200, 1e-310, 5e-324])
@@ -1293,6 +1328,27 @@ def test_direct_mode_sum_rejects_non_integral_n_max():
     assert math.isfinite(direct_mode_sum(args, 2 ** 53).real)
     with pytest.raises(DomainError):
         direct_mode_sum(args, 2 ** 53 + 1)
+
+
+def test_direct_mode_sum_refuses_a_head_past_its_bound(monkeypatch):
+    # at alpha = 1e-300 the head runs to n_max: 2^53 terms would take
+    # about 1.6 years.  The bound is read first, so that a missing guard
+    # fails here instead of summing
+    from fpcavity import modesum
+    bound = modesum._MAX_HEAD_TERMS
+    assert 2 ** 53 > bound >= 10 ** 8
+    with pytest.raises(DomainError, match=r"alpha = 1e-300.*n_max = "
+                       + str(2 ** 53)):
+        direct_mode_sum(ModeSumArgs(1e-300, 1.0, 0), 2 ** 53)
+    # refused before any term is summed, and a head at the bound is summed
+    monkeypatch.setattr(modesum, "_MAX_HEAD_TERMS", 5000)
+    args = ModeSumArgs(1e-300, 1.0, 1)
+    with pytest.raises(DomainError, match="n_max = 5001"):
+        direct_mode_sum(args, 5001)
+    assert direct_mode_sum(args, 5000).imag > 0.0
+    # alpha = 0 sums a head of _SUM_HEAD_MIN whatever n_max is
+    assert math.isfinite(direct_mode_sum(ModeSumArgs(0.0, 1.0, 0),
+                                         2 ** 53).real)
 
 
 # n_max on and around the block and chunk boundaries of the blocked sum
