@@ -13,7 +13,8 @@ match within max(8 ulps of itself, a bound per file):
            abs_err or rel_err is the rounding of those sides;
   xi and kernel   8 ulps of the largest |value| in the file;
   dicke    the solver's residual, 1e-12 |H|, with |H| the bound of the
-           default model at the scan's largest coupling.
+           default model at the scan's largest coupling, which is above
+           those of the N = 7 and N = 1 scans.
 
 A change that moves an output rewrites the files with tools/golden.py and
 names the rows that moved.

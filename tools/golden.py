@@ -6,12 +6,13 @@ Each output is the bytes that `fpcavity <argv>` writes to stdout, made
 through fpcavity.cli.dispatch in this process: the verification suite as
 JSON at seed 42 and each single suite as CSV at seed 7, the `xi` and
 `kernel` outputs that CI prints, and `dicke scan`, with its default
-arguments and as CI's CSV.  MANIFEST.json holds the argv of every file and
-the fingerprint of the environment that wrote them: the numpy and scipy
-versions, platform.machine() and numpy's enabled CPU features.  OpenBLAS
-picks its ddot and dgemm kernels by CPU, and the lattice moments, the
-Gauss-Kronrod sums and the Dicke solver all go through them, so the last
-bits of a float are only reproducible where the fingerprint is the same.
+arguments, as CI's CSV and at N = 7 and N = 1.  MANIFEST.json holds the
+argv of every file and the fingerprint of the environment that wrote
+them: the numpy and scipy versions, platform.machine() and numpy's enabled
+CPU features.  OpenBLAS picks its ddot and dgemm kernels by CPU, and the
+lattice moments, the Gauss-Kronrod sums and the Dicke solver all go
+through them, so the last bits of a float are only reproducible where the
+fingerprint is the same.
 
 tests/test_golden.py regenerates every output with this module and
 compares it with the committed file.  A change that moves an output
@@ -56,6 +57,12 @@ CASES.update({f"kernel_{family}_{sign}_u{u}_v{v}.csv":
 CASES["dicke_scan.json"] = ("dicke", "scan")
 CASES["dicke_scan_ci.csv"] = ("dicke", "scan", "--y-min", "0", "--y-max",
                               "3", "--steps", "13", "--format", "csv")
+# odd N, where each photon row splits between the blocks, and N = 1, where
+# the blocks are tridiagonal
+CASES["dicke_scan_n7_cutoff40.json"] = ("dicke", "scan", "--n-atoms", "7",
+                                        "--cutoff", "40")
+CASES["dicke_scan_n1_cutoff30.json"] = ("dicke", "scan", "--n-atoms", "1",
+                                        "--cutoff", "30")
 
 
 def fingerprint() -> dict:
