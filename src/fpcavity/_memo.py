@@ -3,19 +3,18 @@ one repeat.
 
 Public calls ask for one input twice in a row: kernel_e, kernel_d and the
 reference route of verify for both signs of one separation (E- = E+ . R,
-D- = D+ . R share one base), ground_state after spectrum_scan at the same
-parameters (one parity-block solve), and consecutive couplings of one Dicke
-model (one build of the blocks' layouts).  `recall` serves the second call
+D- = D+ . R share one base), and ground_state after spectrum_scan at the
+same parameters (one parity-block solve).  `recall` serves the second call
 from the first.
 
 It holds one entry per route, a (key, value) tuple: the next call of that
 route with another input replaces it, so a sweep over distinct inputs
 computes each of them, while a call of another route in between leaves it
-alone.  The largest value kept is the Dicke layouts, two bands of
-(half-bandwidth + 1) x block-states doubles, about 18 MB at N = 64,
-cutoff 1000.  The key is every input exactly, floats by their bits (-0.0
-and 0.0 differ), so a result served from the memo has the bits a fresh
-computation would give.  An entry is read and replaced whole, so threads
+alone.  Every value kept is small: the largest is a kernel base, a 3 x 3
+matrix, and a Dicke solve keeps only its six observables, whatever the
+size of its blocks.  The key is every input exactly, floats by their bits
+(-0.0 and 0.0 differ), so a result served from the memo has the bits a
+fresh computation would give.  An entry is read and replaced whole, so threads
 that share it may lose each other's entry but never pair a key with
 another key's value.
 """

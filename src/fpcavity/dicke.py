@@ -8,9 +8,9 @@ blocks separately so reported parities are exact labels even when the
 superradiant doublet is degenerate to machine precision.
 
 Each block, with its states ordered by photon number, is banded with a
-half-bandwidth of about N/2.  The solver builds it in band storage straight
-from the matrix elements, once per model but for the coupling values, which
-consecutive couplings of the model fill in; no dense matrix is formed.
+half-bandwidth of about N/2.  The solver writes its band at each coupling
+straight from the closed form of that order (_parity_bands), and keeps no
+layout per model; no dense matrix is formed.
 Bisection with banded Cholesky factorizations finds a shift certified below
 the block's lowest eigenvalue, and a Lanczos iteration on the inverse of the
 shifted block, one banded solve with that one factor per step, spans its
@@ -28,7 +28,7 @@ MAX_SOLVER_WORK, and the Lanczos basis to 6e6 doubles; solves near the
 bound, such as N = 199 at cutoff 99 or N = 64 at cutoff 1400, take
 0.08-0.14 s per coupling on a 2-core x86 box.  A model whose matrix
 elements or |H| would overflow is refused first.  `build_hamiltonian`
-scatters the same elements into the dense matrix for tests and inspection;
+scatters the same bands into the dense matrix for tests and inspection;
 it refuses the same overflowing models, and its other guard bounds the
 dimension, since the dense matrix is what costs memory.
 
@@ -82,10 +82,10 @@ MAX_DIMENSION = 20000
 _MAX_LANCZOS_STEPS = 45
 # floating-point operations of one parity-block solve (see
 # _check_solver_work).  Solves near the bound took 0.08-0.14 s per coupling
-# (y in {0.5, 1.5, 3}, layouts built) on a 2-core x86 box: N = 199 at
-# cutoff 99 (blocks of 10000 states, half-bandwidth 101, 1.73e9) and N = 64
-# at cutoff 1400.  Their worst case, 45 steps that miss the residual bound,
-# took 0.38 and 0.27 s.
+# (y in {0.5, 1.5, 3}) on a 2-core x86 box: N = 199 at cutoff 99 (blocks
+# of 10000 states, half-bandwidth 101, 1.73e9) and N = 64 at cutoff 1400.
+# Their worst case, 45 steps that miss the residual bound, took 0.38 and
+# 0.27 s.
 MAX_SOLVER_WORK = 2_000_000_000
 # doubles of the Lanczos basis and H times it, 2 x 45 per block state
 # (48 MB).  It binds below N ~ 45, at blocks of 66666 states: N = 1 at
@@ -101,11 +101,11 @@ _RESIDUAL = 1e-12
 # the shift's bisection stops at a bracket on E0 this wide, and the shift
 # used sits this far below the bracket's certified lower end; both in
 # units of |H|.  A looser bracket saves factorizations but leaves the shift
-# farther below E0, and Lanczos takes more steps: one warm solve (layouts
-# built, median over y in [0.1, 2.7], 2-core x86 box) at N = 8, cutoff 60
-# and N = 16, cutoff 100 took 0.67 and 1.58 ms at 1e-2 (20 banded solves
-# per N = 8 solve), 0.42 and 1.13 ms at 1e-3 (12) and 0.40 and 1.11 ms at
-# 1e-4 (10), which would move every output's last digits for that 5 %.
+# farther below E0, and Lanczos takes more steps: one warm solve (median
+# over y in [0.1, 2.7], 2-core x86 box) at N = 8, cutoff 60 and N = 16,
+# cutoff 100 took 0.67 and 1.58 ms at 1e-2 (20 banded solves per N = 8
+# solve), 0.42 and 1.13 ms at 1e-3 (12) and 0.40 and 1.11 ms at 1e-4 (10),
+# which would move every output's last digits for that 5 %.
 _SHIFT_BRACKET = 1e-3
 _SHIFT_MARGIN = 1e-10
 # banded Cholesky factorizations per block: the bisection's, which halve a
@@ -122,6 +122,9 @@ _CUTOFF_TAIL = 1e-8
 # and build_hamiltonian never need.
 _blas = None
 _lapack = None
+# the draw that the Lanczos start vectors are prefixes of (_start), as long
+# as the largest block solved: at most 66666 states (_MAX_BASIS_DOUBLES)
+_starts = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -244,130 +247,113 @@ def _check_range(p: DickeParams) -> None:
             f"couplings, to be finite")
 
 
-def _elements(p: DickeParams):
-    """The nonzero matrix elements of H on |m, n>, the one definition of H.
+def _parity_bands(p: DickeParams) -> tuple[np.ndarray, np.ndarray]:
+    """The lower bands, ab[d, j] = H[j + d, j] in Fortran order, of the
+    even and the odd parity block of H at p.y: the one definition of H.
 
-    m is the spin index 0..N (S_z = m - N/2) and n the photon number
-    0..cutoff.  Returns (m, n, value) arrays of the diagonal, over the
-    states in photon-major order n (N + 1) + m, and (m1, n1, m2, n2,
-    strength) arrays of the couplings, each unordered pair of states once,
-    whose values are y/sqrt(N) times strength (_coupling_values): S_x
-    (a + a') links |m, n> to |m + 1, n +- 1>.
+    H is omega_a (m - s) + omega_c n on |m, n>, spin index m (S_z = m - s,
+    s = N/2) and photon number n, and links |m, n> - |m + 1, n + 1> and
+    |m, n + 1> - |m + 1, n> by (y/sqrt(N)) sx[m] sqrt(n + 1), with sx[m] =
+    <m+1|S_x|m> = sqrt(s(s+1) - mz(mz+1))/2, mz = m - s.  A block lists its
+    states, those of parity (-1)^(m + n), photon-major by n (N + 1) + m
+    (_block_states), so its half-bandwidth is about N/2 at any cutoff:
+    - even N: block q is every second state, n (N + 1) + m = q mod 2, with
+      the couplings on sub-diagonals N/2 and N/2 + 1;
+    - odd N: photon row n gives block q its m = n + q mod 2, with the
+      couplings on sub-diagonals (N - 1)/2 to (N + 3)/2, and on 1 alone at
+      N = 1, where the band is tridiagonal.
     """
-    s = 0.5 * p.n_atoms
-    n, m = np.divmod(np.arange(p.dimension), p.n_atoms + 1)
-    diag = p.omega_a * (m - s) + p.omega_c * n
-    mz = np.arange(p.n_atoms, dtype=float) - s
-    # <m+1| S_x |m> = sqrt(s(s+1) - mz(mz+1)) / 2, <j+1| a' |j> = sqrt(j+1)
+    size, cutoff = p.n_atoms, p.fock_cutoff
+    s = 0.5 * size
+    spins = np.arange(size + 1.0) - s  # mz of each m
+    photons = np.arange(cutoff + 1.0)
+    # diag[n, m], and coupling[n, m] for m < N and n < cutoff
+    diag = p.omega_a * spins + p.omega_c * photons[:, None]
+    mz = spins[:-1]
     sx = 0.5 * np.sqrt(s * (s + 1) - mz * (mz + 1))
-    k, j = np.divmod(np.arange(p.n_atoms * p.fock_cutoff), p.fock_cutoff)
-    strength = sx[k] * np.sqrt(j + 1.0)
-    # |k, j> - |k+1, j+1> and |k, j+1> - |k+1, j>, both of one strength
-    couplings = (np.concatenate([k, k]), np.concatenate([j, j + 1]),
-                 np.concatenate([k + 1, k + 1]), np.concatenate([j + 1, j]),
-                 np.concatenate([strength, strength]))
-    return (m, n, diag), couplings
+    bands = []
+    if size % 2 == 0:
+        half, dim = size // 2, p.dimension
+        # the coupling of states i and i + N at links[i], and of states i and
+        # i + N + 2 at links[i + 1]: coupling[n, m] at n (N + 1) + m + 1
+        links = np.zeros(dim + 1)
+        coupling = links[1:].reshape(cutoff + 1, size + 1)[:cutoff, :size]
+        np.multiply(sx, np.sqrt(photons[1:, None]), out=coupling)
+        coupling *= p.y / math.sqrt(size)
+        for q in (0, 1):
+            band = np.zeros((half + 2, (dim + 1 - q) // 2), order="F")
+            band[0] = diag.ravel()[q::2]
+            band[half] = links[q:dim:2]
+            band[half + 1] = links[q + 1::2]
+            bands.append(band)
+        return tuple(bands)
+    half = (size + 1) // 2
+    coupling = np.multiply(sx, np.sqrt(photons[1:, None]))
+    coupling *= p.y / math.sqrt(size)
+    for q in (0, 1):
+        # the last sub-diagonal, N = 1 aside, needs a photon row n = q + 1
+        # mod 2 below the cutoff
+        width = half + (size > 1 and (cutoff > 1 or q == 1))
+        band = np.zeros((width + 1, (cutoff + 1) * half), order="F")
+        # ab[d, n (N + 1)/2 + t] at grid[n, t, d]
+        grid = band.T.reshape(cutoff + 1, half, width + 1)
+        grid[q::2, :, 0] = diag[q::2, 0::2]
+        grid[1 - q::2, :, 0] = diag[1 - q::2, 1::2]
+        # |2t, n> - |2t + 1, n + 1> and |2t, n + 1> - |2t + 1, n>
+        grid[:cutoff, :, half] = coupling[:, 0::2]
+        if size > 1:
+            # |2t + 2, n> - |2t + 1, n + 1>, n = q mod 2
+            grid[q:cutoff:2, 1:, half - 1] = coupling[q::2, 1::2]
+        if width > half:
+            # |2t + 1, n> - |2t + 2, n + 1>, n = q + 1 mod 2
+            grid[1 - q:cutoff:2, :-1, half + 1] = coupling[1 - q::2, 1::2]
+        bands.append(band)
+    return tuple(bands)
 
 
-def _coupling_values(p: DickeParams, strength: np.ndarray) -> np.ndarray:
-    """The matrix elements of the couplings of _elements at p.y."""
-    return (p.y / math.sqrt(p.n_atoms)) * strength
+def _block_states(p: DickeParams, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spin index m and the photon number n of each state of parity
+    block q (0 even, 1 odd), in the order of its band (_parity_bands)."""
+    if p.n_atoms % 2 == 0:
+        n, m = np.divmod(np.arange(q, p.dimension, 2), p.n_atoms + 1)
+        return m, n
+    n, t = np.divmod(np.arange(p.dimension // 2), (p.n_atoms + 1) // 2)
+    return 2 * t + (n + q) % 2, n
 
 
 def build_hamiltonian(p: DickeParams) -> np.ndarray:
     """Dense real symmetric Hamiltonian in the |m> x |n_phot> product basis,
-    index m (cutoff + 1) + n."""
+    index m (cutoff + 1) + n: the parity blocks' bands scattered."""
     _check_dimension(p)
     _check_range(p)
-    (m, n, diag), (m1, n1, m2, n2, strength) = _elements(p)
-    c = _coupling_values(p, strength)
-    dim_b = p.fock_cutoff + 1
     h = np.zeros((p.dimension, p.dimension))
-    i = m * dim_b + n
-    h[i, i] = diag
-    i1, i2 = m1 * dim_b + n1, m2 * dim_b + n2
-    h[i1, i2] = c
-    h[i2, i1] = c
+    for q, band in enumerate(_parity_bands(p)):
+        m, n = _block_states(p, q)
+        i = m * (p.fock_cutoff + 1) + n
+        for d, row in enumerate(band):
+            # ab[d, j] = H[j + d, j]
+            lo, hi = i[:len(i) - d], i[d:]
+            h[hi, lo] = h[lo, hi] = row[:len(i) - d]
     return h
 
 
-@dataclass(frozen=True)
-class _BlockLayout:
-    """One parity block's band storage but for the coupling values, which
-    alone depend on y: the band with the diagonal in row 0 and zeros
-    elsewhere, in Fortran order as LAPACK takes it, the place ab[width, lo]
-    and strength of each coupling, the spin index and photon number of
-    each state, and the Lanczos start vector (_Lanczos)."""
-
-    band: np.ndarray
-    width: np.ndarray
-    lo: np.ndarray
-    strength: np.ndarray
-    m: np.ndarray
-    n: np.ndarray
-    start: np.ndarray
+def _start(size: int) -> np.ndarray:
+    """The Lanczos start vector of a block of `size` states: the first
+    `size` numbers of one pseudo-random draw, which is drawn again, longer,
+    when a larger block comes.  default_rng(0).standard_normal(k) is the
+    prefix of length k of any longer such draw."""
+    global _starts
+    starts = _starts
+    if len(starts) < size:
+        starts = np.random.default_rng(0).standard_normal(size)
+        starts.flags.writeable = False
+        _starts = starts
+    return starts[:size]
 
 
-@dataclass(frozen=True)
-class _Block:
-    """One parity block's lowest eigenvalues and ground vector, with the
-    spin index and photon number of each of its states."""
-
-    m: np.ndarray
-    n: np.ndarray
-    # the lowest eigenvalue, and the second where the solve converged it
-    lowest: np.ndarray
-    ground: np.ndarray  # unit eigenvector of lowest[0]
-    # largest absolute row sum, an upper bound on the spectral norm and the
-    # scale of the eigensolver's rounding
-    norm: float
-
-
-def _block_layouts(p: DickeParams) -> tuple[_BlockLayout, ...]:
-    """The layouts of the even and the odd parity block, which depend on
-    everything in p but the coupling y.  Their arrays are read-only, so
-    that the memo can hand them to every coupling of the model.
-
-    A block lists its states photon-major, by n (N + 1) + m.  H then links
-    only neighbouring photon numbers, so each block is banded with a
-    half-bandwidth of about N/2, whatever the cutoff.
-    """
-    _check_solver_work(p)
-    (m, n, diag), (m1, n1, m2, n2, strength) = _elements(p)
-    dim_s = p.n_atoms + 1
-    parity = (m + n) % 2
-    # position of each state in its block, by photon-major index: the
-    # number of states of its parity before it
-    before = np.cumsum(parity)
-    pos = np.where(parity, before - 1, np.arange(p.dimension) - before)
-    i1, i2 = pos[n1 * dim_s + m1], pos[n2 * dim_s + m2]
-    # a coupling changes m + n by 0 or 2, so it stays inside its block
-    link_parity = (m1 + n1) % 2
-    # the states and the couplings of each block, even first, in order
-    states = np.split(np.argsort(parity, kind="stable"),
-                      [p.dimension - int(before[-1])])
-    links = np.split(np.argsort(link_parity, kind="stable"),
-                     [len(link_parity) - int(link_parity.sum())])
-    layouts = []
-    for on, link in zip(states, links):
-        j1, j2 = i1[link], i2[link]
-        width = np.abs(j1 - j2)
-        # Fortran order: f2py would copy a C-ordered band on every call
-        band = np.zeros((int(width.max()) + 1, len(on)), order="F")
-        band[0] = diag[on]
-        arrays = (band, width, np.minimum(j1, j2), strength[link], m[on],
-                  n[on], np.random.default_rng(0).standard_normal(len(on)))
-        for array in arrays:
-            array.flags.writeable = False
-        layouts.append(_BlockLayout(*arrays))
-    return tuple(layouts)
-
-
-def _solve_blocks(p: DickeParams) -> list[_Block]:
-    """The even and the odd parity block at p.y, with the levels that the
-    outputs read and the ground vectors: the coupling values filled into
-    the layouts of p's model, recalled at y = 0, so that consecutive
-    couplings of one model build them once.
+def _solve_blocks(p: DickeParams) -> list[_Lanczos]:
+    """The runs of the even and the odd parity block at p.y, with the
+    levels that the outputs read and the ground vectors.
 
     Both blocks run until their lowest pair converges.  Then only the block
     with the lower minimum, L, goes on, on the same basis, until its second
@@ -376,20 +362,15 @@ def _solve_blocks(p: DickeParams) -> list[_Block]:
     other block's second level is never below K0.
     """
     _check_range(p)
-    layouts = recall(_block_layouts, replace(p, y=0.0))
-    runs = []
-    for layout in layouts:
-        ab = layout.band.copy(order="F")
-        ab[layout.width, layout.lo] = _coupling_values(p, layout.strength)
-        # every block holds at least two states: N >= 1 and cutoff >= 1
-        runs.append(_Lanczos(ab, layout.start))
+    _check_solver_work(p)
+    # every block holds at least two states: N >= 1 and cutoff >= 1
+    runs = [_Lanczos(band, _start(band.shape[1]))
+            for band in _parity_bands(p)]
     for run in runs:
         run.converge(0)
     low, other = sorted(runs, key=lambda run: run.levels[0])
     low.converge(1, ceiling=other.levels[0])
-    return [_Block(m=layout.m, n=layout.n, lowest=np.array(run.levels),
-                   ground=run.ground, norm=run.norm)
-            for layout, run in zip(layouts, runs)]
+    return runs
 
 
 def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -406,6 +387,8 @@ class _Lanczos:
     and keeps every iterate in range whatever the scale of H.  `levels`
     holds the lowest levels found, ascending, and `ground` the unit vector
     of the first; each of their pairs (E, x) met |H x - E x| <= 1e-12 |H|.
+    `norm` is |H|, the largest absolute row sum, an upper bound on the
+    spectral norm and the scale of the solve's rounding.
     """
 
     def __init__(self, ab: np.ndarray, start: np.ndarray):
@@ -549,34 +532,30 @@ def _solve(factor: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _ground_observables(p: DickeParams):
-    even, odd = _solve_blocks(p)
-    e_even, e_odd = float(even.lowest[0]), float(odd.lowest[0])
+    even, odd = blocks = _solve_blocks(p)
     # Block minima closer than the rounding of their Rayleigh-Ritz values,
     # a few eps |H| from the banded products and the small dense
     # eigensolve, are a tie, and a tie goes to even parity: deep in the
     # superradiant phase the doublet is degenerate below machine precision.
     tie = 8 * np.finfo(float).eps * max(even.norm, odd.norm)
-    if e_odd < e_even - tie:
-        parity, block, energy = -1.0, odd, e_odd
-    else:
-        parity, block, energy = 1.0, even, e_even
-    prob = block.ground ** 2
-    photon = float(prob @ block.n)
-    sz = float(prob @ (block.m - 0.5 * p.n_atoms))
-    tail = float(prob[block.n >= 0.8 * p.fock_cutoff].sum())
+    q = int(odd.levels[0] < even.levels[0] - tie)
+    m, n = _block_states(p, q)
+    prob = blocks[q].ground ** 2
+    photon = float(prob @ n)
+    sz = float(prob @ (m - 0.5 * p.n_atoms))
+    tail = float(prob[n >= 0.8 * p.fock_cutoff].sum())
     # min(L1, K0) - L0, L the block with the lower minimum and K the other:
     # K1 >= K0, and L1 is not among L's levels only when it lies above K0
-    low, other = sorted((even, odd), key=lambda b: b.lowest[0])
-    gap = float(np.min(low.lowest[1:], initial=other.lowest[0])
-                - low.lowest[0])
-    return energy, photon, sz, parity, gap, tail
+    low, other = sorted(blocks, key=lambda b: b.levels[0])
+    gap = min(low.levels[1:] + other.levels[:1]) - low.levels[0]
+    return blocks[q].levels[0], photon, sz, (1.0, -1.0)[q], gap, tail
 
 
 def ground_state(p: DickeParams) -> GroundStateResult:
     """Ground-state energy and observables, with a cutoff-convergence flag.
 
     One parity-block solve, or none right after spectrum_scan ended at a
-    coupling with equal parameters: the last solve is reused.  The flag is
+    coupling with equal parameters: the memo keeps the last solve.  The flag is
     True when the ground vector puts a probability of at most 1e-8 on
     photon numbers n >= 0.8 fock_cutoff.
     Over 315 cases (N up to 32, cutoffs 5 to 80, y in [0, 3], omega_a /
@@ -648,10 +627,10 @@ def mean_field(p: DickeParams) -> MeanFieldResult:
 def spectrum_scan(p: DickeParams, y_grid: Sequence[float]) -> list[ScanRow]:
     """Ground-state observables and first gap along a coupling grid.
 
-    The parity blocks' layout is built once per model (_solve_blocks); each
-    coupling fills in only its coupling values.  A coupling whose
-    parameters equal those of the last solve, such as a ground_state call
-    just before, reuses it, and ground_state at the last coupling's
+    Each coupling writes the parity blocks' bands afresh (_parity_bands), at
+    the cost of a few array passes over the blocks' states.  A coupling
+    whose parameters equal those of the last solve, such as a ground_state
+    call just before, reuses it, and ground_state at the last coupling's
     parameters right after is free.  Each row has ground_state's accuracy,
     1e-12 |H| with |H| about omega_a N/2 + omega_c cutoff, so the rows lose
     digits where omega_c >> omega_a (see ground_state).

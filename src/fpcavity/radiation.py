@@ -60,6 +60,7 @@ eps -> 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,23 +118,22 @@ def _cosh_ratio_diff(x: np.ndarray, u: float, u_prime: float):
     the weight of the Green's-function integral of EQ36.
 
     Through cosh(xa) - cosh(xb) = 2 sinh(x(a+b)/2) sinh(x(a-b)/2).  With
-    a >= b (the ratio is odd under the swap) and s = a + b, that is
-    e^{x(a-1)} expm1(-x(a-b)) expm1(-x s) for s >= 0 and
-    -e^{-x(b+1)} expm1(-x(a-b)) expm1(x s) for s < 0 (the numerator over
-    e^x, as the denominator -expm1(-2x) is): every exponent is at most 0,
-    so nothing overflows at large x, and expm1 does the cancellations at
-    u' near u and near 2 - u analytically.
+    hi >= lo the larger and the smaller of u, u' (the ratio is odd under the
+    swap) and s = a + b, that is e^{x(hi-2)} expm1(-x s) expm1(-x(hi-lo))
+    for s >= 0 and -e^{-x lo} expm1(x s) expm1(-x(hi-lo)) for s < 0 (over
+    e^x, as the denominator -expm1(-2x) is): every exponent is at most 0, so
+    nothing overflows at large x, expm1 does the cancellations at u' near u
+    and near 2 - u, and an argument next to a mirror keeps its digits.
     """
-    a, b = u - 1.0, u_prime - 1.0
-    sign = 1.0
-    if a < b:
-        a, b, sign = b, a, -1.0
-    s = a + b
+    hi, lo, sign = u, u_prime, 1.0
+    if hi < lo:
+        hi, lo, sign = lo, hi, -1.0
+    s = (hi - 1.0) + (lo - 1.0)
     if s >= 0.0:
-        num = np.exp(x * (a - 1.0)) * np.expm1(-x * s)
+        num = np.exp(x * (hi - 2.0)) * np.expm1(-x * s)
     else:
-        num = -np.exp(-x * (b + 1.0)) * np.expm1(x * s)
-    return sign * num * np.expm1(-x * (a - b)) / (-np.expm1(-2.0 * x))
+        num = -np.exp(-x * lo) * np.expm1(x * s)
+    return sign * num * np.expm1(-x * (hi - lo)) / (-np.expm1(-2.0 * x))
 
 
 def _check_d_domain(sep: Separation):
@@ -430,10 +430,16 @@ def anisotropy_delta(frame: CavityFrame, cutoff: float) -> AnisotropyResult:
     n = np.arange(1.0, math.floor(radius) + 1.0)
     terms = _anisotropy_summand(n, radius)
     x2 = (radius - n) * (radius + n)
-    half_r2, pref = 0.5 * radius * radius, math.pi ** 3 / (L * L)
+    # pi^3/L^2 and both results, about cutoff^3 L, may leave the float
+    # range, where their ratio means nothing
+    half_r2 = 0.5 * radius * radius
+    pref = math.pi ** 3 / (L * L) if L * L else math.inf
+    delta = pref * (float(np.sum(terms)) - half_r2)
     # the isotropic summand X^2 + n^2 log1p(X^2/n^2), from delta's
-    return AnisotropyResult(
-        delta=pref * (float(np.sum(terms)) - half_r2),
-        cavity_length=L, cutoff=cutoff,
-        isotropic_scale=pref * (float(np.sum(x2 + (terms + x2) / 3.0))
-                                + half_r2))
+    scale = pref * (float(np.sum(x2 + (terms + x2) / 3.0)) + half_r2)
+    if not (math.isfinite(delta) and sys.float_info.min <= scale < math.inf):
+        raise DomainError(f"the anisotropy at L = {L!r}, cutoff = "
+                          f"{cutoff!r} leaves the float range: its scale "
+                          f"reads {scale!r}")
+    return AnisotropyResult(delta=delta, cavity_length=L, cutoff=cutoff,
+                            isotropic_scale=scale)

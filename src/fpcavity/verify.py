@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -45,7 +46,7 @@ import numpy as np
 
 from .coulomb import kernel_e
 from .errors import ConvergenceError, DomainError
-from .geometry import CavityFrame, Separation
+from .geometry import CavityFrame, Separation, _check_image_distance
 from .lattice import _lattice_moments, xi
 from .modesum import ModeSumArgs, direct_mode_sum, hyperbolic_mode_sum
 from .radiation import (_anisotropy_summand, _cosh_ratio_diff,
@@ -453,13 +454,16 @@ def check_green(u: float, u_prime: float, v: float) -> IdentityReport:
     (TOL_GREEN), the quadrature at the fixed panel-split budget.  The
     report fails at a v where the Bessel argument x v overflows at the
     quadrature's nodes; a non-finite argument, a u or u_prime outside
-    (0, 2), between the mirrors, and a v < 0 are refused with a
+    (0, 2), between the mirrors, or with an image nearer than the kernels'
+    floor (_check_image_distance), and a v < 0 are refused with a
     DomainError before any work.
     """
     params = {"u": u, "u_prime": u_prime, "v": v}
     _check_domain(params)
     if not (0.0 < u < 2.0 and 0.0 < u_prime < 2.0):
         raise DomainError(f"want u and u_prime in (0, 2), got {params}")
+    _check_image_distance(u, v)
+    _check_image_distance(u_prime, v)
     eng = _engine(TOL_GREEN)
     return _rows(params, [("EQ36", TOL_GREEN)],
                  lambda: [(_paired_inverse_distance_sum(u, u_prime, v),
@@ -498,13 +502,20 @@ def check_axial_and_aniso(rho_z_samples: Sequence[float],
 
     # continuum limit: anisotropy_delta's own summand, integrated over the
     # axial index n in [0, R] instead of summed, vanishes at any cutoff; in
-    # t = n/R and over R^3, its scale, the integrand is of order 1 at any R
+    # t = n/R and over R^3, its scale, the integrand is of order 1 at any R,
+    # but its terms reach about R^2, a normal float with room for twice it
     radius = cutoff / math.pi
-    reports += _rows(
-        {"form": "continuum_angular_integral"}, [("ANISO38", TOL_CONTINUUM)],
-        lambda: [(_quad_finite(
+
+    def continuum():
+        if not sys.float_info.min <= radius * radius <= sys.float_info.max / 2:
+            raise DomainError(f"(cutoff/pi)^2 = {radius * radius!r} leaves "
+                              f"the float range at cutoff = {cutoff!r}")
+        return [(_quad_finite(
             lambda t: _anisotropy_summand(radius * t, radius) / radius ** 2,
-            0.0, 1.0, eng), 0.0)])
+            0.0, 1.0, eng), 0.0)]
+
+    reports += _rows({"form": "continuum_angular_integral"},
+                     [("ANISO38", TOL_CONTINUUM)], continuum)
 
     if len(L_samples) >= 2:
         params = {"form": "decay", "cutoff": cutoff,

@@ -192,7 +192,7 @@ def test_dimension_guard():
 def _refused_before_building(p, monkeypatch, match):
     def never(*args, **kwargs):
         raise AssertionError("the solve started")
-    monkeypatch.setattr(dicke, "_elements", never)
+    monkeypatch.setattr(dicke, "_parity_bands", never)
     monkeypatch.setattr(lapack, "dpbtrf", never)
     with pytest.raises(DomainError, match=match):
         ground_state(p)
@@ -245,73 +245,138 @@ def test_ground_state_at_n100_cutoff150():
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 7, 8, 16, 33])
 def test_solver_guard_half_bandwidth_is_exact(n_atoms, monkeypatch):
-    # the guard's half-bandwidth formula against the blocks the solver builds
-    layouts = dicke._block_layouts(DickeParams(n_atoms=n_atoms,
-                                               fock_cutoff=9))
-    widths = {layout.band.shape[0] - 1 for layout in layouts}
+    # the guard's half-bandwidth formula against the bands the solver writes
+    bands = dicke._parity_bands(DickeParams(n_atoms=n_atoms, fock_cutoff=9))
+    widths = {band.shape[0] - 1 for band in bands}
     monkeypatch.setattr(dicke, "MAX_SOLVER_WORK", 0)
     with pytest.raises(DomainError, match=f"half-bandwidth {max(widths)} "):
         dicke._check_solver_work(DickeParams(n_atoms=n_atoms, fock_cutoff=9))
 
 
 # ---------------------------------------------------------------------------
-# block layouts, one build per model
+# parity bands, written per coupling
 # ---------------------------------------------------------------------------
 
-def _counted_layout_builds(monkeypatch) -> list:
-    """The models whose layouts are built from now on (one _elements call
-    each)."""
-    builds = []
-    elements = dicke._elements
+def _reference_hamiltonian(p: DickeParams) -> np.ndarray:
+    """H as h[n, m, n', m'], from the matrix elements as _parity_bands
+    documents them: omega_a (m - s) + omega_c n on the diagonal and
+    (y/sqrt(N)) (sx[m] sqrt(n + 1)) on |m, n> - |m + 1, n + 1> and
+    |m, n + 1> - |m + 1, n>, each by those products in that order."""
+    size, cutoff = p.n_atoms, p.fock_cutoff
+    s = 0.5 * size
+    h = np.zeros((cutoff + 1, size + 1, cutoff + 1, size + 1))
+    for n in range(cutoff + 1):
+        for m in range(size + 1):
+            h[n, m, n, m] = p.omega_a * (m - s) + p.omega_c * float(n)
+    for m in range(size):
+        mz = m - s
+        sx = 0.5 * math.sqrt(s * (s + 1) - mz * (mz + 1))
+        for n in range(cutoff):
+            c = (p.y / math.sqrt(size)) * (sx * math.sqrt(n + 1.0))
+            for a, b in (((n, m), (n + 1, m + 1)), ((n + 1, m), (n, m + 1))):
+                h[a + b] = h[b + a] = c
+    return h
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 7, 8, 16, 33])
+def test_bands_are_the_parity_blocks_bit_for_bit(n_atoms):
+    # each band against its parity block of the elementwise H, states in
+    # photon-major order, and build_hamiltonian (the bands scattered)
+    # against the same H; cutoffs 1 and 2 take the odd-N band whose last
+    # sub-diagonal only the odd block has
+    rng = np.random.default_rng(n_atoms)
+    for cutoff in (1, 2, 9):
+        omega_a, omega_c, y = (float(x) for x in rng.uniform(0.1, 3.0, 3))
+        p = DickeParams(omega_a, omega_c, y, n_atoms, cutoff)
+        h = _reference_hamiltonian(p)
+        dim = p.dimension
+        # (m + n) mod 2 of the states n (N + 1) + m
+        parity = (np.add.outer(np.arange(cutoff + 1),
+                               np.arange(n_atoms + 1)) % 2).ravel()
+        bands = dicke._parity_bands(p)
+        for q, band in enumerate(bands):
+            states = np.flatnonzero(parity == q)
+            block = h.reshape(dim, dim)[np.ix_(states, states)]
+            assert band.flags.f_contiguous
+            assert band.shape[1] == len(block)
+            # the band holds every element of the block below the diagonal
+            assert not np.tril(block, -band.shape[0]).any()
+            for d, row in enumerate(band):
+                want = np.zeros(len(block))
+                want[:len(block) - d] = np.diag(block, -d)
+                assert row.tobytes() == want.tobytes(), (cutoff, q, d)
+            m, n = dicke._block_states(p, q)
+            assert np.array_equal(n * (n_atoms + 1) + m, states)
+        assert max(band.shape[0] for band in bands) - 1 == (
+            1 if n_atoms == 1 else (n_atoms + 3) // 2)
+        # build_hamiltonian's index is m (cutoff + 1) + n
+        dense = h.transpose(1, 0, 3, 2).reshape(dim, dim)
+        assert build_hamiltonian(p).tobytes() == dense.tobytes()
+
+
+def test_scan_writes_the_bands_once_per_coupling(monkeypatch):
+    writes = []
+    bands = dicke._parity_bands
 
     def counted(p):
-        builds.append(p)
-        return elements(p)
-    monkeypatch.setattr(dicke, "_elements", counted)
-    return builds
+        writes.append(p)
+        return bands(p)
+    monkeypatch.setattr(dicke, "_parity_bands", counted)
+    p = DickeParams(n_atoms=8, fock_cutoff=60)
+    grid = [0.25 * i for i in range(13)]
+    spectrum_scan(p, grid)
+    assert writes == [replace(p, y=y) for y in grid]
 
 
-def test_scan_builds_the_layouts_once(monkeypatch):
-    builds = _counted_layout_builds(monkeypatch)
-    spectrum_scan(DickeParams(n_atoms=8, fock_cutoff=60),
-                  [0.25 * i for i in range(13)])
-    assert len(builds) == 1
-
-
-def test_ground_state_at_a_new_coupling_builds_no_layout(monkeypatch):
+def test_ground_state_at_a_new_coupling_matches_a_fresh_solve():
     p = DickeParams(n_atoms=8, fock_cutoff=60)
     spectrum_scan(p, [0.5, 1.0])
-    builds = _counted_layout_builds(monkeypatch)
     got = ground_state(DickeParams(y=1.7, n_atoms=8, fock_cutoff=60))
-    assert builds == []
     _memo._entries.clear()
     want = ground_state(DickeParams(y=1.7, n_atoms=8, fock_cutoff=60))
     assert repr(got) == repr(want)
 
 
+def _fresh_start_draw():
+    """An empty start draw for the rest of the test, as in a new process."""
+    dicke._starts = np.empty(0)
+
+
 @pytest.mark.parametrize("change", [
     {"n_atoms": 9}, {"fock_cutoff": 61}, {"omega_a": 1.25},
     {"omega_c": 0.75}])
-def test_another_model_builds_its_own_layouts(change, monkeypatch):
+def test_another_model_matches_a_fresh_solve(change, monkeypatch):
+    # a larger model first, so the start draw the other model takes its
+    # start vectors from is longer than its blocks
+    monkeypatch.setattr(dicke, "_starts", dicke._starts)
     p = DickeParams(y=1.0, n_atoms=8, fock_cutoff=60)
+    ground_state(replace(p, n_atoms=16, fock_cutoff=100))
     ground_state(p)
-    builds = _counted_layout_builds(monkeypatch)
     other = replace(p, **change)
-    ground_state(other)
-    assert builds == [replace(other, y=0.0)]
+    got = ground_state(other)
+    _memo._entries.clear()
+    _fresh_start_draw()
+    assert repr(got) == repr(ground_state(other))
+    # drawn afresh, as long as the other model's larger block
+    assert len(dicke._starts) == (other.dimension + 1) // 2
 
 
-def test_kept_layouts_are_read_only(monkeypatch):
-    ground_state(DickeParams(y=1.0, n_atoms=4, fock_cutoff=10))
-    # the layouts the memo keeps, served without a build
-    builds = _counted_layout_builds(monkeypatch)
-    layouts = _memo.recall(dicke._block_layouts,
-                           DickeParams(n_atoms=4, fock_cutoff=10))
-    assert builds == []
-    for layout in layouts:
-        for array in vars(layout).values():
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1
+def test_start_draw_is_read_only_and_a_prefix_of_longer_draws(monkeypatch):
+    monkeypatch.setattr(dicke, "_starts", dicke._starts)
+    _fresh_start_draw()
+    short = dicke._start(40).copy()
+    long = dicke._start(1000)
+    assert len(dicke._starts) == 1000
+    assert np.array_equal(long[:40], short)
+    assert np.array_equal(dicke._start(40), short)
+    with pytest.raises(ValueError, match="read-only"):
+        dicke._start(5)[0] = 1.0
+    # numpy's draws of standard normals come one after the other, so a
+    # shorter draw is a prefix of a longer one
+    for size in (1, 2, 3, 275, 859, 2000):
+        assert np.array_equal(
+            np.random.default_rng(0).standard_normal(size),
+            np.random.default_rng(0).standard_normal(5000)[:size])
 
 
 class _Recording:
@@ -339,7 +404,10 @@ class _Recording:
 def test_solver_passes_fortran_bands_and_draws_one_start_per_block(
         monkeypatch):
     # f2py copies a C-ordered band on every call; and the start vectors are
-    # drawn once per model, with its layouts, not once per coupling
+    # prefixes of one draw, drawn again only for a block longer than any
+    # before, not once per model or per coupling
+    monkeypatch.setattr(dicke, "_starts", dicke._starts)
+    _fresh_start_draw()
     ground_state(DickeParams(y=1.0, n_atoms=2, fock_cutoff=4))
     seen, draws = [], []
     monkeypatch.setattr(dicke, "_blas", _Recording(dicke._blas, seen))
@@ -354,19 +422,20 @@ def test_solver_passes_fortran_bands_and_draws_one_start_per_block(
     p = DickeParams(n_atoms=8, fock_cutoff=60)
     couplings = [0.5, 1.0, 1.5, 2.0, 3.0]
     rows = spectrum_scan(p, couplings)
-    assert len(draws) == 2
+    # one draw, for the even block, the larger one: 275 of the 549 states
+    assert len(draws) == 1
+    assert np.array_equal(dicke._starts, rng(0).standard_normal(275))
     assert {name for name, _ in seen} == {"dsbmv", "dpbtrf", "dpbtrs"}
     assert all(array.flags.f_contiguous for _, array in seen)
-    for layout in _memo.recall(dicke._block_layouts, p):
-        assert layout.band.flags.f_contiguous
-        assert np.array_equal(layout.start, rng(0).standard_normal(
-            layout.band.shape[1]))
-    # the same rows as solves of one coupling each, every one drawing its
-    # own start vectors
+    assert all(band.flags.f_contiguous for band in dicke._parity_bands(p))
+    # the same rows as solves of one coupling each, after a larger model
+    # has drawn a longer start
+    spectrum_scan(DickeParams(n_atoms=16, fock_cutoff=100), [1.0])
+    assert len(draws) == 2
     for y, row in zip(couplings, rows):
         _memo._entries.clear()
         assert repr(spectrum_scan(p, [y])[0]) == repr(row)
-    assert len(draws) == 2 + 2 * len(couplings)
+    assert len(draws) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +564,11 @@ def test_solver_against_a_dense_oracle_sweep():
     # block's ground vector against the dense block
     for p in _oracle_models(100, seed=31):
         h = build_hamiltonian(p)
-        for block in dicke._solve_blocks(p):
-            states = block.m * (p.fock_cutoff + 1) + block.n
+        for q, block in enumerate(dicke._solve_blocks(p)):
+            m, n = dicke._block_states(p, q)
+            states = m * (p.fock_cutoff + 1) + n
             x = block.ground
-            residual = h[np.ix_(states, states)] @ x - block.lowest[0] * x
+            residual = h[np.ix_(states, states)] @ x - block.levels[0] * x
             assert np.linalg.norm(residual) <= 1.01e-12 * block.norm, p
         dense = _dense_parity_blocks(p, h)
         even, odd = dense[1.0][0], dense[-1.0][0]
@@ -515,20 +585,12 @@ def test_solver_against_a_dense_oracle_sweep():
         assert abs(photon - want) <= photon_tol, p
 
 
-def _banded_layout(h: np.ndarray, half_bandwidth: int) -> dicke._BlockLayout:
-    """The layout of a symmetric banded block whose coupling values at
-    y / sqrt(N) = 1 are its off-diagonal elements."""
-    dim = len(h)
-    band = np.zeros((half_bandwidth + 1, dim), order="F")
-    band[0] = np.diag(h)
-    lower, upper = np.tril_indices(dim, -1)
-    near = lower - upper <= half_bandwidth
-    lower, upper = lower[near], upper[near]
-    return dicke._BlockLayout(band=band, width=lower - upper, lo=upper,
-                              strength=h[lower, upper], m=np.zeros(dim),
-                              n=np.arange(dim),
-                              start=np.random.default_rng(0).standard_normal(
-                                  dim))
+def _band(h: np.ndarray, half_bandwidth: int) -> np.ndarray:
+    """The lower band, in Fortran order, of a symmetric banded block."""
+    band = np.zeros((half_bandwidth + 1, len(h)), order="F")
+    for d in range(half_bandwidth + 1):
+        band[d, :len(h) - d] = np.diag(h, -d)
+    return band
 
 
 @pytest.mark.parametrize("lower_block", ["even", "odd"])
@@ -551,11 +613,11 @@ def test_second_level_of_the_lower_block_below_the_other_minimum(
     blocks[1] += (low[1] + margin - other[0]) * np.eye(40)
     if lower_block == "odd":
         blocks.reverse()
-    layouts = tuple(_banded_layout(h, 2) for h in blocks)
-    monkeypatch.setattr(dicke, "_block_layouts", lambda p: layouts)
+    bands = tuple(_band(h, 2) for h in blocks)
+    monkeypatch.setattr(dicke, "_parity_bands", lambda p: bands)
     p = DickeParams(y=1.0, n_atoms=1, fock_cutoff=39)
     solved = dicke._solve_blocks(p)
-    assert [len(block.lowest) for block in solved] == (
+    assert [len(block.levels) for block in solved] == (
         [2, 1] if lower_block == "even" else [1, 2])
     energy, _, _, parity, gap, _ = dicke._ground_observables(p)
     tol = 1e-12 * max(np.abs(h).sum(axis=1).max() for h in blocks)
@@ -595,7 +657,7 @@ def test_ground_vector_far_from_vacuum_hellmann_feynman(y, n_atoms, cutoff):
     def e0(omega_a, omega_c):
         even, odd = dicke._solve_blocks(
             DickeParams(omega_a, omega_c, y, n_atoms, cutoff))
-        return min(even.lowest[0], odd.lowest[0])
+        return min(even.levels[0], odd.levels[0])
 
     _, photon, sz, _, _, _ = dicke._ground_observables(
         DickeParams(1.0, 1.0, y, n_atoms, cutoff))
@@ -843,7 +905,7 @@ def test_solver_refuses_overflowing_elements(p, element, monkeypatch):
     # are errors in this suite
     def never(*args, **kwargs):
         raise AssertionError("the solve started")
-    monkeypatch.setattr(dicke, "_elements", never)
+    monkeypatch.setattr(dicke, "_parity_bands", never)
     for call in (lambda: ground_state(p),
                  lambda: spectrum_scan(replace(p, y=0.0), [p.y]),
                  lambda: build_hamiltonian(p)):

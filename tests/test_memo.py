@@ -1,10 +1,11 @@
-"""The memo of the last kernel base, Dicke solve and Dicke layout, one
-entry per route.
+"""The memo of the last kernel base and Dicke solve, one entry per route.
 
 A repeat of a route's last input, in the other sign or through the other
 Dicke call, is served from the memo, also after calls of other routes in
-between; any other input is computed afresh.  What the memo serves has the
-bits of a fresh computation, belongs to the caller, and is never an error.
+between; any other input is computed afresh, a Dicke model at a new
+coupling too, whose parity bands are written anew.  What the memo serves
+has the bits of a fresh computation, belongs to the caller, and is never
+an error.
 """
 
 import math

@@ -542,6 +542,16 @@ def test_anisotropy_refuses_too_many_axial_modes(monkeypatch, length,
         anisotropy_delta(CavityFrame(length), cutoff)
 
 
+@pytest.mark.parametrize("length, cutoff", [
+    (1e-170, 3.5e170),  # pi^3/(L L) divided by zero
+    (1e200, 1e-199),    # pi^3/(L L) was 0: a scale of 0.0, a ratio of 0/0
+    (1e-160, 3.5e160)])  # L L is subnormal, and pi^3/(L L) overflows
+def test_anisotropy_refuses_results_out_of_the_float_range(length, cutoff):
+    # the results are about cutoff^3 L, here below 1e-300 or above 1e300
+    with pytest.raises(DomainError, match="leaves the float range"):
+        anisotropy_delta(CavityFrame(length), cutoff)
+
+
 def test_anisotropy_accepts_the_mode_bound():
     res = anisotropy_delta(CavityFrame(radiation._MAX_AXIAL_MODES + 0.5),
                            math.pi)

@@ -265,6 +265,31 @@ def test_green_arguments_near_opposite_mirrors(u, u_prime):
     assert rep.passed
 
 
+def test_green_next_to_both_mirrors():
+    # seeded draws with one argument within 1e-12 to 1e-3 of either mirror
+    # and v below that distance.  The weight's exponents were formed from
+    # u - 1 and u' - 1, which lose the digits of an argument next to 0:
+    # check_green(1e-12, 1.0, 0.0) read rel_err 2.2e-5
+    rng = np.random.default_rng(36)
+    for _ in range(40):
+        near = 10.0 ** rng.uniform(-12.0, -3.0)
+        u = near if rng.random() < 0.5 else 2.0 - near
+        other = rng.uniform(0.05, 1.95)
+        v = 0.0 if rng.random() < 0.3 else near * rng.random()
+        args = (u, other) if rng.random() < 0.5 else (other, u)
+        rep = check_green(*args, v)
+        assert rep.passed and rep.rel_err < 1e-13, (args, v, rep.rel_err)
+
+
+def test_green_refuses_an_underflowing_image_distance():
+    # hypot(u, v) underflowed to 0 in the paired image sum, which divided
+    # by it; refused as the kernels refuse a nearest image within 1e-100
+    for args in ((1.85e-269, 0.0879, 2.55e-298),
+                 (0.0879, 1.85e-269, 2.55e-298), (0.5, 1e-101, 0.0)):
+        with pytest.raises(DomainError, match="nearest image"):
+            check_green(*args)
+
+
 def test_green_at_a_vanishing_decay_rate_blames_the_decay_rate():
     # u = 5e-324 is in the domain, but the decay hint min(u, 2 - u) puts the
     # quadrature's truncation point at infinity: the row fails with that
@@ -361,6 +386,21 @@ def test_continuum_row_integrates_the_anisotropy_summand(cutoff,
 
     monkeypatch.setattr(verify, "_anisotropy_summand", mutated)
     assert not row().passed
+
+
+@pytest.mark.parametrize("lengths, cutoff", [
+    ([1e200, 2e200], 1e-199),    # (cutoff/pi)^2 and pi^3/L^2 underflow
+    ([1e-170, 2e-170], 3.5e170),  # both overflow
+    ([1.0, 2.0], math.inf), ([1.0, 2.0], 0.0)])
+def test_axial_and_aniso_fails_rows_out_of_the_float_range(lengths, cutoff):
+    # each aborted the run with a RuntimeWarning (an error in this suite)
+    # or ZeroDivisionError; now both anisotropy rows fail with the cause
+    reports = check_axial_and_aniso([0.5], lengths, cutoff)
+    assert [r.check_id for r in reports] == ["AXIAL20", "ANISO38", "ANISO38"]
+    assert reports[0].passed
+    for r in reports[1:]:
+        assert not r.passed and r.abs_err == math.inf
+        assert r.params["error"].startswith("DomainError")
 
 
 def test_axial_and_aniso_structure():
