@@ -8,8 +8,8 @@ one verification failure, 2 argument or domain error.
 The --tol-abs/--tol-rel flags of `kernel` set the accuracy of the D
 family's quadratures, 1e-10 each when omitted.  The E family, a
 fixed-accuracy lattice sum, and the spectral route (--spectral, D plus
-only), a fixed grid, refuse both; --eps (the spectral regulator, 0.05 when
-omitted) is refused without --spectral: a flag is never ignored.
+only), whose one quadrature runs at the default accuracy, refuse both: a
+flag is never ignored.
 `verify` takes only --seed (an integer >= 0, 42 when omitted) besides
 --format and --output, and hands it to run_suite: every check's quadrature
 accuracy and pass threshold are pinned per check.  `xi` (a fixed-accuracy
@@ -47,8 +47,6 @@ from .verify import SUITE_NAMES, VerificationSummary, run_suite
 
 __all__ = ["dispatch", "emit_report", "main"]
 
-# the spectral regulator of `kernel --spectral` without --eps
-_DEFAULT_EPS = 0.05
 # the seed of `verify` without --seed, run_suite's own default
 _DEFAULT_SEED = inspect.signature(run_suite).parameters["seed"].default
 
@@ -162,18 +160,15 @@ def _cmd_kernel(ns) -> int:
     # their defaults
     given = {field: value for field, value in (
         ("abs_tol", ns.tol_abs), ("rel_tol", ns.tol_rel)) if value is not None}
-    if ns.eps is not None and not ns.spectral:
-        raise DomainError("--eps applies to the spectral route only")
     if ns.spectral and (ns.family, ns.sign) != ("D", "plus"):
         raise DomainError("the spectral route evaluates D plus only")
     if given and (ns.family == "E" or ns.spectral):
-        raise DomainError("--tol-abs and --tol-rel apply to the D family's "
-                          "quadratures only")
+        raise DomainError("--tol-abs and --tol-rel apply to the D family "
+                          "without --spectral only")
     if ns.family == "E":
         mat = kernel_e(ns.sign, sep).m
     elif ns.spectral:
-        eps = _DEFAULT_EPS if ns.eps is None else ns.eps
-        mat = kernel_d_spectral(sep, eps).m
+        mat = kernel_d_spectral(sep).m
     else:
         mat = kernel_d(ns.sign, sep, Tolerance(**given)).m
     if ns.format == "json":
@@ -259,10 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_k.add_argument("--phi", type=float, default=0.0,
                      help="azimuth of the transverse separation")
     p_k.add_argument("--spectral", action="store_true",
-                     help="use the regulated spectral route (D family)")
-    p_k.add_argument("--eps", type=float, default=None,
-                     help=f"spectral regulator (with --spectral), "
-                          f"{_DEFAULT_EPS} if omitted")
+                     help="use the spectral route, summed over the axial "
+                          "modes (D plus only)")
     p_k.add_argument("--tol-abs", type=float, default=None,
                      help=f"absolute accuracy of the D-family quadratures, "
                           f"{DEFAULT_TOL.abs_tol:g} if omitted")

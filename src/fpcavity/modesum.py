@@ -1,12 +1,17 @@
 """The two-sided mode sum sum_n e^{i alpha n} n^m / (n^2 + beta^2).
 
 Two independent routes, the two sides of EQ27: its hyperbolic closed form,
-and its symmetric truncation: a head summed term by term in blocks of
-consecutive n (angle addition from one block's cos/sin table), then the
-rest as the difference of two tails built from the summand alone (the
-Euler transformation, or Euler-Maclaurin at alpha = 0), so the cost does
-not grow with the truncation; within a few 1e-15 of the sum of the moduli
-of the terms.  Neither route uses the lattice or the quadrature.
+and its direct sum, one engine (_direct_sums) over an array of beta for
+the symmetric truncation |n| <= n_max or the whole sum over n in Z.  The
+engine sums a head term by term in blocks of consecutive n (angle addition
+from one block's cos/sin table), then the rest as the difference of two
+tails built from the summand alone (the Euler transformation, or
+Euler-Maclaurin at alpha = 0), one tail for the whole sum, so the cost
+does not grow with the truncation; within a few 1e-15 of the sum of the
+moduli of the terms.  direct_mode_sum is the engine at one beta, and the
+spectral route of the displacement-field kernel (radiation) sums the
+cavity's axial modes with it at every transverse node.  Neither route uses
+the lattice or the quadrature.
 
 Nothing here imports scipy.
 
@@ -91,120 +96,242 @@ def hyperbolic_mode_sum(args: ModeSumArgs) -> complex:
     return 1j * pref * math.copysign(odd, arg) / ratio_den
 
 
-# The head of the direct sum runs over n = n0 + k, k in [0, _BLOCK), in
-# chunks of _CHUNK blocks: n and the weights take 0.5 MB per chunk whatever
-# the head's length is, in two buffers each call fills chunk by chunk from
-# _OFFSETS.
+# The head of the direct sums runs over n = n0 + k, k in [0, _BLOCK), in
+# chunks of at most _CHUNK blocks, and over the betas in batches whose
+# weights fill one buffer of _BLOCK * _CHUNK doubles (0.25 MB); the tails
+# take _TAIL_ROWS betas at a time.  Memory stays constant in n_max and in
+# the number of betas.
 _BLOCK = 1024
 _CHUNK = 32
 _K = np.arange(_BLOCK, dtype=float)
 _OFFSETS = np.arange(_BLOCK * _CHUNK, dtype=float)
+_TAIL_ROWS = 512
 # The head runs to n = max(_SUM_HEAD_MIN, _SUM_HEAD_REACH/|1 - e^{i alpha}|),
 # and the rest of the truncation is added through its tails.  That far out,
 # a term of the Euler transformation is at most about j/_SUM_HEAD_REACH of
-# the one before, so fewer than 15 reach _EULER_EPS; _EULER_TERMS only caps
-# the loop.
+# the one before, so fewer than 15 reach _EULER_EPS (every sum seen stopped
+# within 12, so a first pass of _EULER_FIRST terms ends almost every call);
+# _EULER_TERMS only caps the transformation.
 _SUM_HEAD_MIN = 4096
 _SUM_HEAD_REACH = 256.0
-# The longest head a call sums: where alpha is so near 0 mod 2pi that the
-# head runs to n_max, a term costs about 5.5e-9 s (2-core x86 box), so a
-# head at the bound takes about 1.7 s, and one of 2^53 terms would take
-# about 1.6 years
-_MAX_HEAD_TERMS = 300_000_000
 _EULER_EPS = 2.0 ** -60
+_EULER_FIRST = 16
 _EULER_TERMS = 64
-# B_2j / 2j for j = 1, 2, 3: the Euler-Maclaurin corrections of _em_ends
+# j = 0 .. _EULER_TERMS, and the tops of the factors of Delta^j g
+_J = np.arange(_EULER_TERMS + 1.0)
+_EULER_TOPS = np.append(1.0, -_J[1:])
+# The most head terms a call sums, over all its betas: a term costs about
+# 5.5e-9 s (2-core x86 box), so a call at the bound takes about 1.7 s, and
+# one head of 2^53 terms (alpha so near 0 mod 2pi that the head runs to
+# n_max) would take about 1.6 years
+_MAX_HEAD_TERMS = 300_000_000
+# B_2j / 2j for j = 1, 2, 3: the Euler-Maclaurin corrections of _em_tails
 _EM_COEF = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0)
 # 2pi - math.tau
 _TAU_LO = 2.4492935982947064e-16
 
 
-def _em_ends(k: int, beta: float) -> float:
-    """The end terms of Euler-Maclaurin at x = k for f = 1/(x^2 + beta^2).
+def _quotient(a, re, beta):
+    """a/(re - i beta) for real a and positive re and beta, as (real part,
+    imaginary part): the operations of Python's complex division (Smith's
+    rule) with its exact sign changes taken out, so that an array of them
+    keeps the bits of a scalar complex quotient."""
+    flat = re >= beta
+    if flat.all():
+        ratio = beta / re
+        den = re + beta * ratio
+        return a / den, a * ratio / den
+    ratio = np.where(flat, beta / re, re / beta)
+    den = np.where(flat, re + beta * ratio, re * ratio + beta)
+    top = a * ratio
+    return np.where(flat, a, top) / den, np.where(flat, top, a) / den
 
-    -f(k)/2 - sum_j B_2j/(2j)! f^(2j-1)(k), with f^(p) = Im(d^p/dx^p of
-    1/(x - i beta))/beta = Im((-1)^p p!/(k - i beta)^(p+1))/beta.  With
-    k >= _SUM_HEAD_MIN the next correction is below 1e-34.
+
+def _em_tails(beta: np.ndarray, head: int, n_max: int | None) -> np.ndarray:
+    """T(head) - T(n_max) at z = 1 and m = 0 at each beta, by Euler-Maclaurin.
+
+    The integral int_head^n_max dx/(x^2 + beta^2) is one arctan (the
+    difference of atan(beta/head) and atan(beta/n_max) loses digits at
+    large beta; libm's, as numpy's may differ in the last bit), and the
+    end terms at x = k are -f(k)/2 - sum_j B_2j/(2j)! f^(2j-1)(k), with
+    f^(p) = Im(d^p/dx^p of 1/(x - i beta))/beta = Im((-1)^p p!/(k - i
+    beta)^(p+1))/beta.  With k >= _SUM_HEAD_MIN the next correction is
+    below 1e-34.
     """
-    g = 1.0 / complex(k, -beta)
-    q = g * g
-    power, total = q, 0.0
+    k = np.array([head] if n_max is None else [head, n_max], float)[:, None]
+    g_re, g_im = _quotient(1.0, k, beta)
+    q_re, q_im = g_re * g_re - g_im * g_im, g_re * g_im + g_im * g_re
+    p_re, p_im, total = q_re, q_im, 0.0
     for coef in _EM_COEF:
-        total += coef * power.imag
-        power *= q
-    return total / beta - 0.5 / (k * k + beta * beta)
+        total = total + coef * p_im
+        p_re, p_im = p_re * q_re - p_im * q_im, p_re * q_im + p_im * q_re
+    ends = total / beta - 0.5 / (k * k + beta * beta)
+    arg = (beta / head if n_max is None else
+           beta * ((n_max - head) / n_max) / (head + beta * (beta / n_max)))
+    ends[0] += np.array([math.atan(t) for t in arg.tolist()]) / beta
+    return ends[0] if n_max is None else ends[0] - ends[1]
 
 
-def _euler_tail(alpha: float, beta: float, m: int, k: int,
-                one_minus_z: complex) -> complex:
-    """sum_{n > k} z^n f(n) by the Euler transformation, z = e^{i alpha}.
+def _euler_tails(alpha: float, beta: np.ndarray, m: int, head: int,
+                 n_max: int | None, one_minus_z: complex) -> np.ndarray:
+    """T(head) - T(n_max) at each beta, T(k) = sum_{n > k} z^n f(n) by the
+    Euler transformation, z = e^{i alpha}, and T(inf) = 0.
 
-    z^(k+1)/(1 - z) sum_j w^j Delta^j f(k + 1), w = z/(1 - z), with the
+    T(k) = z^(k+1)/(1 - z) sum_j w^j Delta^j f(k + 1), w = z/(1 - z), with the
     forward differences of f taken exactly from its partial fraction:
     f = Im(g)/beta for m = 0 and Re(g) for m = 1, g(n) = 1/(n - i beta),
-    and Delta^j g(n) = (-1)^j j!/prod_{l=0..j}(n + l - i beta).
+    and Delta^j g(n) = (-1)^j j!/prod_{l=0..j}(n + l - i beta).  The terms
+    and their running totals are taken at once by cumprod and cumsum,
+    which are sequential, as a loop over j is.  Each sum stops at its first
+    total whose next term is bounded below _EULER_EPS |total|: with g_j =
+    Delta^j g(n), |Re g_j| <= |g_j| and, with s the sum of the arguments
+    atan(beta/(n + l)) of the factors of its denominator, |Im g_j| =
+    |g_j| |sin s| <= |g_j| min(1, (j + 1) beta/n).  A first pass takes
+    _EULER_FIRST terms; only if a sum does not stop there are all
+    _EULER_TERMS taken, the last total ending any sum.
     """
-    w = complex(math.cos(alpha), math.sin(alpha)) / one_minus_z
-    n = float(k + 1)
-    d = complex(n, -beta)
-    phase = alpha * n
-    coef = complex(math.cos(phase), math.sin(phase)) / one_minus_z
-    diff = 1.0 / d
-    total = 0j
-    for j in range(1, _EULER_TERMS + 1):
-        total += coef * (diff.imag / beta if m == 0 else diff.real)
-        coef *= w
-        diff *= -j / (d + j)
-        # a bound on the next term, with g_j = Delta^j g(n), now diff:
-        # |Re g_j| <= |g_j| and, with s the sum of the arguments
-        # atan(beta/(n + l)) of the factors of its denominator,
-        # |Im g_j| = |g_j| |sin s| <= |g_j| min(1, (j + 1) beta/n)
-        size = abs(coef * diff)
+    n = np.array([[[k + 1.0]] for k in ([head] if n_max is None
+                                        else [head, n_max])])
+    # coef_j = z^(k+1)/(1 - z) w^(j-1), j = 1 .. _EULER_TERMS + 1
+    coef = np.full((len(n), 1, _EULER_TERMS + 1),
+                   complex(math.cos(alpha), math.sin(alpha)) / one_minus_z)
+    coef[:, 0, 0] = [complex(math.cos(alpha * nk), math.sin(alpha * nk))
+                     / one_minus_z for nk in n.ravel().tolist()]
+    coef = coef.cumprod(axis=2)
+    col = beta[:, None]
+    for terms in (_EULER_FIRST, _EULER_TERMS):
+        j, c = _J[:terms + 1], coef[..., :terms + 1]
+        # g_j, j = 1 .. terms + 1: the running products of 1/(n - i beta)
+        # and -j/(n + j - i beta)
+        steps = _quotient(_EULER_TOPS[:terms + 1], n + j, col)
+        diff = np.cumprod(steps[0] + 1j * steps[1], axis=2)
+        totals = np.cumsum(c[..., :-1] * (diff.imag[..., :-1] / col if m == 0
+                                          else diff.real[..., :-1]), axis=2)
+        # the bound on the term after each total, coef_{j+1} g_{j+1}
+        c, d = c[..., 1:], diff[..., 1:]
+        size = np.hypot(c.real * d.real - c.imag * d.imag,
+                        c.real * d.imag + c.imag * d.real)
         if m == 0:
-            size *= min(1.0 / beta, (j + 1) / n)
-        if size <= _EULER_EPS * abs(total):
+            size *= np.minimum(1.0 / col, (j[1:] + 1.0) / n)
+        stop = size <= _EULER_EPS * np.hypot(totals.real, totals.imag)
+        if stop.any(axis=2).all():
             break
-    return total
+    stop[..., -1] = True
+    rows = totals.reshape(-1, terms)
+    tails = rows[np.arange(len(rows)), stop.argmax(axis=2).ravel()].reshape(
+        totals.shape[:2])
+    return tails[0] if n_max is None else tails[0] - tails[1]
+
+
+def _head_sums(alpha: float, beta2: np.ndarray, m: int, head: int):
+    """Re and Im of sum_{n=1}^{head} z^n f(n) at each beta^2 of beta2."""
+    trig_k = np.stack([np.cos(alpha * _K), np.sin(alpha * _K)], axis=1)
+    buf = np.empty(_BLOCK * _CHUNK)
+    re, im = np.zeros(len(beta2)), np.zeros(len(beta2))
+    for first in range(1, head + 1, _BLOCK * _CHUNK):
+        blocks = min(_CHUNK, (head - first) // _BLOCK + 1)
+        n = _OFFSETS[:blocks * _BLOCK] + first
+        n2 = n * n
+        phase = alpha * n[::_BLOCK]
+        cos0, sin0 = np.cos(phase), np.sin(phase)
+        rows = _CHUNK // blocks
+        for lo in range(0, len(beta2), rows):
+            b2 = beta2[lo:lo + rows, None]
+            w = buf[:len(b2) * blocks * _BLOCK].reshape(len(b2), -1)
+            np.add(n2, b2, out=w)
+            np.divide(1.0 if m == 0 else n, w, out=w)
+            w[:, head + 1 - first:] = 0.0
+            # per block: c = sum_k w cos(alpha k), s = sum_k w sin(alpha k)
+            cs = (w.reshape(-1, _BLOCK) @ trig_k).reshape(len(b2), blocks, 2)
+            c, s = cs[:, :, 0], cs[:, :, 1]
+            re[lo:lo + rows] += c @ cos0 - s @ sin0
+            im[lo:lo + rows] += c @ sin0 + s @ cos0
+    return re, im
+
+
+def _direct_sums(alpha: float, betas: np.ndarray, m: int,
+                 n_max: int | None) -> np.ndarray:
+    """sum_{|n| <= n_max} e^{i alpha n} n^m / (n^2 + beta^2) at each beta of
+    the 1-d array betas, or the whole sum over n in Z for n_max None: the
+    one engine of the direct side of EQ27 (m is 0 or 1, n_max None or an
+    integer in [1, 2^53], every beta positive with 1/beta^2 finite).
+
+    The +n and -n terms are combined before accumulation, as the
+    conditionally convergent m = 1 case requires: 1/beta^2 + 2 Re P for
+    m = 0 and 2i Im P for m = 1, P = sum_{n=1}^{n_max} z^n f(n), z =
+    e^{i alpha}, f(n) = n^m/(n^2 + beta^2).  The head, n up to H = min(n_max,
+    max(4096, ceil(256/|1 - z|))), is summed term by term in blocks
+    n = n0 + k of _BLOCK consecutive n, joined by angle addition from
+    cos(alpha k), sin(alpha k) and one cos(alpha n0), sin(alpha n0) per
+    block.  When H < n_max, the rest is added as T(H) - T(n_max),
+    T(K) = sum_{n>K} z^n f(n) and T(inf) = 0, formed from f alone (never
+    from hyperbolic_mode_sum, the other side of EQ27): by the Euler
+    transformation (_euler_tails), and at alpha = 0 (m = 0; the m = 1 sum
+    is exactly 0j) by Euler-Maclaurin (_em_tails).  So the cost does not
+    grow with n_max.  The head is longer than 4096 where |1 - z| < 1/16,
+    as nearer the tail's terms shrink too slowly.
+
+    alpha is reduced into [0, 2pi), as in hyperbolic_mode_sum, and then
+    into (-pi, pi] with 2pi in two doubles, so that alpha near 2pi is
+    summed as accurately as alpha near 0.  Every operation is that of a
+    scalar sum in Python, so at one beta the result keeps the bits of one;
+    over an array each value is within a few ulps of the sum of the moduli
+    of its one-beta call (the per-block sums of a batch may round
+    differently).  H times the number of betas above _MAX_HEAD_TERMS is a
+    DomainError before any term is summed.
+    """
+    reduced = alpha % (2.0 * math.pi)
+    if reduced > math.pi:
+        # alpha - 2pi to one rounding: alpha - math.tau is exact, and
+        # 2pi = math.tau + _TAU_LO.  Near 2pi the phases alpha n then carry
+        # no error of order n ulp(2pi), which a block's terms, all of about
+        # the same phase there, would add up.
+        reduced = (reduced - 2.0 * math.pi) - _TAU_LO
+    # 1 - z = 2 sin^2(alpha/2) - i sin(alpha), free of the cancellation of
+    # 1 - cos(alpha) near alpha = 0 mod 2pi
+    one_minus_z = complex(2.0 * math.sin(0.5 * reduced) ** 2,
+                          -math.sin(reduced))
+    reach = (_SUM_HEAD_MIN if reduced == 0.0
+             else max(_SUM_HEAD_MIN, _SUM_HEAD_REACH / abs(one_minus_z)))
+    head = (n_max if n_max is not None and reach >= n_max
+            else math.ceil(reach))
+    beta = np.asarray(betas, dtype=float)
+    if head * len(beta) > _MAX_HEAD_TERMS:
+        raise DomainError(
+            f"alpha = {alpha!r} with n_max = {n_max} needs a head of {head} "
+            f"terms at each of {len(beta)} beta, above the bound "
+            f"{_MAX_HEAD_TERMS} on their product: alpha is too near 0 mod "
+            "2pi")
+    # scalar arithmetic takes inf silently: beta^2 may overflow, and the
+    # Euler terms past a sum's stop may leave the float range unused
+    with np.errstate(all="ignore"):
+        beta2 = beta * beta
+        re, im = _head_sums(reduced, beta2, m, head)
+        if (n_max is None or head < n_max) and (reduced != 0.0 or m == 0):
+            for lo in range(0, len(beta), _TAIL_ROWS):
+                b = beta[lo:lo + _TAIL_ROWS]
+                tail = (_em_tails(b, head, n_max) if reduced == 0.0 else
+                        _euler_tails(reduced, b, m, head, n_max, one_minus_z))
+                re[lo:lo + _TAIL_ROWS] += tail.real
+                im[lo:lo + _TAIL_ROWS] += tail.imag
+        if m == 0:
+            return (1.0 / beta2 + 2.0 * re).astype(complex)
+        return 2j * im
 
 
 def direct_mode_sum(args: ModeSumArgs, n_max: int) -> complex:
     """Symmetric truncation sum_{|n| <= n_max} e^{i alpha n} n^m / (n^2 + beta^2).
 
-    The +n and -n terms are combined before accumulation, which is required
-    for the conditionally convergent m = 1 case: 1/beta^2 + 2 Re P for m = 0
-    and 2i Im P for m = 1, P = sum_{n=1}^{n_max} z^n f(n), z = e^{i alpha},
-    f(n) = n^m/(n^2 + beta^2).
-
-    The head, n up to H = min(n_max, max(4096, ceil(256/|1 - z|))), is
-    summed term by term in blocks n = n0 + k of _BLOCK consecutive n, with
-    cos(alpha k) and sin(alpha k) taken once per call and cos(alpha n0),
-    sin(alpha n0) once per block; the angle-addition identities join them.
-    Memory stays constant in n_max.  When H < n_max, the rest is added as
-    T(H) - T(n_max), T(K) = sum_{n>K} z^n f(n), formed from f alone (never
-    from the closed form hyperbolic_mode_sum, the other side of EQ27):
-    for z != 1 by the Euler transformation
-    z^(K+1)/(1 - z) sum_j (z/(1 - z))^j Delta^j f(K + 1), with the
-    differences exact from the partial fraction of f, and at alpha = 0
-    (m = 0; the m = 1 sum is exactly 0j) by Euler-Maclaurin from the
-    integral atan(beta/K)/beta, the two integrals joined into one arctan.
-    So the cost does not grow with n_max: about 0.1 ms a call at n_max =
-    10^6 or 10^15 on a 2-core x86 box, against 3 ms for the blocked sum
-    alone at 10^6.  The head is longer than 4096 where |1 - z| < 1/16, as
-    nearer the tail's terms would shrink too slowly; where alpha is so near
-    0 mod 2pi that 256/|1 - z| reaches n_max, H is n_max and the call is
-    the plain blocked sum, at no more cost than without the tails.  Against
-    a term-by-term fsum of the same truncation, with exactly reduced
-    phases, the result is within 2e-15 times the sum of the moduli of the
-    terms, and within 3.5e-15 at alpha = pi, m = 1, where each term is the
-    rounding error of its phase; at alpha = 0 the m = 1 sum is exactly 0j.
-
-    alpha is reduced into [0, 2pi) first, as in hyperbolic_mode_sum, so a
-    huge alpha gives a finite sum, and then into (-pi, pi] with 2pi in two
-    doubles, so that alpha near 2pi is summed as accurately as alpha near 0.
+    One call of _direct_sums at one beta, about 0.1 ms at n_max = 10^6 or
+    10^15 (2-core x86 box); where alpha is so near 0 mod 2pi that
+    256/|1 - z| reaches n_max, the head is the whole truncation.  Against a
+    term-by-term fsum with exactly reduced phases, the result is within
+    2e-15 times the sum of the moduli of the terms, and within 3.5e-15 at
+    alpha = pi, m = 1, where each term is the rounding error of its phase.
     n_max must be an integer (a Python or numpy int) in [1, 2^53], where
     every n is exactly a double.  A head longer than _MAX_HEAD_TERMS (alpha
-    within about 256/n_max of 0 mod 2pi, and n_max above the bound) is a
-    DomainError before any term is summed.
+    within about 256/n_max of 0 mod 2pi) is a DomainError before any term
+    is summed.
     """
     try:
         n_max = operator.index(n_max)
@@ -212,58 +339,5 @@ def direct_mode_sum(args: ModeSumArgs, n_max: int) -> complex:
         raise DomainError(f"n_max must be an integer, got {n_max!r}") from None
     if not 1 <= n_max <= 2 ** 53:
         raise DomainError(f"n_max must be in [1, 2^53], got {n_max}")
-    alpha = args.alpha % (2.0 * math.pi)
-    if alpha > math.pi:
-        # alpha - 2pi to one rounding: alpha - math.tau is exact, and
-        # 2pi = math.tau + _TAU_LO.  Near 2pi the phases alpha n then carry
-        # no error of order n ulp(2pi), which a block's terms, all of about
-        # the same phase there, would add up.
-        alpha = (alpha - 2.0 * math.pi) - _TAU_LO
-    beta, m = args.beta, args.m
-    beta2 = beta * beta
-    # 1 - z = 2 sin^2(alpha/2) - i sin(alpha), free of the cancellation of
-    # 1 - cos(alpha) near alpha = 0 mod 2pi
-    one_minus_z = complex(2.0 * math.sin(0.5 * alpha) ** 2, -math.sin(alpha))
-    reach = (_SUM_HEAD_MIN if alpha == 0.0
-             else max(_SUM_HEAD_MIN, _SUM_HEAD_REACH / abs(one_minus_z)))
-    head = n_max if reach >= n_max else math.ceil(reach)
-    if head > _MAX_HEAD_TERMS:
-        raise DomainError(f"alpha = {args.alpha!r} with n_max = {n_max} "
-                          f"needs a head of {head} terms, above the bound "
-                          f"{_MAX_HEAD_TERMS}: alpha is too near 0 mod 2pi")
-    trig_k = np.stack([np.cos(alpha * _K), np.sin(alpha * _K)], axis=1)
-    n_buf, w_buf = np.empty(_BLOCK * _CHUNK), np.empty(_BLOCK * _CHUNK)
-    re = im = 0.0
-    for first in range(1, head + 1, _BLOCK * _CHUNK):
-        blocks = min(_CHUNK, (head - first) // _BLOCK + 1)
-        n, w = n_buf[:blocks * _BLOCK], w_buf[:blocks * _BLOCK]
-        np.add(_OFFSETS[:blocks * _BLOCK], first, out=n)
-        np.multiply(n, n, out=w)
-        w += beta2
-        if m == 0:
-            np.divide(1.0, w, out=w)
-        else:
-            np.divide(n, w, out=w)
-        w[head + 1 - first:] = 0.0
-        # per block: c = sum_k w cos(alpha k), s = sum_k w sin(alpha k)
-        c, s = (w.reshape(blocks, _BLOCK) @ trig_k).T
-        phase = alpha * n[::_BLOCK]
-        cos0, sin0 = np.cos(phase), np.sin(phase)
-        re += float(cos0 @ c - sin0 @ s)
-        im += float(sin0 @ c + cos0 @ s)
-    if head < n_max:
-        if alpha == 0.0:
-            if m == 0:
-                # int_H^N dx/(x^2 + beta^2) as one arctan: the difference
-                # of atan(beta/H) and atan(beta/N) loses digits at large beta
-                re += (math.atan(beta * ((n_max - head) / n_max)
-                                 / (head + beta * (beta / n_max))) / beta
-                       + _em_ends(head, beta) - _em_ends(n_max, beta))
-        else:
-            tail = (_euler_tail(alpha, beta, m, head, one_minus_z)
-                    - _euler_tail(alpha, beta, m, n_max, one_minus_z))
-            re += tail.real
-            im += tail.imag
-    if m == 0:
-        return complex(1.0 / beta2 + 2.0 * re)
-    return 2j * im
+    return complex(_direct_sums(args.alpha, np.array([args.beta]), args.m,
+                                n_max)[0])

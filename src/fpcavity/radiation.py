@@ -51,10 +51,9 @@ its truncation point.  So the reference converges down to u = 1e-3 in a
 few ms, and a kernel_d call takes 1.7-2.0 ms at v = 30 and 0.65-1.1 ms at
 v = 1e3-1e4 on a 2-core x86 box; at v <= 3 it takes the plain pass.
 
-The spectral (per-axial-index) representation converges only
-conditionally and is kept as a regulated cross-check: each transverse
-integral is damped by exp(-eps k_perp) and the caller extrapolates
-eps -> 0.
+The spectral route, kernel_d_spectral, sums the cavity's axial modes
+exactly at each transverse node with modesum's direct mode sums in place
+of the hyperbolic weights, in one adaptive pass like the others.
 """
 
 from __future__ import annotations
@@ -69,6 +68,7 @@ from .errors import DomainError
 from .geometry import (CavityFrame, KernelMatrix, Separation,
                        _check_image_distance, _frame_kernel,
                        _kernel_from_base, _rotate)
+from .modesum import _direct_sums
 from .specfun import (DEFAULT_TOL, Tolerance, _bessel_half_period,
                       _bessel_j0_g, integrate_semi_infinite)
 
@@ -267,108 +267,35 @@ def _kernel_d_reference(sign: str, sep: Separation,
                              _check_d_domain, sign, sep, tol)
 
 
-# Gauss-Legendre nodes per panel of the spectral route's transverse grid
-_GL_ORDER = 20
-# grid nodes times (axial terms + _BESSEL_TABLE_TERMS), the scaling of
-# kernel_d_spectral's work.  Building the grid, the Bessel pair and the
-# per-node arrays the axial sum reuses costs 7-16 axial terms per node.
-# Each axial term works in three reused grid-sized buffers.  One unit (one
-# node of one axial term) took 4.7e-9 s on a grid of 2.9e4 nodes, which
-# stays in cache, and 8.6e-9 to 1.0e-8 s on grids of 1.5e6 to 2.6e6 nodes
-# (medians of 3, 2-core x86 box; 6.5e-9 and 9.7e-9 to 1.1e-8 s there with
-# fresh temporaries): a call at the bound takes about 2 s at v = 4500,
-# eps = 0.5 (65 axial terms, 2.0e8 units), and 1.2 s on a small grid (4.4e4
-# nodes, 4530 axial terms, eps = 0.0053).
-_MAX_SPECTRAL_WORK = 200_000_000
-_BESSEL_TABLE_TERMS = 10
-_FLOAT_TINY = float(np.finfo(float).tiny)
+def kernel_d_spectral(sep: Separation) -> KernelMatrix:
+    """D+ from the cavity's axial modes, summed exactly.
 
-
-def _gl_grid(x_max: float, n_panels: int):
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
-    edges = np.linspace(0.0, x_max, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    xs = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    ws = (half[:, None] * weights[None, :]).ravel()
-    return xs, ws
-
-
-def kernel_d_spectral(sep: Separation, regulator_eps: float) -> KernelMatrix:
-    """D+ from the per-axial-index spectral representation, regulated.
-
-    Sums two-sided over the axial index n with the transverse integrand
-    damped by exp(-eps k_perp).  Conditionally convergent as eps -> 0:
-    meant for epsilon-extrapolated cross-checks against kernel_d, not for
-    production use.
-
-    The transverse grid reaches x_max = log(1/DEFAULT_TOL.abs_tol)/eps,
-    where the regulator has damped the integrand to 1e-10, far below the
-    1e-3 or so that extrapolation in eps reaches.  regulator_eps must be
-    positive and finite, and small enough that the squared grid nodes stay
-    normal doubles (up to about 1e152; above, the n = 0 term would be
-    0/0).  The work, grid nodes times the axial terms and the Bessel
-    pair's share, grows like 1/eps^2 (and like v at large v); a request
-    above _MAX_SPECTRAL_WORK is a DomainError before any array is built.
+    At each transverse node x the axial sum of the spectral integrand is
+    EQ27's mode sum at alpha = pi u, beta = x/pi (the divergent remainder
+    sum_n cos(pi n u) vanishes for 0 < u < 2): the cosh weight is
+    x S0/pi^2 and the sinh weight -Im S1/pi, S_m = sum_{n in Z}
+    e^{i alpha n} n^m/(n^2 + beta^2), each summed term by term with its
+    Euler tail (modesum._direct_sums), never from a closed form.  One pass
+    of integrate_semi_infinite at DEFAULT_TOL then meets
+    _kernel_d_reference within about 1e-12 of the largest entry, in 2 to
+    16 ms at u in [0.05, 1.95] and v <= 4 (2-core x86 box).  The axial
+    head grows like 256/(pi min(u, 2 - u)) terms per node: about 0.1 s a
+    call at u = 1e-3, and a DomainError before any term is summed from
+    about u = 1e-4 (modesum's bound on head terms times nodes).
     """
     _check_d_domain(sep)
-    if not 0.0 < regulator_eps < math.inf:
-        raise DomainError("regulator_eps must be positive and finite")
-    eps = regulator_eps
     u, v = sep.u, sep.v
-    x_max = math.log(1.0 / DEFAULT_TOL.abs_tol) / eps
-    width = min(2.0, math.pi / (2.0 * max(v, 0.25)))
-    # each factor capped at the bound, which keeps ceil off inf and does
-    # not change the verdict
-    n_panels = max(4, math.ceil(min(x_max / width, _MAX_SPECTRAL_WORK)))
-    n_max = max(64, math.ceil(min(24.0 / eps, _MAX_SPECTRAL_WORK)))
-    work = _GL_ORDER * n_panels * (n_max + 1 + _BESSEL_TABLE_TERMS)
-    if work > _MAX_SPECTRAL_WORK:
-        raise DomainError(
-            f"the spectral route at eps = {eps!r}, v = {v!r} needs "
-            f"{work:.3g} node-terms, above its work bound "
-            f"{_MAX_SPECTRAL_WORK}")
-    xs, ws = _gl_grid(x_max, n_panels)
-    # xs[0] is the smallest node; the n = 0 term divides it by its square
-    if not xs[0] * xs[0] >= _FLOAT_TINY:
-        raise DomainError(
-            f"regulator_eps = {eps!r} is too large: the squared grid nodes "
-            "underflow")
-    xv = xs * v
-    j0, g = _bessel_j0_g(xv)
-    j1 = xv * g
-    damp = np.exp(-eps * xs) * ws
-    xx = yy = zz = xz = 0.0
-    xs2 = xs * xs
-    # x^2 (J0 + J2) = 2 x^2 g, x^2 (J0 - J2) = 2 x^2 (J0 - g) and 2 x^2 J0,
-    # the same at every n
-    xs2_j02 = 2.0 * xs2 * g
-    xs2_j0m2 = 2.0 * xs2 * (j0 - g)
-    xs2_j0 = 2.0 * xs2 * j0
-    # each axial term works in these three grid-sized buffers
-    common, kn2_j0, term = np.empty_like(xs), np.empty_like(xs), \
-        np.empty_like(xs)
-    for n in range(n_max + 1):
-        kn = math.pi * n
-        # k_perp / k^2 on the grid, times the weights
-        np.add(kn * kn, xs2, out=common)
-        np.divide(xs, common, out=common)
-        common *= damp
-        w_cos = (1.0 if n == 0 else 2.0 * math.cos(math.pi * n * u))
-        np.multiply(2 * kn * kn, j0, out=kn2_j0)
-        np.add(kn2_j0, xs2_j02, out=term)
-        term *= common
-        xx += w_cos * float(np.sum(term))
-        np.add(kn2_j0, xs2_j0m2, out=term)
-        term *= common
-        yy += w_cos * float(np.sum(term))
-        np.multiply(common, xs2_j0, out=term)
-        zz += w_cos * float(np.sum(term))
-        if n > 0:
-            np.multiply(common, xs, out=term)
-            term *= j1
-            xz += 4.0 * math.sin(math.pi * n * u) * kn * float(np.sum(term))
-    return KernelMatrix(_rotate(_d_matrix((xx, yy, zz, xz)), sep.phi), D_PLUS)
+
+    def rows(x):
+        beta = x / math.pi
+        s0 = _direct_sums(math.pi * u, beta, 0, None).real
+        s1 = _direct_sums(math.pi * u, beta, 1, None).imag
+        return _d_rows(x, v, x * s0 / math.pi ** 2, -s1 / math.pi)
+
+    mat = _d_matrix(integrate_semi_infinite(
+        rows, min(u, 2.0 - u), DEFAULT_TOL,
+        half_period=_bessel_half_period(v)))
+    return KernelMatrix(_rotate(mat, sep.phi), D_PLUS)
 
 
 def quadratic_self_term(z_over_L: float, tol: Tolerance = DEFAULT_TOL) -> KernelMatrix:

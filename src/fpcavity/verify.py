@@ -482,7 +482,8 @@ def check_axial_and_aniso(rho_z_samples: Sequence[float],
     Thresholds are pinned (TOL_AXIAL, TOL_CONTINUUM, TOL_DECAY); the
     quadratures run at the fixed panel-split budget.  A decay_factor not
     positive and finite, or L_samples not strictly increasing, are refused
-    with a DomainError before any work.
+    with a DomainError before any work; a cutoff that is not positive and
+    finite fails both ANISO38 rows with one.
     """
     if not (0.0 < decay_factor < math.inf
             and all(a < b for a, b in zip(L_samples, L_samples[1:]))):
@@ -507,6 +508,9 @@ def check_axial_and_aniso(rho_z_samples: Sequence[float],
     radius = cutoff / math.pi
 
     def continuum():
+        # the summand reads only |cutoff|: a negative one must not pass
+        if not 0.0 < cutoff < math.inf:
+            raise DomainError("cutoff must be positive and finite")
         if not sys.float_info.min <= radius * radius <= sys.float_info.max / 2:
             raise DomainError(f"(cutoff/pi)^2 = {radius * radius!r} leaves "
                               f"the float range at cutoff = {cutoff!r}")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpcavity import (DickeParams, DomainError, Separation, Tolerance,
-                      kernel_e, run_suite, xi)
+                      kernel_d_spectral, kernel_e, run_suite, xi)
 from fpcavity.cli import _build_parser, dispatch, emit_report
 from fpcavity.verify import IdentityReport, VerificationSummary
 from tests_helpers import starve_verify
@@ -103,8 +103,7 @@ def test_kernel_non_finite_input_exit_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["kernel", "--family", "D", "--u", "0.5", "--v", "1",
      "--tol-abs", "inf", "--tol-rel", "inf"],
-    ["kernel", "--family", "D", "--u", "0.5", "--v", "1", "--spectral",
-     "--eps", "inf"],
+    ["kernel", "--family", "D", "--u", "nan", "--v", "1", "--spectral"],
     ["dicke", "ground", "--y", "nan"],
     ["dicke", "meanfield", "--y", "inf"],
 ])
@@ -161,15 +160,16 @@ def test_kernel_spectral_flag_restrictions(capsys):
     ["--family", "E", "--max-subdivisions", "10"],
     ["--family", "E", "--eps", "7"],
     ["--family", "D", "--eps", "0.1"],
-    ["--family", "D", "--sign", "minus", "--eps", "0.05"],
+    ["--family", "D", "--spectral", "--eps", "0.05"],
     ["--family", "D", "--spectral", "--tol-rel", "1e-3"],
     ["--family", "D", "--spectral", "--tol-abs", "1e-9"],
     ["--family", "D", "--spectral", "--tol-abs", "1"],
     ["--family", "D", "--spectral", "--max-subdivisions", "1"],
 ])
 def test_kernel_refuses_flags_it_would_ignore(argv, capsys):
-    # the E family is a fixed-accuracy lattice sum, the spectral route a
-    # fixed grid that takes no tolerance, and only it reads the regulator
+    # the E family is a fixed-accuracy lattice sum and the spectral route
+    # one quadrature at the default accuracy, so neither takes a
+    # tolerance; no route has a regulator, so --eps is no flag at all
     assert dispatch(["kernel", "--u", "0.5", "--v", "1", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "error" in captured.err
@@ -179,7 +179,7 @@ def test_kernel_refuses_flags_it_would_ignore(argv, capsys):
     (["--family", "D"], ["--family", "D", "--tol-abs", "1e-10",
                          "--tol-rel", "1e-10"]),
     (["--family", "D", "--spectral"],
-     ["--family", "D", "--spectral", "--eps", "0.05"]),
+     ["--family", "D", "--spectral", "--sign", "plus", "--phi", "0"]),
 ])
 def test_kernel_omitted_flags_take_their_documented_values(implicit,
                                                           explicit, capsys):
@@ -193,10 +193,10 @@ def test_kernel_omitted_flags_take_their_documented_values(implicit,
 
 def test_kernel_spectral_route_runs(capsys):
     code = dispatch(["kernel", "--family", "D", "--u", "1.0", "--v", "0.5",
-                     "--spectral", "--eps", "0.1"])
+                     "--spectral"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
-    assert len(doc["matrix"]) == 3
+    assert doc["matrix"] == kernel_d_spectral(Separation(1.0, 0.5)).m.tolist()
 
 
 def test_unknown_flag_exit_2(capsys):

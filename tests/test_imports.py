@@ -48,7 +48,7 @@ def _loaded_after(calls: str) -> list[str]:
      "fp.direct_mode_sum(fp.ModeSumArgs(0.5, 1.0, 0), 8)\n"
      "fp.anisotropy_delta(fp.CavityFrame(1.0), math.pi)", []),
     ("fp.kernel_d('plus', fp.Separation(0.5, 1.0))", []),
-    ("fp.kernel_d_spectral(fp.Separation(0.5, 1.0), 0.1)\n"
+    ("fp.kernel_d_spectral(fp.Separation(0.5, 1.0))\n"
      "fp.bessel_j(2, 30.0)", []),
     ("fp.run_suite('all')", []),
     ("fp.ground_state(fp.DickeParams(y=0.5, n_atoms=2, fock_cutoff=4))",

@@ -11,10 +11,10 @@ from fpcavity import (AnisotropyResult, CavityFrame, DomainError, Separation,
                       Tolerance, anisotropy_delta, integrate_semi_infinite,
                       kernel_d, kernel_d_spectral, quadratic_self_term,
                       kernel_e, reflection_matrix, self_energy_matrix, xi)
-from fpcavity import coulomb, lattice, radiation, specfun
+from fpcavity import coulomb, lattice, modesum, radiation, specfun, verify
 from fpcavity.radiation import (_d_rows, _kernel_d_reference,
                                 _laplace_bessel_x2, _nearest_pair_rows)
-from fpcavity.specfun import DEFAULT_TOL, _bessel_j0_g
+from fpcavity.specfun import _bessel_j0_g
 
 TIGHT = Tolerance(1e-12, 1e-12)
 
@@ -300,90 +300,66 @@ def test_laplace_bessel_x2_finite_at_huge_v(a, v):
 # ---------------------------------------------------------------------------
 
 def test_spectral_offdiagonal_zero_on_axis():
-    for eps in (0.1, 0.05):
-        mat = kernel_d_spectral(Separation(0.7, 0.0), eps).m
-        assert mat[0, 2] == 0.0 and mat[2, 0] == 0.0
+    mat = kernel_d_spectral(Separation(0.7, 0.0)).m
+    assert mat[0, 2] == 0.0 and mat[2, 0] == 0.0
 
 
 def test_spectral_transverse_isotropy_on_axis():
-    mat = kernel_d_spectral(Separation(0.7, 0.0), 0.05).m
+    mat = kernel_d_spectral(Separation(0.7, 0.0)).m
     assert mat[0, 0] == pytest.approx(mat[1, 1], rel=1e-12)
 
 
-def test_spectral_richardson_matches_production():
-    sep = Separation(1.0, 0.5)
-    ref = kernel_d("plus", sep).m
-    vals = [kernel_d_spectral(sep, eps).m for eps in (0.05, 0.025, 0.0125)]
-    extrap = (8.0 * vals[2] - 6.0 * vals[1] + vals[0]) / 3.0
-    resid = np.abs(extrap - ref).max() / np.abs(ref).max()
-    assert resid < 1e-3
+def test_spectral_matches_the_reference():
+    # the axial modes summed exactly at each node: the spectral route meets
+    # the unsplit hyperbolic route to 1e-12 of the largest entry, at the
+    # EQ21 separations of verify's seed and next to both mirrors
+    seps = verify.random_separations(20, 42) + [
+        Separation(0.01, 1.0, 0.4), Separation(1.99, 1.0, 2.0)]
+    for sep in seps:
+        want = _kernel_d_reference("plus", sep).m
+        got = kernel_d_spectral(sep)
+        assert got.kind == "D_PLUS"
+        assert np.abs(got.m - want).max() <= 1e-12 * np.abs(want).max(), sep
 
 
-def _spectral_with_temporaries(sep, eps):
-    """kernel_d_spectral's entries with one expression per entry and axial
-    term, each making its own grid-sized temporaries, in the same order of
-    operations and of summation."""
-    u, v = sep.u, sep.v
-    x_max = math.log(1.0 / DEFAULT_TOL.abs_tol) / eps
-    width = min(2.0, math.pi / (2.0 * max(v, 0.25)))
-    xs, ws = radiation._gl_grid(x_max, max(4, math.ceil(x_max / width)))
-    xv = xs * v
-    j0, g = _bessel_j0_g(xv)
-    j1 = xv * g
-    damp = np.exp(-eps * xs) * ws
-    xs2 = xs * xs
-    xx = yy = zz = xz = 0.0
-    for n in range(max(64, math.ceil(24.0 / eps)) + 1):
-        kn = math.pi * n
-        common = xs / (kn * kn + xs2) * damp
-        w_cos = 1.0 if n == 0 else 2.0 * math.cos(math.pi * n * u)
-        xx += w_cos * float(np.sum(common * (2 * kn * kn * j0
-                                             + 2.0 * xs2 * g)))
-        yy += w_cos * float(np.sum(common * (2 * kn * kn * j0
-                                             + 2.0 * xs2 * (j0 - g))))
-        zz += w_cos * float(np.sum(common * (2.0 * xs2 * j0)))
-        if n > 0:
-            xz += 4.0 * math.sin(math.pi * n * u) * kn \
-                * float(np.sum(common * xs * j1))
-    return radiation._rotate(radiation._d_matrix((xx, yy, zz, xz)), sep.phi)
+def test_spectral_route_shares_nothing_with_the_other_routes(monkeypatch):
+    # neither the hyperbolic weights of kernel_d and its reference, nor the
+    # nearest pair's closed forms, nor the closed form of EQ27, nor the
+    # image lattice: each is made to fail if called
+    sep = Separation(0.8, 1.3, 0.5)
+    want = _kernel_d_reference("plus", sep).m
 
-
-@pytest.mark.parametrize("sep, eps", [(Separation(0.5, 1.0), 0.1),
-                                      (Separation(1.7, 2.5, 0.4), 0.05),
-                                      (Separation(0.3, 0.0), 0.2)])
-def test_spectral_buffers_keep_every_bit(sep, eps):
-    # the axial loop works in reused buffers and forms 2 kn^2 J0 once for
-    # xx and yy: the entries keep the bits of fresh temporaries
-    got = kernel_d_spectral(sep, eps).m
-    assert got.tobytes() == _spectral_with_temporaries(sep, eps).tobytes()
-
-
-def test_spectral_regulator_validation():
-    with pytest.raises(DomainError):
-        kernel_d_spectral(Separation(1.0, 0.5), 0.0)
-    # from eps ~ 1e160 the squared grid nodes underflow, and the n = 0 term
-    # divides the nodes by their squares: the entries were NaN
-    for bad in (math.inf, math.nan, -math.inf, 1e160, 1e300):
-        with pytest.raises(DomainError):
-            kernel_d_spectral(Separation(1.0, 0.5), bad)
-    assert np.isfinite(kernel_d_spectral(Separation(1.0, 0.5), 1e150).m).all()
-
-
-@pytest.mark.parametrize("eps, v", [(1e-6, 1.0), (5e-324, 1.0),
-                                    (0.003, 0.0), (0.5, 1e6), (0.5, 5000.0)])
-def test_spectral_work_bound_refuses_before_building(eps, v, monkeypatch):
-    # the grid and the Bessel pair are never built for a refused request:
-    # eps = 1e-6 would otherwise ask for arrays of ~3e8 doubles each.  At
-    # v = 5000, eps = 0.5 the grid's 2.9e6 nodes times 65 axial terms are
-    # 1.9e8 node-terms, just below the bound of 2e8; the Bessel pair's 10
-    # terms per node bring it to 2.2e8, above
     def never(*args, **kwargs):
-        raise AssertionError("grid built before the work bound was checked")
+        raise AssertionError("the spectral route called another route")
 
-    monkeypatch.setattr(radiation, "_gl_grid", never)
-    monkeypatch.setattr(radiation, "_bessel_j0_g", never)
-    with pytest.raises(DomainError, match="work bound"):
-        kernel_d_spectral(Separation(0.7, v), eps)
+    for name in ("_hyperbolic_weights", "_cosh_ratio_diff",
+                 "_nearest_pair_rows", "_laplace_bessel_x2"):
+        monkeypatch.setattr(radiation, name, never)
+    monkeypatch.setattr(modesum, "hyperbolic_mode_sum", never)
+    for name, value in vars(lattice).items():
+        if callable(value) and getattr(value, "__module__", None) == \
+                lattice.__name__:
+            monkeypatch.setattr(lattice, name, never)
+    got = kernel_d_spectral(sep).m
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_spectral_refuses_a_head_past_the_bound_before_summing(monkeypatch):
+    # at u = 1e-5 each node's axial head runs to 256/|1 - e^{i pi u}|, about
+    # 8e6 terms, and the nodes of one integrand call take it past the bound
+    def never(*args, **kwargs):
+        raise AssertionError("a term summed before the bound was checked")
+
+    monkeypatch.setattr(modesum, "_head_sums", never)
+    with pytest.raises(DomainError, match="above the bound"):
+        kernel_d_spectral(Separation(1e-5, 1.0))
+
+
+def test_spectral_domain():
+    for sep in (Separation(0.0, 1.0), Separation(2.0, 1.0),
+                Separation(1e-160, 0.0)):
+        with pytest.raises(DomainError):
+            kernel_d_spectral(sep)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ import quad_reference
 from fpcavity import (ConvergenceError, DomainError, ModeSumArgs, Tolerance,
                       apery_zeta3, bessel_j, direct_mode_sum,
                       hyperbolic_mode_sum, integrate_semi_infinite, xi)
-from fpcavity import Separation, _memo, kernel_d, specfun, verify
+from fpcavity import Separation, _memo, kernel_d, modesum, specfun, verify
 from fpcavity.lattice import _lattice_moments
-from fpcavity.modesum import _BLOCK, _CHUNK, _SUM_HEAD_MIN, _SUM_HEAD_REACH
+from fpcavity.modesum import (_BLOCK, _CHUNK, _SUM_HEAD_MIN, _SUM_HEAD_REACH,
+                              _direct_sums)
 from fpcavity.specfun import (_G7_IDX, _G7_WEIGHTS, _HEAD_HALF_PERIODS,
                               _K15_NODES, _K15_WEIGHTS, _LEVIN_MAX_ORDER,
                               _TAIL_MIN_SPAN, _bessel_j0_g, _quad_finite,
@@ -1442,6 +1443,91 @@ def test_direct_mode_sum_memory_constant_in_n_max():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def _moduli(beta, m, n_max):
+    """The sum of the moduli of the terms of the mode sum to n_max: the
+    m = 0 sum at alpha = 0 (over n in Z; it exceeds every truncation), and
+    about 2 log(n_max) for m = 1."""
+    if m == 0:
+        return hyperbolic_mode_sum(ModeSumArgs(0.0, beta, 0)).real
+    return 2.0 * math.log(n_max)
+
+
+def test_whole_sum_meets_the_truncation_at_2_53():
+    # the engine's sum over n in Z against direct_mode_sum at n_max = 2^53,
+    # at the EQ27 grid points and at a seeded array of betas up to 200
+    # summed in one call.  At alpha = 0 the m = 0 terms past 2^53 add
+    # 2/2^53, which is added to the truncation
+    n_max = 2 ** 53
+    grid = [(a, b, m) for a in verify._MODESUM_ALPHAS
+            for b in verify._MODESUM_BETAS for m in verify._MODESUM_ORDERS]
+    assert len(grid) == 18
+    for alpha, beta, m in grid:
+        whole = _direct_sums(alpha, np.array([beta]), m, None)[0]
+        want = direct_mode_sum(ModeSumArgs(alpha, beta, m), n_max)
+        if alpha == 0.0 and m == 0:
+            want += 2.0 / n_max
+        assert abs(whole - want) <= 4e-15 * _moduli(beta, m, n_max), (
+            alpha, beta, m)
+    betas = np.random.default_rng(37).uniform(1e-3, 200.0, 200)
+    for alpha in (0.0, 0.5, 2.0, math.pi, 6.0):
+        for m in (0, 1):
+            whole = _direct_sums(alpha, betas, m, None)
+            for beta, got in zip(betas, whole):
+                want = direct_mode_sum(ModeSumArgs(alpha, beta, m), n_max)
+                if alpha == 0.0 and m == 0:
+                    want += 2.0 / n_max
+                assert abs(got - want) <= 4e-15 * _moduli(beta, m, n_max), (
+                    alpha, beta, m)
+
+
+@pytest.mark.parametrize("n_max", [None, 5000, 10 ** 6])
+def test_batched_betas_match_one_beta_calls(n_max, monkeypatch):
+    # one call over many betas, in head batches of 8 betas at a head of
+    # 4096 and in tails of 7, against one call per beta: the per-block sums
+    # of a batch may round differently, within a few ulps of the moduli
+    monkeypatch.setattr(modesum, "_TAIL_ROWS", 7)
+    betas = np.concatenate([np.random.default_rng(7).uniform(0.01, 50.0, 37),
+                            [0.3, 1.0, 3.0]])
+    eps = sys.float_info.epsilon
+    for alpha in (0.0, 0.5, math.pi, 2.0, 6.0, 1e-3):
+        for m in (0, 1):
+            batched = _direct_sums(alpha, betas, m, n_max)
+            for beta, got in zip(betas, batched):
+                one = _direct_sums(alpha, np.array([beta]), m, n_max)[0]
+                assert abs(got - one) <= 4.0 * eps * _moduli(
+                    beta, m, n_max or 2 ** 53), (alpha, beta, m)
+
+
+def test_engine_refuses_head_terms_times_betas_past_the_bound(monkeypatch):
+    # the bound is on head terms times betas, read before any term is
+    # summed; a call at the bound sums
+    def never(*args, **kwargs):
+        raise AssertionError("a term summed before the bound was checked")
+
+    monkeypatch.setattr(modesum, "_MAX_HEAD_TERMS", 3 * _SUM_HEAD_MIN)
+    assert _direct_sums(0.5, np.ones(3), 0, None).shape == (3,)
+    monkeypatch.setattr(modesum, "_head_sums", never)
+    with pytest.raises(DomainError, match="4096 terms at each of 4 beta"):
+        _direct_sums(0.5, np.ones(4), 0, None)
+    with pytest.raises(DomainError, match="n_max = 10"):
+        _direct_sums(1e-300, np.ones(2), 1, 10 ** 10)
+
+
+def test_euler_terms_past_the_first_pass_keep_every_bit(monkeypatch):
+    # every sum seen stops within the first _EULER_FIRST terms; with a
+    # first pass of 2 terms each sum takes the second pass of all
+    # _EULER_TERMS, which must stop where the first would have
+    rng = np.random.default_rng(36)
+    draws = [(float(rng.uniform(-10.0, 10.0)), float(10 ** rng.uniform(-3, 3)),
+              int(rng.integers(2)), int(10 ** rng.uniform(4, 15)))
+             for _ in range(60)]
+    want = [direct_mode_sum(ModeSumArgs(a, b, m), n) for a, b, m, n in draws]
+    monkeypatch.setattr(modesum, "_EULER_FIRST", 2)
+    got = [direct_mode_sum(ModeSumArgs(a, b, m), n) for a, b, m, n in draws]
+    assert [(g.real.hex(), g.imag.hex()) for g in got] == \
+        [(w.real.hex(), w.imag.hex()) for w in want]
 
 
 def test_tolerance_validation():

@@ -403,6 +403,18 @@ def test_axial_and_aniso_fails_rows_out_of_the_float_range(lengths, cutoff):
         assert r.params["error"].startswith("DomainError")
 
 
+@pytest.mark.parametrize("cutoff", [-1.0, 0.0, -math.inf, math.nan])
+def test_continuum_row_refuses_a_cutoff_that_is_not_positive(cutoff):
+    # the continuum row read only (cutoff/pi)^2, so -1 passed it while the
+    # decay row failed; both rows now fail with the same cause
+    reports = check_axial_and_aniso([0.5], [1.0, 2.0], cutoff)
+    assert [r.check_id for r in reports] == ["AXIAL20", "ANISO38", "ANISO38"]
+    for r in reports[1:]:
+        assert not r.passed and r.abs_err == math.inf
+        assert r.params["error"] == ("DomainError: cutoff must be positive "
+                                     "and finite")
+
+
 def test_axial_and_aniso_structure():
     reports = check_axial_and_aniso([0.7], [1.0, 2.0, 4.0, 8.0], math.pi)
     ids = [r.check_id for r in reports]
