@@ -2,10 +2,11 @@
 
 Two independent routes, the two sides of EQ27: its hyperbolic closed form,
 and its direct sum, one engine (_direct_sums) over an array of beta for
-the symmetric truncation |n| <= n_max or the whole sum over n in Z.  The
-engine sums a head term by term in blocks of consecutive n (angle addition
-from one block's cos/sin table), then the rest as the difference of two
-tails built from the summand alone (the Euler transformation, or
+the one-sided sum over 1 <= n <= n_max or over every n >= 1, which its
+callers make two-sided with the n = 0 term.  The engine sums a head term
+by term in blocks of consecutive n (angle addition from one block's
+cos/sin table), then the rest as the difference of two tails built from
+the summand alone (one pass of the Euler transformation, or
 Euler-Maclaurin at alpha = 0), one tail for the whole sum, so the cost
 does not grow with the truncation; within a few 1e-15 of the sum of the
 moduli of the terms.  direct_mode_sum is the engine at one beta, and the
@@ -108,18 +109,14 @@ _OFFSETS = np.arange(_BLOCK * _CHUNK, dtype=float)
 _TAIL_ROWS = 512
 # The head runs to n = max(_SUM_HEAD_MIN, _SUM_HEAD_REACH/|1 - e^{i alpha}|),
 # and the rest of the truncation is added through its tails.  That far out,
-# a term of the Euler transformation is at most about j/_SUM_HEAD_REACH of
-# the one before, so fewer than 15 reach _EULER_EPS (every sum seen stopped
-# within 12, so a first pass of _EULER_FIRST terms ends almost every call);
-# _EULER_TERMS only caps the transformation.
+# a term of the Euler transformation is at most about (j + 1)/_SUM_HEAD_REACH
+# of the one before, so the term after _EULER_TERMS of them is below about
+# 16!/256^16 = 6e-26 of the first, far under _EULER_EPS: one pass of
+# _EULER_TERMS terms ends every sum.
 _SUM_HEAD_MIN = 4096
 _SUM_HEAD_REACH = 256.0
 _EULER_EPS = 2.0 ** -60
-_EULER_FIRST = 16
-_EULER_TERMS = 64
-# j = 0 .. _EULER_TERMS, and the tops of the factors of Delta^j g
-_J = np.arange(_EULER_TERMS + 1.0)
-_EULER_TOPS = np.append(1.0, -_J[1:])
+_EULER_TERMS = 16
 # The most head terms a call sums, over all its betas: a term costs about
 # 5.5e-9 s (2-core x86 box), so a call at the bound takes about 1.7 s, and
 # one head of 2^53 terms (alpha so near 0 mod 2pi that the head runs to
@@ -131,44 +128,27 @@ _EM_COEF = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0)
 _TAU_LO = 2.4492935982947064e-16
 
 
-def _quotient(a, re, beta):
-    """a/(re - i beta) for real a and positive re and beta, as (real part,
-    imaginary part): the operations of Python's complex division (Smith's
-    rule) with its exact sign changes taken out, so that an array of them
-    keeps the bits of a scalar complex quotient."""
-    flat = re >= beta
-    if flat.all():
-        ratio = beta / re
-        den = re + beta * ratio
-        return a / den, a * ratio / den
-    ratio = np.where(flat, beta / re, re / beta)
-    den = np.where(flat, re + beta * ratio, re * ratio + beta)
-    top = a * ratio
-    return np.where(flat, a, top) / den, np.where(flat, top, a) / den
-
-
 def _em_tails(beta: np.ndarray, head: int, n_max: int | None) -> np.ndarray:
     """T(head) - T(n_max) at z = 1 and m = 0 at each beta, by Euler-Maclaurin.
 
     The integral int_head^n_max dx/(x^2 + beta^2) is one arctan (the
     difference of atan(beta/head) and atan(beta/n_max) loses digits at
-    large beta; libm's, as numpy's may differ in the last bit), and the
-    end terms at x = k are -f(k)/2 - sum_j B_2j/(2j)! f^(2j-1)(k), with
-    f^(p) = Im(d^p/dx^p of 1/(x - i beta))/beta = Im((-1)^p p!/(k - i
-    beta)^(p+1))/beta.  With k >= _SUM_HEAD_MIN the next correction is
-    below 1e-34.
+    large beta), and the end terms at x = k are -f(k)/2 - sum_j B_2j/(2j)!
+    f^(2j-1)(k), with f^(p) = Im(d^p/dx^p of 1/(x - i beta))/beta =
+    Im((-1)^p p!/(k - i beta)^(p+1))/beta.  With k >= _SUM_HEAD_MIN the
+    next correction is below 1e-34.
     """
     k = np.array([head] if n_max is None else [head, n_max], float)[:, None]
-    g_re, g_im = _quotient(1.0, k, beta)
-    q_re, q_im = g_re * g_re - g_im * g_im, g_re * g_im + g_im * g_re
-    p_re, p_im, total = q_re, q_im, 0.0
+    g = 1.0 / (k - 1j * beta)
+    q = g * g
+    power, total = q, 0.0
     for coef in _EM_COEF:
-        total = total + coef * p_im
-        p_re, p_im = p_re * q_re - p_im * q_im, p_re * q_im + p_im * q_re
+        total = total + coef * power.imag
+        power = power * q
     ends = total / beta - 0.5 / (k * k + beta * beta)
     arg = (beta / head if n_max is None else
            beta * ((n_max - head) / n_max) / (head + beta * (beta / n_max)))
-    ends[0] += np.array([math.atan(t) for t in arg.tolist()]) / beta
+    ends[0] += np.arctan(arg) / beta
     return ends[0] if n_max is None else ends[0] - ends[1]
 
 
@@ -186,9 +166,10 @@ def _euler_tails(alpha: float, beta: np.ndarray, m: int, head: int,
     total whose next term is bounded below _EULER_EPS |total|: with g_j =
     Delta^j g(n), |Re g_j| <= |g_j| and, with s the sum of the arguments
     atan(beta/(n + l)) of the factors of its denominator, |Im g_j| =
-    |g_j| |sin s| <= |g_j| min(1, (j + 1) beta/n).  A first pass takes
-    _EULER_FIRST terms; only if a sum does not stop there are all
-    _EULER_TERMS taken, the last total ending any sum.
+    |g_j| |sin s| <= |g_j| min(1, (j + 1) beta/n).  Since n > head >=
+    256/|1 - z|, term j + 1 is at most about (j + 1)/256 of term j, so
+    every sum stops within one pass of _EULER_TERMS terms; the last total
+    would end any that did not.
     """
     n = np.array([[[k + 1.0]] for k in ([head] if n_max is None
                                         else [head, n_max])])
@@ -199,35 +180,30 @@ def _euler_tails(alpha: float, beta: np.ndarray, m: int, head: int,
                      / one_minus_z for nk in n.ravel().tolist()]
     coef = coef.cumprod(axis=2)
     col = beta[:, None]
-    for terms in (_EULER_FIRST, _EULER_TERMS):
-        j, c = _J[:terms + 1], coef[..., :terms + 1]
-        # g_j, j = 1 .. terms + 1: the running products of 1/(n - i beta)
-        # and -j/(n + j - i beta)
-        steps = _quotient(_EULER_TOPS[:terms + 1], n + j, col)
-        diff = np.cumprod(steps[0] + 1j * steps[1], axis=2)
-        totals = np.cumsum(c[..., :-1] * (diff.imag[..., :-1] / col if m == 0
-                                          else diff.real[..., :-1]), axis=2)
-        # the bound on the term after each total, coef_{j+1} g_{j+1}
-        c, d = c[..., 1:], diff[..., 1:]
-        size = np.hypot(c.real * d.real - c.imag * d.imag,
-                        c.real * d.imag + c.imag * d.real)
-        if m == 0:
-            size *= np.minimum(1.0 / col, (j[1:] + 1.0) / n)
-        stop = size <= _EULER_EPS * np.hypot(totals.real, totals.imag)
-        if stop.any(axis=2).all():
-            break
+    # g_j, j = 1 .. _EULER_TERMS + 1: the running products of 1/(n - i beta)
+    # and -j/(n + j - i beta)
+    j = np.arange(_EULER_TERMS + 1.0)
+    tops = -j
+    tops[0] = 1.0
+    diff = np.cumprod(tops / (n + j - 1j * col), axis=2)
+    part = diff.imag[..., :-1] / col if m == 0 else diff.real[..., :-1]
+    totals = np.cumsum(coef[..., :-1] * part, axis=2)
+    # the bound on the term after each total, coef_{j+1} g_{j+1}
+    size = np.abs(coef[..., 1:] * diff[..., 1:])
+    if m == 0:
+        size *= np.minimum(1.0 / col, (j[1:] + 1.0) / n)
+    stop = size <= _EULER_EPS * np.abs(totals)
     stop[..., -1] = True
-    rows = totals.reshape(-1, terms)
-    tails = rows[np.arange(len(rows)), stop.argmax(axis=2).ravel()].reshape(
-        totals.shape[:2])
+    tails = np.take_along_axis(totals, stop.argmax(axis=2)[..., None],
+                               axis=2)[..., 0]
     return tails[0] if n_max is None else tails[0] - tails[1]
 
 
 def _head_sums(alpha: float, beta2: np.ndarray, m: int, head: int):
-    """Re and Im of sum_{n=1}^{head} z^n f(n) at each beta^2 of beta2."""
+    """sum_{n=1}^{head} z^n f(n) at each beta^2 of beta2."""
     trig_k = np.stack([np.cos(alpha * _K), np.sin(alpha * _K)], axis=1)
     buf = np.empty(_BLOCK * _CHUNK)
-    re, im = np.zeros(len(beta2)), np.zeros(len(beta2))
+    sums = np.zeros(len(beta2), complex)
     for first in range(1, head + 1, _BLOCK * _CHUNK):
         blocks = min(_CHUNK, (head - first) // _BLOCK + 1)
         n = _OFFSETS[:blocks * _BLOCK] + first
@@ -244,41 +220,42 @@ def _head_sums(alpha: float, beta2: np.ndarray, m: int, head: int):
             # per block: c = sum_k w cos(alpha k), s = sum_k w sin(alpha k)
             cs = (w.reshape(-1, _BLOCK) @ trig_k).reshape(len(b2), blocks, 2)
             c, s = cs[:, :, 0], cs[:, :, 1]
-            re[lo:lo + rows] += c @ cos0 - s @ sin0
-            im[lo:lo + rows] += c @ sin0 + s @ cos0
-    return re, im
+            sums.real[lo:lo + rows] += c @ cos0 - s @ sin0
+            sums.imag[lo:lo + rows] += c @ sin0 + s @ cos0
+    return sums
 
 
 def _direct_sums(alpha: float, betas: np.ndarray, m: int,
                  n_max: int | None) -> np.ndarray:
-    """sum_{|n| <= n_max} e^{i alpha n} n^m / (n^2 + beta^2) at each beta of
-    the 1-d array betas, or the whole sum over n in Z for n_max None: the
-    one engine of the direct side of EQ27 (m is 0 or 1, n_max None or an
-    integer in [1, 2^53], every beta positive with 1/beta^2 finite).
+    """The one-sided sum P = sum_{n=1}^{n_max} z^n f(n), z = e^{i alpha},
+    f(n) = n^m/(n^2 + beta^2), at each beta of the 1-d array betas, or the
+    whole sum over n >= 1 for n_max None: the one engine of the direct side
+    of EQ27 (m is 0 or 1, n_max None or an integer in [1, 2^53], every beta
+    positive).
 
-    The +n and -n terms are combined before accumulation, as the
-    conditionally convergent m = 1 case requires: 1/beta^2 + 2 Re P for
-    m = 0 and 2i Im P for m = 1, P = sum_{n=1}^{n_max} z^n f(n), z =
-    e^{i alpha}, f(n) = n^m/(n^2 + beta^2).  The head, n up to H = min(n_max,
-    max(4096, ceil(256/|1 - z|))), is summed term by term in blocks
-    n = n0 + k of _BLOCK consecutive n, joined by angle addition from
-    cos(alpha k), sin(alpha k) and one cos(alpha n0), sin(alpha n0) per
-    block.  When H < n_max, the rest is added as T(H) - T(n_max),
+    Its callers combine the +n and -n terms after accumulation, as the
+    conditionally convergent m = 1 case requires: the two-sided sum is
+    1/beta^2 + 2 Re P for m = 0 and 2i Im P for m = 1.  The n = 0 term
+    is left to them, since 1/beta^2 overflows below beta = 7.5e-155 while
+    P stays finite.  The head, n up to H = min(n_max, max(4096,
+    ceil(256/|1 - z|))), is summed term by term in blocks n = n0 + k of
+    _BLOCK consecutive n, joined by angle addition from cos(alpha k),
+    sin(alpha k) and one cos(alpha n0), sin(alpha n0) per block.  When
+    H < n_max, the rest is added as T(H) - T(n_max),
     T(K) = sum_{n>K} z^n f(n) and T(inf) = 0, formed from f alone (never
-    from hyperbolic_mode_sum, the other side of EQ27): by the Euler
-    transformation (_euler_tails), and at alpha = 0 (m = 0; the m = 1 sum
-    is exactly 0j) by Euler-Maclaurin (_em_tails).  So the cost does not
-    grow with n_max.  The head is longer than 4096 where |1 - z| < 1/16,
-    as nearer the tail's terms shrink too slowly.
+    from hyperbolic_mode_sum, the other side of EQ27): by one pass of
+    the Euler transformation (_euler_tails), and at alpha = 0 (m = 0; the
+    m = 1 sum is exactly 0j) by Euler-Maclaurin (_em_tails).  So the cost
+    does not grow with n_max.  The head is longer than 4096 where
+    |1 - z| < 1/16, as nearer the tail's terms shrink too slowly.
 
     alpha is reduced into [0, 2pi), as in hyperbolic_mode_sum, and then
     into (-pi, pi] with 2pi in two doubles, so that alpha near 2pi is
-    summed as accurately as alpha near 0.  Every operation is that of a
-    scalar sum in Python, so at one beta the result keeps the bits of one;
-    over an array each value is within a few ulps of the sum of the moduli
-    of its one-beta call (the per-block sums of a batch may round
-    differently).  H times the number of betas above _MAX_HEAD_TERMS is a
-    DomainError before any term is summed.
+    summed as accurately as alpha near 0.  Over an array each value is
+    within a few ulps of the sum of the moduli of its one-beta call (the
+    per-block sums of a batch may round differently).  H times the number
+    of betas above _MAX_HEAD_TERMS is a DomainError before any term is
+    summed.
     """
     reduced = alpha % (2.0 * math.pi)
     if reduced > math.pi:
@@ -305,33 +282,29 @@ def _direct_sums(alpha: float, betas: np.ndarray, m: int,
     # scalar arithmetic takes inf silently: beta^2 may overflow, and the
     # Euler terms past a sum's stop may leave the float range unused
     with np.errstate(all="ignore"):
-        beta2 = beta * beta
-        re, im = _head_sums(reduced, beta2, m, head)
+        sums = _head_sums(reduced, beta * beta, m, head)
         if (n_max is None or head < n_max) and (reduced != 0.0 or m == 0):
             for lo in range(0, len(beta), _TAIL_ROWS):
                 b = beta[lo:lo + _TAIL_ROWS]
-                tail = (_em_tails(b, head, n_max) if reduced == 0.0 else
-                        _euler_tails(reduced, b, m, head, n_max, one_minus_z))
-                re[lo:lo + _TAIL_ROWS] += tail.real
-                im[lo:lo + _TAIL_ROWS] += tail.imag
-        if m == 0:
-            return (1.0 / beta2 + 2.0 * re).astype(complex)
-        return 2j * im
+                sums[lo:lo + _TAIL_ROWS] += (
+                    _em_tails(b, head, n_max) if reduced == 0.0 else
+                    _euler_tails(reduced, b, m, head, n_max, one_minus_z))
+    return sums
 
 
 def direct_mode_sum(args: ModeSumArgs, n_max: int) -> complex:
     """Symmetric truncation sum_{|n| <= n_max} e^{i alpha n} n^m / (n^2 + beta^2).
 
     One call of _direct_sums at one beta, about 0.1 ms at n_max = 10^6 or
-    10^15 (2-core x86 box); where alpha is so near 0 mod 2pi that
-    256/|1 - z| reaches n_max, the head is the whole truncation.  Against a
-    term-by-term fsum with exactly reduced phases, the result is within
-    2e-15 times the sum of the moduli of the terms, and within 3.5e-15 at
-    alpha = pi, m = 1, where each term is the rounding error of its phase.
-    n_max must be an integer (a Python or numpy int) in [1, 2^53], where
-    every n is exactly a double.  A head longer than _MAX_HEAD_TERMS (alpha
-    within about 256/n_max of 0 mod 2pi) is a DomainError before any term
-    is summed.
+    10^15 (2-core x86 box), and the n = 0 term 1/beta^2 for m = 0; where
+    alpha is so near 0 mod 2pi that 256/|1 - z| reaches n_max, the head is
+    the whole truncation.  Against a term-by-term fsum with exactly reduced
+    phases, the result is within 2e-15 times the sum of the moduli of the
+    terms, and within 3.5e-15 at alpha = pi, m = 1, where each term is the
+    rounding error of its phase.  n_max must be an integer (a Python or
+    numpy int) in [1, 2^53], where every n is exactly a double.  A head
+    longer than _MAX_HEAD_TERMS (alpha within about 256/n_max of 0 mod 2pi)
+    is a DomainError before any term is summed.
     """
     try:
         n_max = operator.index(n_max)
@@ -339,5 +312,9 @@ def direct_mode_sum(args: ModeSumArgs, n_max: int) -> complex:
         raise DomainError(f"n_max must be an integer, got {n_max!r}") from None
     if not 1 <= n_max <= 2 ** 53:
         raise DomainError(f"n_max must be in [1, 2^53], got {n_max}")
-    return complex(_direct_sums(args.alpha, np.array([args.beta]), args.m,
-                                n_max)[0])
+    # a Python float, whose square overflows to inf without a warning
+    beta = float(args.beta)
+    p = _direct_sums(args.alpha, np.array([beta]), args.m, n_max)[0]
+    if args.m == 1:
+        return complex(2j * p.imag)
+    return complex(1.0 / (beta * beta) + 2.0 * p.real)

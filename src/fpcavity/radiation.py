@@ -273,24 +273,29 @@ def kernel_d_spectral(sep: Separation) -> KernelMatrix:
     At each transverse node x the axial sum of the spectral integrand is
     EQ27's mode sum at alpha = pi u, beta = x/pi (the divergent remainder
     sum_n cos(pi n u) vanishes for 0 < u < 2): the cosh weight is
-    x S0/pi^2 and the sinh weight -Im S1/pi, S_m = sum_{n in Z}
-    e^{i alpha n} n^m/(n^2 + beta^2), each summed term by term with its
-    Euler tail (modesum._direct_sums), never from a closed form.  One pass
-    of integrate_semi_infinite at DEFAULT_TOL then meets
-    _kernel_d_reference within about 1e-12 of the largest entry, in 2 to
-    16 ms at u in [0.05, 1.95] and v <= 4 (2-core x86 box).  The axial
-    head grows like 256/(pi min(u, 2 - u)) terms per node: about 0.1 s a
-    call at u = 1e-3, and a DomainError before any term is summed from
-    about u = 1e-4 (modesum's bound on head terms times nodes).
+    x S0/pi^2 = 1/x + 2x Re P0/pi^2 and the sinh weight
+    -Im S1/pi = -2 Im P1/pi, S_m = sum_{n in Z} e^{i alpha n} n^m/(n^2 +
+    beta^2) and P_m its one-sided sum over n >= 1, each summed term by
+    term with its Euler tail (modesum._direct_sums), never from a closed
+    form.  The n = 0 mode's term is 1/x, finite at every node, where
+    pi^2/x^2 would overflow at the first nodes of a v above about 1e154
+    (x near 1e-2/v).  One pass of integrate_semi_infinite at DEFAULT_TOL
+    then meets _kernel_d_reference within about 1e-12 of the largest
+    entry, in 2 to 16 ms at u in [0.05, 1.95] and v <= 4 (2-core x86
+    box).  The axial head grows like 256/(pi min(u, 2 - u)) terms per
+    node: about 0.1 s a call at u = 1e-3, and a DomainError before any
+    term is summed from about u = 1e-4 (modesum's bound on head terms
+    times nodes).
     """
     _check_d_domain(sep)
     u, v = sep.u, sep.v
 
     def rows(x):
         beta = x / math.pi
-        s0 = _direct_sums(math.pi * u, beta, 0, None).real
-        s1 = _direct_sums(math.pi * u, beta, 1, None).imag
-        return _d_rows(x, v, x * s0 / math.pi ** 2, -s1 / math.pi)
+        p0 = _direct_sums(math.pi * u, beta, 0, None).real
+        p1 = _direct_sums(math.pi * u, beta, 1, None).imag
+        return _d_rows(x, v, 1.0 / x + 2.0 * x * p0 / math.pi ** 2,
+                       -2.0 * p1 / math.pi)
 
     mat = _d_matrix(integrate_semi_infinite(
         rows, min(u, 2.0 - u), DEFAULT_TOL,

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -320,6 +321,22 @@ def test_spectral_matches_the_reference():
         got = kernel_d_spectral(sep)
         assert got.kind == "D_PLUS"
         assert np.abs(got.m - want).max() <= 1e-12 * np.abs(want).max(), sep
+
+
+@pytest.mark.parametrize("v", [1e150, 1e154, 1e200, 1e300])
+@pytest.mark.parametrize("u", [0.3, 0.5, 1.5])
+def test_spectral_route_at_huge_v(u, v):
+    # the first nodes sit near x = 1e-2/v, where the n = 0 mode's term
+    # pi^2/x^2 of the cosh weight's sum overflowed and 0 * inf gave nan;
+    # it is formed as 1/x.  Where the reference's largest entry is a
+    # normal float the two routes agree to 1e-12 of it
+    sep = Separation(u, v)
+    got = kernel_d_spectral(sep).m
+    want = _kernel_d_reference("plus", sep).m
+    assert np.isfinite(got).all()
+    scale = np.abs(want).max()
+    if scale >= sys.float_info.min:
+        assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 def test_spectral_route_shares_nothing_with_the_other_routes(monkeypatch):

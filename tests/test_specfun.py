@@ -18,7 +18,8 @@ import quad_reference
 from fpcavity import (ConvergenceError, DomainError, ModeSumArgs, Tolerance,
                       apery_zeta3, bessel_j, direct_mode_sum,
                       hyperbolic_mode_sum, integrate_semi_infinite, xi)
-from fpcavity import Separation, _memo, kernel_d, modesum, specfun, verify
+from fpcavity import (Separation, _memo, kernel_d, kernel_d_spectral,
+                      modesum, specfun, verify)
 from fpcavity.lattice import _lattice_moments
 from fpcavity.modesum import (_BLOCK, _CHUNK, _SUM_HEAD_MIN, _SUM_HEAD_REACH,
                               _direct_sums)
@@ -1454,6 +1455,13 @@ def _moduli(beta, m, n_max):
     return 2.0 * math.log(n_max)
 
 
+def _two_sided(alpha, betas, m, n_max):
+    """The engine's one-sided sums P made two-sided, as direct_mode_sum
+    makes them: 1/beta^2 + 2 Re P for m = 0, 2i Im P for m = 1."""
+    p = _direct_sums(alpha, betas, m, n_max)
+    return 1.0 / (betas * betas) + 2.0 * p.real if m == 0 else 2j * p.imag
+
+
 def test_whole_sum_meets_the_truncation_at_2_53():
     # the engine's sum over n in Z against direct_mode_sum at n_max = 2^53,
     # at the EQ27 grid points and at a seeded array of betas up to 200
@@ -1464,7 +1472,7 @@ def test_whole_sum_meets_the_truncation_at_2_53():
             for b in verify._MODESUM_BETAS for m in verify._MODESUM_ORDERS]
     assert len(grid) == 18
     for alpha, beta, m in grid:
-        whole = _direct_sums(alpha, np.array([beta]), m, None)[0]
+        whole = _two_sided(alpha, np.array([beta]), m, None)[0]
         want = direct_mode_sum(ModeSumArgs(alpha, beta, m), n_max)
         if alpha == 0.0 and m == 0:
             want += 2.0 / n_max
@@ -1473,7 +1481,7 @@ def test_whole_sum_meets_the_truncation_at_2_53():
     betas = np.random.default_rng(37).uniform(1e-3, 200.0, 200)
     for alpha in (0.0, 0.5, 2.0, math.pi, 6.0):
         for m in (0, 1):
-            whole = _direct_sums(alpha, betas, m, None)
+            whole = _two_sided(alpha, betas, m, None)
             for beta, got in zip(betas, whole):
                 want = direct_mode_sum(ModeSumArgs(alpha, beta, m), n_max)
                 if alpha == 0.0 and m == 0:
@@ -1493,9 +1501,9 @@ def test_batched_betas_match_one_beta_calls(n_max, monkeypatch):
     eps = sys.float_info.epsilon
     for alpha in (0.0, 0.5, math.pi, 2.0, 6.0, 1e-3):
         for m in (0, 1):
-            batched = _direct_sums(alpha, betas, m, n_max)
+            batched = _two_sided(alpha, betas, m, n_max)
             for beta, got in zip(betas, batched):
-                one = _direct_sums(alpha, np.array([beta]), m, n_max)[0]
+                one = _two_sided(alpha, np.array([beta]), m, n_max)[0]
                 assert abs(got - one) <= 4.0 * eps * _moduli(
                     beta, m, n_max or 2 ** 53), (alpha, beta, m)
 
@@ -1515,19 +1523,31 @@ def test_engine_refuses_head_terms_times_betas_past_the_bound(monkeypatch):
         _direct_sums(1e-300, np.ones(2), 1, 10 ** 10)
 
 
-def test_euler_terms_past_the_first_pass_keep_every_bit(monkeypatch):
-    # every sum seen stops within the first _EULER_FIRST terms; with a
-    # first pass of 2 terms each sum takes the second pass of all
-    # _EULER_TERMS, which must stop where the first would have
+def _seeded_mode_sums():
     rng = np.random.default_rng(36)
     draws = [(float(rng.uniform(-10.0, 10.0)), float(10 ** rng.uniform(-3, 3)),
               int(rng.integers(2)), int(10 ** rng.uniform(4, 15)))
              for _ in range(60)]
-    want = [direct_mode_sum(ModeSumArgs(a, b, m), n) for a, b, m, n in draws]
-    monkeypatch.setattr(modesum, "_EULER_FIRST", 2)
-    got = [direct_mode_sum(ModeSumArgs(a, b, m), n) for a, b, m, n in draws]
-    assert [(g.real.hex(), g.imag.hex()) for g in got] == \
-        [(w.real.hex(), w.imag.hex()) for w in want]
+    sums = [direct_mode_sum(ModeSumArgs(a, b, m), n) for a, b, m, n in draws]
+    return [(s.real.hex(), s.imag.hex()) for s in sums]
+
+
+def test_euler_pass_cut_to_12_terms_keeps_every_bit(monkeypatch):
+    # every sum seen stops within 12 Euler terms, so the 4 more of the one
+    # pass change no bit of a mode sum or of the spectral route
+    sep = Separation(0.05, 3.0)
+    want = _seeded_mode_sums(), kernel_d_spectral(sep).m.tobytes()
+    monkeypatch.setattr(modesum, "_EULER_TERMS", 12)
+    assert (_seeded_mode_sums(), kernel_d_spectral(sep).m.tobytes()) == want
+
+
+def test_one_euler_pass_ends_every_sum():
+    # past a head of at least _SUM_HEAD_REACH/|1 - z| terms, Euler term j is
+    # at most about j/_SUM_HEAD_REACH of term j - 1, so the first term the
+    # pass leaves out is far below the stop test's _EULER_EPS
+    terms = modesum._EULER_TERMS
+    assert (math.factorial(terms + 1) / _SUM_HEAD_REACH ** (terms + 1)
+            < modesum._EULER_EPS)
 
 
 def test_tolerance_validation():
