@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._memo import recall
-from .errors import DomainError
+from .errors import DomainError, as_float
 
 __all__ = [
     "CavityFrame",
@@ -43,6 +43,7 @@ class CavityFrame:
     length_L: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "length_L", as_float(self.length_L))
         if not 0.0 < self.length_L < math.inf:
             raise DomainError("cavity length must be positive and finite")
 
@@ -202,6 +203,8 @@ class Separation:
     phi: float = 0.0
 
     def __post_init__(self):
+        for name in ("u", "v", "phi"):
+            object.__setattr__(self, name, as_float(getattr(self, name)))
         if not all(map(math.isfinite, (self.u, self.v, self.phi))):
             raise DomainError("separation u, v and phi must be finite")
         if self.v < 0:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, as_float
 from .geometry import _check_image_distance
 
 __all__ = ["xi", "apery_zeta3"]
@@ -54,13 +54,12 @@ def _lattice_moments(u: float, v: float) -> tuple[float, float, float]:
     exponentially small values at large v).  DomainError when the nearest
     image is nearer than _MIN_IMAGE_DISTANCE (_check_image_distance).
     """
+    u, v = as_float(u), as_float(v)
     if not (math.isfinite(u) and math.isfinite(v)):
         raise DomainError("u and v must be finite")
     if v < 0:
         raise DomainError("v must be non-negative")
-    # Python floats, which overflow to inf without a warning: numpy scalars
-    # would warn in the tail terms from v ~ 1e103
-    u, v = float(u) % 2.0, float(v)
+    u %= 2.0
     _check_image_distance(u, v)
     a = _LATTICE_2N + u
     rho2 = a * a + v * v

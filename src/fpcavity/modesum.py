@@ -6,8 +6,9 @@ the one-sided sum over 1 <= n <= n_max or over every n >= 1, which its
 callers make two-sided with the n = 0 term.  The engine sums a head term
 by term in blocks of consecutive n (angle addition from one block's
 cos/sin table), then the rest as the difference of two tails built from
-the summand alone (one pass of the Euler transformation, or
-Euler-Maclaurin at alpha = 0), one tail for the whole sum, so the cost
+the summand alone (one fixed pass of 16 terms of the Euler
+transformation, or at alpha = 0 Euler-Maclaurin with its first two
+corrections), one tail for the whole sum, so the cost
 does not grow with the truncation; within a few 1e-15 of the sum of the
 moduli of the terms.  direct_mode_sum is the engine at one beta, and the
 spectral route of the displacement-field kernel (radiation) sums the
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, as_float
 
 __all__ = ["ModeSumArgs", "hyperbolic_mode_sum", "direct_mode_sum"]
 
@@ -49,6 +50,8 @@ class ModeSumArgs:
     m: int
 
     def __post_init__(self):
+        for name in ("alpha", "beta"):
+            object.__setattr__(self, name, as_float(getattr(self, name)))
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise DomainError("alpha and beta must be finite")
         if not self.beta > 0:
@@ -110,20 +113,17 @@ _TAIL_ROWS = 512
 # The head runs to n = max(_SUM_HEAD_MIN, _SUM_HEAD_REACH/|1 - e^{i alpha}|),
 # and the rest of the truncation is added through its tails.  That far out,
 # a term of the Euler transformation is at most about (j + 1)/_SUM_HEAD_REACH
-# of the one before, so the term after _EULER_TERMS of them is below about
-# 16!/256^16 = 6e-26 of the first, far under _EULER_EPS: one pass of
+# of the one before, so the first term after _EULER_TERMS of them is below
+# about 16!/256^16 = 6e-26 (under 2^-80) of the first: one pass of
 # _EULER_TERMS terms ends every sum.
 _SUM_HEAD_MIN = 4096
 _SUM_HEAD_REACH = 256.0
-_EULER_EPS = 2.0 ** -60
 _EULER_TERMS = 16
 # The most head terms a call sums, over all its betas: a term costs about
 # 5.5e-9 s (2-core x86 box), so a call at the bound takes about 1.7 s, and
 # one head of 2^53 terms (alpha so near 0 mod 2pi that the head runs to
 # n_max) would take about 1.6 years
 _MAX_HEAD_TERMS = 300_000_000
-# B_2j / 2j for j = 1, 2, 3: the Euler-Maclaurin corrections of _em_tails
-_EM_COEF = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0)
 # 2pi - math.tau
 _TAU_LO = 2.4492935982947064e-16
 
@@ -135,16 +135,14 @@ def _em_tails(beta: np.ndarray, head: int, n_max: int | None) -> np.ndarray:
     difference of atan(beta/head) and atan(beta/n_max) loses digits at
     large beta), and the end terms at x = k are -f(k)/2 - sum_j B_2j/(2j)!
     f^(2j-1)(k), with f^(p) = Im(d^p/dx^p of 1/(x - i beta))/beta =
-    Im((-1)^p p!/(k - i beta)^(p+1))/beta.  With k >= _SUM_HEAD_MIN the
-    next correction is below 1e-34.
+    Im((-1)^p p!/(k - i beta)^(p+1))/beta: two corrections, B_2j/(2j)
+    Im(g^(2j))/beta with g = 1/(k - i beta), for B_2 = 1/6 and B_4 = -1/30.
+    With k >= _SUM_HEAD_MIN the next is below 1e-23 of the tail T(k).
     """
     k = np.array([head] if n_max is None else [head, n_max], float)[:, None]
     g = 1.0 / (k - 1j * beta)
     q = g * g
-    power, total = q, 0.0
-    for coef in _EM_COEF:
-        total = total + coef * power.imag
-        power = power * q
+    total = (1.0 / 12.0) * q.imag + (-1.0 / 120.0) * (q * q).imag
     ends = total / beta - 0.5 / (k * k + beta * beta)
     arg = (beta / head if n_max is None else
            beta * ((n_max - head) / n_max) / (head + beta * (beta / n_max)))
@@ -160,42 +158,26 @@ def _euler_tails(alpha: float, beta: np.ndarray, m: int, head: int,
     T(k) = z^(k+1)/(1 - z) sum_j w^j Delta^j f(k + 1), w = z/(1 - z), with the
     forward differences of f taken exactly from its partial fraction:
     f = Im(g)/beta for m = 0 and Re(g) for m = 1, g(n) = 1/(n - i beta),
-    and Delta^j g(n) = (-1)^j j!/prod_{l=0..j}(n + l - i beta).  The terms
-    and their running totals are taken at once by cumprod and cumsum,
-    which are sequential, as a loop over j is.  Each sum stops at its first
-    total whose next term is bounded below _EULER_EPS |total|: with g_j =
-    Delta^j g(n), |Re g_j| <= |g_j| and, with s the sum of the arguments
-    atan(beta/(n + l)) of the factors of its denominator, |Im g_j| =
-    |g_j| |sin s| <= |g_j| min(1, (j + 1) beta/n).  Since n > head >=
-    256/|1 - z|, term j + 1 is at most about (j + 1)/256 of term j, so
-    every sum stops within one pass of _EULER_TERMS terms; the last total
-    would end any that did not.
+    and Delta^j g(n) = (-1)^j j!/prod_{l=0..j}(n + l - i beta).  All
+    _EULER_TERMS terms are taken by cumprod and added by cumsum, which is
+    sequential, as a loop over j is (np.sum would add them pairwise).
     """
     n = np.array([[[k + 1.0]] for k in ([head] if n_max is None
                                         else [head, n_max])])
-    # coef_j = z^(k+1)/(1 - z) w^(j-1), j = 1 .. _EULER_TERMS + 1
-    coef = np.full((len(n), 1, _EULER_TERMS + 1),
+    # coef_j = z^(k+1)/(1 - z) w^(j-1), j = 1 .. _EULER_TERMS
+    coef = np.full((len(n), 1, _EULER_TERMS),
                    complex(math.cos(alpha), math.sin(alpha)) / one_minus_z)
     coef[:, 0, 0] = [complex(math.cos(alpha * nk), math.sin(alpha * nk))
                      / one_minus_z for nk in n.ravel().tolist()]
     coef = coef.cumprod(axis=2)
     col = beta[:, None]
-    # g_j, j = 1 .. _EULER_TERMS + 1: the running products of 1/(n - i beta)
+    # g_j, j = 1 .. _EULER_TERMS: the running products of 1/(n - i beta)
     # and -j/(n + j - i beta)
-    j = np.arange(_EULER_TERMS + 1.0)
-    tops = -j
-    tops[0] = 1.0
+    j = np.arange(float(_EULER_TERMS))
+    tops = np.where(j > 0, -j, 1.0)
     diff = np.cumprod(tops / (n + j - 1j * col), axis=2)
-    part = diff.imag[..., :-1] / col if m == 0 else diff.real[..., :-1]
-    totals = np.cumsum(coef[..., :-1] * part, axis=2)
-    # the bound on the term after each total, coef_{j+1} g_{j+1}
-    size = np.abs(coef[..., 1:] * diff[..., 1:])
-    if m == 0:
-        size *= np.minimum(1.0 / col, (j[1:] + 1.0) / n)
-    stop = size <= _EULER_EPS * np.abs(totals)
-    stop[..., -1] = True
-    tails = np.take_along_axis(totals, stop.argmax(axis=2)[..., None],
-                               axis=2)[..., 0]
+    part = diff.imag / col if m == 0 else diff.real
+    tails = np.cumsum(coef * part, axis=2)[..., -1]
     return tails[0] if n_max is None else tails[0] - tails[1]
 
 
@@ -243,9 +225,10 @@ def _direct_sums(alpha: float, betas: np.ndarray, m: int,
     sin(alpha k) and one cos(alpha n0), sin(alpha n0) per block.  When
     H < n_max, the rest is added as T(H) - T(n_max),
     T(K) = sum_{n>K} z^n f(n) and T(inf) = 0, formed from f alone (never
-    from hyperbolic_mode_sum, the other side of EQ27): by one pass of
-    the Euler transformation (_euler_tails), and at alpha = 0 (m = 0; the
-    m = 1 sum is exactly 0j) by Euler-Maclaurin (_em_tails).  So the cost
+    from hyperbolic_mode_sum, the other side of EQ27): by one fixed pass
+    of 16 terms of the Euler transformation (_euler_tails), and at alpha =
+    0 (m = 0; the m = 1 sum is exactly 0j) by Euler-Maclaurin with its
+    first two corrections (_em_tails).  So the cost
     does not grow with n_max.  The head is longer than 4096 where
     |1 - z| < 1/16, as nearer the tail's terms shrink too slowly.
 
@@ -279,8 +262,8 @@ def _direct_sums(alpha: float, betas: np.ndarray, m: int,
             f"terms at each of {len(beta)} beta, above the bound "
             f"{_MAX_HEAD_TERMS} on their product: alpha is too near 0 mod "
             "2pi")
-    # scalar arithmetic takes inf silently: beta^2 may overflow, and the
-    # Euler terms past a sum's stop may leave the float range unused
+    # as scalar arithmetic does, take inf silently: beta^2, in the head and
+    # in the Euler-Maclaurin ends, overflows at large beta
     with np.errstate(all="ignore"):
         sums = _head_sums(reduced, beta * beta, m, head)
         if (n_max is None or head < n_max) and (reduced != 0.0 or m == 0):
@@ -312,9 +295,7 @@ def direct_mode_sum(args: ModeSumArgs, n_max: int) -> complex:
         raise DomainError(f"n_max must be an integer, got {n_max!r}") from None
     if not 1 <= n_max <= 2 ** 53:
         raise DomainError(f"n_max must be in [1, 2^53], got {n_max}")
-    # a Python float, whose square overflows to inf without a warning
-    beta = float(args.beta)
-    p = _direct_sums(args.alpha, np.array([beta]), args.m, n_max)[0]
+    p = _direct_sums(args.alpha, np.array([args.beta]), args.m, n_max)[0]
     if args.m == 1:
         return complex(2j * p.imag)
-    return complex(1.0 / (beta * beta) + 2.0 * p.real)
+    return complex(1.0 / (args.beta * args.beta) + 2.0 * p.real)

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, as_float
 from .geometry import (CavityFrame, KernelMatrix, Separation,
                        _check_image_distance, _frame_kernel,
                        _kernel_from_base, _rotate)
@@ -357,7 +357,7 @@ def anisotropy_delta(frame: CavityFrame, cutoff: float) -> AnisotropyResult:
     with the cavity length; isotropic_scale (~ cutoff^3 ball magnitude)
     provides the natural normalization.
     """
-    L = frame.length_L
+    L, cutoff = frame.length_L, as_float(cutoff)
     radius = _axial_radius(frame, cutoff)
     n = np.arange(1.0, math.floor(radius) + 1.0)
     terms = _anisotropy_summand(n, radius)

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import _bessel_coef
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, as_float
 
 __all__ = [
     "Tolerance",
@@ -225,9 +225,9 @@ def bessel_j(order: int, x: float) -> float:
     finite x >= 0."""
     if order not in (0, 1, 2):
         raise DomainError(f"order must be 0, 1 or 2, got {order}")
+    x = as_float(x)
     if not 0.0 <= x < math.inf:
         raise DomainError(f"x must be finite and non-negative, got {x!r}")
-    x = float(x)
     j0, g = _bessel_j0_g(x)[:, 0].tolist()
     if order == 0:
         return j0
@@ -685,7 +685,7 @@ def _truncation(decay_rate_hint: float, tol: Tolerance,
         # at an infinite rate the seed panels would start at 4/rate = 0 and
         # never grow
         raise DomainError("decay_rate_hint must be positive and finite")
-    rate = decay_rate_hint
+    rate = as_float(decay_rate_hint)
     # an abs_tol above 1 truncates no earlier than abs_tol = 1 would, which
     # keeps x_max positive
     log_inv_tol = max(math.log(1.0 / tol.abs_tol), 0.0)

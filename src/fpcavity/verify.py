@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coulomb import kernel_e
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, as_float
 from .geometry import CavityFrame, Separation, _check_image_distance
 from .lattice import _lattice_moments, xi
 from .modesum import ModeSumArgs, direct_mode_sum, hyperbolic_mode_sum
@@ -220,6 +220,7 @@ def check_bessel_hyperbolic(u: float, v: float) -> list[IdentityReport]:
     at which the Bessel argument x v overflows at the quadrature's nodes.
     """
     eng = _engine(TOL_EQ22)
+    u, v = as_float(u), as_float(v)
     params = {"u": u, "v": v}
     # xi by its module-level name, which lets a test substitute a shifted xi
     # (as for SELF_CANCEL); the derivative sides take v^2 S5 and v T5
@@ -344,6 +345,7 @@ def check_lipschitz(u: float, v: float) -> list[IdentityReport]:
     closed forms would be formed from an infinite u^2 + v^2, and from u
     about 1.7e307 on the damping e^{-xu} would overflow in x u.
     """
+    u, v = as_float(u), as_float(v)
     params = {"u": u, "v": v}
     _check_domain(params)
     if not u > 0.0:
@@ -458,6 +460,7 @@ def check_green(u: float, u_prime: float, v: float) -> IdentityReport:
     floor (_check_image_distance), and a v < 0 are refused with a
     DomainError before any work.
     """
+    u, u_prime, v = map(as_float, (u, u_prime, v))
     params = {"u": u, "u_prime": u_prime, "v": v}
     _check_domain(params)
     if not (0.0 < u < 2.0 and 0.0 < u_prime < 2.0):
@@ -481,10 +484,12 @@ def check_axial_and_aniso(rho_z_samples: Sequence[float],
 
     Thresholds are pinned (TOL_AXIAL, TOL_CONTINUUM, TOL_DECAY); the
     quadratures run at the fixed panel-split budget.  A decay_factor not
-    positive and finite, or L_samples not strictly increasing, are refused
-    with a DomainError before any work; a cutoff that is not positive and
-    finite fails both ANISO38 rows with one.
+    positive and finite, L_samples not strictly increasing, or a cutoff
+    beyond the double range, are refused with a DomainError before any
+    work; a cutoff that is not positive and finite fails both ANISO38 rows
+    with one.
     """
+    cutoff, decay_factor = as_float(cutoff), as_float(decay_factor)
     if not (0.0 < decay_factor < math.inf
             and all(a < b for a, b in zip(L_samples, L_samples[1:]))):
         raise DomainError("decay_factor must be positive and finite and "

@@ -423,6 +423,18 @@ def test_emit_empty_reports_valid_json():
     assert doc["all_pass"] is True
 
 
+def test_emit_report_refuses_an_unknown_format():
+    with pytest.raises(DomainError, match="unknown format"):
+        emit_report(_summary(_sample_reports()), "xml")
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_dicke_scan_needs_a_step(steps, capsys):
+    assert dispatch(["dicke", "scan", "--steps", steps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--steps must be >= 1" in captured.err
+
+
 def test_emit_mixed_pass_fail():
     doc = json.loads(emit_report(_summary(_sample_reports()), "json"))
     assert doc["all_pass"] is False

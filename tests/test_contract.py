@@ -4,18 +4,26 @@ The draws span the whole float range, signs and the edges of each domain;
 pyproject.toml turns a RuntimeWarning into an error, so an overflow or an
 invalid operation on the way fails the test as a nan in the result would.
 This module covers the mode sums and the spectral route of D+, which sums
-them at every transverse node.
+them at every transverse node, and the entry points that take scalars:
+there a numpy float64 must give what a Python float gives, and an int
+beyond the double range a DomainError.
 """
 
 import math
 import sys
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fpcavity import (DomainError, ModeSumArgs, Separation, check_mode_sum,
-                      direct_mode_sum, hyperbolic_mode_sum, kernel_d_spectral)
+import pytest
+from fpcavity import (AnisotropyResult, CavityFrame, DipoleSpec, DomainError,
+                      KernelMatrix, ModeSumArgs, Separation, anisotropy_delta,
+                      bessel_j, check_axial_and_aniso, check_bessel_hyperbolic,
+                      check_green, check_lipschitz, check_mode_sum,
+                      dipole_dipole_energy, direct_mode_sum,
+                      hyperbolic_mode_sum, integrate_semi_infinite, kernel_d,
+                      kernel_d_spectral, xi)
 
 _FLOAT_MAX = sys.float_info.max
 _EDGES = [0.0, -0.0, 5e-324, 1e-300, _FLOAT_MAX, -_FLOAT_MAX, 1e154,
@@ -77,3 +85,91 @@ def test_mode_sums_and_the_spectral_route_are_finite_or_refused(
     _mode_sums(alpha, beta, m, n_max)
     if not 1e-5 < min(abs(u), abs(2.0 - u)) < 1e-2:
         _spectral(u, v, phi)
+
+
+# each entry point as a function of three scalars, which it passes on as
+# they are
+_ENTRY_POINTS = {
+    "ModeSumArgs": lambda x, y, z: hyperbolic_mode_sum(ModeSumArgs(x, y, 0)),
+    "xi": lambda x, y, z: xi(x, y),
+    "bessel_j": lambda x, y, z: bessel_j(1, x),
+    "integrate_semi_infinite": lambda x, y, z: integrate_semi_infinite(
+        lambda t: np.exp(-t), x),
+    "check_lipschitz": lambda x, y, z: check_lipschitz(x, y),
+    "check_green": lambda x, y, z: [check_green(x, y, z)],
+    "check_bessel_hyperbolic": lambda x, y, z: check_bessel_hyperbolic(x, y),
+    "kernel_d": lambda x, y, z: kernel_d("plus", Separation(x, y, z)),
+    "kernel_d_spectral": lambda x, y, z: kernel_d_spectral(
+        Separation(x, y, z)),
+    "anisotropy_delta": lambda x, y, z: anisotropy_delta(CavityFrame(x), y),
+    "check_axial_and_aniso": lambda x, y, z: check_axial_and_aniso(
+        [x], [0.5 * y, y], z),
+    "dipole_dipole_energy": lambda x, y, z: dipole_dipole_energy(
+        [DipoleSpec((0.0, 0.0, x / 3.0), (0.0, 0.0, 1.0)),
+         DipoleSpec((y, 0.0, x / 1.5), (1.0, 0.0, 0.0))],
+        CavityFrame(x)),
+}
+
+
+def _outcome(entry, args) -> list:
+    """The numbers an entry point gives at args, each asserted finite, and
+    the error type of each failed report row; or ["DomainError"]."""
+    try:
+        result = _ENTRY_POINTS[entry](*args)
+    except DomainError:
+        return ["DomainError"]
+    if isinstance(result, list):
+        out = [x for r in result for x in (
+            [r.params["error"].split(":")[0]] if r.lhs is None
+            else np.ravel([r.lhs, r.rhs]).tolist())]
+    elif isinstance(result, KernelMatrix):
+        out = result.m.ravel().tolist()
+    elif isinstance(result, AnisotropyResult):
+        out = [result.delta, result.isotropic_scale]
+    else:
+        out = [complex(result)]
+    assert _finite([x for x in out if not isinstance(x, str)]), (entry, args)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(entry=st.sampled_from(sorted(_ENTRY_POINTS)), x=magnitudes,
+       y=magnitudes, z=magnitudes)
+@example(entry="ModeSumArgs", x=0.5, y=1e200, z=0.0)
+@example(entry="check_lipschitz", x=1e200, y=1e200, z=0.0)
+@example(entry="check_lipschitz", x=1e-200, y=1e-200, z=0.0)
+@example(entry="check_green", x=0.5, y=1.5, z=1e200)
+@example(entry="check_green", x=1e-200, y=5e-324, z=1.0)
+@example(entry="kernel_d", x=0.5, y=5e-324, z=0.0)
+@example(entry="kernel_d", x=1e-200, y=1e308, z=0.0)
+@example(entry="kernel_d_spectral", x=0.5, y=5e-324, z=0.0)
+@example(entry="check_bessel_hyperbolic", x=0.5, y=5e-324, z=0.0)
+@example(entry="anisotropy_delta", x=1e200, y=1e200, z=0.0)
+@example(entry="check_axial_and_aniso", x=0.5, y=2e200, z=1e200)
+@example(entry="dipole_dipole_energy", x=1.5e308, y=0.5, z=0.0)
+def test_numpy_scalars_give_what_python_floats_give(entry, x, y, z):
+    if entry == "kernel_d_spectral":
+        # near a mirror the axial heads grow as 256/(pi u) terms a node
+        assume(not abs(math.remainder(x, 2.0)) < 1e-2)
+    assert (_outcome(entry, (np.float64(x), np.float64(y), np.float64(z)))
+            == _outcome(entry, (x, y, z)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ModeSumArgs(0.5, 10 ** 400, 0),
+    lambda: Separation(0.5, 10 ** 400),
+    lambda: CavityFrame(10 ** 400),
+    lambda: xi(0.5, 10 ** 400),
+    lambda: check_lipschitz(1, 10 ** 400),
+    lambda: anisotropy_delta(CavityFrame(1.0), 10 ** 400),
+    lambda: bessel_j(0, 10 ** 400),
+], ids=["ModeSumArgs", "Separation", "CavityFrame", "xi", "check_lipschitz",
+        "anisotropy_delta", "bessel_j"])
+def test_an_int_beyond_the_doubles_is_refused(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_a_string_is_not_a_number():
+    with pytest.raises(TypeError):
+        Separation("0.5", 1.0)

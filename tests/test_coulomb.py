@@ -134,6 +134,15 @@ def _axial_pair():
     ]
 
 
+@pytest.mark.parametrize("dipoles, n_images", [
+    (_axial_pair()[:1], 10), (_axial_pair(), -1)],
+    ids=["one dipole", "negative n_images"])
+def test_brute_force_refuses_one_dipole_and_negative_n_images(dipoles,
+                                                               n_images):
+    with pytest.raises(DomainError):
+        brute_force_coulomb(dipoles, FRAME, n_images=n_images)
+
+
 def test_energy_matches_brute_force_axial_pair():
     energy = dipole_dipole_energy(_axial_pair(), FRAME)
     oracle = brute_force_coulomb(_axial_pair(), FRAME, n_images=10 ** 4)

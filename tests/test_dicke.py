@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from fpcavity import (ConvergenceError, DickeParams, DomainError,
                       build_hamiltonian, ground_state, mean_field,
@@ -399,6 +399,41 @@ class _Recording:
                     self._seen.append((name, array))
             return out
         return call
+
+
+class _Failing:
+    """scipy's lapack with one routine made to return info 1: dsyevr after
+    its eigensolve, and dpbtrf without factoring, so that no shift is
+    certified and the final factorization fails too."""
+
+    def __init__(self, failing: str):
+        self._failing = failing
+
+    def __getattr__(self, name):
+        routine = getattr(lapack, name)
+        if name != self._failing:
+            return routine
+        if name == "dpbtrf":
+            return lambda ab, lower: (ab, 1)
+        return lambda *args, **kwargs: (*routine(*args, **kwargs)[:-1], 1)
+
+
+@pytest.mark.parametrize("routine, message", [
+    ("dsyevr", "Rayleigh-Ritz eigensolve failed"),
+    ("dpbtrf", "did not factor")])
+def test_a_failed_lapack_call_is_a_convergence_error(routine, message,
+                                                      monkeypatch, capsys):
+    # a LAPACK info != 0 ends the solve with a ConvergenceError, which the
+    # command line turns into exit 2
+    monkeypatch.setattr(dicke, "_blas", blas)
+    monkeypatch.setattr(dicke, "_lapack", _Failing(routine))
+    _memo._entries.clear()
+    with pytest.raises(ConvergenceError, match=message):
+        ground_state(DickeParams(y=1.0, n_atoms=2, fock_cutoff=4))
+    assert dispatch(["dicke", "ground", "--y", "1", "--n-atoms", "2",
+                     "--cutoff", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_solver_passes_fortran_bands_and_draws_one_start_per_block(

@@ -44,6 +44,17 @@ def test_unknown_mode_kind():
         mode_fn("TEM", WaveVector(1, (1.0, 0.0)), (0, 0, 0.5), FRAME)
 
 
+@pytest.mark.parametrize("z", [-0.1, 1.1])
+def test_mode_fn_refuses_a_position_outside_the_cavity(z):
+    with pytest.raises(DomainError, match="outside the cavity"):
+        mode_fn("TE", WaveVector(1, (1.0, 0.0)), (0.0, 0.0, z), FRAME)
+
+
+def test_no_tm_mode_at_zero_wave_vector():
+    with pytest.raises(DomainError, match="zero wave vector"):
+        mode_fn("TM", WaveVector(0, (0.0, 0.0)), (0.0, 0.0, 0.5), FRAME)
+
+
 @pytest.mark.parametrize("kind", ["TE", "TM"])
 def test_tangential_components_vanish_at_mirrors(kind):
     for k in _sample_wavevectors():

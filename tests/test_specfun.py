@@ -1533,8 +1533,9 @@ def _seeded_mode_sums():
 
 
 def test_euler_pass_cut_to_12_terms_keeps_every_bit(monkeypatch):
-    # every sum seen stops within 12 Euler terms, so the 4 more of the one
-    # pass change no bit of a mode sum or of the spectral route
+    # the Euler terms past the 12th are below half an ulp of every total
+    # seen, so the 4 more of the one pass change no bit of a mode sum or of
+    # the spectral route
     sep = Separation(0.05, 3.0)
     want = _seeded_mode_sums(), kernel_d_spectral(sep).m.tobytes()
     monkeypatch.setattr(modesum, "_EULER_TERMS", 12)
@@ -1544,10 +1545,10 @@ def test_euler_pass_cut_to_12_terms_keeps_every_bit(monkeypatch):
 def test_one_euler_pass_ends_every_sum():
     # past a head of at least _SUM_HEAD_REACH/|1 - z| terms, Euler term j is
     # at most about j/_SUM_HEAD_REACH of term j - 1, so the first term the
-    # pass leaves out is far below the stop test's _EULER_EPS
-    terms = modesum._EULER_TERMS
-    assert (math.factorial(terms + 1) / _SUM_HEAD_REACH ** (terms + 1)
-            < modesum._EULER_EPS)
+    # fixed pass leaves out is below 16!/256^16 of the first, far under the
+    # 2^-53 of a double's last bit
+    assert modesum._EULER_TERMS == 16
+    assert math.factorial(16) / _SUM_HEAD_REACH ** 16 < 2.0 ** -80
 
 
 def test_tolerance_validation():
