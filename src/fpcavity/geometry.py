@@ -82,8 +82,12 @@ class DipoleSpec:
 
 
 def _finite_vector(values, size: int) -> bool:
-    """Whether values is a vector of size finite numbers."""
-    a = np.asarray(values, dtype=float)
+    """Whether values is a vector of size finite numbers (an int beyond the
+    doubles is not one)."""
+    try:
+        a = np.asarray(values, dtype=float)
+    except OverflowError:
+        return False
     return a.shape == (size,) and bool(np.isfinite(a).all())
 
 

@@ -4,20 +4,22 @@ The displacement-field kernels (radiation) and the integral side of every
 identity the suite checks are built on the two ingredients defined here:
 the cylindrical Bessel functions J0, J1, J2 (the package's own, in numpy:
 one entry point gives J0 and J1(x)/x from one call, polynomial cells up to
-x = 60.5 and Hankel's modulus-phase form above, with coefficients written
-from mpmath by tools/bessel_coefficients.py; every integrand forms
-J1 = x (J1(x)/x) and J0 +- J2 from that pair, and only the scalar bessel_j
-returns J2 alone), and an adaptive Gauss-Kronrod integrator for
-exponentially decaying integrands on (0, inf), scalar or vector valued,
-with an oscillatory-tail mode for slowly damped Bessel-type integrands
-(one driver at one fixed budget; seed panels at most half a half-period
-wide, so that most passes end on their first call of the integrand; each
-step splits every panel the tolerance asks for; the tail fetches its
-half-periods in batches, the first in the same call of the integrand as
-the head's seed panels, and makes the tests of its steps for a whole batch
-at once).  Nothing here or in radiation imports the image lattice
-(lattice) or the Coulomb kernels built on it (coulomb), the other side of
-EQ21: tests/test_imports.py reads the import graph.
+x = 158.5, past every argument of a plain quadrature pass (x v < 50 pi)
+and of a tail pass's first call (x v < 20 pi), and Hankel's modulus-phase
+form above, with coefficients written from mpmath by
+tools/bessel_coefficients.py, the cells as one base64 table; every
+integrand forms J1 = x (J1(x)/x) and J0 +- J2 from that pair, and only the
+scalar bessel_j returns J2 alone), and an adaptive Gauss-Kronrod
+integrator for exponentially decaying integrands on (0, inf), scalar or
+vector valued, with an oscillatory-tail mode for slowly damped Bessel-type
+integrands (one driver at one fixed budget; seed panels at most half a
+half-period wide, so that most passes end on their first call of the
+integrand; each step splits every panel the tolerance asks for; the tail
+fetches its half-periods in batches, the first in the same call of the
+integrand as the head's seed panels, and makes the tests of its steps for
+a whole batch at once).  Nothing here or in radiation imports the image
+lattice (lattice) or the Coulomb kernels built on it (coulomb), the other
+side of EQ21: tests/test_imports.py reads the import graph.
 
 Nothing here imports scipy.
 
@@ -26,6 +28,8 @@ All functions are pure; units are dimensionless throughout.
 
 from __future__ import annotations
 
+import binascii
+import functools
 import heapq
 import itertools
 import math
@@ -71,26 +75,27 @@ DEFAULT_TOL = Tolerance()
 #
 # One Bessel source, _bessel_j0_g: J0(x) and g(x) = J1(x)/x together, from
 # the tables of _bessel_coef (written from 50-digit mpmath by
-# tools/bessel_coefficients.py).  Up to _FAR_X0 = 60.5 each x takes the
-# polynomials of degree 12 of the cell |x - c| <= 1/2 around the nearest
-# integer c (ties to even, so 60.5 is in cell 60); past _FAR_X0, Hankel's
-# modulus-phase form (DLMF 10.17) with four polynomials of degree 8 in
-# w = _FAR_X0/x, combined with cos x and sin x (never with the rounded
-# x - pi/4).  Every caller takes what it needs from the pair: J0 is its
+# tools/bessel_coefficients.py; the cells are one base64 string of
+# little-endian doubles, decoded here once).  Up to _FAR_X0 = 158.5 each x
+# takes the polynomials of degree 12 of the cell |x - c| <= 1/2 around the
+# nearest integer c (ties to even, so 158.5 is in cell 158, the last);
+# past _FAR_X0, Hankel's modulus-phase form (DLMF 10.17) with four
+# polynomials of degree 8 in w = _FAR_X0/x, combined with cos x and sin x
+# (never with the rounded x - pi/4).  Every caller takes what it needs from the pair: J0 is its
 # first row, J1 = x g, J0 + J2 = 2 g and J0 - J2 = 2 (J0 - g).  J2 alone,
 # which only bessel_j(2, x) returns, is 2 g - J0, from its own series below
 # _J2_SERIES_MAX where that difference cancels.  Largest errors against
-# 30-digit mpmath, 10001 uniform points on [0, 100] with every cell edge
+# 30-digit mpmath, 15851 uniform points on [0, 158.5] with every cell edge
 # and its three neighbouring doubles each side, and 2000 geometric points
-# on [100, 1e4]:
+# on [158.5, 1e4]:
 #
-#   range      function  abs error   rel error where |J| > 1e-4
-#   [0, 100]   J0        1.1e-16     1.3e-13
-#              J1        1.1e-16     1.3e-13
-#              J2        2.2e-16     1.0e-13
-#   [100, 1e4] J0        2.8e-17     2.2e-14
-#              J1        3.5e-17     1.4e-14
-#              J2        2.8e-17     3.5e-14
+#   range        function  abs error   rel error where |J| > 1e-4
+#   [0, 158.5]   J0        1.1e-16     4.2e-14
+#                J1        1.1e-16     4.1e-14
+#                J2        2.2e-16     1.0e-13
+#   [158.5, 1e4] J0        2.1e-17     1.6e-14
+#                J1        2.1e-17     1.1e-14
+#                J2        2.1e-17     2.4e-14
 #
 # (1.1e-16 is 1 ulp at J0 ~ 0.97; next to a zero of J at large x the far
 # form's relative error is that of cos x and sin x, times their weights.)
@@ -101,14 +106,21 @@ DEFAULT_TOL = Tolerance()
 # Each call is about 30 elementwise numpy calls: in the benchmark's
 # operations, where every one of them starts from a cold cache, a gather,
 # a reduction or a BLAS product costs several times an in-place multiply,
-# so the cells are evaluated by Horner's rule and the cell range reaches
-# 60.5, past which only 4 % of the Bessel arguments of a verify pass lie.
-# A call with arguments on both sides of 60.5 runs each form over its own
-# arguments alone (_split).
+# so the cells are evaluated by Horner's rule, and they reach 158.5, past
+# 50 pi = 157.1: a plain quadrature pass spans at most _TAIL_MIN_SPAN = 50
+# half-periods pi/v of its factor J(x v), and the first call of the
+# integrand in a tail-mode pass 20 (x v < 20 pi), so each of their calls
+# is one Horner pass.  Only later tail batches and x > 158.5 take the far
+# form; no call of `fpcavity verify all` does.  A call with arguments on
+# both sides of _FAR_X0 runs each form over its own arguments alone
+# (_split).
 # ---------------------------------------------------------------------------
 
-# the coefficients by degree: (terms, cells, 2), J0 and g side by side
-_NEAR = np.ascontiguousarray(np.transpose(_bessel_coef.NEAR, (2, 0, 1)))
+# the coefficients by degree: (terms, cells, 2), J0 and g side by side, as
+# the table stores them (read-only)
+_NEAR = np.frombuffer(binascii.a2b_base64(_bessel_coef.NEAR),
+                      dtype="<f8").reshape(_bessel_coef.TERMS,
+                                           _bessel_coef.NEAR_CELLS, 2)
 _FAR_X0 = _bessel_coef.FAR_X0
 # J0 = r (A0 cos x + B0 sin x) and J1/x = r (A1 cos x + B1 sin x), with
 # r = 1/sqrt(pi x) = sqrt(w / (pi _FAR_X0)): the rows A0, A1, B0, B1 of
@@ -191,7 +203,7 @@ def _bessel_j0_g(x) -> np.ndarray:
     """J0(x) and J1(x)/x at x >= 0 (flattened) as the rows of one (2, n)
     array; a call of more than _CHUNK_NODES nodes runs in chunks.  x < 0,
     unchecked on this hot path, is wrong: np.take wraps its negative cell
-    to the table's far end, giving J0 = -0.0915 at -1, not 0.7652."""
+    to the table's far end, giving J0(158) = 0.0629 at -1, not 0.7652."""
     x = np.asarray(x, dtype=float).ravel()
     if len(x) <= _CHUNK_NODES:
         return _split(x)
@@ -447,6 +459,29 @@ _LEVIN_ROWS = np.array([[(-1.0) ** j * math.comb(k, j) if j <= k else 0.0
                         for k in range(_LEVIN_WINDOW)])
 
 
+# the first batch's range of ends (4 to 16) recurs in every tail; the
+# ranges of later batches vary with the steps taken
+@functools.lru_cache(maxsize=16)
+def _levin_tables(first_end: int, count: int):
+    """The parts of _levin_windows' windows that depend on the ends alone,
+    for the consecutive ends first_end .. first_end + count - 1, built once
+    per range and read-only: each window's coefficients and n_j (shape
+    (count, _LEVIN_WINDOW, 1), to broadcast over the columns), the rows of
+    sums and terms it reads, and the mask of its padding rows."""
+    ends = np.arange(first_end, first_end + count)
+    firsts = np.maximum(ends - _LEVIN_WINDOW, 0)
+    rows = firsts[:, None] + np.arange(1, _LEVIN_WINDOW + 1)
+    n = (_HEAD_HALF_PERIODS - 1) + rows
+    # the order k of each window, whose last half-period is n_k = n_0 + k
+    order = np.minimum(ends, _LEVIN_WINDOW)[:, None] - 1
+    coef = _LEVIN_ROWS[order[:, 0]] * (n / (n[:, :1] + order)) ** (order - 1)
+    tables = (coef[:, :, None], n[:, :, None].astype(float),
+              np.minimum(rows, ends[:, None]), rows > ends[:, None])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _levin_windows(sums: np.ndarray, terms: np.ndarray,
                    ends: np.ndarray) -> np.ndarray:
     """The transform the tail takes after each row e of ends (consecutive,
@@ -464,18 +499,17 @@ def _levin_windows(sums: np.ndarray, terms: np.ndarray,
     windows are stacked along a new axis, a window shorter than
     _LEVIN_WINDOW rows padded with -0.0 (x + -0.0 = x), and each is summed
     one row after the other (np.add.accumulate), in the same order for any
-    number of columns.
+    number of columns.  Everything but the data, the coefficients, n, the
+    rows each window reads and its padding, comes from _levin_tables, built
+    once for each range of ends: every tail's first batch asks for the same
+    ends, 4 to 16, and each call forms only the weights and the sums.
     """
-    firsts = np.maximum(ends - _LEVIN_WINDOW, 0)
-    rows = firsts[:, None] + np.arange(1, _LEVIN_WINDOW + 1)
-    n = (_HEAD_HALF_PERIODS - 1) + rows
-    # the order k of each window, whose last half-period is n_k = n_0 + k
-    order = np.minimum(ends, _LEVIN_WINDOW)[:, None] - 1
-    coef = _LEVIN_ROWS[order[:, 0]] * (n / (n[:, :1] + order)) ** (order - 1)
-    pad = rows > ends[:, None]
-    rows = np.minimum(rows, ends[:, None])
+    # a batch may take no transform: all its rows before _MIN_TAIL_PANELS,
+    # or its one row at x_max
+    coef, n, rows, pad = _levin_tables(int(ends[0]) if len(ends) else 0,
+                                       len(ends))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = coef[:, :, None] / (n[:, :, None] * terms[rows])
+        w = coef / (n * terms[rows])
         ws = w * sums[rows]
         w[pad] = ws[pad] = -0.0
         est = (np.add.accumulate(ws, axis=1)[:, -1]

@@ -6,7 +6,7 @@ invalid operation on the way fails the test as a nan in the result would.
 This module covers the mode sums and the spectral route of D+, which sums
 them at every transverse node, and the entry points that take scalars:
 there a numpy float64 must give what a Python float gives, and an int
-beyond the double range a DomainError.
+beyond the double range a DomainError, in a scalar or a vector argument.
 """
 
 import math
@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 
 import pytest
 from fpcavity import (AnisotropyResult, CavityFrame, DipoleSpec, DomainError,
-                      KernelMatrix, ModeSumArgs, Separation, anisotropy_delta,
-                      bessel_j, check_axial_and_aniso, check_bessel_hyperbolic,
-                      check_green, check_lipschitz, check_mode_sum,
-                      dipole_dipole_energy, direct_mode_sum,
+                      KernelMatrix, ModeSumArgs, Separation, WaveVector,
+                      anisotropy_delta, bessel_j, check_axial_and_aniso,
+                      check_bessel_hyperbolic, check_green, check_lipschitz,
+                      check_mode_sum, dipole_dipole_energy, direct_mode_sum,
                       hyperbolic_mode_sum, integrate_semi_infinite, kernel_d,
-                      kernel_d_spectral, xi)
+                      kernel_d_spectral, mode_fn, xi)
 
 _FLOAT_MAX = sys.float_info.max
 _EDGES = [0.0, -0.0, 5e-324, 1e-300, _FLOAT_MAX, -_FLOAT_MAX, 1e154,
@@ -163,8 +163,12 @@ def test_numpy_scalars_give_what_python_floats_give(entry, x, y, z):
     lambda: check_lipschitz(1, 10 ** 400),
     lambda: anisotropy_delta(CavityFrame(1.0), 10 ** 400),
     lambda: bessel_j(0, 10 ** 400),
+    lambda: DipoleSpec((0, 0, 10 ** 400), (0, 0, 1)),
+    lambda: WaveVector(1, (10 ** 400, 0.0)),
+    lambda: mode_fn("TE", WaveVector(1, (1.0, 0.0)), (0, 0, 10 ** 400)),
 ], ids=["ModeSumArgs", "Separation", "CavityFrame", "xi", "check_lipschitz",
-        "anisotropy_delta", "bessel_j"])
+        "anisotropy_delta", "bessel_j", "DipoleSpec", "WaveVector",
+        "mode_fn"])
 def test_an_int_beyond_the_doubles_is_refused(call):
     with pytest.raises(DomainError):
         call()

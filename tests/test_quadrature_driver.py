@@ -380,8 +380,9 @@ def test_j0_plus_j2_is_twice_j1_over_x_bit_for_bit():
     # has their bits, from 0 through the subnormals to the far form: J1 is
     # x g and, from x = 1 on, where it takes no series, J2 = 2 g - J0, so
     # J0 + J2 is 2 g
-    x = np.concatenate([[0.0, 5e-324, 1e-300, 1e-8, 2e-4, 0.5, 60.5, 1e3],
-                        np.geomspace(1e-6, 60.0, 400)])
+    x0 = specfun._FAR_X0
+    x = np.concatenate([[0.0, 5e-324, 1e-300, 1e-8, 2e-4, 0.5, x0, 1e3],
+                        np.geomspace(1e-6, x0 - 0.5, 400)])
     for t in x.tolist():
         j0, g = specfun._bessel_j0_g(t)[:, 0].tolist()
         assert _bits(bessel_j(0, t)) == _bits(j0)

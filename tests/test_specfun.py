@@ -1,5 +1,8 @@
+import contextlib
 import heapq
+import io
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -18,7 +21,7 @@ import quad_reference
 from fpcavity import (ConvergenceError, DomainError, ModeSumArgs, Tolerance,
                       apery_zeta3, bessel_j, direct_mode_sum,
                       hyperbolic_mode_sum, integrate_semi_infinite, xi)
-from fpcavity import (Separation, _memo, kernel_d, kernel_d_spectral,
+from fpcavity import (Separation, _memo, cli, kernel_d, kernel_d_spectral,
                       modesum, specfun, verify)
 from fpcavity.lattice import _lattice_moments
 from fpcavity.modesum import (_BLOCK, _CHUNK, _SUM_HEAD_MIN, _SUM_HEAD_REACH,
@@ -118,9 +121,9 @@ def test_bessel_refuses_non_finite_x(order, x):
 
 
 def _edges_grid():
-    # [0, 60] densely, a geometric grid on to 1e4, and every edge of the
+    # the cells densely, a geometric grid on to 1e4, and every edge of the
     # Bessel source's ranges (the cells' edges c + 1/2 and the start of the
-    # far form, 60.5) with its three neighbouring doubles each side
+    # far form, _FAR_X0) with its three neighbouring doubles each side
     x0 = specfun._FAR_X0
     near = []
     for edge in np.arange(0.5, x0 + 1.0):
@@ -130,15 +133,15 @@ def _edges_grid():
             for _ in range(3):
                 x = math.nextafter(x, direction)
                 near.append(x)
-    return np.concatenate([np.linspace(0.0, 60.0, 1201), near,
-                           np.linspace(x0 - 0.35, x0 + 0.35, 71),
-                           np.geomspace(60.0, 1e4, 400)])
+    return np.concatenate([np.linspace(0.0, x0 - 0.5, 20 * round(x0) + 1),
+                           near, np.linspace(x0 - 0.35, x0 + 0.35, 71),
+                           np.geomspace(x0 - 0.5, 1e4, 400)])
 
 
 @pytest.mark.parametrize("order", [0, 1])
 def test_jv_splice_against_mpmath(order):
-    # orders 0 and 1 come from the polynomial cells below 60.5 and from the
-    # modulus-phase form above; every range edge stays within 5e-16
+    # orders 0 and 1 come from the polynomial cells up to _FAR_X0 and from
+    # the modulus-phase form above; every range edge stays within 5e-16
     # absolute of 30-digit mpmath, and within 1e-12 relative wherever
     # |J| > 1e-4
     xs = _edges_grid()
@@ -170,10 +173,10 @@ def test_far_form_against_mpmath_at_large_x(x):
 
 @pytest.mark.parametrize("fn", [_bessel_j0_g], ids=["j0_g"])
 def test_bessel_routes_only_large_arguments_to_the_far_form(fn, monkeypatch):
-    # a call all up to 60.5 runs the cells alone, a call all past 60.5
-    # the modulus-phase form alone, and a mixed call gives each argument
-    # the value of its own form; the far form never sees an argument below
-    # 60.5
+    # a call all up to _FAR_X0 runs the cells alone (once per chunk), a
+    # call all past it the modulus-phase form alone, and a mixed call gives
+    # each argument the value of its own form; the far form never sees an
+    # argument below _FAR_X0
     calls = {"near": 0, "far": []}
     near, far = specfun._near, specfun._far
 
@@ -192,7 +195,8 @@ def test_bessel_routes_only_large_arguments_to_the_far_form(fn, monkeypatch):
     got = fn(xs)
     assert np.concatenate(calls["far"]).min() >= x0
     lo = xs <= x0
-    for part, n_near, n_far in ((lo, 1, 0), (~lo, 0, 1)):
+    chunks = -(-lo.sum() // specfun._CHUNK_NODES)
+    for part, n_near, n_far in ((lo, chunks, 0), (~lo, 0, 1)):
         calls["near"] = 0
         calls["far"].clear()
         assert np.array_equal(got[..., part], fn(xs[part]))
@@ -202,12 +206,13 @@ def test_bessel_routes_only_large_arguments_to_the_far_form(fn, monkeypatch):
 def test_a_value_does_not_depend_on_its_batch():
     # every x of a mixed call longer than one chunk gets the bits of its
     # one-point call: the far form uses no BLAS product, whose rounding
-    # depends on the batch, and 60.5 is in cell 60 alone or batched
+    # depends on the batch, and _FAR_X0 is in the last cell alone or batched
     rng = np.random.default_rng(7)
-    edges = [math.nextafter(specfun._FAR_X0, d) for d in (0.0, math.inf)]
-    x = np.concatenate([[1.0, 60.5, 70.0, 1e3, 1e8, 1e300, 0.0], edges,
-                        rng.uniform(0.0, 60.5, 2500),
-                        rng.uniform(60.5, 3060.0, 2500)])
+    x0 = specfun._FAR_X0
+    edges = [math.nextafter(x0, d) for d in (0.0, math.inf)]
+    x = np.concatenate([[1.0, x0, 70.0, 1e3, 1e8, 1e300, 0.0], edges,
+                        rng.uniform(0.0, x0, 2500),
+                        rng.uniform(x0, x0 + 3000.0, 2500)])
     rng.shuffle(x)
     assert len(x) > specfun._CHUNK_NODES
     got = specfun._bessel_j0_g(x)
@@ -216,7 +221,7 @@ def test_a_value_does_not_depend_on_its_batch():
 
 
 def test_each_bessel_form_sees_only_its_own_nodes(monkeypatch):
-    # in a mixed batch the cells run over the x up to 60.5 alone, at their
+    # in a mixed batch the cells run over the x up to _FAR_X0 alone, at their
     # offsets from their cells' centres, and the far form over the rest
     # alone, each once, in the order of the batch
     seen = {"near": [], "far": []}
@@ -234,8 +239,8 @@ def test_each_bessel_form_sees_only_its_own_nodes(monkeypatch):
     monkeypatch.setattr(specfun, "_far", far_seen)
     x0 = specfun._FAR_X0
     rng = np.random.default_rng(11)
-    x = np.concatenate([[0.0, 60.5, math.nextafter(x0, math.inf), 1e300],
-                        rng.uniform(0.0, 120.0, 300)])
+    x = np.concatenate([[0.0, x0, math.nextafter(x0, math.inf), 1e300],
+                        rng.uniform(0.0, 2.0 * x0, 300)])
     rng.shuffle(x)
     got = specfun._bessel_j0_g(x)
     lo = x <= x0
@@ -246,6 +251,36 @@ def test_each_bessel_form_sees_only_its_own_nodes(monkeypatch):
         np.rint(x[lo]).astype(np.intp), axis=1),
         (x - np.rint(x))[lo]).tobytes()
     assert got[:, ~lo].tobytes() == far(x[~lo]).tobytes()
+
+
+def test_the_cells_hold_every_plain_pass_and_every_first_tail_call():
+    # a plain pass spans at most _TAIL_MIN_SPAN half-periods pi/v of its
+    # factor J(x v), and the first call of a tail-mode pass the head's
+    # _HEAD_HALF_PERIODS and _LEVIN_MAX_ORDER tail half-periods: every x v
+    # they ask for is in a cell.  _FAR_X0 rounds (ties to even) to the
+    # table's last cell
+    x0 = specfun._FAR_X0
+    assert x0 >= _TAIL_MIN_SPAN * math.pi
+    assert x0 >= (_HEAD_HALF_PERIODS + _LEVIN_MAX_ORDER) * math.pi
+    assert np.rint(x0) == specfun._NEAR.shape[1] - 1
+    assert x0 == specfun._NEAR.shape[1] - 0.5
+
+
+def test_verify_and_the_golden_kernels_never_take_the_far_form(monkeypatch):
+    # the whole verification suite and every kernel output in tests/golden
+    # evaluate all their Bessel arguments in the cells
+    far = _spying(monkeypatch, "_far")
+    _memo._entries.clear()
+    assert verify.run_suite("all", 42).all_pass
+    root = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(root, "golden", "MANIFEST.json")) as fh:
+        outputs = json.load(fh)["outputs"].values()
+    kernels = [argv for argv in outputs if argv[0] == "kernel"]
+    assert len(kernels) == 11
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in kernels:
+            assert cli.dispatch(argv) == 0
+    assert not far
 
 
 def test_a_long_call_works_in_chunks():
@@ -1138,6 +1173,38 @@ def test_levin_windows_match_levin_u_window_by_window(columns):
     for e in range(40, 57):
         assert want[e][-1] == sums[e, -1]
     assert any(want[e][-1] != sums[e, -1] for e in range(20, 40))
+
+
+@pytest.mark.parametrize("columns", [1, 4])
+def test_levin_tables_are_built_once_and_read_only(columns):
+    # _levin_windows takes all but the data from _levin_tables, built once
+    # per range of ends: a tail's first batch asks for ends 4..16, or
+    # 4..15 where it reaches x_max, and a later batch for ends past 16.  A
+    # range asked for again gets the same read-only arrays, and the
+    # transforms, from a fresh table or a kept one, are those of the
+    # reference's _levin_u on each window alone, bit for bit
+    rng = np.random.default_rng(5 + columns)
+    n = np.arange(41.0)[:, None]
+    terms = rng.standard_normal((41, columns)) * (-1.0) ** n / (1.0 + n)
+    sums = np.add.accumulate(terms)
+    first = lambda e: max(0, e - _LEVIN_MAX_ORDER - 1)  # noqa: E731
+    specfun._levin_tables.cache_clear()
+    for lo, hi in ((4, 17), (4, 16), (17, 41)):
+        tables = specfun._levin_tables(lo, hi - lo)
+        assert specfun._levin_tables(lo, hi - lo) is tables
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table.flat[0] = 1
+        for _ in range(2):
+            got = specfun._levin_windows(sums, terms, np.arange(lo, hi))
+            assert got.shape == (hi - lo, columns)
+            for e, est in zip(range(lo, hi), got):
+                want = quad_reference._levin_u(
+                    sums[first(e) + 1:e + 1], terms[first(e) + 1:e + 1],
+                    _HEAD_HALF_PERIODS + first(e))
+                assert est.tobytes() == want.tobytes(), e
+    assert specfun._levin_tables.cache_info().misses == 3
 
 
 # ---------------------------------------------------------------------------

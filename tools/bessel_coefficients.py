@@ -9,8 +9,8 @@ committed module byte for byte.
 
 Two tables, for J0(x) and g(x) = J1(x)/x at x >= 0:
 
-NEAR (x < NEAR_CELLS - 1/2): cell c covers |x - c| <= 1/2 and holds, in
-    powers of t = x - c, the polynomials of degree TERMS - 1 that
+NEAR (x <= FAR_X0 = NEAR_CELLS - 1/2): cell c covers |x - c| <= 1/2 and
+    holds, in powers of t = x - c, the polynomials of degree TERMS - 1 that
     interpolate J0 and g at TERMS Chebyshev points of the cell (at c = 0,
     in powers of t^2 at (TERMS + 1)/2 points of t^2 <= 1/4).  Every
     derivative of J0 and of J1 is bounded by 1, so the interpolation error
@@ -22,22 +22,37 @@ NEAR (x < NEAR_CELLS - 1/2): cell c covers |x - c| <= 1/2 and holds, in
     recurrence of Bessel's equation x y'' + y' + x y = 0,
         c (k+1)(k+2) a[k+2] = -((k+1)^2 a[k+1] + c a[k] + a[k-1]),
     with J1 = -J0' and g = J1/x from (c + t) g(c + t) = J1(c + t).
-FAR (x >= X0 = NEAR_CELLS - 1/2): with w = X0/x, the polynomials of degree
+    The cells end at 158.5, past 50 pi = 157.08: a plain quadrature pass
+    spans at most 50 half-periods pi/v of its factor J(x v), and the first
+    call of a tail-mode pass 20 (x v < 20 pi), so all their nodes take the
+    cells, and only later tail batches and x > 158.5 the far form.
+    NEAR_CELLS is odd, so FAR_X0 rounds (ties to even) to the last cell.
+FAR (x > FAR_X0): with w = FAR_X0/x, the polynomials of degree
     FAR_TERMS - 1 in w that interpolate, at Chebyshev points of [0, 1],
         A0 = P0 + Q0,  B0 = P0 - Q0,  A1 = (Q1 - P1)/x,  B1 = (P1 + Q1)/x,
-    (A1 and B1 as w/X0 times interpolants of degree FAR_TERMS - 2),
+    (A1 and B1 as w/FAR_X0 times interpolants of degree FAR_TERMS - 2),
     where P_n, Q_n are Hankel's modulus-phase functions (DLMF 10.17.3),
     computed from J_n and Y_n.  Then, with r = 1/sqrt(pi x),
         J0 = r (A0 cos x + B0 sin x),   J1/x = r (A1 cos x + B1 sin x),
     the phase coming from cos x and sin x themselves and never from the
     rounded x - pi/4 or x - 3 pi/4.
+
+NEAR is written as one base64 string of the little-endian doubles nearest
+to its coefficients, in the order of an array of shape (TERMS, NEAR_CELLS,
+2): by degree, then cell, then J0 and g, the layout the Horner loop of
+specfun reads.  As float literals the 159 cells took about 30 ms to
+compile and execute (median of 21, 2-core x86 box), the string 0.4 ms.
+FAR, 36 coefficients, stays literal.
 """
 
 from __future__ import annotations
 
+import binascii
+import struct
+
 import mpmath as mp
 
-NEAR_CELLS = 61
+NEAR_CELLS = 159
 TERMS = 13
 # Taylor terms behind each cell's interpolant: the first omitted one is
 # below 0.5^40 / 40! = 1e-60
@@ -139,29 +154,39 @@ def _row(values, indent: str) -> list[str]:
     return [indent[:-1] + "("] + lines + [indent[:-1] + "),"]
 
 
+def _base64(values, indent: str) -> list[str]:
+    """The little-endian doubles nearest to values in base64, as adjacent
+    string literals of 76 characters."""
+    data = struct.pack(f"<{len(values)}d", *map(float, values))
+    text = binascii.b2a_base64(data, newline=False).decode("ascii")
+    return [f'{indent}"{text[i:i + 76]}"' for i in range(0, len(text), 76)]
+
+
 def render() -> str:
     """The text of src/fpcavity/_bessel_coef.py."""
     x0 = mp.mpf(NEAR_CELLS) - mp.mpf(1) / 2
+    cells = [near_cell(c) for c in range(NEAR_CELLS)]
     lines = [
         '"""Coefficient tables of fpcavity.specfun\'s Bessel source.',
         "",
         "Written by tools/bessel_coefficients.py from "
         f"{DIGITS}-digit mpmath; do not edit.",
-        "NEAR[c] holds the coefficients in powers of x - c of J0 and of "
-        "J1(x)/x",
-        "on |x - c| <= 1/2,",
-        "FAR the coefficients in w = FAR_X0 / x of A0, B0, A1 and B1; see "
+        "NEAR: the coefficients in powers of x - c of J0 and J1(x)/x on the",
+        "cells |x - c| <= 1/2, c = 0 .. NEAR_CELLS - 1, as base64 of",
+        "little-endian doubles in the order of an array of shape",
+        "(TERMS, NEAR_CELLS, 2): by degree, then cell, then J0 and J1(x)/x.",
+        "FAR: the coefficients in w = FAR_X0 / x of A0, B0, A1 and B1; see",
         "the script.",
         '"""',
         "",
+        f"NEAR_CELLS = {NEAR_CELLS}",
+        f"TERMS = {TERMS}",
         f"FAR_X0 = {float(x0)!r}",
         "",
         "NEAR = (",
     ]
-    for c in range(NEAR_CELLS):
-        j0, g = near_cell(c)
-        lines += [f"    # x = {c}: J0, J1(x)/x", "    ("]
-        lines += _row(j0, " " * 9) + _row(g, " " * 9) + ["    ),"]
+    lines += _base64([cells[c][i][k] for k in range(TERMS)
+                      for c in range(NEAR_CELLS) for i in (0, 1)], " " * 4)
     lines += [")", "", "# A0, B0, A1, B1", "FAR = ("]
     for row in far_rows(x0):
         lines += _row(row, " " * 5)
