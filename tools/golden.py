@@ -4,9 +4,11 @@
 
 Each output is the bytes that `fpcavity <argv>` writes to stdout, made
 through fpcavity.cli.dispatch in this process: the verification suite as
-JSON at seed 42 and each single suite as CSV at seed 7, the `xi` and
-`kernel` outputs that CI prints, and `dicke scan`, with its default
-arguments, as CI's CSV and at N = 7 and N = 1.  MANIFEST.json holds the
+JSON at seed 42 and each single suite as CSV at seed 7, `xi` as a bare
+value, JSON and CSV, the `kernel` outputs that CI prints and both families'
+JSON, `dicke scan`, with its default arguments, as CI's CSV and at N = 7
+and N = 1, and `dicke ground` and `dicke meanfield` in both formats: every
+command in every format.  MANIFEST.json holds the
 argv of every file and the fingerprint of the environment that wrote
 them: the numpy and scipy versions, platform.machine() and numpy's enabled
 CPU features.  OpenBLAS picks its ddot and dgemm kernels by CPU, and the
@@ -44,6 +46,8 @@ CASES.update({f"verify_{suite}_seed7.csv":
               ("verify", suite, "--seed", "7", "--format", "csv")
               for suite in SUITE_NAMES if suite != "all"})
 CASES["xi_u1_v0.txt"] = ("xi", "--u", "1", "--v", "0")
+CASES.update({f"xi_u1_v0.{fmt}": ("xi", "--u", "1", "--v", "0", "--format", fmt)
+              for fmt in ("json", "csv")})
 _KERNELS = (("E", "plus", "0.5", "1"), ("D", "plus", "0.5", "1"),
             ("D", "plus", "1e-3", "1e-300"), ("D", "plus", "0.5", "1e4"),
             ("D", "plus", "0.02", "30"), ("D", "plus", "0.3", "0"),
@@ -54,6 +58,9 @@ CASES.update({f"kernel_{family}_{sign}_u{u}_v{v}.csv":
               ("kernel", "--family", family, "--sign", sign, "--u", u,
                "--v", v, "--format", "csv")
               for family, sign, u, v in _KERNELS})
+CASES.update({f"kernel_{family}_plus_u0.5_v1.json":
+              ("kernel", "--family", family, "--u", "0.5", "--v", "1",
+               "--format", "json") for family in ("E", "D")})
 CASES["dicke_scan.json"] = ("dicke", "scan")
 CASES["dicke_scan_ci.csv"] = ("dicke", "scan", "--y-min", "0", "--y-max",
                               "3", "--steps", "13", "--format", "csv")
@@ -63,6 +70,9 @@ CASES["dicke_scan_n7_cutoff40.json"] = ("dicke", "scan", "--n-atoms", "7",
                                         "--cutoff", "40")
 CASES["dicke_scan_n1_cutoff30.json"] = ("dicke", "scan", "--n-atoms", "1",
                                         "--cutoff", "30")
+CASES.update({f"dicke_{target}_y2.{fmt}":
+              ("dicke", target, "--y", "2", "--format", fmt)
+              for target in ("ground", "meanfield") for fmt in ("json", "csv")})
 
 
 def fingerprint() -> dict:
