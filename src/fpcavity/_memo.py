@@ -3,9 +3,10 @@ one repeat.
 
 Public calls ask for one input twice in a row: kernel_e, kernel_d and the
 reference route of verify for both signs of one separation (E- = E+ . R,
-D- = D+ . R share one base), and ground_state after spectrum_scan at the
-same parameters (one parity-block solve).  `recall` serves the second call
-from the first.
+D- = D+ . R share one base), ground_state after spectrum_scan at the
+same parameters (one parity-block solve), and the lattice moments of
+check_bessel_hyperbolic after xi at the same (u, v) (one lattice sum).
+`recall` serves the second call from the first.
 
 It holds one entry per route, a (key, value) tuple: the next call of that
 route with another input replaces it, so a sweep over distinct inputs

@@ -54,13 +54,37 @@ _CSV_COLUMNS = ("id", "params", "abs_err", "rel_err", "pass",
                 "tol_abs", "tol_rel")
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _finite_or_null(x: float):
     # strict JSON has no Infinity/NaN: a failed check's inf error is null
     return x if math.isfinite(x) else None
+
+
+def _cell(c) -> str:
+    if isinstance(c, bool):
+        return "true" if c else "false"
+    return c if isinstance(c, str) else format(float(c), ".17g")
+
+
+def _render(fmt: str, doc, header=None, rows=None) -> bytes:
+    """Serialize one output: doc as JSON, or header and rows as CSV.
+
+    JSON is strict (no Infinity or NaN) and indented by two.  CSV writes
+    the header row, then each row, with 17-significant-digit decimals and
+    true/false; without a header, doc is a record (a dict) or a list of
+    records, whose keys are the header and whose values are the rows.
+    """
+    if fmt == "json":
+        return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode()
+    if fmt != "csv":
+        raise DomainError(f"unknown format {fmt!r}")
+    if header is None:
+        records = doc if isinstance(doc, list) else [doc]
+        header, rows = records[0].keys(), [r.values() for r in records]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(c) for c in row] for row in rows)
+    return buf.getvalue().encode()
 
 
 def emit_report(summary: VerificationSummary, fmt: str) -> bytes:
@@ -75,32 +99,17 @@ def emit_report(summary: VerificationSummary, fmt: str) -> bytes:
     17-significant-digit decimals.
     """
     reports = summary.reports
-    if fmt == "json":
-        doc = {
-            "suite": summary.suite,
-            "seed": summary.seed,
-            "all_pass": summary.all_pass,
-            "warnings": [],
-            "checks": [
-                {
-                    "id": r.check_id,
-                    "params": r.params,
-                    "abs_err": _finite_or_null(r.abs_err),
-                    "rel_err": _finite_or_null(r.rel_err),
-                    "pass": r.passed,
-                    "tol_abs": r.tol_used.abs_tol,
-                    "tol_rel": r.tol_used.rel_tol,
-                }
-                for r in reports
-            ],
-        }
-        return _json_bytes(doc)
-    if fmt == "csv":
-        return _csv_bytes(_CSV_COLUMNS, [
-            (r.check_id, json.dumps(r.params, sort_keys=True, allow_nan=False),
+    doc = {"suite": summary.suite, "seed": summary.seed,
+           "all_pass": summary.all_pass, "warnings": [],
+           "checks": [{"id": r.check_id, "params": r.params,
+                       "abs_err": _finite_or_null(r.abs_err),
+                       "rel_err": _finite_or_null(r.rel_err),
+                       "pass": r.passed, "tol_abs": r.tol_used.abs_tol,
+                       "tol_rel": r.tol_used.rel_tol} for r in reports]}
+    rows = ((r.check_id, json.dumps(r.params, sort_keys=True, allow_nan=False),
              r.abs_err, r.rel_err, r.passed, r.tol_used.abs_tol,
-             r.tol_used.rel_tol) for r in reports])
-    raise DomainError(f"unknown format {fmt!r}")
+             r.tol_used.rel_tol) for r in reports)
+    return _render(fmt, doc, _CSV_COLUMNS, rows)
 
 
 def _write(ns, data: bytes):
@@ -111,46 +120,15 @@ def _write(ns, data: bytes):
         sys.stdout.write(data.decode())
 
 
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode()
-
-
-def _cell(c) -> str:
-    if isinstance(c, bool):
-        return "true" if c else "false"
-    return c if isinstance(c, str) else _g17(c)
-
-
-def _csv_bytes(header, rows) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(c) for c in row])
-    return buf.getvalue().encode()
-
-
-def _emit(ns, doc) -> None:
-    """Write one record (a dict) or a list of records in ns.format.
-
-    JSON writes doc as it is; CSV writes the keys as the header row and one
-    row per record.  A format of None (xi with --output only) means JSON.
-    """
-    if ns.format == "csv":
-        records = doc if isinstance(doc, list) else [doc]
-        data = _csv_bytes(records[0].keys(), [r.values() for r in records])
-    else:
-        data = _json_bytes(doc)
-    _write(ns, data)
-
-
 def _cmd_xi(ns) -> int:
     value = xi(ns.u, ns.v)
     if ns.format is None and ns.output is None:
         # bare value on stdout for interactive use
-        sys.stdout.write(_g17(value) + "\n")
+        sys.stdout.write(_cell(value) + "\n")
         return 0
-    _emit(ns, {"u": ns.u, "v": ns.v, "value": value})
+    # --output alone writes JSON
+    _write(ns, _render(ns.format or "json",
+                       {"u": ns.u, "v": ns.v, "value": value}))
     return 0
 
 
@@ -171,13 +149,10 @@ def _cmd_kernel(ns) -> int:
         mat = kernel_d_spectral(sep).m
     else:
         mat = kernel_d(ns.sign, sep, Tolerance(**given)).m
-    if ns.format == "json":
-        data = _json_bytes({"family": ns.family, "sign": ns.sign,
-                            "u": ns.u, "v": ns.v, "phi": ns.phi,
-                            "matrix": mat.tolist()})
-    else:
-        data = _csv_bytes(("x", "y", "z"), [tuple(row) for row in mat])
-    _write(ns, data)
+    rows = mat.tolist()
+    _write(ns, _render(ns.format, {"family": ns.family, "sign": ns.sign,
+                                   "u": ns.u, "v": ns.v, "phi": ns.phi,
+                                   "matrix": rows}, ("x", "y", "z"), rows))
     return 0
 
 
@@ -190,13 +165,13 @@ def _cmd_verify(ns) -> int:
 def _cmd_dicke_ground(ns) -> int:
     res = ground_state(DickeParams(ns.omega_a, ns.omega_c, ns.y,
                                    ns.n_atoms, ns.cutoff))
-    _emit(ns, {"y": ns.y, **asdict(res)})
+    _write(ns, _render(ns.format, {"y": ns.y, **asdict(res)}))
     return 0
 
 
 def _cmd_dicke_meanfield(ns) -> int:
     res = mean_field(DickeParams(ns.omega_a, ns.omega_c, ns.y))
-    _emit(ns, {"y": ns.y, **asdict(res)})
+    _write(ns, _render(ns.format, {"y": ns.y, **asdict(res)}))
     return 0
 
 
@@ -205,43 +180,45 @@ def _cmd_dicke_scan(ns) -> int:
         raise DomainError("--steps must be >= 1")
     params = DickeParams(ns.omega_a, ns.omega_c, n_atoms=ns.n_atoms,
                          fock_cutoff=ns.cutoff)
-    y_grid = np.linspace(ns.y_min, ns.y_max, ns.steps)
-    rows = spectrum_scan(params, [float(y) for y in y_grid])
-    _emit(ns, [asdict(r) for r in rows])
+    rows = spectrum_scan(params, np.linspace(ns.y_min, ns.y_max, ns.steps))
+    _write(ns, _render(ns.format, [asdict(r) for r in rows]))
     return 0
 
 
-def _add_common(p, bare_value=False):
-    if bare_value:
-        p.add_argument("--format", choices=("json", "csv"), default=None,
-                       help="structured output format (bare value if omitted)")
-    else:
-        p.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="output format")
+def _add_common(p, fmt_default="json", fmt_help="output format"):
+    p.add_argument("--format", choices=("json", "csv"), default=fmt_default,
+                   help=fmt_help)
     p.add_argument("--output", default=None,
                    help="output file path (stdout if omitted)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Every parser of the command line, subcommands included (add_parser
+    makes its parsers of the class that add_subparsers was called on):
+    each flag has exactly one spelling, and its help shows its default."""
+
+    def __init__(self, **kwargs):
+        super().__init__(
+            allow_abbrev=False,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    fmt_cls = argparse.ArgumentDefaultsHelpFormatter
-    # allow_abbrev=False everywhere: each flag has exactly one spelling
-    parser = argparse.ArgumentParser(
-        prog="fpcavity", allow_abbrev=False,
+    parser = _Parser(
+        prog="fpcavity",
         description="Mirror-cavity interaction kernels, their identity "
                     "verification suite, and Dicke-model sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_xi = sub.add_parser("xi", help="evaluate the inverse-cube lattice sum",
-                          formatter_class=fmt_cls, allow_abbrev=False)
+    p_xi = sub.add_parser("xi", help="evaluate the inverse-cube lattice sum")
     p_xi.add_argument("--u", type=float, required=True,
                       help="axial argument (2-periodic)")
     p_xi.add_argument("--v", type=float, required=True,
                       help="transverse argument, >= 0")
-    _add_common(p_xi, bare_value=True)
+    _add_common(p_xi, None, "structured output format (bare value if omitted)")
     p_xi.set_defaults(func=_cmd_xi)
 
-    p_k = sub.add_parser("kernel", help="evaluate an interaction kernel",
-                         formatter_class=fmt_cls, allow_abbrev=False)
+    p_k = sub.add_parser("kernel", help="evaluate an interaction kernel")
     p_k.add_argument("--family", choices=("E", "D"), required=True,
                      help="E: Coulomb image kernel; D: quadratic "
                           "displacement-field kernel")
@@ -265,26 +242,24 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_k)
     p_k.set_defaults(func=_cmd_kernel)
 
-    p_v = sub.add_parser("verify", help="run the identity verification suite",
-                         formatter_class=fmt_cls, allow_abbrev=False)
+    p_v = sub.add_parser("verify", help="run the identity verification suite")
     p_v.add_argument("target", nargs="?", choices=SUITE_NAMES, default="all")
     _add_common(p_v)
     p_v.add_argument("--seed", type=int, default=_DEFAULT_SEED,
                      help="seed for randomized grids")
     p_v.set_defaults(func=_cmd_verify)
 
-    p_d = sub.add_parser("dicke", help="collective spin-boson model tools",
-                         formatter_class=fmt_cls, allow_abbrev=False)
+    p_d = sub.add_parser("dicke", help="collective spin-boson model tools")
     # each target takes only the flags it reads; shared ones via parents=
-    shared = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    shared = _Parser(add_help=False)
     shared.add_argument("--omega-a", type=float, default=DickeParams.omega_a,
                         help="two-level splitting")
     shared.add_argument("--omega-c", type=float, default=DickeParams.omega_c,
                         help="mode frequency")
     _add_common(shared)
-    coupling = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    coupling = _Parser(add_help=False)
     coupling.add_argument("--y", type=float, required=True, help="coupling")
-    size = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    size = _Parser(add_help=False)
     size.add_argument("--n-atoms", type=int, default=DickeParams.n_atoms,
                       help="number of two-level systems")
     size.add_argument("--cutoff", type=int, default=DickeParams.fock_cutoff,
@@ -292,13 +267,11 @@ def _build_parser() -> argparse.ArgumentParser:
     targets = p_d.add_subparsers(dest="target", required=True)
 
     p_g = targets.add_parser("ground", parents=[shared, coupling, size],
-                             help="exact ground state at one coupling",
-                             formatter_class=fmt_cls, allow_abbrev=False)
+                             help="exact ground state at one coupling")
     p_g.set_defaults(func=_cmd_dicke_ground)
 
     p_s = targets.add_parser("scan", parents=[shared, size],
-                             help="ground state and gap along a coupling grid",
-                             formatter_class=fmt_cls, allow_abbrev=False)
+                             help="ground state and gap along a coupling grid")
     p_s.add_argument("--y-min", type=float, default=0.0,
                      help="scan grid start")
     p_s.add_argument("--y-max", type=float, default=3.0,
@@ -308,8 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_s.set_defaults(func=_cmd_dicke_scan)
 
     p_m = targets.add_parser("meanfield", parents=[shared, coupling],
-                             help="closed-form zero-temperature mean field",
-                             formatter_class=fmt_cls, allow_abbrev=False)
+                             help="closed-form zero-temperature mean field")
     p_m.set_defaults(func=_cmd_dicke_meanfield)
     return parser
 

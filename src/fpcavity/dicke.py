@@ -56,7 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from ._memo import recall
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, as_float
 
 __all__ = [
     "DickeParams",
@@ -138,6 +138,8 @@ class DickeParams:
     fock_cutoff: int = 60
 
     def __post_init__(self):
+        for name in ("omega_a", "omega_c", "y"):
+            object.__setattr__(self, name, as_float(getattr(self, name)))
         if not all(math.isfinite(x) for x in (self.omega_a, self.omega_c,
                                               self.y)):
             raise DomainError("omega_a, omega_c and y must be finite")
@@ -146,8 +148,8 @@ class DickeParams:
         if self.y < 0:
             raise DomainError("coupling must be non-negative")
         try:
-            # an int or a numpy integer: N + 1 spin and cutoff + 1 photon
-            # states
+            # an int or a numpy integer, kept as an int, whose products do
+            # not wrap: N + 1 spin and cutoff + 1 photon states
             sizes = (operator.index(self.n_atoms),
                      operator.index(self.fock_cutoff))
         except TypeError:
@@ -156,6 +158,8 @@ class DickeParams:
                               ) from None
         if min(sizes) < 1:
             raise DomainError("n_atoms and fock_cutoff must be positive")
+        object.__setattr__(self, "n_atoms", sizes[0])
+        object.__setattr__(self, "fock_cutoff", sizes[1])
 
     @property
     def dimension(self) -> int:
@@ -641,8 +645,8 @@ def spectrum_scan(p: DickeParams, y_grid: Sequence[float]) -> list[ScanRow]:
     for y in y_grid:
         if y < 0:
             raise DomainError("couplings must be non-negative")
-        energy, photon, _, parity, gap, _ = recall(_ground_observables,
-                                                   replace(p, y=float(y)))
-        rows.append(ScanRow(y=float(y), energy=energy, photon_number=photon,
+        q = replace(p, y=y)
+        energy, photon, _, parity, gap, _ = recall(_ground_observables, q)
+        rows.append(ScanRow(y=q.y, energy=energy, photon_number=photon,
                             gap=gap, parity=parity))
     return rows

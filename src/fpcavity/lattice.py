@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from ._memo import recall
 from .errors import DomainError, as_float
 from .geometry import _check_image_distance
 
@@ -113,12 +114,13 @@ def xi(u: float, v: float, tol=None) -> float:
     distance hypot(min(u, 2 - u), v)) nearer than 1e-100.
 
     The moment S3 of _lattice_moments, accurate to about 1e-13 relative
-    whatever tol is given.  tol is ignored: it is kept only for the one
-    caller that still passes it, the shifted xi of
-    perfbench/test_checks_bite.py, and goes with that call (ROADMAP item
-    10).
+    whatever tol is given, through the memo: check_bessel_hyperbolic reads
+    the other two moments at the same (u, v) right after.  tol is ignored:
+    it is kept only for the one caller that still passes it, the shifted
+    xi of perfbench/test_checks_bite.py, and goes with that call (ROADMAP
+    items 8 and 9).
     """
-    return _lattice_moments(u, v)[0]
+    return recall(_lattice_moments, u, v)[0]
 
 
 _ZETA3 = 1.2020569031595942854

@@ -315,8 +315,14 @@ def _gauss_kronrod(f: Callable, a: np.ndarray, b: np.ndarray):
     half = 0.5 * (b - a)
     x = (mid[:, None] + half[:, None] * _K15_NODES).ravel()
     y = np.asarray(f(x), dtype=float)
-    # one row of 15 node values per panel (and component)
-    gk = (y.reshape(y.shape[:-1] + (len(a), 15)) @ _GK_WEIGHTS) * half[:, None]
+    # one row of 15 node values per panel (and component).  An inf or a
+    # huge node value makes a sum inf or nan here, and adding 0 gk makes
+    # each such sum nan and leaves the others as they are, so that no later
+    # sum of the drivers warns; they refuse it when they take it
+    with np.errstate(invalid="ignore", over="ignore"):
+        gk = ((y.reshape(y.shape[:-1] + (len(a), 15)) @ _GK_WEIGHTS)
+              * half[:, None])
+        gk += 0.0 * gk
     err = gk[..., 1]
     np.abs(err, out=err)
     if y.ndim == 1:
@@ -826,7 +832,9 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     plain pass and the head refuse a sum or an error that is not finite
     after every step, and the tail refuses a half-period with a non-finite
     partial sum or error when it takes it.  (A nan compares False with
-    every target, so without the check it would pass as converged.)
+    every target, so without the check it would pass as converged.)  The
+    rule's product turns an inf or an overflowing panel sum into nan, so
+    no step warns on the way to the refusal.
 
     The bookkeeping is in arrays (see _subdivide, _Tail and _integrate),
     and every node, value and decision is that of a pass adding one panel

@@ -44,6 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._memo import recall
 from .coulomb import kernel_e
 from .errors import ConvergenceError, DomainError, as_float
 from .geometry import CavityFrame, Separation, _check_image_distance
@@ -223,10 +224,10 @@ def check_bessel_hyperbolic(u: float, v: float) -> list[IdentityReport]:
     u, v = as_float(u), as_float(v)
     params = {"u": u, "v": v}
     # xi by its module-level name, which lets a test substitute a shifted xi
-    # (as for SELF_CANCEL); the derivative sides take v^2 S5 and v T5
-    # directly
+    # (as for SELF_CANCEL); the derivative sides take v^2 S5 and v T5 from
+    # the lattice pass that xi left in the memo
     s3 = xi(u, v)
-    _, v2s5, vt5 = _lattice_moments(u, v)
+    _, v2s5, vt5 = recall(_lattice_moments, u, v)
 
     def rows(x):
         xv = x * v

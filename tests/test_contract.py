@@ -17,13 +17,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pytest
-from fpcavity import (AnisotropyResult, CavityFrame, DipoleSpec, DomainError,
-                      KernelMatrix, ModeSumArgs, Separation, WaveVector,
-                      anisotropy_delta, bessel_j, check_axial_and_aniso,
-                      check_bessel_hyperbolic, check_green, check_lipschitz,
-                      check_mode_sum, dipole_dipole_energy, direct_mode_sum,
+from fpcavity import (AnisotropyResult, CavityFrame, DickeParams, DipoleSpec,
+                      DomainError, KernelMatrix, ModeSumArgs, Separation,
+                      WaveVector, anisotropy_delta, bessel_j,
+                      check_axial_and_aniso, check_bessel_hyperbolic,
+                      check_green, check_lipschitz, check_mode_sum,
+                      dipole_dipole_energy, direct_mode_sum, ground_state,
                       hyperbolic_mode_sum, integrate_semi_infinite, kernel_d,
-                      kernel_d_spectral, mode_fn, xi)
+                      kernel_d_spectral, mode_fn, spectrum_scan, xi)
 
 _FLOAT_MAX = sys.float_info.max
 _EDGES = [0.0, -0.0, 5e-324, 1e-300, _FLOAT_MAX, -_FLOAT_MAX, 1e154,
@@ -166,12 +167,38 @@ def test_numpy_scalars_give_what_python_floats_give(entry, x, y, z):
     lambda: DipoleSpec((0, 0, 10 ** 400), (0, 0, 1)),
     lambda: WaveVector(1, (10 ** 400, 0.0)),
     lambda: mode_fn("TE", WaveVector(1, (1.0, 0.0)), (0, 0, 10 ** 400)),
+    lambda: DickeParams(10 ** 400, 1.0, 0.0),
+    lambda: DickeParams(1.0, 10 ** 400, 0.0),
+    lambda: DickeParams(1.0, 1.0, 10 ** 400),
+    lambda: spectrum_scan(DickeParams(), [10 ** 400]),
 ], ids=["ModeSumArgs", "Separation", "CavityFrame", "xi", "check_lipschitz",
         "anisotropy_delta", "bessel_j", "DipoleSpec", "WaveVector",
-        "mode_fn"])
+        "mode_fn", "DickeParams.omega_a", "DickeParams.omega_c",
+        "DickeParams.y", "spectrum_scan"])
 def test_an_int_beyond_the_doubles_is_refused(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("field", ["omega_a", "omega_c", "y"])
+def test_a_numpy_float_dicke_model_is_refused_as_a_python_float_is(field):
+    # 1e308 overflows the solver's range check: a numpy float64 would warn
+    # there, a Python float overflows silently to the DomainError
+    for value in (1e308, np.float64(1e308)):
+        params = DickeParams(**{field: value})
+        assert type(getattr(params, field)) is float
+        with pytest.raises(DomainError):
+            ground_state(params)
+
+
+def test_numpy_integer_dicke_sizes_are_ints():
+    # the dimension of 2^62 atoms and photons wrapped in int64 with a
+    # RuntimeWarning; as ints it is refused by the solver's guard
+    params = DickeParams(n_atoms=np.int64(2 ** 62),
+                         fock_cutoff=np.int64(2 ** 62))
+    assert type(params.n_atoms) is int and type(params.fock_cutoff) is int
+    with pytest.raises(DomainError):
+        ground_state(params)
 
 
 def test_a_string_is_not_a_number():

@@ -10,11 +10,18 @@ take other kernels, and the text and structure must still match exactly
 match within max(8 ulps of itself, a bound per file):
 
   verify   2^-40, 32 ulps of 162, the largest side any row compares: an
-           abs_err or rel_err is the rounding of those sides;
+           abs_err is the rounding of those sides, and a rel_err, that
+           abs_err over the row's scale, moves by 2^-40 over the scale,
+           which the golden row gives as abs_err / rel_err;
   xi and kernel   8 ulps of the largest |value| in the file;
   dicke    the solver's residual, 1e-12 |H|, with |H| the bound of the
            default model at the scan's largest coupling, which is above
            those of the N = 7 and N = 1 scans.
+
+The second comparison also runs in every environment whose numpy can
+switch off CPU targets it dispatches to: a subprocess regenerates every
+output with them off, so that numpy takes other kernels, and each must
+match its file as an output from another machine would.
 
 A change that moves an output rewrites the files with tools/golden.py and
 names the rows that moved.
@@ -26,6 +33,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -75,12 +84,24 @@ def _floats(doc):
         yield doc
 
 
+def _key_bound(row: dict, key: str, bound: float) -> float:
+    """The bound of row[key]: bound, but for the rel_err of a verify row
+    with a positive finite abs_err and rel_err, bound over the row's scale
+    abs_err / rel_err."""
+    errors = row.get("abs_err"), row.get("rel_err")
+    if key == "rel_err" and all(isinstance(e, float) and 0.0 < e < math.inf
+                                for e in errors):
+        return bound * errors[1] / errors[0]
+    return bound
+
+
 def _assert_close(want, got, bound: float, where: str = ""):
     assert type(got) is type(want), where
     if isinstance(want, dict):
         assert list(got) == list(want), where
         for key in want:
-            _assert_close(want[key], got[key], bound, f"{where}.{key}")
+            _assert_close(want[key], got[key], _key_bound(want, key, bound),
+                          f"{where}.{key}")
     elif isinstance(want, list):
         assert len(got) == len(want), where
         for i, (w, g) in enumerate(zip(want, got)):
@@ -99,15 +120,16 @@ def test_manifest_lists_every_case_and_file():
         [golden.MANIFEST, *golden.CASES])
 
 
-@pytest.mark.parametrize("name", sorted(MANIFEST["outputs"]))
-def test_output_matches_its_golden_file(name):
+def _golden_bytes(name: str) -> bytes:
     with open(os.path.join(golden.GOLDEN, name), "rb") as fh:
-        want = fh.read()
-    got = golden.render(MANIFEST["outputs"][name])
-    if SAME_ENVIRONMENT:
-        assert got == want
-        return
-    want_doc = _parse(name, want.decode())
+        return fh.read()
+
+
+def _assert_matches_from_elsewhere(name: str, got: bytes):
+    """got, an output made in another environment, against the golden file:
+    the same text and structure, so every verdict (pass, all_pass) and
+    integer, and each float within the file's bound."""
+    want_doc = _parse(name, _golden_bytes(name).decode())
     if name.startswith("verify"):
         bound = _VERIFY_ABS
     elif name.startswith("dicke"):
@@ -115,3 +137,42 @@ def test_output_matches_its_golden_file(name):
     else:
         bound = 8.0 * math.ulp(max(map(abs, _floats(want_doc)), default=0.0))
     _assert_close(want_doc, _parse(name, got.decode()), bound)
+
+
+@pytest.mark.parametrize("name", sorted(MANIFEST["outputs"]))
+def test_output_matches_its_golden_file(name):
+    got = golden.render(MANIFEST["outputs"][name])
+    if SAME_ENVIRONMENT:
+        assert got == _golden_bytes(name)
+    else:
+        _assert_matches_from_elsewhere(name, got)
+
+
+# prints the fingerprint and every output, made as tools/golden.py makes them
+_RENDER_ALL = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import golden
+print(json.dumps({"fingerprint": golden.fingerprint(),
+                  "outputs": {name: golden.render(argv).decode()
+                              for name, argv in golden.CASES.items()}}))
+"""
+
+
+def test_outputs_with_numpy_dispatch_switched_off():
+    targets = golden.dispatched_targets()
+    if not targets:
+        pytest.skip("numpy dispatches to no CPU target beyond its baseline")
+    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _RENDER_ALL,
+         os.path.join(ROOT, "tools")],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    doc = json.loads(run.stdout)
+    assert doc["fingerprint"] != golden.fingerprint()
+    assert list(doc["outputs"]) == list(golden.CASES)
+    for name, text in doc["outputs"].items():
+        _assert_matches_from_elsewhere(name, text.encode())

@@ -414,23 +414,39 @@ def _inf_past(x0, f):
     return lambda x: np.where(x > x0, np.inf, f(x))
 
 
+def _huge_past(x0, f):
+    # finite, but its panel sums pass the largest double
+    return lambda x: np.where(x > x0, 1.7e308, f(x))
+
+
+def _signed_inf_past(x0, f):
+    # +inf, then -inf: a sum of both would be inf - inf
+    return lambda x: np.where(x > x0, np.where(x > x0 + 5.0, -np.inf, np.inf),
+                              f(x))
+
+
+def _inf(x0, f):
+    return lambda x: np.full_like(x, np.inf)
+
+
 def _rows(f):
     return lambda x: np.array([f(x), np.exp(-x), np.zeros_like(x)])
 
 
-@pytest.mark.parametrize("bad", [_nan_past, _inf_past], ids=["nan", "inf"])
+@pytest.mark.parametrize("bad", [_nan_past, _inf_past, _huge_past,
+                                 _signed_inf_past, _inf],
+                         ids=["nan", "inf", "huge", "signed_inf", "all_inf"])
 @pytest.mark.parametrize("shape", [lambda f: f, _rows], ids=["scalar",
                                                            "three_rows"])
 def test_non_finite_integrand_is_a_domain_error(bad, shape):
+    # in both modes, and with no RuntimeWarning from the quadrature's own
+    # sums on the way
     plain = shape(bad(3.0, lambda x: np.exp(-x)))
     tail = shape(bad(30.0, lambda x: np.exp(-1e-3 * x) * np.cos(x)))
-    # the integrand's own invalid products may warn; the quadrature must
-    # not return a value
-    with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(DomainError, match="not finite"):
-            integrate_semi_infinite(plain, 1.0)
-        with pytest.raises(DomainError, match="not finite"):
-            integrate_semi_infinite(tail, 1e-3, half_period=math.pi)
+    with pytest.raises(DomainError, match="not finite"):
+        integrate_semi_infinite(plain, 1.0)
+    with pytest.raises(DomainError, match="not finite"):
+        integrate_semi_infinite(tail, 1e-3, half_period=math.pi)
 
 
 def test_non_finite_component_is_refused_before_the_others_converge(

@@ -276,7 +276,7 @@ def test_verify_and_the_golden_kernels_never_take_the_far_form(monkeypatch):
     with open(os.path.join(root, "golden", "MANIFEST.json")) as fh:
         outputs = json.load(fh)["outputs"].values()
     kernels = [argv for argv in outputs if argv[0] == "kernel"]
-    assert len(kernels) == 11
+    assert len(kernels) == 13
     with contextlib.redirect_stdout(io.StringIO()):
         for argv in kernels:
             assert cli.dispatch(argv) == 0

@@ -13,7 +13,7 @@ from fpcavity import (KernelMatrix, ModeSumArgs, Separation, Tolerance,
                       check_axial_and_aniso, check_bessel_hyperbolic,
                       check_green, check_kernel_cancellation, check_lipschitz,
                       check_mode_sum, kernel_d, kernel_e, run_suite)
-from fpcavity import verify
+from fpcavity import lattice, verify
 from fpcavity.errors import DomainError
 from fpcavity.verify import SUITE_NAMES, _report, random_separations
 from tests_helpers import starve_verify
@@ -229,6 +229,23 @@ def test_lipschitz_next_to_a_mirror(u, v):
     for r in reports:
         assert r.passed and r.abs_err < 1e-12, r
     assert best < 0.05
+
+
+def test_bessel_suite_sums_the_lattice_once_a_point(monkeypatch):
+    # S3 through xi and the derivative sides read one lattice pass per
+    # (u, v), by the memo
+    calls = []
+    moments = lattice._lattice_moments
+
+    def counted(u, v):
+        calls.append((u, v))
+        return moments(u, v)
+
+    for module in (lattice, verify):
+        monkeypatch.setattr(module, "_lattice_moments", counted)
+    summary = run_suite("bessel")
+    assert len(summary.reports) == 200
+    assert len(calls) == len(set(calls)) == 50
 
 
 def test_bessel_hyperbolic_near_a_mirror():

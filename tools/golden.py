@@ -75,16 +75,28 @@ CASES.update({f"dicke_{target}_y2.{fmt}":
               for target in ("ground", "meanfield") for fmt in ("json", "csv")})
 
 
+def _umath():
+    """numpy's compiled core, which lists the CPU features it uses."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return umath
+
+
 def fingerprint() -> dict:
     """What decides the last bits of the outputs besides the code."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_features__
     return {"numpy": np.__version__, "scipy": scipy.__version__,
             "machine": platform.machine(),
             "cpu_features": " ".join(sorted(
-                k for k, on in __cpu_features__.items() if on))}
+                k for k, on in _umath().__cpu_features__.items() if on))}
+
+
+def dispatched_targets() -> list:
+    """The CPU targets beyond its baseline that numpy dispatches to here,
+    each of which NPY_DISABLE_CPU_FEATURES can switch off."""
+    umath = _umath()
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]
 
 
 def render(argv) -> bytes:
