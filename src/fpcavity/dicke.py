@@ -403,8 +403,10 @@ class _Lanczos:
         dim = ab.shape[1]
         abs_rows = _band_matvec(np.abs(ab), np.ones(dim))
         self.norm = float(abs_rows.max())
-        if not ab[1:].any():
-            # no couplings (y = 0): the sorted diagonal and a basis vector
+        if (abs_rows - np.abs(ab[0])).max() <= _RESIDUAL * self.norm:
+            # every state's couplings sum to within the residual bound (at
+            # y = 0 they are 0): each basis vector meets it with its diagonal
+            # entry, and the sorted diagonal is within it of the levels
             order = np.argsort(ab[0], kind="stable")[:2]
             self.levels = [float(e) for e in ab[0][order]]
             self.ground = np.zeros(dim)

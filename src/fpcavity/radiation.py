@@ -105,7 +105,9 @@ def _hyperbolic_weights(x: np.ndarray, u: float):
 
     Both are (e^{x(u-2)} +- e^{-xu}) / (1 - e^{-2x}), with the three
     exponentials taken once for the pair; all exponents are <= 0 for
-    0 < u < 2, so neither weight overflows.
+    0 < u < 2, so neither weight overflows at large x.  Near 0 the cosh
+    weight goes like 1/x, finite at every node the quadrature accepts
+    (specfun._truncation).
     """
     far = np.exp(x * (u - 2.0))
     near = np.exp(-x * u)
@@ -277,15 +279,16 @@ def kernel_d_spectral(sep: Separation) -> KernelMatrix:
     -Im S1/pi = -2 Im P1/pi, S_m = sum_{n in Z} e^{i alpha n} n^m/(n^2 +
     beta^2) and P_m its one-sided sum over n >= 1, each summed term by
     term with its Euler tail (modesum._direct_sums), never from a closed
-    form.  The n = 0 mode's term is 1/x, finite at every node, where
-    pi^2/x^2 would overflow at the first nodes of a v above about 1e154
-    (x near 1e-2/v).  One pass of integrate_semi_infinite at DEFAULT_TOL
-    then meets _kernel_d_reference within about 1e-12 of the largest
-    entry, in 2 to 16 ms at u in [0.05, 1.95] and v <= 4 (2-core x86
-    box).  The axial head grows like 256/(pi min(u, 2 - u)) terms per
-    node: about 0.1 s a call at u = 1e-3, and a DomainError before any
-    term is summed from about u = 1e-4 (modesum's bound on head terms
-    times nodes).
+    form.  The n = 0 mode's term is 1/x, finite at every node the
+    quadrature accepts, where pi^2/x^2 would overflow at the first nodes
+    of a v above about 1e154 (x near 1e-2/v); the quadrature refuses a v
+    above about 1.19e306, where 1/x would overflow at its first node.  One
+    pass of integrate_semi_infinite at DEFAULT_TOL then meets
+    _kernel_d_reference within about 1e-12 of the largest entry, in 2 to
+    16 ms at u in [0.05, 1.95] and v <= 4 (2-core x86 box).  The axial
+    head grows like 256/(pi min(u, 2 - u)) terms per node: about 0.1 s a
+    call at u = 1e-3, and a DomainError before any term is summed from
+    about u = 1e-4 (modesum's bound on head terms times nodes).
     """
     _check_d_domain(sep)
     u, v = sep.u, sep.v

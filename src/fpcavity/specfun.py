@@ -33,6 +33,7 @@ import functools
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -713,14 +714,25 @@ def _quad_finite(f: Callable, a: float, b: float, tol: Tolerance) -> float:
     return _integrate(f, np.linspace(a, b, 9), None, b, tol)
 
 
+# the first node of a pass whose first seed panel is half a half-period
+# wide (_seed_edges), in half-periods: (1 + the lowest K15 node)/4, 0.0021
+_FIRST_NODE = 0.25 * (1.0 + float(_K15_NODES[0]))
+# below this node 1/x overflows, with 1 % to spare for the node's rounding
+_MIN_NODE = 1.0 / (0.99 * sys.float_info.max)
+
+
 def _truncation(decay_rate_hint: float, tol: Tolerance,
                 half_period: float | None) -> tuple[float, float]:
     """Where integrate_semi_infinite truncates (0, inf) for an integrand
     decaying like x^2 exp(-decay_rate_hint * x), x_max, and the span
     x_max / half_period (0 without one).  DomainError for a decay rate not
-    positive and finite, or one so small that x_max overflows, and the one
-    Bessel-argument guard: DomainError where x v = pi x / half_period
-    overflows at the farthest node, one half-period past x_max."""
+    positive and finite, or one so small that x_max overflows, and the two
+    Bessel-argument guards: DomainError where x v = pi x / half_period
+    overflows at the farthest node, one half-period past x_max, and where
+    the half-period is so small that 1/x overflows at the first node,
+    from v = pi/half_period above about 1.19e306.  The hyperbolic weights
+    of D+ and of the Bessel identities go like 1/x at 0, and would be inf
+    there."""
     if not 0.0 < decay_rate_hint < math.inf:
         # at an infinite rate the seed panels would start at 4/rate = 0 and
         # never grow
@@ -746,6 +758,11 @@ def _truncation(decay_rate_hint: float, tol: Tolerance,
         raise DomainError(
             f"the Bessel argument x v overflows at the quadrature's farthest "
             f"node x = {x_max + half_period:.3g}: the half-period pi/v = "
+            f"{half_period!r} is too small")
+    if not half_period * _FIRST_NODE >= _MIN_NODE:
+        raise DomainError(
+            f"1/x overflows at the quadrature's first node x = "
+            f"{half_period * _FIRST_NODE:.3g}: the half-period pi/v = "
             f"{half_period!r} is too small")
     return x_max, span
 
@@ -824,9 +841,10 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     box), and the cost does not grow with the number of oscillations
     before exp(-rate x) damps them; when the tail reaches the truncation
     point, the plain partial sum is taken.  The guards on the arguments:
-    DomainError for a decay_rate_hint not positive and finite, and where
-    the Bessel argument x v = pi x / half_period overflows at the farthest
-    node the pass can reach, one half-period past the truncation point.
+    DomainError for a decay_rate_hint not positive and finite, where the
+    Bessel argument x v = pi x / half_period overflows at the farthest
+    node the pass can reach, one half-period past the truncation point,
+    and where 1/x overflows at the first node, 0.0021 half-periods from 0.
 
     An integrand that gives nan or inf is a DomainError in both modes: the
     plain pass and the head refuse a sum or an error that is not finite

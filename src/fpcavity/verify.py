@@ -127,16 +127,6 @@ def _engine(tol: Tolerance) -> Tolerance:
                      rel_tol=max(1e-11, 1e-2 * tol.rel_tol))
 
 
-def _flat(side) -> list[float]:
-    """A report side, a number, a pair or a 3x3 array, as a flat list of
-    floats."""
-    if isinstance(side, np.ndarray):
-        return side.ravel().tolist()
-    if isinstance(side, (list, tuple)):
-        return [float(x) for x in side]
-    return [float(side)]
-
-
 def _largest(values: list[float]) -> float:
     # nan if any value is nan, as numpy's max gives
     return math.nan if any(map(math.isnan, values)) else max(values)
@@ -144,8 +134,10 @@ def _largest(values: list[float]) -> float:
 
 def _errors(lhs, rhs, scale=None) -> tuple[float, float]:
     """The largest entrywise |lhs - rhs| of two sides of the same shape, and
-    that over scale, by default the largest |entry| of either side."""
-    la, ra = _flat(lhs), _flat(rhs)
+    that over scale, by default the largest |entry| of either side.  A
+    side is a number, a pair or a 3x3 array."""
+    la = np.asarray(lhs, dtype=float).ravel().tolist()
+    ra = np.asarray(rhs, dtype=float).ravel().tolist()
     abs_err = _largest([abs(a - b) for a, b in zip(la, ra, strict=True)])
     denom = scale if scale is not None else max(
         _largest([abs(a) for a in la]), _largest([abs(b) for b in ra]))
@@ -156,20 +148,14 @@ def _errors(lhs, rhs, scale=None) -> tuple[float, float]:
     return abs_err, rel_err
 
 
-def _serializable(side):
-    if isinstance(side, np.ndarray) and side.ndim:
-        return side.tolist()
-    if isinstance(side, (list, tuple)):
-        return [float(x) for x in side]
-    return float(side)
-
-
 def _report(check_id: str, params: dict, lhs, rhs, tol: Tolerance,
             scale=None) -> IdentityReport:
+    # one float array per side, which _errors reads and the report keeps
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     abs_err, rel_err = _errors(lhs, rhs, scale)
     passed = abs_err <= tol.abs_tol or rel_err <= tol.rel_tol
     return IdentityReport(check_id=check_id, params=params,
-                          lhs=_serializable(lhs), rhs=_serializable(rhs),
+                          lhs=lhs.tolist(), rhs=rhs.tolist(),
                           abs_err=abs_err, rel_err=rel_err, passed=passed,
                           tol_used=tol)
 
@@ -218,7 +204,7 @@ def check_bessel_hyperbolic(u: float, v: float) -> list[IdentityReport]:
     identities and TOL_EQ22 for the others; every row meets the engine
     tolerance of TOL_EQ22, at the quadrature's fixed panel-split budget.  A
     quadrature that does not converge fails all four rows, and so does a v
-    at which the Bessel argument x v overflows at the quadrature's nodes.
+    at which x v overflows at the quadrature's nodes, or 1/x at its first.
     """
     eng = _engine(TOL_EQ22)
     u, v = as_float(u), as_float(v)
@@ -455,11 +441,11 @@ def check_green(u: float, u_prime: float, v: float) -> IdentityReport:
     The image sum (paired, since single terms diverge) against the
     difference-of-cosh-ratios integral.  The threshold is pinned
     (TOL_GREEN), the quadrature at the fixed panel-split budget.  The
-    report fails at a v where the Bessel argument x v overflows at the
-    quadrature's nodes; a non-finite argument, a u or u_prime outside
-    (0, 2), between the mirrors, or with an image nearer than the kernels'
-    floor (_check_image_distance), and a v < 0 are refused with a
-    DomainError before any work.
+    report fails at a v that the quadrature refuses, where x v overflows
+    at its nodes or 1/x at its first (from v about 1.19e306); a non-finite
+    argument, a u or u_prime outside (0, 2), between the mirrors, or with
+    an image nearer than the kernels' floor (_check_image_distance), and a
+    v < 0 are refused with a DomainError before any work.
     """
     u, u_prime, v = map(as_float, (u, u_prime, v))
     params = {"u": u, "u_prime": u_prime, "v": v}
@@ -557,13 +543,10 @@ def check_axial_and_aniso(rho_z_samples: Sequence[float],
 
 def random_separations(n: int, seed: int) -> list[Separation]:
     """Seeded kernel-domain samples: u in (0.05, 1.95), v in (0.05, 3)."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        out.append(Separation(u=0.05 + 1.9 * rng.random(),
-                              v=0.05 + 2.95 * rng.random(),
-                              phi=2.0 * math.pi * rng.random()))
-    return out
+    # one draw, row after row: the stream of three draws per sample
+    draws = np.random.default_rng(seed).random((n, 3)).tolist()
+    return [Separation(u=0.05 + 1.9 * a, v=0.05 + 2.95 * b,
+                       phi=2.0 * math.pi * c) for a, b, c in draws]
 
 
 # each suite's check calls on the acceptance grids, as a function of the

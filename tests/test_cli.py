@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +305,24 @@ def test_dicke_ground_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["photon_number"] == pytest.approx(0.0, abs=1e-14)
     assert doc["parity"] == 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--y", "1e-25", "--n-atoms", "3", "--cutoff", "1"],
+    ["--omega-a", "0.3", "--omega-c", "0.3", "--y", "1e-30", "--n-atoms",
+     "1", "--cutoff", "2"],
+])
+def test_dicke_ground_with_couplings_below_rounding(argv, capsys):
+    # resonant models whose couplings lie below the solver's residual bound
+    # ended in a ConvergenceError or a 0/0 warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = dispatch(["dicke", "ground", *argv])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["cutoff_converged"] is True
+    assert all(math.isfinite(doc[key]) for key in
+               ("y", "energy", "photon_number", "sz_expect", "parity"))
 
 
 def test_dicke_scan_csv(capsys):

@@ -4,11 +4,13 @@ The draws span the whole float range, signs and the edges of each domain;
 pyproject.toml turns a RuntimeWarning into an error, so an overflow or an
 invalid operation on the way fails the test as a nan in the result would.
 This module covers the mode sums and the spectral route of D+, which sums
-them at every transverse node, and the entry points that take scalars:
-there a numpy float64 must give what a Python float gives, and an int
-beyond the double range a DomainError, in a scalar or a vector argument.
+them at every transverse node, and the entry points that take scalars,
+the Dicke tools among them at small fixed sizes: there a numpy float64
+must give what a Python float gives, and an int beyond the double range a
+DomainError, in a scalar or a vector argument.
 """
 
+import dataclasses
 import math
 import sys
 
@@ -17,14 +19,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pytest
-from fpcavity import (AnisotropyResult, CavityFrame, DickeParams, DipoleSpec,
-                      DomainError, KernelMatrix, ModeSumArgs, Separation,
-                      WaveVector, anisotropy_delta, bessel_j,
+from fpcavity import (CavityFrame, DickeParams, DipoleSpec, DomainError,
+                      KernelMatrix, ModeSumArgs, Separation, WaveVector,
+                      anisotropy_delta, bessel_j, build_hamiltonian,
                       check_axial_and_aniso, check_bessel_hyperbolic,
                       check_green, check_lipschitz, check_mode_sum,
                       dipole_dipole_energy, direct_mode_sum, ground_state,
                       hyperbolic_mode_sum, integrate_semi_infinite, kernel_d,
-                      kernel_d_spectral, mode_fn, spectrum_scan, xi)
+                      kernel_d_spectral, mean_field, mode_fn, spectrum_scan,
+                      xi)
 
 _FLOAT_MAX = sys.float_info.max
 _EDGES = [0.0, -0.0, 5e-324, 1e-300, _FLOAT_MAX, -_FLOAT_MAX, 1e154,
@@ -109,6 +112,13 @@ _ENTRY_POINTS = {
         [DipoleSpec((0.0, 0.0, x / 3.0), (0.0, 0.0, 1.0)),
          DipoleSpec((y, 0.0, x / 1.5), (1.0, 0.0, 0.0))],
         CavityFrame(x)),
+    # the Dicke tools at (omega_a, omega_c, y)
+    "ground_state": lambda x, y, z: ground_state(DickeParams(x, y, z, 1, 4)),
+    "spectrum_scan": lambda x, y, z: spectrum_scan(
+        DickeParams(x, y, 0.0, 3, 1), [z])[0],
+    "mean_field": lambda x, y, z: mean_field(DickeParams(x, y, z)),
+    "build_hamiltonian": lambda x, y, z: build_hamiltonian(
+        DickeParams(x, y, z, 3, 1)),
 }
 
 
@@ -125,8 +135,11 @@ def _outcome(entry, args) -> list:
             else np.ravel([r.lhs, r.rhs]).tolist())]
     elif isinstance(result, KernelMatrix):
         out = result.m.ravel().tolist()
-    elif isinstance(result, AnisotropyResult):
-        out = [result.delta, result.isotropic_scale]
+    elif isinstance(result, np.ndarray):
+        out = result.ravel().tolist()
+    elif dataclasses.is_dataclass(result):
+        # AnisotropyResult and the Dicke results: floats and a bool
+        out = [float(x) for x in dataclasses.astuple(result)]
     else:
         out = [complex(result)]
     assert _finite([x for x in out if not isinstance(x, str)]), (entry, args)
@@ -143,11 +156,15 @@ def _outcome(entry, args) -> list:
 @example(entry="check_green", x=1e-200, y=5e-324, z=1.0)
 @example(entry="kernel_d", x=0.5, y=5e-324, z=0.0)
 @example(entry="kernel_d", x=1e-200, y=1e308, z=0.0)
+@example(entry="kernel_d", x=5e-324, y=3.162277660168379e+306, z=0.0)
 @example(entry="kernel_d_spectral", x=0.5, y=5e-324, z=0.0)
 @example(entry="check_bessel_hyperbolic", x=0.5, y=5e-324, z=0.0)
 @example(entry="anisotropy_delta", x=1e200, y=1e200, z=0.0)
 @example(entry="check_axial_and_aniso", x=0.5, y=2e200, z=1e200)
 @example(entry="dipole_dipole_energy", x=1.5e308, y=0.5, z=0.0)
+@example(entry="ground_state", x=7.336147744545355e+81, y=7.7283351297321e-98,
+         z=3.83304643550492e-21)
+@example(entry="spectrum_scan", x=1.0, y=1.0, z=1e-25)
 def test_numpy_scalars_give_what_python_floats_give(entry, x, y, z):
     if entry == "kernel_d_spectral":
         # near a mirror the axial heads grow as 256/(pi u) terms a node

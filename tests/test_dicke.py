@@ -502,6 +502,13 @@ def _dense_block_levels(p: DickeParams) -> np.ndarray:
     (1.0, 1.0, 1, 400, 3.0),   # tridiagonal blocks of 401 states
     (1.0, 1.0, 16, 100, 1.0),  # the benchmark's large size
     (1.0, 1.0, 16, 100, 3.0),
+    # couplings not 0 but summing to below 1e-12 |H| in every row, where
+    # the levels are the sorted diagonal: Lanczos broke down on them, with
+    # a ConvergenceError or a 0/0 normalizing its next vector
+    (1.0, 1.0, 3, 1, 1e-25),
+    (1.0, 1.0, 2, 2, 1e-20),
+    (0.3, 0.3, 1, 2, 1e-30),
+    (7.336147744545355e+81, 7.7283351297321e-98, 1, 4, 3.83304643550492e-21),
 ])
 def test_solver_against_dense_parity_blocks(omega_a, omega_c, n_atoms,
                                             cutoff, y):

@@ -567,11 +567,13 @@ def test_report_errors_match_numpy():
 
 
 def test_report_sides_serialize_as_with_numpy():
-    for lhs, rhs, _ in _sides():
-        for side in (lhs, rhs):
+    for lhs, rhs, scale in _sides():
+        report = verify._report("EQ22", {}, lhs, rhs, verify.TOL_EQ22, scale)
+        for side, got in ((lhs, report.lhs), (rhs, report.rhs)):
             a = np.asarray(side, dtype=float)
             want = float(a) if a.ndim == 0 else a.tolist()
-            got = verify._serializable(side)
             assert type(got) is type(want)
             assert np.shape(got) == np.shape(want)
             assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert (np.array([report.abs_err, report.rel_err]).tobytes()
+                == np.array(_errors_with_numpy(lhs, rhs, scale)).tobytes())

@@ -288,6 +288,25 @@ def test_huge_v_refusal_names_the_bessel_argument():
     assert np.all(np.isfinite(kernel_d("plus", Separation(0.5, 1e306)).m))
 
 
+@pytest.mark.parametrize("route, v", [
+    (lambda sep: kernel_d("plus", sep), 3e306),
+    (lambda sep: _kernel_d_reference("plus", sep), 1.5e306),
+    (kernel_d_spectral, 1.5e306),
+], ids=["kernel_d", "reference", "spectral"])
+def test_d_plus_weights_that_overflow_at_the_first_node_are_refused(route, v):
+    # x v is finite at every node, but the cosh weight, about 1/x, is inf
+    # at the first one: refused, with no overflow warning on the way
+    with pytest.raises(DomainError, match="1/x overflows"):
+        route(Separation(0.5, v))
+
+
+def test_bessel_identities_fail_where_1_over_x_overflows_at_the_first_node():
+    reports = verify.check_bessel_hyperbolic(0.5, 1.5e306)
+    assert len(reports) == 4
+    for r in reports:
+        assert r.params["error"].startswith("DomainError: 1/x overflows")
+
+
 @pytest.mark.parametrize("a", [0.5, 1.5])
 @pytest.mark.parametrize("v", [1e155, 1e200, 1e308])
 def test_laplace_bessel_x2_finite_at_huge_v(a, v):

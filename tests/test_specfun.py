@@ -785,6 +785,17 @@ def test_quadrature_refuses_an_overflowing_bessel_argument():
                 == pytest.approx(1.0 / v, rel=1e-8)
 
 
+def test_quadrature_refuses_a_first_node_at_which_1_over_x_overflows():
+    # the first node lies 0.0021 half-periods from 0, where the hyperbolic
+    # weights of D+ go like 1/x: from v about 1.19e306 on, 1/x overflows
+    # there, though x v stays finite at every node up to about 7e306 here
+    for v in (1.5e306, 3e306):
+        f = lambda x: np.exp(-2.0 * x) * special.j0(v * x)
+        with pytest.raises(DomainError, match="1/x overflows"):
+            integrate_semi_infinite(f, 2.0, half_period=math.pi / v)
+    assert _truncation(2.0, TIGHT, math.pi / 1.18e306)[1] > 0.0
+
+
 @pytest.mark.parametrize("half_period", [None, 1.1])
 def test_quadrature_refuses_an_infinite_decay_rate(half_period):
     # the seed panels would start at 4/rate = 0 and never grow: the pass
