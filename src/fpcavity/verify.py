@@ -288,7 +288,9 @@ def check_kernel_cancellation(sep_samples: Sequence[Separation],
     reports = [r for sep in sep_samples for r in _rows(
         {"u": sep.u, "v": sep.v, "phi": sep.phi}, [("EQ21", TOL_EQ21)],
         eq21, sep)]
-    reports += [r for z in z_samples for r in _rows(
+    # each z/L as a Python float, so that 2 z overflows silently, to a
+    # refused inf, and not with a numpy warning
+    reports += [r for z in map(as_float, z_samples) for r in _rows(
         {"z_over_L": z}, [("SELF_CANCEL", TOL_SELF)], self_cancel, z)]
     return reports
 

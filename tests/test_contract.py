@@ -5,9 +5,10 @@ pyproject.toml turns a RuntimeWarning into an error, so an overflow or an
 invalid operation on the way fails the test as a nan in the result would.
 This module covers the mode sums and the spectral route of D+, which sums
 them at every transverse node, and the entry points that take scalars,
-the Dicke tools among them at small fixed sizes: there a numpy float64
-must give what a Python float gives, and an int beyond the double range a
-DomainError, in a scalar or a vector argument.
+the Coulomb kernels, the cancellation checks and the Dicke tools (at small
+fixed sizes) among them: there a numpy float64 must give what a Python
+float gives, and an int beyond the double range a DomainError, in a scalar
+or a vector argument.
 """
 
 import dataclasses
@@ -23,11 +24,12 @@ from fpcavity import (CavityFrame, DickeParams, DipoleSpec, DomainError,
                       KernelMatrix, ModeSumArgs, Separation, WaveVector,
                       anisotropy_delta, bessel_j, build_hamiltonian,
                       check_axial_and_aniso, check_bessel_hyperbolic,
-                      check_green, check_lipschitz, check_mode_sum,
-                      dipole_dipole_energy, direct_mode_sum, ground_state,
-                      hyperbolic_mode_sum, integrate_semi_infinite, kernel_d,
-                      kernel_d_spectral, mean_field, mode_fn, spectrum_scan,
-                      xi)
+                      check_green, check_kernel_cancellation,
+                      check_lipschitz, check_mode_sum, dipole_dipole_energy,
+                      direct_mode_sum, ground_state, hyperbolic_mode_sum,
+                      integrate_semi_infinite, kernel_d, kernel_d_spectral,
+                      kernel_e, mean_field, mode_fn, quadratic_self_term,
+                      self_energy_matrix, spectrum_scan, xi)
 
 _FLOAT_MAX = sys.float_info.max
 _EDGES = [0.0, -0.0, 5e-324, 1e-300, _FLOAT_MAX, -_FLOAT_MAX, 1e154,
@@ -105,6 +107,19 @@ _ENTRY_POINTS = {
     "kernel_d": lambda x, y, z: kernel_d("plus", Separation(x, y, z)),
     "kernel_d_spectral": lambda x, y, z: kernel_d_spectral(
         Separation(x, y, z)),
+    "kernel_e_plus": lambda x, y, z: kernel_e("plus", Separation(x, y, z)),
+    "kernel_e_minus": lambda x, y, z: kernel_e("minus",
+                                               Separation(x, y, z)),
+    "self_energy_matrix": lambda x, y, z: self_energy_matrix(x),
+    "quadratic_self_term": lambda x, y, z: quadratic_self_term(x),
+    "check_kernel_cancellation.EQ21": lambda x, y, z: (
+        check_kernel_cancellation([Separation(x, y, z)], [])),
+    "check_kernel_cancellation.SELF_CANCEL": lambda x, y, z: (
+        check_kernel_cancellation([], [x])),
+    # n_max bounds the direct sum's head, which near alpha = 0 mod 2pi
+    # grows as 256/|1 - e^{i alpha}| terms up to n_max
+    "check_mode_sum": lambda x, y, z: check_mode_sum([ModeSumArgs(x, y, 1)],
+                                                     1000),
     "anisotropy_delta": lambda x, y, z: anisotropy_delta(CavityFrame(x), y),
     "check_axial_and_aniso": lambda x, y, z: check_axial_and_aniso(
         [x], [0.5 * y, y], z),
@@ -146,7 +161,7 @@ def _outcome(entry, args) -> list:
     return out
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=280, deadline=None)
 @given(entry=st.sampled_from(sorted(_ENTRY_POINTS)), x=magnitudes,
        y=magnitudes, z=magnitudes)
 @example(entry="ModeSumArgs", x=0.5, y=1e200, z=0.0)
@@ -165,6 +180,9 @@ def _outcome(entry, args) -> list:
 @example(entry="ground_state", x=7.336147744545355e+81, y=7.7283351297321e-98,
          z=3.83304643550492e-21)
 @example(entry="spectrum_scan", x=1.0, y=1.0, z=1e-25)
+# 2 z overflowed with a RuntimeWarning for a numpy float64 z/L
+@example(entry="check_kernel_cancellation.SELF_CANCEL",
+         x=1.7976931348623157e+308, y=0.0, z=0.0)
 def test_numpy_scalars_give_what_python_floats_give(entry, x, y, z):
     if entry == "kernel_d_spectral":
         # near a mirror the axial heads grow as 256/(pi u) terms a node

@@ -6,13 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 import quad_reference as ref
 from fpcavity import (ConvergenceError, DomainError, Separation, Tolerance,
                       bessel_j, integrate_semi_infinite, kernel_d)
-from fpcavity import specfun, verify
-from fpcavity.specfun import _K15_NODES
+from fpcavity import radiation, specfun, verify
+from fpcavity.specfun import _HEAD_HALF_PERIODS, _K15_NODES, _TAIL_MIN_SPAN
 from fpcavity.radiation import (_d_rows, _hyperbolic_weights,
                                 _kernel_d_reference)
 
@@ -276,6 +278,120 @@ def test_unsplit_d_plus_matches_the_reference(u, v):
                  half_period=math.pi / v)
 
 
+class _Captured(Exception):
+    pass
+
+
+def _captured_pass(module, call):
+    """The integrand, decay rate and half-period of the first quadrature
+    pass that call() makes through module.integrate_semi_infinite, which
+    is stopped there."""
+    seen = []
+
+    def capture(integrand, rate, tol, half_period=None):
+        seen.append((integrand, rate, half_period))
+        raise _Captured
+
+    saved = module.integrate_semi_infinite
+    module.integrate_semi_infinite = capture
+    try:
+        call()
+    except _Captured:
+        pass
+    finally:
+        module.integrate_semi_infinite = saved
+    return seen[0]
+
+
+# the three integrands of the package's passes at (u, v): the four rows of
+# the Bessel identities of verify, the remainder of kernel_d and the unsplit
+# D+ of the reference route
+_PHYSICS = {
+    "bessel": lambda u, v: _captured_pass(
+        verify, lambda: verify.check_bessel_hyperbolic(u, v)),
+    "remainder": lambda u, v: _captured_pass(
+        radiation, lambda: radiation._d_plus_base(u, v, TIGHT)),
+    "unsplit": lambda u, v: _captured_pass(
+        radiation, lambda: radiation._d_plus_reference(u, v, TIGHT)),
+}
+
+
+def _exits(calls, outcome, rate, tol, h):
+    """The ways a pass ran, read from the nodes of its calls and its
+    outcome: plain, head splits, first-batch tail, later batch, tail at
+    x_max, spent budget."""
+    x_max, span = specfun._truncation(rate, tol, h)
+    if outcome[0] == "error":
+        kinds = {"spent budget"}
+    else:
+        kinds = set()
+    if not span > _TAIL_MIN_SPAN:
+        kinds.add("plain")
+        if len(calls) > 1:
+            kinds.add("head splits")
+        return kinds
+    x0 = _HEAD_HALF_PERIODS * h
+    later = [x for x in calls[1:] if x.min() > x0]
+    if any(x.max() < x0 for x in calls[1:]):
+        kinds.add("head splits")
+    kinds.add("later batch" if later else "first-batch tail")
+    fetched = sum(len(x) for x in [calls[0][calls[0] > x0]] + later) // 30
+    if x0 + fetched * h >= x_max:
+        kinds.add("tail at x_max")
+    return kinds
+
+
+_DRIVER_EXITS = set()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(sorted(_PHYSICS)),
+       u=st.builds(lambda e, mirror: abs(mirror - 10.0 ** e),
+                   st.floats(-3.0, 0.0), st.sampled_from([0.0, 2.0])),
+       v=st.floats(0.0, 40.0), abs_exp=st.floats(-17.0, -6.0),
+       rel_exp=st.floats(-16.0, -5.0),
+       budget=st.one_of(st.just(4000), st.integers(1, 60)))
+# two tails whose transforms keep moving by more than the target, 80 and
+# 200 half-periods long: they run to the truncation point
+@example(kind="unsplit", u=0.5, v=2.5, abs_exp=-15.0, rel_exp=-14.0,
+         budget=4000)
+@example(kind="remainder", u=0.5, v=22.0, abs_exp=-17.0, rel_exp=-15.0,
+         budget=4000)
+def _driver_matches_the_reference_on_the_physics(
+        kind, u, v, abs_exp, rel_exp, budget):
+    f, rate, h = _PHYSICS[kind](u, v)
+    tol = Tolerance(10.0 ** abs_exp, 10.0 ** rel_exp)
+    if abs_exp < -13.0:
+        # a target below the rounding of the sums, which may spend any
+        # budget in head splits of one call each: 300 keeps such draws
+        # short and still lets a tail run to the truncation point
+        budget = min(budget, 300)
+    saved = specfun._MAX_SUBDIVISIONS
+    specfun._MAX_SUBDIVISIONS = budget
+    try:
+        got, got_calls = _outcome(integrate_semi_infinite, f, rate, tol,
+                                  half_period=h)
+        want, want_calls = _outcome(ref.integrate_semi_infinite, f, rate,
+                                    tol, half_period=h)
+    finally:
+        specfun._MAX_SUBDIVISIONS = saved
+    assert got == want
+    _same_calls(got_calls, want_calls)
+    _DRIVER_EXITS.update(_exits(got_calls, got, rate, tol, h))
+
+
+def test_driver_matches_the_reference_on_the_physics_integrands():
+    # the Bessel rows, the remainder of kernel_d and the unsplit D+ at u
+    # log-uniform to within 1e-3 of a mirror, v in [0, 40], drawn
+    # tolerances and, for some draws, a small budget: same nodes, same
+    # result or same error payload, call by call; and the draws together
+    # take every exit of the driver
+    _DRIVER_EXITS.clear()
+    _driver_matches_the_reference_on_the_physics()
+    assert _DRIVER_EXITS == {"plain", "head splits", "first-batch tail",
+                             "later batch", "tail at x_max", "spent budget"}
+
+
 def _steps(subdivide, f, edges, sends):
     """Every yield of subdivide(f, edges) for the given sends, and the
     nodes of every call of f."""
@@ -366,13 +482,14 @@ def test_gauss_kronrod_matches_the_reference(f):
     lo = np.array([0.0, 0.5, 1.0, 3.0, 3.0])
     hi = np.array([0.5, 1.0, 3.0, 3.0, 9.5])
     g, calls = _recording(f)
-    rule, peaks = specfun._gauss_kronrod(g, lo, hi)
+    rule = specfun._gauss_kronrod(g, lo, hi)
     h, want_calls = _recording(f)
     vals, errs, want_peaks = ref._gauss_kronrod(h, lo, hi)
     _same_calls(calls, want_calls)
     assert rule[:, 0].tobytes() == np.asarray(vals, dtype=float).tobytes()
     assert rule[:, 1].tobytes() == np.asarray(errs, dtype=float).tobytes()
-    assert peaks.tobytes() == np.asarray(want_peaks, dtype=float).tobytes()
+    assert (specfun._peaks(rule).tobytes()
+            == np.asarray(want_peaks, dtype=float).tobytes())
 
 
 def test_j0_plus_j2_is_twice_j1_over_x_bit_for_bit():
@@ -501,6 +618,45 @@ def test_non_finite_failure_becomes_a_failed_report(monkeypatch):
     for r in reports:
         assert not r.passed and r.abs_err == math.inf
         assert "DomainError" in r.params["error"]
+
+
+# ---------------------------------------------------------------------------
+# an integrand that does not decay as its hint says is a domain error
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("f, share", [
+    (np.exp, "1"), (lambda x: np.exp(0.5 * x), "0.986"),
+    (np.ones_like, "0.209")], ids=["exp", "exp_half", "ones"])
+def test_integrand_that_does_not_decay_is_a_domain_error(f, share):
+    # these diverge, and a pass cut off at the truncation point returned
+    # 3.785632303407461e+17, 1230549843.1354933 and 40.47515950889746: the
+    # panel that ends there holds that share of the absolute panel sum
+    with pytest.raises(DomainError, match=f"holds {share} of the absolute"):
+        integrate_semi_infinite(f, 1.0)
+
+
+def test_tail_that_does_not_decay_is_a_domain_error():
+    # 1 + cos x in the tail mode, about 56 half-periods out: the transforms
+    # never settle, the tail reaches the truncation point, and its last
+    # half-period holds 1/57 of the absolute sum
+    with pytest.raises(DomainError, match="holds 0.0175 of the absolute"):
+        integrate_semi_infinite(lambda x: 1.0 + np.cos(x), 0.2,
+                                half_period=math.pi)
+
+
+@pytest.mark.parametrize("half_period", [None, math.pi])
+def test_decay_check_passes_noise_and_cancelling_components(half_period):
+    # a component that does not decay but stays within its target, and one
+    # whose parts cancel to nearly 0 over the panels: each is scaled by its
+    # own target and absolute sum, not by |total|
+    def rows(x):
+        damp = np.exp(-x)
+        return np.array([damp, 1e-14 * np.ones_like(x),
+                         damp * np.sin(2.0 * math.pi * x)])
+
+    got = integrate_semi_infinite(rows, 1.0, half_period=half_period)
+    assert got[0] == pytest.approx(1.0, rel=1e-10)
+    assert abs(got[1]) < 1e-12
 
 
 # ---------------------------------------------------------------------------

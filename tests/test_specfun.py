@@ -1055,7 +1055,7 @@ def test_verify_all_takes_few_integrand_calls(monkeypatch):
     assert verify.run_suite("all").all_pass
     assert len(calls) <= 107
     assert batches
-    assert all(sums.shape[1] == 4 for sums, _, _ in batches)
+    assert all(rows.shape[2] == 4 for rows, _ in batches)
 
 
 def _kernels_benchmark_separations():
@@ -1094,17 +1094,19 @@ def test_batched_half_periods_match_one_at_a_time(f):
     # one call for n half-periods gives each one's K15 values and errors
     # bit for bit as a call for that half-period alone
     h, x0 = math.pi, 4.0 * math.pi
-    batch = specfun._half_periods(f, x0, h, 100.0, 9)
+    batch, end = specfun._half_periods(f, x0, h, 100.0, 9)
     assert len(batch) == 9
     x = x0
     for got in batch:
         mid = x + 0.5 * h
-        want, _ = specfun._gauss_kronrod(f, np.array([x, mid]),
-                                         np.array([mid, x + h]))
+        want = specfun._gauss_kronrod(f, np.array([x, mid]),
+                                      np.array([mid, x + h]))
         assert np.array_equal(got, want)
         x += h
+    # the batch ends where the last of them does
+    assert end == x
     # none starts at or past x_max
-    assert len(specfun._half_periods(f, x0, h, x0 + 2.5 * h, 9)) == 3
+    assert len(specfun._half_periods(f, x0, h, x0 + 2.5 * h, 9)[0]) == 3
 
 
 def test_tail_mode_head_splits_its_share_in_one_call():
@@ -1151,6 +1153,27 @@ def test_tail_batches_do_not_change_the_result(monkeypatch):
     assert np.array_equal(tail(single), tail(batched)[:len(tail(single))])
 
 
+def _tail_rows(sums, terms):
+    """The rows of a tail (specfun._Tail) holding these partial sums and
+    terms, row 0 the empty tail, whose omega +inf pads the windows."""
+    rows = np.zeros((len(specfun._EMPTY_TAIL),) + sums.shape)
+    n = _HEAD_HALF_PERIODS - 1.0 + np.arange(len(sums))
+    rows[specfun._OMEGA] = n[:, None] * terms
+    rows[specfun._SUM] = sums
+    rows[specfun._OMEGA, 0] = math.inf
+    return rows
+
+
+def _levin_windows(rows, lo, hi):
+    # the estimates of rows lo..hi-1 as the tail takes them, from their
+    # partial sums, with numpy's floating-point errors ignored (a zero
+    # term divides by zero), one row per end
+    rows[specfun._EST] = rows[specfun._SUM]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        specfun._levin_windows(rows, range(lo, hi))
+    return rows[specfun._EST, lo:hi]
+
+
 @pytest.mark.parametrize("columns", [1, 2, 4])
 def test_levin_windows_match_levin_u_window_by_window(columns):
     # the transforms a batch of tail rows takes, from a few numpy calls for
@@ -1168,6 +1191,7 @@ def test_levin_windows_match_levin_u_window_by_window(columns):
     terms[9, 0] = 0.0
     terms[40, -1] = 5e-324
     sums = np.add.accumulate(terms)
+    rows = _tail_rows(sums, terms)
     first = lambda e: max(0, e - _LEVIN_MAX_ORDER - 1)  # noqa: E731
     want = {e: quad_reference._levin_u(sums[first(e) + 1:e + 1],
                                        terms[first(e) + 1:e + 1],
@@ -1175,7 +1199,7 @@ def test_levin_windows_match_levin_u_window_by_window(columns):
             for e in range(4, 60)}
     for lo, hi in ((4, 60), (4, 5), (4, 12), (12, 17), (16, 19), (17, 18),
                    (20, 60)):
-        got = specfun._levin_windows(sums, terms, np.arange(lo, hi))
+        got = _levin_windows(rows, lo, hi)
         assert got.shape == (hi - lo, columns)
         for e, est in zip(range(lo, hi), got):
             assert est.tobytes() == want[e].tobytes(), e
@@ -1198,17 +1222,18 @@ def test_levin_tables_are_built_once_and_read_only(columns):
     n = np.arange(41.0)[:, None]
     terms = rng.standard_normal((41, columns)) * (-1.0) ** n / (1.0 + n)
     sums = np.add.accumulate(terms)
+    rows = _tail_rows(sums, terms)
     first = lambda e: max(0, e - _LEVIN_MAX_ORDER - 1)  # noqa: E731
     specfun._levin_tables.cache_clear()
     for lo, hi in ((4, 17), (4, 16), (17, 41)):
-        tables = specfun._levin_tables(lo, hi - lo)
-        assert specfun._levin_tables(lo, hi - lo) is tables
+        tables = specfun._levin_tables(lo, hi - lo, columns)
+        assert specfun._levin_tables(lo, hi - lo, columns) is tables
         for table in tables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table.flat[0] = 1
         for _ in range(2):
-            got = specfun._levin_windows(sums, terms, np.arange(lo, hi))
+            got = _levin_windows(rows, lo, hi)
             assert got.shape == (hi - lo, columns)
             for e, est in zip(range(lo, hi), got):
                 want = quad_reference._levin_u(
