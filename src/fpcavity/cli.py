@@ -178,9 +178,20 @@ def _cmd_dicke_meanfield(ns) -> int:
 def _cmd_dicke_scan(ns) -> int:
     if ns.steps < 1:
         raise DomainError("--steps must be >= 1")
+    if not (math.isfinite(ns.y_min) and math.isfinite(ns.y_max)):
+        raise DomainError(f"--y-min and --y-max must be finite (got "
+                          f"{ns.y_min!r}, {ns.y_max!r})")
     params = DickeParams(ns.omega_a, ns.omega_c, n_atoms=ns.n_atoms,
                          fock_cutoff=ns.cutoff)
-    rows = spectrum_scan(params, np.linspace(ns.y_min, ns.y_max, ns.steps))
+    try:
+        # the span y_max - y_min, or a multiple of its step, beyond the
+        # float range: refused before it warns
+        with np.errstate(over="raise"):
+            grid = np.linspace(ns.y_min, ns.y_max, ns.steps)
+    except FloatingPointError:
+        raise DomainError(f"the coupling grid from {ns.y_min!r} to "
+                          f"{ns.y_max!r} overflows") from None
+    rows = spectrum_scan(params, grid)
     _write(ns, _render(ns.format, [asdict(r) for r in rows]))
     return 0
 

@@ -7,10 +7,16 @@ is block-diagonal in it, and the ground-state solver treats the two parity
 blocks separately so reported parities are exact labels even when the
 superradiant doublet is degenerate to machine precision.
 
-Each block, with its states ordered by photon number, is banded with a
-half-bandwidth of about N/2.  The solver writes its band at each coupling
-straight from the closed form of that order (_parity_bands), and keeps no
-layout per model; no dense matrix is formed.
+H's elements are defined once, in one table per photon-major state
+i = n (N + 1) + m (_elements), and one rule places them in both blocks
+(_parity_bands): each pair of states {2j, 2j + 1} holds one state of each
+block, its column j; which of the two a block takes stays the same along a
+run of pairs, all of them for even N and one photon row for odd N, where
+the choice alternates from row to row; so a link up by D from state i lies
+on sub-diagonal (D + i mod 2) // 2, and each block is banded with a
+half-bandwidth of about N/2.  The solver writes the bands at each coupling
+as strided copies of the table, and keeps no layout per model; no dense
+matrix is formed.
 Bisection with banded Cholesky factorizations finds a shift certified below
 the block's lowest eigenvalue, and a Lanczos iteration on the inverse of the
 shifted block, one banded solve with that one factor per step, spans its
@@ -28,9 +34,9 @@ MAX_SOLVER_WORK, and the Lanczos basis to 6e6 doubles; solves near the
 bound, such as N = 199 at cutoff 99 or N = 64 at cutoff 1400, take
 0.08-0.14 s per coupling on a 2-core x86 box.  A model whose matrix
 elements or |H| would overflow is refused first.  `build_hamiltonian`
-scatters the same bands into the dense matrix for tests and inspection;
-it refuses the same overflowing models, and its other guard bounds the
-dimension, since the dense matrix is what costs memory.
+writes the dense matrix for tests and inspection from the same table, not
+from the bands; it refuses the same overflowing models, and its other
+guard bounds the dimension, since the dense matrix is what costs memory.
 
 Whether the Fock cutoff holds the ground state is read off the ground
 vector itself: its probability weight on the top fifth of the photon
@@ -212,10 +218,9 @@ def _check_solver_work(p: DickeParams) -> None:
     2 n S (S + 1) + 4 n S: 7 n S^2 + 3 n S in all, the small dense
     eigensolves aside.
     """
-    # the larger parity block, and its half-bandwidth in photon-major order:
-    # N/2 + 1 for even N, (N + 3)/2 for odd N >= 3, 1 (tridiagonal) at N = 1
+    # the larger parity block
     block = (p.dimension + 1) // 2
-    half_bandwidth = 1 if p.n_atoms == 1 else (p.n_atoms + 3) // 2
+    half_bandwidth = _half_bandwidth(p.n_atoms)
     steps = _MAX_LANCZOS_STEPS
     work = block * (_FACTORIZATIONS * half_bandwidth ** 2
                     + 8 * steps * half_bandwidth + 7 * steps ** 2
@@ -251,66 +256,62 @@ def _check_range(p: DickeParams) -> None:
             f"couplings, to be finite")
 
 
-def _parity_bands(p: DickeParams) -> tuple[np.ndarray, np.ndarray]:
-    """The lower bands, ab[d, j] = H[j + d, j] in Fortran order, of the
-    even and the odd parity block of H at p.y: the one definition of H.
+def _half_bandwidth(size: int) -> int:
+    return 1 if size == 1 else (size + 3) // 2
 
-    H is omega_a (m - s) + omega_c n on |m, n>, spin index m (S_z = m - s,
-    s = N/2) and photon number n, and links |m, n> - |m + 1, n + 1> and
-    |m, n + 1> - |m + 1, n> by (y/sqrt(N)) sx[m] sqrt(n + 1), with sx[m] =
-    <m+1|S_x|m> = sqrt(s(s+1) - mz(mz+1))/2, mz = m - s.  A block lists its
-    states, those of parity (-1)^(m + n), photon-major by n (N + 1) + m
-    (_block_states), so its half-bandwidth is about N/2 at any cutoff:
-    - even N: block q is every second state, n (N + 1) + m = q mod 2, with
-      the couplings on sub-diagonals N/2 and N/2 + 1;
-    - odd N: photon row n gives block q its m = n + q mod 2, with the
-      couplings on sub-diagonals (N - 1)/2 to (N + 3)/2, and on 1 alone at
-      N = 1, where the band is tridiagonal.
-    """
+
+def _runs(p: DickeParams) -> int:
+    # the runs of _parity_bands: all the pairs for even N, a row for odd N
+    return 1 if p.n_atoms % 2 == 0 else p.fock_cutoff + 1
+
+
+def _elements(p: DickeParams) -> tuple[np.ndarray, np.ndarray]:
+    """H at p.y by photon-major state i = n (N + 1) + m, photon number n
+    and spin index m (S_z = m - s, s = N/2): diag[n, m] = omega_a (m - s)
+    + omega_c n, and links[i + 1] and links[i], the links of state i with
+    i + N + 2 and with i + N.  Both links |m, n> - |m + 1, n + 1> and
+    |m + 1, n> - |m, n + 1> are (y/sqrt(N)) <m+1|S_x|m> sqrt(n + 1), at
+    links[n (N + 1) + m + 1]; where m = N or n = cutoff that is 0."""
     size, cutoff = p.n_atoms, p.fock_cutoff
     s = 0.5 * size
     spins = np.arange(size + 1.0) - s  # mz of each m
     photons = np.arange(cutoff + 1.0)
-    # diag[n, m], and coupling[n, m] for m < N and n < cutoff
     diag = p.omega_a * spins + p.omega_c * photons[:, None]
     mz = spins[:-1]
     sx = 0.5 * np.sqrt(s * (s + 1) - mz * (mz + 1))
-    bands = []
-    if size % 2 == 0:
-        half, dim = size // 2, p.dimension
-        # the coupling of states i and i + N at links[i], and of states i and
-        # i + N + 2 at links[i + 1]: coupling[n, m] at n (N + 1) + m + 1
-        links = np.zeros(dim + 1)
-        coupling = links[1:].reshape(cutoff + 1, size + 1)[:cutoff, :size]
-        np.multiply(sx, np.sqrt(photons[1:, None]), out=coupling)
-        coupling *= p.y / math.sqrt(size)
-        for q in (0, 1):
-            band = np.zeros((half + 2, (dim + 1 - q) // 2), order="F")
-            band[0] = diag.ravel()[q::2]
-            band[half] = links[q:dim:2]
-            band[half + 1] = links[q + 1::2]
-            bands.append(band)
-        return tuple(bands)
-    half = (size + 1) // 2
-    coupling = np.multiply(sx, np.sqrt(photons[1:, None]))
+    links = np.zeros(p.dimension + 1)
+    coupling = links[1:].reshape(cutoff + 1, size + 1)[:cutoff, :size]
+    np.multiply(sx, np.sqrt(photons[1:, None]), out=coupling)
     coupling *= p.y / math.sqrt(size)
+    return diag, links
+
+
+def _parity_bands(p: DickeParams) -> tuple[np.ndarray, np.ndarray]:
+    """The lower bands, ab[d, j] = H[j + d, j] in Fortran order, of the
+    even and the odd parity block of H at p.y, placed from _elements by one
+    rule, which keeps the half-bandwidth near N/2 at any cutoff:
+    - pair j of photon-major states, {2j, 2j + 1}, holds column j of each;
+    - run k of pairs (_runs) gives block q its state 2j + (k + q) mod 2;
+    - so a link up by D from state i lies on sub-diagonal (D + i mod 2) // 2.
+    Both bands have _half_bandwidth(N) sub-diagonals; at odd N >= 3 and
+    cutoff 1 the even block's last one is 0."""
+    diag, links = _elements(p)
+    runs, width = _runs(p), _half_bandwidth(p.n_atoms)
+    diag, up_n, up_n2 = (diag.reshape(runs, -1), links[:-1].reshape(runs, -1),
+                         links[1:].reshape(runs, -1))
+    bands = []
     for q in (0, 1):
-        # the last sub-diagonal, N = 1 aside, needs a photon row n = q + 1
-        # mod 2 below the cutoff
-        width = half + (size > 1 and (cutoff > 1 or q == 1))
-        band = np.zeros((width + 1, (cutoff + 1) * half), order="F")
-        # ab[d, n (N + 1)/2 + t] at grid[n, t, d]
-        grid = band.T.reshape(cutoff + 1, half, width + 1)
-        grid[q::2, :, 0] = diag[q::2, 0::2]
-        grid[1 - q::2, :, 0] = diag[1 - q::2, 1::2]
-        # |2t, n> - |2t + 1, n + 1> and |2t, n + 1> - |2t + 1, n>
-        grid[:cutoff, :, half] = coupling[:, 0::2]
-        if size > 1:
-            # |2t + 2, n> - |2t + 1, n + 1>, n = q mod 2
-            grid[q:cutoff:2, 1:, half - 1] = coupling[q::2, 1::2]
-        if width > half:
-            # |2t + 1, n> - |2t + 2, n + 1>, n = q + 1 mod 2
-            grid[1 - q:cutoff:2, :-1, half + 1] = coupling[1 - q::2, 1::2]
+        band = np.zeros((width + 1, (p.dimension + 1 - q) // 2), order="F")
+        grid = band.reshape(width + 1, runs, -1)  # ab[d, j] by run
+        for k in range(min(runs, 2)):
+            r = (k + q) % 2
+            d = (p.n_atoms + r) // 2
+            grid[0, k::2] = diag[k::2, r::2]
+            # at N = 1 no link lies on sub-diagonal 0 or 2
+            if d > 0:
+                grid[d, k::2] = up_n[k::2, r::2]
+            if d < width:
+                grid[d + 1, k::2] = up_n2[k::2, r::2]
         bands.append(band)
     return tuple(bands)
 
@@ -318,26 +319,28 @@ def _parity_bands(p: DickeParams) -> tuple[np.ndarray, np.ndarray]:
 def _block_states(p: DickeParams, q: int) -> tuple[np.ndarray, np.ndarray]:
     """The spin index m and the photon number n of each state of parity
     block q (0 even, 1 odd), in the order of its band (_parity_bands)."""
-    if p.n_atoms % 2 == 0:
-        n, m = np.divmod(np.arange(q, p.dimension, 2), p.n_atoms + 1)
-        return m, n
-    n, t = np.divmod(np.arange(p.dimension // 2), (p.n_atoms + 1) // 2)
-    return 2 * t + (n + q) % 2, n
+    runs = _runs(p)
+    states = np.arange(p.dimension).reshape(runs, -1)
+    i = np.empty((p.dimension + 1 - q) // 2, dtype=states.dtype)
+    for k in range(min(runs, 2)):  # as in _parity_bands
+        i.reshape(runs, -1)[k::2] = states[k::2, (k + q) % 2::2]
+    n, m = np.divmod(i, p.n_atoms + 1)
+    return m, n
 
 
 def build_hamiltonian(p: DickeParams) -> np.ndarray:
     """Dense real symmetric Hamiltonian in the |m> x |n_phot> product basis,
-    index m (cutoff + 1) + n: the parity blocks' bands scattered."""
+    index m (cutoff + 1) + n, written from H's elements (_elements)."""
     _check_dimension(p)
     _check_range(p)
-    h = np.zeros((p.dimension, p.dimension))
-    for q, band in enumerate(_parity_bands(p)):
-        m, n = _block_states(p, q)
-        i = m * (p.fock_cutoff + 1) + n
-        for d, row in enumerate(band):
-            # ab[d, j] = H[j + d, j]
-            lo, hi = i[:len(i) - d], i[d:]
-            h[hi, lo] = h[lo, hi] = row[:len(i) - d]
+    diag, links = _elements(p)
+    dim, size = p.dimension, p.n_atoms
+    # index m (cutoff + 1) + n of each photon-major state n (N + 1) + m
+    i = np.arange(dim).reshape(size + 1, -1).T.ravel()
+    h = np.zeros((dim, dim))
+    h[i, i] = diag.ravel()
+    for d, link in ((size, links[:-1]), (size + 2, links[1:])):
+        h[i[d:], i[:dim - d]] = h[i[:dim - d], i[d:]] = link[:dim - d]
     return h
 
 

@@ -455,10 +455,11 @@ _TAIL_MIN_SPAN = 50
 _MAX_SUBDIVISIONS = 4000
 # A pass summed to its truncation point refuses its result where the panel
 # (or tail half-period) that ends there exceeds its component's target and
-# this share of the component's summed |estimate|: the integrand has not
-# decayed as decay_rate_hint says (_check_decay).  A constant leaves at
-# least 1/100 in the last of a plain pass's at most about 100 panels; over
-# the golden outputs and the benchmark's ops no pass leaves more than 6e-8
+# this share of the component's largest single |estimate|: the integrand
+# has not decayed as decay_rate_hint says (_check_decay).  An integrand
+# that does not decay leaves its largest panel at the end, and 1/(1 + x)^2
+# at a hint of 1 leaves 0.0124 of it; over the golden outputs, verify all
+# and the benchmark's ops no pass leaves more than 1.2e-7
 _DECAY_SHARE = 2.0 ** -7
 # the partial sums in the transform of the highest order
 _LEVIN_WINDOW = _LEVIN_MAX_ORDER + 1
@@ -481,25 +482,29 @@ def _check_decay(estimates: np.ndarray, totals: list, targets: list,
                  x_max: float):
     """DomainError where the last of the panel estimates (or tail terms),
     the one that ends at the truncation point x_max, exceeds in a
-    component its target, targets[i], and _DECAY_SHARE of the summed
-    absolute estimates: the integrand has not decayed there, and the sum
-    is cut off, not converged.  Scaled by the absolute sum, a component
-    whose parts cancel passes, and by the target one that is rounding
-    noise throughout.  The sum, at least |totals[i]|, is formed only where
-    the last estimate also exceeds _DECAY_SHARE |totals[i]|."""
+    component its target, targets[i], and _DECAY_SHARE of the largest
+    single |estimate| of that component: the integrand has not decayed
+    there, and the sum is cut off, not converged.  Scaled by the largest
+    part, a component whose parts cancel passes, and unlike a sum of the
+    parts that scale does not grow with their number; scaled by the
+    target, a component that is rounding noise throughout passes.  The
+    largest part, at least |totals[i]| / len(estimates), is found only
+    where the last estimate also exceeds _DECAY_SHARE |totals[i]| /
+    len(estimates)."""
     last = estimates[-1].reshape(-1).tolist()
+    share = _DECAY_SHARE / len(estimates)
     for a, s, t in zip(last, totals, targets):
-        if abs(a) > max(t, _DECAY_SHARE * abs(s)):
+        if abs(a) > max(t, share * abs(s)):
             break
     else:
         return
-    absolute = np.abs(estimates).reshape(len(estimates), -1)
-    for a, scale, t in zip(last, absolute.sum(axis=0).tolist(), targets):
+    largest = np.abs(estimates).reshape(len(estimates), -1).max(axis=0)
+    for a, scale, t in zip(last, largest.tolist(), targets):
         if abs(a) > max(t, _DECAY_SHARE * scale):
             raise DomainError(
                 f"the integrand does not decay as decay_rate_hint says: the "
                 f"panel ending at the truncation point x = {x_max:.6g} holds "
-                f"{abs(a) / scale:.3g} of the absolute sum of the panels")
+                f"{abs(a) / scale:.3g} of the largest panel")
 
 
 # the first batch's range of ends (4 to 16) recurs in every tail; the
@@ -881,14 +886,17 @@ def integrate_semi_infinite(integrand: Callable, decay_rate_hint: float,
     exponential decay, and the remainder is integrated adaptively with
     per-panel Gauss-Kronrod error estimates.  A pass that sums up to the
     truncation point checks the decay there: where the panel (or tail
-    half-period) that ends there holds more than _DECAY_SHARE = 2^-7 of a
-    component's summed |panel estimates| and more than its target, the
-    integral is cut off, not converged, and the pass raises DomainError
-    (np.exp at a hint of 1 returned 3.8e17).  Scaled by the absolute sum,
-    not by |I_i|, a component whose parts cancel passes; over the golden
-    outputs and the benchmark's ops the largest share is 6.1e-8.  A tail of
-    many half-periods spreads a sum that does not decay so that none holds
-    that share: 1 + cos x at a hint of 0.01 (1264 half-periods) passes.
+    half-period) that ends there holds more than _DECAY_SHARE = 2^-7 of the
+    largest single |panel estimate| of a component and more than its
+    target, the integral is cut off, not converged, and the pass raises
+    DomainError.  Scaled by the largest panel, not by |I_i|, a component
+    whose parts cancel passes; and the largest panel, unlike a sum over the
+    panels, does not grow with their number, so 1 + cos x at a hint of 0.01
+    (a tail of 1264 half-periods) is refused as at a hint of 0.2 (56).
+    Over the golden outputs, verify all and the benchmark's ops the largest
+    share is 1.2e-7, and every check ends at its first stage on Python
+    floats, which passes where the last panel is within 2^-7 |I_i| over
+    the number of panels.
 
     half_period only describes the integrand: it oscillates with that
     half-period far from 0 (pi/v for a factor J_n(x v)) and is smooth on

@@ -8,11 +8,15 @@ them at every transverse node, and the entry points that take scalars,
 the Coulomb kernels, the cancellation checks and the Dicke tools (at small
 fixed sizes) among them: there a numpy float64 must give what a Python
 float gives, and an int beyond the double range a DomainError, in a scalar
-or a vector argument.
+or a vector argument.  Every CLI subcommand, on drawn argvs, exits 0, 1
+(verify only) or 2, and prints no nan or inf.
 """
 
+import contextlib
 import dataclasses
+import io
 import math
+import re
 import sys
 
 import numpy as np
@@ -30,6 +34,7 @@ from fpcavity import (CavityFrame, DickeParams, DipoleSpec, DomainError,
                       integrate_semi_infinite, kernel_d, kernel_d_spectral,
                       kernel_e, mean_field, mode_fn, quadratic_self_term,
                       self_energy_matrix, spectrum_scan, xi)
+from fpcavity.cli import dispatch
 
 _FLOAT_MAX = sys.float_info.max
 _EDGES = [0.0, -0.0, 5e-324, 1e-300, _FLOAT_MAX, -_FLOAT_MAX, 1e154,
@@ -239,3 +244,86 @@ def test_numpy_integer_dicke_sizes_are_ints():
 def test_a_string_is_not_a_number():
     with pytest.raises(TypeError):
         Separation("0.5", 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the command line: every subcommand exits 0, 1 (verify) or 2, and raises
+# nothing
+# ---------------------------------------------------------------------------
+
+# magnitudes and the non-finite values, as argv text
+_cli_numbers = st.one_of(magnitudes,
+                         st.sampled_from([math.inf, -math.inf, math.nan]))
+_formats = st.sampled_from([[], ["--format=json"], ["--format=csv"]])
+
+
+def _flags(**values) -> list:
+    """--name=value for each value that is not None, floats by repr."""
+    return [f"--{name.replace('_', '-')}={value!r}"
+            for name, value in values.items() if value is not None]
+
+
+def _optional(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+_xi_argvs = st.builds(
+    lambda u, v, fmt: ["xi", *_flags(u=u, v=v), *fmt],
+    _cli_numbers, _cli_numbers, _formats)
+
+
+def _kernel_argv(family, sign, u, v, phi, tol_abs, tol_rel, spectral, fmt):
+    # the spectral route sums an axial head of 256/(pi u) terms a node,
+    # about 0.1 s a call at u = 1e-3: it is drawn 1e-2 from the mirrors
+    near_mirror = math.isfinite(u) and abs(math.remainder(u, 2.0)) < 1e-2
+    return ["kernel", f"--family={family}", f"--sign={sign}",
+            *_flags(u=u, v=v, phi=phi, tol_abs=tol_abs, tol_rel=tol_rel),
+            *(["--spectral"] if spectral and not near_mirror else []), *fmt]
+
+
+_kernel_argvs = st.builds(
+    _kernel_argv, st.sampled_from("ED"), st.sampled_from(["plus", "minus"]),
+    _cli_numbers, _cli_numbers, _optional(_cli_numbers),
+    _optional(_cli_numbers), _optional(_cli_numbers), st.booleans(),
+    _formats)
+_verify_argvs = st.builds(
+    lambda target, seed, fmt: ["verify", target, f"--seed={seed}", *fmt],
+    st.sampled_from(["modesum", "green", "lipschitz", "aniso"]),
+    st.integers(-3, 2 ** 70), _formats)
+_sizes = dict(n_atoms=_optional(st.integers(-1, 6)),
+              cutoff=_optional(st.integers(-1, 8)))
+_dicke_argvs = st.one_of(
+    st.builds(lambda fmt, **v: ["dicke", "ground", *_flags(**v), *fmt],
+              _formats, omega_a=_optional(_cli_numbers),
+              omega_c=_optional(_cli_numbers), y=_cli_numbers, **_sizes),
+    st.builds(lambda fmt, **v: ["dicke", "meanfield", *_flags(**v), *fmt],
+              _formats, omega_a=_optional(_cli_numbers),
+              omega_c=_optional(_cli_numbers), y=_cli_numbers),
+    # at most 5 couplings: a grid of many steps is many solves
+    st.builds(lambda fmt, **v: ["dicke", "scan", *_flags(**v), *fmt],
+              _formats, omega_a=_optional(_cli_numbers),
+              omega_c=_optional(_cli_numbers),
+              y_min=_optional(_cli_numbers), y_max=_optional(_cli_numbers),
+              steps=_optional(st.integers(-1, 5)), **_sizes))
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=st.one_of(_xi_argvs, _kernel_argvs, _verify_argvs,
+                      _dicke_argvs))
+# np.linspace formed inf * 0 and an overflowing span, with a RuntimeWarning
+# each, before the scan refused them
+@example(argv=["dicke", "scan", "--y-min=0", "--y-max=inf", "--steps=3",
+               "--n-atoms=1", "--cutoff=1"])
+@example(argv=["dicke", "scan", "--y-min=-1.7e308", "--y-max=1.7e308",
+               "--steps=3", "--n-atoms=1", "--cutoff=1"])
+# a span within the float range whose last step rounds beyond it
+@example(argv=["dicke", "scan", "--y-max=1.7976931348623157e+308"])
+def test_every_subcommand_exits_with_a_status_and_prints_no_nan(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = dispatch(argv)
+    assert status in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), (
+        argv, err.getvalue())
+    if argv[0] != "verify":
+        assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out.getvalue()), (
+            argv, out.getvalue())

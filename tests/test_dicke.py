@@ -281,9 +281,9 @@ def _reference_hamiltonian(p: DickeParams) -> np.ndarray:
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 7, 8, 16, 33])
 def test_bands_are_the_parity_blocks_bit_for_bit(n_atoms):
     # each band against its parity block of the elementwise H, states in
-    # photon-major order, and build_hamiltonian (the bands scattered)
-    # against the same H; cutoffs 1 and 2 take the odd-N band whose last
-    # sub-diagonal only the odd block has
+    # photon-major order, and build_hamiltonian (written from the element
+    # table, not the bands) against the same H; at odd N >= 3 and cutoff 1
+    # the even block's last sub-diagonal is all 0
     rng = np.random.default_rng(n_atoms)
     for cutoff in (1, 2, 9):
         omega_a, omega_c, y = (float(x) for x in rng.uniform(0.1, 3.0, 3))
@@ -307,8 +307,8 @@ def test_bands_are_the_parity_blocks_bit_for_bit(n_atoms):
                 assert row.tobytes() == want.tobytes(), (cutoff, q, d)
             m, n = dicke._block_states(p, q)
             assert np.array_equal(n * (n_atoms + 1) + m, states)
-        assert max(band.shape[0] for band in bands) - 1 == (
-            1 if n_atoms == 1 else (n_atoms + 3) // 2)
+        assert {band.shape[0] - 1 for band in bands} == {
+            1 if n_atoms == 1 else (n_atoms + 3) // 2}
         # build_hamiltonian's index is m (cutoff + 1) + n
         dense = h.transpose(1, 0, 3, 2).reshape(dim, dim)
         assert build_hamiltonian(p).tobytes() == dense.tobytes()

@@ -246,8 +246,17 @@ def test_tail_reaching_the_truncation_point_matches_the_reference():
         return (slow + 9e-8 * np.abs(np.sin(2.9 * x)) * (x < 1.2)
                 + 6.5e-11 * np.abs(np.sin(7.3 * x)) * slow * (x > 1.2))
 
-    got = _assert_same(f, 1.0, Tolerance(1e-12, 1e-300), half_period=0.3)
-    assert got[0] == "result"
+    # The true integral is about 20: the public call refuses the sum the
+    # reference driver, which has no decay check, returns, after the same
+    # calls of f
+    args = (1.0, Tolerance(1e-12, 1e-300))
+    g, got_calls = _recording(f)
+    with pytest.raises(DomainError, match="holds 0.11 of the largest"):
+        integrate_semi_infinite(g, *args, half_period=0.3)
+    want, want_calls = _outcome(ref.integrate_semi_infinite, f, *args,
+                                half_period=0.3)
+    assert want[0] == "result"
+    _same_calls(got_calls, want_calls)
 
 
 def test_tail_mode_stuck_component_matches_the_reference():
@@ -625,30 +634,68 @@ def test_non_finite_failure_becomes_a_failed_report(monkeypatch):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("f, share", [
-    (np.exp, "1"), (lambda x: np.exp(0.5 * x), "0.986"),
-    (np.ones_like, "0.209")], ids=["exp", "exp_half", "ones"])
+    (np.exp, "1"), (lambda x: np.exp(0.5 * x), "1"),
+    (np.ones_like, "0.53")], ids=["exp", "exp_half", "ones"])
 def test_integrand_that_does_not_decay_is_a_domain_error(f, share):
     # these diverge, and a pass cut off at the truncation point returned
     # 3.785632303407461e+17, 1230549843.1354933 and 40.47515950889746: the
-    # panel that ends there holds that share of the absolute panel sum
-    with pytest.raises(DomainError, match=f"holds {share} of the absolute"):
+    # panel that ends there holds that share of the largest panel
+    with pytest.raises(DomainError, match=f"holds {share} of the largest"):
         integrate_semi_infinite(f, 1.0)
 
 
 def test_tail_that_does_not_decay_is_a_domain_error():
     # 1 + cos x in the tail mode, about 56 half-periods out: the transforms
     # never settle, the tail reaches the truncation point, and its last
-    # half-period holds 1/57 of the absolute sum
-    with pytest.raises(DomainError, match="holds 0.0175 of the absolute"):
+    # half-period is as large as any
+    with pytest.raises(DomainError, match="holds 1 of the largest"):
         integrate_semi_infinite(lambda x: 1.0 + np.cos(x), 0.2,
                                 half_period=math.pi)
+
+
+@pytest.mark.parametrize("f, rate, half_period, share", [
+    # a tail of 1264 half-periods, each as large as the last: the share of
+    # the summed |half-periods| was 7.9e-4, and the pass returned 3970.97
+    (lambda x: 1.0 + np.cos(x), 0.01, math.pi, "1"),
+    # algebraic decay: the pass returned 0.9758891825410467 (exactly 1)
+    (lambda x: 1.0 / (1.0 + x) ** 2, 1.0, None, "0.0124"),
+    # decay at 0.05 against a hint of 1: the pass returned 17.408 (exactly
+    # about 20.025)
+    (lambda x: np.exp(-0.05 * x) * (1.0 + 0.5 * np.cos(x)), 1.0, math.pi,
+     "0.0407")], ids=["long_tail", "algebraic", "slow_tail"])
+def test_long_or_slow_tail_is_a_domain_error(f, rate, half_period, share):
+    # the last panel or half-period is compared with the largest single
+    # one, which does not shrink as the pass grows
+    with pytest.raises(DomainError, match=f"holds {share} of the largest"):
+        integrate_semi_infinite(f, rate, half_period=half_period)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.floats(0.0, 2.0), log_rate=st.floats(-2.0, 2.0),
+       omega=st.one_of(st.just(0.0), st.floats(0.1, 50.0)))
+def test_decay_check_refuses_no_correctly_hinted_integral(p, log_rate, omega):
+    # x^p e^(-r x) cos(omega x), whose integral is
+    # Gamma(p + 1) Re (r - i omega)^(-p - 1), at its own rate as the hint:
+    # the pass returns it or fails to converge, and is never refused
+    rate = 10.0 ** log_rate
+
+    def f(x):
+        return x ** p * np.exp(-rate * x) * np.cos(omega * x)
+
+    exact = math.gamma(p + 1.0) * ((rate - 1j * omega) ** (-p - 1.0)).real
+    try:
+        got = integrate_semi_infinite(
+            f, rate, half_period=math.pi / omega if omega else None)
+    except ConvergenceError:
+        return
+    assert abs(got - exact) <= max(1e-8, 1e-8 * abs(exact)), (got, exact)
 
 
 @pytest.mark.parametrize("half_period", [None, math.pi])
 def test_decay_check_passes_noise_and_cancelling_components(half_period):
     # a component that does not decay but stays within its target, and one
     # whose parts cancel to nearly 0 over the panels: each is scaled by its
-    # own target and absolute sum, not by |total|
+    # own target and largest panel, not by |total|
     def rows(x):
         damp = np.exp(-x)
         return np.array([damp, 1e-14 * np.ones_like(x),
