@@ -17,34 +17,43 @@ on sub-diagonal (D + i mod 2) // 2, and each block is banded with a
 half-bandwidth of about N/2.  The solver writes the bands at each coupling
 as strided copies of the table, and keeps no layout per model; no dense
 matrix is formed.
-Bisection with banded Cholesky factorizations finds a shift certified below
-the block's lowest eigenvalue, and a Lanczos iteration on the inverse of the
-shifted block, one banded solve with that one factor per step, spans its
-lowest eigenvectors.  Rayleigh-Ritz of H on that basis, whose projection
-grows by one row per step, is checked at every basis size from the fifth
-vector on.  The outputs read three levels: the lowest of each block, L0
-and K0, and min(L1, K0), where L is the block with the lower minimum and
-K the other.  So both blocks stop once their lowest pair is within a
-residual of 1e-12 |H|, mostly after 5 to 8 steps, and only L goes on, on
-the same basis, until its second pair is within that residual too or its
-second level certainly lies above K0.  Before anything is built, the
-solver's guard bounds the flops of its worst case, the bisection's
+Banded Cholesky factorizations find a shift certified below the block's
+lowest eigenvalue E0, and a Lanczos iteration on the inverse of the shifted
+block, one banded solve with that one factor per step, spans its lowest
+eigenvectors.  The search for the shift starts at the spin floor, the lowest
+eigenvalue of omega_a S_z - (y^2/(N omega_c)) S_x^2: completing the square
+in the photon mode shows H to be at least that operator, the elimination
+that gives y_c, and each block is a compression of H, so the floor lies
+below each block's E0, mostly within 2e-3 |H| of the lower one's
+(_spin_floor).  From there a probe or two and a halving or two bracket E0
+(_shifted_factor): at N = 8, cutoff 60 and N = 16, cutoff 100 a solve of
+both blocks makes 5.6 and 4.6 factorizations over 9 couplings in
+[0.05, 2.9], 4 in the superradiant phase, where a bisection from the
+Gershgorin bound made 11.8 and 11.2.  Rayleigh-Ritz of H on the Lanczos
+basis, whose projection grows by one row per step, is checked at every basis
+size from the fifth vector on.  The outputs read three levels: the lowest of
+each block, L0 and K0, and min(L1, K0), where L is the block with the lower
+minimum and K the other.  So both blocks stop once their lowest pair is
+within a residual of 1e-12 |H|, mostly after 5 to 8 steps, and only L goes
+on, on the same basis, until its second pair is within that residual too or
+its second level certainly lies above K0.  Before anything is built, the
+solver's guard bounds the flops of its worst case, the shift search's
 factorizations and 45 Lanczos steps with a check at each, to
 MAX_SOLVER_WORK, and the Lanczos basis to 6e6 doubles; solves near the
 bound, such as N = 199 at cutoff 99 or N = 64 at cutoff 1400, take
-0.08-0.14 s per coupling on a 2-core x86 box.  A model whose matrix
-elements or |H| would overflow is refused first.  `build_hamiltonian`
-writes the dense matrix for tests and inspection from the same table, not
-from the bands; it refuses the same overflowing models, and its other
-guard bounds the dimension, since the dense matrix is what costs memory.
+0.08-0.14 s per coupling on a 2-core x86 box.  A model whose matrix elements
+or |H| would overflow is refused first.  `build_hamiltonian` writes the
+dense matrix for tests and inspection from the same table, not from the
+bands; it refuses the same overflowing models, and its other guard bounds
+the dimension, since the dense matrix is what costs memory.
 
 Whether the Fock cutoff holds the ground state is read off the ground
 vector itself: its probability weight on the top fifth of the photon
 numbers must be negligible.
 
-The solver's BLAS and LAPACK routines (dsbmv, dpbtrf, dpbtrs, dsyevr)
-are reached through scipy.linalg's blas and lapack modules, imported on the
-first solve, not on import; the mean field and build_hamiltonian run
+The solver's BLAS and LAPACK routines (dsbmv, dpbtrf, dpbtrs, dsyevr,
+dstebz) are reached through scipy.linalg's blas and lapack modules, imported
+on the first solve, not on import; the mean field and build_hamiltonian run
 without them.
 
 The zero-temperature mean-field transition sits at y_c = sqrt(omega_c
@@ -54,6 +63,7 @@ a symmetry-breaking boson amplitude appears, given in closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -89,7 +99,7 @@ _MAX_LANCZOS_STEPS = 45
 # floating-point operations of one parity-block solve (see
 # _check_solver_work).  Solves near the bound took 0.08-0.14 s per coupling
 # (y in {0.5, 1.5, 3}) on a 2-core x86 box: N = 199 at cutoff 99 (blocks
-# of 10000 states, half-bandwidth 101, 1.73e9) and N = 64 at cutoff 1400.
+# of 10000 states, half-bandwidth 101, 1.93e9) and N = 64 at cutoff 1400.
 # Their worst case, 45 steps that miss the residual bound, took 0.38 and
 # 0.27 s.
 MAX_SOLVER_WORK = 2_000_000_000
@@ -104,20 +114,27 @@ _MAX_BASIS_DOUBLES = 6_000_000
 _CHECKS_FROM = 5
 # each eigenpair (E, x) returned meets |H x - E x| <= _RESIDUAL |H|
 _RESIDUAL = 1e-12
-# the shift's bisection stops at a bracket on E0 this wide, and the shift
+# the shift's search stops at a bracket on E0 this wide, and the shift
 # used sits this far below the bracket's certified lower end; both in
 # units of |H|.  A looser bracket saves factorizations but leaves the shift
-# farther below E0, and Lanczos takes more steps: one warm solve (median
-# over y in [0.1, 2.7], 2-core x86 box) at N = 8, cutoff 60 and N = 16,
-# cutoff 100 took 0.67 and 1.58 ms at 1e-2 (20 banded solves per N = 8
-# solve), 0.42 and 1.13 ms at 1e-3 (12) and 0.40 and 1.11 ms at 1e-4 (10),
-# which would move every output's last digits for that 5 %.
+# farther below E0, and Lanczos takes more steps: with the bisection from
+# the Gershgorin bound, one warm solve (median over y in [0.1, 2.7], 2-core
+# x86 box) at N = 8, cutoff 60 and N = 16, cutoff 100 took 0.67 and 1.58 ms
+# at 1e-2 (20 banded solves per N = 8 solve), 0.42 and 1.13 ms at 1e-3 (12)
+# and 0.40 and 1.11 ms at 1e-4 (10).  The search from the spin floor, which
+# lies mostly within 2e-3 |H| below the lower block's E0, makes 5.6 and 4.6
+# factorizations per solve at 1e-3 over 9 couplings in [0.05, 2.9], against
+# 11.8 and 11.2 by that bisection, and 2 per block in the superradiant
+# phase (_shifted_factor).
 _SHIFT_BRACKET = 1e-3
 _SHIFT_MARGIN = 1e-10
-# banded Cholesky factorizations per block: the bisection's, which halve a
-# bracket of at most 2 |H| until it is below _SHIFT_BRACKET |H|, and the
-# one at the shift
-_FACTORIZATIONS = math.ceil(math.log2(2.0 / _SHIFT_BRACKET)) + 1
+# banded Cholesky factorizations per block, at most (_shifted_factor): the
+# halvings of a bracket of at most 2 |H| down to _SHIFT_BRACKET |H|, the
+# one at the shift, and two more, either the two probes from the spin
+# floor that lead to such a bracket, or a failed probe and a failed
+# factorization at the shift before the search runs again from the
+# Gershgorin bound
+_FACTORIZATIONS = math.ceil(math.log2(2.0 / _SHIFT_BRACKET)) + 3
 # the ground vector's probability weight on photon numbers n >= 0.8 cutoff
 # above which the cutoff counts as not converged
 _CUTOFF_TAIL = 1e-8
@@ -209,8 +226,14 @@ def _check_solver_work(p: DickeParams) -> None:
     MAX_SOLVER_WORK or whose Lanczos basis exceeds _MAX_BASIS_DOUBLES.
 
     Per parity block of n states and half-bandwidth k, a solve (_Lanczos)
-    makes up to _FACTORIZATIONS banded Cholesky factorizations of n k^2
-    flops, and up to _MAX_LANCZOS_STEPS = S steps of one banded solve and
+    makes up to _FACTORIZATIONS = 14 banded Cholesky factorizations of
+    n k^2 flops.  The search from the spin floor (_shifted_factor) mostly
+    makes 1 to 4, 2.8 on average at N = 8, cutoff 60 and 2.3 at N = 16,
+    cutoff 100; its worst case, after two probes from the floor or a floor
+    rounded above E0, is two more than the 12 of a bisection from the
+    Gershgorin bound.  The floor itself, one bisection of two tridiagonals
+    of about N/2 states, takes O(N) flops and is left aside.  A solve
+    makes up to _MAX_LANCZOS_STEPS = S steps of one banded solve and
     one banded product, 8 n k flops together.  Over all steps, the
     reorthogonalization takes 4 n S (S - 1) flops, the rows of the
     projected matrix n S (S + 1), and the Rayleigh-Ritz checks, one Ritz
@@ -233,18 +256,24 @@ def _check_solver_work(p: DickeParams) -> None:
             f"doubles of Lanczos basis (at most {_MAX_BASIS_DOUBLES})")
 
 
-def _check_range(p: DickeParams) -> None:
-    """Refuse a model whose matrix elements would overflow, or twice its
-    largest absolute row sum |H|, which bounds every gap the solver forms.
-
-    Scalars only: the diagonal elements omega_a S_z + omega_c n are at
-    most omega_a N/2 + omega_c cutoff in size, the coupling elements
-    (y/sqrt(N)) <m+1|S_x|m> sqrt(n) at most (y/sqrt(N)) (N + 1)/4
-    sqrt(cutoff), and each row holds at most four couplings.
-    """
+def _reach(p: DickeParams) -> tuple[float, float]:
+    """Bounds on the size of H's elements, from scalars only: the diagonal
+    elements omega_a S_z + omega_c n are at most omega_a N/2 + omega_c
+    cutoff in size, and the coupling elements (y/sqrt(N)) <m+1|S_x|m>
+    sqrt(n) at most (y/sqrt(N)) (N + 1)/4 sqrt(cutoff).  Each row holds at
+    most four couplings, so |H| is at most the first plus four times the
+    second."""
     diagonal = 0.5 * p.omega_a * p.n_atoms + p.omega_c * p.fock_cutoff
     coupling = (p.y / math.sqrt(p.n_atoms) * (0.25 * (p.n_atoms + 1))
                 * math.sqrt(p.fock_cutoff))
+    return diagonal, coupling
+
+
+def _check_range(p: DickeParams) -> None:
+    """Refuse a model whose matrix elements would overflow, or twice its
+    largest absolute row sum |H|, which bounds every gap the solver forms
+    (_reach)."""
+    diagonal, coupling = _reach(p)
     if not 2.0 * (diagonal + 4.0 * coupling) < math.inf:
         element = ("diagonal elements omega_a S_z + omega_c n"
                    if diagonal >= 4.0 * coupling else
@@ -254,6 +283,82 @@ def _check_range(p: DickeParams) -> None:
             f"reaches {diagonal:.3g} and a coupling {coupling:.3g}, and the "
             f"solver needs twice |H|, at most the diagonal plus four "
             f"couplings, to be finite")
+
+
+def _spin_floor(p: DickeParams) -> tuple[float, int]:
+    """(f, e) such that f 2^e is at most the lowest eigenvalue of each
+    parity block at p.y, up to rounding; f is -inf where no floor is kept.
+
+    Completing the square in the photon mode, with g = y/sqrt(N omega_c)
+    and b = a + (g/sqrt(omega_c)) S_x,
+        H = omega_a S_z + omega_c b'b - g^2 S_x^2 >= omega_a S_z - g^2 S_x^2
+    on every vector of finitely many photons: the elimination that gives
+    y_c = sqrt(omega_a omega_c).  Each parity block at any Fock cutoff is
+    H compressed to such vectors, so its lowest eigenvalue is at least
+    that spin operator's, the floor.  S_x^2 links m only to m and m +- 2,
+    so the operator is two tridiagonals, of the even and the odd m, which
+    one bisection (LAPACK dstebz) takes as one with a zero link between
+    them: O(N) work.
+
+    It is formed in units of 2^e, e the exponent of the diagonal's reach
+    (_reach), which the blocks' scaled units (_Lanczos) differ from by a
+    power of two, with g formed before it is squared.  A g^2 that
+    underflows or overflows there is dropped, and so is one whose floor
+    lies below -|H| (g^2 s^2 above _reach's bound on |H|, s = N/2, since
+    the floor is at most -g^2 s^2), where the Gershgorin bound is higher.
+    A model whose g^2 passes has couplings of at most 5 times the diagonal's
+    reach, so the spin operator's elements stay below 200 in those units;
+    where that bound overflows them, the floor is dropped too.
+    """
+    diagonal, coupling = _reach(p)
+    e = math.frexp(diagonal)[1]
+    mantissa, exponent = math.frexp(
+        p.y / math.sqrt(p.n_atoms) / math.sqrt(p.omega_c))
+    s = 0.5 * p.n_atoms
+    try:
+        g2 = math.ldexp(mantissa * mantissa, 2 * exponent - e)
+        reach = math.ldexp(diagonal + 4.0 * coupling, -e)
+    except OverflowError:
+        return -math.inf, e
+    if not 0.0 < g2 * s * s <= reach:
+        return -math.inf, e
+    spins, squares, links = _spin_floor_terms(p.n_atoms)
+    # the lowest eigenvalue (range 2, by index, il = iu = 1) to LAPACK's
+    # default absolute tolerance (0.0)
+    _, w, _, _, info = _lapack.dstebz(
+        math.ldexp(p.omega_a, -e) * spins - g2 * squares, -g2 * links,
+        2, 0.0, 0.0, 1, 1, 0.0, b"E")
+    return (float(w[0]) if info == 0 else -math.inf), e
+
+
+@functools.lru_cache(maxsize=16)
+def _spin_floor_terms(size: int) -> tuple[np.ndarray, np.ndarray,
+                                          np.ndarray]:
+    """The parts of _spin_floor's tridiagonal that depend on N alone, built
+    once per N and read-only, over the even m and then the odd m: S_z, the
+    diagonal of S_x^2 and its links <m+2|S_x^2|m>, 0 between the two
+    chains."""
+    spins, sx = _spin_ladder(size)
+    # <m|S_x^2|m> = sx[m - 1]^2 + sx[m]^2, <m+2|S_x^2|m> = sx[m] sx[m + 1]
+    squares = np.zeros(size + 2)
+    squares[1:-1] = sx * sx
+    diag = squares[1:] + squares[:-1]
+    links = sx[1:] * sx[:-1]
+    terms = (np.concatenate([spins[0::2], spins[1::2]]),
+             np.concatenate([diag[0::2], diag[1::2]]),
+             np.concatenate([links[0::2], [0.0], links[1::2]]))
+    for term in terms:
+        term.flags.writeable = False
+    return terms
+
+
+def _spin_ladder(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """S_z = m - s of each spin index m, s = size/2, and <m+1|S_x|m> for
+    m < size."""
+    s = 0.5 * size
+    spins = np.arange(size + 1.0) - s
+    mz = spins[:-1]
+    return spins, 0.5 * np.sqrt(s * (s + 1) - mz * (mz + 1))
 
 
 def _half_bandwidth(size: int) -> int:
@@ -273,12 +378,9 @@ def _elements(p: DickeParams) -> tuple[np.ndarray, np.ndarray]:
     |m + 1, n> - |m, n + 1> are (y/sqrt(N)) <m+1|S_x|m> sqrt(n + 1), at
     links[n (N + 1) + m + 1]; where m = N or n = cutoff that is 0."""
     size, cutoff = p.n_atoms, p.fock_cutoff
-    s = 0.5 * size
-    spins = np.arange(size + 1.0) - s  # mz of each m
+    spins, sx = _spin_ladder(size)
     photons = np.arange(cutoff + 1.0)
     diag = p.omega_a * spins + p.omega_c * photons[:, None]
-    mz = spins[:-1]
-    sx = 0.5 * np.sqrt(s * (s + 1) - mz * (mz + 1))
     links = np.zeros(p.dimension + 1)
     coupling = links[1:].reshape(cutoff + 1, size + 1)[:cutoff, :size]
     np.multiply(sx, np.sqrt(photons[1:, None]), out=coupling)
@@ -368,10 +470,15 @@ def _solve_blocks(p: DickeParams) -> list[_Lanczos]:
     other block's minimum K0.  The outputs read L0, K0 and min(L1, K0); the
     other block's second level is never below K0.
     """
+    global _blas, _lapack
     _check_range(p)
     _check_solver_work(p)
+    if _lapack is None:
+        from scipy.linalg import blas, lapack
+        _blas, _lapack = blas, lapack
+    floor = _spin_floor(p)
     # every block holds at least two states: N >= 1 and cutoff >= 1
-    runs = [_Lanczos(band, _start(band.shape[1]))
+    runs = [_Lanczos(band, _start(band.shape[1]), floor)
             for band in _parity_bands(p)]
     for run in runs:
         run.converge(0)
@@ -388,7 +495,8 @@ class _Lanczos:
     """Shift-invert Lanczos on one parity block, by one banded Cholesky
     factor of H - sigma, that converges its lowest levels one at a time:
     each converge() goes on from the basis the last one left.  The band ab
-    is in Fortran order, and start is the block's start vector.
+    is in Fortran order, start is the block's start vector, and floor the
+    spin floor (_spin_floor), where the search for the shift starts.
 
     It runs on H scaled by the power of two just above |H|, which is exact
     and keeps every iterate in range whatever the scale of H.  `levels`
@@ -398,11 +506,8 @@ class _Lanczos:
     spectral norm and the scale of the solve's rounding.
     """
 
-    def __init__(self, ab: np.ndarray, start: np.ndarray):
-        global _blas, _lapack
-        if _lapack is None:
-            from scipy.linalg import blas, lapack
-            _blas, _lapack = blas, lapack
+    def __init__(self, ab: np.ndarray, start: np.ndarray,
+                 floor: tuple[float, int]):
         dim = ab.shape[1]
         abs_rows = _band_matvec(np.abs(ab), np.ones(dim))
         self.norm = float(abs_rows.max())
@@ -419,8 +524,9 @@ class _Lanczos:
         self.exponent = math.frexp(self.norm)[1]
         self.h = np.ldexp(ab, -self.exponent)
         self.bound = _RESIDUAL * math.ldexp(self.norm, -self.exponent)
-        self.factor = _shifted_factor(self.h,
-                                      np.ldexp(abs_rows, -self.exponent))
+        self.factor = _shifted_factor(
+            self.h, np.ldexp(abs_rows, -self.exponent),
+            math.ldexp(floor[0], floor[1] - self.exponent))
         steps = min(dim, _MAX_LANCZOS_STEPS)
         # the Lanczos vectors as rows, H times each, and the lower triangle
         # of H projected on them, one row per vector
@@ -503,36 +609,72 @@ class _Lanczos:
                 math.sqrt(residual @ residual))
 
 
-def _shifted_factor(h: np.ndarray, abs_rows: np.ndarray) -> np.ndarray:
+def _shifted_factor(h: np.ndarray, abs_rows: np.ndarray,
+                    floor: float) -> np.ndarray:
     """The lower banded Cholesky factor of H - sigma, sigma below the lowest
-    eigenvalue E0; abs_rows holds the absolute row sums of H.
+    eigenvalue E0; abs_rows holds the absolute row sums of H, and floor is
+    the spin floor (_spin_floor), which rounding may leave above E0.
 
-    Bisection between two bounds on E0, the Gershgorin lower bound and the
-    smallest diagonal entry: a factorization that succeeds certifies its
-    shift below E0.  It stops once the bracket is narrower than
-    _SHIFT_BRACKET |H|.  The accepted shift backs off from the highest
-    certified one by 1e-10 |H|, so rounding in that certificate cannot
-    leave it at or above E0.
+    A factorization that succeeds certifies its shift below E0, one that
+    fails its shift above E0, and the smallest diagonal entry is above E0
+    too.  The search keeps a bracket [lo, lo + width] on E0 and halves it,
+    probing lo + width/2, until it is at most _SHIFT_BRACKET |H| wide.
+    Where the floor less 1e-10 |H| lies between the Gershgorin lower bound
+    and the smallest diagonal entry, it starts there: E0 is mostly within
+    2 _SHIFT_BRACKET |H| above it, so it first probes upward, by
+    _SHIFT_BRACKET |H| and then twice that, and a failed probe gives a
+    bracket of that probe's step, after two successes one up to the
+    smallest diagonal entry.  Otherwise it starts from the Gershgorin
+    bound.  The accepted shift backs off from lo by 1e-10 |H|, so rounding
+    in its certificate cannot leave it at or above E0.  Where no probe from
+    the floor succeeded and the factorization at that shift fails, the
+    floor was rounded above E0, and the search runs again from the
+    Gershgorin bound, below the failed shift.
     """
     norm = float(abs_rows.max())
-    lo = float((h[0] + np.abs(h[0]) - abs_rows).min())
-    hi = float(h[0].min())
+    bracket, margin = _SHIFT_BRACKET * norm, _SHIFT_MARGIN * norm
+    gershgorin = float((h[0] + np.abs(h[0]) - abs_rows).min())
+    top = float(h[0].min())
     shifted = h.copy(order="F")
-    while hi - lo > _SHIFT_BRACKET * norm:
-        mid = 0.5 * (lo + hi)
-        shifted[0] = h[0] - mid
-        if _lapack.dpbtrf(shifted, lower=1)[1] == 0:
-            lo = mid
+
+    def factored(shift: float):
+        shifted[0] = h[0] - shift
+        return _lapack.dpbtrf(shifted, lower=1)
+
+    def certifies(shift: float) -> bool:
+        # a shift at or above the smallest diagonal entry is not probed
+        return shift < top and factored(shift)[1] == 0
+
+    def halve(lo: float, width: float) -> float:
+        while width > bracket:
+            width *= 0.5
+            if certifies(lo + width):
+                lo += width
+        return lo
+
+    start = floor - margin
+    if gershgorin < start < top:
+        lo, step = start, bracket
+        for _ in range(2):
+            if not certifies(lo + step):
+                break
+            lo, step = lo + step, 2.0 * step
         else:
-            hi = mid
-    sigma = lo - _SHIFT_MARGIN * norm
-    shifted[0] = h[0] - sigma
-    factor, info = _lapack.dpbtrf(shifted, lower=1)
+            step = top - lo
+        lo = halve(lo, step)
+    else:
+        lo = halve(gershgorin, top - gershgorin)
+    sigma = lo - margin
+    factor, info = factored(sigma)
+    if info != 0 and lo == start:
+        lo = halve(gershgorin, sigma - gershgorin)
+        sigma = lo - margin
+        factor, info = factored(sigma)
     if info != 0:
         raise ConvergenceError(
             f"H - sigma did not factor at sigma = {sigma!r}, below the "
-            f"certified shift {lo!r}", best_estimate=hi,
-            achieved_error=hi - sigma)
+            f"certified shift {lo!r}", best_estimate=top,
+            achieved_error=top - sigma)
     return factor
 
 

@@ -157,7 +157,9 @@ def _d_rows(x: np.ndarray, v: float, ch: np.ndarray,
     J0 + J2 = 2 g, so xx carries J2 - J0 = 2 (g - J0) and yy -(J0 + J2).
     """
     xv = x * v
-    j0, g = _bessel_j0_g(xv)
+    # at v = 0 every node has J0 = 1 and g = 1/2, the Bessel source's own
+    # values at 0, so the Horner pass is skipped
+    j0, g = (1.0, 0.5) if v == 0.0 else _bessel_j0_g(xv)
     # c = 2 x^2 ch, then -2 x^2 ch, and s = -2 x^2 sh: every row is one
     # product with them, in place
     x2 = x * x

@@ -530,7 +530,7 @@ def test_shift_within_rounding_of_ground_energy(y, n_atoms, cutoff,
     # precision.  Both levels must still match the dense ones.
     hugs = []
 
-    def hugging_factor(h, abs_rows):
+    def hugging_factor(h, abs_rows, floor):
         rows = [np.diag(h[0])]
         for d in range(1, h.shape[0]):
             rows += [np.diag(h[d, :-d], -d), np.diag(h[d, :-d], d)]
@@ -552,6 +552,149 @@ def test_shift_within_rounding_of_ground_energy(y, n_atoms, cutoff,
     tol = 1e-12 * max(1.0, abs(w[0]))
     assert abs(energy - w[0]) <= tol
     assert abs(gap - (w[1] - w[0])) <= tol
+
+
+def _floor_models(count: int, seed: int):
+    """N 1-24, cutoff 1-40, omega_a / omega_c from e^-6 to e^6 and y from 0
+    to 5 y_c."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        ratio = math.exp(rng.uniform(-6.0, 6.0))
+        omega_a, omega_c = math.sqrt(ratio), 1.0 / math.sqrt(ratio)
+        n_atoms, cutoff = int(rng.integers(1, 25)), int(rng.integers(1, 41))
+        y = float(rng.uniform(0.0, 5.0)) * math.sqrt(omega_a * omega_c)
+        yield DickeParams(omega_a, omega_c, y, n_atoms, cutoff)
+
+
+def test_spin_floor_is_below_every_block_at_every_scale():
+    # omega_a S_z - (y^2/(N omega_c)) S_x^2 bounds H from below, and so each
+    # parity block, a compression of H; the solver's levels stay those of
+    # the dense blocks.  Scaled by 1e-200, y^2 alone would underflow and
+    # the floor would land above E0; scaled by 1e200 it would overflow
+    kept = {scale: 0 for scale in (1.0, 1e-200, 1e200)}
+    # the floor's bisection is scipy's, which the first solve imports
+    ground_state(DickeParams(y=1.0, n_atoms=2, fock_cutoff=4))
+    for p in _floor_models(60, seed=45):
+        h = build_hamiltonian(p)
+        signs = parity_diagonal(p)
+        blocks = [h[np.ix_(signs == sign, signs == sign)]
+                  for sign in (1.0, -1.0)]
+        levels = [np.linalg.eigvalsh(block)[:2] for block in blocks]
+        norm = max(np.abs(block).sum(axis=1).max() for block in blocks)
+        for scale in kept:
+            q = DickeParams(scale * p.omega_a, scale * p.omega_c,
+                            scale * p.y, p.n_atoms, p.fock_cutoff)
+            floor = math.ldexp(*dicke._spin_floor(q))
+            kept[scale] += floor > -math.inf
+            if floor == -math.inf:
+                # dropped only where it lies below -g^2 s^2 < -|H|, under
+                # the Gershgorin bound
+                g2 = p.y ** 2 / (p.n_atoms * p.omega_c)
+                assert g2 * (p.n_atoms / 2) ** 2 > norm, (p, scale)
+            # up to the rounding of the two eigensolves
+            for w in levels:
+                assert floor <= scale * (w[0] + 8 * np.finfo(float).eps
+                                         * norm), (p, scale)
+            for w, block in zip(levels, dicke._solve_blocks(q)):
+                tol = 1e-12 * scale * max(1.0, abs(w[0]))
+                assert abs(block.levels[0] - scale * w[0]) <= tol, (p, scale)
+            w = np.sort(np.concatenate(levels))
+            energy, _, _, _, gap, _ = dicke._ground_observables(q)
+            tol = 1e-12 * scale * max(1.0, abs(w[0]))
+            assert abs(energy - scale * w[0]) <= tol, (p, scale)
+            assert abs(gap - scale * (w[1] - w[0])) <= tol, (p, scale)
+    assert min(kept.values()) >= 40, kept
+
+
+@pytest.mark.parametrize("omega_a, omega_c, y, n_atoms, cutoff", [
+    (5e-324, 5e-324, 1e154, 3, 1),  # _reach's bound overflows in its units
+    (1.0, 1e-300, 1e300, 8, 60),     # g overflows
+    (1e300, 1e300, 1e-300, 8, 60),   # g^2 underflows
+])
+def test_spin_floor_out_of_range_is_dropped(omega_a, omega_c, y, n_atoms,
+                                            cutoff):
+    p = DickeParams(omega_a, omega_c, y, n_atoms, cutoff)
+    ground_state(DickeParams(y=1.0, n_atoms=2, fock_cutoff=4))
+    assert dicke._spin_floor(p)[0] == -math.inf
+    _memo._entries.clear()
+    assert math.isfinite(ground_state(p).energy)
+
+
+class _CountedFactorizations:
+    """scipy's lapack with dpbtrf counted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        routine = getattr(lapack, name)
+        if name != "dpbtrf":
+            return routine
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return routine(*args, **kwargs)
+        return counted
+
+
+SPY_COUPLINGS = (0.33, 1.0, 1.54, 1.98, 2.75)
+
+
+def _factorizations(monkeypatch, sizes):
+    """dpbtrf calls of one-coupling solves, over sizes x SPY_COUPLINGS."""
+    ground_state(DickeParams(y=1.0, n_atoms=2, fock_cutoff=4))
+    lapack_counted = _CountedFactorizations()
+    monkeypatch.setattr(dicke, "_lapack", lapack_counted)
+    for n_atoms, cutoff in sizes:
+        for y in SPY_COUPLINGS:
+            dicke._solve_blocks(DickeParams(y=y, n_atoms=n_atoms,
+                                            fock_cutoff=cutoff))
+    return lapack_counted.calls
+
+
+def test_spin_floor_saves_factorizations(monkeypatch):
+    # the bisection from the Gershgorin bound made 123 factorizations here
+    # (64 at N = 8, 59 at N = 16); the search from the spin floor makes 55
+    calls = _factorizations(monkeypatch, [(8, 60), (16, 100)])
+    assert calls <= 0.6 * 123
+
+
+@pytest.mark.parametrize("n_atoms, cutoff", [(8, 60), (16, 100)])
+def test_a_floor_above_the_ground_energy_falls_back(n_atoms, cutoff,
+                                                    monkeypatch):
+    # a floor 1e-3 |H| above both blocks' E0 certifies nothing: the search
+    # runs again from the Gershgorin bound, within _FACTORIZATIONS per
+    # block, and the levels are the dense ones
+    normal = _factorizations(monkeypatch, [(n_atoms, cutoff)])
+    floors = {}
+    for y in SPY_COUPLINGS:
+        p = DickeParams(y=y, n_atoms=n_atoms, fock_cutoff=cutoff)
+        h = build_hamiltonian(p)
+        signs = parity_diagonal(p)
+        e0 = max(np.linalg.eigvalsh(h[np.ix_(signs == s, signs == s)])[0]
+                 for s in (1.0, -1.0))
+        norm = np.abs(h).sum(axis=1).max()
+        floors[y] = (e0 + 1e-3 * norm, 0)
+    monkeypatch.setattr(dicke, "_spin_floor", lambda p: floors[p.y])
+    per_block = []
+    shifted_factor = dicke._shifted_factor
+
+    def counted(*args):
+        before = dicke._lapack.calls
+        factor = shifted_factor(*args)
+        per_block.append(dicke._lapack.calls - before)
+        return factor
+    monkeypatch.setattr(dicke, "_shifted_factor", counted)
+    for y in SPY_COUPLINGS:
+        p = DickeParams(y=y, n_atoms=n_atoms, fock_cutoff=cutoff)
+        w = _dense_block_levels(p)
+        energy, _, _, _, gap, _ = dicke._ground_observables(p)
+        tol = 1e-12 * max(1.0, abs(w[0]))
+        assert abs(energy - w[0]) <= tol
+        assert abs(gap - (w[1] - w[0])) <= tol
+    assert len(per_block) == 2 * len(SPY_COUPLINGS)
+    assert max(per_block) <= dicke._FACTORIZATIONS
+    assert sum(per_block) > normal
 
 
 def test_starved_lanczos_raises_not_returns(monkeypatch):

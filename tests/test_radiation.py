@@ -12,7 +12,8 @@ from fpcavity import (AnisotropyResult, CavityFrame, DomainError, Separation,
                       Tolerance, anisotropy_delta, integrate_semi_infinite,
                       kernel_d, kernel_d_spectral, quadratic_self_term,
                       kernel_e, reflection_matrix, self_energy_matrix, xi)
-from fpcavity import coulomb, lattice, modesum, radiation, specfun, verify
+from fpcavity import (_memo, coulomb, lattice, modesum, radiation, specfun,
+                      verify)
 from fpcavity.radiation import (_d_rows, _kernel_d_reference,
                                 _laplace_bessel_x2, _nearest_pair_rows)
 from fpcavity.specfun import _bessel_j0_g
@@ -189,6 +190,27 @@ def test_nearest_pair_rows_match_quadrature(u, v):
     quad = integrate_semi_infinite(rows, min(u, 2.0 - u), TIGHT)
     closed = _nearest_pair_rows(u, v)
     assert np.abs(quad - closed).max() < 1e-12 * np.abs(closed).max()
+
+
+def test_rows_at_v0_take_the_bessel_values_without_the_bessel_pass(
+        monkeypatch):
+    # at v = 0 every node has J0 = 1 and J1(xv)/(xv) = 1/2, the Bessel
+    # source's own values there (test_bessel_exact_at_zero): xx = yy =
+    # -x^2 ch, zz = 2 x^2 ch and xz = 0, and no Bessel call is made
+    x = np.concatenate([[0.0, 5e-324], np.geomspace(1e-6, 300.0, 200)])
+    ch, sh = np.exp(-0.3 * x), -np.exp(-1.7 * x)
+    assert np.array_equal(_bessel_j0_g(x * 0.0), [np.ones(len(x)),
+                                                  np.full(len(x), 0.5)])
+
+    def never(*args):
+        raise AssertionError("Bessel pass at v = 0")
+    monkeypatch.setattr(radiation, "_bessel_j0_g", never)
+    rows = _d_rows(x, 0.0, ch, sh)
+    x2ch = x * x * ch
+    assert np.array_equal(rows, [-x2ch, -x2ch, x2ch + x2ch, 0.0 * x])
+    _memo._entries.clear()
+    kernel_d("plus", Separation(0.3, 0.0, 0.2))
+    _kernel_d_reference("plus", Separation(0.7, 0.0, 0.2))
 
 
 # ---------------------------------------------------------------------------
