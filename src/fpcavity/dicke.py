@@ -7,45 +7,51 @@ is block-diagonal in it, and the ground-state solver treats the two parity
 blocks separately so reported parities are exact labels even when the
 superradiant doublet is degenerate to machine precision.
 
-H's elements are defined once, in one table per photon-major state
-i = n (N + 1) + m (_elements), and one rule places them in both blocks
-(_parity_bands): each pair of states {2j, 2j + 1} holds one state of each
-block, its column j; which of the two a block takes stays the same along a
-run of pairs, all of them for even N and one photon row for odd N, where
-the choice alternates from row to row; so a link up by D from state i lies
-on sub-diagonal (D + i mod 2) // 2, and each block is banded with a
-half-bandwidth of about N/2.  The solver writes the bands at each coupling
-as strided copies of the table, and keeps no layout per model; no dense
-matrix is formed.
+H's elements are defined once, by photon-major state i = n (N + 1) + m, in
+the parts that do not depend on the frequencies or the coupling (_elements):
+S_z, the photon number n and the unit links <m+1|S_x|m> sqrt(n + 1).  One
+rule places them in both blocks, once per shape (N, cutoff), in read-only
+tables (_shape_tables): each pair of states {2j, 2j + 1} holds one state of
+each block, its column j; which of the two a block takes stays the same
+along a run of pairs, all of them for even N and one photon row for odd N,
+where the choice alternates from row to row; so a link up by D from state i
+lies on sub-diagonal (D + i mod 2) // 2, and each block is banded with a
+half-bandwidth of about N/2.  At each coupling the solver writes each band
+in two array passes, omega_a S_z + omega_c n and the unit links times
+y/sqrt(N) (_parity_bands); no dense matrix is formed.
 Banded Cholesky factorizations find a shift certified below the block's
 lowest eigenvalue E0, and a Lanczos iteration on the inverse of the shifted
 block, one banded solve with that one factor per step, spans its lowest
-eigenvectors.  The search for the shift starts at the spin floor, the lowest
-eigenvalue of omega_a S_z - (y^2/(N omega_c)) S_x^2: completing the square
-in the photon mode shows H to be at least that operator, the elimination
-that gives y_c, and each block is a compression of H, so the floor lies
-below each block's E0, mostly within 2e-3 |H| of the lower one's
-(_spin_floor).  From there a probe or two and a halving or two bracket E0
+eigenvectors.  The even block's search for the shift starts at the spin
+floor, the lowest eigenvalue of omega_a S_z - (y^2/(N omega_c)) S_x^2:
+completing the square in the photon mode shows H to be at least that
+operator, the elimination that gives y_c, and each block is a compression
+of H, so the floor lies below each block's E0, mostly within 2e-3 |H| of
+the lower one's (_spin_floor).  Above cutoff 2 the odd block's starts at the
+even block's certified lower end plus the lower polariton of the normal
+phase, the gap between the two ground levels below y_c (_lower_polariton).
+From there a probe or two and a halving or two bracket E0
 (_shifted_factor): at N = 8, cutoff 60 and N = 16, cutoff 100 a solve of
-both blocks makes 5.6 and 4.6 factorizations over 9 couplings in
+both blocks makes 4.4 and 3.9 factorizations over 9 couplings in
 [0.05, 2.9], 4 in the superradiant phase, where a bisection from the
-Gershgorin bound made 11.8 and 11.2.  Rayleigh-Ritz of H on the Lanczos
-basis, whose projection grows by one row per step, is checked at every basis
-size from the fifth vector on.  The outputs read three levels: the lowest of
-each block, L0 and K0, and min(L1, K0), where L is the block with the lower
-minimum and K the other.  So both blocks stop once their lowest pair is
-within a residual of 1e-12 |H|, mostly after 5 to 8 steps, and only L goes
-on, on the same basis, until its second pair is within that residual too or
-its second level certainly lies above K0.  Before anything is built, the
-solver's guard bounds the flops of its worst case, the shift search's
-factorizations and 45 Lanczos steps with a check at each, to
-MAX_SOLVER_WORK, and the Lanczos basis to 6e6 doubles; solves near the
-bound, such as N = 199 at cutoff 99 or N = 64 at cutoff 1400, take
-0.08-0.14 s per coupling on a 2-core x86 box.  A model whose matrix elements
-or |H| would overflow is refused first.  `build_hamiltonian` writes the
-dense matrix for tests and inspection from the same table, not from the
-bands; it refuses the same overflowing models, and its other guard bounds
-the dimension, since the dense matrix is what costs memory.
+Gershgorin bound made 11.8 and 11.2 and the search from the spin floor in
+both blocks 5.6 and 4.6.  Rayleigh-Ritz
+of H on the Lanczos basis, whose projection grows by one row per step, is
+checked at every basis size from the fifth vector on.  The outputs read
+three levels: the lowest of each block, L0 and K0, and min(L1, K0), where L
+is the block with the lower minimum and K the other.  So both blocks stop
+once their lowest pair is within a residual of 1e-12 |H|, mostly after 5 to
+8 steps, and only L goes on, on the same basis, until its second pair is
+within that residual too or its second level certainly lies above K0.
+Before anything is built, the solver's guard bounds the flops of its worst
+case, the shift search's factorizations and 45 Lanczos steps with a check
+at each, to MAX_SOLVER_WORK, and the Lanczos basis to 6e6 doubles; solves
+near the bound, such as N = 199 at cutoff 99 or N = 64 at cutoff 1400, take
+0.08-0.14 s per coupling on a 2-core x86 box.  A model whose matrix
+elements or |H| would overflow is refused first.  `build_hamiltonian`
+writes the dense matrix for tests and inspection from the same unit links,
+not from the bands; it refuses the same overflowing models, and its other
+guard bounds the dimension, since the dense matrix is what costs memory.
 
 Whether the Fock cutoff holds the ground state is read off the ground
 vector itself: its probability weight on the top fifth of the photon
@@ -67,7 +73,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,8 +127,9 @@ _RESIDUAL = 1e-12
 # the Gershgorin bound, one warm solve (median over y in [0.1, 2.7], 2-core
 # x86 box) at N = 8, cutoff 60 and N = 16, cutoff 100 took 0.67 and 1.58 ms
 # at 1e-2 (20 banded solves per N = 8 solve), 0.42 and 1.13 ms at 1e-3 (12)
-# and 0.40 and 1.11 ms at 1e-4 (10).  The search from the spin floor, which
-# lies mostly within 2e-3 |H| below the lower block's E0, makes 5.6 and 4.6
+# and 0.40 and 1.11 ms at 1e-4 (10).  The searches from the spin floor and,
+# in the odd block, from the even block's lower end plus the lower
+# polariton, both mostly within 2e-3 |H| below E0, make 4.4 and 3.9
 # factorizations per solve at 1e-3 over 9 couplings in [0.05, 2.9], against
 # 11.8 and 11.2 by that bisection, and 2 per block in the superradiant
 # phase (_shifted_factor).
@@ -130,11 +137,18 @@ _SHIFT_BRACKET = 1e-3
 _SHIFT_MARGIN = 1e-10
 # banded Cholesky factorizations per block, at most (_shifted_factor): the
 # halvings of a bracket of at most 2 |H| down to _SHIFT_BRACKET |H|, the
-# one at the shift, and two more, either the two probes from the spin
-# floor that lead to such a bracket, or a failed probe and a failed
+# one at the shift, and two more, either the two probes from the start
+# that lead to such a bracket, or a failed probe and a failed
 # factorization at the shift before the search runs again from the
 # Gershgorin bound
 _FACTORIZATIONS = math.ceil(math.log2(2.0 / _SHIFT_BRACKET)) + 3
+# Fock cutoffs up to which the odd block's search starts at the spin floor,
+# as the even block's does.  With at most two photons, truncation lifts the
+# odd block's E0 far above the even one's plus the lower polariton: 9 to 96
+# brackets at N = 8, cutoff 1, where two probes up from there cost 1 or 2
+# factorizations more than the search from the floor, which lay below the
+# Gershgorin bound and so bisected from that bound.
+_FEW_PHOTONS = 2
 # the ground vector's probability weight on photon numbers n >= 0.8 cutoff
 # above which the cutoff counts as not converged
 _CUTOFF_TAIL = 1e-8
@@ -227,14 +241,14 @@ def _check_solver_work(p: DickeParams) -> None:
 
     Per parity block of n states and half-bandwidth k, a solve (_Lanczos)
     makes up to _FACTORIZATIONS = 14 banded Cholesky factorizations of
-    n k^2 flops.  The search from the spin floor (_shifted_factor) mostly
-    makes 1 to 4, 2.8 on average at N = 8, cutoff 60 and 2.3 at N = 16,
-    cutoff 100; its worst case, after two probes from the floor or a floor
-    rounded above E0, is two more than the 12 of a bisection from the
-    Gershgorin bound.  The floor itself, one bisection of two tridiagonals
-    of about N/2 states, takes O(N) flops and is left aside.  A solve
-    makes up to _MAX_LANCZOS_STEPS = S steps of one banded solve and
-    one banded product, 8 n k flops together.  Over all steps, the
+    n k^2 flops.  The search for the shift (_shifted_factor) mostly makes
+    1 to 4, 2.2 on average at N = 8, cutoff 60 and 1.9 at N = 16, cutoff
+    100; its worst case, after two probes from its start or a start above
+    E0, is two more than the 12 of a bisection from the Gershgorin bound.
+    The spin floor, one bisection of two tridiagonals of about N/2
+    states, takes O(N) flops and is left aside.  A solve makes up to
+    _MAX_LANCZOS_STEPS = S steps of one banded solve and one banded
+    product, 8 n k flops together.  Over all steps, the
     reorthogonalization takes 4 n S (S - 1) flops, the rows of the
     projected matrix n S (S + 1), and the Rayleigh-Ritz checks, one Ritz
     pair's residual at each size and a second one's at one size, at most
@@ -275,14 +289,18 @@ def _check_range(p: DickeParams) -> None:
     (_reach)."""
     diagonal, coupling = _reach(p)
     if not 2.0 * (diagonal + 4.0 * coupling) < math.inf:
-        element = ("diagonal elements omega_a S_z + omega_c n"
-                   if diagonal >= 4.0 * coupling else
-                   "coupling elements (y/sqrt(N)) S_x (a + a')")
+        if diagonal >= 4.0 * coupling:
+            element = (f"diagonal elements omega_a S_z + omega_c n, up to "
+                       f"omega_a N/2 + omega_c cutoff with omega_a = "
+                       f"{p.omega_a:.3g}, omega_c = {p.omega_c:.3g}")
+        else:
+            element = (f"coupling elements (y/sqrt(N)) S_x (a + a'), up to "
+                       f"(y/sqrt(N)) (N + 1)/4 sqrt(cutoff) with y = "
+                       f"{p.y:.3g}")
         raise DomainError(
-            f"the {element} of H overflow the solver's range: the diagonal "
-            f"reaches {diagonal:.3g} and a coupling {coupling:.3g}, and the "
-            f"solver needs twice |H|, at most the diagonal plus four "
-            f"couplings, to be finite")
+            f"the {element}, N = {p.n_atoms} and cutoff = {p.fock_cutoff}, "
+            f"overflow the solver's range: it needs twice |H|, at most the "
+            f"diagonal plus four couplings, to be finite")
 
 
 def _spin_floor(p: DickeParams) -> tuple[float, int]:
@@ -352,6 +370,25 @@ def _spin_floor_terms(size: int) -> tuple[np.ndarray, np.ndarray,
     return terms
 
 
+def _lower_polariton(p: DickeParams) -> float:
+    """The lower polariton of the normal phase, eps with
+        eps^2 = [omega_a^2 + omega_c^2
+                 - sqrt((omega_c^2 - omega_a^2)^2 + 4 y^2 omega_a omega_c)] / 2,
+    the gap from the even to the odd ground level below y_c = sqrt(omega_a
+    omega_c) at large N and cutoff (Emary and Brandes, Phys. Rev. E 67,
+    066203 (2003)), and 0 at and above y_c.  It is formed as
+    omega_a omega_c (y_c^2 - y^2) / eps_+^2, eps_+ the upper polariton, on
+    the frequencies over the larger one, which cancels nothing but
+    y_c^2 - y^2 and overflows nowhere."""
+    scale = max(p.omega_a, p.omega_c)
+    a, c, t = p.omega_a / scale, p.omega_c / scale, p.y / scale
+    below = a * c - t * t
+    if not below > 0.0:
+        return 0.0
+    root = math.sqrt((c * c - a * a) ** 2 + 4.0 * t * t * a * c)
+    return scale * math.sqrt(2.0 * a * c * below / (a * a + c * c + root))
+
+
 def _spin_ladder(size: int) -> tuple[np.ndarray, np.ndarray]:
     """S_z = m - s of each spin index m, s = size/2, and <m+1|S_x|m> for
     m < size."""
@@ -365,69 +402,100 @@ def _half_bandwidth(size: int) -> int:
     return 1 if size == 1 else (size + 3) // 2
 
 
-def _runs(p: DickeParams) -> int:
-    # the runs of _parity_bands: all the pairs for even N, a row for odd N
-    return 1 if p.n_atoms % 2 == 0 else p.fock_cutoff + 1
+def _runs(size: int, cutoff: int) -> int:
+    # the runs of _shape_tables: all the pairs for even N, a row for odd N
+    return 1 if size % 2 == 0 else cutoff + 1
 
 
-def _elements(p: DickeParams) -> tuple[np.ndarray, np.ndarray]:
-    """H at p.y by photon-major state i = n (N + 1) + m, photon number n
-    and spin index m (S_z = m - s, s = N/2): diag[n, m] = omega_a (m - s)
-    + omega_c n, and links[i + 1] and links[i], the links of state i with
-    i + N + 2 and with i + N.  Both links |m, n> - |m + 1, n + 1> and
-    |m + 1, n> - |m, n + 1> are (y/sqrt(N)) <m+1|S_x|m> sqrt(n + 1), at
-    links[n (N + 1) + m + 1]; where m = N or n = cutoff that is 0."""
-    size, cutoff = p.n_atoms, p.fock_cutoff
+def _elements(size: int, cutoff: int) -> tuple[np.ndarray, np.ndarray,
+                                                np.ndarray]:
+    """The parts of H that do not depend on the model's frequencies or
+    coupling, by photon-major state i = n (N + 1) + m, photon number n and
+    spin index m: S_z = m - s (s = N/2) by m, the photon numbers n, and
+    units[i + 1] and units[i], the unit links of state i with i + N + 2
+    and with i + N.  Both links |m, n> - |m + 1, n + 1> and |m + 1, n> -
+    |m, n + 1> are <m+1|S_x|m> sqrt(n + 1) in units of y/sqrt(N), at
+    units[n (N + 1) + m + 1]; where m = N or n = cutoff that is 0.  H's
+    diagonal is omega_a S_z + omega_c n."""
     spins, sx = _spin_ladder(size)
     photons = np.arange(cutoff + 1.0)
-    diag = p.omega_a * spins + p.omega_c * photons[:, None]
-    links = np.zeros(p.dimension + 1)
-    coupling = links[1:].reshape(cutoff + 1, size + 1)[:cutoff, :size]
-    np.multiply(sx, np.sqrt(photons[1:, None]), out=coupling)
-    coupling *= p.y / math.sqrt(size)
-    return diag, links
+    units = np.zeros((cutoff + 1) * (size + 1) + 1)
+    np.multiply(sx, np.sqrt(photons[1:, None]),
+                out=units[1:].reshape(cutoff + 1, size + 1)[:cutoff, :size])
+    return spins, photons, units
+
+
+class _BlockTables(NamedTuple):
+    """One parity block's share of _elements, in the order of its band:
+    S_z and the photon number of each state, whether that number lies in
+    the top fifth (n >= 0.8 cutoff), and the unit links as a band in
+    Fortran order, units[d, j] = H[j + d, j] in units of y/sqrt(N) below
+    the diagonal and 0 on it."""
+
+    spins: np.ndarray
+    photons: np.ndarray
+    tail: np.ndarray
+    units: np.ndarray
+
+
+@functools.lru_cache(maxsize=2)
+def _shape_tables(size: int, cutoff: int) -> tuple[_BlockTables,
+                                                   _BlockTables]:
+    """The tables of the even and the odd parity block of the model with N
+    atoms and that Fock cutoff, built once per shape and read-only, placed
+    by one rule that keeps the half-bandwidth near N/2 at any cutoff:
+    - pair j of photon-major states, {2j, 2j + 1}, holds column j of each;
+    - run k of pairs (_runs) gives block q its state 2j + (k + q) mod 2;
+    - so a link up by D from state i lies on sub-diagonal (D + i mod 2) // 2.
+    Both have _half_bandwidth(N) sub-diagonals; at odd N >= 3 and cutoff 1
+    the even block's last one is 0.
+
+    The unit links take a double per band row and state, the rest 17
+    bytes a state.  Of the shapes the solver's guard admits
+    (_check_solver_work), N = 54 at cutoff 2055 holds the most, 14.1 MB a
+    block (56540 states, half-bandwidth 28); N = 199 at cutoff 99 holds
+    8.3 MB a block.  The cache keeps two shapes, those that a benchmark of
+    two sizes alternates between, so at most 57 MB.
+    """
+    spins, photons, units = _elements(size, cutoff)
+    runs, width = _runs(size, cutoff), _half_bandwidth(size)
+    dim = (size + 1) * (cutoff + 1)
+    index = np.arange(dim).reshape(runs, -1)
+    blocks = []
+    for q in (0, 1):
+        states = np.empty((dim + 1 - q) // 2, dtype=index.dtype)
+        for k in range(min(runs, 2)):
+            states.reshape(runs, -1)[k::2] = index[k::2, (k + q) % 2::2]
+        n, m = np.divmod(states, size + 1)
+        # sub-diagonals 0 to width + 1: the links up by N and by N + 2 of
+        # state i lie on (N + i mod 2) // 2 and the next one; only at N = 1
+        # do any lie on 0 or width + 1, the zero links of m = N
+        band = np.zeros((width + 2, len(states)))
+        column = np.arange(len(states))
+        d = (size + states % 2) // 2
+        band[d, column] = units[states]
+        band[d + 1, column] = units[states + 1]
+        tables = _BlockTables(spins[m], photons[n], n >= 0.8 * cutoff,
+                              np.asfortranarray(band[:-1]))
+        for table in tables:
+            table.flags.writeable = False
+        blocks.append(tables)
+    return tuple(blocks)
 
 
 def _parity_bands(p: DickeParams) -> tuple[np.ndarray, np.ndarray]:
     """The lower bands, ab[d, j] = H[j + d, j] in Fortran order, of the
-    even and the odd parity block of H at p.y, placed from _elements by one
-    rule, which keeps the half-bandwidth near N/2 at any cutoff:
-    - pair j of photon-major states, {2j, 2j + 1}, holds column j of each;
-    - run k of pairs (_runs) gives block q its state 2j + (k + q) mod 2;
-    - so a link up by D from state i lies on sub-diagonal (D + i mod 2) // 2.
-    Both bands have _half_bandwidth(N) sub-diagonals; at odd N >= 3 and
-    cutoff 1 the even block's last one is 0."""
-    diag, links = _elements(p)
-    runs, width = _runs(p), _half_bandwidth(p.n_atoms)
-    diag, up_n, up_n2 = (diag.reshape(runs, -1), links[:-1].reshape(runs, -1),
-                         links[1:].reshape(runs, -1))
+    even and the odd parity block of H at p.y, from their tables
+    (_shape_tables): the unit links times y/sqrt(N), in one pass over the
+    whole band, and omega_a S_z + omega_c n on the diagonal."""
+    coupling = p.y / math.sqrt(p.n_atoms)
     bands = []
-    for q in (0, 1):
-        band = np.zeros((width + 1, (p.dimension + 1 - q) // 2), order="F")
-        grid = band.reshape(width + 1, runs, -1)  # ab[d, j] by run
-        for k in range(min(runs, 2)):
-            r = (k + q) % 2
-            d = (p.n_atoms + r) // 2
-            grid[0, k::2] = diag[k::2, r::2]
-            # at N = 1 no link lies on sub-diagonal 0 or 2
-            if d > 0:
-                grid[d, k::2] = up_n[k::2, r::2]
-            if d < width:
-                grid[d + 1, k::2] = up_n2[k::2, r::2]
+    for block in _shape_tables(p.n_atoms, p.fock_cutoff):
+        band = np.multiply(block.units, coupling, order="F")
+        np.add(p.omega_a * block.spins, p.omega_c * block.photons,
+               out=band[0])
         bands.append(band)
     return tuple(bands)
-
-
-def _block_states(p: DickeParams, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The spin index m and the photon number n of each state of parity
-    block q (0 even, 1 odd), in the order of its band (_parity_bands)."""
-    runs = _runs(p)
-    states = np.arange(p.dimension).reshape(runs, -1)
-    i = np.empty((p.dimension + 1 - q) // 2, dtype=states.dtype)
-    for k in range(min(runs, 2)):  # as in _parity_bands
-        i.reshape(runs, -1)[k::2] = states[k::2, (k + q) % 2::2]
-    n, m = np.divmod(i, p.n_atoms + 1)
-    return m, n
 
 
 def build_hamiltonian(p: DickeParams) -> np.ndarray:
@@ -435,12 +503,13 @@ def build_hamiltonian(p: DickeParams) -> np.ndarray:
     index m (cutoff + 1) + n, written from H's elements (_elements)."""
     _check_dimension(p)
     _check_range(p)
-    diag, links = _elements(p)
+    spins, photons, units = _elements(p.n_atoms, p.fock_cutoff)
+    links = units * (p.y / math.sqrt(p.n_atoms))
     dim, size = p.dimension, p.n_atoms
     # index m (cutoff + 1) + n of each photon-major state n (N + 1) + m
     i = np.arange(dim).reshape(size + 1, -1).T.ravel()
     h = np.zeros((dim, dim))
-    h[i, i] = diag.ravel()
+    h[i, i] = (p.omega_a * spins + p.omega_c * photons[:, None]).ravel()
     for d, link in ((size, links[:-1]), (size + 2, links[1:])):
         h[i[d:], i[:dim - d]] = h[i[:dim - d], i[d:]] = link[:dim - d]
     return h
@@ -469,6 +538,12 @@ def _solve_blocks(p: DickeParams) -> list[_Lanczos]:
     pair converges too or its second level L1 certainly lies above the
     other block's minimum K0.  The outputs read L0, K0 and min(L1, K0); the
     other block's second level is never below K0.
+
+    The even block's shift is searched first, from the spin floor.  The
+    odd block's search starts at the even block's certified lower end plus
+    the lower polariton, which is 0 from y_c on, where the two ground
+    levels meet; at the smallest cutoffs (_FEW_PHOTONS), or where the even
+    block needed no shift, it starts at the spin floor too.
     """
     global _blas, _lapack
     _check_range(p)
@@ -476,10 +551,14 @@ def _solve_blocks(p: DickeParams) -> list[_Lanczos]:
     if _lapack is None:
         from scipy.linalg import blas, lapack
         _blas, _lapack = blas, lapack
-    floor = _spin_floor(p)
+    even_band, odd_band = _parity_bands(p)
+    guess = _spin_floor(p)
     # every block holds at least two states: N >= 1 and cutoff >= 1
-    runs = [_Lanczos(band, _start(band.shape[1]), floor)
-            for band in _parity_bands(p)]
+    even = _Lanczos(even_band, _start(even_band.shape[1]), guess)
+    if even.lower is not None and p.fock_cutoff > _FEW_PHOTONS:
+        lo, e = even.lower
+        guess = lo + math.ldexp(_lower_polariton(p), -e), e
+    runs = [even, _Lanczos(odd_band, _start(odd_band.shape[1]), guess)]
     for run in runs:
         run.converge(0)
     low, other = sorted(runs, key=lambda run: run.levels[0])
@@ -495,19 +574,22 @@ class _Lanczos:
     """Shift-invert Lanczos on one parity block, by one banded Cholesky
     factor of H - sigma, that converges its lowest levels one at a time:
     each converge() goes on from the basis the last one left.  The band ab
-    is in Fortran order, start is the block's start vector, and floor the
-    spin floor (_spin_floor), where the search for the shift starts.
+    is in Fortran order, start is the block's start vector, and guess,
+    (f, e) for f 2^e, the level where the search for the shift starts
+    (_shifted_factor).
 
     It runs on H scaled by the power of two just above |H|, which is exact
     and keeps every iterate in range whatever the scale of H.  `levels`
     holds the lowest levels found, ascending, and `ground` the unit vector
     of the first; each of their pairs (E, x) met |H x - E x| <= 1e-12 |H|.
     `norm` is |H|, the largest absolute row sum, an upper bound on the
-    spectral norm and the scale of the solve's rounding.
+    spectral norm and the scale of the solve's rounding.  `lower`, (lo, e)
+    for lo 2^e, is the search's certified lower end, at most E0, or None
+    where the levels are the sorted diagonal and no shift was needed.
     """
 
     def __init__(self, ab: np.ndarray, start: np.ndarray,
-                 floor: tuple[float, int]):
+                 guess: tuple[float, int]):
         dim = ab.shape[1]
         abs_rows = _band_matvec(np.abs(ab), np.ones(dim))
         self.norm = float(abs_rows.max())
@@ -519,14 +601,16 @@ class _Lanczos:
             self.levels = [float(e) for e in ab[0][order]]
             self.ground = np.zeros(dim)
             self.ground[order[0]] = 1.0
+            self.lower = None
             return
         self.levels, self.ground = [], None
         self.exponent = math.frexp(self.norm)[1]
         self.h = np.ldexp(ab, -self.exponent)
         self.bound = _RESIDUAL * math.ldexp(self.norm, -self.exponent)
-        self.factor = _shifted_factor(
+        self.factor, lo = _shifted_factor(
             self.h, np.ldexp(abs_rows, -self.exponent),
-            math.ldexp(floor[0], floor[1] - self.exponent))
+            math.ldexp(guess[0], guess[1] - self.exponent))
+        self.lower = lo, self.exponent
         steps = min(dim, _MAX_LANCZOS_STEPS)
         # the Lanczos vectors as rows, H times each, and the lower triangle
         # of H projected on them, one row per vector
@@ -610,16 +694,19 @@ class _Lanczos:
 
 
 def _shifted_factor(h: np.ndarray, abs_rows: np.ndarray,
-                    floor: float) -> np.ndarray:
+                    guess: float) -> tuple[np.ndarray, float]:
     """The lower banded Cholesky factor of H - sigma, sigma below the lowest
-    eigenvalue E0; abs_rows holds the absolute row sums of H, and floor is
-    the spin floor (_spin_floor), which rounding may leave above E0.
+    eigenvalue E0, and lo, the certified lower end of the search, sigma
+    plus 1e-10 |H|; abs_rows holds the absolute row sums of H, and guess is
+    a level mostly just below E0, which rounding or a wrong prediction may
+    leave above it: the spin floor (_spin_floor) or, in the odd block, the
+    even block's lo plus the lower polariton (_solve_blocks).
 
     A factorization that succeeds certifies its shift below E0, one that
     fails its shift above E0, and the smallest diagonal entry is above E0
     too.  The search keeps a bracket [lo, lo + width] on E0 and halves it,
     probing lo + width/2, until it is at most _SHIFT_BRACKET |H| wide.
-    Where the floor less 1e-10 |H| lies between the Gershgorin lower bound
+    Where the guess less 1e-10 |H| lies between the Gershgorin lower bound
     and the smallest diagonal entry, it starts there: E0 is mostly within
     2 _SHIFT_BRACKET |H| above it, so it first probes upward, by
     _SHIFT_BRACKET |H| and then twice that, and a failed probe gives a
@@ -627,9 +714,9 @@ def _shifted_factor(h: np.ndarray, abs_rows: np.ndarray,
     smallest diagonal entry.  Otherwise it starts from the Gershgorin
     bound.  The accepted shift backs off from lo by 1e-10 |H|, so rounding
     in its certificate cannot leave it at or above E0.  Where no probe from
-    the floor succeeded and the factorization at that shift fails, the
-    floor was rounded above E0, and the search runs again from the
-    Gershgorin bound, below the failed shift.
+    the guess succeeded and the factorization at that shift fails, the
+    guess lay above E0, and the search runs again from the Gershgorin
+    bound, below the failed shift.
     """
     norm = float(abs_rows.max())
     bracket, margin = _SHIFT_BRACKET * norm, _SHIFT_MARGIN * norm
@@ -652,7 +739,7 @@ def _shifted_factor(h: np.ndarray, abs_rows: np.ndarray,
                 lo += width
         return lo
 
-    start = floor - margin
+    start = guess - margin
     if gershgorin < start < top:
         lo, step = start, bracket
         for _ in range(2):
@@ -675,7 +762,7 @@ def _shifted_factor(h: np.ndarray, abs_rows: np.ndarray,
             f"H - sigma did not factor at sigma = {sigma!r}, below the "
             f"certified shift {lo!r}", best_estimate=top,
             achieved_error=top - sigma)
-    return factor
+    return factor, lo
 
 
 def _solve(factor: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -690,11 +777,11 @@ def _ground_observables(p: DickeParams):
     # superradiant phase the doublet is degenerate below machine precision.
     tie = 8 * np.finfo(float).eps * max(even.norm, odd.norm)
     q = int(odd.levels[0] < even.levels[0] - tie)
-    m, n = _block_states(p, q)
+    tables = _shape_tables(p.n_atoms, p.fock_cutoff)[q]
     prob = blocks[q].ground ** 2
-    photon = float(prob @ n)
-    sz = float(prob @ (m - 0.5 * p.n_atoms))
-    tail = float(prob[n >= 0.8 * p.fock_cutoff].sum())
+    photon = float(prob @ tables.photons)
+    sz = float(prob @ tables.spins)
+    tail = float(prob[tables.tail].sum())
     # min(L1, K0) - L0, L the block with the lower minimum and K the other:
     # K1 >= K0, and L1 is not among L's levels only when it lies above K0
     low, other = sorted(blocks, key=lambda b: b.levels[0])
@@ -718,9 +805,13 @@ def ground_state(p: DickeParams) -> GroundStateResult:
     Accuracy is absolute, in units of |H|: each eigenpair is held to a
     residual of 1e-12 |H|, and |H| is about omega_a N/2 + omega_c cutoff.
     So where omega_c >> omega_a the outputs lose digits, although the
-    ground state then holds almost no photons: at N = 8, cutoff 60, y = 1,
-    omega_a = 1 and omega_c = 1e15 the energy is -4.0859 (exactly about
-    -4) and sz_expect -3.676 (exactly -4).
+    ground state then holds almost no photons: at N = 8, cutoff 60, y = 1
+    and omega_a = 1 the energy is -4.000000112 at omega_c = 1e9 and
+    -3.99995499 at 1e11, against about -4.00000000025 and -4.0000000000025
+    exactly; over y in {0.5, 1, 3} the largest loss, 5.3e-4, is at 1e12
+    and y = 3.  From omega_c = 1e12 on at y <= 1, and 1e13 at y = 3, the
+    couplings fall below 1e-12 |H| and the levels are the sorted diagonal:
+    at 1e15 the energy and sz_expect are -4.0.
     """
     energy, photon, sz, parity, _, tail = recall(_ground_observables, p)
     return GroundStateResult(energy=energy, photon_number=photon,
@@ -778,8 +869,8 @@ def mean_field(p: DickeParams) -> MeanFieldResult:
 def spectrum_scan(p: DickeParams, y_grid: Sequence[float]) -> list[ScanRow]:
     """Ground-state observables and first gap along a coupling grid.
 
-    Each coupling writes the parity blocks' bands afresh (_parity_bands), at
-    the cost of a few array passes over the blocks' states.  A coupling
+    Each coupling writes the parity blocks' bands afresh (_parity_bands), in
+    two array passes over tables built once per (N, cutoff).  A coupling
     whose parameters equal those of the last solve, such as a ground_state
     call just before, reuses it, and ground_state at the last coupling's
     parameters right after is free.  Each row has ground_state's accuracy,

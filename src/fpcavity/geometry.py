@@ -180,11 +180,23 @@ def image_positions(z_dip: float, frame: CavityFrame, n_range) -> list[tuple[flo
     For each n in n_range, emits (2nL + z_dip, identity) followed by
     (2nL - z_dip, R): an unreflected copy and a mirror-reflected copy.  The
     (n = 0, identity) entry is the physical dipole itself.  Orientations
-    alternate between identity and R along the axis.
+    alternate between identity and R along the axis.  A range whose
+    positions would overflow, 2 max|n| L + z_dip beyond the doubles, is a
+    DomainError.
     """
     L = frame.length_L
     if not (0.0 < z_dip < L):
         raise DomainError("dipole must lie strictly between the mirrors")
+    n_range = list(n_range)
+    try:
+        reach = (2.0 * float(max(map(abs, n_range), default=0)) * L
+                 + float(z_dip))
+    except OverflowError:
+        reach = math.inf
+    if not reach < math.inf:
+        raise DomainError(
+            f"image positions 2 n L +- z_dip overflow: 2 max|n| L + z_dip "
+            f"lies beyond the doubles at L = {L!r}")
     ident = np.eye(3)
     refl = reflection_matrix()
     out: list[tuple[float, np.ndarray]] = []

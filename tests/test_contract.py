@@ -31,6 +31,7 @@ from fpcavity import (CavityFrame, DickeParams, DipoleSpec, DomainError,
                       check_green, check_kernel_cancellation,
                       check_lipschitz, check_mode_sum, dipole_dipole_energy,
                       direct_mode_sum, ground_state, hyperbolic_mode_sum,
+                      image_positions,
                       integrate_semi_infinite, kernel_d, kernel_d_spectral,
                       kernel_e, mean_field, mode_fn, quadratic_self_term,
                       self_energy_matrix, spectrum_scan, xi)
@@ -126,6 +127,8 @@ _ENTRY_POINTS = {
     "check_mode_sum": lambda x, y, z: check_mode_sum([ModeSumArgs(x, y, 1)],
                                                      1000),
     "anisotropy_delta": lambda x, y, z: anisotropy_delta(CavityFrame(x), y),
+    "image_positions": lambda x, y, z: np.array(
+        [z_n for z_n, _ in image_positions(y, CavityFrame(x), [-1, 0, 1])]),
     "check_axial_and_aniso": lambda x, y, z: check_axial_and_aniso(
         [x], [0.5 * y, y], z),
     "dipole_dipole_energy": lambda x, y, z: dipole_dipole_energy(
@@ -182,6 +185,8 @@ def _outcome(entry, args) -> list:
 @example(entry="anisotropy_delta", x=1e200, y=1e200, z=0.0)
 @example(entry="check_axial_and_aniso", x=0.5, y=2e200, z=1e200)
 @example(entry="dipole_dipole_energy", x=1.5e308, y=0.5, z=0.0)
+# 2 n L overflowed to a position of inf
+@example(entry="image_positions", x=1e308, y=0.3, z=0.0)
 @example(entry="ground_state", x=7.336147744545355e+81, y=7.7283351297321e-98,
          z=3.83304643550492e-21)
 @example(entry="spectrum_scan", x=1.0, y=1.0, z=1e-25)

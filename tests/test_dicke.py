@@ -127,14 +127,18 @@ def test_cutoff_flag_never_falsely_true():
 
 def test_cutoff_flag_reads_the_photon_tail():
     # weight on n >= 0.8 cutoff, against the ground vector of the dense
-    # matrix (non-degenerate here: gap 0.036), whose index is m (cutoff + 1) + n
-    p = DickeParams(y=1.5, n_atoms=4, fock_cutoff=12)
-    _, vectors = np.linalg.eigh(build_hamiltonian(p))
-    photons = np.tile(np.arange(13), 5)
-    expected = float((vectors[:, 0] ** 2)[photons >= 10].sum())
-    assert 1e-5 < expected < 1e-4
-    assert dicke._ground_observables(p)[-1] == pytest.approx(expected,
-                                                             rel=1e-8)
+    # matrix (non-degenerate here: gap 0.036), whose index is m (cutoff + 1) + n;
+    # at cutoff 10, 0.8 cutoff is itself a photon number, n = 8, whose
+    # weight is 4/5 of the tail
+    for cutoff, first, weights in ((12, 10, (1e-5, 1e-4)),
+                                   (10, 8, (1e-4, 1e-3))):
+        p = DickeParams(y=1.5, n_atoms=4, fock_cutoff=cutoff)
+        _, vectors = np.linalg.eigh(build_hamiltonian(p))
+        photons = np.tile(np.arange(cutoff + 1), 5)
+        expected = float((vectors[:, 0] ** 2)[photons >= first].sum())
+        assert weights[0] < expected < weights[1]
+        assert dicke._ground_observables(p)[-1] == pytest.approx(
+            expected, rel=1e-8)
     # about 0.13 when the cutoff truncates, below 3e-9 at the CLI default
     # size, and exactly 0 at y = 0
     tail = dicke._ground_observables(
@@ -278,6 +282,14 @@ def _reference_hamiltonian(p: DickeParams) -> np.ndarray:
     return h
 
 
+def _block_states(p: DickeParams, q: int) -> np.ndarray:
+    """The photon-major index n (N + 1) + m of each state of parity block
+    q, in the order of its band, from the S_z and n tables."""
+    tables = dicke._shape_tables(p.n_atoms, p.fock_cutoff)[q]
+    m = tables.spins + 0.5 * p.n_atoms
+    return (tables.photons * (p.n_atoms + 1) + m).astype(int)
+
+
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 7, 8, 16, 33])
 def test_bands_are_the_parity_blocks_bit_for_bit(n_atoms):
     # each band against its parity block of the elementwise H, states in
@@ -305,13 +317,83 @@ def test_bands_are_the_parity_blocks_bit_for_bit(n_atoms):
                 want = np.zeros(len(block))
                 want[:len(block) - d] = np.diag(block, -d)
                 assert row.tobytes() == want.tobytes(), (cutoff, q, d)
-            m, n = dicke._block_states(p, q)
-            assert np.array_equal(n * (n_atoms + 1) + m, states)
+            assert np.array_equal(_block_states(p, q), states)
         assert {band.shape[0] - 1 for band in bands} == {
             1 if n_atoms == 1 else (n_atoms + 3) // 2}
         # build_hamiltonian's index is m (cutoff + 1) + n
         dense = h.transpose(1, 0, 3, 2).reshape(dim, dim)
         assert build_hamiltonian(p).tobytes() == dense.tobytes()
+
+
+def _bands_placed_by_runs(p: DickeParams) -> tuple[np.ndarray, np.ndarray]:
+    """The bands as the solver placed them before its tables were kept per
+    shape: H's elements at p.y in one photon-major table, copied into each
+    block by runs of pairs, one strided copy per run parity and row."""
+    size, cutoff, dim = p.n_atoms, p.fock_cutoff, p.dimension
+    s = 0.5 * size
+    spins = np.arange(size + 1.0) - s
+    mz = spins[:-1]
+    sx = 0.5 * np.sqrt(s * (s + 1) - mz * (mz + 1))
+    photons = np.arange(cutoff + 1.0)
+    diag = p.omega_a * spins + p.omega_c * photons[:, None]
+    links = np.zeros(dim + 1)
+    coupling = links[1:].reshape(cutoff + 1, size + 1)[:cutoff, :size]
+    np.multiply(sx, np.sqrt(photons[1:, None]), out=coupling)
+    coupling *= p.y / math.sqrt(size)
+    runs = 1 if size % 2 == 0 else cutoff + 1
+    width = 1 if size == 1 else (size + 3) // 2
+    diag, up_n, up_n2 = (diag.reshape(runs, -1), links[:-1].reshape(runs, -1),
+                         links[1:].reshape(runs, -1))
+    bands = []
+    for q in (0, 1):
+        band = np.zeros((width + 1, (dim + 1 - q) // 2), order="F")
+        grid = band.reshape(width + 1, runs, -1)
+        for k in range(min(runs, 2)):
+            r = (k + q) % 2
+            d = (size + r) // 2
+            grid[0, k::2] = diag[k::2, r::2]
+            if d > 0:
+                grid[d, k::2] = up_n[k::2, r::2]
+            if d < width:
+                grid[d + 1, k::2] = up_n2[k::2, r::2]
+        bands.append(band)
+    return tuple(bands)
+
+
+@pytest.mark.parametrize("n_atoms", [*range(1, 20), 33, 64])
+def test_bands_from_the_shape_tables_are_the_placed_bands(n_atoms):
+    # the same operations on the same elements: byte for byte, in Fortran
+    # order, at random frequencies and couplings
+    rng = np.random.default_rng(46 + n_atoms)
+    for cutoff in (1, 2, 3, 9, 60, 61):
+        omega_a, omega_c, y = (float(x) for x in rng.uniform(0.01, 5.0, 3))
+        p = DickeParams(omega_a, omega_c, y, n_atoms, cutoff)
+        for band, want in zip(dicke._parity_bands(p),
+                              _bands_placed_by_runs(p), strict=True):
+            assert band.flags.f_contiguous
+            assert band.shape == want.shape, (cutoff, band.shape)
+            assert band.tobytes(order="F") == want.tobytes(order="F"), cutoff
+
+
+def test_shape_tables_are_read_only():
+    for block in dicke._shape_tables(7, 9):
+        assert len(block.units) == dicke._half_bandwidth(7) + 1
+        assert not block.units[0].any()
+        for table in block:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+
+def test_scan_builds_the_shape_tables_once(monkeypatch):
+    monkeypatch.setattr(_memo, "_entries", {})
+    dicke._shape_tables.cache_clear()
+    spectrum_scan(DickeParams(n_atoms=8, fock_cutoff=60),
+                  [0.25 * i for i in range(13)])
+    info = dicke._shape_tables.cache_info()
+    # each coupling reads them for its bands and its ground block's
+    # observables
+    assert (info.misses, info.hits) == (1, 2 * 13 - 1)
 
 
 def test_scan_writes_the_bands_once_per_coupling(monkeypatch):
@@ -530,7 +612,7 @@ def test_shift_within_rounding_of_ground_energy(y, n_atoms, cutoff,
     # precision.  Both levels must still match the dense ones.
     hugs = []
 
-    def hugging_factor(h, abs_rows, floor):
+    def hugging_factor(h, abs_rows, guess):
         rows = [np.diag(h[0])]
         for d in range(1, h.shape[0]):
             rows += [np.diag(h[d, :-d], -d), np.diag(h[d, :-d], d)]
@@ -542,7 +624,7 @@ def test_shift_within_rounding_of_ground_energy(y, n_atoms, cutoff,
             factor, info = lapack.dpbtrf(shifted, lower=1)
             if info == 0:
                 hugs.append(k)
-                return factor
+                return factor, e0 - k * step
         raise AssertionError("no shift within 100 rounding steps factors")
     monkeypatch.setattr(dicke, "_shifted_factor", hugging_factor)
     p = DickeParams(1.0, 1.0, y, n_atoms, cutoff)
@@ -640,23 +722,84 @@ class _CountedFactorizations:
 SPY_COUPLINGS = (0.33, 1.0, 1.54, 1.98, 2.75)
 
 
-def _factorizations(monkeypatch, sizes):
-    """dpbtrf calls of one-coupling solves, over sizes x SPY_COUPLINGS."""
+def _solve_factorizations(monkeypatch, models) -> list[int]:
+    """dpbtrf calls of one solve of both blocks of each model, with the
+    counted lapack left in place."""
     ground_state(DickeParams(y=1.0, n_atoms=2, fock_cutoff=4))
     lapack_counted = _CountedFactorizations()
     monkeypatch.setattr(dicke, "_lapack", lapack_counted)
-    for n_atoms, cutoff in sizes:
-        for y in SPY_COUPLINGS:
-            dicke._solve_blocks(DickeParams(y=y, n_atoms=n_atoms,
-                                            fock_cutoff=cutoff))
-    return lapack_counted.calls
+    calls = []
+    for p in models:
+        before = lapack_counted.calls
+        dicke._solve_blocks(p)
+        calls.append(lapack_counted.calls - before)
+    return calls
+
+
+def _factorizations(monkeypatch, sizes):
+    """dpbtrf calls of one-coupling solves, over sizes x SPY_COUPLINGS."""
+    return sum(_solve_factorizations(monkeypatch, [
+        DickeParams(y=y, n_atoms=n_atoms, fock_cutoff=cutoff)
+        for n_atoms, cutoff in sizes for y in SPY_COUPLINGS]))
 
 
 def test_spin_floor_saves_factorizations(monkeypatch):
     # the bisection from the Gershgorin bound made 123 factorizations here
-    # (64 at N = 8, 59 at N = 16); the search from the spin floor makes 55
+    # (64 at N = 8, 59 at N = 16), the search from the spin floor in both
+    # blocks 55; with the odd block's search from the even block, 50
     calls = _factorizations(monkeypatch, [(8, 60), (16, 100)])
-    assert calls <= 0.6 * 123
+    assert calls <= 50
+
+
+@pytest.mark.parametrize("cutoff, counts, before", [
+    # the search from the spin floor in both blocks made the second list
+    (1, [15, 18, 19], [15, 18, 19]),
+    (5, [10, 18, 13], [13, 18, 23])])
+def test_small_cutoffs_take_no_more_factorizations(cutoff, counts, before,
+                                                   monkeypatch):
+    # at cutoff 1 truncation lifts the odd level far above the even one plus
+    # the lower polariton, and the odd block starts at the spin floor
+    got = _solve_factorizations(monkeypatch, [
+        DickeParams(y=y, n_atoms=8, fock_cutoff=cutoff)
+        for y in (0.5, 1.0, 2.0)])
+    assert got == counts
+    assert all(g <= b for g, b in zip(got, before))
+
+
+@pytest.mark.parametrize("n_atoms, cutoff, mean", [
+    (8, 60, 5.6), (16, 100, 4.6)])
+def test_odd_block_starts_from_the_even_block(n_atoms, cutoff, mean,
+                                              monkeypatch):
+    # below the spin floor's 5.6 and 4.6 per solve over these 9 couplings
+    calls = _solve_factorizations(monkeypatch, [
+        DickeParams(y=float(y), n_atoms=n_atoms, fock_cutoff=cutoff)
+        for y in np.linspace(0.05, 2.9, 9)])
+    assert sum(calls) / len(calls) < mean - 0.5
+
+
+@pytest.mark.parametrize("omega_a, omega_c", [
+    (1.0, 1.0), (0.3, 2.0), (2.0, 0.3), (1e-150, 1e150), (1e300, 1e-300),
+    (1e-300, 1e-300), (1.7e308, 1.7e308)])
+def test_lower_polariton(omega_a, omega_c):
+    # eps^2 = [wa^2 + wc^2 - sqrt((wc^2 - wa^2)^2 + 4 y^2 wa wc)] / 2 below
+    # y_c, at most min(wa, wc), 0 from y_c on, and never an overflow
+    y_c = math.sqrt(omega_a) * math.sqrt(omega_c)
+    for ratio in (0.0, 0.3, 0.9, 0.999, 1.0, 1.5, 1e300):
+        p = DickeParams(omega_a, omega_c, min(ratio * y_c, 1.7e308))
+        eps = dicke._lower_polariton(p)
+        assert 0.0 <= eps <= min(omega_a, omega_c) * (1 + 1e-15), ratio
+        if ratio > 1.0:
+            assert eps == 0.0
+        elif ratio == 1.0:
+            # y_c to within its rounding: eps^2 ~ y_c^2 - y^2 of a few ulps
+            assert eps <= 1e-7 * min(omega_a, omega_c)
+        elif omega_a == 0.3:
+            wa, wc, y = omega_a, omega_c, p.y
+            want = math.sqrt(0.5 * (wa * wa + wc * wc - math.sqrt(
+                (wc * wc - wa * wa) ** 2 + 4 * y * y * wa * wc)))
+            assert eps == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert dicke._lower_polariton(DickeParams(omega_a, omega_c, 0.0)) == (
+        pytest.approx(min(omega_a, omega_c), rel=1e-15))
 
 
 @pytest.mark.parametrize("n_atoms, cutoff", [(8, 60), (16, 100)])
@@ -750,7 +893,7 @@ def test_solver_against_a_dense_oracle_sweep():
     for p in _oracle_models(100, seed=31):
         h = build_hamiltonian(p)
         for q, block in enumerate(dicke._solve_blocks(p)):
-            m, n = dicke._block_states(p, q)
+            n, m = np.divmod(_block_states(p, q), p.n_atoms + 1)
             states = m * (p.fock_cutoff + 1) + n
             x = block.ground
             residual = h[np.ix_(states, states)] @ x - block.levels[0] * x
@@ -1105,6 +1248,16 @@ def test_cli_refuses_an_overflowing_coupling(capsys):
     assert dispatch(["dicke", "ground", "--y", "1e308"]) == 2
     err = capsys.readouterr().err
     assert "coupling elements" in err and "Lanczos" not in err
+
+
+def test_cli_names_the_overflowing_factors(capsys):
+    # omega_a N/2 + omega_c cutoff is inf here: the message gives its
+    # factors, and no inf or nan
+    assert dispatch(["dicke", "ground", "--omega-a", "1e308", "--omega-c",
+                     "1e308", "--y", "1"]) == 2
+    err = capsys.readouterr().err.lower()
+    assert "omega_a = 1e+308" in err and "cutoff = 60" in err
+    assert "inf" not in err and "nan" not in err
 
 
 @pytest.mark.parametrize("p", [

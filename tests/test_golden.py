@@ -176,3 +176,21 @@ def test_outputs_with_numpy_dispatch_switched_off():
     assert list(doc["outputs"]) == list(golden.CASES)
     for name, text in doc["outputs"].items():
         _assert_matches_from_elsewhere(name, text.encode())
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["xi", "--u", "1", "--v", "0"], "xi_u1_v0.txt"),
+    (["dicke", "ground", "--y", "2"], "dicke_ground_y2.json")])
+def test_python_dash_m_fpcavity_prints_the_golden_output(argv, name):
+    # the package's entry point, in a fresh interpreter, as the installed
+    # console script runs it
+    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-m", "fpcavity", *argv], env=env,
+                         capture_output=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == b""
+    if SAME_ENVIRONMENT:
+        assert run.stdout == _golden_bytes(name)
+    else:
+        _assert_matches_from_elsewhere(name, run.stdout)

@@ -138,4 +138,4 @@ def test_the_two_routes_share_no_import():
     assert not reach["modesum"] & (LATTICE_ROUTE | INTEGRAL_ROUTE)
     both = {m for m in MODULES
             if reach[m] & LATTICE_ROUTE and reach[m] & INTEGRAL_ROUTE}
-    assert both == {"verify", "cli", "__init__"}
+    assert both == {"verify", "cli", "__main__", "__init__"}
