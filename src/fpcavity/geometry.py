@@ -180,14 +180,18 @@ def image_positions(z_dip: float, frame: CavityFrame, n_range) -> list[tuple[flo
     For each n in n_range, emits (2nL + z_dip, identity) followed by
     (2nL - z_dip, R): an unreflected copy and a mirror-reflected copy.  The
     (n = 0, identity) entry is the physical dipole itself.  Orientations
-    alternate between identity and R along the axis.  A range whose
-    positions would overflow, 2 max|n| L + z_dip beyond the doubles, is a
+    alternate between identity and R along the axis.  An index that is not
+    an integer (numpy integers are integers), and a range whose positions
+    would overflow, 2 max|n| L + z_dip beyond the doubles, are a
     DomainError.
     """
     L = frame.length_L
     if not (0.0 < z_dip < L):
         raise DomainError("dipole must lie strictly between the mirrors")
-    n_range = list(n_range)
+    try:
+        n_range = [operator.index(n) for n in n_range]
+    except TypeError:
+        raise DomainError("image indices must be integers") from None
     try:
         reach = (2.0 * float(max(map(abs, n_range), default=0)) * L
                  + float(z_dip))

@@ -117,8 +117,7 @@ def xi(u: float, v: float, tol=None) -> float:
     whatever tol is given, through the memo: check_bessel_hyperbolic reads
     the other two moments at the same (u, v) right after.  tol is ignored:
     it is kept only for the one caller that still passes it, the shifted
-    xi of perfbench/test_checks_bite.py, and goes with that call (ROADMAP
-    items 8 and 9).
+    xi of perfbench/test_checks_bite.py, and goes with that call.
     """
     return recall(_lattice_moments, u, v)[0]
 

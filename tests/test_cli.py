@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -370,24 +371,22 @@ def test_flags_have_one_spelling(argv, capsys):
     assert "unrecognized arguments" in captured.err
 
 
-# closed form at y = 2, omega_a = omega_c = 1: every value is exact
-_MEANFIELD_Y2 = {
-    "json": (b'{\n  "y": 2.0,\n  "y_c": 1.0,\n'
-             b'  "order_parameter_sq_per_atom": 0.9375,\n'
-             b'  "energy_per_atom": -1.0625\n}\n'),
-    "csv": (b"y,y_c,order_parameter_sq_per_atom,energy_per_atom\n"
-            b"2,1,0.9375,-1.0625\n"),
-}
+_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_dicke_meanfield_bytes(fmt, tmp_path, capsys):
+    # closed form at y = 2, omega_a = omega_c = 1: every value is exact, so
+    # the golden file's bytes hold in every environment, on stdout and in
+    # the --output file alike
+    with open(os.path.join(_GOLDEN, f"dicke_meanfield_y2.{fmt}"), "rb") as fh:
+        want = fh.read()
     argv = ["dicke", "meanfield", "--y", "2", "--format", fmt]
     assert dispatch(argv) == 0
-    assert capsys.readouterr().out.encode() == _MEANFIELD_Y2[fmt]
+    assert capsys.readouterr().out.encode() == want
     out = tmp_path / f"mf.{fmt}"
     assert dispatch(argv + ["--output", str(out)]) == 0
-    assert out.read_bytes() == _MEANFIELD_Y2[fmt]
+    assert out.read_bytes() == want
 
 
 def test_dicke_ground_csv_header_and_flag(capsys):

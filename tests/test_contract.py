@@ -26,14 +26,15 @@ from hypothesis import strategies as st
 import pytest
 from fpcavity import (CavityFrame, DickeParams, DipoleSpec, DomainError,
                       KernelMatrix, ModeSumArgs, Separation, WaveVector,
-                      anisotropy_delta, bessel_j, build_hamiltonian,
-                      check_axial_and_aniso, check_bessel_hyperbolic,
-                      check_green, check_kernel_cancellation,
-                      check_lipschitz, check_mode_sum, dipole_dipole_energy,
-                      direct_mode_sum, ground_state, hyperbolic_mode_sum,
-                      image_positions,
-                      integrate_semi_infinite, kernel_d, kernel_d_spectral,
-                      kernel_e, mean_field, mode_fn, quadratic_self_term,
+                      anisotropy_delta, bessel_j, brute_force_coulomb,
+                      build_hamiltonian, check_axial_and_aniso,
+                      check_bessel_hyperbolic, check_green,
+                      check_kernel_cancellation, check_lipschitz,
+                      check_mode_sum, dipole_dipole_energy, direct_mode_sum,
+                      dispersion, ground_state, hyperbolic_mode_sum,
+                      image_positions, integrate_semi_infinite, kernel_d,
+                      kernel_d_spectral, kernel_e, mean_field, mode_fn,
+                      quadratic_self_term, reflection_matrix, run_suite,
                       self_energy_matrix, spectrum_scan, xi)
 from fpcavity.cli import dispatch
 
@@ -129,12 +130,23 @@ _ENTRY_POINTS = {
     "anisotropy_delta": lambda x, y, z: anisotropy_delta(CavityFrame(x), y),
     "image_positions": lambda x, y, z: np.array(
         [z_n for z_n, _ in image_positions(y, CavityFrame(x), [-1, 0, 1])]),
+    "reflection_matrix": lambda x, y, z: reflection_matrix() @ [x, y, z],
+    "dispersion": lambda x, y, z: dispersion(WaveVector(1, (y, z)),
+                                             CavityFrame(x)),
+    "mode_fn": lambda x, y, z: mode_fn("TM", WaveVector(1, (x, y)),
+                                       (x, y, z)),
     "check_axial_and_aniso": lambda x, y, z: check_axial_and_aniso(
         [x], [0.5 * y, y], z),
     "dipole_dipole_energy": lambda x, y, z: dipole_dipole_energy(
         [DipoleSpec((0.0, 0.0, x / 3.0), (0.0, 0.0, 1.0)),
          DipoleSpec((y, 0.0, x / 1.5), (1.0, 0.0, 0.0))],
         CavityFrame(x)),
+    "brute_force_coulomb": lambda x, y, z: brute_force_coulomb(
+        [DipoleSpec((0.0, 0.0, x / 3.0), (0.0, 0.0, 1.0)),
+         DipoleSpec((y, 0.0, x / 1.5), (1.0, 0.0, 0.0))],
+        CavityFrame(x), 3),
+    # a float seed is refused: a numpy float64 as a Python float
+    "run_suite": lambda x, y, z: run_suite("green", x).reports,
     # the Dicke tools at (omega_a, omega_c, y)
     "ground_state": lambda x, y, z: ground_state(DickeParams(x, y, z, 1, 4)),
     "spectrum_scan": lambda x, y, z: spectrum_scan(
@@ -169,7 +181,7 @@ def _outcome(entry, args) -> list:
     return out
 
 
-@settings(max_examples=280, deadline=None)
+@settings(max_examples=340, deadline=None)
 @given(entry=st.sampled_from(sorted(_ENTRY_POINTS)), x=magnitudes,
        y=magnitudes, z=magnitudes)
 @example(entry="ModeSumArgs", x=0.5, y=1e200, z=0.0)
@@ -323,6 +335,31 @@ _dicke_argvs = st.one_of(
                "--steps=3", "--n-atoms=1", "--cutoff=1"])
 # a span within the float range whose last step rounds beyond it
 @example(argv=["dicke", "scan", "--y-max=1.7976931348623157e+308"])
+# the spin floor and the shift search in the solver's scaled units: at
+# frequencies and couplings of 1e-200 and 1e200, where y^2 alone would
+# underflow or overflow, and at omega_c / omega_a = 1e6
+@example(argv=["dicke", "ground", "--omega-a", "1e-200", "--omega-c",
+               "1e-200", "--y", "1e-200"])
+@example(argv=["dicke", "scan", "--omega-a", "1e-200", "--omega-c", "1e-200",
+               "--y-min", "0", "--y-max", "3e-200", "--steps", "7",
+               "--format", "csv"])
+@example(argv=["dicke", "ground", "--omega-a", "1e200", "--omega-c", "1e200",
+               "--y", "1e200"])
+@example(argv=["dicke", "scan", "--omega-a", "1e200", "--omega-c", "1e200",
+               "--y-min", "0", "--y-max", "3e200", "--steps", "7",
+               "--format", "csv"])
+@example(argv=["dicke", "ground", "--omega-a", "1", "--omega-c", "1e6",
+               "--y", "2e3"])
+@example(argv=["dicke", "scan", "--omega-a", "1", "--omega-c", "1e6",
+               "--y-min", "0", "--y-max", "3e3", "--steps", "7", "--format",
+               "csv"])
+# 1/x overflows at the quadrature's first node
+@example(argv=["kernel", "--family", "D", "--u", "0.5", "--v", "3e306",
+               "--format", "csv"])
+# the spectral route's first nodes sit near x = 1e-2/v, where the n = 0
+# mode's term is 1/x (pi^2/x^2 would overflow)
+@example(argv=["kernel", "--family", "D", "--spectral", "--u", "0.5", "--v",
+               "1e200", "--format", "csv"])
 def test_every_subcommand_exits_with_a_status_and_prints_no_nan(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

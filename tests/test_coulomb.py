@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from fpcavity import (CavityFrame, DipoleSpec, DomainError, Separation,
                       apery_zeta3, brute_force_coulomb, dipole_dipole_energy,
-                      kernel_e, reflection_matrix, self_energy_matrix,
-                      specfun, xi)
+                      coulomb, kernel_e, reflection_matrix,
+                      self_energy_matrix, specfun, xi)
 
 FRAME = CavityFrame(1.0)
 
@@ -141,6 +141,25 @@ def test_brute_force_refuses_one_dipole_and_negative_n_images(dipoles,
                                                                n_images):
     with pytest.raises(DomainError):
         brute_force_coulomb(dipoles, FRAME, n_images=n_images)
+
+
+@pytest.mark.parametrize("n_images", [2.5, 3.0, np.float64(3.0), "3"])
+def test_brute_force_refuses_n_images_that_is_not_an_integer(n_images):
+    # 2.5 raised a TypeError from range
+    with pytest.raises(DomainError, match="must be an integer"):
+        brute_force_coulomb(_axial_pair(), FRAME, n_images=n_images)
+
+
+def test_brute_force_refuses_n_images_above_its_bound(monkeypatch):
+    # the sum holds every image in memory: the bound is checked with a
+    # small stand-in, and sits at or above the callers' largest, 10^4
+    assert coulomb._MAX_IMAGES >= 10 ** 4
+    monkeypatch.setattr(coulomb, "_MAX_IMAGES", 5)
+    assert math.isfinite(brute_force_coulomb(_axial_pair(), FRAME,
+                                             n_images=np.int64(5)))
+    for n_images in (6, 10 ** 400):
+        with pytest.raises(DomainError, match=r"in \[0, 5\]"):
+            brute_force_coulomb(_axial_pair(), FRAME, n_images=n_images)
 
 
 def test_energy_matches_brute_force_axial_pair():

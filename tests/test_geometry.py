@@ -165,6 +165,22 @@ def test_image_positions_domain():
         image_positions(1.5, FRAME, range(0, 1))
 
 
+@pytest.mark.parametrize("index", [0.5, 1.0, math.nan, np.float64(1.0),
+                                   "1"])
+def test_image_positions_refuses_an_index_that_is_not_an_integer(index):
+    # 0.5 gave an image at 2 (0.5) L + z, and nan an error that blamed an
+    # overflow
+    with pytest.raises(DomainError, match="must be integers"):
+        image_positions(0.3, FRAME, [0, index])
+
+
+def test_image_positions_takes_numpy_integers():
+    images = image_positions(0.3, FRAME, np.arange(-1, 2))
+    assert [z for z, _ in images] == [
+        z for z, _ in image_positions(0.3, FRAME, range(-1, 2))]
+    assert all(type(z) is float for z, _ in images)
+
+
 def test_frame_and_wavevector_validation():
     with pytest.raises(DomainError):
         CavityFrame(0.0)

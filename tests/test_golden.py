@@ -1,13 +1,14 @@
 """Every committed output of the command line, regenerated and compared.
 
 tests/golden/ holds what tools/golden.py wrote through cli.dispatch: the
-verification suite, the `xi` and `kernel` outputs CI prints, and `dicke
-scan`.  Where the environment's fingerprint (numpy and scipy versions,
-machine, numpy's enabled CPU features) is the one MANIFEST.json records,
-every output must match its file byte for byte.  Elsewhere OpenBLAS may
-take other kernels, and the text and structure must still match exactly
-(keys, ids, flags, row and column counts, integers), while each float must
-match within max(8 ulps of itself, a bound per file):
+verification suite, `xi`, `kernel` on and off the axis, and `dicke scan`,
+`ground` and `meanfield`.  Where the environment's fingerprint (numpy and
+scipy versions, machine, numpy's enabled CPU features) is the one
+MANIFEST.json records, every output must match its file byte for byte.
+Elsewhere OpenBLAS may take other kernels, and the text and structure must
+still match exactly (keys, ids, flags, row and column counts, integers),
+while each float must match within max(8 ulps of itself, a bound per
+file):
 
   verify   2^-40, 32 ulps of 162, the largest side any row compares: an
            abs_err is the rounding of those sides, and a rel_err, that

@@ -53,6 +53,8 @@ def _loaded_after(calls: str) -> list[str]:
     ("fp.run_suite('all')", []),
     ("fp.ground_state(fp.DickeParams(y=0.5, n_atoms=2, fock_cutoff=4))",
      ["scipy.linalg"]),
+    # the Dicke mean field is a closed form
+    ("fp.mean_field(fp.DickeParams(y=2.0))", []),
 ])
 def test_each_entry_point_loads_only_what_it_uses(calls, loaded):
     assert _loaded_after(calls) == loaded

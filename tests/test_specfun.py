@@ -1044,16 +1044,28 @@ def test_tail_mode_calls_the_integrand_once_per_batch_of_half_periods(
 def test_verify_all_takes_few_integrand_calls(monkeypatch):
     # seed panels at most half a half-period wide, and a first tail batch
     # of _LEVIN_MAX_ORDER half-periods in the same call as the head's
-    # seeds, end most passes in their first call of the integrand: 107
-    # calls for the whole suite, against 134 with the first tail batch in
-    # a call of its own and 360 with geometric seeds and a first batch of
-    # six.  Every tail there has four rows, and takes its transforms a
-    # batch at a time
+    # seeds, end most passes in their first call of the integrand: of the
+    # suite's 93 passes 83 end in their first call, 9 in their second and
+    # 1 in its sixth, as README quotes, 107 calls in all, against 134 with
+    # the first tail batch in a call of its own and 360 with geometric
+    # seeds and a first batch of six.  Every tail there has four rows, and
+    # takes its transforms a batch at a time
     calls = _spying(monkeypatch, "_gauss_kronrod")
     batches = _spying(monkeypatch, "_levin_windows")
+    integrate, per_pass = specfun._integrate, []
+
+    def counted(*args):
+        start = len(calls)
+        try:
+            return integrate(*args)
+        finally:
+            per_pass.append(len(calls) - start)
+
+    monkeypatch.setattr(specfun, "_integrate", counted)
     _memo._entries.clear()
     assert verify.run_suite("all").all_pass
-    assert len(calls) <= 107
+    assert sorted(per_pass) == [1] * 83 + [2] * 9 + [6]
+    assert len(calls) == 107
     assert batches
     assert all(rows.shape[2] == 4 for rows, _ in batches)
 

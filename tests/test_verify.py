@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import time
@@ -14,6 +15,7 @@ from fpcavity import (KernelMatrix, ModeSumArgs, Separation, Tolerance,
                       check_green, check_kernel_cancellation, check_lipschitz,
                       check_mode_sum, kernel_d, kernel_e, run_suite)
 from fpcavity import lattice, verify
+from fpcavity.cli import dispatch
 from fpcavity.errors import DomainError
 from fpcavity.verify import SUITE_NAMES, _report, random_separations
 from tests_helpers import starve_verify
@@ -264,6 +266,31 @@ def test_bessel_hyperbolic_starved_pass_fails_all_four_rows(monkeypatch):
     for r in reports:
         assert not r.passed and r.abs_err == math.inf
         assert r.params["error"].startswith("ConvergenceError")
+
+
+def test_verify_bessel_at_a_budget_of_one_fails_whole_points(monkeypatch,
+                                                            capsys):
+    # a budget of one starves every quadrature that takes the tail mode,
+    # which needs at least six half-periods: the command exits 1, and as
+    # the four identities share one quadrature per (u, v), at each point
+    # all four rows pass or all four fail, with the same error
+    starve_verify(monkeypatch, 1)
+    assert dispatch(["verify", "bessel", "--format", "json"]) == 1
+    points = {}
+    for c in json.loads(capsys.readouterr().out)["checks"]:
+        points.setdefault((c["params"]["u"], c["params"]["v"]), {})[
+            c["id"]] = c
+    failed = []
+    for point, rows in points.items():
+        assert sorted(rows) == ["EQ22", "EQ29_MINUS", "EQ29_PLUS",
+                                "EQ30"], point
+        assert len({c["pass"] for c in rows.values()}) == 1, point
+        assert len({c["params"].get("error")
+                    for c in rows.values()}) == 1, point
+        if not rows["EQ22"]["pass"]:
+            assert "error" in rows["EQ22"]["params"], point
+            failed.append(point)
+    assert failed
 
 
 def test_green_check():
