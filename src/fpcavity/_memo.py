@@ -11,11 +11,12 @@ check_bessel_hyperbolic after xi at the same (u, v) (one lattice sum).
 It holds one entry per route, a (key, value) tuple: the next call of that
 route with another input replaces it, so a sweep over distinct inputs
 computes each of them, while a call of another route in between leaves it
-alone.  Every value kept is small: the largest is a kernel base, a 3 x 3
-matrix, and a Dicke solve keeps only its six observables, whatever the
-size of its blocks.  The key is every input exactly, floats by their bits
-(-0.0 and 0.0 differ), so a result served from the memo has the bits a
-fresh computation would give.  An entry is read and replaced whole, so threads
+alone.  Every value kept is a small tuple of floats: a kernel base is its
+four frame entries, the lattice moments are three numbers, and a Dicke
+solve keeps only its six observables, whatever the size of its blocks.
+The key is every input exactly, floats by their bits (-0.0 and 0.0
+differ), so a result served from the memo has the bits a fresh
+computation would give.  An entry is read and replaced whole, so threads
 that share it may lose each other's entry but never pair a key with
 another key's value.
 """
@@ -23,8 +24,6 @@ another key's value.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 # route -> (key, value) of the last recall of route that returned
 _entries = {}
@@ -51,17 +50,13 @@ def recall(route, *args):
     """route(*args), or the value it returned last when the last recall of
     route was at args exactly.
 
-    An array value is kept read-only and every caller gets its own copy;
-    any other value must be immutable, as a tuple of read-only arrays is.
-    A call that raises stores nothing.
+    The value is shared by every caller, so it must be immutable, as a
+    tuple of floats is.  A call that raises stores nothing.
     """
     key = tuple(map(_exact, args))
     entry = _entries.get(route)
     if entry is not None and entry[0] == key:
-        value = entry[1]
-    else:
-        value = route(*args)
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-        _entries[route] = key, value
-    return value.copy() if isinstance(value, np.ndarray) else value
+        return entry[1]
+    value = route(*args)
+    _entries[route] = key, value
+    return value

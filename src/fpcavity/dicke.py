@@ -226,6 +226,7 @@ class ScanRow:
     photon_number: float
     gap: float
     parity: float
+    cutoff_converged: bool
 
 
 def _check_dimension(p: DickeParams) -> None:
@@ -875,7 +876,9 @@ def spectrum_scan(p: DickeParams, y_grid: Sequence[float]) -> list[ScanRow]:
     call just before, reuses it, and ground_state at the last coupling's
     parameters right after is free.  Each row has ground_state's accuracy,
     1e-12 |H| with |H| about omega_a N/2 + omega_c cutoff, so the rows lose
-    digits where omega_c >> omega_a (see ground_state).
+    digits where omega_c >> omega_a (see ground_state).  Each row carries
+    ground_state's cutoff-convergence flag, so a row whose Fock cutoff is
+    too small says so.
     """
     if len(y_grid) == 0:
         raise DomainError("y_grid must be non-empty")
@@ -884,7 +887,8 @@ def spectrum_scan(p: DickeParams, y_grid: Sequence[float]) -> list[ScanRow]:
         if y < 0:
             raise DomainError("couplings must be non-negative")
         q = replace(p, y=y)
-        energy, photon, _, parity, gap, _ = recall(_ground_observables, q)
+        energy, photon, _, parity, gap, tail = recall(_ground_observables, q)
         rows.append(ScanRow(y=q.y, energy=energy, photon_number=photon,
-                            gap=gap, parity=parity))
+                            gap=gap, parity=parity,
+                            cutoff_converged=tail <= _CUTOFF_TAIL))
     return rows

@@ -7,9 +7,9 @@ consumed downstream is independent of the mode normalization.
 
 Both kernel families, the Coulomb kernels of coulomb and the
 displacement-field kernels of radiation, share what is defined here: the
-separation and kernel types, the rotation about z, the frame kernel, the
-plus and minus kernels from one memoized base, and the image-distance
-floor.  So neither imports the other.
+separation and kernel types, the plus and minus kernels laid out in
+closed form from one memoized base of four entries, and the
+image-distance floor.  So neither imports the other.
 """
 
 from __future__ import annotations
@@ -242,38 +242,42 @@ class KernelMatrix:
     kind: str
 
 
-def _rot_z(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def _kernel_matrix(base, phi: float, sign: str) -> np.ndarray:
+    """The kernel of base = (xx, yy, zz, xz), the entries of
+    B = [[xx, 0, xz], [0, yy, 0], [xz, 0, zz]] in the frame with the
+    transverse separation along x: R_z(phi) B R_z(phi)^T for the plus sign,
+    times R = diag(-1, -1, 1) for the minus sign.
 
-
-def _rotate(m: np.ndarray, phi: float) -> np.ndarray:
+    Written entry by entry in closed form, with one product for both
+    off-diagonal xy entries, so the plus kernel is exactly symmetric and the
+    minus kernel is the plus kernel with columns 0 and 1 negated, as
+    -x + 0.0.  Every zero entry is +0.0, so the CLI prints no -0.  At
+    phi = 0 (either zero) the frame entries are written as they are.
+    """
+    xx, yy, zz, xz = base
     if phi == 0.0:
-        return m
-    rz = _rot_z(phi)
-    return rz @ m @ rz.T
-
-
-# R = diag(-1, -1, 1), shared by every E- and D- kernel
-_REFLECTION = reflection_matrix()
-_REFLECTION.flags.writeable = False
-
-
-def _frame_kernel(xx, yy, zz, xz) -> np.ndarray:
-    """The kernel [[xx, 0, xz], [0, yy, 0], [xz, 0, zz]] in the frame with
-    the transverse separation along x, written into one array."""
-    m = np.zeros((3, 3))
-    m[0, 0], m[1, 1], m[2, 2] = xx, yy, zz
-    m[0, 2] = m[2, 0] = xz
-    return m
+        a, b, d, e, f = xx, 0.0, yy, xz, 0.0
+    else:
+        c, s = math.cos(phi), math.sin(phi)
+        cc, ss = c * c, s * s
+        a = cc * xx + ss * yy
+        # + 0.0: on the axis xx - yy and xz are zero, and a negative c or s
+        # would make them -0.0
+        b = c * s * (xx - yy) + 0.0
+        d = ss * xx + cc * yy
+        e, f = c * xz + 0.0, s * xz + 0.0
+    if sign == "minus":
+        return np.array((-a + 0.0, -b + 0.0, e, -b + 0.0, -d + 0.0, f,
+                         -e + 0.0, -f + 0.0, zz)).reshape(3, 3)
+    return np.array((a, b, e, b, d, f, e, f, zz)).reshape(3, 3)
 
 
 def _kernel_from_base(base, kinds: tuple[str, str], check_domain, sign: str,
                       sep: Separation, *args) -> KernelMatrix:
     """The plus or minus kernel (kinds[0] or kinds[1]) from
-    base(sep.u, sep.v, *args), the plus kernel in the frame with the
-    transverse separation along x: rotated about z through sep.phi, and
-    times R for the minus sign.
+    base(sep.u, sep.v, *args), the four entries (xx, yy, zz, xz) of the
+    plus kernel in the frame with the transverse separation along x,
+    laid out by _kernel_matrix at sep.phi.
 
     The base comes through the memo of base's last result, so the next
     call of base at the same separation, of either sign, reuses it.
@@ -281,10 +285,8 @@ def _kernel_from_base(base, kinds: tuple[str, str], check_domain, sign: str,
     if sign not in ("plus", "minus"):
         raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
     check_domain(sep)
-    m = _rotate(recall(base, sep.u, sep.v, *args), sep.phi)
-    if sign == "minus":
-        return KernelMatrix(m @ _REFLECTION, kinds[1])
-    return KernelMatrix(m, kinds[0])
+    m = _kernel_matrix(recall(base, sep.u, sep.v, *args), sep.phi, sign)
+    return KernelMatrix(m, kinds[sign == "minus"])
 
 # The nearest image distance (in units of L) below which the lattice sums
 # and both kernels are refused: their largest entry, about 4 pi / r^3 (D+

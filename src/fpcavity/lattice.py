@@ -67,8 +67,9 @@ def _lattice_moments(u: float, v: float) -> tuple[float, float, float]:
     inv3 = rho2 ** -1.5
     # v / rho^2 <= 1/v, and 0 once v * v overflows
     z = v / rho2
-    s3, s5, t5 = (float(np.sum(inv3)), float(np.sum(inv3 * (z * v))),
-                  float((a * z) @ inv3))
+    # np.add.reduce is np.sum's pairwise sum without its Python dispatch
+    s3, s5, t5 = (float(np.add.reduce(inv3)),
+                  float(np.add.reduce(inv3 * (z * v))), float((a * z) @ inv3))
     # Each side's tail from its first omitted |a| = A, with step 2 in a:
     # sum f = (1/2) int_A^inf f + f(A)/2 - f'(A)/6 + f'''(A)/90.  The n < 0
     # side is the mirror image and enters T5 (odd in a) with a minus sign.

@@ -66,8 +66,8 @@ import numpy as np
 
 from .errors import DomainError, as_float
 from .geometry import (CavityFrame, KernelMatrix, Separation,
-                       _check_image_distance, _frame_kernel,
-                       _kernel_from_base, _rotate)
+                       _check_image_distance, _kernel_from_base,
+                       _kernel_matrix)
 from .modesum import _direct_sums
 from .specfun import (DEFAULT_TOL, Tolerance, _bessel_half_period,
                       _bessel_j0_g, integrate_semi_infinite)
@@ -210,12 +210,15 @@ def _nearest_pair_rows(u: float, v: float) -> np.ndarray:
     return np.array(rows)
 
 
-def _d_matrix(rows) -> np.ndarray:
-    return math.pi * _frame_kernel(*rows)
+def _d_entries(rows: np.ndarray) -> tuple[float, float, float, float]:
+    """The entries (xx, yy, zz, xz) of D+, pi times the integrated rows."""
+    return tuple((math.pi * rows).tolist())
 
 
-def _d_plus_base(u: float, v: float, tol: Tolerance) -> np.ndarray:
-    """D+ entries in the frame with the transverse separation along x.
+def _d_plus_base(u: float, v: float,
+                 tol: Tolerance) -> tuple[float, float, float, float]:
+    """D+ entries (xx, yy, zz, xz) in the frame with the transverse
+    separation along x.
 
     The nearest image pair in closed form plus one adaptive pass over the
     remainder, whose weights carry an extra e^{-2x} (see the module
@@ -228,27 +231,31 @@ def _d_plus_base(u: float, v: float, tol: Tolerance) -> np.ndarray:
 
     rows = integrate_semi_infinite(remainder, 2.0 + min(u, 2.0 - u), tol,
                                    half_period=_bessel_half_period(v))
-    return _d_matrix(rows + _nearest_pair_rows(u, v))
+    return _d_entries(rows + _nearest_pair_rows(u, v))
 
 
-def _d_plus_reference(u: float, v: float, tol: Tolerance) -> np.ndarray:
-    """D+ entries from the unsplit integrand, the route verify checks EQ21
-    against: it shares no closed form with the image lattice."""
+def _d_plus_reference(u: float, v: float,
+                      tol: Tolerance) -> tuple[float, float, float, float]:
+    """D+ entries (xx, yy, zz, xz) from the unsplit integrand, the route
+    verify checks EQ21 against: it shares no closed form with the image
+    lattice."""
     def rows(x):
         return _d_rows(x, v, *_hyperbolic_weights(x, u))
 
-    return _d_matrix(integrate_semi_infinite(
+    return _d_entries(integrate_semi_infinite(
         rows, min(u, 2.0 - u), tol, half_period=_bessel_half_period(v)))
 
 
 def kernel_d(sign: str, sep: Separation, tol: Tolerance = DEFAULT_TOL) -> KernelMatrix:
     """Quadratic displacement-field kernel D+ (or D- = D+ . R) in L = 1 units.
 
-    Evaluated with the transverse separation along x and conjugated by the
-    rotation through sep.phi.  Requires 0 < u < 2 and the nearest image,
-    at hypot(min(u, 2 - u), v), no nearer than 1e-100, where the entries
-    would overflow.  Asking for the other sign at the same separation and
-    tolerance right after reuses the last quadrature.
+    Its four entries are evaluated with the transverse separation along x
+    and rotated through sep.phi in closed form, so D+ is exactly symmetric
+    and D- is D+ with columns 0 and 1 negated, bit for bit.  Requires
+    0 < u < 2 and the nearest image, at hypot(min(u, 2 - u), v), no nearer
+    than 1e-100, where the entries would overflow.  Asking for the other
+    sign at the same separation and tolerance right after reuses the last
+    quadrature.
     """
     return _kernel_from_base(_d_plus_base, (D_PLUS, D_MINUS), _check_d_domain,
                              sign, sep, tol)
@@ -302,10 +309,10 @@ def kernel_d_spectral(sep: Separation) -> KernelMatrix:
         return _d_rows(x, v, 1.0 / x + 2.0 * x * p0 / math.pi ** 2,
                        -2.0 * p1 / math.pi)
 
-    mat = _d_matrix(integrate_semi_infinite(
+    base = _d_entries(integrate_semi_infinite(
         rows, min(u, 2.0 - u), DEFAULT_TOL,
         half_period=_bessel_half_period(v)))
-    return KernelMatrix(_rotate(mat, sep.phi), D_PLUS)
+    return KernelMatrix(_kernel_matrix(base, sep.phi, "plus"), D_PLUS)
 
 
 def quadratic_self_term(z_over_L: float, tol: Tolerance = DEFAULT_TOL) -> KernelMatrix:

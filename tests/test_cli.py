@@ -332,7 +332,7 @@ def test_dicke_scan_csv(capsys):
                      "--format", "csv"])
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "y,energy,photon_number,gap,parity"
+    assert lines[0] == "y,energy,photon_number,gap,parity,cutoff_converged"
     assert len(lines) == 4
 
 

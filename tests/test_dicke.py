@@ -102,6 +102,18 @@ def test_cutoff_convergence_flag_trips():
     assert not gs.cutoff_converged
 
 
+def test_truncated_scan_row_reads_not_converged():
+    # the truncated energy lies far above the mean field's, about -36.44,
+    # yet the solve itself converges: only the flag tells
+    p = DickeParams(y=3.0, n_atoms=16, fock_cutoff=8)
+    row = spectrum_scan(p, [3.0])[0]
+    assert row.energy == pytest.approx(-22.40, abs=5e-3)
+    assert mean_field(p).energy_per_atom * 16 == pytest.approx(-36.44,
+                                                               abs=5e-3)
+    assert row.cutoff_converged is False
+    assert ground_state(p).cutoff_converged is False
+
+
 def test_cutoff_flag_never_falsely_true():
     # every case flagged converged matches a solve at twice the cutoff
     rng = np.random.default_rng(7)

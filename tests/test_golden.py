@@ -114,6 +114,24 @@ def _assert_close(want, got, bound: float, where: str = ""):
         assert got == want, where
 
 
+@pytest.mark.parametrize("name, old, new, moved", [
+    ("a.json", b'{"seed": 1, "checks": [{"id": "A", "x": 1.0}, '
+     b'{"id": "B", "x": 2.0}]}',
+     b'{"seed": 1, "checks": [{"id": "A", "x": 1.0}, '
+     b'{"id": "B", "x": 2.5}]}',
+     ['@@ -3 +3 @@', '-{"id": "B", "x": 2.0}', '+{"id": "B", "x": 2.5}']),
+    ("b.json", b'[{"y": 0.0}, {"y": 1.0}]',
+     b'[{"y": 0.0, "ok": true}, {"y": 1.0, "ok": false}]',
+     ['@@ -1,2 +1,2 @@', '-{"y": 0.0}', '-{"y": 1.0}',
+      '+{"y": 0.0, "ok": true}', '+{"y": 1.0, "ok": false}']),
+    ("c.csv", b"y,e\n0,1\n1,2\n", b"y,e\n0,1\n1,3\n",
+     ['@@ -3 +3 @@', '-1,2', '+1,3']),
+])
+def test_golden_tool_names_the_rows_that_moved(name, old, new, moved):
+    assert golden.moved_rows(name, old, new) == moved
+    assert golden.moved_rows(name, old, old) == []
+
+
 def test_manifest_lists_every_case_and_file():
     assert MANIFEST["outputs"] == {name: list(argv)
                                    for name, argv in golden.CASES.items()}

@@ -18,12 +18,16 @@ fingerprint is the same.
 
 tests/test_golden.py regenerates every output with this module and
 compares it with the committed file.  A change that moves an output
-rewrites the files with this script and names the rows that moved.
+rewrites the files with this script, which prints, for each file whose
+bytes change, the rows that moved, old (-) and new (+): a CSV or text
+file's lines, and a JSON file's rows (the elements of its list, or of its
+"checks", with its other keys as one row) as one-line JSON.
 """
 
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
 import json
 import os
@@ -109,11 +113,42 @@ def render(argv) -> bytes:
     return out.getvalue().encode()
 
 
+def _rows(name: str, data: bytes) -> list:
+    """The rows of an output, one string each (see the module docstring)."""
+    if not name.endswith(".json"):
+        return data.decode().splitlines()
+    doc = json.loads(data)
+    if isinstance(doc, dict) and "checks" in doc:
+        doc = [{k: v for k, v in doc.items() if k != "checks"}] + doc["checks"]
+    return [json.dumps(row) for row in (doc if isinstance(doc, list)
+                                        else [doc])]
+
+
+def moved_rows(name: str, old: bytes, new: bytes) -> list:
+    """The rows of name that moved from old to new, as unified-diff lines
+    without context: one @@ line per run of moved rows, numbered from 1,
+    then its old rows (-) and new rows (+)."""
+    return list(difflib.unified_diff(_rows(name, old), _rows(name, new),
+                                     n=0, lineterm=""))[2:]
+
+
 def main() -> None:
     os.makedirs(GOLDEN, exist_ok=True)
     for name, argv in CASES.items():
-        with open(os.path.join(GOLDEN, name), "wb") as fh:
-            fh.write(render(argv))
+        path = os.path.join(GOLDEN, name)
+        new = render(argv)
+        try:
+            with open(path, "rb") as fh:
+                old = fh.read()
+        except FileNotFoundError:
+            print(f"{name}: new")
+            old = new
+        if new != old:
+            print(f"{name}: moved")
+            for line in moved_rows(name, old, new):
+                print("  " + line)
+        with open(path, "wb") as fh:
+            fh.write(new)
     manifest = {"fingerprint": fingerprint(),
                 "outputs": {name: list(argv) for name, argv in CASES.items()}}
     with open(os.path.join(GOLDEN, MANIFEST), "w") as fh:
