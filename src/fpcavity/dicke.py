@@ -614,10 +614,13 @@ class _Lanczos:
         self.lower = lo, self.exponent
         steps = min(dim, _MAX_LANCZOS_STEPS)
         # the Lanczos vectors as rows, H times each, and the lower triangle
-        # of H projected on them, one row per vector
+        # of H projected on them, one row per vector; each step writes its
+        # row of each in place, and work holds the two block-sized
+        # intermediates of a step and of a Ritz residual
         self.basis = np.empty((steps, dim))
         self.h_basis = np.empty((steps, dim))
         self.projected = np.zeros((steps, steps))
+        self.work = np.empty((2, dim))
         self.size = 0
         # the two lowest Ritz values on the basis and the coefficients of
         # their vectors, as rows, or None between checks
@@ -627,7 +630,7 @@ class _Lanczos:
         # whose ground component is not small, the first steps would have to
         # cancel the huge 1/(E0 - sigma) part of the solves, and with sigma
         # close to E0 that costs the second Ritz vector its last digits.
-        self._append(_solve(self.factor, start))
+        self._append(start)
 
     def converge(self, pair: int, ceiling: float = math.inf) -> None:
         """Grow the basis until Ritz pair `pair` (0 the lowest) meets the
@@ -656,19 +659,24 @@ class _Lanczos:
                     f"|Hx - Ex| <= {_RESIDUAL} |H| in {self.size} steps",
                     best_estimate=math.ldexp(energy, self.exponent),
                     achieved_error=math.ldexp(residual, self.exponent))
-            w = _solve(self.factor, self.basis[self.size - 1])
+            self._append(self.basis[self.size - 1])
+
+    def _append(self, x: np.ndarray) -> None:
+        """Add the unit vector along the solve of H - sigma on x, made
+        orthogonal to the basis, with the Rayleigh-Ritz check when the basis
+        reaches a size that the schedule checks."""
+        k = self.size
+        q, basis = self.basis[k], self.basis[:k]
+        q[:] = x
+        _lapack.dpbtrs(self.factor, q, lower=1, overwrite_b=1)
+        if k:
             # full reorthogonalization: classical Gram-Schmidt, twice
             for _ in range(2):
-                w -= self.basis[:self.size].T @ (self.basis[:self.size] @ w)
-            self._append(w)
-
-    def _append(self, w: np.ndarray) -> None:
-        """Add the unit vector along w to the basis, with the Rayleigh-Ritz
-        check when the basis reaches a size that the schedule checks."""
-        k = self.size
-        self.basis[k] = w / math.sqrt(w @ w)
-        self.h_basis[k] = _band_matvec(self.h, self.basis[k])
-        self.projected[k, :k + 1] = self.h_basis[:k + 1] @ self.basis[k]
+                q -= np.matmul(basis.T, basis @ q, out=self.work[0])
+        np.divide(q, math.sqrt(q @ q), out=q)
+        _blas.dsbmv(self.h.shape[0] - 1, 1.0, self.h, q, y=self.h_basis[k],
+                    overwrite_y=1, lower=1)
+        np.matmul(self.h_basis[:k + 1], q, out=self.projected[k, :k + 1])
         self.size = k + 1
         self.ritz = None
         if self.size >= _CHECKS_FROM or self.size == len(self.basis):
@@ -688,8 +696,9 @@ class _Lanczos:
         residual norm |H x - E x|."""
         energies, coefficients = self.ritz
         vector = coefficients[pair] @ self.basis[:self.size]
-        residual = (coefficients[pair] @ self.h_basis[:self.size]
-                    - energies[pair] * vector)
+        residual = np.matmul(coefficients[pair], self.h_basis[:self.size],
+                             out=self.work[0])
+        residual -= np.multiply(energies[pair], vector, out=self.work[1])
         return (float(energies[pair]), vector,
                 math.sqrt(residual @ residual))
 
@@ -723,11 +732,13 @@ def _shifted_factor(h: np.ndarray, abs_rows: np.ndarray,
     bracket, margin = _SHIFT_BRACKET * norm, _SHIFT_MARGIN * norm
     gershgorin = float((h[0] + np.abs(h[0]) - abs_rows).min())
     top = float(h[0].min())
-    shifted = h.copy(order="F")
+    # each factorization overwrites the one before, in place
+    shifted = np.empty_like(h, order="F")
 
     def factored(shift: float):
-        shifted[0] = h[0] - shift
-        return _lapack.dpbtrf(shifted, lower=1)
+        shifted[:] = h
+        shifted[0] -= shift
+        return _lapack.dpbtrf(shifted, lower=1, overwrite_ab=1)
 
     def certifies(shift: float) -> bool:
         # a shift at or above the smallest diagonal entry is not probed
@@ -764,10 +775,6 @@ def _shifted_factor(h: np.ndarray, abs_rows: np.ndarray,
             f"certified shift {lo!r}", best_estimate=top,
             achieved_error=top - sigma)
     return factor, lo
-
-
-def _solve(factor: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return _lapack.dpbtrs(factor, x, lower=1)[0]
 
 
 def _ground_observables(p: DickeParams):
@@ -886,7 +893,7 @@ def spectrum_scan(p: DickeParams, y_grid: Sequence[float]) -> list[ScanRow]:
     for y in y_grid:
         if y < 0:
             raise DomainError("couplings must be non-negative")
-        q = replace(p, y=y)
+        q = p if y is p.y else replace(p, y=y)
         energy, photon, _, parity, gap, tail = recall(_ground_observables, q)
         rows.append(ScanRow(y=q.y, energy=energy, photon_number=photon,
                             gap=gap, parity=parity,

@@ -508,7 +508,7 @@ class _Failing:
         if name != self._failing:
             return routine
         if name == "dpbtrf":
-            return lambda ab, lower: (ab, 1)
+            return lambda ab, **kwargs: (ab, 1)
         return lambda *args, **kwargs: (*routine(*args, **kwargs)[:-1], 1)
 
 
