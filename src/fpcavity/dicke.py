@@ -30,19 +30,20 @@ of H, so the floor lies below each block's E0, mostly within 2e-3 |H| of
 the lower one's (_spin_floor).  Above cutoff 2 the odd block's starts at the
 even block's certified lower end plus the lower polariton of the normal
 phase, the gap between the two ground levels below y_c (_lower_polariton).
-From there a probe or two and a halving or two bracket E0
-(_shifted_factor): at N = 8, cutoff 60 and N = 16, cutoff 100 a solve of
-both blocks makes 4.4 and 3.9 factorizations over 9 couplings in
-[0.05, 2.9], 4 in the superradiant phase, where a bisection from the
-Gershgorin bound made 11.8 and 11.2 and the search from the spin floor in
-both blocks 5.6 and 4.6.  Rayleigh-Ritz
-of H on the Lanczos basis, whose projection grows by one row per step, is
-checked at every basis size from the fifth vector on.  The outputs read
-three levels: the lowest of each block, L0 and K0, and min(L1, K0), where L
-is the block with the lower minimum and K the other.  So both blocks stop
-once their lowest pair is within a residual of 1e-12 |H|, mostly after 5 to
-8 steps, and only L goes on, on the same basis, until its second pair is
-within that residual too or its second level certainly lies above K0.
+From there up to four probes and halvings bracket E0 to 2e-5 k |H|, k the
+half-bandwidth, 1e-4 |H| at N = 8 (_shifted_factor): at N = 8, cutoff 60
+and N = 16, cutoff 100 a solve of both blocks makes 9.8 and 6.8
+factorizations over 9 couplings in [0.05, 2.9], 1 to 13 a block, where a
+bracket of 1e-3 |H| reached by two probes made 4.4 and 3.9 at the cost of
+1.9 and 2.7 more banded solves.
+Rayleigh-Ritz of H on the Lanczos basis, whose projection grows by one row
+per step, is checked at every basis size from the fifth vector on.  The
+outputs read three levels: the lowest of each block, L0 and K0, and
+min(L1, K0), where L is the block with the lower minimum and K the other.
+So both blocks stop once their lowest pair is within a residual of
+1e-12 |H|, at those two shapes mostly after 5 steps, and only
+L goes on, on the same basis, until its second pair is within that
+residual too or its second level certainly lies above K0.
 Before anything is built, the solver's guard bounds the flops of its worst
 case, the shift search's factorizations and 45 Lanczos steps with a check
 at each, to MAX_SOLVER_WORK, and the Lanczos basis to 6e6 doubles; solves
@@ -115,33 +116,55 @@ MAX_SOLVER_WORK = 2_000_000_000
 # at 4000 0.08-0.11 s
 _MAX_BASIS_DOUBLES = 6_000_000
 # Rayleigh-Ritz checks of the Lanczos basis, each a small dense eigensolve
-# and one Ritz pair's residual: at every size from 5 vectors on, where
-# most lowest pairs have converged (5 to 8 steps)
+# and one Ritz pair's residual: at every size from 5 vectors on, where,
+# with the shift within 1e-4 and 1.8e-4 |H| of E0 (_SHIFT_BRACKET), most
+# lowest pairs at N = 8, cutoff 60 and N = 16, cutoff 100 have converged
+# (5 to 8 steps with 1e-3 |H|).  From 4 vectors on, a pair whose residual bound is loose
+# would pass too soon: at omega_c = 1e11 (omega_a = 1, y = 1, N = 8,
+# cutoff 60) 4 steps meet 1e-12 |H|, about 6, and the energy reads -3.6884
+# against -3.99995499 from 5 on
 _CHECKS_FROM = 5
 # each eigenpair (E, x) returned meets |H x - E x| <= _RESIDUAL |H|
 _RESIDUAL = 1e-12
-# the shift's search stops at a bracket on E0 this wide, and the shift
-# used sits this far below the bracket's certified lower end; both in
-# units of |H|.  A looser bracket saves factorizations but leaves the shift
-# farther below E0, and Lanczos takes more steps: with the bisection from
-# the Gershgorin bound, one warm solve (median over y in [0.1, 2.7], 2-core
-# x86 box) at N = 8, cutoff 60 and N = 16, cutoff 100 took 0.67 and 1.58 ms
-# at 1e-2 (20 banded solves per N = 8 solve), 0.42 and 1.13 ms at 1e-3 (12)
-# and 0.40 and 1.11 ms at 1e-4 (10).  The searches from the spin floor and,
-# in the odd block, from the even block's lower end plus the lower
-# polariton, both mostly within 2e-3 |H| below E0, make 4.4 and 3.9
-# factorizations per solve at 1e-3 over 9 couplings in [0.05, 2.9], against
-# 11.8 and 11.2 by that bisection, and 2 per block in the superradiant
-# phase (_shifted_factor).
-_SHIFT_BRACKET = 1e-3
+# the shift's search stops at a bracket on E0 of _SHIFT_BRACKET k |H|, k
+# the half-bandwidth, and the shift used sits _SHIFT_MARGIN |H| below the
+# bracket's certified lower end.  A looser bracket saves factorizations but
+# leaves the shift farther below E0, and Lanczos takes more steps.  Each
+# halving costs one factorization, about n k^2 flops for a block of n
+# states, and a Lanczos step about 8 n k with its share of the checks, so
+# the bracket widens in proportion to k.  With the bracket fixed in units
+# of |H|, one solve at N = 8, cutoff 60 (k = 5) and N = 16, cutoff 100
+# (k = 9), median over 14 couplings in [0.1, 2.7] (2-core x86 box, one
+# run), took, cold (after 23 ms of other work, as between the benchmark's
+# ops) and warm:
+#     bracket   N = 8 cold, warm   N = 16 cold, warm
+#     1e-2      1.68, 0.92 ms      3.31, 2.27 ms
+#     1e-3      1.59, 0.92         3.31, 2.08
+#     3e-4      1.52, 0.85         3.19, 2.05
+#     1e-4      1.50, 0.85         3.08, 2.11
+#     3e-5      1.61, 0.94         3.42, 2.40
+# 2e-5 k gives 1e-4 at N = 8, 1.8e-4 at N = 16, alike with 1e-4 there
+# within the noise, and 2e-3 at N = 199, cutoff 99 (k = 101), where one
+# coupling (y in {0.5, 1.5, 3}) took 0.13-0.19 s against 0.12-0.27 s at
+# 1e-4 and 0.15-0.22 s at 1e-3.  At N = 8 and 16 the searches from the spin
+# floor and, in the odd block, from the even block's lower end plus the
+# lower polariton, both mostly within 2e-3 |H| below E0, make 9.8 and 6.8
+# factorizations per solve over 9 couplings in [0.05, 2.9] (4.4 and 3.9 at
+# 1e-3 with two probes), and Lanczos 10 and 10.3 banded solves (11.9 and
+# 13.0).
+_SHIFT_BRACKET = 2e-5
 _SHIFT_MARGIN = 1e-10
-# banded Cholesky factorizations per block, at most (_shifted_factor): the
-# halvings of a bracket of at most 2 |H| down to _SHIFT_BRACKET |H|, the
-# one at the shift, and two more, either the two probes from the start
-# that lead to such a bracket, or a failed probe and a failed
-# factorization at the shift before the search runs again from the
-# Gershgorin bound
-_FACTORIZATIONS = math.ceil(math.log2(2.0 / _SHIFT_BRACKET)) + 3
+# banded Cholesky factorizations per block, at most (_shifted_factor),
+# which the solver's guard counts (_check_solver_work): the search stops
+# halving where only the factorization at the shift is left of these.  14
+# is what the search made at most with a bracket of 1e-3 |H|: the 11
+# halvings of a bracket of at most 2 |H|, the one at the shift, and two
+# more, either the two probes from the start that lead to such a bracket,
+# or a failed probe and a failed factorization at the shift before the
+# search runs again from the Gershgorin bound.  A search that meets the
+# cap stops at a bracket of at most 2^-9 2 |H|, about 4e-3 |H|, where all
+# four probes up from its start succeeded.
+_FACTORIZATIONS = 14
 # Fock cutoffs up to which the odd block's search starts at the spin floor,
 # as the even block's does.  With at most two photons, truncation lifts the
 # odd block's E0 far above the even one's plus the lower polariton: 9 to 96
@@ -243,11 +266,10 @@ def _check_solver_work(p: DickeParams) -> None:
     Per parity block of n states and half-bandwidth k, a solve (_Lanczos)
     makes up to _FACTORIZATIONS = 14 banded Cholesky factorizations of
     n k^2 flops.  The search for the shift (_shifted_factor) mostly makes
-    1 to 4, 2.2 on average at N = 8, cutoff 60 and 1.9 at N = 16, cutoff
-    100; its worst case, after two probes from its start or a start above
-    E0, is two more than the 12 of a bisection from the Gershgorin bound.
-    The spin floor, one bisection of two tridiagonals of about N/2
-    states, takes O(N) flops and is left aside.  A solve makes up to
+    1 to 13, 4.9 on average at N = 8, cutoff 60 and 3.4 at N = 16, cutoff
+    100, and it stops halving where only the factorization at the shift is
+    left of the 14.  The spin floor, one bisection of two tridiagonals of
+    about N/2 states, takes O(N) flops and is left aside.  A solve makes up to
     _MAX_LANCZOS_STEPS = S steps of one banded solve and one banded
     product, 8 n k flops together.  Over all steps, the
     reorthogonalization takes 4 n S (S - 1) flops, the rows of the
@@ -715,13 +737,18 @@ def _shifted_factor(h: np.ndarray, abs_rows: np.ndarray,
     A factorization that succeeds certifies its shift below E0, one that
     fails its shift above E0, and the smallest diagonal entry is above E0
     too.  The search keeps a bracket [lo, lo + width] on E0 and halves it,
-    probing lo + width/2, until it is at most _SHIFT_BRACKET |H| wide.
-    Where the guess less 1e-10 |H| lies between the Gershgorin lower bound
-    and the smallest diagonal entry, it starts there: E0 is mostly within
-    2 _SHIFT_BRACKET |H| above it, so it first probes upward, by
-    _SHIFT_BRACKET |H| and then twice that, and a failed probe gives a
-    bracket of that probe's step, after two successes one up to the
-    smallest diagonal entry.  Otherwise it starts from the Gershgorin
+    probing lo + width/2, until it is at most b = _SHIFT_BRACKET k |H|
+    wide, k the half-bandwidth, or until only the factorization at the
+    shift is left of _FACTORIZATIONS.  Where the guess less 1e-10 |H| lies
+    between the Gershgorin lower bound and the smallest diagonal entry, it
+    starts there: E0 mostly lies within 2e-3 |H| above it, and it first
+    probes upward, by b and then each time by twice the step before, at
+    most four times, so up to 15 b; a failed probe gives a bracket of that
+    probe's step, after four successes one up to the smallest diagonal
+    entry.  At N = 8, cutoff 60, where b is 1e-4 |H|, that makes 1 or 2
+    factorizations in a block whose guess lies within b of E0, such as the
+    odd block's in the superradiant phase, 4 to 8 in the even block there,
+    and up to 13 near y_c.  Otherwise it starts from the Gershgorin
     bound.  The accepted shift backs off from lo by 1e-10 |H|, so rounding
     in its certificate cannot leave it at or above E0.  Where no probe from
     the guess succeeded and the factorization at that shift fails, the
@@ -729,13 +756,17 @@ def _shifted_factor(h: np.ndarray, abs_rows: np.ndarray,
     bound, below the failed shift.
     """
     norm = float(abs_rows.max())
-    bracket, margin = _SHIFT_BRACKET * norm, _SHIFT_MARGIN * norm
+    bracket = _SHIFT_BRACKET * (h.shape[0] - 1) * norm
+    margin = _SHIFT_MARGIN * norm
     gershgorin = float((h[0] + np.abs(h[0]) - abs_rows).min())
     top = float(h[0].min())
     # each factorization overwrites the one before, in place
     shifted = np.empty_like(h, order="F")
+    spent = 0
 
     def factored(shift: float):
+        nonlocal spent
+        spent += 1
         shifted[:] = h
         shifted[0] -= shift
         return _lapack.dpbtrf(shifted, lower=1, overwrite_ab=1)
@@ -745,7 +776,9 @@ def _shifted_factor(h: np.ndarray, abs_rows: np.ndarray,
         return shift < top and factored(shift)[1] == 0
 
     def halve(lo: float, width: float) -> float:
-        while width > bracket:
+        # down to the bracket, or until only the factorization at the shift
+        # is left of the _FACTORIZATIONS
+        while width > bracket and spent < _FACTORIZATIONS - 1:
             width *= 0.5
             if certifies(lo + width):
                 lo += width
@@ -754,7 +787,7 @@ def _shifted_factor(h: np.ndarray, abs_rows: np.ndarray,
     start = guess - margin
     if gershgorin < start < top:
         lo, step = start, bracket
-        for _ in range(2):
+        for _ in range(4):
             if not certifies(lo + step):
                 break
             lo, step = lo + step, 2.0 * step

@@ -715,58 +715,79 @@ def test_spin_floor_out_of_range_is_dropped(omega_a, omega_c, y, n_atoms,
 
 
 class _CountedFactorizations:
-    """scipy's lapack with dpbtrf counted."""
+    """scipy's lapack with dpbtrf, dpbtrs and dsyevr counted: the shift's
+    factorizations, the Lanczos steps' banded solves and the Rayleigh-Ritz
+    checks' small eigensolves."""
+
+    ROUTINES = ("dpbtrf", "dpbtrs", "dsyevr")
 
     def __init__(self):
-        self.calls = 0
+        self.calls = dict.fromkeys(self.ROUTINES, 0)
 
     def __getattr__(self, name):
         routine = getattr(lapack, name)
-        if name != "dpbtrf":
+        if name not in self.ROUTINES:
             return routine
 
         def counted(*args, **kwargs):
-            self.calls += 1
+            self.calls[name] += 1
             return routine(*args, **kwargs)
         return counted
+
+    def counts(self) -> tuple[int, int, int]:
+        return tuple(self.calls[name] for name in self.ROUTINES)
 
 
 SPY_COUPLINGS = (0.33, 1.0, 1.54, 1.98, 2.75)
 
 
-def _solve_factorizations(monkeypatch, models) -> list[int]:
-    """dpbtrf calls of one solve of both blocks of each model, with the
-    counted lapack left in place."""
+def _solve_factorizations(monkeypatch, models) -> list[tuple[int, int, int]]:
+    """(dpbtrf, dpbtrs, dsyevr) calls of one solve of both blocks of each
+    model, with the counted lapack left in place."""
     ground_state(DickeParams(y=1.0, n_atoms=2, fock_cutoff=4))
     lapack_counted = _CountedFactorizations()
     monkeypatch.setattr(dicke, "_lapack", lapack_counted)
     calls = []
     for p in models:
-        before = lapack_counted.calls
+        before = lapack_counted.counts()
         dicke._solve_blocks(p)
-        calls.append(lapack_counted.calls - before)
+        calls.append(tuple(after - b for after, b in
+                           zip(lapack_counted.counts(), before)))
     return calls
 
 
-def _factorizations(monkeypatch, sizes):
-    """dpbtrf calls of one-coupling solves, over sizes x SPY_COUPLINGS."""
-    return sum(_solve_factorizations(monkeypatch, [
+def _total(calls) -> tuple[int, int, int]:
+    return tuple(map(sum, zip(*calls)))
+
+
+def _factorizations(monkeypatch, sizes) -> tuple[int, int, int]:
+    """(dpbtrf, dpbtrs, dsyevr) calls of one-coupling solves, over sizes x
+    SPY_COUPLINGS."""
+    return _total(_solve_factorizations(monkeypatch, [
         DickeParams(y=y, n_atoms=n_atoms, fock_cutoff=cutoff)
         for n_atoms, cutoff in sizes for y in SPY_COUPLINGS]))
 
 
 def test_spin_floor_saves_factorizations(monkeypatch):
-    # the bisection from the Gershgorin bound made 123 factorizations here
-    # (64 at N = 8, 59 at N = 16), the search from the spin floor in both
-    # blocks 55; with the odd block's search from the even block, 50
+    # (dpbtrf, dpbtrs, dsyevr): with the shift bracket 1e-3 |H| and two
+    # probes, the bisection from the Gershgorin bound made 123
+    # factorizations here (64 at N = 8, 59 at N = 16), the search from the
+    # spin floor in both blocks 55, and with the odd block's search from
+    # the even block (50, 124, 44).  At 2e-5 k |H|, k the half-bandwidth,
+    # with four probes the search from the spin floor in both blocks makes
+    # (115, 105, 25), and the odd block's from the even block (87, 106,
+    # 26): more factorizations buy Lanczos runs of mostly 5 vectors a block
     calls = _factorizations(monkeypatch, [(8, 60), (16, 100)])
-    assert calls <= 50
+    assert calls[0] <= 87
+    assert calls[1:] == (106, 26)
 
 
 @pytest.mark.parametrize("cutoff, counts, before", [
-    # the search from the spin floor in both blocks made the second list
-    (1, [15, 18, 19], [15, 18, 19]),
-    (5, [10, 18, 13], [13, 18, 23])])
+    # the search from the spin floor in both blocks makes the second list
+    (1, [(25, 10, 2), (27, 10, 2), (25, 10, 2)],
+     [(25, 10, 2), (27, 10, 2), (25, 10, 2)]),
+    (5, [(19, 10, 2), (28, 10, 2), (20, 10, 2)],
+     [(22, 10, 2), (28, 10, 2), (28, 10, 2)])])
 def test_small_cutoffs_take_no_more_factorizations(cutoff, counts, before,
                                                    monkeypatch):
     # at cutoff 1 truncation lifts the odd level far above the even one plus
@@ -778,15 +799,32 @@ def test_small_cutoffs_take_no_more_factorizations(cutoff, counts, before,
     assert all(g <= b for g, b in zip(got, before))
 
 
-@pytest.mark.parametrize("n_atoms, cutoff, mean", [
-    (8, 60, 5.6), (16, 100, 4.6)])
-def test_odd_block_starts_from_the_even_block(n_atoms, cutoff, mean,
-                                              monkeypatch):
-    # below the spin floor's 5.6 and 4.6 per solve over these 9 couplings
+@pytest.mark.parametrize("n_atoms, cutoff, floor_mean, counts", [
+    (8, 60, 13.2, (88, 90, 18)), (16, 100, 8.6, (61, 93, 21))],
+    ids=["8-60", "16-100"])
+def test_odd_block_starts_from_the_even_block(n_atoms, cutoff, floor_mean,
+                                              counts, monkeypatch):
+    # below the spin floor's 13.2 and 8.6 factorizations per solve over
+    # these 9 couplings (5.6 and 4.6 with the shift bracket 1e-3 |H|, when
+    # the odd block's start made 4.4 and 3.9); most lowest pairs converge on
+    # 5 Lanczos vectors, at their first Rayleigh-Ritz check
     calls = _solve_factorizations(monkeypatch, [
         DickeParams(y=float(y), n_atoms=n_atoms, fock_cutoff=cutoff)
         for y in np.linspace(0.05, 2.9, 9)])
-    assert sum(calls) / len(calls) < mean - 0.5
+    total = _total(calls)
+    assert total[0] / len(calls) < floor_mean - 0.5
+    assert total[0] <= counts[0]
+    assert total[1:] == counts[1:]
+
+
+def test_tighter_shift_takes_fewer_banded_solves(monkeypatch):
+    # with the shift bracket at 1e-3 |H|, one-coupling solves at N = 8,
+    # cutoff 60 over these 9 couplings made 107 banded solves (dpbtrs), 11.9
+    # a solve, and the benchmark's ops at that size 12.2
+    calls = _solve_factorizations(monkeypatch, [
+        DickeParams(y=float(y), n_atoms=8, fock_cutoff=60)
+        for y in np.linspace(0.05, 2.9, 9)])
+    assert _total(calls)[1] < 107
 
 
 @pytest.mark.parametrize("omega_a, omega_c", [
@@ -820,7 +858,7 @@ def test_a_floor_above_the_ground_energy_falls_back(n_atoms, cutoff,
     # a floor 1e-3 |H| above both blocks' E0 certifies nothing: the search
     # runs again from the Gershgorin bound, within _FACTORIZATIONS per
     # block, and the levels are the dense ones
-    normal = _factorizations(monkeypatch, [(n_atoms, cutoff)])
+    normal = _factorizations(monkeypatch, [(n_atoms, cutoff)])[0]
     floors = {}
     for y in SPY_COUPLINGS:
         p = DickeParams(y=y, n_atoms=n_atoms, fock_cutoff=cutoff)
@@ -835,9 +873,9 @@ def test_a_floor_above_the_ground_energy_falls_back(n_atoms, cutoff,
     shifted_factor = dicke._shifted_factor
 
     def counted(*args):
-        before = dicke._lapack.calls
+        before = dicke._lapack.calls["dpbtrf"]
         factor = shifted_factor(*args)
-        per_block.append(dicke._lapack.calls - before)
+        per_block.append(dicke._lapack.calls["dpbtrf"] - before)
         return factor
     monkeypatch.setattr(dicke, "_shifted_factor", counted)
     for y in SPY_COUPLINGS:
@@ -853,9 +891,10 @@ def test_a_floor_above_the_ground_energy_falls_back(n_atoms, cutoff,
 
 
 def test_starved_lanczos_raises_not_returns(monkeypatch):
-    # four Lanczos vectors are far from the residual bound at this size;
-    # the solver must say so rather than return its best Ritz values
-    monkeypatch.setattr(dicke, "_MAX_LANCZOS_STEPS", 4)
+    # three Lanczos vectors are far from the residual bound at this size
+    # (four meet it with the shift bracket at 1e-4 |H|, 2e-5 k |H| at k =
+    # 5); the solver must say so rather than return its best Ritz values
+    monkeypatch.setattr(dicke, "_MAX_LANCZOS_STEPS", 3)
     p = DickeParams(y=2.0, n_atoms=8, fock_cutoff=60)
     with pytest.raises(ConvergenceError) as err:
         ground_state(p)
@@ -923,6 +962,52 @@ def test_solver_against_a_dense_oracle_sweep():
             assert parity == (1.0 if even[0] < odd[0] else -1.0), p
         _, want, photon_tol = dense[parity]
         assert abs(photon - want) <= photon_tol, p
+
+
+# |E - exact| of ground_state's energy at N = 8, cutoff 60, omega_a = 1 and
+# omega_c = 10^k, k = 0..15, by y: the errors of the solver with the shift
+# bracket 1e-3 |H|, rounded up to two digits.  The errors of 3e-8 to 5e-4
+# from omega_c = 1e8 to 1e12 are those of a residual bound in units of |H|
+# (about omega_c cutoff) on a ground state that lives at n ~ 0.
+_GROUND_ERRORS = {
+    0.5: (3.6e-15, 3.6e-15, 1.1e-14, 1.5e-13, 3.6e-14, 1.8e-15, 0.0, 8.9e-16,
+          2.4e-08, 1.6e-07, 2.9e-06, 1.4e-05, 6.3e-14, 6.3e-15, 8.9e-16, 0.0),
+    1.0: (3.6e-15, 0.0, 2.6e-14, 5.4e-15, 6.1e-14, 8.0e-15, 2.7e-15, 0.0,
+          2.9e-08, 1.2e-07, 2.3e-07, 4.6e-05, 2.5e-13, 2.5e-14, 2.7e-15, 0.0),
+    3.0: (2.2e-14, 1.8e-15, 2.6e-14, 1.5e-13, 4.8e-14, 1.6e-14, 8.9e-16,
+          4.6e-14, 3.6e-08, 3.8e-08, 1.9e-06, 2.7e-06, 5.4e-04, 2.3e-13,
+          2.3e-14, 2.7e-15),
+}
+
+
+def test_ground_energy_errors_do_not_grow_where_omega_c_dominates():
+    # The exact value is the lower block's dense eigvalsh below omega_c =
+    # 1e7, and from 1e7 on second-order perturbation theory,
+    # -N omega_a/2 - y^2/(4 (omega_a + omega_c)), which the dense one meets
+    # to the last bit from 1e7 to 1e14.  Each error may exceed its entry by
+    # the rounding of a Rayleigh quotient on the exact ground vector x,
+    # 4 eps |x|'|H||x|, so that a change of shift may move errors that are
+    # rounding; x is the dense one below 1e7 and the bare ground state
+    # |m = 0, n = 0>, with |x|'|H||x| = N omega_a/2, from 1e7 on.
+    eps = np.finfo(float).eps
+    for y, errors in _GROUND_ERRORS.items():
+        for k, error in enumerate(errors):
+            p = DickeParams(1.0, 10.0 ** k, y, 8, 60)
+            if p.omega_c < 1e7:
+                h = build_hamiltonian(p)
+                signs = parity_diagonal(p)
+                blocks = [h[np.ix_(signs == s, signs == s)]
+                          for s in (1.0, -1.0)]
+                levels = [np.linalg.eigvalsh(block)[0] for block in blocks]
+                exact = min(levels)
+                block = blocks[int(np.argmin(levels))]
+                x = np.abs(np.linalg.eigh(block)[1][:, 0])
+                quadratic = x @ np.abs(block) @ x
+            else:
+                exact = -4.0 - y * y / (4.0 * (1.0 + p.omega_c))
+                quadratic = 4.0
+            got = ground_state(p).energy
+            assert abs(got - exact) <= error + 4 * eps * quadratic, (y, k)
 
 
 def _band(h: np.ndarray, half_bandwidth: int) -> np.ndarray:

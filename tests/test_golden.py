@@ -25,7 +25,7 @@ output with them off, so that numpy takes other kernels, and each must
 match its file as an output from another machine would.
 
 A change that moves an output rewrites the files with tools/golden.py and
-names the rows that moved.
+names the rows that moved and the largest move of each field.
 """
 
 import csv
@@ -130,6 +130,41 @@ def _assert_close(want, got, bound: float, where: str = ""):
 def test_golden_tool_names_the_rows_that_moved(name, old, new, moved):
     assert golden.moved_rows(name, old, new) == moved
     assert golden.moved_rows(name, old, old) == []
+
+
+@pytest.mark.parametrize("name, old, new, moves, printed", [
+    ("a.json", b'{"seed": 1, "checks": [{"id": "A", "x": 1.0, '
+     b'"params": {"u": 0.5}}, {"id": "B", "x": 2.0, "params": {"u": 1}, '
+     b'"pass": true}]}',
+     b'{"seed": 1, "checks": [{"id": "A", "x": 1.0, '
+     b'"params": {"u": 0.5}}, {"id": "B", "x": 2.5, "params": {"u": 1}, '
+     b'"pass": false}]}',
+     {"id": 0, "params.u": (0.0, 0.0), "pass": 1, "seed": (0.0, 0.0),
+      "x": (0.5, 0.25)},
+     ["id: 0 changed", "params.u: abs 0, rel 0", "pass: 1 changed",
+      "seed: abs 0, rel 0", "x: abs 0.5, rel 0.25"]),
+    ("c.csv", b'y,e,params,ok\n0,1,"{""u"": 1}",true\n'
+     b'1,0,"{""u"": 2}",true\n',
+     b'y,e,params,ok\n0,0.75,"{""u"": 1}",true\n'
+     b'1,1e-300,"{""u"": 2}",true\n',
+     {"e": (0.25, math.inf), "ok": 0, "params.u": (0.0, 0.0),
+      "y": (0.0, 0.0)},
+     ["e: abs 0.25, rel inf", "ok: 0 changed", "params.u: abs 0, rel 0",
+      "y: abs 0, rel 0"]),
+    ("v.txt", b"2.0\n", b"2.5\n", {"value": (0.5, 0.25)},
+     ["value: abs 0.5, rel 0.25"]),
+])
+def test_golden_tool_gives_each_fields_largest_move(name, old, new, moves,
+                                                    printed):
+    # a field of numbers by its largest absolute and relative move, any
+    # other field, such as a flag, by how many of its values changed,
+    # printed after the rows that moved
+    assert golden.field_moves(name, old, new) == moves
+    assert golden.field_moves(name, old, old) == {
+        field: 0 if isinstance(move, int) else (0.0, 0.0)
+        for field, move in moves.items()}
+    assert golden.report(name, old, new) == (
+        golden.moved_rows(name, old, new) + printed)
 
 
 def test_manifest_lists_every_case_and_file():

@@ -21,15 +21,20 @@ compares it with the committed file.  A change that moves an output
 rewrites the files with this script, which prints, for each file whose
 bytes change, the rows that moved, old (-) and new (+): a CSV or text
 file's lines, and a JSON file's rows (the elements of its list, or of its
-"checks", with its other keys as one row) as one-line JSON.
+"checks", with its other keys as one row) as one-line JSON.  Beside them it
+prints, for each field of the rows, old and new row taken in order, the
+largest absolute and relative move of its numbers, or, for a field that
+holds no numbers, such as a flag, how many of its values changed.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import difflib
 import io
 import json
+import math
 import os
 import platform
 
@@ -132,6 +137,74 @@ def moved_rows(name: str, old: bytes, new: bytes) -> list:
                                      n=0, lineterm=""))[2:]
 
 
+def _flat(row: dict, prefix: str = "") -> dict:
+    """A row's fields, a nested object's under its key and a dot."""
+    flat = {}
+    for key, value in row.items():
+        if isinstance(value, str) and value.startswith("{"):
+            value = json.loads(value)
+        if isinstance(value, dict):
+            flat.update(_flat(value, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = value
+    return flat
+
+
+def _records(name: str, data: bytes) -> list:
+    """The rows of an output as flat {field: value} dicts: a JSON file's
+    rows, a CSV file's by its header, and a text file's value as the one
+    field "value"."""
+    if name.endswith(".json"):
+        return [_flat(json.loads(row)) for row in _rows(name, data)]
+    if name.endswith(".csv"):
+        return [_flat(row) for row in csv.DictReader(
+            io.StringIO(data.decode()))]
+    return [{"value": data.decode().strip()}]
+
+
+def _number(value):
+    """value as a float, or None where it is no number (a flag, an id)."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def field_moves(name: str, old: bytes, new: bytes) -> dict:
+    """Per field of name's rows, old and new row paired in order: the
+    largest absolute and relative move, (abs, rel), where every value of
+    the field is a number, or else the count of values that changed.  A
+    relative move from 0 is inf."""
+    pairs = {}
+    for before, after in zip(_records(name, old), _records(name, new)):
+        for field in before.keys() & after.keys():
+            pairs.setdefault(field, []).append((before[field], after[field]))
+    moves = {}
+    for field, values in sorted(pairs.items()):
+        numbers = [(_number(a), _number(b)) for a, b in values]
+        if any(a is None or b is None for a, b in numbers):
+            moves[field] = sum(a != b for a, b in values)
+            continue
+        moved = [(abs(b - a), a) for a, b in numbers]
+        moves[field] = (max(m for m, _ in moved),
+                        max(m / abs(a) if a else math.inf if m else 0.0
+                            for m, a in moved))
+    return moves
+
+
+def report(name: str, old: bytes, new: bytes) -> list:
+    """What main prints of a file whose bytes changed: its moved rows
+    (moved_rows), then each field's largest moves (field_moves)."""
+    lines = moved_rows(name, old, new)
+    for field, move in field_moves(name, old, new).items():
+        lines.append(f"{field}: " + (
+            f"{move} changed" if isinstance(move, int)
+            else "abs {:.2g}, rel {:.2g}".format(*move)))
+    return lines
+
+
 def main() -> None:
     os.makedirs(GOLDEN, exist_ok=True)
     for name, argv in CASES.items():
@@ -145,7 +218,7 @@ def main() -> None:
             old = new
         if new != old:
             print(f"{name}: moved")
-            for line in moved_rows(name, old, new):
+            for line in report(name, old, new):
                 print("  " + line)
         with open(path, "wb") as fh:
             fh.write(new)
