@@ -41,9 +41,9 @@ per step, is checked at every basis size from the fifth vector on.  The
 outputs read three levels: the lowest of each block, L0 and K0, and
 min(L1, K0), where L is the block with the lower minimum and K the other.
 So both blocks stop once their lowest pair is within a residual of
-1e-12 |H|, at those two shapes mostly after 5 steps, and only
-L goes on, on the same basis, until its second pair is within that
-residual too or its second level certainly lies above K0.
+1e-12 |H|, at those two shapes mostly after 5 steps, and only L goes on,
+on the same basis, until its second pair is within that residual too or
+its second level certainly lies above K0.
 Before anything is built, the solver's guard bounds the flops of its worst
 case, the shift search's factorizations and 45 Lanczos steps with a check
 at each, to MAX_SOLVER_WORK, and the Lanczos basis to 6e6 doubles; solves
@@ -119,10 +119,10 @@ _MAX_BASIS_DOUBLES = 6_000_000
 # and one Ritz pair's residual: at every size from 5 vectors on, where,
 # with the shift within 1e-4 and 1.8e-4 |H| of E0 (_SHIFT_BRACKET), most
 # lowest pairs at N = 8, cutoff 60 and N = 16, cutoff 100 have converged
-# (5 to 8 steps with 1e-3 |H|).  From 4 vectors on, a pair whose residual bound is loose
-# would pass too soon: at omega_c = 1e11 (omega_a = 1, y = 1, N = 8,
-# cutoff 60) 4 steps meet 1e-12 |H|, about 6, and the energy reads -3.6884
-# against -3.99995499 from 5 on
+# (5 to 8 steps with 1e-3 |H|).  From 4 vectors on, a pair whose residual
+# bound is loose would pass too soon: at omega_c = 1e11 (omega_a = 1,
+# y = 1, N = 8, cutoff 60) 4 steps meet 1e-12 |H|, about 6, and the energy
+# reads -3.6884 against -3.99995499 from 5 on
 _CHECKS_FROM = 5
 # each eigenpair (E, x) returned meets |H x - E x| <= _RESIDUAL |H|
 _RESIDUAL = 1e-12

@@ -141,8 +141,6 @@ def _flat(row: dict, prefix: str = "") -> dict:
     """A row's fields, a nested object's under its key and a dot."""
     flat = {}
     for key, value in row.items():
-        if isinstance(value, str) and value.startswith("{"):
-            value = json.loads(value)
         if isinstance(value, dict):
             flat.update(_flat(value, f"{prefix}{key}."))
         else:
@@ -152,13 +150,14 @@ def _flat(row: dict, prefix: str = "") -> dict:
 
 def _records(name: str, data: bytes) -> list:
     """The rows of an output as flat {field: value} dicts: a JSON file's
-    rows, a CSV file's by its header, and a text file's value as the one
-    field "value"."""
+    rows, a CSV file's by its header, a cell that holds a JSON object taken
+    as that object, and a text file's value as the one field "value"."""
     if name.endswith(".json"):
         return [_flat(json.loads(row)) for row in _rows(name, data)]
     if name.endswith(".csv"):
-        return [_flat(row) for row in csv.DictReader(
-            io.StringIO(data.decode()))]
+        return [_flat({key: json.loads(cell) if cell.startswith("{") else cell
+                       for key, cell in row.items()})
+                for row in csv.DictReader(io.StringIO(data.decode()))]
     return [{"value": data.decode().strip()}]
 
 
